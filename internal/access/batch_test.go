@@ -2,6 +2,7 @@ package access
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -96,55 +97,165 @@ func randomOps(rng *rand.Rand, n int) []Op {
 	return ops
 }
 
-// The batched Apply must leave the database and every ladder in exactly the
-// state that applying the operations one at a time produces — the rebuild
-// is amortised, the semantics are not.
-func TestBatchApplyMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	ops := randomOps(rng, 120)
-	// Deletes of generated tuples rarely match exactly (random price); mix
-	// in guaranteed-hit deletes of base tuples.
-	dbProbe := exampleDB(t)
-	poi := dbProbe.MustRelation("poi")
-	for i := 0; i < 10; i++ {
-		ops = append(ops, Op{Kind: OpDelete, Rel: "poi", Tuple: poi.Tuples[i*7].Clone()})
-	}
+// assertBatchMatchesSequential applies ops one at a time to one copy of the
+// fixture and as a single batch to another, and requires the same applied
+// flags, the same error position, the same relations tuple for tuple and the
+// same ladders. An op that fails ends both runs: the state compared is that
+// of the prefix before it.
+func assertBatchMatchesSequential(t *testing.T, fixture func(*testing.T) (*relation.Database, *Schema), ops []Op) {
+	t.Helper()
+	dbSeq, seq := fixture(t)
+	dbBatch, batch := fixture(t)
 
-	dbSeq, dbBatch := exampleDB(t), exampleDB(t)
-	seq := maintSchema(t, dbSeq)
-	batch := maintSchema(t, dbBatch)
-
-	var wantApplied []bool
-	for _, op := range ops {
-		switch op.Kind {
-		case OpInsert:
-			if err := seq.Insert(dbSeq, op.Rel, op.Tuple); err != nil {
-				t.Fatalf("sequential insert: %v", err)
-			}
-			wantApplied = append(wantApplied, true)
-		case OpDelete:
-			ok, err := seq.Delete(dbSeq, op.Rel, op.Tuple)
-			if err != nil {
-				t.Fatalf("sequential delete: %v", err)
-			}
-			wantApplied = append(wantApplied, ok)
+	wantApplied := make([]bool, len(ops))
+	var wantErr error
+	for i, op := range ops {
+		one, err := seq.Apply(dbSeq, []Op{op})
+		if err != nil {
+			wantErr = err
+			break
 		}
+		wantApplied[i] = one[0]
 	}
 	applied, err := batch.Apply(dbBatch, ops)
-	if err != nil {
-		t.Fatalf("batch apply: %v", err)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("batch apply error = %v, sequential says %v", err, wantErr)
 	}
 	for i := range applied {
 		if applied[i] != wantApplied[i] {
 			t.Errorf("op %d: applied %v, sequential says %v", i, applied[i], wantApplied[i])
 		}
 	}
-	if dbSeq.Size() != dbBatch.Size() {
-		t.Fatalf("|D| diverged: %d vs %d", dbSeq.Size(), dbBatch.Size())
+	for _, name := range dbSeq.Names() {
+		a, b := dbSeq.MustRelation(name).Tuples, dbBatch.MustRelation(name).Tuples
+		if len(a) != len(b) {
+			t.Fatalf("%s: |R| diverged: %d vs %d", name, len(a), len(b))
+		}
+		for i := range a {
+			if a[i].Key() != b[i].Key() {
+				t.Fatalf("%s: tuple %d is %v sequentially, %v batched", name, i, a[i], b[i])
+			}
+		}
 	}
 	assertSchemaIdentical(t, "batch-vs-sequential", seq, batch)
 	if err := batch.Verify(dbBatch); err != nil {
 		t.Errorf("conformance after batch: %v", err)
+	}
+}
+
+// The batched Apply must leave the database and every ladder in exactly the
+// state that applying the operations one at a time produces — the rebuild
+// and the delete scans are amortised, the semantics are not.
+func TestBatchApplyMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	ops := randomOps(rng, 120)
+	// Deletes of generated tuples rarely match exactly (random price); mix
+	// in guaranteed-hit deletes of base tuples.
+	poi := exampleDB(t).MustRelation("poi")
+	for i := 0; i < 10; i++ {
+		ops = append(ops, Op{Kind: OpDelete, Rel: "poi", Tuple: poi.Tuples[i*7].Clone()})
+	}
+	t.Run("random ops on hot groups", func(t *testing.T) {
+		assertBatchMatchesSequential(t, func(t *testing.T) (*relation.Database, *Schema) {
+			db := exampleDB(t)
+			return db, maintSchema(t, db)
+		}, ops)
+	})
+	for _, c := range deleteSemanticsCases() {
+		t.Run(c.name, func(t *testing.T) {
+			assertBatchMatchesSequential(t, kvFixture, c.ops)
+		})
+	}
+}
+
+// kvFixture is a two-column relation with duplicate rows, under At and a
+// k → v ladder: small enough to read every case below off the page.
+func kvFixture(t *testing.T) (*relation.Database, *Schema) {
+	t.Helper()
+	db := relation.NewDatabase()
+	r := relation.NewRelation(relation.MustSchema("kv",
+		relation.Attr("k", relation.KindInt, relation.Trivial()),
+		relation.Attr("v", relation.KindFloat, relation.Numeric(10)),
+	))
+	const big = int64(1e15) // from here on Int and Float are Equal but not KeyEqual
+	r.MustAppend(
+		kv(1, relation.Float(5)),
+		kv(2, relation.Float(7)),
+		kv(1, relation.Float(5)),
+		kv(3, relation.Int(3)),
+		kv(1, relation.Float(5)),
+		kv(2, relation.Float(8)),
+		kv(1, relation.Float(5)),
+		kv(big, relation.Int(big)),
+		kv(3, relation.Float(4)),
+	)
+	db.MustAdd(r)
+	s, err := BuildAt(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Extend(db, "kv", []string{"k"}, []string{"v"}); err != nil {
+		t.Fatal(err)
+	}
+	return db, s
+}
+
+func kv(k int64, v relation.Value) relation.Tuple { return relation.Tuple{relation.Int(k), v} }
+
+type batchCase struct {
+	name string
+	ops  []Op
+}
+
+// deleteSemanticsCases are the batches one pass per relation and per group
+// could get wrong where one scan per delete could not.
+func deleteSemanticsCases() []batchCase {
+	const big = int64(1e15)
+	ins := func(t relation.Tuple) Op { return Op{Kind: OpInsert, Rel: "kv", Tuple: t} }
+	del := func(t relation.Tuple) Op { return Op{Kind: OpDelete, Rel: "kv", Tuple: t} }
+	return []batchCase{
+		{"insert then delete the same tuple", []Op{
+			ins(kv(9, relation.Float(1))), del(kv(9, relation.Float(1))),
+		}},
+		{"delete before the insert that would match misses", []Op{
+			del(kv(9, relation.Float(1))), ins(kv(9, relation.Float(1))),
+		}},
+		{"a delete takes the stored duplicate, not the one inserted earlier in the batch", []Op{
+			ins(kv(2, relation.Float(7))), del(kv(2, relation.Float(7))), del(kv(2, relation.Float(7))), del(kv(2, relation.Float(7))),
+		}},
+		{"k of m duplicate rows", []Op{
+			del(kv(1, relation.Float(5))), del(kv(1, relation.Float(5))), del(kv(1, relation.Float(5))),
+		}},
+		{"more deletes than duplicates", []Op{
+			del(kv(1, relation.Float(5))), del(kv(1, relation.Float(5))), del(kv(1, relation.Float(5))),
+			del(kv(1, relation.Float(5))), del(kv(1, relation.Float(5))), ins(kv(1, relation.Float(5))),
+		}},
+		{"Float query tuple against a stored Int", []Op{
+			del(kv(3, relation.Float(3))),
+		}},
+		{"Float query tuple against a stored Int the indices key differently", []Op{
+			del(relation.Tuple{relation.Float(float64(big)), relation.Float(float64(big))}),
+		}},
+		{"a missing tuple between two hits", []Op{
+			del(kv(2, relation.Float(7))), del(kv(2, relation.Float(7.5))), del(kv(2, relation.Float(8))),
+		}},
+		{"empty a group and refill it", []Op{
+			del(kv(2, relation.Float(7))), del(kv(2, relation.Float(8))), ins(kv(2, relation.Float(9))), del(kv(2, relation.Float(9))), ins(kv(2, relation.Float(6))),
+		}},
+		{"NaN equals every number", []Op{
+			ins(kv(4, relation.Float(math.NaN()))), del(kv(4, relation.Float(2))), del(kv(3, relation.Float(math.NaN()))),
+		}},
+		{"an unknown relation mid-batch leaves the prefix applied", []Op{
+			ins(kv(9, relation.Float(1))), del(kv(1, relation.Float(5))),
+			{Kind: OpInsert, Rel: "nope", Tuple: kv(0, relation.Float(0))},
+			del(kv(2, relation.Float(7))),
+		}},
+		{"a bad arity mid-batch leaves the prefix applied", []Op{
+			del(kv(2, relation.Float(8))), ins(kv(2, relation.Float(8))), ins(relation.Tuple{relation.Int(1)}), ins(kv(7, relation.Float(7))),
+		}},
+		{"an unknown kind mid-batch leaves the prefix applied", []Op{
+			del(kv(3, relation.Float(4))), {Kind: 9, Rel: "kv", Tuple: kv(1, relation.Float(5))}, del(kv(1, relation.Float(5))),
+		}},
 	}
 }
 

@@ -1,9 +1,11 @@
 package access
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/kdtree"
@@ -32,6 +34,7 @@ type Ladder struct {
 	RelName string
 	X, Y    []string
 
+	xIdx, yIdx  []int // positions of X and Y in the relation's schema
 	yAttrs      []relation.Attribute
 	maxK        int
 	resolutions [][]float64 // [k][|Y|]; max over groups of per-group level-k resolution
@@ -60,63 +63,100 @@ func BuildLadderSharded(db *relation.Database, rel string, x, y []string, shards
 // buildLadderWorkers is BuildLadder with explicit worker and shard counts;
 // tests pin workers to 1 to assert the parallel build changes nothing.
 func buildLadderWorkers(db *relation.Database, rel string, x, y []string, workers, shards int) (*Ladder, error) {
+	l, groups, err := prepareLadder(db, rel, x, y, shards)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]groupBuild, len(groups))
+	for i, g := range groups {
+		jobs[i] = groupBuild{l, g}
+	}
+	buildGroups(jobs, workers)
+	for _, g := range groups {
+		l.store.put(g)
+	}
+	l.recomputeMeta()
+	return l, nil
+}
+
+// prepareLadder scans the relation once and returns the ladder shell with
+// its groups bucketed but not yet built or stored: each group holds its
+// X-key and its Y-projections, in first-occurrence order.
+func prepareLadder(db *relation.Database, rel string, x, y []string, shards int) (*Ladder, []*ladderGroup, error) {
+	l, r, err := newLadder(db, rel, x, y, shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	byX := relation.NewTupleMap[*ladderGroup](0)
+	var groups []*ladderGroup
+	for _, t := range r.Tuples {
+		key := t.Project(l.xIdx)
+		g, ok := byX.Get(key)
+		if !ok {
+			g = &ladderGroup{key: key}
+			byX.Put(key, g)
+			groups = append(groups, g)
+		}
+		g.items = append(g.items, kdtree.Item{Tuple: t.Project(l.yIdx), Count: 1})
+	}
+	return l, groups, nil
+}
+
+// newLadder returns an empty ladder on rel(X → Y) over `shards` partitions,
+// with the attribute sets resolved against the relation's schema, and the
+// relation itself.
+func newLadder(db *relation.Database, rel string, x, y []string, shards int) (*Ladder, *relation.Relation, error) {
 	r, ok := db.Relation(rel)
 	if !ok {
-		return nil, fmt.Errorf("access: unknown relation %q", rel)
+		return nil, nil, fmt.Errorf("access: unknown relation %q", rel)
 	}
 	xIdx, err := r.Schema.Indices(x)
 	if err != nil {
-		return nil, fmt.Errorf("access: ladder X: %w", err)
+		return nil, nil, fmt.Errorf("access: ladder X: %w", err)
 	}
 	yIdx, err := r.Schema.Indices(y)
 	if err != nil {
-		return nil, fmt.Errorf("access: ladder Y: %w", err)
+		return nil, nil, fmt.Errorf("access: ladder Y: %w", err)
 	}
 	if len(y) == 0 {
-		return nil, fmt.Errorf("access: ladder on %s needs at least one Y attribute", rel)
+		return nil, nil, fmt.Errorf("access: ladder on %s needs at least one Y attribute", rel)
 	}
 	l := &Ladder{
 		RelName: rel,
 		X:       append([]string(nil), x...),
 		Y:       append([]string(nil), y...),
+		xIdx:    xIdx,
+		yIdx:    yIdx,
 		store:   newShardedLadder(shards),
 	}
 	l.yAttrs = make([]relation.Attribute, len(yIdx))
 	for i, j := range yIdx {
 		l.yAttrs[i] = r.Schema.Attrs[j]
 	}
+	return l, r, nil
+}
 
-	// Group Y-projections by X-value, keeping first-occurrence group order
-	// so the parallel build can write results into a stable slice.
-	type bucket struct {
-		key   relation.Tuple
-		items []kdtree.Item
-	}
-	byX := relation.NewTupleMap[int](0)
-	var buckets []*bucket
-	for _, t := range r.Tuples {
-		key := t.Project(xIdx)
-		bi, ok := byX.Get(key)
-		if !ok {
-			bi = len(buckets)
-			byX.Put(key, bi)
-			buckets = append(buckets, &bucket{key: key})
-		}
-		buckets[bi].items = append(buckets[bi].items, kdtree.Item{Tuple: t.Project(yIdx), Count: 1})
-	}
+// groupBuild is one unit of index construction: a group of some ladder whose
+// tree and level views are (re)built from its tuple list.
+type groupBuild struct {
+	l *Ladder
+	g *ladderGroup
+}
 
-	// Build one group (tree + materialised level views) per bucket, in
-	// parallel. Each group is independent and kdtree.Build is deterministic
-	// in its item order, so worker count does not affect the result.
-	groups := make([]*ladderGroup, len(buckets))
-	parallelFor(len(buckets), workers, func(bi int) {
-		groups[bi] = newLadderGroup(buckets[bi].key, l.yAttrs, buckets[bi].items)
+// buildGroups rebuilds every job's group on one pool of up to `workers`
+// goroutines, whichever ladders the groups belong to. Largest first: the
+// one giant group of a generic ladder (X = ∅, |R| points) starts at once
+// and forks inside kdtree.Build, and the thousands of small groups fill the
+// other workers behind it instead of queueing ladder after ladder. Groups
+// are independent and kdtree.Build is deterministic in its item order, so
+// neither the order nor the worker count affects the result.
+func buildGroups(jobs []groupBuild, workers int) {
+	slices.SortStableFunc(jobs, func(a, b groupBuild) int {
+		return cmp.Compare(len(b.g.items), len(a.g.items))
 	})
-	for _, g := range groups {
-		l.store.put(g)
-	}
-	l.recomputeMeta()
-	return l, nil
+	parallelFor(len(jobs), workers, func(i int) {
+		jobs[i].g.rebuild(jobs[i].l.yAttrs)
+	})
 }
 
 // parallelFor runs f(i) for i in [0, n) over at most `workers` goroutines

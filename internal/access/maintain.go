@@ -8,11 +8,16 @@ import (
 // maintaining the access-schema indices in response to updates to D.
 // Updates are localised twice over: a tuple only affects the group of its
 // own X-value in each ladder, and that group lives in exactly one shard,
-// which owns the group's tuple list. The group is rebuilt from that list —
-// O(g log² g) for a group of size g — without ever rescanning the relation,
-// and no other partition is touched. Both entry points are thin wrappers
-// over the batched Apply (batch.go), which defers the rebuild so a burst of
-// updates against one hot group pays for a single reconstruction.
+// which owns the group's tuple list. What a batch of updates costs
+// (batch.go): one pass over each written relation to find the tuples its
+// deletes remove, one pass over the tuple list of each group a delete
+// reaches, and one rebuild of each touched group from its list — a K-D tree
+// over the group's g points, O(g log g) per tree level (one sort, one
+// spread scan), at most ⌈log₂ g⌉ levels. No other group is touched. The
+// generic ladder At keeps a relation in a single group (X = ∅), so any write
+// to R rebuilds a |R|-point tree: that rebuild, not the scans, is what a
+// write costs, and splitting it is the next lever. Both entry points are
+// thin wrappers over the batched Apply.
 
 // Insert appends the tuple to the relation in db and incrementally updates
 // every ladder of the schema that indexes that relation.
@@ -32,20 +37,6 @@ func (s *Schema) Delete(db *relation.Database, rel string, t relation.Tuple) (bo
 	return applied[0], nil
 }
 
-// projections resolves the tuple's X-key and Y-projection under the
-// ladder's attribute sets.
-func (l *Ladder) projections(r *relation.Relation, t relation.Tuple) (key, y relation.Tuple, err error) {
-	xIdx, err := r.Schema.Indices(l.X)
-	if err != nil {
-		return nil, nil, err
-	}
-	yIdx, err := r.Schema.Indices(l.Y)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t.Project(xIdx), t.Project(yIdx), nil
-}
-
 // keyEqualTuple reports component-wise canonical-encoding equality — the
 // grouping/dedup equality of the ladder's indices.
 func keyEqualTuple(a, b relation.Tuple) bool {
@@ -61,37 +52,31 @@ func keyEqualTuple(a, b relation.Tuple) bool {
 }
 
 // recomputeMeta refreshes MaxK, MaxGroupDistinct, IndexSize and the
-// per-level resolutions from the current groups. It touches metadata only —
-// never group indices or the relation — so it is O(groups × levels).
+// per-level resolutions from the current groups, in one pass over them. It
+// touches metadata only — never group indices or the relation — so it is
+// O(Σ over groups of the group's levels).
 func (l *Ladder) recomputeMeta() {
 	l.maxK, l.maxDistinct, l.indexSize = 0, 0, 0
+	// Fresh rows every time: Resolution hands the old ones out.
+	res := [][]float64{make([]float64, len(l.Y))}
 	l.store.rangeGroups(func(g *ladderGroup) bool {
-		if g.exactLevel() > l.maxK {
-			l.maxK = g.exactLevel()
-		}
-		if g.distinct > l.maxDistinct {
-			l.maxDistinct = g.distinct
-		}
+		l.maxK = max(l.maxK, g.exactLevel())
+		l.maxDistinct = max(l.maxDistinct, g.distinct)
 		l.indexSize += g.indexSize()
-		return true
-	})
-	l.resolutions = make([][]float64, l.maxK+1)
-	for k := 0; k <= l.maxK; k++ {
-		res := make([]float64, len(l.Y))
-		l.store.rangeGroups(func(g *ladderGroup) bool {
-			// Levels past a group's exact level resolve exactly (all-zero
-			// resolution, as kdtree clamping reports), so they contribute
-			// nothing to the max.
-			if k >= len(g.resolutions) {
-				return true
+		// Levels past a group's exact level resolve exactly (all-zero
+		// resolution, as kdtree clamping reports), so a group contributes
+		// to the maxima of its own levels only.
+		for k, row := range g.resolutions {
+			if k == len(res) {
+				res = append(res, make([]float64, len(l.Y)))
 			}
-			for i, d := range g.resolutions[k] {
-				if d > res[i] {
-					res[i] = d
+			for i, d := range row {
+				if d > res[k][i] {
+					res[k][i] = d
 				}
 			}
-			return true
-		})
-		l.resolutions[k] = res
-	}
+		}
+		return true
+	})
+	l.resolutions = res
 }

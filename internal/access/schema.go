@@ -2,6 +2,7 @@ package access
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/relation"
 )
@@ -22,19 +23,31 @@ func BuildAt(db *relation.Database) (*Schema, error) {
 }
 
 // BuildAtSharded is BuildAt with an explicit per-ladder partition count
-// (0 falls back to DefaultShards).
+// (0 falls back to DefaultShards). Each generic ladder is a single group,
+// so the relations' groups are built together on one worker pool.
 func BuildAtSharded(db *relation.Database, shards int) (*Schema, error) {
 	s := &Schema{}
+	var jobs []groupBuild
 	for _, name := range db.Names() {
 		r := db.MustRelation(name)
 		if r.Len() == 0 {
 			continue
 		}
-		l, err := BuildLadderSharded(db, name, nil, r.Schema.AttrNames(), shards)
+		l, groups, err := prepareLadder(db, name, nil, r.Schema.AttrNames(), resolveShards(shards))
 		if err != nil {
 			return nil, err
 		}
 		s.Ladders = append(s.Ladders, l)
+		for _, g := range groups {
+			jobs = append(jobs, groupBuild{l, g})
+		}
+	}
+	buildGroups(jobs, runtime.GOMAXPROCS(0))
+	for _, job := range jobs {
+		job.l.store.put(job.g)
+	}
+	for _, l := range s.Ladders {
+		l.recomputeMeta()
 	}
 	return s, nil
 }

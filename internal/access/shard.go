@@ -9,10 +9,10 @@ import (
 
 // This file implements the partition-owned storage engine behind a Ladder.
 // Groups (one per distinct X-value) are hash-partitioned across N shards;
-// each shard exclusively owns its groups' K-D trees, per-group tuple lists
-// (so incremental maintenance never rescans the relation) and materialised
-// per-level sample views (so the online fetch path hands out shared
-// read-only slices instead of rebuilding them per fetch). Scatter-gather
+// each shard exclusively owns its groups' tuple lists (what incremental
+// maintenance rebuilds a group's K-D tree from) and materialised per-level
+// sample views (so the online fetch path hands out shared read-only slices
+// instead of rebuilding them per fetch). Scatter-gather
 // batch fetches fan the distinct X-values of one query out across the
 // shards, which is what lets a single query use multiple cores on the
 // fetch side (ROADMAP "shard the database/ladders").
@@ -53,18 +53,13 @@ func resolveShards(n int) int {
 }
 
 // ladderGroup is the storage of one X-group, exclusively owned by one shard:
-// the group's K-D tree, the raw per-group tuple list (Y-projections of the
-// base tuples, duplicates kept) that incremental maintenance rebuilds from,
-// and the materialised per-level sample views handed out by Fetch.
+// the raw per-group tuple list (Y-projections of the base tuples, duplicates
+// kept) that incremental maintenance rebuilds from, and the per-level sample
+// views handed out by Fetch. The group's K-D tree lives only inside rebuild:
+// the views are everything the fetch path and the snapshot need of it.
 type ladderGroup struct {
 	key   relation.Tuple
 	items []kdtree.Item
-	// tree is the group's kd-tree. It is nil for a group restored from a
-	// snapshot that has not been touched by maintenance since: the fetch
-	// path reads the materialised views below, and the first maintenance
-	// rebuild reconstructs the tree from the tuple list deterministically —
-	// so snapshots never need to encode tree structure at all.
-	tree *kdtree.Tree
 	// levels[k] is the level-k fetch result, materialised once; the slices
 	// and their tuples are shared and must be treated as read-only.
 	levels [][]Sample
@@ -76,37 +71,20 @@ type ladderGroup struct {
 	// levels so ladder-level metadata refreshes never re-walk the trees.
 	resolutions [][]float64
 	// distinct is the group's distinct-Y count (kdtree.Tree.Items of the
-	// built tree), kept here so metadata survives a tree-less restore.
+	// built tree).
 	distinct int
 }
 
 // exactLevel returns the level at which the group resolves exactly —
-// kdtree.Tree.ExactLevel, derived from the materialised views so restored
-// groups need no tree.
+// kdtree.Tree.ExactLevel, derived from the materialised views.
 func (g *ladderGroup) exactLevel() int { return len(g.levels) - 1 }
 
-// newLadderGroup builds a group from its tuple list. items are retained by
-// reference (the group owns them from then on).
-func newLadderGroup(key relation.Tuple, yAttrs []relation.Attribute, items []kdtree.Item) *ladderGroup {
-	g := &ladderGroup{key: key, items: items}
-	g.rebuild(yAttrs)
-	return g
-}
-
-// rebuild reconstructs the tree and level views from the tuple list —
-// O(g log² g) for a group of size g, independent of |D| and of every other
-// group.
+// rebuild reconstructs the level views from the tuple list: a K-D tree over
+// the g items — O(g log g) per tree level, independent of |D| and of every
+// other group — whose per-level sample views and resolutions are
+// materialised in one pass, after which the tree is garbage.
 func (g *ladderGroup) rebuild(yAttrs []relation.Attribute) {
-	g.setTree(kdtree.Build(yAttrs, g.items))
-}
-
-// setTree installs a tree (freshly built or restored from a snapshot) and
-// materialises the per-level sample views and per-level resolutions from
-// it, in one pass over the tree. The views are a pure function of the tree,
-// so a restored tree yields byte-identical Fetch results without re-running
-// construction.
-func (g *ladderGroup) setTree(tree *kdtree.Tree) {
-	g.tree = tree
+	tree := kdtree.Build(yAttrs, g.items)
 	g.distinct = tree.Items()
 	all := tree.AllLevels()
 	g.levels = make([][]Sample, len(all))

@@ -13,10 +13,10 @@ import (
 // X-key, the raw tuple list (what incremental maintenance mutates), the
 // materialised per-level []Sample fetch views and per-level resolutions
 // (what the online path serves from), and the distinct-Y count. Kd-tree
-// STRUCTURE is deliberately not serialised: the fetch path never touches
-// the tree once the views exist, and the first maintenance operation on a
-// restored group rebuilds its tree from the tuple list deterministically —
-// so restoring is a linear pass with byte-identical Fetch results, and a
+// STRUCTURE is deliberately not serialised: the fetch path never touches a
+// tree, only the views made from one, and the first maintenance operation on
+// a restored group rebuilds its views from the tuple list deterministically
+// — so restoring is a linear pass with byte-identical Fetch results, and a
 // snapshot stays a flat, checkable artifact.
 
 // GroupSnapshot is the portable state of one ladder group.
@@ -80,38 +80,18 @@ func (l *Ladder) Snapshot() LadderSnapshot {
 // snapshot was taken over. Groups are re-partitioned across `shards` shards
 // (0 keeps the snapshot's count) — partitioning is a deterministic function
 // of the X-value hash, so the shard count never changes what Fetch returns.
-// Restored groups carry no kd-tree (it is rebuilt from the tuple list on
-// their first maintenance touch); the fetch path serves the snapshot's
-// materialised views, byte-identical to the original ladder's. Structural
+// No kd-tree is built: the fetch path serves the snapshot's materialised
+// views, byte-identical to the original ladder's, and a group is rebuilt
+// from its tuple list on its first maintenance touch. Structural
 // problems (unknown relation or attributes, malformed groups) are reported
 // as errors, never panics.
 func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Ladder, error) {
-	r, ok := db.Relation(snap.RelName)
-	if !ok {
-		return nil, fmt.Errorf("access: restore: unknown relation %q", snap.RelName)
-	}
-	if _, err := r.Schema.Indices(snap.X); err != nil {
-		return nil, fmt.Errorf("access: restore ladder X: %w", err)
-	}
-	yIdx, err := r.Schema.Indices(snap.Y)
-	if err != nil {
-		return nil, fmt.Errorf("access: restore ladder Y: %w", err)
-	}
-	if len(snap.Y) == 0 {
-		return nil, fmt.Errorf("access: restore: ladder on %s has no Y attributes", snap.RelName)
-	}
 	if shards <= 0 {
 		shards = snap.Shards
 	}
-	l := &Ladder{
-		RelName: snap.RelName,
-		X:       append([]string(nil), snap.X...),
-		Y:       append([]string(nil), snap.Y...),
-		store:   newShardedLadder(resolveShards(shards)),
-	}
-	l.yAttrs = make([]relation.Attribute, len(yIdx))
-	for i, j := range yIdx {
-		l.yAttrs[i] = r.Schema.Attrs[j]
+	l, _, err := newLadder(db, snap.RelName, snap.X, snap.Y, resolveShards(shards))
+	if err != nil {
+		return nil, fmt.Errorf("access: restore: %w", err)
 	}
 
 	for gi := range snap.Groups {

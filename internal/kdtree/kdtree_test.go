@@ -1,8 +1,12 @@
 package kdtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/relation"
@@ -221,13 +225,49 @@ func TestLevelClamping(t *testing.T) {
 	}
 }
 
-func BenchmarkBuild1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	items := randomItems(rng, 1000)
-	attrs := testAttrs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Build(attrs, items)
+// lineitemAttrs is the 7-D shape of the TPCH lineitem relation — the
+// generic ladder At over it is the largest tree the system builds, and every
+// lineitem write rebuilds it.
+func lineitemAttrs() []relation.Attribute {
+	return []relation.Attribute{
+		relation.Attr("ok", relation.KindInt, relation.Trivial()),
+		relation.Attr("pk", relation.KindInt, relation.Trivial()),
+		relation.Attr("sk", relation.KindInt, relation.Trivial()),
+		relation.Attr("qty", relation.KindInt, relation.Numeric(49)),
+		relation.Attr("extprice", relation.KindFloat, relation.Numeric(100000)),
+		relation.Attr("discount", relation.KindFloat, relation.Numeric(0.1)),
+		relation.Attr("ship", relation.KindInt, relation.Numeric(2555)),
+	}
+}
+
+func lineitemItems(rng *rand.Rand, n int) []Item {
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Count: 1, Tuple: relation.Tuple{
+			relation.Int(int64(rng.Intn(n/4 + 1))),
+			relation.Int(int64(rng.Intn(n/8 + 1))),
+			relation.Int(int64(rng.Intn(n/64 + 1))),
+			relation.Int(int64(1 + rng.Intn(50))),
+			relation.Float(100 + rng.Float64()*100000),
+			relation.Float(rng.Float64() * 0.1),
+			relation.Int(int64(rng.Intn(2556))),
+		}}
+	}
+	return items
+}
+
+var benchTree *Tree
+
+func BenchmarkBuild(b *testing.B) {
+	attrs := lineitemAttrs()
+	for _, n := range []int{64, 4096, 65536} {
+		items := lineitemItems(rand.New(rand.NewSource(7)), n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchTree = Build(attrs, items)
+			}
+		})
 	}
 }
 
@@ -370,4 +410,240 @@ func TestAllLevelsMatchesLevel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceBuild is the construction Build replaced, kept verbatim as the
+// one oracle: a per-level sort.SliceStable on Value.Less, one heap object
+// per node, single goroutine. Build must produce the same tree.
+func referenceBuild(attrs []relation.Attribute, items []Item) *Tree {
+	t := &Tree{attrs: attrs}
+	if len(items) == 0 {
+		return t
+	}
+	byKey := relation.NewTupleMap[int](len(items))
+	own := make([]Item, 0, len(items))
+	for _, it := range items {
+		if i, dup := byKey.Get(it.Tuple); dup {
+			own[i].Count += it.Count
+			continue
+		}
+		byKey.Put(it.Tuple, len(own))
+		own = append(own, it)
+	}
+	t.items = len(own)
+	for _, it := range own {
+		t.count += it.Count
+	}
+	t.root = t.referenceBuildNode(own, 0)
+	return t
+}
+
+func (t *Tree) referenceBuildNode(items []Item, depth int) *node {
+	if depth > t.maxDepth {
+		t.maxDepth = depth
+	}
+	n := &node{maxDist: t.referenceSpread(items)}
+	for _, it := range items {
+		n.count += it.Count
+	}
+	n.rep = items[len(items)/2].Tuple
+	if len(items) == 1 || allZero(n.maxDist) {
+		return n
+	}
+	dim := splitDim(n.maxDist)
+	sort.SliceStable(items, func(i, j int) bool {
+		return items[i].Tuple[dim].Less(items[j].Tuple[dim])
+	})
+	mid := len(items) / 2
+	n.rep = items[mid].Tuple
+	n.left = t.referenceBuildNode(items[:mid], depth+1)
+	n.right = t.referenceBuildNode(items[mid:], depth+1)
+	return n
+}
+
+func (t *Tree) referenceSpread(items []Item) []float64 {
+	out := make([]float64, len(t.attrs))
+	for a, attr := range t.attrs {
+		switch attr.Dist.Kind {
+		case relation.DistNumeric:
+			out[a] = numericSpread(items, a, attr.Dist)
+		default:
+			allEq := true
+			first := items[0].Tuple[a]
+			for _, it := range items[1:] {
+				if !it.Tuple[a].Equal(first) {
+					allEq = false
+					break
+				}
+			}
+			if !allEq {
+				if attr.Dist.Kind == relation.DistDiscrete {
+					out[a] = 1
+				} else {
+					out[a] = math.Inf(1)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// assertSameTree compares everything a caller can observe of two trees.
+// reflect.DeepEqual compares floats with ==, so a NaN resolution (possible
+// only when the data holds NaN) is compared by bit pattern instead.
+func assertSameTree(t testing.TB, label string, got, want *Tree) {
+	t.Helper()
+	if got.Items() != want.Items() || got.Count() != want.Count() || got.ExactLevel() != want.ExactLevel() {
+		t.Fatalf("%s: items/count/exact = %d/%d/%d, reference %d/%d/%d", label,
+			got.Items(), got.Count(), got.ExactLevel(), want.Items(), want.Count(), want.ExactLevel())
+	}
+	ga, wa := got.AllLevels(), want.AllLevels()
+	if len(ga) != len(wa) {
+		t.Fatalf("%s: %d levels, reference %d", label, len(ga), len(wa))
+	}
+	for k := range wa {
+		if len(ga[k]) != len(wa[k]) {
+			t.Fatalf("%s: level %d has %d reps, reference %d", label, k, len(ga[k]), len(wa[k]))
+		}
+		for i := range wa[k] {
+			g, w := ga[k][i], wa[k][i]
+			if g.Count != w.Count || !reflect.DeepEqual(pointBits(g.Point), pointBits(w.Point)) {
+				t.Fatalf("%s: level %d rep %d = (%v,%d), reference (%v,%d)", label, k, i, g.Point, g.Count, w.Point, w.Count)
+			}
+			for a := range w.MaxDist {
+				if math.Float64bits(g.MaxDist[a]) != math.Float64bits(w.MaxDist[a]) {
+					t.Fatalf("%s: level %d rep %d maxDist[%d] = %g, reference %g", label, k, i, a, g.MaxDist[a], w.MaxDist[a])
+				}
+			}
+		}
+	}
+}
+
+// pointBits renders a tuple so that identity, not Equal, is compared: kind,
+// and the float payload by bits (NaN ≠ NaN under ==, −0 == +0).
+func pointBits(t relation.Tuple) []any {
+	out := make([]any, 0, 2*len(t))
+	for _, v := range t {
+		out = append(out, v.Kind())
+		if f, ok := v.AsFloat(); ok && v.Kind() == relation.KindFloat {
+			out = append(out, math.Float64bits(f))
+		} else {
+			out = append(out, v.String())
+		}
+	}
+	return out
+}
+
+// stressAttrs covers every distance kind over columns the generators below
+// fill with whatever the fast path must not get wrong.
+func stressAttrs() []relation.Attribute {
+	return []relation.Attribute{
+		relation.Attr("a", relation.KindInt, relation.Numeric(10)),
+		relation.Attr("b", relation.KindFloat, relation.Numeric(1)),
+		relation.Attr("c", relation.KindInt, relation.Trivial()),
+		relation.Attr("d", relation.KindString, relation.Discrete()),
+	}
+}
+
+// stressValue draws one value for a column under a mode:
+// 0 clean typed data with heavy ties; 1 adds nulls and strings; 2 mixes Int
+// and Float in one column, including ints beyond 2^53 whose float images
+// collide; 3 adds ±Inf, −0 and NaN.
+func stressValue(rng *rand.Rand, col, mode int) relation.Value {
+	const big = int64(1) << 53
+	switch col {
+	case 3:
+		if mode >= 1 && rng.Intn(9) == 0 {
+			return relation.Null()
+		}
+		return relation.String([]string{"x", "y", "z", ""}[rng.Intn(4)])
+	case 1:
+		switch {
+		case mode >= 3 && rng.Intn(6) == 0:
+			return relation.Float([]float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0}[rng.Intn(5)])
+		case mode >= 2 && rng.Intn(4) == 0:
+			return relation.Int(int64(rng.Intn(4)))
+		case mode >= 1 && rng.Intn(11) == 0:
+			return relation.Null()
+		}
+		return relation.Float(float64(rng.Intn(8)) / 4)
+	default:
+		switch {
+		case mode >= 2 && rng.Intn(4) == 0:
+			return relation.Int(big + int64(rng.Intn(4)))
+		case mode >= 2 && rng.Intn(4) == 0:
+			return relation.Float(float64(big) + float64(2*rng.Intn(2)))
+		case mode >= 1 && rng.Intn(13) == 0:
+			return relation.String("s")
+		}
+		return relation.Int(int64(rng.Intn(5)))
+	}
+}
+
+func stressItems(rng *rand.Rand, n, mode int) []Item {
+	items := make([]Item, n)
+	for i := range items {
+		tup := make(relation.Tuple, 4)
+		for c := range tup {
+			tup[c] = stressValue(rng, c, mode)
+		}
+		items[i] = Item{Tuple: tup, Count: 1 + rng.Intn(3)}
+	}
+	return items
+}
+
+// Build must produce the tree referenceBuild produces — same reps, counts,
+// per-node maxDist and level order — on clean and on hostile inputs, at the
+// sizes around every threshold in the kernel.
+func TestBuildMatchesReference(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4) // fork even on a one-core host
+	defer runtime.GOMAXPROCS(prev)
+	sizes := []int{0, 1, 2, 3, 12, 13, 100, 1000}
+	if !testing.Short() {
+		sizes = append(sizes, 50000)
+	}
+	for mode := 0; mode <= 3; mode++ {
+		for _, n := range sizes {
+			rng := rand.New(rand.NewSource(int64(1000*mode + n)))
+			items := stressItems(rng, n, mode)
+			label := fmt.Sprintf("stress mode=%d n=%d", mode, n)
+			assertSameTree(t, label, Build(stressAttrs(), items), referenceBuild(stressAttrs(), items))
+		}
+	}
+	// Few duplicates, so the distinct count actually straddles forkMin.
+	for _, n := range []int{forkMin - 1, forkMin, forkMin + 1, 50000} {
+		if testing.Short() && n > forkMin+1 {
+			continue
+		}
+		items := lineitemItems(rand.New(rand.NewSource(int64(n))), n)
+		assertSameTree(t, fmt.Sprintf("lineitem n=%d", n), Build(lineitemAttrs(), items), referenceBuild(lineitemAttrs(), items))
+	}
+}
+
+// FuzzBuildMatchesReference drives the same differential from fuzzed
+// (seed, size, mode) triples.
+func FuzzBuildMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint16(40), uint8(0))
+	f.Add(int64(2), uint16(300), uint8(1))
+	f.Add(int64(3), uint16(300), uint8(2))
+	f.Add(int64(4), uint16(1000), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, mode uint8) {
+		items := stressItems(rand.New(rand.NewSource(seed)), int(n%2048), int(mode%4))
+		assertSameTree(t, "fuzz", Build(stressAttrs(), items), referenceBuild(stressAttrs(), items))
+	})
+}
+
+// The fork changes who builds a subtree, never what is built.
+func TestBuildWorkerInvariance(t *testing.T) {
+	n := 4 * forkMin
+	if testing.Short() {
+		n = forkMin + forkMin/2
+	}
+	items := lineitemItems(rand.New(rand.NewSource(11)), n)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	one := Build(lineitemAttrs(), items)
+	runtime.GOMAXPROCS(4)
+	four := Build(lineitemAttrs(), items)
+	assertSameTree(t, "GOMAXPROCS 4 vs 1", four, one)
 }
