@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -15,7 +16,7 @@ import (
 	"repro/internal/query"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/exec_digests.json from the current executor")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/exec_digests.json and testdata/edge_digests.json from the current executor")
 
 // TestExecutorMatchesStringKeyReference is the differential guard for the
 // allocation-light execution core: over the same 200-case randomized corpus
@@ -24,6 +25,14 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/exec_dige
 // whose hot paths were keyed by canonical Tuple.Key strings. Any behavioural
 // drift introduced by the hashed tuple maps, precompiled step layouts or
 // kd-tree diff pruning shows up as a digest mismatch pinpointing the case.
+//
+// The deterministic edge-shape corpus (results emptied by EXCEPT,
+// single-tuple relations, 64+-wide duplicate join keys) is pinned the same
+// way in edge_digests.json, answered by 4-worker systems over 1 and 4
+// shards; both shard counts must reproduce the one recorded digest list.
+// Those digests were recorded while the row-at-a-time executor still
+// existed, and every executor configuration of that time — row and
+// columnar, lazy and batched fetch — reproduced them.
 //
 // Regenerate (only when an intentional semantic change is made) with:
 //
@@ -41,27 +50,76 @@ func TestExecutorMatchesStringKeyReference(t *testing.T) {
 
 	digests := make([]string, cases)
 	for ci := 0; ci < cases; ci++ {
-		q := g.Query()
-		alpha := alphas[ci%len(alphas)]
-		h := sha256.New()
-		fmt.Fprintf(h, "q=%s\nalpha=%g\n", query.Render(q), alpha)
-		ans, _, err := s.Answer(q, alpha)
-		if err != nil {
-			// Deterministic failures (e.g. the relaxed-join blowup guard)
-			// are part of the contract too.
-			fmt.Fprintf(h, "err=%v\n", err)
-		} else {
-			for _, k := range relKeys(ans.Rel) {
-				h.Write([]byte(k))
-				h.Write([]byte{0})
-			}
-			fmt.Fprintf(h, "eta=%.12g\nexact=%v\naccessed=%d\ntruncated=%v\n",
-				ans.Eta, ans.Exact, ans.Stats.Accessed, ans.Stats.Truncated)
-		}
-		digests[ci] = hex.EncodeToString(h.Sum(nil))
+		digests[ci] = answerDigest(s, g.Query(), alphas[ci%len(alphas)], ExecOptions{})
 	}
+	checkGolden(t, "exec_digests.json", digests)
 
-	path := filepath.Join("testdata", "exec_digests.json")
+	edgeDB := corpus.EdgeDB()
+	edge := corpus.EdgeCases()
+	variants := []struct {
+		name string
+		opt  ExecOptions
+	}{
+		{"columnar", ExecOptions{}},
+		{"columnar-lazy", ExecOptions{NoPartitionAwareFetch: true}},
+		{"columnar-batched", ExecOptions{MinParallelEmitRows: 1}},
+		{"row", ExecOptions{NoColumnarScan: true}},
+		{"row-lazy", ExecOptions{NoColumnarScan: true, NoPartitionAwareFetch: true}},
+		{"row-batched", ExecOptions{NoColumnarScan: true, MinParallelEmitRows: 1}},
+	}
+	var want []string
+	for _, shards := range []int{1, 4} {
+		eas, err := fixture.SchemaA0Sharded(edgeDB, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		es := NewWithOptions(edgeDB, eas, Options{Workers: 4})
+		for _, v := range variants {
+			got := make([]string, len(edge))
+			for ci, c := range edge {
+				got[ci] = answerDigest(es, c.Query, c.Alpha, v.opt)
+			}
+			if want == nil {
+				want = got
+				checkGolden(t, "edge_digests.json", got)
+				continue
+			}
+			for ci := range got {
+				if got[ci] != want[ci] {
+					t.Errorf("edge case %d shards=%d %s: digest %s != %s", ci, shards, v.name, got[ci][:12], want[ci][:12])
+				}
+			}
+		}
+	}
+}
+
+// answerDigest answers q at alpha under o and hashes everything the answer
+// certifies: the query, its rows, η, exactness and budget consumption — or
+// the error, since deterministic failures (e.g. the relaxed-join blowup
+// guard) are part of the contract too.
+func answerDigest(s *Scheme, q query.Expr, alpha float64, o ExecOptions) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "q=%s\nalpha=%g\n", query.Render(q), alpha)
+	o.Alpha = alpha
+	ans, _, err := s.AnswerContext(context.Background(), q, o)
+	if err != nil {
+		fmt.Fprintf(h, "err=%v\n", err)
+	} else {
+		for _, k := range relKeys(ans.Rel) {
+			h.Write([]byte(k))
+			h.Write([]byte{0})
+		}
+		fmt.Fprintf(h, "eta=%.12g\nexact=%v\naccessed=%d\ntruncated=%v\n",
+			ans.Eta, ans.Exact, ans.Stats.Accessed, ans.Stats.Truncated)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// checkGolden compares digests with testdata/<name>, or rewrites that file
+// under -update-golden.
+func checkGolden(t *testing.T, name string, digests []string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		data, err := json.MarshalIndent(digests, "", " ")
 		if err != nil {
@@ -85,13 +143,13 @@ func TestExecutorMatchesStringKeyReference(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != cases {
-		t.Fatalf("golden has %d digests, corpus has %d", len(want), cases)
+	if len(want) != len(digests) {
+		t.Fatalf("%s has %d digests, corpus has %d", name, len(want), len(digests))
 	}
 	for ci := range digests {
 		if digests[ci] != want[ci] {
-			t.Errorf("case %d: answer diverged from the string-key reference executor (digest %s != %s)",
-				ci, digests[ci][:12], want[ci][:12])
+			t.Errorf("%s case %d: answer diverged from the recorded reference (digest %s != %s)",
+				name, ci, digests[ci][:12], want[ci][:12])
 		}
 	}
 }
