@@ -24,7 +24,7 @@
 // executor — a cancelled query aborts mid-flight instead of burning the
 // rest of its budget) and functional options tune the resource bound
 // (WithAlpha, WithBudget) and the execution strategy (WithFetchWorkers,
-// WithPartitionAwareFetch, WithCacheBypass, WithTag) per call. Answers can
+// WithRemoteFetcher, WithCacheBypass, WithTag) per call. Answers can
 // be consumed whole (Query), as a pull iterator (Answer.Rows) or streamed
 // in chunks as execution hands them over (QueryStream).
 //
@@ -297,24 +297,6 @@ func WithFetchWorkers(n int) Option {
 	return func(o *core.ExecOptions) { o.FetchWorkers = n }
 }
 
-// WithPartitionAwareFetch toggles the batched scatter-gather fetch across
-// the ladder's shards for this call (default on). Answers are identical
-// either way; disabling it exists for apples-to-apples measurement of the
-// legacy lazy fetch path.
-func WithPartitionAwareFetch(enabled bool) Option {
-	return func(o *core.ExecOptions) { o.NoPartitionAwareFetch = !enabled }
-}
-
-// WithColumnarScan toggles the columnar execution path for this call
-// (default on): fetched ladder levels stay in typed column blocks,
-// predicates and join keys are evaluated block-at-a-time, and rows are
-// materialised only at the answer boundary. Answers, η bounds and access
-// stats are identical either way; disabling it runs the row-at-a-time
-// reference executor for differential testing and measurement.
-func WithColumnarScan(enabled bool) Option {
-	return func(o *core.ExecOptions) { o.NoColumnarScan = !enabled }
-}
-
 // WithCacheBypass makes the call skip the plan cache entirely — no lookup,
 // no insertion — so a one-off query cannot evict hot cached plans.
 func WithCacheBypass() Option {
@@ -464,34 +446,6 @@ func (s *System) QuerySQL(ctx context.Context, sql string, opts ...Option) (*Ans
 // cmd/beasd's /stream endpoint for NDJSON serving built on this.
 func (s *System) QueryStream(ctx context.Context, q Query, opts ...Option) (*Stream, error) {
 	return s.scheme.StreamContext(ctx, q, execOptions(opts))
-}
-
-// QueryAlpha is the pre-context form of Query.
-//
-// Deprecated: use Query, which takes a context and functional options.
-func (s *System) QueryAlpha(q Query, alpha float64) (*Answer, *Plan, error) {
-	return s.Query(context.Background(), q, WithAlpha(alpha))
-}
-
-// QuerySQLAlpha is the pre-context form of QuerySQL.
-//
-// Deprecated: use QuerySQL, which takes a context and functional options.
-func (s *System) QuerySQLAlpha(sql string, alpha float64) (*Answer, *Plan, error) {
-	return s.QuerySQL(context.Background(), sql, WithAlpha(alpha))
-}
-
-// PlanAlpha is the pre-context form of Plan.
-//
-// Deprecated: use Plan, which takes a context and functional options.
-func (s *System) PlanAlpha(q Query, alpha float64) (*Plan, error) {
-	return s.Plan(context.Background(), q, WithAlpha(alpha))
-}
-
-// ExecutePlan is the pre-context form of Execute.
-//
-// Deprecated: use Execute, which takes a context.
-func (s *System) ExecutePlan(p *Plan) (*Answer, error) {
-	return s.Execute(context.Background(), p)
 }
 
 // MinAlphaExact returns the smallest resource ratio at which the query is

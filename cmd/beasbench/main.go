@@ -58,7 +58,7 @@ func run() (code int) {
 		queries = flag.Int("queries", 0, "override the number of workload queries")
 
 		perf      = flag.Bool("perf", false, "run the tracked perf harness instead of the figures")
-		httpB     = flag.Bool("http", false, "run the end-to-end HTTP latency harness (shard counts 1/2/4/8 + legacy)")
+		httpB     = flag.Bool("http", false, "run the end-to-end HTTP latency harness (shard counts 1/2/4/8)")
 		clusterB  = flag.Bool("cluster", false, "run the cluster latency harness (fetches routed over the peer RPC, node counts 1/2/3)")
 		persistB  = flag.Bool("persist", false, "run the cold-vs-warm start harness (snapshot load vs ladder rebuild)")
 		overloadB = flag.Bool("overload", false, "run the overload harness: goodput/eta/latency at saturation per brownout mode")

@@ -5,12 +5,11 @@ import "repro/internal/relation"
 // This file adds the columnar form of the materialised fetch views. Every
 // ladder group keeps, next to its per-level []Sample views, a per-level
 // LevelBlock: the level's Y-tuples stored column-wise (one flat typed slice
-// per Y attribute) plus the parallel count annotations. The columnar
-// executor path (internal/plan, ExecOpts.ColumnarScan) fetches these blocks
-// and appends/evaluates them column-at-a-time instead of walking []Sample
-// row by row; both forms are materialised from the same tree pass (or
-// snapshot restore), so they are row-for-row identical by construction and
-// the row path remains the reference.
+// per Y attribute) plus the parallel count annotations. The executor
+// (internal/plan) fetches only these blocks and appends/evaluates them
+// column-at-a-time. Both forms are materialised from the same tree pass (or
+// snapshot restore), so they are row-for-row identical by construction;
+// the []Sample views remain for the snapshot codec and Verify.
 
 // LevelBlock is one fetch level in columnar form: row i of Y and Counts[i]
 // together are exactly the level's Sample i. Blocks are shared read-only
@@ -27,9 +26,10 @@ type LevelBlock struct {
 func (b *LevelBlock) Rows() int { return b.Y.Rows() }
 
 // Prefix returns a read-only view of the first n samples — the columnar
-// analogue of truncating a []Sample view to samples[:n] under a budget.
+// analogue of truncating a []Sample view to samples[:n] under a budget. A
+// nil block (a missing group) stays nil.
 func (b *LevelBlock) Prefix(n int) *LevelBlock {
-	if n >= b.Rows() {
+	if b == nil || n >= b.Rows() {
 		return b
 	}
 	return &LevelBlock{Y: b.Y.Prefix(n), Counts: b.Counts[:n]}
@@ -84,26 +84,37 @@ func (s *ShardedLadder) FetchBlock(x relation.Tuple, k int) *LevelBlock {
 	return g.fetchBlock(k)
 }
 
-// FetchBatchBlocks is FetchBatch in columnar form: it resolves the level-k
-// blocks for every X-value of xs, scatter-gathering across the owning
-// shards on up to `workers` goroutines; out[i] corresponds to xs[i] (nil
-// for missing groups).
+// minParallelBatch is the batch length below which FetchBatchBlocks looks
+// every X-value up inline: a small batch costs less than the goroutine
+// fan-out that would spread it.
+const minParallelBatch = 64
+
+// FetchBatchBlocks is the scatter-gather fetch: it resolves the level-k
+// blocks for every X-value of xs, fanning the lookups out across the
+// owning shards on up to `workers` goroutines, and gathers the results in
+// input order (out[i] corresponds to xs[i]; nil for missing groups).
+// Results are the shared read-only views FetchBlock returns. workers ≤ 1,
+// a single shard, or a batch shorter than minParallelBatch all degrade to
+// an inline loop with identical results.
 func (s *ShardedLadder) FetchBatchBlocks(xs []relation.Tuple, k, workers int) []*LevelBlock {
 	out := make([]*LevelBlock, len(xs))
 	if workers > len(s.shards) {
 		workers = len(s.shards)
 	}
-	if workers <= 1 || len(s.shards) == 1 || len(xs) < 2 {
+	if workers <= 1 || len(s.shards) == 1 || len(xs) < minParallelBatch {
 		for i, x := range xs {
 			out[i] = s.FetchBlock(x, k)
 		}
 		return out
 	}
+	// Scatter: partition the input indices by owning shard.
 	byShard := make([][]int, len(s.shards))
 	for i, x := range xs {
 		si := s.shardOf(x)
 		byShard[si] = append(byShard[si], i)
 	}
+	// Gather: one worker per non-empty shard (bounded), each writing only
+	// its own output slots, so the result is independent of scheduling.
 	var busy []int
 	for si := range byShard {
 		if len(byShard[si]) > 0 {

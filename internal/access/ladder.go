@@ -201,7 +201,7 @@ func (l *Ladder) NumGroups() int { return l.store.numGroups() }
 func (l *Ladder) Shards() int { return l.store.NumShards() }
 
 // ShardOf returns the index of the store shard owning x's group — the same
-// routing FetchBatch's scatter-gather uses. Exposed so tracing can account
+// routing FetchBatchBlocks' scatter-gather uses. Exposed so tracing can account
 // a batched fetch per shard without changing the fetch path's signatures.
 func (l *Ladder) ShardOf(x relation.Tuple) int { return l.store.shardOf(x) }
 
@@ -295,13 +295,6 @@ func (l *Ladder) FetchBound(k int) int {
 // slice is a shared materialised view and must not be mutated.
 func (l *Ladder) Fetch(x relation.Tuple, k int) []Sample {
 	return l.store.Fetch(x, k)
-}
-
-// FetchBatch resolves many X-values at once, scatter-gathering across the
-// store's shards on up to `workers` goroutines; out[i] corresponds to x[i].
-// Results are the same shared read-only views Fetch returns.
-func (l *Ladder) FetchBatch(xs []relation.Tuple, k, workers int) [][]Sample {
-	return l.store.FetchBatch(xs, k, workers)
 }
 
 // GroupXs returns the X-value tuples of all indexed groups, in unspecified

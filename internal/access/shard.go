@@ -150,7 +150,7 @@ type ladderShard struct {
 
 // ShardedLadder is the partition-owned group store of a Ladder: groups are
 // hash-partitioned by X-value across a fixed set of shards created at build
-// time. Reads (Fetch, FetchBatch) are safe for concurrent use once built;
+// time. Reads (Fetch, FetchBlock, FetchBatchBlocks) are safe for concurrent use once built;
 // mutation (put/remove, used by incremental maintenance) follows the same
 // single-writer discipline as the rest of the access schema.
 type ShardedLadder struct {
@@ -230,47 +230,4 @@ func (s *ShardedLadder) Fetch(x relation.Tuple, k int) []Sample {
 		return nil
 	}
 	return g.fetch(k)
-}
-
-// FetchBatch is the scatter-gather fetch: it resolves the level-k samples
-// for every X-value of xs, fanning the lookups out across the owning shards
-// on up to `workers` goroutines, and gathers the results in input order
-// (out[i] corresponds to xs[i]; nil for missing groups). Results are shared
-// read-only views, exactly as Fetch returns. workers ≤ 1, a single shard,
-// or a small batch all degrade to an inline loop with identical results.
-func (s *ShardedLadder) FetchBatch(xs []relation.Tuple, k, workers int) [][]Sample {
-	out := make([][]Sample, len(xs))
-	if workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	if workers <= 1 || len(s.shards) == 1 || len(xs) < 2 {
-		for i, x := range xs {
-			out[i] = s.Fetch(x, k)
-		}
-		return out
-	}
-	// Scatter: partition the input indices by owning shard.
-	byShard := make([][]int, len(s.shards))
-	for i, x := range xs {
-		si := s.shardOf(x)
-		byShard[si] = append(byShard[si], i)
-	}
-	// Gather: one worker per non-empty shard (bounded), each writing only
-	// its own output slots, so the result is independent of scheduling.
-	var busy []int
-	for si := range byShard {
-		if len(byShard[si]) > 0 {
-			busy = append(busy, si)
-		}
-	}
-	parallelFor(len(busy), workers, func(bi int) {
-		si := busy[bi]
-		groups := s.shards[si].groups
-		for _, i := range byShard[si] {
-			if g, ok := groups.Get(xs[i]); ok {
-				out[i] = g.fetch(k)
-			}
-		}
-	})
-	return out
 }

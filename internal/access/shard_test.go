@@ -54,29 +54,41 @@ func TestShardedBuildIdentical(t *testing.T) {
 	}
 }
 
-// FetchBatch must gather exactly what per-X Fetch returns, in input order,
-// for any worker count — including missing groups (nil) and duplicate Xs.
+// FetchBatchBlocks must gather exactly the views per-X FetchBlock returns,
+// in input order, for any worker count and on both sides of the inline
+// gate (minParallelBatch) — including missing groups (nil) and duplicate
+// Xs. The test fixtures elsewhere are too small to reach the parallel
+// fan-out, so this is where it runs outside the cluster.
 func TestFetchBatchMatchesFetch(t *testing.T) {
 	db := exampleDB(t)
-	l, err := BuildLadderSharded(db, "friend", []string{"pid"}, []string{"fid"}, 4)
+	l, err := BuildLadderSharded(db, "poi", []string{"address"}, []string{"price", "type"}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := l.GroupXs()
-	// Missing group and a duplicate, interleaved.
-	xs = append(xs, relation.Tuple{relation.Int(1 << 40)})
-	if len(xs) > 1 {
-		xs = append(xs, xs[0])
+	groups := l.GroupXs()
+	if len(groups) <= minParallelBatch {
+		t.Fatalf("%d groups cannot fill a parallel batch of %d", len(groups), minParallelBatch)
 	}
-	for k := 0; k <= l.MaxK(); k++ {
-		want := make([][]Sample, len(xs))
-		for i, x := range xs {
-			want[i] = l.Fetch(x, k)
+	for _, n := range []int{0, 1, minParallelBatch - 1, minParallelBatch, len(groups)} {
+		xs := append([]relation.Tuple(nil), groups[:n]...)
+		if n >= 3 {
+			xs[n/2] = relation.Tuple{relation.String("no-such-address")}
+			xs[n-1] = xs[0]
 		}
-		for _, workers := range []int{1, 2, 8} {
-			got := l.FetchBatch(xs, k, workers)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("level %d workers %d: FetchBatch diverged from Fetch", k, workers)
+		for k := 0; k <= l.MaxK(); k++ {
+			for _, workers := range []int{1, 2, 8} {
+				got := l.FetchBatchBlocks(xs, k, workers)
+				if len(got) != len(xs) {
+					t.Fatalf("batch %d level %d workers %d: %d results", n, k, workers, len(got))
+				}
+				for i, x := range xs {
+					if want := l.FetchBlock(x, k); got[i] != want {
+						t.Fatalf("batch %d level %d workers %d: entry %d (%v) is not FetchBlock's view", n, k, workers, i, x)
+					}
+				}
+				if n >= 3 && got[n/2] != nil {
+					t.Fatalf("batch %d: missing group resolved to a view", n)
+				}
 			}
 		}
 	}

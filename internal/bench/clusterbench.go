@@ -61,7 +61,7 @@ func (hs *handlerSwap) set(h http.Handler) {
 
 // RunClusterPerf measures the cluster-routed serving path for node counts
 // 1, 2 and 3. The 1-node pass is the wire-format floor (every fetch routes
-// locally but still flows through the routed Fetcher's prefetch path), so
+// locally but still flows through the routed Fetcher's batch path), so
 // nodes_2/nodes_3 minus nodes_1 isolates the RPC cost.
 func RunClusterPerf(label string, smoke bool) (*PerfRun, error) {
 	run := newPerfRun(label)

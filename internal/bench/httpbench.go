@@ -62,11 +62,9 @@ func defaultHTTPBenchConfig(smoke bool) httpBenchConfig {
 	return httpBenchConfig{persons: 1500, pois: 8000, queries: 1500, batches: 150, batchSize: 8, workers: 8, alpha: 0.5}
 }
 
-// RunHTTPPerf measures the HTTP serving path for each shard count, plus a
-// "legacy" pass with the partition-aware fetch disabled (the pre-shard
-// serving path, for the before/after comparison). It returns one PerfRun
-// whose latency entries are named http_query_shards_N / http_batch_shards_N
-// and http_query_legacy / http_batch_legacy.
+// RunHTTPPerf measures the HTTP serving path for each shard count. It
+// returns one PerfRun whose latency entries are named http_query_shards_N /
+// http_batch_shards_N.
 func RunHTTPPerf(label string, smoke bool, shardCounts []int) (*PerfRun, error) {
 	run := newPerfRun(label)
 	cfg := defaultHTTPBenchConfig(smoke)
@@ -76,16 +74,6 @@ func RunHTTPPerf(label string, smoke bool, shardCounts []int) (*PerfRun, error) 
 			shardCounts = []int{1, 2}
 		}
 	}
-
-	// Legacy pass: single shard, lazy per-X fetches — the serving path as
-	// it was before partition-parallel storage. The strategy is pinned per
-	// call through the server's ExecOptions (no global toggles, so other
-	// traffic in the process is unaffected).
-	legacy, err := measureHTTP(cfg, 1, "legacy", beas.WithPartitionAwareFetch(false))
-	if err != nil {
-		return nil, err
-	}
-	run.Latency = append(run.Latency, legacy...)
 
 	for _, n := range shardCounts {
 		lat, err := measureHTTP(cfg, n, fmt.Sprintf("shards_%d", n))
@@ -107,9 +95,8 @@ func newPerfRun(label string) *PerfRun {
 // measureHTTP builds a fresh system with the given ladder shard count,
 // serves it over a loopback HTTP server, and measures /query latency under
 // concurrent mixed traffic plus /batch latency for fixed-size pipelined
-// batches. execOpts pin a per-call execution strategy for every query of
-// the pass (the legacy pass disables the partition-aware fetch this way).
-func measureHTTP(cfg httpBenchConfig, shards int, suffix string, execOpts ...beas.Option) ([]PerfLatency, error) {
+// batches.
+func measureHTTP(cfg httpBenchConfig, shards int, suffix string) ([]PerfLatency, error) {
 	db := fixture.Example1(5, cfg.persons, cfg.pois)
 	as, err := fixture.SchemaA0Sharded(db, shards)
 	if err != nil {
@@ -119,7 +106,6 @@ func measureHTTP(cfg httpBenchConfig, shards int, suffix string, execOpts ...bea
 		System:       beas.Open(db, as),
 		DefaultAlpha: cfg.alpha,
 		MaxRows:      100,
-		ExecOptions:  execOpts,
 		Dataset:      "example1",
 		DBSize:       db.Size(),
 		Relations:    len(db.Names()),

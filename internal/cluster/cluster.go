@@ -192,7 +192,7 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-// handleFetch answers one FetchBatch-shaped RPC: decode the request frame,
+// handleFetch answers one FetchBatchBlocks-shaped RPC: decode the request frame,
 // resolve every X-value against the named ladder's FULL level views (the
 // caller budget-accounts; see RemoteFetcher's contract), encode the
 // response with the block codec. Corrupt frames answer 400 with the typed

@@ -114,9 +114,9 @@ func TestKilledPeerMidCorpus(t *testing.T) {
 			tc.servers[1].Close() // kill the peer mid-corpus
 		}
 		q := g.Query()
-		wantAns, _, wantErr := ref.AnswerContext(ctx, q, core.ExecOptions{Alpha: 0.2, MinParallelEmitRows: 4})
+		wantAns, _, wantErr := ref.AnswerContext(ctx, q, core.ExecOptions{Alpha: 0.2})
 		gotAns, _, gotErr := scheme.AnswerContext(ctx, q, core.ExecOptions{
-			Alpha: 0.2, MinParallelEmitRows: 4, Fetcher: tc.nodes[0].Fetcher(),
+			Alpha: 0.2, Fetcher: tc.nodes[0].Fetcher(),
 		})
 		if gotErr != nil {
 			var pe *PeerError

@@ -153,32 +153,10 @@ type Fetcher struct {
 // Fetcher returns the node's routing fetcher.
 func (n *Node) Fetcher() *Fetcher { return &Fetcher{n: n} }
 
-// FetchBatch resolves the level-k sample views for every X-value of xs
+// FetchBatchBlocks resolves the level-k views for every X-value of xs
 // across the cluster; out[i] corresponds to xs[i], nil for missing groups.
 // ctx bounds the whole fan-out. Any unresolvable peer aborts the call with
 // a *PeerError.
-func (f *Fetcher) FetchBatch(ctx context.Context, l *access.Ladder, xs []relation.Tuple, k int) ([][]access.Sample, error) {
-	lvls, err := f.n.fetchLevels(ctx, l, xs, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]access.Sample, len(lvls))
-	for i, lvl := range lvls {
-		if lvl == nil {
-			continue
-		}
-		rows := lvl.Rows()
-		samples := make([]access.Sample, rows)
-		for r := 0; r < rows; r++ {
-			samples[r] = access.Sample{Y: lvl.Y.Tuple(r), Count: lvl.Counts[r]}
-		}
-		out[i] = samples
-	}
-	return out, nil
-}
-
-// FetchBatchBlocks is FetchBatch in columnar form; out[i] corresponds to
-// xs[i], nil for missing groups.
 func (f *Fetcher) FetchBatchBlocks(ctx context.Context, l *access.Ladder, xs []relation.Tuple, k int) ([]*access.LevelBlock, error) {
 	return f.n.fetchLevels(ctx, l, xs, k)
 }

@@ -108,9 +108,8 @@ func relKeys(r *relation.Relation) []string {
 // exactness, budget consumption (Stats.Accessed) and truncation
 // byte-identical to the single-process sequential reference. The network
 // may only change where a fetch is served, never what it returns or what
-// it costs against α·|D|. Both executor paths (columnar and row) are
-// exercised, and the run asserts remote fetches actually happened — the
-// invariance is not vacuously local.
+// it costs against α·|D|. The run asserts remote fetches actually
+// happened — the invariance is not vacuously local.
 func TestClusterInvariance(t *testing.T) {
 	const cases = 200
 	ctx := context.Background()
@@ -120,7 +119,7 @@ func TestClusterInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference: strictly sequential lazy execution, no cluster anywhere.
+	// Reference: single shard, one worker, no cluster anywhere.
 	refAS, err := fixture.SchemaA0Sharded(db, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -146,17 +145,12 @@ func TestClusterInvariance(t *testing.T) {
 	for ci := 0; ci < cases; ci++ {
 		q := g.Query()
 		alpha := alphas[ci%len(alphas)]
-		rowPath := ci%3 == 2 // exercise the row executor on every third case
-		wantAns, _, wantErr := ref.AnswerContext(ctx, q, core.ExecOptions{
-			Alpha: alpha, MinParallelEmitRows: 4, NoColumnarScan: rowPath,
-		})
+		wantAns, _, wantErr := ref.AnswerContext(ctx, q, core.ExecOptions{Alpha: alpha})
 		for _, sc := range setups {
 			coord := sc.tc.nodes[ci%sc.n]
 			gotAns, _, gotErr := sc.scheme.AnswerContext(ctx, q, core.ExecOptions{
-				Alpha:               alpha,
-				MinParallelEmitRows: 4,
-				NoColumnarScan:      rowPath,
-				Fetcher:             coord.Fetcher(),
+				Alpha:   alpha,
+				Fetcher: coord.Fetcher(),
 			})
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("case %d nodes=%d: error mismatch: ref %v, got %v\n%s",

@@ -15,8 +15,8 @@ import (
 // countdownCtx is a context.Context that reports itself cancelled after its
 // Err method has been consulted `fuse` times. It makes mid-flight
 // cancellation deterministic: the executor consults ctx.Err() at every
-// cooperative cancellation point (step boundaries, shard fan-out, every
-// cancelStride enumeration visits, per emitted chunk), so expiring the fuse
+// cooperative cancellation point (step boundaries, every cancelStride
+// enumeration visits, batch fan-out, join boundaries), so expiring the fuse
 // at check k proves the call aborts at check k — no timers, no races on
 // wall-clock speed. extra counts the consultations after expiry: a bound on
 // it is a bound on how much work survives the cancellation.
@@ -54,7 +54,7 @@ func (c *countdownCtx) spent(initial int) int {
 
 // cancelFixture builds a multi-leaf, fetch-heavy workload whose execution
 // crosses many cancellation checkpoints: a union of two 3-atom join queries
-// at alpha = 1 over a sharded system with a forced-low parallel-emit gate.
+// at alpha = 1 over a sharded, multi-worker system.
 func cancelFixture(t *testing.T) (*Scheme, query.Expr, ExecOptions) {
 	t.Helper()
 	db := fixture.Example1(5, 800, 2000)
@@ -64,7 +64,7 @@ func cancelFixture(t *testing.T) (*Scheme, query.Expr, ExecOptions) {
 	}
 	s := NewWithOptions(db, as, Options{Workers: 4})
 	q := &query.Union{L: fixture.Q1(1, 95), R: fixture.Q1(2, 250)}
-	return s, q, ExecOptions{Alpha: 1.0, MinParallelEmitRows: 4}
+	return s, q, ExecOptions{Alpha: 1.0}
 }
 
 // TestCancelledContextFailsFast: a context cancelled before the call starts

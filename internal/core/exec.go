@@ -96,11 +96,11 @@ func (s *Scheme) Execute(p *Plan) (*Answer, error) {
 
 // ExecuteContext runs a generated plan under the call's options, with
 // cooperative cancellation: ctx is checked between leaf executions and
-// inside each leaf (fetch steps, shard fan-out, parallel row emit — see
-// plan.ExecuteOpts), so a cancelled call returns ctx.Err() promptly instead
-// of burning the rest of its budget. ExecOptions.Alpha/Budget are ignored
-// here — the plan already carries its budget; the execution knobs
-// (FetchWorkers, NoPartitionAwareFetch, MinParallelEmitRows, Tag) apply.
+// inside each leaf (fetch steps, enumeration, batch fan-out, evaluation —
+// see plan.ExecuteOpts), so a cancelled call returns ctx.Err() promptly
+// instead of burning the rest of its budget. ExecOptions.Alpha/Budget are
+// ignored here — the plan already carries its budget; the execution
+// options (FetchWorkers, Fetcher, Tag, Trace, ExplainEta) apply.
 func (s *Scheme) ExecuteContext(ctx context.Context, p *Plan, o ExecOptions) (*Answer, error) {
 	start := time.Now()
 	defer o.Trace.End()
@@ -157,34 +157,17 @@ func (s *Scheme) executeOpts(ctx context.Context, p *Plan, o ExecOptions) (ans *
 	return s.assemble(ctx, p, o, results, stats)
 }
 
-// ExecuteSequential runs the plan with the reference single-threaded
-// executor: leaves run in order, each seeing the budget left over by its
-// predecessors, fetches resolved lazily with no partition fan-out. Exposed
-// for tests and experiments comparing the executors.
-func (s *Scheme) ExecuteSequential(p *Plan) (*Answer, error) {
-	results, stats, err := s.executeLeavesSequential(context.Background(), p, ExecOptions{FetchWorkers: 1}, 1)
-	if err != nil {
-		return nil, err
-	}
-	return s.assemble(context.Background(), p, ExecOptions{}, results, stats)
-}
-
 // leafOpts translates the call options into the per-leaf executor options.
 func leafOpts(o ExecOptions, budget, fetchWorkers int) plan.ExecOpts {
 	po := plan.DefaultExecOpts(budget, fetchWorkers)
-	po.PartitionAware = !o.NoPartitionAwareFetch
-	if o.MinParallelEmitRows > 0 {
-		po.MinParallelEmitRows = o.MinParallelEmitRows
-	}
-	po.ColumnarScan = !o.NoColumnarScan
 	po.Fetcher = o.Fetcher
 	return po
 }
 
 // executeLeavesSequential runs the leaves in order, each seeing the budget
 // left over by its predecessors, checking ctx between leaves. fetchWorkers
-// > 1 enables the partition-aware batched fetch inside each leaf (identical
-// results; see plan.ExecuteOpts).
+// > 1 spreads each leaf's batched fetches across the ladder's shards
+// (identical results; see plan.ExecuteOpts).
 func (s *Scheme) executeLeavesSequential(ctx context.Context, p *Plan, o ExecOptions, fetchWorkers int) (map[*query.SPC]*leafResult, plan.Stats, error) {
 	results := make(map[*query.SPC]*leafResult, len(p.Leaves))
 	var stats plan.Stats

@@ -84,18 +84,6 @@ type ExecOptions struct {
 	// FetchWorkers overrides the scheme's worker-pool bound for this call;
 	// 0 keeps the scheme default, 1 forces sequential execution.
 	FetchWorkers int
-	// NoPartitionAwareFetch disables the batched scatter-gather fetch path
-	// for this call (the legacy lazy path; answers are identical — the
-	// knob exists for apples-to-apples measurement).
-	NoPartitionAwareFetch bool
-	// MinParallelEmitRows overrides the chunked parallel-emit gate;
-	// 0 keeps plan.DefaultMinParallelEmitRows.
-	MinParallelEmitRows int
-	// NoColumnarScan disables the columnar execution path for this call,
-	// falling back to the row-at-a-time reference executor (answers and
-	// stats are identical — the knob exists for differential testing and
-	// apples-to-apples measurement).
-	NoColumnarScan bool
 	// Fetcher, when non-nil, resolves every fetch-step batch through the
 	// routing layer instead of the in-process ladder scatter-gather (the
 	// cluster seam — see plan.ExecOpts.Fetcher). Answers, η and budget

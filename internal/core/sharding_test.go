@@ -13,19 +13,18 @@ import (
 // TestShardCountInvariance is the tentpole differential guard of the
 // partition-parallel storage layer: over the same 200-case randomized
 // corpus as the golden digest suite, systems whose ladders are partitioned
-// N ∈ {1, 2, 4, 8} ways — executing through the partition-aware batched
-// fetch with a forced multi-worker pool and a lowered parallel-emit gate,
-// both set per call through ExecOptions (the former package globals) —
-// must produce answers, η, exactness, budget consumption and truncation
-// byte-identical to a single-shard system running the legacy lazy-fetch
-// reference path. Sharding may only change which core resolves a fetch,
-// never what it returns or what it costs against α·|D|.
+// N ∈ {1, 2, 4, 8} ways — executing with an 8-worker pool, so leaves run
+// in parallel and any batch of 64+ X-values fans out across shards — must
+// produce answers, η, exactness, budget consumption and truncation
+// byte-identical to a single-shard, single-worker system. Sharding may only
+// change which core resolves a fetch, never what it returns or what it
+// costs against α·|D|.
 func TestShardCountInvariance(t *testing.T) {
 	const cases = 200
 	ctx := context.Background()
 	db := fixture.Example1(7, 120, 80)
 
-	// Reference: single shard, strictly sequential lazy execution.
+	// Reference: single shard, strictly sequential execution.
 	refAS, err := fixture.SchemaA0Sharded(db, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -45,19 +44,14 @@ func TestShardCountInvariance(t *testing.T) {
 		systems = append(systems, sys{n, NewWithOptions(db, as, Options{Workers: 8})})
 	}
 
-	// Force the chunked emit on this small corpus — per call, not globally.
-	sharded := ExecOptions{MinParallelEmitRows: 4}
-
 	g := corpus.NewGenerator(42)
 	alphas := []float64{0.01, 0.1, 0.6}
 	for ci := 0; ci < cases; ci++ {
 		q := g.Query()
 		alpha := alphas[ci%len(alphas)]
-		wantAns, _, wantErr := ref.AnswerContext(ctx, q, ExecOptions{Alpha: alpha, MinParallelEmitRows: 4})
+		wantAns, _, wantErr := ref.AnswerContext(ctx, q, ExecOptions{Alpha: alpha})
 		for _, sc := range systems {
-			opt := sharded
-			opt.Alpha = alpha
-			gotAns, _, gotErr := sc.s.AnswerContext(ctx, q, opt)
+			gotAns, _, gotErr := sc.s.AnswerContext(ctx, q, ExecOptions{Alpha: alpha})
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("case %d shards=%d: error mismatch: ref %v, got %v\n%s",
 					ci, sc.n, wantErr, gotErr, query.Render(q))
@@ -80,39 +74,6 @@ func TestShardCountInvariance(t *testing.T) {
 					ci, sc.n, wantAns.Stats.Accessed, wantAns.Stats.Truncated,
 					gotAns.Stats.Accessed, gotAns.Stats.Truncated, query.Render(q))
 			}
-		}
-	}
-}
-
-// TestPartitionAwareFetchToggleIdentical pins the per-call knob that
-// replaced the old package global: with the scatter-gather path disabled
-// through ExecOptions.NoPartitionAwareFetch, a multi-worker system must
-// still produce the same answers (the option is a measurement aid, not a
-// semantic switch) — and because the knob is per-call plan state now, the
-// two modes run back to back on one scheme without any global hand-over.
-func TestPartitionAwareFetchToggleIdentical(t *testing.T) {
-	ctx := context.Background()
-	db := fixture.Example1(3, 90, 70)
-	as, err := fixture.SchemaA0Sharded(db, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithOptions(db, as, Options{Workers: 8, PlanCacheSize: -1})
-
-	g := corpus.NewGenerator(7)
-	for ci := 0; ci < 40; ci++ {
-		q := g.Query()
-		onAns, _, onErr := s.AnswerContext(ctx, q, ExecOptions{Alpha: 0.2})
-		offAns, _, offErr := s.AnswerContext(ctx, q, ExecOptions{Alpha: 0.2, NoPartitionAwareFetch: true})
-		if (onErr == nil) != (offErr == nil) {
-			t.Fatalf("case %d: error mismatch: %v vs %v", ci, onErr, offErr)
-		}
-		if onErr != nil {
-			continue
-		}
-		if !reflect.DeepEqual(relKeys(onAns.Rel), relKeys(offAns.Rel)) ||
-			onAns.Stats.Accessed != offAns.Stats.Accessed {
-			t.Fatalf("case %d: toggle changed the answer\n%s", ci, query.Render(q))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 	"strings"
@@ -251,8 +252,8 @@ func TestSoundnessRandomQueries(t *testing.T) {
 		}
 
 		// Executor agreement: the parallel path (Execute) must match the
-		// sequential reference bit-for-bit.
-		seq, err := s.ExecuteSequential(p)
+		// sequential one — leaves in order, one fetch worker — bit-for-bit.
+		seq, err := s.ExecuteContext(context.Background(), p, ExecOptions{FetchWorkers: 1})
 		if err != nil {
 			t.Fatalf("case %d: sequential: %v", ci, err)
 		}

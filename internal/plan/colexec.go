@@ -1,31 +1,30 @@
-// Columnar execution path (ExecOpts.ColumnarScan).
+// The executor (see ExecuteOpts).
 //
-// The row path (plan.go) materialises one []Value tuple per fetched sample
-// during ξF and another per surviving join combination during ξE — the
-// allocation profile that dominates hot-path CPU. This file keeps fetched
-// data columnar end to end: fetch steps append the ladder's per-level
-// columnar blocks (access.LevelBlock) into per-atom output blocks one
-// column at a time, predicates and hash-join keys are evaluated
+// Fetched data stays columnar end to end: fetch steps append the ladder's
+// per-level columnar blocks (access.LevelBlock) into per-atom output blocks
+// one column at a time, predicates and hash-join keys are evaluated
 // block-at-a-time over the flat typed columns, and rows are materialised
 // exactly once, at the answer boundary.
 //
-// Equivalence with the row path is load-bearing and deliberate:
+// What an answer is, and what it costs against the budget, is pinned by
+// construction rather than by a second executor:
 //
-//   - Fetch enumeration, the per-X fetch cache, budget accounting and the
-//     truncation point replicate applyStep's order exactly, so
-//     Stats.Accessed and Stats.Truncated are byte-identical.
+//   - Each fetch step charges its distinct X-values in first-seen
+//     enumeration order, one batch per step, so Stats.Accessed and
+//     Stats.Truncated do not depend on how the batch was resolved (worker
+//     count, shard count, cluster placement).
 //   - Block row hashing folds the same canonical encoding as Tuple.Hash,
 //     and bucket lists preserve build-side insertion order, so hash joins
-//     match and emit the same pairs in the same order as the TupleMap join.
+//     emit matches in environment-row order, build rows in filtered order.
 //   - Predicate evaluation calls the same RelaxedHolds/Holds methods on
 //     Values reconstructed (allocation-free) from the columns, with the
-//     same exact-vs-relaxed classification.
+//     same exact-vs-relaxed classification as evaluateDynamic.
 //
 // Executions the precompiled evaluator cannot serve (budget truncation
 // left an atom with a partial schema, or the plan has no static eval
-// layout) materialise the fetched blocks into FetchedAtoms and run the
-// dynamic reference evaluator — the same fallback the row path takes.
-// TestColumnarScanMatchesRowScan replays the full corpus both ways.
+// layout) materialise the fetched blocks into FetchedAtoms and run
+// evaluateDynamic. The golden digests of TestExecutorMatchesStringKeyReference
+// (randomized and edge-shape corpora) pin every answer byte for byte.
 package plan
 
 import (
@@ -33,15 +32,14 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/access"
 	"repro/internal/chase"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
 
-// blockAtom is the columnar analogue of FetchedAtom: the data fetched for
-// one atom as a column-wise block with per-row count weights.
+// blockAtom is the data fetched for one atom as a column-wise block with
+// per-row count weights.
 type blockAtom struct {
 	alias   string
 	schema  *relation.Schema
@@ -49,33 +47,10 @@ type blockAtom struct {
 	weights []int
 }
 
-// executeColumnar runs the full plan on the columnar path: block fetch,
-// then block-at-a-time evaluation (or the dynamic reference evaluator over
-// materialised rows when the precompiled layout cannot serve this run).
-func executeColumnar(ctx context.Context, p *Bounded, db *relation.Database, o ExecOpts) (*Result, error) {
-	lay, err := p.layoutFor(db)
-	if err != nil {
-		return nil, err
-	}
-	atoms, stats, err := executeFetchBlocks(ctx, p, lay, o)
-	if err != nil {
-		return nil, err
-	}
-	var res *Result
-	if lay.eval != nil && blocksComplete(lay, atoms) {
-		res, err = evaluateColumnar(ctx, p, lay, atoms)
-	} else {
-		res, err = evaluateDynamic(ctx, p, db, materializeAtoms(p, lay, atoms))
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = *stats
-	return res, nil
-}
-
-// blocksComplete mirrors layoutMatches: every atom carries its precompiled
-// final schema (pointer identity), so the precompiled evaluator applies.
+// blocksComplete reports whether every atom carries its precompiled final
+// schema (pointer identity: fetch steps build atoms from the layout's
+// schema objects, so any truncation-induced deviation differs), i.e.
+// whether the precompiled evaluator applies.
 func blocksComplete(lay *planLayout, atoms []*blockAtom) bool {
 	for ai, ba := range atoms {
 		schema := lay.emptySchema[ai]
@@ -89,9 +64,9 @@ func blocksComplete(lay *planLayout, atoms []*blockAtom) bool {
 	return true
 }
 
-// materializeAtoms converts fetched blocks into the row form the dynamic
-// reference evaluator consumes; never-fetched atoms become empty relations
-// over their used attributes, exactly as executeFetch leaves them.
+// materializeAtoms converts fetched blocks into the row form evaluateDynamic
+// consumes; never-fetched atoms (possible after truncation) become empty
+// relations over their used attributes, so evaluation degrades cleanly.
 func materializeAtoms(p *Bounded, lay *planLayout, atoms []*blockAtom) []*FetchedAtom {
 	out := make([]*FetchedAtom, len(atoms))
 	for ai, ba := range atoms {
@@ -109,8 +84,9 @@ func materializeAtoms(p *Bounded, lay *planLayout, atoms []*blockAtom) []*Fetche
 	return out
 }
 
-// executeFetchBlocks runs ξF on the columnar path, mirroring executeFetch
-// step for step (level selection, budget accounting, truncation break).
+// executeFetchBlocks runs ξF: it applies the chase steps in order against
+// the access-schema indices at each step's level, and stops after the
+// first step that truncates on the budget.
 func executeFetchBlocks(ctx context.Context, p *Bounded, lay *planLayout, o ExecOpts) ([]*blockAtom, *Stats, error) {
 	stats := &Stats{}
 	atoms := make([]*blockAtom, len(p.Chase.Query.Atoms))
@@ -134,8 +110,9 @@ func executeFetchBlocks(ctx context.Context, p *Bounded, lay *planLayout, o Exec
 }
 
 // assembleXBlock writes the step's ladder-order X tuple for enumeration row
-// ri of blk into dst, mirroring assembleX (ri < 0 means the virtual row of
-// a first fetch, which has no own columns).
+// ri of blk into dst (len(sl.route)); ri < 0 means the virtual row of a
+// first fetch, which has no own columns. fill holds the current external
+// valuation by X position.
 func assembleXBlock(sl *stepLayout, fill []relation.Value, blk *relation.Block, ri int, dst relation.Tuple) {
 	for xi, r := range sl.route {
 		switch r {
@@ -149,10 +126,13 @@ func assembleXBlock(sl *stepLayout, fill []relation.Value, blk *relation.Block, 
 	}
 }
 
-// forEachEnumBlock enumerates a step's fetch enumeration over block rows —
-// existing rows (or one virtual row when blk is nil) × the cross product of
-// external valuations — in the same deterministic order as forEachEnum,
-// calling visit with the current row index (-1 when virtual) and weight.
+// forEachEnumBlock enumerates a step's fetch enumeration — existing rows
+// of blk (or one virtual row when blk is nil) × the cross product of
+// external valuations — in deterministic order, calling visit with the
+// current row index (-1 when virtual) and weight. fill (len(sl.route)) is
+// updated in place with the current external valuation before each visit.
+// A visit returning false aborts the enumeration (cooperative
+// cancellation).
 func forEachEnumBlock(blk *relation.Block, weights []int, extVals [][]relation.Tuple, sl *stepLayout, fill []relation.Value, visit func(ri, w int) bool) {
 	var walkExt func(gi, ri, w int) bool
 	walkExt = func(gi, ri, w int) bool {
@@ -182,8 +162,8 @@ func forEachEnumBlock(blk *relation.Block, weights []int, extVals [][]relation.T
 
 // colFill says where one output column of a fetch step gets its values for
 // each enumeration visit: broadcast from the prefix row, broadcast from the
-// assembled X tuple, or bulk-appended from the fetched level's Y column.
-// Mirrors buildRow's write order (Y wins where X and Y share a column).
+// assembled X tuple, or bulk-appended from the fetched level's Y column
+// (Y wins where X and Y share a column).
 type colFill struct {
 	prefixCol int
 	xPos      int
@@ -211,17 +191,36 @@ func buildColFills(sl *stepLayout, arity int) []colFill {
 	return fills
 }
 
-// applyStepBlocks runs one fetch operation on the columnar path: same
-// enumeration, fetch cache, budget accounting and truncation as applyStep,
-// but the output atom is built one column at a time — the fetched level's Y
-// columns are appended as ranges and the prefix/X values broadcast — so no
-// per-sample row tuple is ever allocated.
+// stepVisit is one visit of a fetch step's enumeration: the index of its
+// X-value in the step's first-seen list, and the enumeration row (-1 when
+// virtual) and weight it extends.
+type stepVisit struct {
+	x, ri int32
+	w     int
+}
+
+// applyStepBlocks runs one fetch operation, extending (or creating) the
+// atom's fetched block:
+//
+//  1. one enumeration pass assembles each visit's X, files new X-values in
+//     first-seen order, and records the visit against its X;
+//  2. one batch call through o.Fetcher resolves the distinct X-values;
+//  3. the batch is budget-accounted sequentially in first-seen order,
+//     truncated as a level prefix view where the budget runs out (every
+//     later X-value gets nothing);
+//  4. the output block is built one column at a time from the recorded
+//     visits — the fetched level's Y columns appended as ranges and the
+//     prefix/X values broadcast — so no per-sample row tuple is allocated.
+//
+// ctx is consulted every cancelStride enumeration visits and before the
+// batch fetch.
 func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *stepLayout, s *chase.Step, si, k int, o ExecOpts, stats *Stats) error {
 	ai := sl.atom
 	cur := atoms[ai]
-	budget, workers := o.Budget, o.Workers
 
-	// Same per-step span as the row path's applyStep.
+	// One span per fetch step (a handful per leaf, never per row); attrs
+	// are filled on the way out so truncation and the access delta are the
+	// step's own.
 	fs := obs.SpanFrom(ctx).Child("fetch_step")
 	if fs != nil {
 		fs.SetInt("step", int64(si))
@@ -235,8 +234,8 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 		}()
 	}
 
-	// Materialise distinct joint valuations per external group, in the same
-	// first-seen row order as the row path.
+	// Materialise distinct joint valuations per external group, in
+	// first-seen row order.
 	extVals := make([][]relation.Tuple, len(sl.extGroups))
 	for gi := range sl.extGroups {
 		ba := atoms[sl.extSrcAtom[gi]]
@@ -258,194 +257,13 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 		}
 	}
 
-	out := &blockAtom{
-		alias:  atomAlias(p, ai),
-		schema: sl.schema,
-		block:  relation.NewBlock(sl.schema.Arity()),
-	}
-	fills := buildColFills(sl, sl.schema.Arity())
-
-	// Fetch cache: one budget-accounted columnar level view per distinct
-	// X-value, truncated with a prefix view where the row path truncates
-	// its sample slice. The cached key tuple rides along so emission can
-	// broadcast X values without holding the reused scratch tuple.
-	cache := relation.NewTupleMap[cachedLevel](0)
-
-	// Same scatter-gather gate as the row path: results and accounting are
-	// identical either way, the batch just spreads index lookups.
-	enumCount := 1
-	if cur != nil {
-		enumCount = cur.block.Rows()
-	}
-	for gi := range extVals {
-		if enumCount >= o.MinParallelEmitRows {
-			break
-		}
-		enumCount *= len(extVals[gi])
-	}
-	prefetched := o.Fetcher != nil || (workers > 1 && enumCount >= o.MinParallelEmitRows)
-	fs.SetBool("prefetch", prefetched)
-	if prefetched {
-		if err := prefetchStepBlocks(ctx, cur, extVals, sl, s, k, budget, stats, cache, workers, o.Fetcher); err != nil {
-			return err
-		}
-	}
-
-	// fetch resolves one X-value with budget accounting; identical charge
-	// order and truncation point to the row path's fetch closure.
-	fetch := func(xt relation.Tuple) cachedLevel {
-		if got, ok := cache.Get(xt); ok {
-			return got
-		}
-		key := append(relation.Tuple(nil), xt...)
-		got := cachedLevel{key: key}
-		if stats.Truncated {
-			cache.Put(key, got)
-			return got
-		}
-		lvl := s.Ladder.FetchBlock(xt, k)
-		n := 0
-		if lvl != nil {
-			n = lvl.Rows()
-		}
-		if stats.Accessed+n > budget {
-			room := budget - stats.Accessed
-			if room < 0 {
-				room = 0
-			}
-			lvl = lvl.Prefix(room)
-			n = room
-			stats.Truncated = true
-		}
-		stats.Accessed += n
-		got.lvl = lvl
-		cache.Put(key, got)
-		return got
-	}
-
-	// First pass: enumerate, fetch and budget-account every level in order,
-	// remembering the non-empty emissions and their total row count.
-	fill := make([]relation.Value, len(sl.route))
-	xt := make(relation.Tuple, len(sl.route))
-	visited := 0
-	var curBlk *relation.Block
-	var curW []int
-	if cur != nil {
-		curBlk, curW = cur.block, cur.weights
-	}
-	var emits []stepEmit
-	total := 0
-	forEachEnumBlock(curBlk, curW, extVals, sl, fill, func(ri, w int) bool {
-		if visited++; visited%cancelStride == 0 && ctx.Err() != nil {
-			return false
-		}
-		assembleXBlock(sl, fill, curBlk, ri, xt)
-		got := fetch(xt)
-		if got.lvl == nil || got.lvl.Rows() == 0 {
-			return true
-		}
-		emits = append(emits, stepEmit{lvl: got.lvl, key: got.key, ri: ri, w: w})
-		total += got.lvl.Rows()
-		return true
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	// Second pass: build the output block column-wise with the total known.
-	// A step that emits exactly one level (every first fetch, and any step
-	// with one surviving X-value) serves that level's Y columns zero-copy as
-	// column views; multi-emit steps reserve each column's full capacity
-	// once, then bulk-append.
-	if len(emits) == 1 {
-		e := emits[0]
-		n := e.lvl.Rows()
-		for p := range fills {
-			f := &fills[p]
-			switch {
-			case f.yCol >= 0:
-				out.block.SetColView(p, e.lvl.Y.Col(f.yCol))
-			case f.xPos >= 0:
-				out.block.Col(p).AppendRepeat(e.key[f.xPos], n)
-			default:
-				out.block.Col(p).AppendRepeat(curBlk.Value(e.ri, f.prefixCol), n)
-			}
-		}
-		out.block.AddRows(n)
-		out.weights = make([]int, n)
-		for i, c := range e.lvl.Counts {
-			out.weights[i] = e.w * c
-		}
-	} else if len(emits) > 0 {
-		first := emits[0]
-		for p := range fills {
-			f := &fills[p]
-			col := out.block.Col(p)
-			switch {
-			case f.yCol >= 0:
-				src := first.lvl.Y.Col(f.yCol)
-				if !src.Mixed() {
-					col.Reserve(src.Kind(), total)
-				}
-			case f.xPos >= 0:
-				col.Reserve(first.key[f.xPos].Kind(), total)
-			default:
-				col.Reserve(curBlk.Value(first.ri, f.prefixCol).Kind(), total)
-			}
-		}
-		out.weights = make([]int, 0, total)
-		for _, e := range emits {
-			n := e.lvl.Rows()
-			for p := range fills {
-				f := &fills[p]
-				col := out.block.Col(p)
-				switch {
-				case f.yCol >= 0:
-					col.AppendRange(e.lvl.Y.Col(f.yCol), 0, n)
-				case f.xPos >= 0:
-					col.AppendRepeat(e.key[f.xPos], n)
-				default:
-					col.AppendRepeat(curBlk.Value(e.ri, f.prefixCol), n)
-				}
-			}
-			out.block.AddRows(n)
-			for _, c := range e.lvl.Counts {
-				out.weights = append(out.weights, e.w*c)
-			}
-		}
-	}
-	atoms[ai] = out
-	return nil
-}
-
-// cachedLevel is one fetch-cache entry: the budget-truncated level view (nil
-// for missing groups or post-truncation fetches) and the owned copy of its
-// X-key, which emission broadcasts into output columns.
-type cachedLevel struct {
-	lvl *access.LevelBlock
-	key relation.Tuple
-}
-
-// stepEmit is one non-empty emission of a fetch step: the level to append,
-// the X-key to broadcast, and the enumeration row/weight it extends.
-type stepEmit struct {
-	lvl *access.LevelBlock
-	key relation.Tuple
-	ri  int
-	w   int
-}
-
-// prefetchStepBlocks is prefetchStep on the columnar path: collect the
-// distinct X-values in first-seen enumeration order, resolve them with one
-// scatter-gather batch of level blocks, and budget-account sequentially in
-// exactly that order — the same tuples the lazy path would charge,
-// truncated (as a block prefix view) at the same point. A non-nil fetcher
-// replaces the in-process batch with the routed one (the cluster seam).
-func prefetchStepBlocks(ctx context.Context, cur *blockAtom, extVals [][]relation.Tuple, sl *stepLayout, s *chase.Step, k, budget int, stats *Stats, cache *relation.TupleMap[cachedLevel], workers int, fetcher RemoteFetcher) error {
+	// 1. Enumerate once. xs holds owned copies of the distinct X-values in
+	// first-seen order; index maps each to its position in xs.
 	fill := make([]relation.Value, len(sl.route))
 	scratch := make(relation.Tuple, len(sl.route))
-	seen := relation.NewTupleSet(0)
+	index := relation.NewTupleMap[int32](0)
 	var xs []relation.Tuple
+	var visits []stepVisit
 	visited := 0
 	var curBlk *relation.Block
 	var curW []int
@@ -457,58 +275,126 @@ func prefetchStepBlocks(ctx context.Context, cur *blockAtom, extVals [][]relatio
 			return false
 		}
 		assembleXBlock(sl, fill, curBlk, ri, scratch)
-		if seen.Has(scratch) {
-			return true
+		xi, ok := index.Get(scratch)
+		if !ok {
+			xi = int32(len(xs))
+			key := append(relation.Tuple(nil), scratch...)
+			index.Put(key, xi)
+			xs = append(xs, key)
 		}
-		xt := append(relation.Tuple(nil), scratch...)
-		seen.Add(xt)
-		xs = append(xs, xt)
+		visits = append(visits, stepVisit{x: xi, ri: int32(ri), w: w})
 		return true
 	})
+	// Fan-out boundary: the last check before the batch does real index
+	// work (across shards, or across the cluster).
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 
-	var raw []*access.LevelBlock
-	if fetcher != nil {
-		var err error
-		raw, err = fetcher.FetchBatchBlocks(ctx, s.Ladder, xs, k)
-		if err != nil {
-			return err
-		}
-	} else {
-		done := shardSpans(ctx, s.Ladder, xs)
-		raw = s.Ladder.FetchBatchBlocks(xs, k, workers)
-		done(func(i int) int {
-			if raw[i] == nil {
-				return 0
-			}
-			return raw[i].Rows()
-		})
+	// 2. Resolve every distinct X-value with one batch of full level views.
+	lvls, err := o.Fetcher.FetchBatchBlocks(ctx, s.Ladder, xs, k)
+	if err != nil {
+		return err
 	}
 
-	for i, xt := range xs {
-		lvl := raw[i]
+	// 3. Budget backstop, charged in first-seen order: take what fits of
+	// the level that crosses the budget, then fetch nothing more.
+	for i, lvl := range lvls {
 		if stats.Truncated {
-			cache.Put(xt, cachedLevel{key: xt})
+			lvls[i] = nil
 			continue
 		}
 		n := 0
 		if lvl != nil {
 			n = lvl.Rows()
 		}
-		if stats.Accessed+n > budget {
-			room := budget - stats.Accessed
-			if room < 0 {
-				room = 0
-			}
-			lvl = lvl.Prefix(room)
-			n = room
+		if stats.Accessed+n > o.Budget {
+			n = max(o.Budget-stats.Accessed, 0)
+			lvls[i] = lvl.Prefix(n)
 			stats.Truncated = true
 		}
 		stats.Accessed += n
-		cache.Put(xt, cachedLevel{lvl: lvl, key: xt})
 	}
+
+	// 4. Build the output block column-wise from the visits that fetched
+	// rows, with their total known. A step that emits exactly one level
+	// (every first fetch, and any step with one surviving X-value) serves
+	// that level's Y columns zero-copy as column views; multi-emit steps
+	// reserve each column's full capacity once, then bulk-append.
+	emits := visits[:0]
+	total := 0
+	for _, v := range visits {
+		if lvl := lvls[v.x]; lvl != nil && lvl.Rows() > 0 {
+			emits = append(emits, v)
+			total += lvl.Rows()
+		}
+	}
+	out := &blockAtom{
+		alias:  atomAlias(p, ai),
+		schema: sl.schema,
+		block:  relation.NewBlock(sl.schema.Arity()),
+	}
+	fills := buildColFills(sl, sl.schema.Arity())
+	if len(emits) == 1 {
+		e := emits[0]
+		lvl, key := lvls[e.x], xs[e.x]
+		n := lvl.Rows()
+		for p := range fills {
+			f := &fills[p]
+			switch {
+			case f.yCol >= 0:
+				out.block.SetColView(p, lvl.Y.Col(f.yCol))
+			case f.xPos >= 0:
+				out.block.Col(p).AppendRepeat(key[f.xPos], n)
+			default:
+				out.block.Col(p).AppendRepeat(curBlk.Value(int(e.ri), f.prefixCol), n)
+			}
+		}
+		out.block.AddRows(n)
+		out.weights = make([]int, n)
+		for i, c := range lvl.Counts {
+			out.weights[i] = e.w * c
+		}
+	} else if len(emits) > 0 {
+		first := emits[0]
+		for p := range fills {
+			f := &fills[p]
+			col := out.block.Col(p)
+			switch {
+			case f.yCol >= 0:
+				src := lvls[first.x].Y.Col(f.yCol)
+				if !src.Mixed() {
+					col.Reserve(src.Kind(), total)
+				}
+			case f.xPos >= 0:
+				col.Reserve(xs[first.x][f.xPos].Kind(), total)
+			default:
+				col.Reserve(curBlk.Value(int(first.ri), f.prefixCol).Kind(), total)
+			}
+		}
+		out.weights = make([]int, 0, total)
+		for _, e := range emits {
+			lvl, key := lvls[e.x], xs[e.x]
+			n := lvl.Rows()
+			for p := range fills {
+				f := &fills[p]
+				col := out.block.Col(p)
+				switch {
+				case f.yCol >= 0:
+					col.AppendRange(lvl.Y.Col(f.yCol), 0, n)
+				case f.xPos >= 0:
+					col.AppendRepeat(key[f.xPos], n)
+				default:
+					col.AppendRepeat(curBlk.Value(int(e.ri), f.prefixCol), n)
+				}
+			}
+			out.block.AddRows(n)
+			for _, c := range lvl.Counts {
+				out.weights = append(out.weights, e.w*c)
+			}
+		}
+	}
+	atoms[ai] = out
 	return nil
 }
 
@@ -516,7 +402,7 @@ func prefetchStepBlocks(ctx context.Context, cur *blockAtom, extVals [][]relatio
 // selections produce surviving index lists, joins hash block rows directly
 // and gather matched pairs column-wise, and the final projection is the
 // only place rows are materialised. Classification of exact vs relaxed
-// predicates, evaluation order and emission order replicate evaluateFast.
+// predicates, evaluation order and emission order match evaluateDynamic.
 func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []*blockAtom) (*Result, error) {
 	q := p.Chase.Query
 	ev := lay.eval
@@ -538,8 +424,10 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 		blk := ba.block
 		ws := ba.weights
 
-		// Relaxed constant selection, hoisted like the row path; the
-		// surviving rows become an index list instead of a tuple slice.
+		// Relaxed constant selection: tolerances are fixed per call, so they
+		// are hoisted out of the row loop, and unboundedly approximate
+		// columns (+inf resolution) cannot be filtered at all. The surviving
+		// rows become an index list instead of a tuple slice.
 		// sel == nil means every row survives (no active selections).
 		type activeSel struct {
 			col  int
@@ -607,8 +495,11 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 			continue
 		}
 
-		// Classify connecting join predicates exactly as evaluateFast: +inf
-		// tolerance means unbounded resolution, enforced exactly.
+		// Classify connecting join predicates. A tolerance of +inf means the
+		// attribute was fetched with unbounded resolution: relaxation cannot
+		// meaningfully widen such a join (the accuracy bound is already 0),
+		// so it is enforced exactly — which also keeps the join from
+		// degenerating into a cross product.
 		type activeJoin struct {
 			j     *joinSel
 			tol   float64
@@ -638,8 +529,8 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 			return env.Value(ei, ev.envOffset[a]+c)
 		}
 
-		// Match phase: collect surviving (env row, atom row) pairs in the
-		// row path's emission order, then gather them column-wise. Seed
+		// Match phase: collect surviving (env row, atom row) pairs in
+		// emission order, then gather them column-wise. Seed
 		// capacity at the environment's row count — joins in α-bounded plans
 		// rarely shrink the environment by much more than they grow it.
 		capHint := env.Rows()
@@ -670,7 +561,7 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 			// rows are bucketed by the hash of their key projection (the
 			// same canonical fold as Tuple.Hash) in filtered order; probes
 			// verify per candidate with canonical key equality, so matches
-			// and their order are exactly the TupleMap join's.
+			// come out in environment-row order, build rows in filtered order.
 			atomKeyIdx := make([]int, len(exactEq))
 			envKeyIdx := make([]int, len(exactEq))
 			for i, j := range exactEq {

@@ -7,14 +7,15 @@ import (
 	"repro/internal/relation"
 )
 
-// RemoteFetcher resolves the batched ladder fetches of the prefetch step
-// against owners that may live outside this process — the seam the cluster
-// layer (internal/cluster) plugs into the executor. The contract mirrors
-// access.Ladder.FetchBatch/FetchBatchBlocks exactly: out[i] corresponds to
-// xs[i] (nil for missing groups), every returned view is the group's FULL
-// untruncated level — budget accounting and truncation stay with the
-// caller, sequential in first-seen enumeration order, which is what keeps
-// N-node execution byte-identical to the in-process path.
+// RemoteFetcher resolves the batched ladder fetch of every fetch step. The
+// in-process scatter-gather (localFetcher, the default) and the cluster
+// router (internal/cluster) are its two implementations; the executor
+// cannot tell them apart. The contract mirrors access.Ladder.FetchBatchBlocks
+// exactly: out[i] corresponds to xs[i] (nil for missing groups), every
+// returned view is the group's FULL untruncated level, and the returned
+// slice belongs to the caller — budget accounting and truncation stay with
+// the executor, sequential in first-seen enumeration order, which is what
+// keeps N-node execution byte-identical to the in-process path.
 //
 // A fetcher must return row-for-row the same samples the ladder itself
 // would (TestClusterInvariance asserts this over the soundness corpus). A
@@ -22,10 +23,19 @@ import (
 // surface as a typed error, never as silently missing data: the executor
 // aborts the plan rather than answer from a partial view.
 type RemoteFetcher interface {
-	// FetchBatch resolves the level-k sample views for every X-value of xs,
-	// in xs order.
-	FetchBatch(ctx context.Context, l *access.Ladder, xs []relation.Tuple, k int) ([][]access.Sample, error)
-	// FetchBatchBlocks is FetchBatch in columnar form (the ColumnarScan
-	// path): one level block per X-value, nil for missing groups.
+	// FetchBatchBlocks resolves the level-k views for every X-value of xs,
+	// in xs order: one level block per X-value, nil for missing groups.
 	FetchBatchBlocks(ctx context.Context, l *access.Ladder, xs []relation.Tuple, k int) ([]*access.LevelBlock, error)
+}
+
+// localFetcher resolves batches in process: the ladder's own scatter-gather
+// across its shards on up to `workers` goroutines, traced per shard.
+type localFetcher struct{ workers int }
+
+// FetchBatchBlocks implements RemoteFetcher; it never fails.
+func (f localFetcher) FetchBatchBlocks(ctx context.Context, l *access.Ladder, xs []relation.Tuple, k int) ([]*access.LevelBlock, error) {
+	done := shardSpans(ctx, l, xs)
+	lvls := l.FetchBatchBlocks(xs, k, f.workers)
+	done(lvls)
+	return lvls, nil
 }

@@ -65,8 +65,8 @@ type planLayout struct {
 	steps []stepLayout
 	// finalSchema[ai] is the fetched schema of atom ai after all its steps
 	// (the empty-atom schema when it has none); emptySchema[ai] is the
-	// schema emptyAtom uses for atoms the (possibly truncated) fetch never
-	// built.
+	// schema materializeAtoms gives atoms the (possibly truncated) fetch
+	// never built.
 	finalSchema []*relation.Schema
 	emptySchema []*relation.Schema
 	// eval is the precompiled evaluation layout, or nil when static
@@ -100,9 +100,8 @@ type joinSel struct {
 type evalLayout struct {
 	outSchema *relation.Schema
 	// envOffset[ai] is where atom ai's columns start in the joined
-	// environment row; envWidth is the final arity.
+	// environment row.
 	envOffset []int
-	envWidth  int
 	// constSels[ai] are the constant selections on atom ai.
 	constSels [][]constSel
 	joins     []joinSel
@@ -316,7 +315,6 @@ func buildEvalLayout(q *query.SPC, db *relation.Database, finalSchema []*relatio
 		ev.envOffset[ai] = off
 		off += s.Arity()
 	}
-	ev.envWidth = off
 
 	ev.connecting = make([][]int, len(q.Atoms))
 	for _, pd := range q.Preds {

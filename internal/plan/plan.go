@@ -9,11 +9,13 @@
 // Fetched rows carry count annotations (how many base tuples a sample
 // represents), which §7's sum/count/avg aggregation consumes.
 //
-// Execution is allocation-light: per-plan layouts are precompiled once (see
-// layout.go) and the hot loops run over flat int slices and hash-bucketed
-// tuple maps instead of string-keyed maps. Budget-truncated executions can
-// leave atoms with partially built schemas; evaluation falls back to the
-// dynamic reference path for those, so semantics are identical.
+// There is one executor (colexec.go): per-plan layouts are precompiled once
+// (layout.go), fetched data stays in the ladder's columnar level blocks,
+// and every fetch step resolves its distinct X-values with one batch call
+// through a RemoteFetcher (fetcher.go) — in process or across a cluster.
+// Budget-truncated executions can leave atoms with partially built
+// schemas; evaluateDynamic, below, evaluates those by resolving columns at
+// runtime.
 package plan
 
 import (
@@ -22,10 +24,7 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/access"
 	"repro/internal/chase"
-	"repro/internal/guard"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -68,9 +67,9 @@ type Stats struct {
 	Truncated bool
 }
 
-// FetchedAtom is the data fetched for one atom of the SPC body: a relation
-// over the fetched attributes (unqualified names) with per-row count
-// annotations.
+// FetchedAtom is the data fetched for one atom of the SPC body in the row
+// form evaluateDynamic consumes: a relation over the fetched attributes
+// (unqualified names) with per-row count annotations.
 type FetchedAtom struct {
 	Alias   string
 	Rel     *relation.Relation
@@ -85,89 +84,36 @@ type Result struct {
 	Stats   Stats
 }
 
-// ExecOpts is the per-call execution state of one plan run. It replaces the
-// former package-level toggles (PartitionAwareFetch, MinParallelEmitRows):
-// every knob travels with the call, so concurrent executions never share
-// mutable globals. Build one with DefaultExecOpts and override fields.
+// ExecOpts is the per-call execution state of one plan run: every knob
+// travels with the call, so concurrent executions never share mutable
+// globals. Build one with DefaultExecOpts and override fields.
 type ExecOpts struct {
 	// Budget is this run's access budget (tuples returned by index
 	// lookups); the runtime backstop truncates fetching beyond it.
 	Budget int
-	// Workers bounds the fetch-side worker pool; < 2 keeps the strictly
-	// lazy, sequential reference path.
+	// Workers bounds the fetch-side scatter-gather pool across the ladder's
+	// shards; < 2 resolves every batch inline. Answers are identical at any
+	// value.
 	Workers int
-	// PartitionAware enables the batched scatter-gather fetch across the
-	// ladder's shards when Workers > 1. Answers are identical either way;
-	// false exists for apples-to-apples measurement of the legacy lazy
-	// serving path.
-	PartitionAware bool
-	// MinParallelEmitRows gates the chunked parallel row materialisation:
-	// below this many existing rows the goroutine fan-out costs more than
-	// the row assembly it spreads. Output is identical at any value.
-	MinParallelEmitRows int
-	// ColumnarScan routes the run through the columnar executor (see
-	// colexec.go): fetched samples stay in the ladder's per-level columnar
-	// blocks, predicates and hash-join keys are evaluated block-at-a-time
-	// over flat typed columns, and rows are only materialised at the answer
-	// boundary. Answers, Stats and truncation are byte-identical to the row
-	// path (asserted by TestColumnarScanMatchesRowScan); false keeps the
-	// row-at-a-time reference path.
-	ColumnarScan bool
 	// Fetcher, when non-nil, resolves every fetch step's batch through it
 	// instead of the ladder's in-process scatter-gather — the cluster
-	// routing seam. Setting it forces the prefetch path on every step (the
-	// lazy per-X fallback would bypass the router), which is safe because
-	// prefetch and lazy fetching are proven byte-identical; budget
-	// accounting stays sequential in first-seen enumeration order over the
-	// returned views, so answers do not depend on where a fetch was served.
-	// A fetcher error aborts the step (typed, e.g. *cluster.PeerError) —
-	// never a silently partial answer.
+	// routing seam. Budget accounting stays sequential in first-seen
+	// enumeration order over the returned views, so answers do not depend
+	// on where a fetch was served. A fetcher error aborts the step (typed,
+	// e.g. *cluster.PeerError) — never a silently partial answer.
 	Fetcher RemoteFetcher
 }
 
-// DefaultMinParallelEmitRows is the default chunked-emit gate of
-// DefaultExecOpts.
-const DefaultMinParallelEmitRows = 64
-
-// DefaultExecOpts returns the executor defaults for one run: partition-aware
-// fetching on, the standard parallel-emit gate, columnar scan on.
+// DefaultExecOpts returns the executor defaults for one run: the given
+// budget and scatter-gather pool, in-process fetching.
 func DefaultExecOpts(budget, workers int) ExecOpts {
-	return ExecOpts{
-		Budget:              budget,
-		Workers:             workers,
-		PartitionAware:      true,
-		MinParallelEmitRows: DefaultMinParallelEmitRows,
-		ColumnarScan:        true,
-	}
+	return ExecOpts{Budget: budget, Workers: workers}
 }
 
-// cancelStride bounds how many enumeration visits (or emitted row prefixes)
-// the hot loops process between two context checks: cancellation is noticed
-// within one stride of work at every level of the executor.
+// cancelStride bounds how many enumeration visits the fetch loop processes
+// between two context checks: cancellation is noticed within one stride of
+// work at every level of the executor.
 const cancelStride = 64
-
-// Execute runs the full plan: fetch then relaxed evaluation, accounting
-// accesses against p.Budget.
-//
-// Deprecated: use ExecuteOpts, which takes a context and per-call options.
-func Execute(p *Bounded, db *relation.Database) (*Result, error) {
-	return ExecuteOpts(context.Background(), p, db, DefaultExecOpts(p.Budget, 1))
-}
-
-// ExecuteWithBudget runs the full plan against an explicit access budget,
-// leaving the plan itself untouched.
-//
-// Deprecated: use ExecuteOpts, which takes a context and per-call options.
-func ExecuteWithBudget(p *Bounded, db *relation.Database, budget int) (*Result, error) {
-	return ExecuteOpts(context.Background(), p, db, DefaultExecOpts(budget, 1))
-}
-
-// ExecuteWithBudgetWorkers is ExecuteWithBudget with fetch-side parallelism.
-//
-// Deprecated: use ExecuteOpts, which takes a context and per-call options.
-func ExecuteWithBudgetWorkers(p *Bounded, db *relation.Database, budget, workers int) (*Result, error) {
-	return ExecuteOpts(context.Background(), p, db, DefaultExecOpts(budget, workers))
-}
 
 // ExecuteOpts runs the full plan — fetch then relaxed evaluation — under
 // per-call options, leaving the plan itself untouched. Plans are immutable
@@ -176,33 +122,38 @@ func ExecuteWithBudgetWorkers(p *Bounded, db *relation.Database, budget, workers
 // per-call because callers partition one global α|D| budget across the
 // leaves of a larger plan.
 //
-// With o.Workers > 1 and o.PartitionAware, each fetch step first resolves
-// its distinct X-values with a scatter-gather batch across the ladder's
-// shards and then materialises the fetched rows over a bounded worker pool.
-// Budget accounting stays sequential in first-seen X order, so answers,
-// Stats and truncation points are byte-identical to the Workers = 1
-// reference path (asserted by TestShardCountInvariance and the golden
-// digest suite).
+// Execution is columnar (colexec.go): each fetch step resolves its
+// distinct X-values with one batch — scatter-gathered across the ladder's
+// shards on up to o.Workers goroutines, or routed through o.Fetcher — and
+// accounts them against the budget sequentially in first-seen enumeration
+// order, so answers, Stats and truncation points do not depend on the
+// worker count, the shard count or where a fetch was served (asserted by
+// TestShardCountInvariance, TestClusterInvariance and the golden digest
+// suite). Runs whose truncation left an atom with a partial schema are
+// evaluated by evaluateDynamic instead of the precompiled evaluator.
 //
-// Cancellation is cooperative: ctx is checked between fetch steps, at the
-// shard fan-out of the partition-aware path, every few distinct X-values on
-// the lazy path, and per chunk during parallel row emit. A cancelled call
-// returns ctx.Err() promptly instead of burning the rest of its budget.
+// Cancellation is cooperative: ctx is checked between fetch steps, every
+// cancelStride enumeration visits, before each batch fetch and at every
+// atom-join boundary of evaluation. A cancelled call returns ctx.Err()
+// promptly instead of burning the rest of its budget.
 func ExecuteOpts(ctx context.Context, p *Bounded, db *relation.Database, o ExecOpts) (*Result, error) {
-	if o.MinParallelEmitRows <= 0 {
-		o.MinParallelEmitRows = DefaultMinParallelEmitRows
+	if o.Fetcher == nil {
+		o.Fetcher = localFetcher{workers: o.Workers}
 	}
-	if !o.PartitionAware || o.Workers < 1 {
-		o.Workers = 1
-	}
-	if o.ColumnarScan {
-		return executeColumnar(ctx, p, db, o)
-	}
-	atoms, stats, err := executeFetch(ctx, p, db, o)
+	lay, err := p.layoutFor(db)
 	if err != nil {
 		return nil, err
 	}
-	res, err := evaluateFetched(ctx, p, db, atoms)
+	atoms, stats, err := executeFetchBlocks(ctx, p, lay, o)
+	if err != nil {
+		return nil, err
+	}
+	var res *Result
+	if lay.eval != nil && blocksComplete(lay, atoms) {
+		res, err = evaluateColumnar(ctx, p, lay, atoms)
+	} else {
+		res, err = evaluateDynamic(ctx, p, db, materializeAtoms(p, lay, atoms))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -210,618 +161,14 @@ func ExecuteOpts(ctx context.Context, p *Bounded, db *relation.Database, o ExecO
 	return res, nil
 }
 
-// ExecuteFetch runs ξF with the plan's own budget.
-func ExecuteFetch(p *Bounded, db *relation.Database) ([]*FetchedAtom, *Stats, error) {
-	return executeFetch(context.Background(), p, db, DefaultExecOpts(p.Budget, 1))
-}
-
-// executeFetch runs ξF: it applies the chase steps in order against the
-// access-schema indices, materialising one relation per atom.
-func executeFetch(ctx context.Context, p *Bounded, db *relation.Database, o ExecOpts) ([]*FetchedAtom, *Stats, error) {
-	lay, err := p.layoutFor(db)
-	if err != nil {
-		return nil, nil, err
-	}
-	q := p.Chase.Query
-	stats := &Stats{}
-	atoms := make([]*FetchedAtom, len(q.Atoms))
-
-	for si := range p.Chase.Steps {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		s := &p.Chase.Steps[si]
-		k := s.K
-		if !s.Pinned && p.Ks != nil {
-			k = p.Ks[si]
-		}
-		if err := applyStep(ctx, p, atoms, &lay.steps[si], s, si, k, o, stats); err != nil {
-			return nil, nil, err
-		}
-		if stats.Truncated {
-			break
-		}
-	}
-	// Atoms with no fetched data (possible after truncation) become empty
-	// relations over their used attributes so evaluation degrades cleanly.
-	for ai := range atoms {
-		if atoms[ai] == nil {
-			atoms[ai] = &FetchedAtom{
-				Alias: q.Atoms[ai].Name(),
-				Rel:   relation.NewRelation(lay.emptySchema[ai]),
-			}
-		}
-	}
-	return atoms, stats, nil
-}
-
-// assembleX writes the step's ladder-order X tuple for the current
-// enumeration state into dst (len(sl.route)). fill holds the current
-// external valuation by X position.
-func assembleX(sl *stepLayout, fill []relation.Value, prefix, dst relation.Tuple) {
-	for xi, r := range sl.route {
-		switch r {
-		case xOwn:
-			dst[xi] = prefix[sl.ownCol[xi]]
-		case xConst:
-			dst[xi] = sl.consts[xi]
-		default:
-			dst[xi] = fill[xi]
-		}
-	}
-}
-
-// forEachEnum enumerates a step's fetch enumeration — existing rows (or one
-// virtual row when rows is nil and virtual is set) × the cross product of
-// external valuations — in deterministic order, calling visit once per
-// combination with the current prefix row and weight. fill (len(sl.route))
-// is updated in place with the current external valuation before each visit.
-// A visit returning false aborts the enumeration (cooperative cancellation).
-func forEachEnum(rows []relation.Tuple, weights []int, virtual bool, extVals [][]relation.Tuple, sl *stepLayout, fill []relation.Value, visit func(prefix relation.Tuple, w int) bool) {
-	var walkExt func(gi int, prefix relation.Tuple, w int) bool
-	walkExt = func(gi int, prefix relation.Tuple, w int) bool {
-		if gi == len(sl.extGroups) {
-			return visit(prefix, w)
-		}
-		for _, vt := range extVals[gi] {
-			for i, xi := range sl.extGroups[gi] {
-				fill[xi] = vt[i]
-			}
-			if !walkExt(gi+1, prefix, w) {
-				return false
-			}
-		}
-		return true
-	}
-	if virtual {
-		walkExt(0, nil, 1)
-		return
-	}
-	for ri, t := range rows {
-		if !walkExt(0, t, weights[ri]) {
-			return
-		}
-	}
-}
-
-// buildRow assembles one output row: the prefix columns, the new X columns
-// and the sample's Y columns, per the step layout's output positions.
-func buildRow(sl *stepLayout, arity int, prefix, xt, y relation.Tuple) relation.Tuple {
-	row := make(relation.Tuple, arity)
-	copy(row, prefix)
-	for xi, pos := range sl.outX {
-		if pos >= 0 {
-			row[pos] = xt[xi]
-		}
-	}
-	for yi, pos := range sl.outY {
-		if pos >= 0 {
-			row[pos] = y[yi]
-		}
-	}
-	return row
-}
-
-// applyStep runs one fetch operation over its precompiled layout, extending
-// (or creating) the atom's fetched relation. The hot loops only index flat
-// slices; the single map in sight is the hash-bucketed fetch cache.
-//
-// With o.Workers > 1 the step takes the partition-aware path: the distinct
-// X-values of the enumeration are collected first (in the same first-seen
-// order the lazy path discovers them), resolved with one scatter-gather
-// batch across the ladder's shards, budget-accounted sequentially in that
-// order, and the row materialisation then fans out over contiguous row
-// chunks whose concatenation reproduces the sequential output exactly.
-//
-// ctx is consulted every cancelStride enumeration visits (lazy path), at
-// the shard fan-out (prefetch) and per chunk of the parallel emit.
-func applyStep(ctx context.Context, p *Bounded, atoms []*FetchedAtom, sl *stepLayout, s *chase.Step, si, k int, o ExecOpts, stats *Stats) error {
-	ai := sl.atom
-	cur := atoms[ai]
-	budget, workers := o.Budget, o.Workers
-
-	// One span per fetch step (a handful per leaf, never per row); attrs
-	// are filled on the way out so truncation and the access delta are the
-	// step's own.
-	fs := obs.SpanFrom(ctx).Child("fetch_step")
-	if fs != nil {
-		fs.SetInt("step", int64(si))
-		fs.SetInt("level", int64(k))
-		ctx = obs.ContextWithSpan(ctx, fs)
-		before := stats.Accessed
-		defer func() {
-			fs.SetInt("accessed", int64(stats.Accessed-before))
-			fs.SetBool("truncated", stats.Truncated)
-			fs.End()
-		}()
-	}
-
-	// Materialise distinct joint valuations per external group.
-	extVals := make([][]relation.Tuple, len(sl.extGroups))
-	for gi := range sl.extGroups {
-		fa := atoms[sl.extSrcAtom[gi]]
-		if fa == nil {
-			return fmt.Errorf("plan: step %d reads atom %d before it was fetched", si, sl.extSrcAtom[gi])
-		}
-		idx := sl.extSrcCols[gi]
-		seen := relation.NewTupleSet(len(fa.Rel.Tuples))
-		for _, t := range fa.Rel.Tuples {
-			pt := t.Project(idx)
-			if seen.Add(pt) {
-				extVals[gi] = append(extVals[gi], pt)
-			}
-		}
-	}
-
-	out := &FetchedAtom{Alias: atomAlias(p, ai), Rel: relation.NewRelation(sl.schema)}
-	arity := sl.schema.Arity()
-
-	// Fetch cache: one budget-accounted sample view per distinct X-value.
-	// Views are shared read-only slices of the ladder's materialised levels.
-	cache := relation.NewTupleMap[[]access.Sample](0)
-
-	// The scatter-gather path costs an extra enumeration pass (collecting
-	// the distinct X-values), so take it only when the enumeration is big
-	// enough for the fan-out to pay for it; small steps keep the
-	// single-pass lazy fetch. Results are identical either way.
-	enumCount := 1
-	if cur != nil {
-		enumCount = len(cur.Rel.Tuples)
-	}
-	for gi := range extVals {
-		if enumCount >= o.MinParallelEmitRows {
-			break // saturated: the gate already passes
-		}
-		enumCount *= len(extVals[gi])
-	}
-	prefetched := o.Fetcher != nil || (workers > 1 && enumCount >= o.MinParallelEmitRows)
-	fs.SetBool("prefetch", prefetched)
-	if prefetched {
-		if err := prefetchStep(ctx, cur, extVals, sl, s, k, budget, stats, cache, workers, o.Fetcher); err != nil {
-			return err
-		}
-	}
-
-	// fetch resolves one X-value with budget accounting; after a prefetch
-	// every enumerated X is already cached, so this never mutates state.
-	// Callers probe with a reused scratch tuple, and the cache retains keys
-	// by reference, so inserts store a private copy.
-	fetch := func(xt relation.Tuple) []access.Sample {
-		if got, ok := cache.Get(xt); ok {
-			return got
-		}
-		key := append(relation.Tuple(nil), xt...)
-		if stats.Truncated {
-			cache.Put(key, nil)
-			return nil
-		}
-		samples := s.Ladder.Fetch(xt, k)
-		if stats.Accessed+len(samples) > budget {
-			// Budget backstop: take what fits, then stop fetching.
-			room := budget - stats.Accessed
-			if room < 0 {
-				room = 0
-			}
-			samples = samples[:room]
-			stats.Truncated = true
-		}
-		stats.Accessed += len(samples)
-		cache.Put(key, samples)
-		return samples
-	}
-
-	if prefetched && cur != nil && len(cur.Rel.Tuples) >= o.MinParallelEmitRows {
-		// Parallel row materialisation: contiguous chunks of the existing
-		// rows, each worker reading the prefilled cache only and writing its
-		// own output slices; chunk concatenation preserves row order. Every
-		// worker re-checks ctx each cancelStride prefixes, so a cancelled
-		// call abandons the emit within one stride per chunk.
-		rows, weights := cur.Rel.Tuples, cur.Weights
-		n := len(rows)
-		nw := workers
-		if nw > n {
-			nw = n
-		}
-		type part struct {
-			rows []relation.Tuple
-			ws   []int
-		}
-		parts := make([]part, nw)
-		partErrs := make([]error, nw)
-		var wg sync.WaitGroup
-		for pi := 0; pi < nw; pi++ {
-			lo, hi := pi*n/nw, (pi+1)*n/nw
-			wg.Add(1)
-			go func(pi, lo, hi int) {
-				defer wg.Done()
-				// A panic in an emit worker is contained to its error slot
-				// instead of crashing the process out from under the other
-				// workers (and the whole server).
-				defer guard.Recover("parallel row emit", &partErrs[pi])
-				fill := make([]relation.Value, len(sl.route))
-				xt := make(relation.Tuple, len(sl.route))
-				var pr []relation.Tuple
-				var pw []int
-				visited := 0
-				forEachEnum(rows[lo:hi], weights[lo:hi], false, extVals, sl, fill, func(prefix relation.Tuple, w int) bool {
-					if visited++; visited%cancelStride == 0 && ctx.Err() != nil {
-						return false
-					}
-					assembleX(sl, fill, prefix, xt)
-					got, _ := cache.Get(xt) // read-only: prefetch covered every X
-					for _, smp := range got {
-						pr = append(pr, buildRow(sl, arity, prefix, xt, smp.Y))
-						pw = append(pw, w*smp.Count)
-					}
-					return true
-				})
-				parts[pi] = part{pr, pw}
-			}(pi, lo, hi)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, err := range partErrs {
-			if err != nil {
-				return err
-			}
-		}
-		for _, pt := range parts {
-			out.Rel.Tuples = append(out.Rel.Tuples, pt.rows...)
-			out.Weights = append(out.Weights, pt.ws...)
-		}
-	} else {
-		fill := make([]relation.Value, len(sl.route))
-		xt := make(relation.Tuple, len(sl.route))
-		visited := 0
-		visit := func(prefix relation.Tuple, w int) bool {
-			if visited++; visited%cancelStride == 0 && ctx.Err() != nil {
-				return false
-			}
-			assembleX(sl, fill, prefix, xt)
-			for _, smp := range fetch(xt) {
-				out.Rel.Tuples = append(out.Rel.Tuples, buildRow(sl, arity, prefix, xt, smp.Y))
-				out.Weights = append(out.Weights, w*smp.Count)
-			}
-			return true
-		}
-		if cur == nil {
-			forEachEnum(nil, nil, true, extVals, sl, fill, visit)
-		} else {
-			forEachEnum(cur.Rel.Tuples, cur.Weights, false, extVals, sl, fill, visit)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	atoms[ai] = out
-	return nil
-}
-
-// prefetchStep is the scatter-gather half of the partition-aware fetch: it
-// collects the step's distinct X-values in first-seen enumeration order,
-// resolves them with one batched fan-out across the ladder's shards, and
-// accounts them against the budget sequentially in exactly that order —
-// the same tuples the lazy path would charge, truncated at the same point.
-// ctx is checked during collection (every cancelStride visits) and again
-// immediately before the shard fan-out. A non-nil fetcher replaces the
-// in-process batch with the routed one — same view contract, so the
-// sequential accounting below is oblivious to where a fetch was served.
-func prefetchStep(ctx context.Context, cur *FetchedAtom, extVals [][]relation.Tuple, sl *stepLayout, s *chase.Step, k, budget int, stats *Stats, cache *relation.TupleMap[[]access.Sample], workers int, fetcher RemoteFetcher) error {
-	fill := make([]relation.Value, len(sl.route))
-	scratch := make(relation.Tuple, len(sl.route))
-	seen := relation.NewTupleSet(0)
-	var xs []relation.Tuple
-	visited := 0
-	collect := func(prefix relation.Tuple, w int) bool {
-		if visited++; visited%cancelStride == 0 && ctx.Err() != nil {
-			return false
-		}
-		assembleX(sl, fill, prefix, scratch)
-		if seen.Has(scratch) {
-			return true
-		}
-		xt := append(relation.Tuple(nil), scratch...)
-		seen.Add(xt)
-		xs = append(xs, xt)
-		return true
-	}
-	if cur == nil {
-		forEachEnum(nil, nil, true, extVals, sl, fill, collect)
-	} else {
-		forEachEnum(cur.Rel.Tuples, cur.Weights, false, extVals, sl, fill, collect)
-	}
-	// Shard fan-out boundary: the last check before the batched fetch does
-	// real index work across shards.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	var raw [][]access.Sample
-	if fetcher != nil {
-		// The routed path opens its own per-peer spans off the ctx span
-		// (see internal/cluster); nothing to account locally.
-		var err error
-		raw, err = fetcher.FetchBatch(ctx, s.Ladder, xs, k)
-		if err != nil {
-			return err
-		}
-	} else {
-		done := shardSpans(ctx, s.Ladder, xs)
-		raw = s.Ladder.FetchBatch(xs, k, workers)
-		done(func(i int) int { return len(raw[i]) })
-	}
-
-	for i, xt := range xs {
-		samples := raw[i]
-		if stats.Truncated {
-			cache.Put(xt, nil)
-			continue
-		}
-		if stats.Accessed+len(samples) > budget {
-			room := budget - stats.Accessed
-			if room < 0 {
-				room = 0
-			}
-			samples = samples[:room]
-			stats.Truncated = true
-		}
-		stats.Accessed += len(samples)
-		cache.Put(xt, samples)
-	}
-	return nil
-}
-
 func atomAlias(p *Bounded, ai int) string { return p.Chase.Query.Atoms[ai].Name() }
 
-// EvaluateFetched runs ξE: the query's relational operations over the
-// fetched atoms, with selection and join conditions relaxed by the fetch
-// resolutions of the attributes involved (paper §5, "evaluation plan").
-//
-// When every atom carries its fully built (precompiled) schema, the fast
-// evaluator runs over the plan's precompiled layout; budget-truncated
-// fetches with partially built atoms take the dynamic reference path, which
-// resolves columns at runtime exactly as the original executor did.
-func EvaluateFetched(p *Bounded, db *relation.Database, atoms []*FetchedAtom) (*Result, error) {
-	return evaluateFetched(context.Background(), p, db, atoms)
-}
-
-// evaluateFetched is EvaluateFetched with cooperative cancellation: ctx is
-// checked at every atom-join boundary of either evaluator.
-func evaluateFetched(ctx context.Context, p *Bounded, db *relation.Database, atoms []*FetchedAtom) (*Result, error) {
-	if lay, err := p.layoutFor(db); err == nil && lay.eval != nil && layoutMatches(lay, atoms) {
-		return evaluateFast(ctx, p, lay, atoms)
-	}
-	return evaluateDynamic(ctx, p, db, atoms)
-}
-
-// layoutMatches reports whether every fetched atom carries the precompiled
-// final schema (pointer identity: executeFetch builds atoms from the
-// layout's schema objects, so any truncation-induced deviation differs).
-func layoutMatches(lay *planLayout, atoms []*FetchedAtom) bool {
-	if len(atoms) != len(lay.finalSchema) {
-		return false
-	}
-	for ai, fa := range atoms {
-		if fa == nil || fa.Rel.Schema != lay.finalSchema[ai] {
-			return false
-		}
-	}
-	return true
-}
-
-// evaluateFast is the precompiled evaluation path.
-func evaluateFast(ctx context.Context, p *Bounded, lay *planLayout, atoms []*FetchedAtom) (*Result, error) {
-	q := p.Chase.Query
-	ev := lay.eval
-	resOf := func(ai int, attr string) float64 {
-		return p.Chase.ResolutionOf(ai, attr, p.Ks)
-	}
-
-	var rows []relation.Tuple
-	var weights []int
-
-	for ai := range q.Atoms {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		fa := atoms[ai]
-
-		// Relaxed constant selection: tolerances are fixed per call, so
-		// hoist them out of the row loop. Unboundedly approximate columns
-		// (+inf resolution) cannot be filtered at all.
-		type activeSel struct {
-			col  int
-			tol  float64
-			dist relation.Distance
-			pred query.Pred
-		}
-		var active []activeSel
-		for _, cs := range ev.constSels[ai] {
-			r := resOf(ai, cs.pred.Left.Attr)
-			if math.IsInf(r, 1) {
-				continue
-			}
-			active = append(active, activeSel{col: cs.col, tol: r, dist: cs.dist, pred: cs.pred})
-		}
-		var atomRows []relation.Tuple
-		var atomWs []int
-		for ri, t := range fa.Rel.Tuples {
-			ok := true
-			for _, cs := range active {
-				if !cs.pred.RelaxedHolds(cs.dist, t[cs.col], relation.Null(), cs.tol) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				atomRows = append(atomRows, t)
-				atomWs = append(atomWs, fa.Weights[ri])
-			}
-		}
-
-		if ai == 0 {
-			rows, weights = atomRows, atomWs
-			continue
-		}
-
-		// Classify connecting join predicates. A tolerance of +inf means
-		// the attribute was fetched with unbounded resolution: relaxation
-		// cannot meaningfully widen such a join (the accuracy bound is
-		// already 0), so it is enforced exactly — which also keeps the
-		// join from degenerating into a cross product.
-		type activeJoin struct {
-			j     *joinSel
-			tol   float64
-			exact bool // enforce pred.Holds (unbounded resolution)
-		}
-		var exactEq []*joinSel
-		var relaxed []activeJoin
-		for _, ji := range ev.connecting[ai] {
-			j := &ev.joins[ji]
-			tol := (resOf(j.lAtom, j.pred.Left.Attr) + resOf(j.rAtom, j.pred.Right.Attr)) / 2
-			bothNew := j.lAtom == ai && j.rAtom == ai
-			if j.pred.Op == query.OpEq && (tol == 0 || math.IsInf(tol, 1)) && !bothNew {
-				exactEq = append(exactEq, j)
-			} else {
-				relaxed = append(relaxed, activeJoin{j: j, tol: tol, exact: math.IsInf(tol, 1)})
-			}
-		}
-
-		valOf := func(side int, j *joinSel, envRow, atomRow relation.Tuple) relation.Value {
-			a, c := j.lAtom, j.lCol
-			if side == 1 {
-				a, c = j.rAtom, j.rCol
-			}
-			if a == ai {
-				return atomRow[c]
-			}
-			return envRow[ev.envOffset[a]+c]
-		}
-
-		var joined []relation.Tuple
-		var joinedW []int
-		emit := func(envRow relation.Tuple, ew int, atomRow relation.Tuple, aw int) {
-			for _, aj := range relaxed {
-				lv := valOf(0, aj.j, envRow, atomRow)
-				rv := valOf(1, aj.j, envRow, atomRow)
-				if aj.exact {
-					if !aj.j.pred.Holds(lv, rv) {
-						return
-					}
-					continue
-				}
-				if !aj.j.pred.RelaxedHolds(aj.j.lDist, lv, rv, aj.tol) {
-					return
-				}
-			}
-			nt := make(relation.Tuple, 0, len(envRow)+len(atomRow))
-			nt = append(append(nt, envRow...), atomRow...)
-			joined = append(joined, nt)
-			joinedW = append(joinedW, ew*aw)
-		}
-
-		if len(exactEq) > 0 {
-			// Hash join on the exact-equality keys: build side projects
-			// each key once; the probe side reuses one scratch tuple, so
-			// probing allocates nothing.
-			atomKeyIdx := make([]int, len(exactEq))
-			envKeyIdx := make([]int, len(exactEq))
-			for i, j := range exactEq {
-				if j.lAtom == ai {
-					atomKeyIdx[i] = j.lCol
-					envKeyIdx[i] = ev.envOffset[j.rAtom] + j.rCol
-				} else {
-					atomKeyIdx[i] = j.rCol
-					envKeyIdx[i] = ev.envOffset[j.lAtom] + j.lCol
-				}
-			}
-			ht := relation.NewTupleMap[[]int](len(atomRows))
-			for ri, t := range atomRows {
-				lst := ht.GetOrInsert(t.Project(atomKeyIdx))
-				*lst = append(*lst, ri)
-			}
-			probe := make(relation.Tuple, len(envKeyIdx))
-			for ei, et := range rows {
-				for i, ci := range envKeyIdx {
-					probe[i] = et[ci]
-				}
-				if lst, ok := ht.Get(probe); ok {
-					for _, ri := range lst {
-						emit(et, weights[ei], atomRows[ri], atomWs[ri])
-					}
-				}
-			}
-		} else {
-			if len(rows)*len(atomRows) > query.MaxIntermediate {
-				return nil, fmt.Errorf("plan: relaxed join of %d x %d rows exceeds limit", len(rows), len(atomRows))
-			}
-			for ei, et := range rows {
-				for ri, at := range atomRows {
-					emit(et, weights[ei], at, atomWs[ri])
-				}
-			}
-		}
-		rows, weights = joined, joinedW
-	}
-
-	// Residual join predicates within the final environment.
-	for _, ji := range ev.residual {
-		j := &ev.joins[ji]
-		tol := (resOf(j.lAtom, j.pred.Left.Attr) + resOf(j.rAtom, j.pred.Right.Attr)) / 2
-		li := ev.envOffset[j.lAtom] + j.lCol
-		ri := ev.envOffset[j.rAtom] + j.rCol
-		var kept []relation.Tuple
-		var keptW []int
-		for i, t := range rows {
-			ok := false
-			if math.IsInf(tol, 1) {
-				ok = j.pred.Holds(t[li], t[ri])
-			} else {
-				ok = j.pred.RelaxedHolds(j.lDist, t[li], t[ri], tol)
-			}
-			if ok {
-				kept = append(kept, t)
-				keptW = append(keptW, weights[i])
-			}
-		}
-		rows, weights = kept, keptW
-	}
-
-	// Project.
-	res := &Result{Rel: relation.NewRelation(ev.outSchema)}
-	for i, t := range rows {
-		res.Rel.Tuples = append(res.Rel.Tuples, t.Project(ev.outIdx))
-		res.Weights = append(res.Weights, weights[i])
-	}
-	return res, nil
-}
-
-// evaluateDynamic is the reference evaluation path: columns are resolved at
-// runtime against whatever schemas the (possibly truncated) fetch produced.
-// It is retained verbatim from the pre-layout executor so truncated
-// executions behave exactly as before.
+// evaluateDynamic evaluates the runs evaluateColumnar cannot serve (an atom
+// left with a partial schema by budget truncation, or a plan without a
+// static eval layout): columns are resolved at runtime against whatever
+// schemas the fetch produced, and a column the query needs but the fetch
+// never built surfaces as an error. On complete fetches it agrees with
+// evaluateColumnar row for row (TestFastEvalMatchesDynamic).
 func evaluateDynamic(ctx context.Context, p *Bounded, db *relation.Database, atoms []*FetchedAtom) (*Result, error) {
 	q := p.Chase.Query
 	outSchema, err := query.OutputSchema(q, db)

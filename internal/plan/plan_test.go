@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/access"
@@ -18,6 +19,12 @@ func setup(t testing.TB) (*relation.Database, *access.Schema) {
 		t.Fatalf("SchemaA0: %v", err)
 	}
 	return db, as
+}
+
+// execute runs p with its own budget through the executor entry point,
+// sequentially.
+func execute(p *Bounded, db *relation.Database) (*Result, error) {
+	return ExecuteOpts(context.Background(), p, db, DefaultExecOpts(p.Budget, 1))
 }
 
 func mustChase(t testing.TB, q *query.SPC, as *access.Schema, db *relation.Database, budget int) *chase.Result {
@@ -45,9 +52,9 @@ func TestExecuteQ2Exact(t *testing.T) {
 	if !res.AllExact {
 		t.Fatal("Q2 should chase exactly")
 	}
-	out, err := Execute(NewBounded(res, budget), db)
+	out, err := execute(NewBounded(res, budget), db)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("execute: %v", err)
 	}
 	exact, err := query.EvaluateSet(db, q)
 	if err != nil {
@@ -75,9 +82,9 @@ func TestExecuteQ1ExactWhenBudgetLarge(t *testing.T) {
 	q := fixture.Q1(3, 95)
 	budget := db.Size() * 10
 	res := mustChase(t, q, as, db, budget)
-	out, err := Execute(NewBounded(res, budget), db)
+	out, err := execute(NewBounded(res, budget), db)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("execute: %v", err)
 	}
 	exact, err := query.EvaluateSet(db, q)
 	if err != nil {
@@ -108,9 +115,9 @@ func TestPlanDefinitionUpgradedToExact(t *testing.T) {
 			p.Ks[si] = res.Steps[si].Ladder.MaxK()
 		}
 	}
-	out, err := Execute(p, db)
+	out, err := execute(p, db)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("execute: %v", err)
 	}
 	exact, err := query.EvaluateSet(db, q)
 	if err != nil {
@@ -134,9 +141,9 @@ func TestApproximatePlanCoversExactAnswers(t *testing.T) {
 	q := fixture.Q1(3, 95)
 	budget := 60
 	res := mustChase(t, q, as, db, budget)
-	out, err := Execute(NewBounded(res, budget), db)
+	out, err := execute(NewBounded(res, budget), db)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("execute: %v", err)
 	}
 	if out.Stats.Accessed > budget {
 		t.Fatalf("accessed %d > budget %d", out.Stats.Accessed, budget)
@@ -198,9 +205,9 @@ func TestBudgetTruncation(t *testing.T) {
 	res := mustChase(t, q, as, db, 500)
 	// Execute with an absurdly small runtime budget: must truncate, not
 	// overrun.
-	out, err := Execute(NewBounded(res, 2), db)
+	out, err := execute(NewBounded(res, 2), db)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("execute: %v", err)
 	}
 	if out.Stats.Accessed > 2 {
 		t.Errorf("accessed %d > runtime budget 2", out.Stats.Accessed)
@@ -223,9 +230,9 @@ func TestWeightsSingleAtomCount(t *testing.T) {
 		Output: []query.Col{query.C("h", "type")},
 	}
 	res := mustChase(t, q, as, db, 1)
-	out, err := Execute(NewBounded(res, 1), db)
+	out, err := execute(NewBounded(res, 1), db)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("execute: %v", err)
 	}
 	if out.Rel.Len() != 1 {
 		t.Fatalf("k=0 fetch rows = %d, want 1", out.Rel.Len())
@@ -253,9 +260,9 @@ func TestWeightsSumPreservedAcrossLevels(t *testing.T) {
 				p.Ks[si] = k
 			}
 		}
-		out, err := Execute(p, db)
+		out, err := execute(p, db)
 		if err != nil {
-			t.Fatalf("Execute k=%d: %v", k, err)
+			t.Fatalf("execute k=%d: %v", k, err)
 		}
 		sum := 0
 		for _, w := range out.Weights {
@@ -274,9 +281,9 @@ func TestTariffUpperBoundsAccess(t *testing.T) {
 		res := mustChase(t, q, as, db, budget)
 		p := NewBounded(res, budget)
 		est := p.Tariff()
-		out, err := Execute(p, db)
+		out, err := execute(p, db)
 		if err != nil {
-			t.Fatalf("Execute: %v", err)
+			t.Fatalf("execute: %v", err)
 		}
 		if out.Stats.Accessed > est {
 			t.Errorf("budget %d: accessed %d > tariff estimate %d", budget, out.Stats.Accessed, est)
@@ -289,9 +296,9 @@ func TestEmptyAnswerOnMissingKey(t *testing.T) {
 	// A pid that does not exist: exact plan, empty result.
 	q := fixture.Q2(999999)
 	res := mustChase(t, q, as, db, 500)
-	out, err := Execute(NewBounded(res, 500), db)
+	out, err := execute(NewBounded(res, 500), db)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("execute: %v", err)
 	}
 	if out.Rel.Len() != 0 {
 		t.Errorf("expected empty answers, got %v", out.Rel.Tuples)

@@ -10,16 +10,16 @@ import (
 
 // shardSpans opens one "shard" child span per store shard the batch's
 // X-values route to, under the span carried on ctx. The returned closer
-// annotates each span with its xs and samples counts (samplesAt reports
-// the per-index sample count once the batch has resolved) and ends them.
-// The shards are fetched concurrently inside one scatter-gather call, so
-// the spans share the fan-out window as their duration; the per-shard
-// attribution lives in the attrs. With tracing disabled (no ctx span) the
-// whole thing is a nil check and a no-op closer.
-func shardSpans(ctx context.Context, l *access.Ladder, xs []relation.Tuple) func(samplesAt func(i int) int) {
+// annotates each span with its xs and samples counts (from the resolved
+// batch, lvls[i] answering xs[i]) and ends them. The shards are fetched
+// concurrently inside one scatter-gather call, so the spans share the
+// fan-out window as their duration; the per-shard attribution lives in the
+// attrs. With tracing disabled (no ctx span) the whole thing is a nil check
+// and a no-op closer.
+func shardSpans(ctx context.Context, l *access.Ladder, xs []relation.Tuple) func(lvls []*access.LevelBlock) {
 	sp := obs.SpanFrom(ctx)
 	if sp == nil || len(xs) == 0 {
-		return func(func(int) int) {}
+		return func([]*access.LevelBlock) {}
 	}
 	spans := map[int]*obs.Span{}
 	xsBy := map[int]int{}
@@ -32,10 +32,12 @@ func shardSpans(ctx context.Context, l *access.Ladder, xs []relation.Tuple) func
 			spans[si] = s
 		}
 	}
-	return func(samplesAt func(i int) int) {
+	return func(lvls []*access.LevelBlock) {
 		samplesBy := map[int]int{}
 		for i, x := range xs {
-			samplesBy[l.ShardOf(x)] += samplesAt(i)
+			if lvls[i] != nil {
+				samplesBy[l.ShardOf(x)] += lvls[i].Rows()
+			}
 		}
 		for si, s := range spans {
 			s.SetInt("xs", int64(xsBy[si]))

@@ -75,8 +75,8 @@ type Config struct {
 	MaxRows int
 	// ExecOptions are prepended to every query's options (before the
 	// request's own alpha and tag), letting the embedder pin an execution
-	// strategy — the HTTP latency harness uses this to time the legacy
-	// lazy-fetch path without any global toggles.
+	// strategy per call — cmd/beasd routes fetches through its cluster node
+	// this way (beas.WithRemoteFetcher), without any global toggles.
 	ExecOptions []beas.Option
 	// Dataset, DBSize, Relations and Shards describe the loaded data for
 	// /healthz. DBSize also sizes the default batch BudgetCap.

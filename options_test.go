@@ -152,39 +152,6 @@ func TestCancelledQueryPublic(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShims: the pre-context forms remain and agree with the new
-// entry points.
-func TestDeprecatedShims(t *testing.T) {
-	sys, _ := exampleSystem(t)
-	q := fixture.Q1(3, 95)
-	want, _, err := sys.Query(context.Background(), q, beas.WithAlpha(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 the shims are under test
-	got, _, err := sys.QueryAlpha(q, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rel.Len() != want.Rel.Len() || got.Eta != want.Eta {
-		t.Error("QueryAlpha diverged from Query")
-	}
-	p, err := sys.PlanAlpha(q, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := sys.ExecutePlan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Rel.Len() != want.Rel.Len() {
-		t.Error("PlanAlpha+ExecutePlan diverged from Query")
-	}
-	if _, _, err := sys.QuerySQLAlpha("select h.address from poi as h", 0.1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestWithMinAlpha: the floor clamps a degraded α back up (the plan runs at
 // max(α, minAlpha)), leaves an above-floor α untouched, and certified η is
 // still reported on the floored answer.
