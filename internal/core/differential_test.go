@@ -26,17 +26,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/exec_dige
 // drift introduced by the hashed tuple maps, precompiled step layouts or
 // kd-tree diff pruning shows up as a digest mismatch pinpointing the case.
 //
-// The deterministic edge-shape corpus (results emptied by EXCEPT,
-// single-tuple relations, 64+-wide duplicate join keys) is pinned the same
-// way in edge_digests.json, answered by 4-worker systems over 1 and 4
-// shards; both shard counts must reproduce the one recorded digest list.
-// Those digests were recorded while a row-at-a-time executor and a lazy
-// per-X fetch path still existed beside the columnar batched one, and every
-// combination of them reproduced the list.
-//
 // Regenerate (only when an intentional semantic change is made) with:
 //
-//	go test ./internal/core -run ExecutorMatchesStringKeyReference -update-golden
+//	go test ./internal/core -run 'ExecutorMatchesStringKeyReference|ColumnarScanEdgeShapes' -update-golden
 func TestExecutorMatchesStringKeyReference(t *testing.T) {
 	const cases = 200
 	db := fixture.Example1(7, 120, 80)
@@ -53,17 +45,28 @@ func TestExecutorMatchesStringKeyReference(t *testing.T) {
 		digests[ci] = answerDigest(s, g.Query(), alphas[ci%len(alphas)], ExecOptions{})
 	}
 	checkGolden(t, "exec_digests.json", digests)
+}
 
-	edgeDB := corpus.EdgeDB()
+// TestColumnarScanEdgeShapes replays the deterministic edge-shape corpus
+// (results emptied by EXCEPT, single-tuple relations, 64+-wide duplicate
+// join keys) — the shapes where a columnar gather or block hash join would
+// plausibly diverge first — against the digests in edge_digests.json,
+// answered by 4-worker systems over 1 and 4 shards; both shard counts must
+// reproduce the one recorded digest list. Those digests were recorded while
+// a row-at-a-time executor and a lazy per-X fetch path still existed beside
+// the columnar batched one, and every combination of them reproduced the
+// list.
+func TestColumnarScanEdgeShapes(t *testing.T) {
+	db := corpus.EdgeDB()
 	for _, shards := range []int{1, 4} {
-		eas, err := fixture.SchemaA0Sharded(edgeDB, shards)
+		as, err := fixture.SchemaA0Sharded(db, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		es := NewWithOptions(edgeDB, eas, Options{Workers: 4})
+		s := NewWithOptions(db, as, Options{Workers: 4})
 		var edge []string
 		for _, c := range corpus.EdgeCases() {
-			edge = append(edge, answerDigest(es, c.Query, c.Alpha, ExecOptions{}))
+			edge = append(edge, answerDigest(s, c.Query, c.Alpha, ExecOptions{}))
 		}
 		checkGolden(t, "edge_digests.json", edge)
 	}
