@@ -39,7 +39,7 @@ func assertLadderIdentical(t *testing.T, label string, a, b *Ladder) {
 			t.Fatalf("%s: %s group %v exact level %d vs %d", label, a.RelName, x, ea, eb)
 		}
 		for k := 0; k <= a.MaxK(); k++ {
-			sa, sb := a.Fetch(x, k), b.Fetch(x, k)
+			sa, sb := fetchRows(a, x, k), fetchRows(b, x, k)
 			if len(sa) != len(sb) {
 				t.Fatalf("%s: %s group %v level %d: %d vs %d samples", label, a.RelName, x, k, len(sa), len(sb))
 			}
@@ -288,10 +288,10 @@ func TestBatchApplyEmptiesAndRecreatesGroups(t *testing.T) {
 	if l.NumGroups() != 1 {
 		t.Errorf("groups = %d, want 1 (k=1 emptied, k=2 recreated)", l.NumGroups())
 	}
-	if got := l.Fetch(relation.Tuple{relation.Int(1)}, 0); got != nil {
+	if got := fetchRows(l, relation.Tuple{relation.Int(1)}, 0); got != nil {
 		t.Errorf("emptied group still fetches %v", got)
 	}
-	got := l.Fetch(relation.Tuple{relation.Int(2)}, l.MaxK())
+	got := fetchRows(l, relation.Tuple{relation.Int(2)}, l.MaxK())
 	if len(got) != 1 {
 		t.Fatalf("recreated group fetch = %v", got)
 	}

@@ -1,81 +1,237 @@
 package access
 
-import "repro/internal/relation"
+import (
+	"sync/atomic"
 
-// This file adds the columnar form of the materialised fetch views. Every
-// ladder group keeps, next to its per-level []Sample views, a per-level
-// LevelBlock: the level's Y-tuples stored column-wise (one flat typed slice
-// per Y attribute) plus the parallel count annotations. The executor
-// (internal/plan) fetches only these blocks and appends/evaluates them
-// column-at-a-time. Both forms are materialised from the same tree pass (or
-// snapshot restore), so they are row-for-row identical by construction;
-// the []Sample views remain for the snapshot codec and Verify.
+	"repro/internal/relation"
+)
 
-// LevelBlock is one fetch level in columnar form: row i of Y and Counts[i]
-// together are exactly the level's Sample i. Blocks are shared read-only
-// views, like the []Sample views Fetch returns.
+// This file holds a ladder's level views. Every ladder keeps the views of all
+// its groups in one levelArena: typed Y columns plus a count column, each
+// group's levels stored contiguously, level after level, so that a level is
+// a row range. A LevelBlock records that range; a group holds its levels'
+// records in one slice and FetchBlock hands out pointers into it, so a fetch
+// allocates nothing and the heap holds a few large columns instead of a
+// block per (group, level). The executor (internal/plan) appends fetched
+// ranges column-at-a-time, or serves a single level zero-copy through a
+// Column.View. Representatives are actual items, so the snapshot encodes a
+// level row as an item index (see GroupSnapshot).
+
+// levelArena holds one ladder's level rows column-wise. Row r is one
+// representative: its Y-tuple across y's columns and the number of base
+// tuples it represents in counts[r]. Rows are never rewritten: a rebuilt
+// group appends its new rows and leaves its old ones dead, and the ladder
+// repacks into fresh columns once dead rows outnumber live ones. Views
+// handed out earlier therefore stay valid.
+type levelArena struct {
+	y      *relation.Block
+	counts []int
+	dead   int // rows no group's levels cover any more
+}
+
+// live returns the number of rows some group's levels cover.
+func (a *levelArena) live() int { return len(a.counts) - a.dead }
+
+// LevelBlock is one fetch level in columnar form: rows [First, First+Rows)
+// of an arena, row i of the level being row First+i of every Y column, with
+// Counts()[i] the number of base tuples it represents. Blocks are shared
+// read-only views.
 type LevelBlock struct {
-	// Y holds the level's sample tuples column-wise.
-	Y *relation.Block
-	// Counts holds the per-sample represented-tuple counts, aligned with Y's
-	// rows.
-	Counts []int
+	arena       *levelArena
+	first, rows int
+}
+
+// NewLevelBlock returns a standalone level over y's rows, with counts[i]
+// the represented-tuple count of row i (len(counts) must be y.Rows()) — the
+// form a level takes when it arrives from another process.
+func NewLevelBlock(y *relation.Block, counts []int) *LevelBlock {
+	return &LevelBlock{arena: &levelArena{y: y, counts: counts}, rows: y.Rows()}
 }
 
 // Rows returns the number of samples in the level.
-func (b *LevelBlock) Rows() int { return b.Y.Rows() }
+func (b *LevelBlock) Rows() int { return b.rows }
 
-// Prefix returns a read-only view of the first n samples — the columnar
-// analogue of truncating a []Sample view to samples[:n] under a budget. A
-// nil block (a missing group) stays nil.
+// First returns the row of Col(j) holding the level's first sample.
+func (b *LevelBlock) First() int { return b.first }
+
+// Col returns the column holding Y attribute j of the level's rows, at rows
+// [First, First+Rows). It is shared storage: read-only.
+func (b *LevelBlock) Col(j int) *relation.Column { return b.arena.y.Col(j) }
+
+// Counts returns the per-sample represented-tuple counts, read-only.
+func (b *LevelBlock) Counts() []int {
+	end := b.first + b.rows
+	return b.arena.counts[b.first:end:end]
+}
+
+// Y returns the level's Y-tuples as a read-only block of column views. It
+// allocates the block, so the fetch path uses Col and First instead.
+func (b *LevelBlock) Y() *relation.Block {
+	y := b.arena.y
+	if b.first == 0 && b.rows == y.Rows() {
+		return y
+	}
+	v := relation.NewBlock(y.Width())
+	for j := 0; j < y.Width(); j++ {
+		col := y.Col(j).View(b.first, b.first+b.rows)
+		v.SetColView(j, &col)
+	}
+	v.AddRows(b.rows)
+	return v
+}
+
+// Prefix returns a read-only view of the first n samples — what a fetch
+// keeps of a level under a budget that runs out inside it. A nil block (a
+// missing group) stays nil.
 func (b *LevelBlock) Prefix(n int) *LevelBlock {
-	if b == nil || n >= b.Rows() {
+	if b == nil || n >= b.rows {
 		return b
 	}
-	return &LevelBlock{Y: b.Y.Prefix(n), Counts: b.Counts[:n]}
+	return &LevelBlock{arena: b.arena, first: b.first, rows: n}
 }
 
-// buildLevelBlocks materialises the columnar form of each level view.
-// arity is the Y arity; counts share one backing array across levels.
-func buildLevelBlocks(levels [][]Sample, arity int) []*LevelBlock {
-	total := 0
-	for _, lvl := range levels {
-		total += len(lvl)
+// levelRow is one representative on its way into an arena: a group item's
+// Y-tuple and the number of base tuples it represents.
+type levelRow struct {
+	y     relation.Tuple
+	count int
+}
+
+// place points the group's levels, whose first rows are offsets into the
+// group's own rows, at the arena rows from base on.
+func (g *ladderGroup) place(a *levelArena, base int) {
+	for k := range g.levels {
+		g.levels[k].arena = a
+		g.levels[k].first += base
 	}
-	countBacking := make([]int, 0, total)
-	out := make([]*LevelBlock, len(levels))
-	for k, lvl := range levels {
-		blk := relation.NewBlock(arity)
-		if len(lvl) > 0 {
-			for j := 0; j < arity; j++ {
-				blk.Col(j).Reserve(lvl[0].Y[j].Kind(), len(lvl))
+}
+
+// packArenas gives every ladder with jobs a fresh arena holding exactly its
+// jobs' rows (callers pass all of a ladder's groups) and places each group's
+// levels in it. A prefix sum over the jobs gives every group a disjoint
+// range of exact-size columns, and the ranges are filled in parallel with
+// Column.Set. A column whose rows are not all non-null values of its first
+// row's kind — nulls, mixed kinds — is then refilled in row order with
+// Column.Append, whose validity and mixed fallbacks store any rows exactly.
+func packArenas(jobs []groupBuild, workers int) {
+	type pack struct {
+		a     *levelArena
+		rows  int
+		first relation.Tuple // the first row, whose kinds the columns start with
+		bad   []atomic.Bool  // per column: some row did not fit
+	}
+	packs := make(map[*Ladder]*pack)
+	var order []*Ladder
+	base := make([]int, len(jobs))
+	for i, j := range jobs {
+		p := packs[j.l]
+		if p == nil {
+			p = &pack{a: j.l.arena, first: j.rows[0].y, bad: make([]atomic.Bool, len(j.l.yAttrs))}
+			packs[j.l] = p
+			order = append(order, j.l)
+		}
+		base[i] = p.rows
+		p.rows += len(j.rows)
+	}
+	for _, l := range order {
+		p := packs[l]
+		p.a.y = relation.NewBlock(len(p.first))
+		for c, v := range p.first {
+			*p.a.y.Col(c) = relation.MakeColumn(v.Kind(), p.rows)
+		}
+		p.a.counts = make([]int, p.rows)
+		p.a.dead = 0
+	}
+	parallelFor(len(jobs), workers, func(i int) {
+		j := jobs[i]
+		p := packs[j.l]
+		for r, row := range j.rows {
+			at := base[i] + r
+			p.a.counts[at] = row.count
+			for c, v := range row.y {
+				if !p.a.y.Col(c).Set(at, v) {
+					p.bad[c].Store(true)
+				}
 			}
 		}
-		start := len(countBacking)
-		for _, s := range lvl {
-			blk.AppendTuple(s.Y)
-			countBacking = append(countBacking, s.Count)
+		j.g.place(p.a, base[i])
+	})
+	for _, l := range order {
+		p := packs[l]
+		for c := range p.bad {
+			if !p.bad[c].Load() {
+				continue
+			}
+			var col relation.Column
+			col.Reserve(p.first[c].Kind(), p.rows)
+			for _, j := range jobs {
+				if j.l == l {
+					for _, row := range j.rows {
+						col.Append(row.y[c])
+					}
+				}
+			}
+			*p.a.y.Col(c) = col
 		}
-		out[k] = &LevelBlock{Y: blk, Counts: countBacking[start:len(countBacking):len(countBacking)]}
+		p.a.y.AddRows(p.rows)
 	}
-	return out
 }
 
-// fetchBlock returns the group's level-k samples in columnar form, with the
-// same level clamping as fetch.
+// appendRows places a rebuilt group's rows at the end of the arena.
+func (a *levelArena) appendRows(g *ladderGroup, rows []levelRow) {
+	base := len(a.counts)
+	for _, r := range rows {
+		a.y.AppendTuple(r.y)
+		a.counts = append(a.counts, r.count)
+	}
+	g.place(a, base)
+}
+
+// repack moves the live rows into fresh exact-size columns, group by group,
+// and drops the dead ones. Run once dead rows outnumber live ones, its cost
+// — linear in the live rows — is amortised over the rebuilds that left the
+// dead rows behind.
+func (l *Ladder) repack() {
+	old := *l.arena
+	live := old.live()
+	y := relation.NewBlock(old.y.Width())
+	for c := 0; c < y.Width(); c++ {
+		if src := old.y.Col(c); !src.Mixed() {
+			y.Col(c).Reserve(src.Kind(), live)
+		}
+	}
+	counts := make([]int, 0, live)
+	l.store.rangeGroups(func(g *ladderGroup) bool {
+		lo, hi := g.span()
+		y.AppendBlockRange(old.y, lo, hi)
+		for k := range g.levels {
+			g.levels[k].first += len(counts) - lo
+		}
+		counts = append(counts, old.counts[lo:hi]...)
+		return true
+	})
+	l.arena.y, l.arena.counts, l.arena.dead = y, counts, 0
+}
+
+// span returns the arena rows [lo, hi) holding the group's levels; empty
+// for a group not yet placed.
+func (g *ladderGroup) span() (lo, hi int) {
+	if len(g.levels) == 0 {
+		return 0, 0
+	}
+	last := g.levels[len(g.levels)-1]
+	return g.levels[0].first, last.first + last.rows
+}
+
+// fetchBlock returns the group's level-k view. k is clamped to [0, exact
+// level], matching kdtree.Tree.Level.
 func (g *ladderGroup) fetchBlock(k int) *LevelBlock {
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(g.blocks) {
-		k = len(g.blocks) - 1
-	}
-	return g.blocks[k]
+	return &g.levels[max(0, min(k, len(g.levels)-1))]
 }
 
 // FetchBlock returns the level-k samples of the group of x in columnar
 // form; nil when the group does not exist. The block is a shared read-only
-// view, row-for-row identical to what Fetch returns.
+// view.
 func (s *ShardedLadder) FetchBlock(x relation.Tuple, k int) *LevelBlock {
 	g, ok := s.group(x)
 	if !ok {
@@ -135,7 +291,8 @@ func (s *ShardedLadder) FetchBatchBlocks(xs []relation.Tuple, k, workers int) []
 
 // FetchBlock returns the level-k samples for one X-value tuple in columnar
 // form; nil when the X-value is not indexed. The block is a shared
-// read-only view, row-for-row identical to Fetch's []Sample view.
+// read-only view: the same pointer on every call until maintenance rebuilds
+// the group.
 func (l *Ladder) FetchBlock(x relation.Tuple, k int) *LevelBlock {
 	return l.store.FetchBlock(x, k)
 }

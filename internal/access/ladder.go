@@ -12,14 +12,6 @@ import (
 	"repro/internal/relation"
 )
 
-// Sample is one fetched representative: a Y-tuple plus the number of base
-// tuples it represents (the count annotation that sum/count/avg aggregation
-// needs, paper §7).
-type Sample struct {
-	Y     relation.Tuple
-	Count int
-}
-
 // Ladder is a family of access templates ψk = R(X → Y, 2^k, d̄k) for
 // k = 0..MaxK over a shared index: one K-D tree per distinct X-value. Level
 // MaxK has d̄ = 0̄ and doubles as the access constraint R(X → Y, N, 0̄) with
@@ -28,8 +20,9 @@ type Sample struct {
 // Groups are keyed by the X-value tuple itself (hash-bucketed, equality
 // verified) and hash-partitioned across the shards of a ShardedLadder, so
 // the online fetch path never materialises string keys and batch fetches
-// can scatter-gather across partitions. Fetch results are materialised once
-// per level at build time and handed out as shared read-only views.
+// can scatter-gather across partitions. Every group's level views live in
+// one columnar arena per ladder, built once and handed out as shared
+// read-only views.
 type Ladder struct {
 	RelName string
 	X, Y    []string
@@ -40,7 +33,8 @@ type Ladder struct {
 	resolutions [][]float64 // [k][|Y|]; max over groups of per-group level-k resolution
 	maxDistinct int         // largest distinct-Y count of any group
 	store       *ShardedLadder
-	indexSize   int // total representatives stored across all groups and levels
+	arena       *levelArena // every group's level rows (block.go)
+	indexSize   int         // total representatives stored across all groups and levels
 }
 
 // BuildLadder scans the relation once and builds the shared index for the
@@ -69,9 +63,10 @@ func buildLadderWorkers(db *relation.Database, rel string, x, y []string, worker
 	}
 	jobs := make([]groupBuild, len(groups))
 	for i, g := range groups {
-		jobs[i] = groupBuild{l, g}
+		jobs[i] = groupBuild{l: l, g: g}
 	}
 	buildGroups(jobs, workers)
+	packArenas(jobs, workers)
 	for _, g := range groups {
 		l.store.put(g)
 	}
@@ -128,6 +123,7 @@ func newLadder(db *relation.Database, rel string, x, y []string, shards int) (*L
 		xIdx:    xIdx,
 		yIdx:    yIdx,
 		store:   newShardedLadder(shards),
+		arena:   &levelArena{y: relation.NewBlock(len(yIdx))},
 	}
 	l.yAttrs = make([]relation.Attribute, len(yIdx))
 	for i, j := range yIdx {
@@ -137,10 +133,12 @@ func newLadder(db *relation.Database, rel string, x, y []string, shards int) (*L
 }
 
 // groupBuild is one unit of index construction: a group of some ladder whose
-// tree and level views are (re)built from its tuple list.
+// tree and level views are (re)built from its tuple list, and the level
+// rows the rebuild produced, until the ladder's arena takes them.
 type groupBuild struct {
-	l *Ladder
-	g *ladderGroup
+	l    *Ladder
+	g    *ladderGroup
+	rows []levelRow
 }
 
 // buildGroups rebuilds every job's group on one pool of up to `workers`
@@ -155,7 +153,7 @@ func buildGroups(jobs []groupBuild, workers int) {
 		return cmp.Compare(len(b.g.items), len(a.g.items))
 	})
 	parallelFor(len(jobs), workers, func(i int) {
-		jobs[i].g.rebuild(jobs[i].l.yAttrs)
+		jobs[i].rows = jobs[i].g.rebuild(jobs[i].l.yAttrs)
 	})
 }
 
@@ -211,8 +209,8 @@ func (l *Ladder) ShardOf(x relation.Tuple) int { return l.store.shardOf(x) }
 func (l *Ladder) MaxGroupDistinct() int { return l.maxDistinct }
 
 // IndexSize returns the number of representative tuples stored across all
-// groups and levels (the paper's Exp-4 metric; with materialised level
-// views this is literally the number of Sample entries held in memory).
+// groups and levels (the paper's Exp-4 metric; this is literally the number
+// of live rows in the ladder's arena).
 func (l *Ladder) IndexSize() int { return l.indexSize }
 
 // YAttrs returns the attribute descriptors of Y, in Y order.
@@ -289,14 +287,6 @@ func (l *Ladder) FetchBound(k int) int {
 	return n
 }
 
-// Fetch returns the level-k samples for one X-value tuple. A missing
-// X-value yields no samples — the data has no tuples for it. The lookup is
-// hash-bucketed on the tuple, routed to the owning shard; the returned
-// slice is a shared materialised view and must not be mutated.
-func (l *Ladder) Fetch(x relation.Tuple, k int) []Sample {
-	return l.store.Fetch(x, k)
-}
-
 // GroupXs returns the X-value tuples of all indexed groups, in unspecified
 // order. For X = ∅ this is the single empty tuple.
 func (l *Ladder) GroupXs() []relation.Tuple {
@@ -320,8 +310,9 @@ func (l *Ladder) ExactLevelFor(x relation.Tuple) int {
 
 // Verify checks the conformance invariant D |= ψk for every level of the
 // ladder against the database (paper §2.1): each Y-tuple of each group is
-// within the level's resolution of some returned sample. It is O(|R| ×
-// samples) per level and intended for tests and data-loading validation.
+// within the level's resolution of some row of its level view. It is
+// O(|R| × samples) per level and intended for tests and data-loading
+// validation.
 func (l *Ladder) Verify(db *relation.Database) error {
 	r, ok := db.Relation(l.RelName)
 	if !ok {
@@ -342,18 +333,16 @@ func (l *Ladder) Verify(db *relation.Database) error {
 			xVal := t.Project(xIdx)
 			yVal := t.Project(yIdx)
 			covered := false
-			for _, s := range l.Fetch(xVal, k) {
-				ok := true
-				for a := range l.yAttrs {
-					d := l.yAttrs[a].Dist.Between(yVal[a], s.Y[a])
-					if d > res[a]+eps && !(math.IsInf(d, 1) && math.IsInf(res[a], 1)) {
-						ok = false
-						break
-					}
-				}
-				if ok {
+			if blk := l.FetchBlock(xVal, k); blk != nil {
+				for i := blk.First(); i < blk.First()+blk.Rows() && !covered; i++ {
 					covered = true
-					break
+					for a := range l.yAttrs {
+						d := l.yAttrs[a].Dist.Between(yVal[a], blk.Col(a).Value(i))
+						if d > res[a]+eps && !(math.IsInf(d, 1) && math.IsInf(res[a], 1)) {
+							covered = false
+							break
+						}
+					}
 				}
 			}
 			if !covered {

@@ -88,7 +88,7 @@ func TestLadderConstraintSemantics(t *testing.T) {
 	}
 	// Fetch returns the exact city.
 	key := relation.Tuple{relation.Int(3)}
-	samples := l.Fetch(key, 0)
+	samples := fetchRows(l, key, 0)
 	if len(samples) != 1 {
 		t.Fatalf("Fetch = %d samples, want 1", len(samples))
 	}
@@ -96,7 +96,7 @@ func TestLadderConstraintSemantics(t *testing.T) {
 		t.Errorf("person 3 city = %q, want Austin", s)
 	}
 	// Missing X-value yields nothing.
-	if got := l.Fetch(relation.Tuple{relation.Int(9999)}, 0); got != nil {
+	if got := fetchRows(l, relation.Tuple{relation.Int(9999)}, 0); got != nil {
 		t.Errorf("Fetch missing key = %v", got)
 	}
 }
@@ -166,7 +166,7 @@ func TestLadderFetchBound(t *testing.T) {
 	for k := 0; k <= l.MaxK()+1; k++ {
 		bound := l.FetchBound(k)
 		for _, key := range l.GroupXs() {
-			if got := len(l.Fetch(key, k)); got > bound {
+			if got := len(fetchRows(l, key, k)); got > bound {
 				t.Errorf("level %d: fetched %d > bound %d", k, got, bound)
 			}
 		}
@@ -188,7 +188,7 @@ func TestLadderCountAnnotations(t *testing.T) {
 	}
 	sizes.Range(func(key relation.Tuple, want int) bool {
 		got := 0
-		for _, s := range l.Fetch(key, 0) {
+		for _, s := range fetchRows(l, key, 0) {
 			got += s.Count
 		}
 		if got != want {

@@ -62,15 +62,16 @@ func (l *Ladder) recomputeMeta() {
 	l.store.rangeGroups(func(g *ladderGroup) bool {
 		l.maxK = max(l.maxK, g.exactLevel())
 		l.maxDistinct = max(l.maxDistinct, g.distinct)
-		l.indexSize += g.indexSize()
+		lo, hi := g.span()
+		l.indexSize += hi - lo
 		// Levels past a group's exact level resolve exactly (all-zero
 		// resolution, as kdtree clamping reports), so a group contributes
 		// to the maxima of its own levels only.
-		for k, row := range g.resolutions {
+		for k := range g.levels {
 			if k == len(res) {
 				res = append(res, make([]float64, len(l.Y)))
 			}
-			for i, d := range row {
+			for i, d := range g.res[k*len(l.Y) : (k+1)*len(l.Y)] {
 				if d > res[k][i] {
 					res[k][i] = d
 				}

@@ -44,7 +44,7 @@ func TestInsertMaintainsConformance(t *testing.T) {
 	l := s.Find("poi", []string{"type", "city"}, []string{"price", "address"})
 	key := relation.Tuple{relation.String("hotel"), relation.String("NYC")}
 	found := false
-	for _, smp := range l.Fetch(key, l.MaxK()) {
+	for _, smp := range fetchRows(l, key, l.MaxK()) {
 		if a, _ := smp.Y[1].AsString(); a == "addr-new" {
 			found = true
 		}
@@ -70,7 +70,7 @@ func TestInsertNewGroup(t *testing.T) {
 		t.Errorf("groups = %d, want %d", l.NumGroups(), groupsBefore+1)
 	}
 	key := relation.Tuple{relation.String("observatory"), relation.String("NYC")}
-	if got := l.Fetch(key, 0); len(got) != 1 {
+	if got := fetchRows(l, key, 0); len(got) != 1 {
 		t.Errorf("new group fetch = %d samples, want 1", len(got))
 	}
 }
@@ -123,7 +123,7 @@ func TestDeleteEmptiesGroup(t *testing.T) {
 	if l.NumGroups() != 1 {
 		t.Errorf("groups = %d, want 1 after emptying", l.NumGroups())
 	}
-	if got := l.Fetch(relation.Tuple{relation.Int(1)}, 0); got != nil {
+	if got := fetchRows(l, relation.Tuple{relation.Int(1)}, 0); got != nil {
 		t.Errorf("emptied group still fetches %v", got)
 	}
 	if err := s.Verify(db); err != nil {
@@ -156,7 +156,7 @@ func TestDeleteCanonicalKeyMismatch(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Delete: %v, %v", ok, err)
 	}
-	if got := l.Fetch(relation.Tuple{relation.Float(1e16)}, 0); got != nil {
+	if got := fetchRows(l, relation.Tuple{relation.Float(1e16)}, 0); got != nil {
 		t.Errorf("stale group still fetches %v after delete", got)
 	}
 	if l.NumGroups() != 1 {

@@ -47,7 +47,7 @@ func TestParallelBuildLadderIdentical(t *testing.T) {
 				t.Fatalf("%s group %v: exact level differs", spec.rel, x)
 			}
 			for k := 0; k <= seq.ExactLevelFor(x); k++ {
-				if !reflect.DeepEqual(seq.Fetch(x, k), par.Fetch(x, k)) {
+				if !reflect.DeepEqual(fetchRows(seq, x, k), fetchRows(par, x, k)) {
 					t.Fatalf("%s group %v level %d: samples differ", spec.rel, x, k)
 				}
 			}

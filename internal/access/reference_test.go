@@ -41,9 +41,10 @@ func fetchRows(l *Ladder, x relation.Tuple, k int) []sample {
 	if blk == nil {
 		return nil
 	}
+	y := blk.Y()
 	out := make([]sample, blk.Rows())
 	for i := range out {
-		out[i] = sample{Y: blk.Y.Tuple(i), Count: blk.Counts[i]}
+		out[i] = sample{Y: y.Tuple(i), Count: blk.Counts()[i]}
 	}
 	return out
 }
@@ -65,14 +66,37 @@ func identicalValue(a, b relation.Value) bool {
 // assertMatchesReference checks every group of l at every level — and one
 // level past its exact level, which clamps — against referenceLevels over
 // the group's current item list: row count, values kind-exact, counts and
-// order. FetchBatchBlocks must hand out the same views as FetchBlock.
+// order. FetchBatchBlocks must hand out the same views as FetchBlock, and a
+// prefix view the level's first rows. The arena's bookkeeping must hold:
+// the groups' levels cover disjoint, adjacent row ranges that together are
+// exactly its live rows, IndexSize reports them, and dead rows never
+// outnumber live ones.
 func assertMatchesReference(t *testing.T, label string, l *Ladder) {
 	t.Helper()
 	var groups []*ladderGroup
+	owned := make([]bool, len(l.arena.counts))
+	covered := 0
 	l.store.rangeGroups(func(g *ladderGroup) bool {
 		groups = append(groups, g)
+		lo, hi := g.span()
+		for k, lb := range g.levels {
+			if lb.arena != l.arena || (k > 0 && lb.first != g.levels[k-1].first+g.levels[k-1].rows) {
+				t.Fatalf("%s: group %v level %d is not placed after level %d in the ladder's arena", label, g.key, k, k-1)
+			}
+		}
+		for r := lo; r < hi; r++ {
+			if owned[r] {
+				t.Fatalf("%s: arena row %d belongs to two groups", label, r)
+			}
+			owned[r] = true
+		}
+		covered += hi - lo
 		return true
 	})
+	if live := l.arena.live(); covered != live || l.IndexSize() != live || l.arena.dead > live || l.arena.y.Rows() != len(l.arena.counts) {
+		t.Fatalf("%s: groups cover %d rows, IndexSize %d, arena %d rows (%d counts) with %d dead",
+			label, covered, l.IndexSize(), l.arena.y.Rows(), len(l.arena.counts), l.arena.dead)
+	}
 	xs := make([]relation.Tuple, len(groups))
 	for i, g := range groups {
 		xs[i] = g.key
@@ -82,6 +106,10 @@ func assertMatchesReference(t *testing.T, label string, l *Ladder) {
 		for i, g := range groups {
 			if batch[i] != l.FetchBlock(g.key, k) {
 				t.Fatalf("%s: group %v level %d: batch view is not FetchBlock's", label, g.key, k)
+			}
+			if half := batch[i].Prefix(batch[i].Rows() / 2); half.Rows() != batch[i].Rows()/2 ||
+				half.First() != batch[i].First() || half.Col(0) != batch[i].Col(0) {
+				t.Fatalf("%s: group %v level %d: prefix view is not the level's first rows", label, g.key, k)
 			}
 			rows, counts := referenceLevels(l.yAttrs, g.items)
 			rk := min(k, len(rows)-1)
@@ -205,9 +233,13 @@ func TestLevelArenaMatchesReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(25))
 	byK := s.Find("kv", []string{"k"}, []string{"v"})
-	emptied, recreated := 0, 0
+	emptied, recreated, repacked := 0, 0, 0
 	for b := 0; b < 50; b++ {
 		before := byK.NumGroups()
+		rows := make([]int, len(s.Ladders))
+		for i, l := range s.Ladders {
+			rows[i] = len(l.arena.counts)
+		}
 		if _, err := s.Apply(db, hostileBatch(rng, db, 2+b%3*3)); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}
@@ -216,11 +248,15 @@ func TestLevelArenaMatchesReference(t *testing.T) {
 		} else if after > before {
 			recreated++
 		}
-		for _, l := range s.Ladders {
+		for i, l := range s.Ladders {
+			if len(l.arena.counts) < rows[i] {
+				repacked++
+			}
 			assertMatchesReference(t, fmt.Sprintf("batch %d %s(%v→%v)", b, l.RelName, l.X, l.Y), l)
 		}
 	}
-	if emptied == 0 || recreated == 0 {
-		t.Fatalf("batches emptied groups %d times and recreated them %d times; want both", emptied, recreated)
+	if emptied == 0 || recreated == 0 || repacked == 0 {
+		t.Fatalf("batches emptied groups %d times, recreated them %d times and repacked an arena %d times; want all three",
+			emptied, recreated, repacked)
 	}
 }

@@ -39,10 +39,11 @@ func BuildAtSharded(db *relation.Database, shards int) (*Schema, error) {
 		}
 		s.Ladders = append(s.Ladders, l)
 		for _, g := range groups {
-			jobs = append(jobs, groupBuild{l, g})
+			jobs = append(jobs, groupBuild{l: l, g: g})
 		}
 	}
 	buildGroups(jobs, runtime.GOMAXPROCS(0))
+	packArenas(jobs, runtime.GOMAXPROCS(0))
 	for _, job := range jobs {
 		job.l.store.put(job.g)
 	}
@@ -119,9 +120,10 @@ func (s *Schema) IndexSize() int {
 func (s *Schema) ConstraintIndexSize() int {
 	n := 0
 	for _, l := range s.Ladders {
-		for _, x := range l.GroupXs() {
-			n += len(l.Fetch(x, l.MaxK()))
-		}
+		l.store.rangeGroups(func(g *ladderGroup) bool {
+			n += g.levels[g.exactLevel()].rows
+			return true
+		})
 	}
 	return n
 }

@@ -10,9 +10,9 @@ import (
 // This file implements the partition-owned storage engine behind a Ladder.
 // Groups (one per distinct X-value) are hash-partitioned across N shards;
 // each shard exclusively owns its groups' tuple lists (what incremental
-// maintenance rebuilds a group's K-D tree from) and materialised per-level
-// sample views (so the online fetch path hands out shared read-only slices
-// instead of rebuilding them per fetch). Scatter-gather
+// maintenance rebuilds a group's K-D tree from) and the records of where
+// their level views sit in the ladder's arena (block.go), so the online
+// fetch path hands out shared read-only views. Scatter-gather
 // batch fetches fan the distinct X-values of one query out across the
 // shards, which is what lets a single query use multiple cores on the
 // fetch side (ROADMAP "shard the database/ladders").
@@ -54,93 +54,60 @@ func resolveShards(n int) int {
 
 // ladderGroup is the storage of one X-group, exclusively owned by one shard:
 // the raw per-group tuple list (Y-projections of the base tuples, duplicates
-// kept) that incremental maintenance rebuilds from, and the per-level sample
-// views handed out by Fetch. The group's K-D tree lives only inside rebuild:
-// the views are everything the fetch path and the snapshot need of it.
+// kept) that incremental maintenance rebuilds from, and where its level
+// views sit in the ladder's arena. The group's K-D tree lives only inside
+// rebuild: the views are everything the fetch path and the snapshot need of
+// it.
 type ladderGroup struct {
 	key   relation.Tuple
 	items []kdtree.Item
-	// levels[k] is the level-k fetch result, materialised once; the slices
-	// and their tuples are shared and must be treated as read-only.
-	levels [][]Sample
-	// blocks[k] is the columnar form of levels[k], materialised in the same
-	// pass and served by fetchBlock to the columnar executor path.
-	blocks []*LevelBlock
-	// resolutions[k] is the group's level-k per-attribute resolution (the
-	// max of Rep.MaxDist over the level), accumulated while materialising
-	// levels so ladder-level metadata refreshes never re-walk the trees.
-	resolutions [][]float64
+	// levels[k] is the level-k fetch view: a row range of the ladder's arena.
+	// The levels' ranges are adjacent, in level order.
+	levels []LevelBlock
+	// res holds the group's per-level per-attribute resolutions (the max of
+	// Rep.MaxDist over the level), level k at [k·|Y|, (k+1)·|Y|), so ladder
+	// metadata refreshes never re-walk a tree.
+	res []float64
 	// distinct is the group's distinct-Y count (kdtree.Tree.Items of the
 	// built tree).
 	distinct int
 }
 
 // exactLevel returns the level at which the group resolves exactly —
-// kdtree.Tree.ExactLevel, derived from the materialised views.
+// kdtree.Tree.ExactLevel, derived from the level views.
 func (g *ladderGroup) exactLevel() int { return len(g.levels) - 1 }
 
 // rebuild reconstructs the level views from the tuple list: a K-D tree over
 // the g items — O(g log g) per tree level, independent of |D| and of every
-// other group — whose per-level sample views and resolutions are
-// materialised in one pass, after which the tree is garbage.
-func (g *ladderGroup) rebuild(yAttrs []relation.Attribute) {
+// other group — whose per-level representatives and resolutions are read in
+// one pass, after which the tree is garbage. It returns the representatives,
+// level after level, for the ladder to place in its arena; until then the
+// levels' first rows are offsets into that list.
+func (g *ladderGroup) rebuild(yAttrs []relation.Attribute) []levelRow {
 	tree := kdtree.Build(yAttrs, g.items)
 	g.distinct = tree.Items()
 	all := tree.AllLevels()
-	g.levels = make([][]Sample, len(all))
-	g.resolutions = make([][]float64, len(all))
 	total := 0
-	attrs := 0
 	for _, reps := range all {
 		total += len(reps)
-		if len(reps) > 0 {
-			attrs = len(reps[0].MaxDist)
-		}
 	}
-	// One backing array each for the sample views and the resolution rows:
-	// group restoration is the warm path's bulk work, and per-level slices
-	// would otherwise dominate its allocation count.
-	backing := make([]Sample, total)
-	resBacking := make([]float64, len(all)*attrs)
-	off := 0
+	arity := len(yAttrs)
+	rows := make([]levelRow, 0, total)
+	g.levels = make([]LevelBlock, len(all))
+	g.res = make([]float64, len(all)*arity)
 	for k, reps := range all {
-		lvl := backing[off : off+len(reps) : off+len(reps)]
-		off += len(reps)
-		res := resBacking[k*attrs : (k+1)*attrs : (k+1)*attrs]
-		for i, r := range reps {
-			lvl[i] = Sample{Y: r.Point, Count: r.Count}
+		g.levels[k] = LevelBlock{first: len(rows), rows: len(reps)}
+		res := g.res[k*arity : (k+1)*arity]
+		for _, r := range reps {
+			rows = append(rows, levelRow{y: r.Point, count: r.Count})
 			for a, d := range r.MaxDist {
 				if d > res[a] {
 					res[a] = d
 				}
 			}
 		}
-		g.levels[k] = lvl
-		g.resolutions[k] = res
 	}
-	g.blocks = buildLevelBlocks(g.levels, attrs)
-}
-
-// fetch returns the group's level-k samples as a shared read-only view.
-// k is clamped to [0, exact level], matching kdtree.Tree.Level.
-func (g *ladderGroup) fetch(k int) []Sample {
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(g.levels) {
-		k = len(g.levels) - 1
-	}
-	return g.levels[k]
-}
-
-// indexSize is the number of representatives materialised across all levels
-// (the paper's Exp-4 storage metric, which the level views now literally are).
-func (g *ladderGroup) indexSize() int {
-	n := 0
-	for _, lvl := range g.levels {
-		n += len(lvl)
-	}
-	return n
+	return rows
 }
 
 // ladderShard owns a disjoint subset of a ladder's groups.
@@ -150,7 +117,7 @@ type ladderShard struct {
 
 // ShardedLadder is the partition-owned group store of a Ladder: groups are
 // hash-partitioned by X-value across a fixed set of shards created at build
-// time. Reads (Fetch, FetchBlock, FetchBatchBlocks) are safe for concurrent use once built;
+// time. Reads (FetchBlock, FetchBatchBlocks) are safe for concurrent use once built;
 // mutation (put/remove, used by incremental maintenance) follows the same
 // single-writer discipline as the rest of the access schema.
 type ShardedLadder struct {
@@ -220,14 +187,4 @@ func (s *ShardedLadder) rangeGroups(f func(*ladderGroup) bool) {
 			return
 		}
 	}
-}
-
-// Fetch returns the level-k samples of the group of x as a shared read-only
-// view; nil when the group does not exist.
-func (s *ShardedLadder) Fetch(x relation.Tuple, k int) []Sample {
-	g, ok := s.group(x)
-	if !ok {
-		return nil
-	}
-	return g.fetch(k)
 }

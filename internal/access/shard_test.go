@@ -45,7 +45,7 @@ func TestShardedBuildIdentical(t *testing.T) {
 			}
 			for _, x := range ref.GroupXs() {
 				for k := 0; k <= ref.ExactLevelFor(x); k++ {
-					if !reflect.DeepEqual(ref.Fetch(x, k), l.Fetch(x, k)) {
+					if !reflect.DeepEqual(fetchRows(ref, x, k), fetchRows(l, x, k)) {
 						t.Fatalf("%s %d shards group %v level %d: samples differ", spec.rel, n, x, k)
 					}
 				}
@@ -94,8 +94,8 @@ func TestFetchBatchMatchesFetch(t *testing.T) {
 	}
 }
 
-// Fetch hands out the materialised per-level view itself — repeated calls
-// must alias one backing array, not rebuild a slice per fetch.
+// FetchBlock hands out the stored level view itself — repeated calls must
+// return the same pointer, not build a view per fetch.
 func TestFetchReturnsSharedView(t *testing.T) {
 	db := exampleDB(t)
 	l, err := BuildLadderSharded(db, "poi", []string{"type", "city"}, []string{"price", "address"}, 2)
@@ -103,29 +103,62 @@ func TestFetchReturnsSharedView(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range l.GroupXs() {
-		a := l.Fetch(x, 0)
-		b := l.Fetch(x, 0)
-		if len(a) == 0 {
-			t.Fatalf("group %v: empty fetch", x)
+		for k := 0; k <= l.MaxK(); k++ {
+			a := l.FetchBlock(x, k)
+			if a == nil || a.Rows() == 0 {
+				t.Fatalf("group %v level %d: empty fetch", x, k)
+			}
+			if b := l.FetchBlock(x, k); a != b {
+				t.Fatalf("group %v level %d: fetch built a new view instead of sharing the stored one", x, k)
+			}
 		}
-		if &a[0] != &b[0] {
-			t.Fatalf("group %v: fetch rebuilt the sample slice instead of sharing the view", x)
+	}
+}
+
+// The fetch path allocates nothing of its own: FetchBlock hands out a stored
+// view, and FetchBatchBlocks on its inline path allocates only the result
+// slice.
+func TestFetchAllocs(t *testing.T) {
+	db := exampleDB(t)
+	for _, shards := range []int{1, 4} {
+		l, err := BuildLadderSharded(db, "poi", []string{"type", "city"}, []string{"price", "address"}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := append(l.GroupXs(), relation.Tuple{relation.String("zoo"), relation.String("Oslo")})
+		if n := testing.AllocsPerRun(50, func() {
+			for _, x := range xs {
+				l.FetchBlock(x, 1)
+			}
+		}); n != 0 {
+			t.Errorf("shards=%d: FetchBlock allocates %.1f times per batch of %d", shards, n, len(xs))
+		}
+		if len(xs) >= minParallelBatch {
+			t.Fatalf("%d X-values leave FetchBatchBlocks' inline path", len(xs))
+		}
+		if n := testing.AllocsPerRun(50, func() { l.FetchBatchBlocks(xs, 1, 4) }); n != 1 {
+			t.Errorf("shards=%d: inline FetchBatchBlocks allocates %.1f times, want 1 (the result slice)", shards, n)
 		}
 	}
 }
 
 // Incremental maintenance must touch only the partition owning the updated
-// group: every other group's materialised views stay the exact same slices.
+// group: every other group keeps the exact same level views, at the same
+// arena rows.
 func TestMaintenanceIsPartitionLocal(t *testing.T) {
 	db := exampleDB(t)
 	s := maintSchema(t, db)
 	l := s.Find("poi", []string{"type", "city"}, []string{"price", "address"})
 
 	target := relation.Tuple{relation.String("hotel"), relation.String("NYC")}
-	before := map[*ladderGroup][]Sample{}
+	type view struct {
+		first *LevelBlock
+		at    LevelBlock
+	}
+	before := map[*ladderGroup]view{}
 	l.store.rangeGroups(func(g *ladderGroup) bool {
 		if !g.key.EqualTuple(target) {
-			before[g] = g.levels[0]
+			before[g] = view{&g.levels[0], g.levels[0]}
 		}
 		return true
 	})
@@ -140,9 +173,9 @@ func TestMaintenanceIsPartitionLocal(t *testing.T) {
 	if err := s.Insert(db, "poi", tup); err != nil {
 		t.Fatal(err)
 	}
-	for g, lvl := range before {
-		if len(g.levels[0]) != len(lvl) || (len(lvl) > 0 && &g.levels[0][0] != &lvl[0]) {
-			t.Fatalf("group %v was rebuilt by an insert into %v", g.key, target)
+	for g, v := range before {
+		if &g.levels[0] != v.first || g.levels[0] != v.at {
+			t.Fatalf("group %v was rebuilt or moved by an insert into %v", g.key, target)
 		}
 	}
 }
@@ -194,7 +227,7 @@ func TestIncrementalMaintenanceMatchesRebuild(t *testing.T) {
 		}
 		for _, x := range ref.GroupXs() {
 			for k := 0; k <= ref.ExactLevelFor(x); k++ {
-				if !sameSampleSet(inc.Fetch(x, k), ref.Fetch(x, k)) {
+				if !sameSampleSet(fetchRows(inc, x, k), fetchRows(ref, x, k)) {
 					t.Fatalf("op %d group %v level %d: samples diverged", oi, x, k)
 				}
 			}
@@ -209,7 +242,7 @@ func TestIncrementalMaintenanceMatchesRebuild(t *testing.T) {
 // maintenance appends to a group's tuple list, so the K-D build may order
 // equal-distance representatives differently from a from-scratch scan of
 // the relation — the set of (Y, Count) samples is the contract.
-func sameSampleSet(a, b []Sample) bool {
+func sameSampleSet(a, b []sample) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -2,6 +2,7 @@ package access
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"repro/internal/kdtree"
@@ -11,13 +12,22 @@ import (
 // This file implements the portable form of a ladder, the unit the
 // persistence layer (internal/persist) writes to disk: per group, the
 // X-key, the raw tuple list (what incremental maintenance mutates), the
-// materialised per-level []Sample fetch views and per-level resolutions
+// per-level fetch views as item references and the per-level resolutions
 // (what the online path serves from), and the distinct-Y count. Kd-tree
 // STRUCTURE is deliberately not serialised: the fetch path never touches a
 // tree, only the views made from one, and the first maintenance operation on
 // a restored group rebuilds its views from the tuple list deterministically
-// — so restoring is a linear pass with byte-identical Fetch results, and a
+// — so restoring is a linear pass with identical FetchBlock results, and a
 // snapshot stays a flat, checkable artifact.
+
+// LevelRef is one row of a level view in portable form. Representatives are
+// actual items, so a row is the index of its item in the group's item list —
+// the first item key-equal to it — and the number of base tuples it
+// represents.
+type LevelRef struct {
+	Item  int
+	Count int
+}
 
 // GroupSnapshot is the portable state of one ladder group.
 type GroupSnapshot struct {
@@ -30,9 +40,9 @@ type GroupSnapshot struct {
 	// count; not derivable from Levels when distance-zero points collapse
 	// into one leaf).
 	Distinct int
-	// Levels are the materialised per-level fetch views, exactly as the
-	// group serves them. Sample tuples are shared with Items.
-	Levels [][]Sample
+	// Levels are the per-level fetch views, exactly as the group serves
+	// them, one LevelRef per row.
+	Levels [][]LevelRef
 	// Resolutions are the per-level per-attribute group resolutions that
 	// ladder metadata aggregates.
 	Resolutions [][]float64
@@ -50,9 +60,9 @@ type LadderSnapshot struct {
 }
 
 // Snapshot captures the ladder's full state for serialisation. The returned
-// tuples and view slices are shared with the live ladder and must be
-// treated as read-only; take the snapshot under the same single-writer
-// discipline as maintenance.
+// tuples and item lists are shared with the live ladder and must be treated
+// as read-only; take the snapshot under the same single-writer discipline
+// as maintenance.
 func (l *Ladder) Snapshot() LadderSnapshot {
 	snap := LadderSnapshot{
 		RelName: l.RelName,
@@ -61,13 +71,7 @@ func (l *Ladder) Snapshot() LadderSnapshot {
 		Shards:  l.store.NumShards(),
 	}
 	l.store.rangeGroups(func(g *ladderGroup) bool {
-		snap.Groups = append(snap.Groups, GroupSnapshot{
-			Key:         g.key,
-			Items:       g.items,
-			Distinct:    g.distinct,
-			Levels:      g.levels,
-			Resolutions: g.resolutions,
-		})
+		snap.Groups = append(snap.Groups, g.snapshot(len(l.Y)))
 		return true
 	})
 	sort.Slice(snap.Groups, func(i, j int) bool {
@@ -76,15 +80,55 @@ func (l *Ladder) Snapshot() LadderSnapshot {
 	return snap
 }
 
+// snapshot returns the group's portable state. Each arena row holds the
+// values of the item a tree representative came from — kdtree.Build merges
+// key-equal items into the first of them — so looking the row up among the
+// items by key equality finds that item.
+func (g *ladderGroup) snapshot(arity int) GroupSnapshot {
+	firstIdx := relation.NewTupleMap[int](len(g.items))
+	for i, it := range g.items {
+		if _, dup := firstIdx.Get(it.Tuple); !dup {
+			firstIdx.Put(it.Tuple, i)
+		}
+	}
+	lo, hi := g.span()
+	a := g.levels[0].arena
+	refs := make([]LevelRef, hi-lo)
+	row := make(relation.Tuple, arity)
+	for r := range refs {
+		for c := range row {
+			row[c] = a.y.Value(lo+r, c)
+		}
+		idx, ok := firstIdx.Get(row)
+		if !ok {
+			panic(fmt.Sprintf("access: group %v level row %v is not an item", g.key, row))
+		}
+		refs[r] = LevelRef{Item: idx, Count: a.counts[lo+r]}
+	}
+	gs := GroupSnapshot{
+		Key:         g.key,
+		Items:       g.items,
+		Distinct:    g.distinct,
+		Levels:      make([][]LevelRef, len(g.levels)),
+		Resolutions: make([][]float64, len(g.levels)),
+	}
+	for k, lb := range g.levels {
+		off := lb.first - lo
+		gs.Levels[k] = refs[off : off+lb.rows : off+lb.rows]
+		gs.Resolutions[k] = g.res[k*arity : (k+1)*arity : (k+1)*arity]
+	}
+	return gs
+}
+
 // RestoreLadder rebuilds a ladder from its snapshot against the database the
 // snapshot was taken over. Groups are re-partitioned across `shards` shards
 // (0 keeps the snapshot's count) — partitioning is a deterministic function
-// of the X-value hash, so the shard count never changes what Fetch returns.
-// No kd-tree is built: the fetch path serves the snapshot's materialised
-// views, byte-identical to the original ladder's, and a group is rebuilt
-// from its tuple list on its first maintenance touch. Structural
-// problems (unknown relation or attributes, malformed groups) are reported
-// as errors, never panics.
+// of the X-value hash, so the shard count never changes what a fetch
+// returns. No kd-tree is built: the arena is filled straight from the item
+// lists the level references point into, identical to the original
+// ladder's views, and a group is rebuilt from its tuple list on its first
+// maintenance touch. Structural problems (unknown relation or attributes,
+// malformed groups) are reported as errors, never panics.
 func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Ladder, error) {
 	if shards <= 0 {
 		shards = snap.Shards
@@ -93,20 +137,43 @@ func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Lad
 	if err != nil {
 		return nil, fmt.Errorf("access: restore: %w", err)
 	}
-
+	arity := len(l.yAttrs)
+	total := 0
 	for gi := range snap.Groups {
 		gs := &snap.Groups[gi]
-		if err := validGroup(gs, len(l.yAttrs)); err != nil {
+		if err := validGroup(gs, arity); err != nil {
 			return nil, fmt.Errorf("access: restore %s group %v: %w", snap.RelName, gs.Key, err)
 		}
-		l.store.put(&ladderGroup{
-			key:         gs.Key,
-			items:       gs.Items,
-			levels:      gs.Levels,
-			blocks:      buildLevelBlocks(gs.Levels, len(l.yAttrs)),
-			resolutions: gs.Resolutions,
-			distinct:    gs.Distinct,
-		})
+		for _, lvl := range gs.Levels {
+			total += len(lvl)
+		}
+	}
+	// One backing array for every group's rows: restoration is the warm
+	// path's bulk work, and per-group slices would dominate its allocations.
+	rows := make([]levelRow, 0, total)
+	jobs := make([]groupBuild, len(snap.Groups))
+	for gi := range snap.Groups {
+		gs := &snap.Groups[gi]
+		g := &ladderGroup{
+			key:      gs.Key,
+			items:    gs.Items,
+			distinct: gs.Distinct,
+			levels:   make([]LevelBlock, len(gs.Levels)),
+			res:      make([]float64, len(gs.Levels)*arity),
+		}
+		start := len(rows)
+		for k, lvl := range gs.Levels {
+			g.levels[k] = LevelBlock{first: len(rows) - start, rows: len(lvl)}
+			copy(g.res[k*arity:], gs.Resolutions[k])
+			for _, ref := range lvl {
+				rows = append(rows, levelRow{y: gs.Items[ref.Item].Tuple, count: ref.Count})
+			}
+		}
+		jobs[gi] = groupBuild{l: l, g: g, rows: rows[start:len(rows):len(rows)]}
+	}
+	packArenas(jobs, runtime.GOMAXPROCS(0))
+	for _, j := range jobs {
+		l.store.put(j.g)
 	}
 	l.recomputeMeta()
 	return l, nil
@@ -136,9 +203,9 @@ func validGroup(gs *GroupSnapshot, arity int) error {
 		if len(lvl) == 0 {
 			return fmt.Errorf("level %d is empty", k)
 		}
-		for _, s := range lvl {
-			if len(s.Y) != arity || s.Count <= 0 {
-				return fmt.Errorf("level %d has a malformed sample", k)
+		for _, ref := range lvl {
+			if ref.Item < 0 || ref.Item >= len(gs.Items) || ref.Count <= 0 {
+				return fmt.Errorf("level %d has a malformed row", k)
 			}
 		}
 		if len(gs.Resolutions[k]) != arity {

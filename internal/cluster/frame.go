@@ -178,8 +178,8 @@ func AppendFetchResponse(buf []byte, lvls []*access.LevelBlock) []byte {
 			continue
 		}
 		buf = append(buf, 1)
-		buf = relation.AppendBlock(buf, lvl.Y)
-		for _, c := range lvl.Counts {
+		buf = relation.AppendBlock(buf, lvl.Y())
+		for _, c := range lvl.Counts() {
 			buf = binary.AppendUvarint(buf, uint64(c))
 		}
 	}
@@ -237,7 +237,7 @@ func DecodeFetchResponse(data []byte) ([]*access.LevelBlock, error) {
 			counts[r] = int(c)
 			pos = p
 		}
-		out[i] = &access.LevelBlock{Y: blk, Counts: counts}
+		out[i] = access.NewLevelBlock(blk, counts)
 	}
 	if pos != len(data) {
 		return nil, corruptFrame(pos, "%d trailing bytes", len(data)-pos)

@@ -85,10 +85,10 @@ func TestFrameResponseRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d: rows %d, want %d", i, g.Rows(), want.Rows())
 		}
 		for r := 0; r < want.Rows(); r++ {
-			if g.Counts[r] != want.Counts[r] {
-				t.Fatalf("entry %d row %d: count %d, want %d", i, r, g.Counts[r], want.Counts[r])
+			if g.Counts()[r] != want.Counts()[r] {
+				t.Fatalf("entry %d row %d: count %d, want %d", i, r, g.Counts()[r], want.Counts()[r])
 			}
-			if g.Y.Tuple(r).Key() != want.Y.Tuple(r).Key() {
+			if g.Y().Tuple(r).Key() != want.Y().Tuple(r).Key() {
 				t.Fatalf("entry %d row %d: tuple diverged", i, r)
 			}
 		}

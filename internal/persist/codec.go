@@ -18,7 +18,7 @@ import (
 // warm start observes exactly the data the snapshot was taken over, even
 // after incremental maintenance diverged it from the loader's copy) and
 // every ladder of the access schema (per group: X-key, raw tuple list,
-// distinct-Y count, materialised per-level fetch views and resolutions;
+// distinct-Y count, per-level fetch views and resolutions;
 // kd-tree structure is NOT encoded — the fetch path serves the views, and
 // the first maintenance touch on a restored group rebuilds its tree from
 // the tuple list deterministically). The file layout is
@@ -50,10 +50,10 @@ import (
 // tuples repeatedly, mirroring the sharing the in-memory structures already
 // have:
 //
-//   - kd-tree node representatives are stored as indexes into the owning
-//     group's item list — in a built tree every representative IS the first
-//     key-equal item's tuple, so the restored tree shares item tuples
-//     exactly like a cold build does;
+//   - level-view rows are stored as indexes into the owning group's item
+//     list — in a built tree every representative IS the first key-equal
+//     item, so a row is (item index, count), which access.LevelRef carries
+//     and a restore fills the ladder's arena from;
 //   - a ladder whose group item lists are, in order, exactly the
 //     X-grouped Y-projections of its relation's stored tuples (the natural
 //     state of built and incrementally maintained ladders) is marked
@@ -333,26 +333,14 @@ func encodeSnapshot(s *snapshot) ([]byte, error) {
 				e.uvarint(uint64(len(g.Items)))
 			}
 			e.uvarint(uint64(g.Distinct))
-			// Level-view samples reference their tuples as first-key-equal
-			// item indexes: every materialised representative IS the first
-			// key-equal item's tuple in a built group.
-			firstIdx := relation.NewTupleMap[int](len(g.Items))
-			for i, it := range g.Items {
-				if _, dup := firstIdx.Get(it.Tuple); !dup {
-					firstIdx.Put(it.Tuple, i)
-				}
-			}
+			// Level rows are (item index, count): every representative is
+			// an item, the first one key-equal to it in a built group.
 			e.uvarint(uint64(len(g.Levels)))
 			for _, lvl := range g.Levels {
 				e.uvarint(uint64(len(lvl)))
-				for _, smp := range lvl {
-					idx, ok := firstIdx.Get(smp.Y)
-					if !ok {
-						return nil, fmt.Errorf("persist: encode %s group %v: view sample %v is not an item",
-							l.RelName, g.Key, smp.Y)
-					}
-					e.uvarint(uint64(idx))
-					e.uvarint(uint64(smp.Count))
+				for _, ref := range lvl {
+					e.uvarint(uint64(ref.Item))
+					e.uvarint(uint64(ref.Count))
 				}
 			}
 			for _, res := range g.Resolutions {
@@ -398,6 +386,7 @@ type decoder struct {
 
 	valArena   []relation.Value
 	floatArena []float64
+	refArena   []access.LevelRef
 	// strCache interns decoded string values: categorical attributes repeat
 	// the same handful of strings thousands of times, and the canonical
 	// lookup (map indexed by a converted byte slice) allocates nothing on a
@@ -408,32 +397,15 @@ type decoder struct {
 // arenaChunk sizes the decoder's allocation blocks.
 const arenaChunk = 8192
 
-// valSlice carves an n-value slice from the arena (capacity-pinned, so a
-// later append can never clobber a neighbour).
-func (d *decoder) valSlice(n int) []relation.Value {
-	if n > len(d.valArena) {
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		d.valArena = make([]relation.Value, size)
+// carve cuts an n-element slice from one of the decoder's arenas, starting
+// a new block when the current one is short (capacity-pinned, so a later
+// append can never clobber a neighbour).
+func carve[T any](arena *[]T, n int) []T {
+	if n > len(*arena) {
+		*arena = make([]T, max(n, arenaChunk))
 	}
-	out := d.valArena[:n:n]
-	d.valArena = d.valArena[n:]
-	return out
-}
-
-// floatSlice carves an n-float slice from the arena.
-func (d *decoder) floatSlice(n int) []float64 {
-	if n > len(d.floatArena) {
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		d.floatArena = make([]float64, size)
-	}
-	out := d.floatArena[:n:n]
-	d.floatArena = d.floatArena[n:]
+	out := (*arena)[:n:n]
+	*arena = (*arena)[n:]
 	return out
 }
 
@@ -565,7 +537,7 @@ func (d *decoder) tuple() (relation.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := relation.Tuple(d.valSlice(n))
+	t := relation.Tuple(carve(&d.valArena, n))
 	for i := range t {
 		if t[i], err = d.value(); err != nil {
 			return nil, err
@@ -619,7 +591,7 @@ func (d *decoder) deriveItems(rel *relSnapshot, l *access.LadderSnapshot, wantIt
 	// One scratch key (the lookup does not retain it) and one arena for all
 	// Y-projections: the scan allocates two blocks, not two slices per row.
 	key := make(relation.Tuple, len(xIdx))
-	yVals := d.valSlice(len(rel.tuples) * len(yIdx))
+	yVals := carve(&d.valArena, len(rel.tuples)*len(yIdx))
 	for _, t := range rel.tuples {
 		for i, j := range xIdx {
 			key[i] = t[j]
@@ -742,9 +714,6 @@ func decodeSnapshot(path string, payload []byte, version int) (*snapshot, error)
 		}
 		l.Groups = make([]access.GroupSnapshot, nGroups)
 		wantItems := make([]int, nGroups)
-		// sampleIdx[gi] flattens the group's view samples as item indexes,
-		// resolved to shared tuples once the item lists exist.
-		sampleIdx := make([][]int, nGroups)
 		for gi := range l.Groups {
 			g := &l.Groups[gi]
 			if g.Key, err = d.tuple(); err != nil {
@@ -802,37 +771,26 @@ func decodeSnapshot(path string, payload []byte, version int) (*snapshot, error)
 			if err != nil {
 				return nil, err
 			}
-			g.Levels = make([][]access.Sample, nLevels)
+			g.Levels = make([][]access.LevelRef, nLevels)
 			g.Resolutions = make([][]float64, nLevels)
-			total := 0
-			counts := make([]int, nLevels)
-			for k := range counts {
+			for k := range g.Levels {
 				n, err := d.count(2)
 				if err != nil {
 					return nil, err
 				}
-				counts[k] = n
-				total += n
-				idxs := make([]int, 2*n)
-				for j := 0; j < n; j++ {
-					if idxs[2*j], err = d.intCount(wantItems[gi] - 1); err != nil {
+				lvl := carve(&d.refArena, n)
+				for j := range lvl {
+					if lvl[j].Item, err = d.intCount(wantItems[gi] - 1); err != nil {
 						return nil, err
 					}
-					if idxs[2*j+1], err = d.intCount(math.MaxInt); err != nil {
+					if lvl[j].Count, err = d.intCount(math.MaxInt); err != nil {
 						return nil, err
 					}
 				}
-				sampleIdx[gi] = append(sampleIdx[gi], idxs...)
-			}
-			// Carve the view arrays now (counts known); fill after items.
-			backing := make([]access.Sample, total)
-			off := 0
-			for k, n := range counts {
-				g.Levels[k] = backing[off : off+n : off+n]
-				off += n
+				g.Levels[k] = lvl
 			}
 			for k := range g.Resolutions {
-				res := d.floatSlice(len(l.Y))
+				res := carve(&d.floatArena, len(l.Y))
 				for a := range res {
 					if res[a], err = d.float(); err != nil {
 						return nil, err
@@ -844,19 +802,6 @@ func decodeSnapshot(path string, payload []byte, version int) (*snapshot, error)
 		if mode == itemsDerived {
 			if err := d.deriveItems(rel, l, wantItems); err != nil {
 				return nil, err
-			}
-		}
-		// Resolve view samples to the shared item tuples.
-		for gi := range l.Groups {
-			g := &l.Groups[gi]
-			idxs := sampleIdx[gi]
-			p := 0
-			for k := range g.Levels {
-				lvl := g.Levels[k]
-				for j := 0; j < len(lvl); j++ {
-					lvl[j] = access.Sample{Y: g.Items[idxs[p]].Tuple, Count: idxs[p+1]}
-					p += 2
-				}
 			}
 		}
 	}

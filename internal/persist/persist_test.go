@@ -31,7 +31,8 @@ func testSchema(t *testing.T, db *relation.Database, shards int) *access.Schema 
 }
 
 // assertLadderIdentical compares every observation of two ladders: identity,
-// metadata, resolutions, and the Fetch result of every group at every level.
+// metadata, resolutions, and the FetchBlock view of every group at every
+// level.
 func assertLadderIdentical(t *testing.T, label string, a, b *access.Ladder) {
 	t.Helper()
 	if a.RelName != b.RelName || fmt.Sprint(a.X) != fmt.Sprint(b.X) || fmt.Sprint(a.Y) != fmt.Sprint(b.Y) {
@@ -54,12 +55,13 @@ func assertLadderIdentical(t *testing.T, label string, a, b *access.Ladder) {
 			t.Fatalf("%s: %s group %v exact level differs", label, a.RelName, x)
 		}
 		for k := 0; k <= a.MaxK(); k++ {
-			sa, sb := a.Fetch(x, k), b.Fetch(x, k)
-			if len(sa) != len(sb) {
-				t.Fatalf("%s: %s group %v level %d: %d vs %d samples", label, a.RelName, x, k, len(sa), len(sb))
+			ba, bb := a.FetchBlock(x, k), b.FetchBlock(x, k)
+			if bb == nil || ba.Rows() != bb.Rows() {
+				t.Fatalf("%s: %s group %v level %d: sample counts differ", label, a.RelName, x, k)
 			}
-			for i := range sa {
-				if sa[i].Count != sb[i].Count || sa[i].Y.Key() != sb[i].Y.Key() {
+			ya, yb := ba.Y(), bb.Y()
+			for i := 0; i < ba.Rows(); i++ {
+				if ba.Counts()[i] != bb.Counts()[i] || ya.Tuple(i).Key() != yb.Tuple(i).Key() {
 					t.Fatalf("%s: %s group %v level %d sample %d differs", label, a.RelName, x, k, i)
 				}
 			}

@@ -1,10 +1,10 @@
 // The executor (see ExecuteOpts).
 //
-// Fetched data stays columnar end to end: fetch steps append the ladder's
-// per-level columnar blocks (access.LevelBlock) into per-atom output blocks
-// one column at a time, predicates and hash-join keys are evaluated
-// block-at-a-time over the flat typed columns, and rows are materialised
-// exactly once, at the answer boundary.
+// Fetched data stays columnar end to end: fetch steps append the fetched
+// levels (access.LevelBlock: row ranges of the ladder's columnar level arena)
+// into per-atom output blocks one column at a time, predicates and hash-join
+// keys are evaluated block-at-a-time over the flat typed columns, and rows
+// are materialised exactly once, at the answer boundary.
 //
 // What an answer is, and what it costs against the budget, is pinned by
 // construction rather than by a second executor:
@@ -243,7 +243,7 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 			return fmt.Errorf("plan: step %d reads atom %d before it was fetched", si, sl.extSrcAtom[gi])
 		}
 		idx := sl.extSrcCols[gi]
-		seen := relation.NewTupleSet(ba.block.Rows())
+		seen := relation.NewTupleSet(0)
 		scratch := make(relation.Tuple, len(idx))
 		for ri := 0; ri < ba.block.Rows(); ri++ {
 			for i, ci := range idx {
@@ -319,8 +319,9 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 	// 4. Build the output block column-wise from the visits that fetched
 	// rows, with their total known. A step that emits exactly one level
 	// (every first fetch, and any step with one surviving X-value) serves
-	// that level's Y columns zero-copy as column views; multi-emit steps
-	// reserve each column's full capacity once, then bulk-append.
+	// that level's rows of the ladder's arena columns zero-copy as column
+	// views; multi-emit steps reserve each column's full capacity once, then
+	// bulk-append arena ranges.
 	emits := visits[:0]
 	total := 0
 	for _, v := range visits {
@@ -343,7 +344,8 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 			f := &fills[p]
 			switch {
 			case f.yCol >= 0:
-				out.block.SetColView(p, lvl.Y.Col(f.yCol))
+				view := lvl.Col(f.yCol).View(lvl.First(), lvl.First()+n)
+				out.block.SetColView(p, &view)
 			case f.xPos >= 0:
 				out.block.Col(p).AppendRepeat(key[f.xPos], n)
 			default:
@@ -352,7 +354,7 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 		}
 		out.block.AddRows(n)
 		out.weights = make([]int, n)
-		for i, c := range lvl.Counts {
+		for i, c := range lvl.Counts() {
 			out.weights[i] = e.w * c
 		}
 	} else if len(emits) > 0 {
@@ -362,7 +364,7 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 			col := out.block.Col(p)
 			switch {
 			case f.yCol >= 0:
-				src := lvls[first.x].Y.Col(f.yCol)
+				src := lvls[first.x].Col(f.yCol)
 				if !src.Mixed() {
 					col.Reserve(src.Kind(), total)
 				}
@@ -381,7 +383,7 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 				col := out.block.Col(p)
 				switch {
 				case f.yCol >= 0:
-					col.AppendRange(lvl.Y.Col(f.yCol), 0, n)
+					col.AppendRange(lvl.Col(f.yCol), lvl.First(), lvl.First()+n)
 				case f.xPos >= 0:
 					col.AppendRepeat(key[f.xPos], n)
 				default:
@@ -389,7 +391,7 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 				}
 			}
 			out.block.AddRows(n)
-			for _, c := range lvl.Counts {
+			for _, c := range lvl.Counts() {
 				out.weights = append(out.weights, e.w*c)
 			}
 		}

@@ -1,8 +1,8 @@
 // Block: a fixed-width batch of rows stored column-wise.
 //
-// Blocks are the unit the columnar execution path works in: ladder levels
-// materialise their samples' Y tuples as blocks, the executor appends
-// fetched blocks column-at-a-time, evaluates predicates and join keys over
+// Blocks are the unit the columnar execution path works in: a ladder keeps
+// every level's samples as row ranges of one block, the executor appends
+// fetched ranges column-at-a-time, evaluates predicates and join keys over
 // the flat columns, and only materialises Tuples again at the answer
 // boundary. Row hashing and key equality over blocks fold exactly the same
 // canonical encoding as Tuple.Hash / Value.KeyEqual, so block-keyed hash
@@ -10,8 +10,9 @@
 package relation
 
 // Block is a batch of rows of fixed width (arity), stored as one Column per
-// attribute. The zero Block is unusable; call NewBlock. Blocks returned by
-// Prefix are read-only views — never append to them.
+// attribute. The zero Block is unusable; call NewBlock. A block whose
+// columns were installed with SetColView is a read-only view — never append
+// to it.
 type Block struct {
 	cols []Column
 	rows int
@@ -92,20 +93,6 @@ func (b *Block) AddRows(n int) {
 // rows with AddRows as usual.
 func (b *Block) SetColView(j int, src *Column) {
 	b.cols[j] = *src
-}
-
-// Prefix returns a read-only view of the first n rows sharing the backing
-// arrays (the columnar analogue of samples[:n] budget truncation). n must
-// not exceed Rows.
-func (b *Block) Prefix(n int) *Block {
-	if n >= b.rows {
-		return b
-	}
-	cols := make([]Column, len(b.cols))
-	for j := range cols {
-		cols[j] = b.cols[j].prefix(n)
-	}
-	return &Block{cols: cols, rows: n}
 }
 
 // Value returns the value at row i, column j.

@@ -3,6 +3,7 @@ package relation
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -149,32 +150,107 @@ func TestBlockHashMatchesTupleHash(t *testing.T) {
 	}
 }
 
-// TestBlockPrefixAndTuples pins the Prefix view semantics (the columnar
-// analogue of samples[:n] truncation) and arena materialisation.
+// viewBlock is a block of read-only column views of rows [lo, hi) of b.
+func viewBlock(b *Block, lo, hi int) *Block {
+	v := NewBlock(b.Width())
+	for j := 0; j < b.Width(); j++ {
+		col := b.Col(j).View(lo, hi)
+		v.SetColView(j, &col)
+	}
+	v.AddRows(hi - lo)
+	return v
+}
+
+// TestBlockPrefixAndTuples pins sub-range views (a fetched level is one of
+// the ladder arena's columns, and a budget cut keeps its first rows) and
+// arena materialisation: every view reads exactly its parent's rows, at
+// word-aligned and unaligned starts over null bitmaps and mixed columns,
+// and stays unchanged when the parent grows.
 func TestBlockPrefixAndTuples(t *testing.T) {
 	vals := testValues()
 	rng := rand.New(rand.NewSource(4))
-	width := 3
-	rows := make([]Tuple, 100)
-	b := NewBlock(width)
+	nullable := func(v Value) Value {
+		if rng.Intn(4) == 0 {
+			return Null()
+		}
+		return v
+	}
+	const n = 150
+	rows := make([]Tuple, n)
+	b := NewBlock(4)
 	for i := range rows {
-		rows[i] = randTuple(rng, vals, width)
+		rows[i] = Tuple{
+			vals[rng.Intn(len(vals))],           // mixed kinds
+			nullable(Int(int64(rng.Intn(9)))),   // ints with nulls
+			Float(float64(i) / 3),               // plain floats
+			nullable(String(fmt.Sprint(i % 7))), // strings with nulls
+		}
 		b.AppendTuple(rows[i])
 	}
-	for _, n := range []int{0, 1, 63, 64, 65, 99, 100} {
-		p := b.Prefix(n)
-		if p.Rows() != n {
-			t.Fatalf("Prefix(%d).Rows = %d", n, p.Rows())
-		}
-		ts := p.Tuples()
-		if len(ts) != n {
-			t.Fatalf("Prefix(%d).Tuples len = %d", n, len(ts))
-		}
-		for i := 0; i < n; i++ {
-			if !p.RowKeyEqualTuple(i, rows[i]) || !keyEqualTuple(ts[i], rows[i]) {
-				t.Fatalf("Prefix(%d) row %d diverges", n, i)
+	for _, lo := range []int{0, 1, 63, 64, 65, 100} {
+		for _, hi := range []int{lo, lo + 1, 128, n} {
+			if hi < lo {
+				continue
+			}
+			v := viewBlock(b, lo, hi)
+			ts := v.Tuples()
+			if v.Rows() != hi-lo || len(ts) != hi-lo {
+				t.Fatalf("view [%d,%d): %d rows, %d tuples", lo, hi, v.Rows(), len(ts))
+			}
+			for i := range ts {
+				if !v.RowKeyEqualTuple(i, rows[lo+i]) || !keyEqualTuple(ts[i], rows[lo+i]) {
+					t.Fatalf("view [%d,%d) row %d diverges", lo, hi, i)
+				}
+				for j := range ts[i] {
+					if ts[i][j].Kind() != rows[lo+i][j].Kind() || v.Col(j).IsNull(i) != rows[lo+i][j].IsNull() {
+						t.Fatalf("view [%d,%d) row %d column %d: kind or nullness diverges", lo, hi, i, j)
+					}
+				}
 			}
 		}
+	}
+	v := viewBlock(b, 64, 100)
+	for i := 0; i < 40; i++ {
+		b.AppendTuple(Tuple{Null(), Int(1), Float(0), String("grown")})
+	}
+	for i := 0; i < v.Rows(); i++ {
+		if !v.RowKeyEqualTuple(i, rows[64+i]) {
+			t.Fatalf("view row %d changed when its parent grew", i)
+		}
+	}
+}
+
+// TestColumnMakeSet pins the exact-size fill: Set writes rows of the
+// column's kind in any order, refuses nulls and other kinds, and the result
+// reads like the same rows appended.
+func TestColumnMakeSet(t *testing.T) {
+	want := []Value{Float(2.5), Float(-0.0), Float(math.NaN()), Float(math.Inf(-1)), Float(7)}
+	c := MakeColumn(KindFloat, len(want))
+	for i := len(want) - 1; i >= 0; i-- {
+		if !c.Set(i, want[i]) {
+			t.Fatalf("Set(%d, %v) refused a value of the column's kind", i, want[i])
+		}
+	}
+	var app Column
+	for i, v := range want {
+		app.Append(v)
+		if got := c.Value(i); got.Kind() != KindFloat || !got.KeyEqual(v) {
+			t.Fatalf("row %d reads %v, want %v", i, got, v)
+		}
+	}
+	if c.Len() != app.Len() || c.Kind() != app.Kind() || c.Mixed() {
+		t.Fatalf("made column %d rows of %v, appended %d rows of %v", c.Len(), c.Kind(), app.Len(), app.Kind())
+	}
+	for _, v := range []Value{Null(), Int(2), String("x")} {
+		if c.Set(0, v) {
+			t.Fatalf("Set accepted %v (%v) into a float column", v, v.Kind())
+		}
+	}
+	if got := c.Value(0); !got.KeyEqual(want[0]) {
+		t.Fatalf("a refused Set changed row 0 to %v", got)
+	}
+	if nulls := MakeColumn(KindNull, 3); nulls.Len() != 3 || !nulls.IsNull(2) || nulls.Set(1, Null()) {
+		t.Fatal("MakeColumn(KindNull) must hold only nulls and refuse Set")
 	}
 }
 

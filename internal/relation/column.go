@@ -21,15 +21,15 @@ import "slices"
 // slice holds exactly one slot per row (zero-valued at null positions);
 // the validity bitmap is allocated lazily on the first null and bit i is
 // set iff row i is non-null; a kind conflict migrates the column to the
-// mixed []Value fallback. Columns obtained from Block.Prefix are read-only
-// views sharing the parent's arrays — never Append to a view.
+// mixed []Value fallback. Columns obtained from View (or Block.Prefix) are
+// read-only views sharing the parent's arrays — never Append to a view.
 type Column struct {
 	kind  Kind // payload kind of non-null rows; KindNull until one is seen
 	mixed bool // true: vals holds every row verbatim (kind-conflict fallback)
 	n     int
 	// valid is a little-endian bitmap: bit i set = row i non-null. nil means
-	// no row is null. Only bits < n are meaningful; a Prefix view may carry
-	// stray set bits past n in its last word.
+	// no row is null. Only bits < n are meaningful; a view may carry stray
+	// set bits past n in its last word.
 	valid  []uint64
 	ints   []int64
 	floats []float64
@@ -321,26 +321,69 @@ func (c *Column) Reserve(k Kind, n int) {
 	}
 }
 
-// prefix returns a read-only view of the first n rows, sharing the backing
-// arrays. Stray validity bits at positions >= n may remain set in the last
-// bitmap word; readers only consult bits < n.
-func (c *Column) prefix(n int) Column {
+// MakeColumn returns a column of n rows of payload kind k, each holding the
+// kind's zero value (KindNull gives n null rows), for a bulk fill of known
+// size through Set.
+func MakeColumn(k Kind, n int) Column {
+	c := Column{n: n}
+	c.setKind(k)
+	return c
+}
+
+// Set overwrites row i with v and reports true when v is a non-null value of
+// the column's payload kind and the column holds no nulls and no mixed
+// kinds; otherwise it changes nothing and reports false, and the caller
+// builds the column with Append instead. Set writes only row i's payload
+// slot, so goroutines may Set distinct rows concurrently.
+func (c *Column) Set(i int, v Value) bool {
+	if c.mixed || c.valid != nil || v.kind != c.kind {
+		return false
+	}
+	switch v.kind {
+	case KindInt:
+		c.ints[i] = v.i
+	case KindFloat:
+		c.floats[i] = v.f
+	case KindString:
+		c.strs[i] = v.s
+	default:
+		return false
+	}
+	return true
+}
+
+// View returns a read-only view of rows [lo, hi) sharing the payload arrays
+// (capacity-capped, so an append to the view copies instead of writing into
+// the parent). The validity bitmap is shared when lo is word-aligned and
+// copied otherwise; a shared bitmap may carry stray set bits past hi in its
+// last word, and readers only consult bits < Len.
+func (c *Column) View(lo, hi int) Column {
 	out := *c
-	out.n = n
-	if out.valid != nil {
-		out.valid = out.valid[:(n+63)>>6]
+	out.n = hi - lo
+	if c.valid != nil {
+		if lo&63 == 0 {
+			end := (hi + 63) >> 6
+			out.valid = c.valid[lo>>6 : end : end]
+		} else {
+			out.valid = make([]uint64, (out.n+63)>>6)
+			for i := lo; i < hi; i++ {
+				if !c.IsNull(i) {
+					out.valid[(i-lo)>>6] |= 1 << (uint(i-lo) & 63)
+				}
+			}
+		}
 	}
 	if out.mixed {
-		out.vals = out.vals[:n]
+		out.vals = c.vals[lo:hi:hi]
 		return out
 	}
 	switch out.kind {
 	case KindInt:
-		out.ints = out.ints[:n]
+		out.ints = c.ints[lo:hi:hi]
 	case KindFloat:
-		out.floats = out.floats[:n]
+		out.floats = c.floats[lo:hi:hi]
 	case KindString:
-		out.strs = out.strs[:n]
+		out.strs = c.strs[lo:hi:hi]
 	}
 	return out
 }

@@ -1,14 +1,17 @@
 package relation
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file provides the allocation-free 64-bit tuple hashing that the hot
 // execution paths key their maps by. Tuple.Key builds a canonical string
 // (one allocation per row); Hash folds the same canonical encoding into an
-// FNV-1a hash without materialising it. TupleMap/TupleSet bucket entries by
-// that hash and verify candidates with the canonical-encoding equality
-// (KeyEqual per component), so hash collisions cost a comparison, never a
-// wrong answer, and the maps key exactly like maps of Tuple.Key() strings.
+// FNV-1a hash without materialising it. TupleMap/TupleSet probe by that hash
+// and verify candidates with the canonical-encoding equality (KeyEqual per
+// component), so hash collisions cost a comparison, never a wrong answer, and
+// the maps key exactly like maps of Tuple.Key() strings.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -63,12 +66,6 @@ func hashUint64(h, x uint64) uint64 {
 	return h
 }
 
-// tupleEntry is one key/value pair in a hash bucket.
-type tupleEntry[V any] struct {
-	key Tuple
-	val V
-}
-
 // keyEqualTuple reports component-wise canonical-encoding equality: the
 // same relation Tuple.Key strings would express, without building them.
 func keyEqualTuple(a, b Tuple) bool {
@@ -85,34 +82,125 @@ func keyEqualTuple(a, b Tuple) bool {
 
 // TupleMap is a map keyed by a tuple's canonical encoding (KeyEqual per
 // component: Int/Float unified when integral, exactly as Tuple.Key) that
-// never materialises string keys: entries live in buckets keyed by
-// Tuple.Hash and are verified by keyEqualTuple on collision. The zero
-// value is not usable; call NewTupleMap. Not safe for concurrent mutation.
+// never materialises string keys. It is stored flat, with no allocation per
+// entry: the entries sit in one slice, and an open-addressing table of entry
+// positions, probed linearly from the home slot of the entry's Tuple.Hash,
+// finds them; a probe verifies candidates with keyEqualTuple, so hash
+// collisions cost a comparison, never a wrong answer. The zero value is an
+// empty map ready for use. Not safe for concurrent mutation.
 type TupleMap[V any] struct {
-	hash    func(Tuple) uint64
-	buckets map[uint64][]tupleEntry[V]
-	n       int
+	hash    func(Tuple) uint64 // nil means Tuple.Hash
+	slots   []int32            // entry position + 1 per slot, 0 = free; len is a power of two
+	shift   uint               // 64 − log2(len(slots))
+	entries []tupleEntry[V]
+}
+
+// tupleEntry is one key/value pair with its key's hash.
+type tupleEntry[V any] struct {
+	key  Tuple
+	hash uint64
+	val  V
 }
 
 // NewTupleMap returns an empty map sized for n entries (0 is fine).
 func NewTupleMap[V any](n int) *TupleMap[V] {
-	return newTupleMapHash[V](n, func(t Tuple) uint64 { return t.Hash() })
+	m := &TupleMap[V]{}
+	if n > 0 {
+		m.resize(n)
+		m.entries = make([]tupleEntry[V], 0, n)
+	}
+	return m
 }
 
 // newTupleMapHash injects the hash function, so tests can force collisions.
 func newTupleMapHash[V any](n int, hash func(Tuple) uint64) *TupleMap[V] {
-	return &TupleMap[V]{hash: hash, buckets: make(map[uint64][]tupleEntry[V], n)}
+	m := NewTupleMap[V](n)
+	m.hash = hash
+	return m
+}
+
+func (m *TupleMap[V]) hashOf(t Tuple) uint64 {
+	if m.hash == nil {
+		return t.Hash()
+	}
+	return m.hash(t)
+}
+
+// home returns the slot a probe for hash h starts at: the top bits of h
+// times 2^64/φ, which spreads hashes that differ only in low bits.
+func (m *TupleMap[V]) home(h uint64) int {
+	return int((h * 0x9E3779B97F4A7C15) >> m.shift)
+}
+
+// resize rebuilds the slot table to hold n entries at a load of at most 3/4.
+func (m *TupleMap[V]) resize(n int) {
+	size := 8
+	for size*3/4 < n {
+		size *= 2
+	}
+	m.slots = make([]int32, size)
+	m.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for p := range m.entries {
+		s := m.home(m.entries[p].hash)
+		for m.slots[s] != 0 {
+			s = (s + 1) & (size - 1)
+		}
+		m.slots[s] = int32(p + 1)
+	}
+}
+
+// find returns the slot holding the entry for t and its position in
+// entries, or, when t is absent, the free slot that ends its probe and −1.
+// The table must not be empty.
+func (m *TupleMap[V]) find(t Tuple, h uint64) (slot, pos int) {
+	mask := len(m.slots) - 1
+	for s := m.home(h); ; s = (s + 1) & mask {
+		p := int(m.slots[s]) - 1
+		if p < 0 {
+			return s, -1
+		}
+		if e := &m.entries[p]; e.hash == h && keyEqualTuple(e.key, t) {
+			return s, p
+		}
+	}
+}
+
+// lookup returns the position of the entry for t, or −1.
+func (m *TupleMap[V]) lookup(t Tuple) int {
+	if len(m.entries) == 0 {
+		return -1
+	}
+	_, p := m.find(t, m.hashOf(t))
+	return p
+}
+
+// upsert returns the position of the entry for t, appending one with the
+// zero value when t is absent (added reports which).
+func (m *TupleMap[V]) upsert(t Tuple) (pos int, added bool) {
+	h := m.hashOf(t)
+	if len(m.slots) == 0 {
+		m.resize(1)
+	}
+	s, p := m.find(t, h)
+	if p >= 0 {
+		return p, false
+	}
+	if len(m.entries) >= len(m.slots)*3/4 {
+		m.resize(2 * len(m.slots) * 3 / 4)
+		s, _ = m.find(t, h)
+	}
+	m.entries = append(m.entries, tupleEntry[V]{key: t, hash: h})
+	m.slots[s] = int32(len(m.entries))
+	return len(m.entries) - 1, true
 }
 
 // Len returns the number of entries.
-func (m *TupleMap[V]) Len() int { return m.n }
+func (m *TupleMap[V]) Len() int { return len(m.entries) }
 
 // Get returns the value stored under a tuple equal to t.
 func (m *TupleMap[V]) Get(t Tuple) (V, bool) {
-	for _, e := range m.buckets[m.hash(t)] {
-		if keyEqualTuple(e.key, t) {
-			return e.val, true
-		}
+	if p := m.lookup(t); p >= 0 {
+		return m.entries[p].val, true
 	}
 	var zero V
 	return zero, false
@@ -121,65 +209,61 @@ func (m *TupleMap[V]) Get(t Tuple) (V, bool) {
 // Put stores v under t, replacing any existing entry for an equal tuple.
 // The tuple is retained by reference; callers must not mutate it afterwards.
 func (m *TupleMap[V]) Put(t Tuple, v V) {
-	h := m.hash(t)
-	b := m.buckets[h]
-	for i := range b {
-		if keyEqualTuple(b[i].key, t) {
-			b[i].val = v
-			return
-		}
-	}
-	m.buckets[h] = append(b, tupleEntry[V]{key: t, val: v})
-	m.n++
+	p, _ := m.upsert(t)
+	m.entries[p].val = v
 }
 
 // GetOrInsert returns a pointer to the value stored under t, inserting the
 // zero value first when absent. The pointer is only valid until the next
 // mutation of the map; callers use it to update in place immediately (e.g.
-// appending to a slice value) without a second bucket scan.
+// appending to a slice value) without a second probe.
 func (m *TupleMap[V]) GetOrInsert(t Tuple) *V {
-	h := m.hash(t)
-	b := m.buckets[h]
-	for i := range b {
-		if keyEqualTuple(b[i].key, t) {
-			return &b[i].val
-		}
-	}
-	b = append(b, tupleEntry[V]{key: t})
-	m.buckets[h] = b
-	m.n++
-	return &b[len(b)-1].val
+	p, _ := m.upsert(t)
+	return &m.entries[p].val
 }
 
-// Delete removes the entry for t, reporting whether one existed.
+// Delete removes the entry for t, reporting whether one existed. The slot
+// is freed by backward shifting, so no probe ever crosses a tombstone, and
+// the last entry moves into the vacated position.
 func (m *TupleMap[V]) Delete(t Tuple) bool {
-	h := m.hash(t)
-	b := m.buckets[h]
-	for i := range b {
-		if keyEqualTuple(b[i].key, t) {
-			b[i] = b[len(b)-1]
-			b = b[:len(b)-1]
-			if len(b) == 0 {
-				delete(m.buckets, h)
-			} else {
-				m.buckets[h] = b
-			}
-			m.n--
-			return true
+	if len(m.entries) == 0 {
+		return false
+	}
+	s, p := m.find(t, m.hashOf(t))
+	if p < 0 {
+		return false
+	}
+	mask := len(m.slots) - 1
+	for j := (s + 1) & mask; m.slots[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at s iff s lies on its probe path,
+		// i.e. no further from j than j's home slot is.
+		if home := m.home(m.entries[m.slots[j]-1].hash); (j-home)&mask >= (j-s)&mask {
+			m.slots[s] = m.slots[j]
+			s = j
 		}
 	}
-	return false
+	m.slots[s] = 0
+	last := len(m.entries) - 1
+	if p != last {
+		m.entries[p] = m.entries[last]
+		ls := m.home(m.entries[p].hash)
+		for int(m.slots[ls]) != last+1 {
+			ls = (ls + 1) & mask
+		}
+		m.slots[ls] = int32(p + 1)
+	}
+	m.entries[last] = tupleEntry[V]{}
+	m.entries = m.entries[:last]
+	return true
 }
 
-// Range calls f for every entry until f returns false. Iteration order is
-// unspecified (bucket map order); callers needing determinism keep their own
-// ordered key slice.
+// Range calls f for every entry until f returns false, in insertion order
+// as perturbed by deletes (each moves the last entry into its hole). f must
+// not mutate the map.
 func (m *TupleMap[V]) Range(f func(Tuple, V) bool) {
-	for _, b := range m.buckets {
-		for _, e := range b {
-			if !f(e.key, e.val) {
-				return
-			}
+	for i := range m.entries {
+		if !f(m.entries[i].key, m.entries[i].val) {
+			return
 		}
 	}
 }
@@ -198,23 +282,12 @@ func NewTupleSet(n int) *TupleSet {
 
 // Add inserts t and reports whether it was absent (i.e. newly added).
 func (s *TupleSet) Add(t Tuple) bool {
-	h := s.m.hash(t)
-	b := s.m.buckets[h]
-	for i := range b {
-		if keyEqualTuple(b[i].key, t) {
-			return false
-		}
-	}
-	s.m.buckets[h] = append(b, tupleEntry[struct{}]{key: t})
-	s.m.n++
-	return true
+	_, added := s.m.upsert(t)
+	return added
 }
 
 // Has reports membership.
-func (s *TupleSet) Has(t Tuple) bool {
-	_, ok := s.m.Get(t)
-	return ok
-}
+func (s *TupleSet) Has(t Tuple) bool { return s.m.lookup(t) >= 0 }
 
 // Len returns the number of members.
 func (s *TupleSet) Len() int { return s.m.Len() }

@@ -177,3 +177,97 @@ func TestTupleMapCollisionFallback(t *testing.T) {
 		t.Error("TupleSet.Has wrong under full collision")
 	}
 }
+
+// mapKeys are the tuple components the TupleMap property test draws keys
+// from: NaN (one key for every NaN), −0 (the key of 0), ±Inf, Int(3) and
+// Float(3.0) (one key), and the 1e15 cutoff past which Int and Float keys
+// differ.
+var mapKeys = []Value{
+	Null(), Int(3), Float(3), Float(3.5), Float(math.NaN()), Float(math.Copysign(0, -1)),
+	Int(0), Float(math.Inf(1)), Float(math.Inf(-1)), String("a"), String("3"),
+	Int(1e15), Float(1e16), Int(-1),
+}
+
+// TestTupleMapProperty runs random Put, Get, GetOrInsert, Delete, Range and
+// Len sequences against a map keyed by Tuple.Key(), once with the real hash
+// (the map grows through several table sizes and deletes shift entries) and
+// once with every key forced into one probe chain.
+func TestTupleMapProperty(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *TupleMap[int]
+	}{
+		{"real hash", NewTupleMap[int](0)},
+		{"forced collisions", newTupleMapHash[int](0, func(Tuple) uint64 { return 0x5eed })},
+	} {
+		rng := rand.New(rand.NewSource(7))
+		m, ref := tc.m, map[string]int{}
+		for op := 0; op < 6000; op++ {
+			tp := make(Tuple, 1+rng.Intn(2))
+			for i := range tp {
+				tp[i] = mapKeys[rng.Intn(len(mapKeys))]
+			}
+			key := tp.Key()
+			switch rng.Intn(6) {
+			case 0:
+				m.Put(tp, op)
+				ref[key] = op
+			case 1:
+				got, ok := m.Get(tp)
+				want, wok := ref[key]
+				if ok != wok || got != want {
+					t.Fatalf("%s op %d: Get(%v) = %d,%v; reference %d,%v", tc.name, op, tp, got, ok, want, wok)
+				}
+			case 2:
+				p := m.GetOrInsert(tp)
+				if *p != ref[key] {
+					t.Fatalf("%s op %d: GetOrInsert(%v) holds %d; reference %d", tc.name, op, tp, *p, ref[key])
+				}
+				*p = op
+				ref[key] = op
+			case 3, 4:
+				_, want := ref[key]
+				delete(ref, key)
+				if got := m.Delete(tp); got != want {
+					t.Fatalf("%s op %d: Delete(%v) = %v, want %v", tc.name, op, tp, got, want)
+				}
+			default:
+				stop, seen := rng.Intn(len(ref)+1), 0
+				visited := map[string]bool{}
+				m.Range(func(k Tuple, v int) bool {
+					if want, ok := ref[k.Key()]; !ok || want != v || visited[k.Key()] {
+						t.Fatalf("%s op %d: Range visited %v=%d, reference %d,%v", tc.name, op, k, v, want, ok)
+					}
+					visited[k.Key()] = true
+					seen++
+					return seen < stop
+				})
+				if want := min(max(stop, 1), len(ref)); seen != want {
+					t.Fatalf("%s op %d: Range visited %d entries, want %d", tc.name, op, seen, want)
+				}
+			}
+			if m.Len() != len(ref) {
+				t.Fatalf("%s op %d: Len %d, reference %d", tc.name, op, m.Len(), len(ref))
+			}
+		}
+	}
+}
+
+// A lookup allocates nothing: no key string, no bucket, no boxed hash.
+func TestTupleMapGetAllocs(t *testing.T) {
+	m := NewTupleMap[int](0)
+	var keys []Tuple
+	for i := 0; i < 100; i++ {
+		k := Tuple{Int(int64(i)), String("k"), Float(float64(i) / 4)}
+		m.Put(k, i)
+		keys = append(keys, k)
+	}
+	keys = append(keys, Tuple{Int(-1), String("absent"), Float(0)})
+	if n := testing.AllocsPerRun(50, func() {
+		for _, k := range keys {
+			m.Get(k)
+		}
+	}); n != 0 {
+		t.Errorf("TupleMap.Get allocates %.1f times per %d lookups", n, len(keys))
+	}
+}
