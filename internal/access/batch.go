@@ -346,10 +346,10 @@ func equalHash(t relation.Tuple) (uint64, bool) {
 }
 
 // flushDirty rebuilds every dirty group once — the dirty groups of all
-// ladders on one worker pool, see buildGroups — and appends its new level
-// rows to its ladder's arena, leaving the old ones dead; it drops groups
-// emptied by the batch, repacks an arena whose dead rows now outnumber its
-// live ones, and refreshes each touched ladder's metadata.
+// ladders on one worker pool, see buildGroups — counting its old level rows
+// dead and placing its new ones in its ladder's arena (placeRebuilt); it
+// drops groups emptied by the batch and refreshes each touched ladder's
+// metadata.
 func (s *Schema) flushDirty(dirty map[*Ladder]*dirtyGroups) {
 	var jobs []groupBuild
 	for _, l := range s.Ladders {
@@ -372,14 +372,9 @@ func (s *Schema) flushDirty(dirty map[*Ladder]*dirtyGroups) {
 		}
 	}
 	buildGroups(jobs, runtime.GOMAXPROCS(0))
-	for _, j := range jobs {
-		j.l.arena.appendRows(j.g, j.rows)
-	}
 	for _, l := range s.Ladders {
 		if dirty[l] != nil {
-			if l.arena.dead > l.arena.live() {
-				l.repack()
-			}
+			l.placeRebuilt(jobs)
 			l.recomputeMeta()
 		}
 	}

@@ -1,6 +1,7 @@
 package access
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/relation"
@@ -177,31 +178,60 @@ func packArenas(jobs []groupBuild, workers int) {
 	}
 }
 
-// appendRows places a rebuilt group's rows at the end of the arena.
-func (a *levelArena) appendRows(g *ladderGroup, rows []levelRow) {
-	base := len(a.counts)
-	for _, r := range rows {
-		a.y.AppendTuple(r.y)
-		a.counts = append(a.counts, r.count)
+// placeRebuilt places the rows of l's groups rebuilt by maintenance (l's
+// jobs among jobs) in l's arena, whose rows of those groups were already
+// counted dead. The rows are appended after the arena's rows unless that
+// would leave at least as many dead rows as live ones: then the live rows
+// move into fresh columns first (a repack), so dead rows never outnumber
+// live ones and the copying is amortised over the rebuilds that left the
+// dead rows behind. Rows are never rewritten in place, so views handed out
+// earlier stay valid.
+func (l *Ladder) placeRebuilt(jobs []groupBuild) {
+	a := l.arena
+	n := 0
+	for _, j := range jobs {
+		if j.l == l {
+			n += len(j.rows)
+		}
 	}
-	g.place(a, base)
+	if a.dead > 0 && a.dead >= a.live()+n {
+		l.repack(n)
+	} else {
+		for c := 0; c < a.y.Width(); c++ {
+			a.y.Col(c).Reserve(a.y.Col(c).Kind(), n)
+		}
+		a.counts = slices.Grow(a.counts, n)
+	}
+	for _, j := range jobs {
+		if j.l != l {
+			continue
+		}
+		base := len(a.counts)
+		for _, r := range j.rows {
+			a.y.AppendTuple(r.y)
+			a.counts = append(a.counts, r.count)
+		}
+		j.g.place(a, base)
+	}
 }
 
-// repack moves the live rows into fresh exact-size columns, group by group,
-// and drops the dead ones. Run once dead rows outnumber live ones, its cost
-// — linear in the live rows — is amortised over the rebuilds that left the
-// dead rows behind.
-func (l *Ladder) repack() {
+// repack moves the live rows into fresh columns with room for extra more,
+// group by group, and drops the dead ones. Groups rebuilt but not yet placed
+// (their levels point at no arena) have no live rows to move.
+func (l *Ladder) repack(extra int) {
 	old := *l.arena
-	live := old.live()
+	size := old.live() + extra
 	y := relation.NewBlock(old.y.Width())
 	for c := 0; c < y.Width(); c++ {
 		if src := old.y.Col(c); !src.Mixed() {
-			y.Col(c).Reserve(src.Kind(), live)
+			y.Col(c).Reserve(src.Kind(), size)
 		}
 	}
-	counts := make([]int, 0, live)
+	counts := make([]int, 0, size)
 	l.store.rangeGroups(func(g *ladderGroup) bool {
+		if g.levels[0].arena != l.arena {
+			return true
+		}
 		lo, hi := g.span()
 		y.AppendBlockRange(old.y, lo, hi)
 		for k := range g.levels {

@@ -236,9 +236,9 @@ func TestLevelArenaMatchesReference(t *testing.T) {
 	emptied, recreated, repacked := 0, 0, 0
 	for b := 0; b < 50; b++ {
 		before := byK.NumGroups()
-		rows := make([]int, len(s.Ladders))
+		cols := make([]*relation.Block, len(s.Ladders))
 		for i, l := range s.Ladders {
-			rows[i] = len(l.arena.counts)
+			cols[i] = l.arena.y
 		}
 		if _, err := s.Apply(db, hostileBatch(rng, db, 2+b%3*3)); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
@@ -249,7 +249,7 @@ func TestLevelArenaMatchesReference(t *testing.T) {
 			recreated++
 		}
 		for i, l := range s.Ladders {
-			if len(l.arena.counts) < rows[i] {
+			if l.arena.y != cols[i] {
 				repacked++
 			}
 			assertMatchesReference(t, fmt.Sprintf("batch %d %s(%v→%v)", b, l.RelName, l.X, l.Y), l)
