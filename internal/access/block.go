@@ -21,9 +21,9 @@ import (
 // levelArena holds one ladder's level rows column-wise. Row r is one
 // representative: its Y-tuple across y's columns and the number of base
 // tuples it represents in counts[r]. Rows are never rewritten: a rebuilt
-// group appends its new rows and leaves its old ones dead, and the ladder
-// repacks into fresh columns once dead rows outnumber live ones. Views
-// handed out earlier therefore stay valid.
+// group's new rows are placed after the others and its old ones left dead,
+// and a repack into fresh columns keeps dead rows from outnumbering live
+// ones (placeRebuilt). Views handed out earlier therefore stay valid.
 type levelArena struct {
 	y      *relation.Block
 	counts []int

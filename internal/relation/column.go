@@ -21,8 +21,8 @@ import "slices"
 // slice holds exactly one slot per row (zero-valued at null positions);
 // the validity bitmap is allocated lazily on the first null and bit i is
 // set iff row i is non-null; a kind conflict migrates the column to the
-// mixed []Value fallback. Columns obtained from View (or Block.Prefix) are
-// read-only views sharing the parent's arrays — never Append to a view.
+// mixed []Value fallback. Columns obtained from View are read-only views
+// sharing the parent's arrays — never Append to a view.
 type Column struct {
 	kind  Kind // payload kind of non-null rows; KindNull until one is seen
 	mixed bool // true: vals holds every row verbatim (kind-conflict fallback)
