@@ -2,14 +2,14 @@
 // panel of Figure 6, each emitting the same series the paper plots. The
 // datasets are the laptop-scale synthetic analogues from the workload
 // package; resource ratios are rescaled so that the budget α|D| covers a
-// comparable number of tuples as in the paper's 100M+-row instances (see
-// EXPERIMENTS.md).
+// comparable number of tuples as in the paper's 100M+-row instances. It
+// also holds the overload campaign that compares brownout modes at
+// saturation. Performance is measured by the module in benchmark/, not here.
 package bench
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -301,16 +301,6 @@ func sizeSweep(cfg Config, measure, title string) (*Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// sortedKeys is a small test helper exposed for deterministic printing.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // stopwatch measures one call.

@@ -158,6 +158,35 @@ func TestFig6lTiny(t *testing.T) {
 	}
 }
 
+// TestOverloadSmoke runs the saturation campaign at a small size. Every
+// mode must finish without a contained panic or an η outside [0, 1]; the
+// reject-only baseline must never degrade an answer, and the pinned levels
+// must hold their level.
+func TestOverloadSmoke(t *testing.T) {
+	res, err := runOverload(overloadConfig{persons: 100, pois: 200, clients: 2, batches: 3, batchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 4 {
+		t.Fatalf("got %d modes, want 4", len(res))
+	}
+	for _, o := range res {
+		if o.Served == 0 {
+			t.Errorf("mode %s served nothing: %+v", o.Mode, o)
+		}
+		switch o.Mode {
+		case "off":
+			if o.Degraded != 0 || o.FinalLevel != 0 {
+				t.Errorf("reject-only baseline degraded: %+v", o)
+			}
+		case "1", "2":
+			if want := int(o.Mode[0] - '0'); o.FinalLevel != want || o.LevelShifts != 0 {
+				t.Errorf("pinned mode %s moved: level %d, %d shifts", o.Mode, o.FinalLevel, o.LevelShifts)
+			}
+		}
+	}
+}
+
 func TestTableFormatMissingValues(t *testing.T) {
 	tbl := newTable("demo", "x")
 	tbl.XVals = []string{"1", "2"}

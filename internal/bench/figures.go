@@ -53,7 +53,7 @@ func querySweep(cfg Config, title, xlabel string, xs []string, spec func(xi, j i
 		return nil, err
 	}
 	t := newTable(title, xlabel)
-	batch := maxInt(2, cfg.Queries)
+	batch := max(2, cfg.Queries)
 	for xi, xv := range xs {
 		t.XVals = append(t.XVals, xv)
 		var qs []query.Expr
@@ -238,30 +238,16 @@ func Fig6l(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// All runs every figure in order, returning the tables.
-func All(cfg Config) ([]*Table, error) {
-	figs := []struct {
-		name string
-		f    func(Config) (*Table, error)
-	}{
-		{"6a", Fig6a}, {"6b", Fig6b}, {"6c", Fig6c}, {"6d", Fig6d},
-		{"6e", Fig6e}, {"6f", Fig6f}, {"6g", Fig6g}, {"6h", Fig6h},
-		{"6i", Fig6i}, {"6j", Fig6j}, {"6k", Fig6k}, {"6l", Fig6l},
-	}
-	var out []*Table
-	for _, fig := range figs {
-		tbl, err := fig.f(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: figure %s: %w", fig.name, err)
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
+// Figure is one panel of Figure 6 with its runner.
+type Figure struct {
+	// ID is the panel's name, "6a" through "6l".
+	ID  string
+	Run func(Config) (*Table, error)
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// Figures lists every panel in the paper's order.
+var Figures = []Figure{
+	{"6a", Fig6a}, {"6b", Fig6b}, {"6c", Fig6c}, {"6d", Fig6d},
+	{"6e", Fig6e}, {"6f", Fig6f}, {"6g", Fig6g}, {"6h", Fig6h},
+	{"6i", Fig6i}, {"6j", Fig6j}, {"6k", Fig6k}, {"6l", Fig6l},
 }

@@ -12,7 +12,7 @@
 // admission by the DEGRADED α, so the same budget cap admits 4×/16× more
 // jobs — each cheaper, each still η-certified — and goodput (completed
 // answers per second) rises instead of collapsing into rejections.
-// `beasbench -overload -out BENCH_7.json` emits the tracked report.
+// `beasbench overload` prints one line per mode.
 package bench
 
 import (
@@ -30,41 +30,39 @@ import (
 	"repro/internal/serve"
 )
 
-// PerfOverload is the result of one saturation pass at one brownout mode.
-type PerfOverload struct {
-	Name string `json:"name"`
+// Overload is the result of one saturation pass at one brownout mode.
+type Overload struct {
 	// Mode is the brownout controller mode the pass ran under.
-	Mode string `json:"mode"`
+	Mode string
 	// Offered counts every query the load fired (batch entries + probes).
-	Offered int `json:"offered"`
+	Offered int
 	// Served counts completed answers (the goodput numerator); Rejected and
 	// Shed are the two refusal paths — admission backpressure per entry, and
 	// the server's count of whole HTTP requests refused by brownout
 	// load-shedding — while Failed is everything else (deadlines, errors).
-	Served   int   `json:"served"`
-	Rejected int   `json:"rejected"`
-	Shed     int64 `json:"shed"`
-	Failed   int   `json:"failed"`
+	Served   int
+	Rejected int
+	Shed     int64
+	Failed   int
 	// Degraded counts answers served below their requested α — still
 	// η-certified, just cheaper.
-	Degraded int `json:"degraded"`
+	Degraded int
 	// InternalErrors must be 0: contained panics during the pass.
-	InternalErrors int64 `json:"internal_errors"`
+	InternalErrors int64
 	// EtaViolations must be 0: served answers whose certified η left [0, 1].
-	EtaViolations int     `json:"eta_violations"`
-	GoodputQPS    float64 `json:"goodput_qps"`
+	EtaViolations int
+	GoodputQPS    float64
 	// MeanEta averages the certified bound over served answers — the
 	// accuracy price of the mode's goodput.
-	MeanEta   float64 `json:"mean_eta"`
-	P50Micros float64 `json:"p50_us"`
-	P99Micros float64 `json:"p99_us"`
-	ElapsedMS float64 `json:"elapsed_ms"`
+	MeanEta  float64
+	P50, P99 time.Duration
+	Elapsed  time.Duration
 	// FinalLevel is the brownout level the controller ended the pass at;
 	// LevelShifts counts its level changes during the measured window (0 for
 	// the pinned modes — stability of the adaptive controller is itself a
-	// tracked number).
-	FinalLevel  int   `json:"final_level"`
-	LevelShifts int64 `json:"level_shifts"`
+	// measured number).
+	FinalLevel  int
+	LevelShifts int64
 }
 
 // overloadConfig sizes one harness pass.
@@ -73,35 +71,59 @@ type overloadConfig struct {
 	clients       int // concurrent batch-posting clients
 	batches       int // batches per client
 	batchSize     int
-	alpha         float64
-	minAlpha      float64
 }
 
-func defaultOverloadConfig(smoke bool) overloadConfig {
-	if smoke {
-		return overloadConfig{persons: 100, pois: 200, clients: 2, batches: 3, batchSize: 8, alpha: 0.5, minAlpha: 0.02}
-	}
-	return overloadConfig{persons: 800, pois: 3000, clients: 8, batches: 15, batchSize: 16, alpha: 0.5, minAlpha: 0.02}
+// Every query asks for overloadAlpha; brownout may shrink it to no less
+// than overloadMinAlpha.
+const overloadAlpha, overloadMinAlpha = 0.5, 0.02
+
+// RunOverload runs the saturation pass once per brownout mode, in the order
+// off, auto, 1, 2. A pass with a contained panic or an η outside [0, 1] is
+// an error, returned with the results measured so far.
+func RunOverload() ([]Overload, error) {
+	return runOverload(overloadConfig{persons: 800, pois: 3000, clients: 8, batches: 15, batchSize: 16})
 }
 
-// RunOverloadPerf runs the saturation pass once per brownout mode and
-// returns one PerfRun whose Overload entries are named overload_<mode>.
-func RunOverloadPerf(label string, smoke bool) (*PerfRun, error) {
-	run := newPerfRun(label)
-	cfg := defaultOverloadConfig(smoke)
+func runOverload(cfg overloadConfig) ([]Overload, error) {
+	var out []Overload
 	for _, mode := range []string{"off", "auto", "1", "2"} {
 		res, err := measureOverload(cfg, mode)
 		if err != nil {
-			return nil, fmt.Errorf("bench: overload mode %s: %w", mode, err)
+			return out, fmt.Errorf("bench: overload mode %s: %w", mode, err)
 		}
-		run.Overload = append(run.Overload, *res)
+		out = append(out, *res)
+		if res.InternalErrors > 0 || res.EtaViolations > 0 {
+			return out, fmt.Errorf("bench: overload mode %s: %d internal errors, %d eta violations (want 0)",
+				mode, res.InternalErrors, res.EtaViolations)
+		}
 	}
-	return run, nil
+	return out, nil
+}
+
+// overloadQueries is the mixed traffic of the campaign. The first query
+// shape is fetch-heavy: its plan fetches the friend relation through the
+// generic At ladder and then resolves one person-ladder X-value per distinct
+// fid. The others are cheap point-ish queries keeping the mix honest.
+func overloadQueries() []string {
+	var qs []string
+	for _, city := range fixture.Cities {
+		qs = append(qs, fmt.Sprintf(
+			"select f.fid from person as p, friend as f where p.city = '%s' and p.pid = f.fid", city))
+	}
+	for p0 := 0; p0 < 8; p0++ {
+		qs = append(qs, fmt.Sprintf(
+			"select h.address, h.price from poi as h, friend as f, person as p "+
+				"where f.pid = %d and f.fid = p.pid and p.city = h.city and h.type = 'hotel' and h.price <= 95",
+			p0))
+	}
+	qs = append(qs,
+		"select h.city, count(h.address) as c from poi as h where h.type = 'bar' group by h.city")
+	return qs
 }
 
 // measureOverload fires the offered load at a small server in one brownout
 // mode and tallies the outcome of every query.
-func measureOverload(cfg overloadConfig, mode string) (*PerfOverload, error) {
+func measureOverload(cfg overloadConfig, mode string) (*Overload, error) {
 	db := fixture.Example1(5, cfg.persons, cfg.pois)
 	as, err := fixture.SchemaA0(db)
 	if err != nil {
@@ -109,7 +131,7 @@ func measureOverload(cfg overloadConfig, mode string) (*PerfOverload, error) {
 	}
 	srv, err := serve.New(serve.Config{
 		System:       beas.Open(db, as),
-		DefaultAlpha: cfg.alpha,
+		DefaultAlpha: overloadAlpha,
 		MaxRows:      20,
 		Dataset:      "example1",
 		DBSize:       db.Size(),
@@ -123,7 +145,7 @@ func measureOverload(cfg overloadConfig, mode string) (*PerfOverload, error) {
 		BudgetCap: db.Size(),
 		Brownout: serve.BrownoutConfig{
 			Mode:     mode,
-			MinAlpha: cfg.minAlpha,
+			MinAlpha: overloadMinAlpha,
 			// A short cooldown so the auto controller can traverse levels
 			// within a bench pass, and a conservative step-down threshold so
 			// the saw-tooth of a closed-loop client (queues drain during the
@@ -142,21 +164,21 @@ func measureOverload(cfg overloadConfig, mode string) (*PerfOverload, error) {
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2 * cfg.clients}}
 	defer client.CloseIdleConnections()
 
-	queries := httpBenchQueries()
+	queries := overloadQueries()
 	batchBody := func(client, batch int) []byte {
 		reqs := make([]serve.QueryRequest, cfg.batchSize)
 		for i := range reqs {
-			reqs[i] = serve.QueryRequest{SQL: queries[(client*31+batch*7+i)%len(queries)], Alpha: cfg.alpha}
+			reqs[i] = serve.QueryRequest{SQL: queries[(client*31+batch*7+i)%len(queries)], Alpha: overloadAlpha}
 		}
 		b, _ := json.Marshal(serve.BatchRequest{Queries: reqs, DeadlineMS: 30000})
 		return b
 	}
 	queryBody := func(i int) []byte {
-		b, _ := json.Marshal(serve.QueryRequest{SQL: queries[i%len(queries)], Alpha: cfg.alpha})
+		b, _ := json.Marshal(serve.QueryRequest{SQL: queries[i%len(queries)], Alpha: overloadAlpha})
 		return b
 	}
 
-	res := &PerfOverload{Name: "overload_" + mode, Mode: mode}
+	res := &Overload{Mode: mode}
 	var mu sync.Mutex // guards res tallies and lats/etas below
 	var lats []time.Duration
 	var etaSum float64
@@ -293,7 +315,7 @@ func measureOverload(cfg overloadConfig, mode string) (*PerfOverload, error) {
 	res.FinalLevel = int(stats.brownout("level"))
 	res.LevelShifts = int64(stats.brownout("levelShifts") - base.brownout("levelShifts"))
 
-	res.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
+	res.Elapsed = elapsed
 	if elapsed > 0 {
 		res.GoodputQPS = float64(res.Served) / elapsed.Seconds()
 	}
@@ -302,10 +324,8 @@ func measureOverload(cfg overloadConfig, mode string) (*PerfOverload, error) {
 	}
 	if len(lats) > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		pct := func(p float64) float64 {
-			return float64(lats[int(p*float64(len(lats)-1))].Nanoseconds()) / 1e3
-		}
-		res.P50Micros, res.P99Micros = pct(0.50), pct(0.99)
+		pct := func(p float64) time.Duration { return lats[int(p*float64(len(lats)-1))] }
+		res.P50, res.P99 = pct(0.50), pct(0.99)
 	}
 	return res, nil
 }

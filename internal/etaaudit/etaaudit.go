@@ -15,7 +15,9 @@ package etaaudit
 
 import (
 	"context"
+	"flag"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -90,6 +92,39 @@ func ShortConfig() Config {
 	cfg.CorpusCases = 50
 	cfg.WorkloadQueries = 6
 	return cfg
+}
+
+// RegisterFlags binds to flags of fs every field a violation's repro command
+// sets, defaulting to c's current values. -scale sets both TPCHScale and
+// TFACCScale.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.Func("datasets", "comma-separated sweeps (corpus,edge,tpch,tfacc)", func(s string) error {
+		c.Datasets = strings.Split(s, ",")
+		return nil
+	})
+	fs.Func("alphas", "comma-separated alpha grid", func(s string) error {
+		c.Alphas = nil
+		for _, a := range strings.Split(s, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(a), 64)
+			if err != nil {
+				return err
+			}
+			c.Alphas = append(c.Alphas, v)
+		}
+		return nil
+	})
+	fs.StringVar(&c.Only, "only", c.Only, "audit a single case, written dataset:index")
+	fs.Int64Var(&c.CorpusSeed, "corpus-seed", c.CorpusSeed, "corpus generator seed")
+	fs.IntVar(&c.CorpusCases, "corpus-cases", c.CorpusCases, "corpus case count")
+	fs.Int64Var(&c.FixtureSeed, "fixture-seed", c.FixtureSeed, "Example 1 fixture seed")
+	fs.Func("scale", "dataset scale factor of the tpch and tfacc sweeps", func(s string) error {
+		n, err := strconv.Atoi(s)
+		c.TPCHScale, c.TFACCScale = n, n
+		return err
+	})
+	fs.Int64Var(&c.DatasetSeed, "dataset-seed", c.DatasetSeed, "dataset generator seed")
+	fs.IntVar(&c.WorkloadQueries, "workload-queries", c.WorkloadQueries, "workload query count")
+	fs.Int64Var(&c.WorkloadSeed, "workload-seed", c.WorkloadSeed, "workload generator seed")
 }
 
 // Violation is one audited case whose realised RC accuracy fell below the
@@ -325,19 +360,23 @@ func skipCase(cfg Config, dataset string, qi int) bool {
 }
 
 // reproCommand builds the one-line reproduction for a violated case: the
-// beasbench audit entry point narrowed to the single (dataset, query, α)
-// triple, with every seed the sweep consumed spelled out.
+// `beasbench etaaudit` subcommand narrowed to the single (dataset, query, α)
+// triple, with every seed the sweep consumed spelled out in the flags of
+// RegisterFlags.
 func reproCommand(cfg Config, dataset string, qi int, alpha float64) string {
-	cmd := fmt.Sprintf("go run ./cmd/beasbench -etaaudit -audit-datasets %s -audit-only %s:%d -audit-alphas %g",
+	cmd := fmt.Sprintf("go run ./cmd/beasbench etaaudit -datasets %s -only %s:%d -alphas %g",
 		dataset, dataset, qi, alpha)
-	if dataset == "corpus" {
-		return cmd + fmt.Sprintf(" -audit-corpus-seed %d -audit-corpus-cases %d -audit-fixture-seed %d",
+	switch dataset {
+	case "corpus":
+		return cmd + fmt.Sprintf(" -corpus-seed %d -corpus-cases %d -fixture-seed %d",
 			cfg.CorpusSeed, cfg.CorpusCases, cfg.FixtureSeed)
+	case "edge":
+		return cmd // the edge-shape corpus has no seeds
 	}
 	scale := cfg.TPCHScale
 	if dataset == "tfacc" {
 		scale = cfg.TFACCScale
 	}
-	return cmd + fmt.Sprintf(" -audit-scale %d -audit-dataset-seed %d -audit-workload-queries %d -audit-workload-seed %d",
+	return cmd + fmt.Sprintf(" -scale %d -dataset-seed %d -workload-queries %d -workload-seed %d",
 		scale, cfg.DatasetSeed, cfg.WorkloadQueries, cfg.WorkloadSeed)
 }

@@ -1,6 +1,8 @@
 package etaaudit
 
 import (
+	"flag"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,9 +46,46 @@ func TestAuditOnlyFilter(t *testing.T) {
 	if got := rep.Sweeps[0].Queries; got != 1 {
 		t.Fatalf("Only filter audited %d queries, want 1", got)
 	}
-	if repro := reproCommand(cfg, "corpus", 3, 0.1); !strings.Contains(repro, "-audit-only corpus:3") ||
-		!strings.Contains(repro, "-audit-corpus-seed 42") {
+	if repro := reproCommand(cfg, "corpus", 3, 0.1); !strings.Contains(repro, "-only corpus:3") ||
+		!strings.Contains(repro, "-corpus-seed 42") {
 		t.Fatalf("repro command lacks the filter or seed: %s", repro)
+	}
+}
+
+// TestReproCommandParses feeds every repro command back through
+// RegisterFlags, starting from the other budget's defaults, and checks it
+// pins the case and every seed and size the sweep consumed.
+func TestReproCommandParses(t *testing.T) {
+	cfg := ShortConfig()
+	cfg.CorpusSeed, cfg.FixtureSeed, cfg.DatasetSeed, cfg.WorkloadSeed = 5, 6, 7, 8
+	cfg.TPCHScale, cfg.TFACCScale = 3, 4
+	for _, ds := range []string{"corpus", "edge", "tpch", "tfacc"} {
+		repro := reproCommand(cfg, ds, 2, 0.05)
+		_, args, ok := strings.Cut(repro, " etaaudit ")
+		if !ok {
+			t.Fatalf("repro command does not name the etaaudit subcommand: %s", repro)
+		}
+		got := DefaultConfig()
+		fs := flag.NewFlagSet("etaaudit", flag.ContinueOnError)
+		got.RegisterFlags(fs)
+		if err := fs.Parse(strings.Fields(args)); err != nil {
+			t.Fatalf("%s: %v", repro, err)
+		}
+		want := got
+		want.Datasets, want.Alphas, want.Only = []string{ds}, []float64{0.05}, ds+":2"
+		switch ds {
+		case "corpus":
+			want.CorpusSeed, want.CorpusCases, want.FixtureSeed = cfg.CorpusSeed, cfg.CorpusCases, cfg.FixtureSeed
+		case "tpch", "tfacc":
+			want.DatasetSeed, want.WorkloadQueries, want.WorkloadSeed = cfg.DatasetSeed, cfg.WorkloadQueries, cfg.WorkloadSeed
+			want.TPCHScale, want.TFACCScale = cfg.TPCHScale, cfg.TPCHScale
+			if ds == "tfacc" {
+				want.TPCHScale, want.TFACCScale = cfg.TFACCScale, cfg.TFACCScale
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s\nparsed  %+v\nwant    %+v", repro, got, want)
+		}
 	}
 }
 

@@ -8,11 +8,9 @@ import (
 	"repro/internal/relation"
 )
 
-// benchDB mirrors the cold-vs-warm harness fixture (internal/bench
-// RunPersistPerf), so these package benchmarks track the same ratio
-// BENCH_N.json records. It is ~3× the tracked perf-harness fixture: index
-// construction is O(n log² n) per group while a snapshot load is linear, so
-// a thimble-sized dataset under-reports what a restart actually costs.
+// benchDB is an ~11k-tuple Example 1 instance: index construction is
+// O(n log² n) per group while a snapshot load is linear, so a thimble-sized
+// dataset under-reports what a restart actually costs.
 func benchDB() *relation.Database { return fixture.Example1(5, 900, 7500) }
 
 // BenchmarkColdBuild is the baseline a warm start avoids: full access-schema

@@ -1,7 +1,7 @@
 // Package serve implements the HTTP serving layer of the BEAS daemon: the
 // online half of the paper's Fig. 2 architecture as reusable handlers, so
-// cmd/beasd (the production daemon) and internal/bench (the end-to-end HTTP
-// latency harness) drive the exact same code.
+// cmd/beasd (the production daemon), the benchmark's serve_mixed workload
+// and the overload campaign in internal/bench drive the exact same code.
 //
 // Three request paths share one concurrency-safe System:
 //
@@ -128,7 +128,7 @@ type Config struct {
 	// SlowQuery, when positive, traces every query and logs the full span
 	// tree of any that took at least this long. Tracing cannot be enabled
 	// retroactively, so the threshold prices a small always-on overhead
-	// (see BENCH_10.json obsbench) for forensic detail on the outliers.
+	// (docs/PERF_HISTORY.md) for forensic detail on the outliers.
 	SlowQuery time.Duration
 	// Logger receives the server's structured events (contained panics,
 	// slow queries, response-encode failures). Nil defaults to text lines
