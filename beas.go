@@ -25,8 +25,7 @@
 // rest of its budget) and functional options tune the resource bound
 // (WithAlpha, WithBudget) and the execution strategy (WithFetchWorkers,
 // WithRemoteFetcher, WithCacheBypass, WithTag) per call. Answers can
-// be consumed whole (Query), as a pull iterator (Answer.Rows) or streamed
-// in chunks as execution hands them over (QueryStream).
+// be consumed whole (Query) or as a pull iterator (Answer.Rows).
 //
 // The heavy lifting lives in the internal packages: internal/core holds the
 // approximation schemes (the paper's contribution), internal/access the
@@ -102,10 +101,6 @@ type (
 	Answer = core.Answer
 	// Rows is a pull iterator over an Answer's tuples.
 	Rows = core.Rows
-	// Stream is an in-flight streaming query execution (see QueryStream):
-	// rows arrive in chunks through Next while the accuracy bound and
-	// access stats become available on completion.
-	Stream = core.Stream
 	// TagStats aggregates the queries attributed to one WithTag label.
 	TagStats = core.TagStats
 	// BoundTrace is the full derivation record of an answer's η: every
@@ -262,8 +257,8 @@ func (s *System) QueryStats() map[string]TagStats { return s.scheme.TagStatsSnap
 // WithAlpha nor WithBudget is given.
 const DefaultAlpha = 0.01
 
-// Option tunes one query call (see Query, QuerySQL, Plan, Execute,
-// QueryStream). Options compose left to right; later options win.
+// Option tunes one query call (see Query, QuerySQL, Plan and Execute).
+// Options compose left to right; later options win.
 type Option func(*core.ExecOptions)
 
 // WithAlpha bounds the call by the resource ratio α ∈ (0, 1]: execution
@@ -437,15 +432,6 @@ func (s *System) QuerySQL(ctx context.Context, sql string, opts ...Option) (*Ans
 		return nil, nil, err
 	}
 	return s.Query(ctx, q, opts...)
-}
-
-// QueryStream plans the query synchronously and executes it in the
-// background, returning a Stream whose rows arrive in chunks: consume with
-// Stream.Next, read the final accuracy bound from Stream.Answer once Next
-// returns false, and Close (or cancel ctx) to abandon it mid-flight. See
-// cmd/beasd's /stream endpoint for NDJSON serving built on this.
-func (s *System) QueryStream(ctx context.Context, q Query, opts ...Option) (*Stream, error) {
-	return s.scheme.StreamContext(ctx, q, execOptions(opts))
 }
 
 // MinAlphaExact returns the smallest resource ratio at which the query is

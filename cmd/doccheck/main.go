@@ -186,7 +186,7 @@ func checkFile(fset *token.FileSet, file *ast.File) []string {
 // ctxPrefixes are the verb prefixes marking an exported function as
 // performing I/O or execution: such functions must be context-first in the
 // files isContextFirstFile selects. A prefix matches on a word boundary
-// only (Query and QueryStream match "Query"; Queryish does not).
+// only (Query and QuerySQL match "Query"; Queryish does not).
 var ctxPrefixes = []string{
 	"Query", "Execute", "Plan", "Open", "Answer", "Stream", "Run", "Serve", "Fetch", "Discover",
 	"Save", "Load", "Checkpoint", "Snapshot", "Insert", "Delete", "Apply", "Dial", "Join",

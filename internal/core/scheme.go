@@ -68,7 +68,7 @@ type TagStats struct {
 }
 
 // ExecOptions are the per-call options of the context-first entry points
-// (PlanContext, ExecuteContext, AnswerContext, StreamContext). The zero
+// (PlanContext, ExecuteContext, AnswerContext). The zero
 // value is not runnable: either Alpha or Budget must bound the call.
 type ExecOptions struct {
 	// Alpha is the resource ratio α ∈ (0, 1]; ignored when Budget > 0.

@@ -1,16 +1,17 @@
 // Package guard contains the execution layer's panic containment: a panic
-// inside a worker goroutine — a parallel leaf executor, a chunked row
-// emitter, a stream producer — must not kill the process that is serving
-// every other query. Recover converts such a panic into a typed
-// *PanicError carrying the panicking operation, the panic value and the
-// goroutine stack, so the failure surfaces to the caller as an ordinary
-// error (the serving layer maps it to HTTP 500 and an internalErrors
-// counter) while the rest of the system keeps answering.
+// inside query execution — the evaluator, a parallel leaf worker, a cluster
+// node answering a peer's fetch — must not kill the process that is serving
+// every other query. Recover converts such a panic into a typed *PanicError
+// carrying the panicking operation, the panic value and the goroutine
+// stack, so the failure surfaces to the caller as an ordinary error (the
+// serving layer maps it to HTTP 500 and an internalErrors counter) while
+// the rest of the system keeps answering.
 //
-// The guard is deliberately narrow: it wraps goroutines the engine itself
-// spawns, where an escaped panic is unrecoverable by any caller. Panics on
-// a caller's own goroutine are left to the caller (the HTTP layer installs
-// its own recovery middleware for those).
+// The guard is deliberately narrow: it wraps the engine's own execution
+// entry points and the goroutines the engine spawns, where an escaped panic
+// is unrecoverable by any caller. Panics elsewhere on a caller's goroutine
+// are left to the caller (the HTTP layer installs its own recovery
+// middleware for those).
 package guard
 
 import (
@@ -72,7 +73,7 @@ var reporter atomic.Value
 // panic, at the point of recovery — before the error propagates to any
 // caller. The daemon points it at the structured logger so engine panics
 // are machine-parseable events even on paths that never reach an HTTP
-// response (batch workers, stream producers). The reporter must not panic;
+// response (batch workers, peer fetches). The reporter must not panic;
 // nil uninstalls. Only freshly recovered panics are reported — a
 // *PanicError re-thrown through an outer guard is not double-counted.
 func SetReporter(fn func(*PanicError)) {

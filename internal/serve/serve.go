@@ -9,13 +9,13 @@
 //     connection goroutine — the lowest-latency path. The request's context
 //     is the execution context: a disconnected client aborts the query
 //     mid-flight.
-//   - POST /stream answers a single query as NDJSON: one columns line, one
-//     line per answer row as chunks are handed over by the streaming
-//     executor, and a final summary line carrying the accuracy bound and
-//     access stats. Rows are flushed incrementally — the HTTP response is
-//     never buffered whole (the answer set itself is still assembled in
-//     memory first, bounded by the α·|D| budget, because η is certified
-//     over the complete set) — and client disconnect cancels execution.
+//   - POST /stream answers a single query through the same execution as
+//     /query and writes it as NDJSON: one columns line, one line per answer
+//     row (uncapped, flushed every streamFlushRows rows so the HTTP response
+//     is never buffered whole) and a final summary line carrying the same
+//     metadata /query returns. The answer set is assembled before the first
+//     line leaves, because η is certified over the complete set; an
+//     execution failure therefore answers the same HTTP status as /query.
 //   - POST /batch pipelines many queries through a bounded request queue
 //     drained by a fixed worker pool. Admission is budget-weighted: each
 //     job weighs its estimated access budget ⌈α·|D|⌉, and jobs beyond the
@@ -178,29 +178,38 @@ type QueryRequest struct {
 	Tag string `json:"tag,omitempty"`
 }
 
-// QueryResponse is the answer payload of one query. Alpha is the ACHIEVED
-// resource ratio: under brownout it can be lower than the request's, with
-// Degraded set and RequestedAlpha carrying the original ask — Eta still
-// certifies the degraded answer.
-type QueryResponse struct {
-	Columns   []string   `json:"columns"`
-	Tuples    [][]string `json:"tuples"`
-	Rows      int        `json:"rows"`
-	Truncated bool       `json:"rowsTruncated,omitempty"` // response capped at MaxRows
-	Eta       float64    `json:"eta"`
-	Exact     bool       `json:"exact"`
-	Alpha     float64    `json:"alpha"`
-	Accessed  int        `json:"accessed"`
-	Budget    int        `json:"budget"`
-	CacheHit  bool       `json:"cacheHit"`
-	PlanGenMS float64    `json:"planGenMs"`
-	ServedMS  float64    `json:"servedMs"`
+// AnswerMeta is what a served answer reports besides its rows: the row
+// count, the accuracy bound, the resources used and the timings. execute
+// fills it once; /query and /batch embed it in QueryResponse and /stream
+// sends it as its summary line. Alpha is the ACHIEVED resource ratio: under
+// brownout it can be lower than the request's, with Degraded set and
+// RequestedAlpha carrying the original ask — Eta still certifies the
+// degraded answer.
+type AnswerMeta struct {
+	Rows      int     `json:"rows"`
+	Truncated bool    `json:"rowsTruncated,omitempty"` // /query response capped at MaxRows
+	Eta       float64 `json:"eta"`
+	Exact     bool    `json:"exact"`
+	Alpha     float64 `json:"alpha"`
+	Accessed  int     `json:"accessed"`
+	Budget    int     `json:"budget"`
+	CacheHit  bool    `json:"cacheHit"`
+	PlanGenMS float64 `json:"planGenMs"`
+	ServedMS  float64 `json:"servedMs"`
 	// Degraded marks an answer served below the requested α by brownout.
 	Degraded bool `json:"degraded,omitempty"`
 	// RequestedAlpha is the original request's α when Degraded.
 	RequestedAlpha float64 `json:"requestedAlpha,omitempty"`
 	// BrownoutLevel is the degradation level the answer was served at.
 	BrownoutLevel int `json:"brownoutLevel,omitempty"`
+}
+
+// QueryResponse is the answer payload of one /query call or /batch entry:
+// the columns, at most MaxRows rows and the answer's metadata.
+type QueryResponse struct {
+	Columns []string   `json:"columns"`
+	Tuples  [][]string `json:"tuples"`
+	AnswerMeta
 	// Trace is the query's span tree — planning, leaves, fetch steps,
 	// shard/peer fan-out — present only when the call asked for it with
 	// ?debug=trace.
@@ -526,20 +535,21 @@ func (s *Server) resolveDegradation(alpha float64, req QueryRequest) (level int,
 	return level, eff, floor
 }
 
-// execute answers one request against the shared System under ctx,
-// returning an HTTP status for the error cases. Under brownout the request
-// runs at a degraded effective α (never below its floor); the response
-// marks the degradation and reports the achieved α, still η-certified. A
-// contained evaluator panic maps to 500 and the internalErrors counter —
-// the process, and every other request, keeps going.
+// execute answers one request against the shared System under ctx and
+// returns the answer with its metadata, or an HTTP status for the error
+// cases. Under brownout the request runs at a degraded effective α (never
+// below its floor); the metadata marks the degradation and reports the
+// achieved α, still η-certified. A contained evaluator panic maps to 500
+// and the internalErrors counter — the process, and every other request,
+// keeps going.
 //
-// event names the serving surface for the audit trail ("query" or
-// "batch"; /stream audits itself); every exit emits exactly one audit
-// record whose budget_spent and eta are copied from the same Answer the
-// client is about to receive. wantTrace attaches the span tree to the
-// response; a configured SlowQuery threshold traces regardless, so the
-// outliers it flags come with their full execution timeline.
-func (s *Server) execute(ctx context.Context, req QueryRequest, event string, wantTrace bool) (*QueryResponse, int, error) {
+// event names the serving surface for the audit trail ("query", "stream"
+// or "batch"); every exit emits exactly one audit record whose
+// budget_spent and eta are copied from the same Answer the client is about
+// to receive. wantTrace traces the call (the span tree is then
+// ans.ExecTrace); a configured SlowQuery threshold traces regardless, so
+// the outliers it flags come with their full execution timeline.
+func (s *Server) execute(ctx context.Context, req QueryRequest, event string, wantTrace bool) (*beas.Answer, AnswerMeta, int, error) {
 	rec := obs.AuditRecord{
 		Time:           time.Now().UTC().Format(time.RFC3339Nano),
 		Event:          event,
@@ -552,7 +562,7 @@ func (s *Server) execute(ctx context.Context, req QueryRequest, event string, wa
 		s.failures.Inc()
 		rec.Status, rec.Err = code, err.Error()
 		s.cfg.Audit.Record(rec)
-		return nil, code, err
+		return nil, AnswerMeta{}, code, err
 	}
 	level, eff, floor := s.resolveDegradation(alpha, req)
 	rec.AlphaEffective = eff
@@ -598,13 +608,13 @@ func (s *Server) execute(ctx context.Context, req QueryRequest, event string, wa
 		}
 		rec.Status, rec.Err = code, err.Error()
 		s.cfg.Audit.Record(rec)
-		return nil, code, err
+		return nil, AnswerMeta{}, code, err
 	}
 	s.queries.Inc()
 	s.latency.Observe(served.Seconds())
 	s.brown.observe(served)
 
-	resp := &QueryResponse{
+	meta := AnswerMeta{
 		Rows:      ans.Rel.Len(),
 		Eta:       ans.Eta,
 		Exact:     ans.Exact,
@@ -616,24 +626,10 @@ func (s *Server) execute(ctx context.Context, req QueryRequest, event string, wa
 		ServedMS:  float64(served.Microseconds()) / 1e3,
 	}
 	if eff < alpha {
-		resp.Degraded = true
-		resp.RequestedAlpha = alpha
-		resp.BrownoutLevel = level
+		meta.Degraded = true
+		meta.RequestedAlpha = alpha
+		meta.BrownoutLevel = level
 		s.degradedServed.Inc()
-	}
-	for _, a := range ans.Rel.Schema.Attrs {
-		resp.Columns = append(resp.Columns, a.Name)
-	}
-	for i, t := range ans.Rel.Tuples {
-		if i >= s.cfg.MaxRows {
-			resp.Truncated = true
-			break
-		}
-		resp.Tuples = append(resp.Tuples, stringRow(t))
-	}
-	if wantTrace && tr != nil {
-		j := tr.JSON()
-		resp.Trace = &j
 	}
 	if s.cfg.SlowQuery > 0 && served >= s.cfg.SlowQuery && tr != nil {
 		s.log.Warn("slow query", "event", event, "sql_digest", rec.SQLDigest,
@@ -644,12 +640,40 @@ func (s *Server) execute(ctx context.Context, req QueryRequest, event string, wa
 	rec.Eta = ans.Eta
 	rec.Exact = ans.Exact
 	rec.Truncated = ans.Stats.Truncated
-	rec.Degraded = resp.Degraded
+	rec.Degraded = meta.Degraded
 	rec.CacheHit = plan.CacheHit
 	rec.PlanClass = plan.Class.String()
 	rec.Status = http.StatusOK
 	s.cfg.Audit.Record(rec)
-	return resp, http.StatusOK, nil
+	return ans, meta, http.StatusOK, nil
+}
+
+// response renders an executed answer as a /query or /batch payload: its
+// columns, at most MaxRows rows and its metadata, plus the span tree when
+// the call asked for one.
+func (s *Server) response(ans *beas.Answer, meta AnswerMeta, wantTrace bool) *QueryResponse {
+	resp := &QueryResponse{Columns: columns(ans), AnswerMeta: meta}
+	for i, t := range ans.Rel.Tuples {
+		if i >= s.cfg.MaxRows {
+			resp.Truncated = true
+			break
+		}
+		resp.Tuples = append(resp.Tuples, stringRow(t))
+	}
+	if wantTrace && ans.ExecTrace != nil {
+		j := ans.ExecTrace.JSON()
+		resp.Trace = &j
+	}
+	return resp
+}
+
+// columns returns the answer's column names.
+func columns(ans *beas.Answer) []string {
+	cols := make([]string, len(ans.Rel.Schema.Attrs))
+	for i, a := range ans.Rel.Schema.Attrs {
+		cols[i] = a.Name
+	}
+	return cols
 }
 
 // stringRow renders one tuple for the JSON wire format.
@@ -677,6 +701,20 @@ func (s *Server) shedIfBrownedOut(w http.ResponseWriter, shedAt int) bool {
 	return true
 }
 
+// decodeBody reads a JSON request body of at most maxRequestBytes into v.
+// A body that does not parse answers 400 and counts as a failed request;
+// the handler returns when decodeBody reports false. An empty body leaves
+// v at its zero value for the handler's own validation to judge.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil && !errors.Is(err, io.EOF) {
+		s.failures.Inc()
+		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -686,59 +724,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.failures.Inc()
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	wantTrace := r.URL.Query().Get("debug") == "trace"
-	resp, code, err := s.execute(r.Context(), req, "query", wantTrace)
+	ans, meta, code, err := s.execute(r.Context(), req, "query", wantTrace)
 	if err != nil {
 		httpError(w, code, err.Error())
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, s.response(ans, meta, wantTrace))
 }
 
 // streamFlushRows is how many NDJSON row lines are written between two
 // explicit flushes on /stream.
 const streamFlushRows = 64
 
-// StreamSummary is the final NDJSON line of a /stream response. As on
-// /query, Alpha is the achieved ratio; Degraded marks brownout service.
-type StreamSummary struct {
-	Rows      int     `json:"rows"`
-	Eta       float64 `json:"eta"`
-	Exact     bool    `json:"exact"`
-	Alpha     float64 `json:"alpha"`
-	Accessed  int     `json:"accessed"`
-	Budget    int     `json:"budget"`
-	CacheHit  bool    `json:"cacheHit"`
-	PlanGenMS float64 `json:"planGenMs"`
-	ServedMS  float64 `json:"servedMs"`
-	// Degraded marks an answer served below the requested α by brownout.
-	Degraded bool `json:"degraded,omitempty"`
-	// RequestedAlpha is the original request's α when Degraded.
-	RequestedAlpha float64 `json:"requestedAlpha,omitempty"`
-	// BrownoutLevel is the degradation level the answer was served at.
-	BrownoutLevel int `json:"brownoutLevel,omitempty"`
-}
+// StreamSummary is the final NDJSON line of a /stream response: the same
+// metadata a /query response carries.
+type StreamSummary = AnswerMeta
 
 // streamLine is one NDJSON line of a /stream response: exactly one field is
-// set per line — columns first, then rows, then either a summary or an
-// error.
+// set per line — columns first, then rows, then the summary.
 type streamLine struct {
 	Columns []string       `json:"columns,omitempty"`
 	Row     []string       `json:"row,omitempty"`
 	Summary *StreamSummary `json:"summary,omitempty"`
-	Error   string         `json:"error,omitempty"`
 }
 
-// handleStream answers one query as NDJSON over the streaming executor.
-// Planning errors surface as a normal HTTP error before any line is
-// written; errors after the stream started (cancellation, deadline) become
-// a final {"error": ...} line, since the 200 header is already out.
+// handleStream answers one query through execute, exactly as /query does,
+// and writes the answer as NDJSON: every row, uncapped, then the summary.
+// Any failure answers its HTTP status before a line is written.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -748,57 +764,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.failures.Inc()
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	rec := obs.AuditRecord{
-		Time:           time.Now().UTC().Format(time.RFC3339Nano),
-		Event:          "stream",
-		Tag:            req.Tag,
-		SQLDigest:      obs.SQLDigest(req.SQL),
-		AlphaRequested: s.effectiveAlpha(req),
-	}
-	auditFail := func(code int, err error) {
-		rec.Status, rec.Err = code, err.Error()
-		s.cfg.Audit.Record(rec)
-	}
-	alpha, code, err := s.validate(req)
+	ans, meta, code, err := s.execute(r.Context(), req, "stream", false)
 	if err != nil {
-		s.failures.Inc()
-		auditFail(code, err)
 		httpError(w, code, err.Error())
 		return
 	}
-	level, eff, floor := s.resolveDegradation(alpha, req)
-	rec.AlphaEffective = eff
-	rec.BrownoutLevel = level
-	q, err := beas.ParseSQL(req.SQL)
-	if err != nil {
-		s.failures.Inc()
-		auditFail(http.StatusUnprocessableEntity, err)
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	opts := s.queryOptions(req, eff, floor)
-	var tr *beas.Trace
-	if s.cfg.SlowQuery > 0 {
-		tr = beas.NewTrace()
-		opts = append(opts, beas.WithTrace(tr))
-	}
-	start := time.Now()
-	st, err := s.cfg.System.QueryStream(r.Context(), q, opts...)
-	if err != nil {
-		s.failures.Inc()
-		rec.LatencyMicros = time.Since(start).Microseconds()
-		auditFail(http.StatusUnprocessableEntity, err)
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	defer st.Close()
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
@@ -808,83 +781,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-
-	var cols []string
-	for _, a := range st.Schema().Attrs {
-		cols = append(cols, a.Name)
-	}
-	_ = enc.Encode(streamLine{Columns: cols})
+	_ = enc.Encode(streamLine{Columns: columns(ans)})
 	flush()
-
-	rows := 0
-	for {
-		t, ok := st.Next()
-		if !ok {
-			break
-		}
+	for i, t := range ans.Rel.Tuples {
 		if err := enc.Encode(streamLine{Row: stringRow(t)}); err != nil {
-			// Client is gone; Close (deferred) cancels the execution.
-			s.failures.Inc()
-			rec.LatencyMicros = time.Since(start).Microseconds()
-			auditFail(http.StatusOK, fmt.Errorf("client disconnected mid-stream: %w", err))
-			return
+			return // the client is gone; the answer was already counted
 		}
-		if rows++; rows%streamFlushRows == 0 {
+		if (i+1)%streamFlushRows == 0 {
 			flush()
 		}
 	}
-	if err := st.Err(); err != nil {
-		s.failures.Inc()
-		if pe, ok := beas.IsInternalError(err); ok {
-			s.internalErrors.Inc()
-			s.log.Error("contained evaluator panic", "event", "stream", "sql_digest", rec.SQLDigest, "err", pe, "stack", string(pe.Stack))
-		}
-		rec.LatencyMicros = time.Since(start).Microseconds()
-		auditFail(http.StatusOK, err)
-		_ = enc.Encode(streamLine{Error: err.Error()})
-		flush()
-		return
-	}
-	served := time.Since(start)
-	ans, plan := st.Answer(), st.Plan()
-	sum := &StreamSummary{
-		Rows:      rows,
-		Eta:       ans.Eta,
-		Exact:     ans.Exact,
-		Alpha:     eff,
-		Accessed:  ans.Stats.Accessed,
-		Budget:    plan.Budget,
-		CacheHit:  plan.CacheHit,
-		PlanGenMS: float64(plan.GenTime.Microseconds()) / 1e3,
-		ServedMS:  float64(served.Microseconds()) / 1e3,
-	}
-	if eff < alpha {
-		sum.Degraded = true
-		sum.RequestedAlpha = alpha
-		sum.BrownoutLevel = level
-		s.degradedServed.Inc()
-	}
-	_ = enc.Encode(streamLine{Summary: sum})
+	_ = enc.Encode(streamLine{Summary: &meta})
 	flush()
-	s.queries.Inc()
 	s.streams.Inc()
-	s.latency.Observe(served.Seconds())
-	s.brown.observe(served)
-	if s.cfg.SlowQuery > 0 && served >= s.cfg.SlowQuery && tr != nil {
-		s.log.Warn("slow query", "event", "stream", "sql_digest", rec.SQLDigest,
-			"served_ms", float64(served.Microseconds())/1e3, "trace", "\n"+tr.String())
-	}
-	rec.BudgetGranted = plan.Budget
-	rec.BudgetSpent = ans.Stats.Accessed
-	rec.Eta = ans.Eta
-	rec.Exact = ans.Exact
-	rec.Truncated = ans.Stats.Truncated
-	rec.Degraded = sum.Degraded
-	rec.CacheHit = plan.CacheHit
-	rec.PlanClass = plan.Class.String()
-	rec.LatencyMicros = served.Microseconds()
-	rec.Status = http.StatusOK
-	s.cfg.Audit.Record(rec)
 }
 
 // jobWeight is the admission weight of one batch entry: its estimated
@@ -937,10 +846,10 @@ func (s *Server) runJob(j *job) {
 		ctx, cancel = context.WithDeadline(ctx, j.deadline)
 		defer cancel()
 	}
-	resp, _, err := s.execute(ctx, j.req, "batch", false)
+	ans, meta, _, err := s.execute(ctx, j.req, "batch", false)
 	switch {
 	case err == nil:
-		j.entry.QueryResponse = *resp
+		j.entry.QueryResponse = *s.response(ans, meta, false)
 	case errors.Is(err, context.DeadlineExceeded):
 		j.entry.TimedOut = true
 		j.entry.Error = "deadline exceeded mid-execution"
@@ -963,9 +872,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -1046,9 +953,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SnapshotRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	start := time.Now()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fixture"
 	"repro/internal/obs"
 
@@ -100,20 +101,24 @@ func TestQueryEndpoint(t *testing.T) {
 
 func TestQueryEndpointErrors(t *testing.T) {
 	s := testServer(t)
+	// Every case counts as one failed query, on whichever surface.
 	cases := []struct {
+		path string
 		body string
 		code int
 	}{
-		{`not json`, http.StatusBadRequest},
-		{`{}`, http.StatusBadRequest},
-		{`{"sql": "select x from", "alpha": 0.1}`, http.StatusUnprocessableEntity},
-		{`{"sql": "select p.city from person as p", "alpha": 7}`, http.StatusBadRequest},
-		{`{"sql": "select p.city from person as p", "alpha": -0.2}`, http.StatusBadRequest},
+		{"/query", `not json`, http.StatusBadRequest},
+		{"/query", `{}`, http.StatusBadRequest},
+		{"/query", `{"sql": "select x from", "alpha": 0.1}`, http.StatusUnprocessableEntity},
+		{"/query", `{"sql": "select p.city from person as p", "alpha": 7}`, http.StatusBadRequest},
+		{"/query", `{"sql": "select p.city from person as p", "alpha": -0.2}`, http.StatusBadRequest},
+		{"/batch", `not json`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		rec, _ := postQuery(t, s, c.body)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
 		if rec.Code != c.code {
-			t.Errorf("body %q: status %d, want %d (%s)", c.body, rec.Code, c.code, rec.Body)
+			t.Errorf("%s %q: status %d, want %d (%s)", c.path, c.body, rec.Code, c.code, rec.Body)
 		}
 	}
 	// GET is rejected.
@@ -573,6 +578,13 @@ func TestStreamEndpoint(t *testing.T) {
 	if summary.Eta != qresp.Eta || summary.Budget != qresp.Budget {
 		t.Errorf("summary %+v vs query %+v", summary, qresp)
 	}
+	// Both come from one execute: the summary is /query's metadata, up to
+	// the timings and the plan cache serving the second call.
+	got := *summary
+	got.CacheHit, got.PlanGenMS, got.ServedMS = qresp.CacheHit, qresp.PlanGenMS, qresp.ServedMS
+	if got != qresp.AnswerMeta {
+		t.Errorf("summary %+v != /query metadata %+v", got, qresp.AnswerMeta)
+	}
 	// The tagged call shows up in /stats.
 	recStats := httptest.NewRecorder()
 	s.handleStats(recStats, httptest.NewRequest(http.MethodGet, "/stats", nil))
@@ -611,5 +623,62 @@ func TestStreamEndpointErrors(t *testing.T) {
 	s.handleStream(rec, httptest.NewRequest(http.MethodGet, "/stream", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET status = %d", rec.Code)
+	}
+}
+
+// TestStreamFailureStatus: an execution failure answers the same HTTP
+// status on /stream as on /query — a past deadline (504), a contained
+// evaluator panic (500, counted as an internal error) and a killed cluster
+// peer (502) — because both endpoints run one execute.
+func TestStreamFailureStatus(t *testing.T) {
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
+	defer cancel()
+	cases := []struct {
+		name   string
+		server func(t *testing.T) *Server
+		ctx    context.Context
+		bodies []string
+		want   int
+	}{
+		{"past deadline", testServer, expired,
+			[]string{`{"sql": "select p.city from person as p", "alpha": 0.5}`}, http.StatusGatewayTimeout},
+		{"evaluator panic", func(t *testing.T) *Server {
+			prev := core.ExecPanicHook
+			core.ExecPanicHook = func() { panic("forced evaluator panic") }
+			t.Cleanup(func() { core.ExecPanicHook = prev })
+			return testServer(t)
+		}, context.Background(),
+			[]string{`{"sql": "select p.city from person as p", "alpha": 0.5}`}, http.StatusInternalServerError},
+		{"killed peer", func(t *testing.T) *Server {
+			s, peer := clusterServer(t)
+			peer.Close()
+			return s
+		}, context.Background(), clusterQueries, http.StatusBadGateway},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.server(t)
+			h := s.Handler()
+			status := func(path, body string) int {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(c.ctx))
+				return rec.Code
+			}
+			seen := false
+			for _, body := range c.bodies {
+				q := status("/query", body)
+				internal := s.internalErrors.Value()
+				if st := status("/stream", body); st != q {
+					t.Errorf("%s: /stream answered %d, /query %d", body, st, q)
+				}
+				if q == http.StatusInternalServerError && s.internalErrors.Value() != internal+1 {
+					t.Errorf("%s: /stream panic moved internal errors %d -> %d", body, internal, s.internalErrors.Value())
+				}
+				seen = seen || q == c.want
+			}
+			if !seen {
+				t.Errorf("no request answered %d", c.want)
+			}
+		})
 	}
 }

@@ -107,40 +107,6 @@ func TestWithTagStats(t *testing.T) {
 	}
 }
 
-// TestQueryStreamPublic: the public streaming API yields exactly the rows
-// of the one-shot Query, then exposes the full Answer.
-func TestQueryStreamPublic(t *testing.T) {
-	sys, _ := exampleSystem(t)
-	ctx := context.Background()
-	q := fixture.Q1(3, 95)
-	want, _, err := sys.Query(ctx, q, beas.WithAlpha(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := sys.QueryStream(ctx, q, beas.WithAlpha(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	i := 0
-	for {
-		tp, ok := st.Next()
-		if !ok {
-			break
-		}
-		if i >= want.Rel.Len() || !tp.EqualTuple(want.Rel.Tuples[i]) {
-			t.Fatalf("stream row %d diverged", i)
-		}
-		i++
-	}
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if i != want.Rel.Len() || st.Answer() == nil || st.Answer().Eta != want.Eta {
-		t.Fatalf("stream ended early or header diverged (%d rows of %d)", i, want.Rel.Len())
-	}
-}
-
 // TestCancelledQueryPublic: the public API surfaces ctx.Err() from a
 // cancelled call.
 func TestCancelledQueryPublic(t *testing.T) {
