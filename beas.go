@@ -200,10 +200,10 @@ type System struct {
 type PlanCacheStats = plancache.Stats
 
 // InternalError is the typed error a contained evaluator panic surfaces as:
-// crash containment (in the parallel leaf workers, the stream producer and
-// the row-emit goroutines) recovers the panic and returns it as one of
-// these instead of killing the process. Detect it with errors.As; the Stack
-// field carries the panicking goroutine's stack for the log.
+// crash containment (in the evaluator and the parallel leaf workers)
+// recovers the panic and returns it as one of these instead of killing the
+// process. Detect it with errors.As; the Stack field carries the panicking
+// goroutine's stack for the log.
 type InternalError = guard.PanicError
 
 // IsInternalError reports whether err (anywhere in its chain) is a
@@ -357,9 +357,11 @@ func WithTrace(t *Trace) Option {
 }
 
 // RegisterMetrics binds the system's instruments — plan-cache
-// effectiveness, occupancy and, for persisted systems, durability state —
+// effectiveness and occupancy, per-tag attribution (QueryStats), per-ladder
+// footprints (LadderStats) and, for persisted systems, durability state —
 // into reg. The counters registered are the very atomics the system
-// increments, so a scrape and PlanCacheStats cannot disagree.
+// increments, so a scrape and PlanCacheStats cannot disagree; the per-tag
+// and per-ladder series are computed at scrape time.
 func (s *System) RegisterMetrics(reg *MetricsRegistry) {
 	if h, m, e := s.scheme.PlanCacheCounters(); h != nil {
 		reg.RegisterCounter("beas_plancache_hits_total",
@@ -375,6 +377,40 @@ func (s *System) RegisterMetrics(reg *MetricsRegistry) {
 	reg.GaugeFunc("beas_plancache_capacity",
 		"Plan cache capacity bound.",
 		func() float64 { return float64(s.scheme.CacheStats().Cap) })
+	tag := func(stat func(TagStats) float64) func() map[string]float64 {
+		return func() map[string]float64 {
+			out := map[string]float64{}
+			for t, st := range s.QueryStats() {
+				out[t] = stat(st)
+			}
+			return out
+		}
+	}
+	reg.GaugeFuncMap("beas_tag_queries", "Successful queries per WithTag label.", "tag",
+		tag(func(st TagStats) float64 { return float64(st.Queries) }))
+	reg.GaugeFuncMap("beas_tag_errors", "Failed queries per WithTag label.", "tag",
+		tag(func(st TagStats) float64 { return float64(st.Errors) }))
+	reg.GaugeFuncMap("beas_tag_accessed_tuples", "Tuples accessed by successful queries per WithTag label.", "tag",
+		tag(func(st TagStats) float64 { return float64(st.Accessed) }))
+	reg.GaugeFuncMap("beas_tag_seconds", "Cumulative wall time of successful queries per WithTag label.", "tag",
+		tag(func(st TagStats) float64 { return st.Total.Seconds() }))
+	ladder := func(stat func(LadderStat) int) func() map[string]float64 {
+		return func() map[string]float64 {
+			out := map[string]float64{}
+			for _, l := range s.LadderStats() {
+				out[l.label(out)] = float64(stat(l))
+			}
+			return out
+		}
+	}
+	reg.GaugeFuncMap("beas_ladder_groups", "Distinct X-values indexed per ladder.", "ladder",
+		ladder(func(l LadderStat) int { return l.Groups }))
+	reg.GaugeFuncMap("beas_ladder_levels", "Template levels per ladder.", "ladder",
+		ladder(func(l LadderStat) int { return l.Levels }))
+	reg.GaugeFuncMap("beas_ladder_resident_tuples", "Representative samples materialised per ladder.", "ladder",
+		ladder(func(l LadderStat) int { return l.ResidentTuples }))
+	reg.GaugeFuncMap("beas_ladder_max_group_distinct", "Largest group's distinct-Y count per ladder.", "ladder",
+		ladder(func(l LadderStat) int { return l.MaxGroupDistinct }))
 	if s.store != nil {
 		s.store.RegisterMetrics(reg)
 	}

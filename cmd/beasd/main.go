@@ -21,11 +21,11 @@
 //	POST /query    {"sql": "select ...", "alpha": 0.05, "tag": "team-a"}
 //	               → answers + eta + access stats (alpha optional,
 //	                 defaults to -alpha; tag optional, breaks the query
-//	                 out in /stats)
-//	POST /stream   same body → NDJSON: a columns line, one line per
-//	               answer row (flushed incrementally), a final summary
-//	               line with eta + access stats; client disconnect
-//	               cancels the execution mid-flight
+//	                 out in the beas_tag_* series)
+//	POST /stream   same body, same execution → NDJSON: a columns line,
+//	               one line per answer row (uncapped, flushed every 64
+//	               rows), a final summary line with /query's metadata;
+//	               a failed execution answers /query's status
 //	POST /batch    {"queries": [{"sql": ...}, ...], "deadlineMs": 500}
 //	               → pipelined execution through a bounded request queue
 //	                 with budget-weighted admission (-budget-cap) and
@@ -37,12 +37,13 @@
 //	               process runs; crashes are contained per request)
 //	GET  /readyz   → readiness: 503 with reasons while draining, at max
 //	               brownout, or with the persistence circuit open
-//	GET  /stats    → query/batch counters, latency, in-flight budget
-//	                 weight, per-tag attribution, plan-cache stats,
-//	                 uptime, per-ladder footprints, snapshot/WAL counters,
-//	                 brownout level and shed/degraded counters
-//	GET  /metrics  → the same counters in Prometheus text exposition
-//	                 format (one registry backs both endpoints)
+//	GET  /stats    → the metrics registry as one JSON object keyed by
+//	                 series name: query/batch counters, the latency
+//	                 histogram, in-flight budget weight, per-tag
+//	                 attribution, plan-cache stats, uptime, per-ladder
+//	                 footprints, snapshot/WAL counters, brownout state
+//	GET  /metrics  → the same registry in Prometheus text exposition
+//	                 format
 //
 // Observability (see ARCHITECTURE.md §14): POST /query?debug=trace returns
 // the query's span tree alongside the answer; -slow-query-ms traces every
@@ -57,7 +58,8 @@
 // node answers any query by fanning the executor's batched fetches over the
 // ring. A peer unreachable past the retry budget fails queries routed to it
 // with 502 (typed *cluster.PeerError — never a silently partial answer),
-// trips that peer's circuit on /readyz and is visible in /stats "cluster".
+// trips that peer's circuit on /readyz and shows in the beas_cluster_peer_*
+// series.
 // With -data each node checkpoints into its own subdirectory of the shared
 // path, keyed by -node-id.
 //
@@ -135,8 +137,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "beasd: %v\n", err)
 		os.Exit(2)
 	}
-	// Contained engine panics (parallel leaves, stream producers, batch
-	// workers) become structured error events at the point of recovery,
+	// Contained engine panics (parallel leaves, batch workers, peer
+	// fetches) become structured error events at the point of recovery,
 	// even on paths that never surface through an HTTP response.
 	guard.SetReporter(func(pe *guard.PanicError) {
 		logger.Error("contained engine panic", "op", pe.Op,

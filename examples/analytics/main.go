@@ -70,7 +70,8 @@ func main() {
 	}
 
 	// Tagged calls are broken out in the system's per-tag stats — the same
-	// numbers beasd exposes per tenant on /stats.
+	// numbers beasd exposes per tenant as the beas_tag_* series of /stats
+	// and /metrics.
 	for tag, st := range sys.QueryStats() {
 		fmt.Printf("\ntag %q: %d queries, %d tuples accessed, %v total\n",
 			tag, st.Queries, st.Accessed, st.Total)

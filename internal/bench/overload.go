@@ -310,10 +310,10 @@ func measureOverload(cfg overloadConfig, mode string) (*Overload, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Shed = int64(stats.brownout("shed") - base.brownout("shed"))
-	res.InternalErrors = int64(stats.internalErrors - base.internalErrors)
-	res.FinalLevel = int(stats.brownout("level"))
-	res.LevelShifts = int64(stats.brownout("levelShifts") - base.brownout("levelShifts"))
+	res.Shed = int64(stats["beas_shed_total"] - base["beas_shed_total"])
+	res.InternalErrors = int64(stats["beas_internal_errors_total"] - base["beas_internal_errors_total"])
+	res.FinalLevel = int(stats["beas_brownout_level"])
+	res.LevelShifts = int64(stats["beas_brownout_level_shifts"] - base["beas_brownout_level_shifts"])
 
 	res.Elapsed = elapsed
 	if elapsed > 0 {
@@ -330,30 +330,23 @@ func measureOverload(cfg overloadConfig, mode string) (*Overload, error) {
 	return res, nil
 }
 
-// overloadStats is the slice of /stats the harness reads back.
-type overloadStats struct {
-	internalErrors float64
-	brownoutMap    map[string]any
-}
-
-func (s *overloadStats) brownout(key string) float64 {
-	v, _ := s.brownoutMap[key].(float64)
-	return v
-}
-
-// fetchStats decodes the overload-relevant counters from GET /stats.
-func fetchStats(client *http.Client, base string) (*overloadStats, error) {
+// fetchStats decodes the unlabelled series of GET /stats (the metrics
+// registry, keyed by series name) that the harness reads back.
+func fetchStats(client *http.Client, base string) (map[string]float64, error) {
 	resp, err := client.Get(base + "/stats")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var body struct {
-		InternalErrors float64        `json:"internalErrors"`
-		Brownout       map[string]any `json:"brownout"`
-	}
+	var body map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		return nil, fmt.Errorf("decode stats: %w", err)
 	}
-	return &overloadStats{internalErrors: body.InternalErrors, brownoutMap: body.Brownout}, nil
+	out := make(map[string]float64, len(body))
+	for name, v := range body {
+		if n, ok := v.(float64); ok {
+			out[name] = n
+		}
+	}
+	return out, nil
 }

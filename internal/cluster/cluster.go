@@ -19,8 +19,8 @@
 // exponential-backoff retries and a per-peer circuit breaker. A fetch that
 // cannot be completed aborts the query with a typed *PeerError — never a
 // silently wrong or partial answer — and an open circuit surfaces through
-// Node.Ready (the /readyz reasons list) and Node.Stats (the /stats cluster
-// section). Handler panics are contained by internal/guard.
+// Node.Ready (the /readyz reasons list) and the per-peer series of
+// Node.RegisterMetrics. Handler panics are contained by internal/guard.
 package cluster
 
 import (
@@ -118,7 +118,7 @@ type Node struct {
 	order []string
 
 	// Routing and serving counters are registry instruments (see
-	// RegisterMetrics): /stats and /metrics read these same atomics.
+	// RegisterMetrics): /metrics and /stats render these same atomics.
 	served     obs.Counter // /internal/fetch requests answered
 	servedRows obs.Counter // sample rows shipped to peers
 	localXs    obs.Counter // X-values resolved from the local ladders

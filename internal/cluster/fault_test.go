@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/fixture"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -77,9 +78,14 @@ func TestPeerRefusedConnection(t *testing.T) {
 	if reasons := tc.nodes[0].Ready(); len(reasons) == 0 || !strings.Contains(reasons[0], "b-node") {
 		t.Fatalf("node not reporting the open circuit: %v", reasons)
 	}
-	st := tc.nodes[0].Stats()
-	if st["open_circuits"].(int) == 0 {
-		t.Fatalf("stats do not show the open circuit: %v", st)
+	reg := obs.NewRegistry()
+	tc.nodes[0].RegisterMetrics(reg)
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), `beas_cluster_peer_circuit_open{peer="b-node"} 1`) {
+		t.Fatalf("metrics do not show the open circuit:\n%s", text.String())
 	}
 }
 

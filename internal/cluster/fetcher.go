@@ -48,14 +48,14 @@ const maxRetryBackoff = 500 * time.Millisecond
 // latWindow is the per-peer latency ring size backing the p95 estimate.
 const latWindow = 64
 
-// peer is the client-side state for one remote node: counters for /stats
-// and the circuit breaker protecting the fetch path.
+// peer is the client-side state for one remote node: counters for the
+// metrics registry and the circuit breaker protecting the fetch path.
 type peer struct {
 	id  string
 	url string
 
-	// The call counters are registry instruments (atomics) so /stats and
-	// /metrics read identical values; see Node.RegisterMetrics.
+	// The call counters are registry instruments (atomics); see
+	// Node.RegisterMetrics.
 	fetches   obs.Counter // completed RPC calls (success or final failure)
 	retries   obs.Counter // individual attempt retries
 	failures  obs.Counter // calls failed past the retry budget

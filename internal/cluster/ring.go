@@ -123,7 +123,7 @@ func (r *Ring) Owner(key uint64) string {
 }
 
 // Shares returns each node's share of the keyspace as a fraction in [0,1],
-// for the /stats ring-assignment section.
+// for the beas_cluster_ring_share series.
 func (r *Ring) Shares() map[string]float64 {
 	out := make(map[string]float64, len(r.nodes))
 	if len(r.points) == 0 {

@@ -7,61 +7,16 @@ import (
 	"repro/internal/obs"
 )
 
-// PeerStats is one peer's client-side counters, as rendered in the /stats
-// cluster section.
-type PeerStats struct {
-	URL         string `json:"url"`
-	Fetches     int64  `json:"fetches"`
-	Retries     int64  `json:"retries"`
-	Failures    int64  `json:"failures"`
-	FastFails   int64  `json:"circuit_fast_fails"`
-	CircuitOpen bool   `json:"circuit_open"`
-	P95Micros   int64  `json:"remote_p95_micros"`
-}
-
-// Stats returns the node's cluster counters as the JSON-ready map
-// internal/serve embeds in /stats: ring assignment (per-node keyspace
-// shares), served-fetch totals, local/remote routing splits and per-peer
-// fetch/retry/failure/circuit/p95 numbers.
-func (n *Node) Stats() map[string]any {
-	now := time.Now()
-	peers := make(map[string]PeerStats, len(n.order))
-	openCircuits := 0
-	for _, id := range n.order {
-		p := n.peers[id]
-		ps := PeerStats{
-			URL:       p.url,
-			Fetches:   int64(p.fetches.Value()),
-			Retries:   int64(p.retries.Value()),
-			Failures:  int64(p.failures.Value()),
-			FastFails: int64(p.fastFails.Value()),
-		}
-		p.mu.Lock()
-		ps.CircuitOpen = !p.openUntil.IsZero() && now.Before(p.openUntil)
-		p.mu.Unlock()
-		ps.P95Micros = p.p95Micros()
-		if ps.CircuitOpen {
-			openCircuits++
-		}
-		peers[id] = ps
-	}
-	return map[string]any{
-		"node_id":        n.cfg.NodeID,
-		"nodes":          len(n.order) + 1,
-		"ring_shares":    n.ring.Shares(),
-		"served_fetches": n.served.Value(),
-		"served_rows":    n.servedRows.Value(),
-		"local_xs":       n.localXs.Value(),
-		"remote_xs":      n.remoteXs.Value(),
-		"open_circuits":  openCircuits,
-		"peers":          peers,
-	}
-}
-
-// RegisterMetrics binds the node's routing counters and per-peer client
-// state into reg: the counters are the very atomics Stats reads, and the
-// circuit/p95 series are computed at scrape time from the breaker state.
+// RegisterMetrics binds the node's ring assignment, routing counters and
+// per-peer client state into reg: the counters are the node's own atomics,
+// and the circuit/p95 series are computed at scrape time from the breaker
+// state.
 func (n *Node) RegisterMetrics(reg *obs.Registry) {
+	reg.Gauge("beas_cluster_nodes", "Nodes in the cluster ring, this one included.").Set(int64(len(n.order) + 1))
+	for node, share := range n.ring.Shares() {
+		reg.GaugeFuncVec("beas_cluster_ring_share", "Share of the group keyspace each node owns.", "node", node,
+			func() float64 { return share })
+	}
 	reg.RegisterCounter("beas_cluster_served_fetches_total",
 		"Cluster fetch RPCs answered for peers.", &n.served)
 	reg.RegisterCounter("beas_cluster_served_rows_total",

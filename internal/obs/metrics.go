@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -135,13 +136,16 @@ type series struct {
 
 // family is all series sharing one metric name.
 type family struct {
-	name    string
-	help    string
-	kind    metricKind
-	label   string // label name, empty for singleton families
-	mu      sync.Mutex
-	series  []*series
-	byLabel map[string]*series
+	name  string
+	help  string
+	kind  metricKind
+	label string // label name, empty for singleton families
+	// computed, when set, produces the family's series at scrape time
+	// (see GaugeFuncMap); series and byLabel then stay empty.
+	computed func() map[string]float64
+	mu       sync.Mutex
+	series   []*series
+	byLabel  map[string]*series
 }
 
 // adopt binds caller-owned instruments as the series for labelVal,
@@ -320,6 +324,48 @@ func (r *Registry) GaugeFuncVec(name, help, label, labelVal string, fn func() fl
 	r.family(name, help, kindGaugeFunc, label).get(labelVal).fn = fn
 }
 
+// GaugeFuncMap registers a computed one-label gauge family: fn is
+// evaluated at scrape time and returns the current value per label value.
+// Use it for series whose label set is derived state (per-tag attribution,
+// per-ladder footprints) so nothing is maintained on the query path.
+func (r *Registry) GaugeFuncMap(name, help, label string, fn func() map[string]float64) {
+	f := r.family(name, help, kindGaugeFunc, label)
+	f.mu.Lock()
+	f.computed = fn
+	f.mu.Unlock()
+}
+
+// walk visits every family with series, sorted by name, with its series
+// sorted by label value — the one traversal both renderings share.
+// Computed families are evaluated here.
+func (r *Registry) walk(visit func(f *family, ser []*series)) {
+	r.mu.RLock()
+	fams := make([]*family, 0, len(r.fams))
+	for _, f := range r.fams {
+		fams = append(fams, f)
+	}
+	r.mu.RUnlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+
+	for _, f := range fams {
+		f.mu.Lock()
+		ser := make([]*series, len(f.series))
+		copy(ser, f.series)
+		computed := f.computed
+		f.mu.Unlock()
+		if computed != nil {
+			for lv, v := range computed() {
+				ser = append(ser, &series{labelVal: lv, fn: func() float64 { return v }})
+			}
+		}
+		if len(ser) == 0 {
+			continue
+		}
+		sort.Slice(ser, func(i, j int) bool { return ser[i].labelVal < ser[j].labelVal })
+		visit(f, ser)
+	}
+}
+
 // escapeHelp escapes a HELP string per the exposition format.
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
@@ -349,25 +395,8 @@ func formatFloat(v float64) string {
 // format (text/plain; version=0.0.4), families sorted by name, series by
 // label value.
 func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.fams))
-	for n := range r.fams {
-		names = append(names, n)
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-
 	var b strings.Builder
-	for _, n := range names {
-		r.mu.RLock()
-		f := r.fams[n]
-		r.mu.RUnlock()
-		f.mu.Lock()
-		ser := make([]*series, len(f.series))
-		copy(ser, f.series)
-		f.mu.Unlock()
-		sort.Slice(ser, func(i, j int) bool { return ser[i].labelVal < ser[j].labelVal })
-
+	r.walk(func(f *family, ser []*series) {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		for _, s := range ser {
@@ -381,18 +410,73 @@ func (r *Registry) WriteText(w io.Writer) error {
 			case kindGauge:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, lbl, s.gauge.Value())
 			case kindGaugeFunc:
-				v := 0.0
-				if s.fn != nil {
-					v = s.fn()
-				}
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, lbl, formatFloat(v))
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, lbl, formatFloat(s.value()))
 			case kindHistogram:
 				writeHistogram(&b, f.name, s.hist)
 			}
 		}
-	}
+	})
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// value is a computed series' current sample (0 before its function is
+// bound).
+func (s *series) value() float64 {
+	if s.fn == nil {
+		return 0
+	}
+	return s.fn()
+}
+
+// WriteJSON renders every family as one JSON object keyed by family name,
+// from the same walk as WriteText: an unlabelled series is a number, a
+// labelled family an object from label value to number, and a histogram an
+// object with its count, sum and cumulative buckets keyed by upper bound
+// (as in the le label). A non-finite computed value renders as null.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	out := map[string]any{}
+	r.walk(func(f *family, ser []*series) {
+		if f.kind == kindHistogram {
+			out[f.name] = histogramJSON(ser[0].hist)
+			return
+		}
+		if f.label == "" {
+			out[f.name] = jsonNumber(f.kind, ser[0])
+			return
+		}
+		byLabel := make(map[string]any, len(ser))
+		for _, s := range ser {
+			byLabel[s.labelVal] = jsonNumber(f.kind, s)
+		}
+		out[f.name] = byLabel
+	})
+	return json.NewEncoder(w).Encode(out)
+}
+
+func jsonNumber(kind metricKind, s *series) any {
+	switch kind {
+	case kindCounter:
+		return s.counter.Value()
+	case kindGauge:
+		return s.gauge.Value()
+	}
+	v := s.value()
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return nil
+	}
+	return v
+}
+
+func histogramJSON(h *Histogram) map[string]any {
+	buckets := make(map[string]uint64, len(h.bounds)+1)
+	var cum uint64
+	for i, bound := range h.bounds {
+		cum += h.counts[i].Load()
+		buckets[formatFloat(bound)] = cum
+	}
+	buckets["+Inf"] = cum + h.counts[len(h.bounds)].Load()
+	return map[string]any{"count": h.Count(), "sum": h.Sum(), "buckets": buckets}
 }
 
 func writeHistogram(b *strings.Builder, name string, h *Histogram) {
@@ -413,5 +497,14 @@ func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WriteText(w)
+	})
+}
+
+// JSONHandler returns an http.Handler serving the registry as WriteJSON
+// renders it — the daemon mounts it at GET /stats.
+func (r *Registry) JSONHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = r.WriteJSON(w)
 	})
 }

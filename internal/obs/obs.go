@@ -1,6 +1,7 @@
 // Package obs is the engine's observability substrate: query-scoped span
-// traces, a dependency-free Prometheus-text-exposition metrics registry,
-// a structured NDJSON audit log, and a small leveled logger.
+// traces, a dependency-free metrics registry rendered as Prometheus text
+// exposition or JSON, a structured NDJSON audit log, and a small leveled
+// logger.
 //
 // The package is deliberately self-contained (stdlib only) and designed
 // around two cost rules:

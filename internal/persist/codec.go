@@ -41,10 +41,10 @@ import (
 // stream per attribute, dictionary-coded strings, validity bitmaps) instead
 // of row-at-a-time value records: snapshots shrink (categorical attributes
 // collapse into a dictionary plus small indexes) and a warm start decodes
-// flat arrays instead of one tagged value at a time. Version 1 files decode
-// unchanged through the retained row-format reader; writers always emit
-// version 2. Values round-trip kind-exact through blocks, so the derivable()
-// spelling check and byte-identical warm-start answers are unaffected.
+// flat arrays instead of one tagged value at a time. Readers reject the
+// row-format version 1. Values round-trip kind-exact through blocks, so
+// the derivable() spelling check and byte-identical warm-start answers are
+// unaffected.
 //
 // Two references keep the warm path linear instead of re-decoding the same
 // tuples repeatedly, mirroring the sharing the in-memory structures already
@@ -70,13 +70,9 @@ const SnapshotFile = "snapshot.beas"
 // format version. Readers reject any other version.
 var snapshotMagic = [8]byte{'B', 'E', 'A', 'S', 'S', 'N', 'A', 'P'}
 
-// snapshotVersion is the current snapshot format version, written by every
-// encode; snapshotVersionV1 is the legacy row-format version the reader
-// still accepts.
-const (
-	snapshotVersion   = 2
-	snapshotVersionV1 = 1
-)
+// snapshotVersion is the snapshot format version written by every encode
+// and the only one decodes accept.
+const snapshotVersion = 2
 
 // headerLen is the fixed byte length of the snapshot file header.
 const headerLen = 8 + 4 + 8 + 4
@@ -380,9 +376,6 @@ type decoder struct {
 	data []byte
 	off  int
 	path string
-	// version is the file format version being decoded; bulk tuple data is
-	// row-encoded at snapshotVersionV1 and block-encoded from version 2 on.
-	version int
 
 	valArena   []relation.Value
 	floatArena []float64
@@ -620,11 +613,10 @@ func (d *decoder) deriveItems(rel *relSnapshot, l *access.LadderSnapshot, wantIt
 	return nil
 }
 
-// decodeSnapshot parses payload bytes of the given format version (header
-// already stripped and checksum-verified). path is used for error reporting
-// only.
-func decodeSnapshot(path string, payload []byte, version int) (*snapshot, error) {
-	d := &decoder{data: payload, path: path, version: version}
+// decodeSnapshot parses payload bytes (header already stripped and
+// checksum-verified). path is used for error reporting only.
+func decodeSnapshot(path string, payload []byte) (*snapshot, error) {
+	d := &decoder{data: payload, path: path}
 	s := &snapshot{}
 	var err error
 	if s.appliedSeq, err = d.uvarint(); err != nil {
@@ -644,30 +636,14 @@ func decodeSnapshot(path string, payload []byte, version int) (*snapshot, error)
 		if r.attrs, err = d.strings(); err != nil {
 			return nil, err
 		}
-		if d.version >= 2 {
-			blk, err := d.block()
-			if err != nil {
-				return nil, err
-			}
-			if blk.Width() != len(r.attrs) {
-				return nil, d.fail("relation %s block width %d != %d attributes", r.name, blk.Width(), len(r.attrs))
-			}
-			r.tuples = blk.Tuples()
-			continue
-		}
-		nT, err := d.count(1)
+		blk, err := d.block()
 		if err != nil {
 			return nil, err
 		}
-		r.tuples = make([]relation.Tuple, nT)
-		for j := range r.tuples {
-			if r.tuples[j], err = d.tuple(); err != nil {
-				return nil, err
-			}
-			if len(r.tuples[j]) != len(r.attrs) {
-				return nil, d.fail("relation %s tuple arity %d != %d", r.name, len(r.tuples[j]), len(r.attrs))
-			}
+		if blk.Width() != len(r.attrs) {
+			return nil, d.fail("relation %s block width %d != %d attributes", r.name, blk.Width(), len(r.attrs))
 		}
+		r.tuples = blk.Tuples()
 	}
 
 	nLadders, err := d.count(2)
@@ -719,7 +695,7 @@ func decodeSnapshot(path string, payload []byte, version int) (*snapshot, error)
 			if g.Key, err = d.tuple(); err != nil {
 				return nil, err
 			}
-			if mode == itemsExplicit && d.version >= 2 {
+			if mode == itemsExplicit {
 				blk, err := d.block()
 				if err != nil {
 					return nil, err
@@ -732,23 +708,6 @@ func decodeSnapshot(path string, payload []byte, version int) (*snapshot, error)
 				g.Items = make([]kdtree.Item, nItems)
 				for j := range g.Items {
 					g.Items[j].Tuple = tuples[j]
-					c, err := d.count(0)
-					if err != nil {
-						return nil, err
-					}
-					g.Items[j].Count = c
-				}
-				wantItems[gi] = nItems
-			} else if mode == itemsExplicit {
-				nItems, err := d.count(2)
-				if err != nil {
-					return nil, err
-				}
-				g.Items = make([]kdtree.Item, nItems)
-				for j := range g.Items {
-					if g.Items[j].Tuple, err = d.tuple(); err != nil {
-						return nil, err
-					}
 					c, err := d.count(0)
 					if err != nil {
 						return nil, err
@@ -821,7 +780,7 @@ func decodeSnapshotFile(path string, data []byte) (*snapshot, error) {
 		return nil, corruptf(path, "bad magic %q", data[:8])
 	}
 	version := binary.LittleEndian.Uint32(data[8:12])
-	if version != snapshotVersion && version != snapshotVersionV1 {
+	if version != snapshotVersion {
 		return nil, corruptf(path, "unsupported snapshot version %d", version)
 	}
 	plen := binary.LittleEndian.Uint64(data[12:20])
@@ -833,7 +792,7 @@ func decodeSnapshotFile(path string, data []byte) (*snapshot, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, corruptf(path, "payload checksum mismatch")
 	}
-	return decodeSnapshot(path, payload, int(version))
+	return decodeSnapshot(path, payload)
 }
 
 // --- snapshot capture and restore ----------------------------------------

@@ -4,8 +4,7 @@ import "repro/internal/obs"
 
 // RegisterMetrics binds the store's durability state into reg as computed
 // series evaluated at scrape time from the same mutex-guarded bookkeeping
-// Stats snapshots — /stats and /metrics therefore render one source of
-// truth. The WAL record/byte series are gauges, not counters: a checkpoint
+// Stats snapshots, so the registry and Stats cannot disagree. The WAL record/byte series are gauges, not counters: a checkpoint
 // truncates the live log, and a failed append rolls the count back.
 func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("beas_persist_seq",
@@ -41,6 +40,11 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("beas_persist_warm_start",
 		"Whether the store opened from an existing snapshot (0/1).",
 		func() float64 { return boolGauge(s.Stats().WarmStart) })
+	for _, state := range []string{StateHealthy, StateRetrying, StateCircuitOpen} {
+		reg.GaugeFuncVec("beas_persist_checkpoint_state",
+			"Checkpoint circuit state (1 for the current state, 0 for the others).", "state", state,
+			func() float64 { return boolGauge(s.Stats().CheckpointState == state) })
+	}
 	reg.GaugeFunc("beas_persist_last_checkpoint_unix",
 		"Unix time of the last successful checkpoint (0 before the first).",
 		func() float64 {

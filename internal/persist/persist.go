@@ -166,7 +166,8 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Stats is a point-in-time snapshot of a store's counters, for /stats.
+// Stats is a point-in-time snapshot of a store's counters, read by the
+// metrics registry (RegisterMetrics) and /readyz.
 type Stats struct {
 	// Dir is the persistence directory.
 	Dir string

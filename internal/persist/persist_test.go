@@ -3,11 +3,14 @@ package persist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/access"
@@ -231,6 +234,20 @@ func TestLoadErrorKinds(t *testing.T) {
 	_, _, err := Load(ctx, testDB(), dir, 0)
 	if ce := (*CorruptError)(nil); !errors.As(err, &ce) {
 		t.Errorf("damaged snapshot: got %v, want *CorruptError", err)
+	}
+
+	// A well-formed header of the retired row-format version 1 is refused
+	// by version, before its payload is looked at.
+	v1 := append([]byte(nil), snapshotMagic[:]...)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, 0)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(nil))
+	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Load(ctx, testDB(), dir, 0)
+	if ce := (*CorruptError)(nil); !errors.As(err, &ce) || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Errorf("version-1 snapshot: got %v, want *CorruptError (unsupported snapshot version 1)", err)
 	}
 }
 

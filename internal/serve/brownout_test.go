@@ -199,11 +199,10 @@ func TestBrownoutDegradesQuery(t *testing.T) {
 		t.Errorf("brownout-off response: status %d, %+v", rec.Code, resp)
 	}
 
-	// Degradation and shed counters surface under /stats "brownout".
+	// The mode and the degradation counter surface on /stats.
 	st := statsBody(t, s)
-	bo := st["brownout"].(map[string]any)
-	if bo["mode"] != "1" || bo["degradedServed"].(float64) < 2 {
-		t.Errorf("brownout stats = %v", bo)
+	if stat(t, st, "beas_brownout_mode", "1") != 1 || stat(t, st, "beas_degraded_total") < 2 {
+		t.Errorf("brownout mode %v, degraded %v", st["beas_brownout_mode"], st["beas_degraded_total"])
 	}
 }
 
@@ -232,9 +231,8 @@ func TestBrownoutShedding(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("stream at level 3: status %d, want 503", rec.Code)
 	}
-	bo := statsBody(t, s3)["brownout"].(map[string]any)
-	if bo["shed"].(float64) < 2 {
-		t.Errorf("shed counter = %v, want >= 2", bo["shed"])
+	if shed := stat(t, statsBody(t, s3), "beas_shed_total"); shed < 2 {
+		t.Errorf("shed counter = %v, want >= 2", shed)
 	}
 }
 
@@ -294,7 +292,7 @@ func TestEvaluatorPanicRegression(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking query: status %d, want 500\n%s", rec.Code, rec.Body)
 	}
-	if got := statsBody(t, s)["internalErrors"].(float64); got < 1 {
+	if got := stat(t, statsBody(t, s), "beas_internal_errors_total"); got < 1 {
 		t.Fatalf("internalErrors = %v after contained panic, want >= 1", got)
 	}
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -70,7 +69,7 @@ var clusterQueries = []string{
 
 // TestClusterServeHealthy pins the happy path: with the peer up, queries
 // answer 200 through the routed fetcher, /readyz is ready, and /stats
-// carries the cluster section with the ring assignment.
+// carries the ring assignment and the routed fetches.
 func TestClusterServeHealthy(t *testing.T) {
 	s, _ := clusterServer(t)
 	for _, body := range clusterQueries {
@@ -84,25 +83,13 @@ func TestClusterServeHealthy(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("readyz %d with healthy peer: %s", rec.Code, rec.Body)
 	}
-	rec = httptest.NewRecorder()
-	s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var st struct {
-		Cluster struct {
-			NodeID     string             `json:"node_id"`
-			Nodes      int                `json:"nodes"`
-			RingShares map[string]float64 `json:"ring_shares"`
-			RemoteXs   int64              `json:"remote_xs"`
-			Peers      map[string]cluster.PeerStats
-		} `json:"cluster"`
+	st := statsBody(t, s)
+	shares, _ := st["beas_cluster_ring_share"].(map[string]any)
+	if stat(t, st, "beas_cluster_nodes") != 2 || len(shares) != 2 {
+		t.Fatalf("cluster ring malformed: nodes %v, shares %v", st["beas_cluster_nodes"], shares)
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("bad stats JSON: %v", err)
-	}
-	if st.Cluster.NodeID != "a" || st.Cluster.Nodes != 2 || len(st.Cluster.RingShares) != 2 {
-		t.Fatalf("cluster section malformed: %+v", st.Cluster)
-	}
-	if st.Cluster.RemoteXs == 0 || st.Cluster.Peers["b"].Fetches == 0 {
-		t.Fatalf("no remote fetches recorded; routing did not engage: %+v", st.Cluster)
+	if stat(t, st, "beas_cluster_remote_xs_total") == 0 || stat(t, st, "beas_cluster_peer_fetches_total", "b") == 0 {
+		t.Fatalf("no remote fetches recorded; routing did not engage: %v", st)
 	}
 }
 
@@ -143,18 +130,8 @@ func TestClusterServePeerDown(t *testing.T) {
 		t.Fatalf("readyz reasons do not name the peer: %s", rec.Body)
 	}
 
-	rec = httptest.NewRecorder()
-	s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var st struct {
-		Cluster struct {
-			OpenCircuits int `json:"open_circuits"`
-			Peers        map[string]cluster.PeerStats
-		} `json:"cluster"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("bad stats JSON: %v", err)
-	}
-	if st.Cluster.OpenCircuits == 0 || st.Cluster.Peers["b"].Failures == 0 {
-		t.Fatalf("stats do not surface the dead peer: %+v", st.Cluster)
+	st := statsBody(t, s)
+	if stat(t, st, "beas_cluster_peer_circuit_open", "b") != 1 || stat(t, st, "beas_cluster_peer_failures_total", "b") == 0 {
+		t.Fatalf("stats do not surface the dead peer: %v", st)
 	}
 }

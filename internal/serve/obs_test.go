@@ -6,8 +6,8 @@ package serve
 //     validates the full text exposition format with a strict in-test
 //     parser (CI runs this as the exposition-format gate).
 //   - TestStatsMetricsAgree replays traffic and asserts /stats and
-//     /metrics report identical numbers — the two endpoints are two
-//     renderings of the same registry atomics and must never drift.
+//     /metrics report the same samples and nothing else — the two
+//     endpoints are two renderings of one registry walk.
 //   - TestAuditRecordsMatchAnswers replays a corpus with auditing on and
 //     checks one NDJSON record per request whose budget_spent/eta match
 //     the answer the client received.
@@ -265,12 +265,59 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestStatsMetricsAgree replays mixed traffic (queries, a failure, a
-// stream, a batch) and asserts every number /stats reports is identical
-// to its /metrics family — the registry-adoption design makes the two
-// endpoints read the same atomics, and this pins that down.
+// metricPaths maps every sample of a parsed /metrics scrape to its place in
+// the /stats JSON: an unlabelled sample to its family name, a labelled one
+// to (family, label value) and a histogram's samples to (family, "count"),
+// (family, "sum") and (family, "buckets", le).
+func metricPaths(fams map[string]*expoFamily) map[string]float64 {
+	unescape := strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
+	le := regexp.MustCompile(`le="([^"]+)"`)
+	out := map[string]float64{}
+	for name, f := range fams {
+		for key, v := range f.samples {
+			path := key
+			switch {
+			case f.typ == "histogram" && key == name+"_count":
+				path = name + "/count"
+			case f.typ == "histogram" && key == name+"_sum":
+				path = name + "/sum"
+			case f.typ == "histogram":
+				path = name + "/buckets/" + le.FindStringSubmatch(key)[1]
+			case strings.Contains(key, "{"):
+				_, lbl, _ := strings.Cut(key, `="`)
+				path = name + "/" + unescape.Replace(strings.TrimSuffix(lbl, `"}`))
+			}
+			out[path] = v
+		}
+	}
+	return out
+}
+
+// statsPaths flattens a /stats body the same way: one path per number.
+func statsPaths(prefix string, v any, out map[string]float64) {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, sub := range v {
+			p := k
+			if prefix != "" {
+				p = prefix + "/" + k
+			}
+			statsPaths(p, sub, out)
+		}
+	case float64:
+		out[prefix] = v
+	default:
+		out[prefix] = math.NaN() // null (a non-finite gauge) or a stray non-number
+	}
+}
+
+// TestStatsMetricsAgree replays mixed traffic on a persisted server
+// (queries, a failure, a tagged stream, a batch) and asserts /stats is the
+// registry: every /metrics sample has an equal /stats value and /stats
+// holds nothing else. Values that move between scrapes (uptime, decaying
+// pressure) must lie between two /metrics scrapes taken around /stats.
 func TestStatsMetricsAgree(t *testing.T) {
-	s := testServer(t)
+	s, _ := persistedServer(t)
 
 	postQuery(t, s, `{"sql": "select p.city from person as p where p.pid = 3", "alpha": 0.5}`)
 	postQuery(t, s, `{"sql": "select p.city from person as p where p.pid = 3", "alpha": 0.5}`)
@@ -281,115 +328,55 @@ func TestStatsMetricsAgree(t *testing.T) {
 		{"sql": "select also broken", "alpha": 0.2}
 	]}`)
 	req := httptest.NewRequest(http.MethodPost, "/stream",
-		strings.NewReader(`{"sql": "select h.address from poi as h where h.type = 'hotel'", "alpha": 0.5}`))
+		strings.NewReader(`{"sql": "select h.address from poi as h where h.type = 'hotel'", "alpha": 0.5, "tag": "ndjson"}`))
 	recStream := httptest.NewRecorder()
 	s.handleStream(recStream, req)
 	if recStream.Code != http.StatusOK {
 		t.Fatalf("stream: %d: %s", recStream.Code, recStream.Body)
 	}
 
-	recStats := httptest.NewRecorder()
-	s.handleStats(recStats, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var stats struct {
-		Queries        float64 `json:"queries"`
-		Failures       float64 `json:"failures"`
-		Streams        float64 `json:"streams"`
-		AvgLatencyMs   float64 `json:"avgLatencyMs"`
-		InternalErrors float64 `json:"internalErrors"`
-		Brownout       struct {
-			Level          float64 `json:"level"`
-			LevelShifts    float64 `json:"levelShifts"`
-			DegradedServed float64 `json:"degradedServed"`
-			Shed           float64 `json:"shed"`
-		} `json:"brownout"`
-		Batch struct {
-			Batches        float64 `json:"batches"`
-			Enqueued       float64 `json:"enqueued"`
-			Completed      float64 `json:"completed"`
-			Rejected       float64 `json:"rejected"`
-			Expired        float64 `json:"expired"`
-			Cancelled      float64 `json:"cancelled"`
-			QueueDepth     float64 `json:"queueDepth"`
-			QueueCap       float64 `json:"queueCap"`
-			InFlightBudget float64 `json:"inFlightBudget"`
-		} `json:"batch"`
-		PlanCache struct {
-			Hits      float64 `json:"hits"`
-			Misses    float64 `json:"misses"`
-			Evictions float64 `json:"evictions"`
-			Len       float64 `json:"len"`
-			Cap       float64 `json:"cap"`
-		} `json:"planCache"`
-	}
-	if err := json.Unmarshal(recStats.Body.Bytes(), &stats); err != nil {
-		t.Fatalf("bad /stats JSON: %v\n%s", err, recStats.Body)
-	}
-
-	recMetrics := httptest.NewRecorder()
-	s.Handler().ServeHTTP(recMetrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if recMetrics.Code != http.StatusOK {
-		t.Fatalf("GET /metrics: %d", recMetrics.Code)
-	}
-	fams := parseExposition(t, recMetrics.Body.String())
-	metric := func(name string) float64 {
+	scrape := func() map[string]float64 {
 		t.Helper()
-		f, ok := fams[name]
-		if !ok {
-			t.Fatalf("family %s missing from /metrics", name)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /metrics: %d", rec.Code)
 		}
-		v, ok := f.samples[name]
-		if !ok {
-			t.Fatalf("family %s has no unlabelled sample", name)
-		}
-		return v
+		return metricPaths(parseExposition(t, rec.Body.String()))
 	}
+	before := scrape()
+	stats := map[string]float64{}
+	statsPaths("", statsBody(t, s), stats)
+	after := scrape()
 
-	pairs := []struct {
-		stat   float64
-		metric string
-	}{
-		{stats.Queries, "beas_queries_total"},
-		{stats.Failures, "beas_query_failures_total"},
-		{stats.Streams, "beas_streams_total"},
-		{stats.InternalErrors, "beas_internal_errors_total"},
-		{stats.Brownout.Level, "beas_brownout_level"},
-		{stats.Brownout.LevelShifts, "beas_brownout_level_shifts"},
-		{stats.Brownout.DegradedServed, "beas_degraded_total"},
-		{stats.Brownout.Shed, "beas_shed_total"},
-		{stats.Batch.Batches, "beas_batch_batches_total"},
-		{stats.Batch.Enqueued, "beas_batch_enqueued_total"},
-		{stats.Batch.Completed, "beas_batch_completed_total"},
-		{stats.Batch.Rejected, "beas_batch_rejected_total"},
-		{stats.Batch.Expired, "beas_batch_expired_total"},
-		{stats.Batch.Cancelled, "beas_batch_cancelled_total"},
-		{stats.Batch.QueueDepth, "beas_batch_queue_depth"},
-		{stats.Batch.QueueCap, "beas_batch_queue_cap"},
-		{stats.Batch.InFlightBudget, "beas_batch_inflight_budget"},
-		{stats.PlanCache.Hits, "beas_plancache_hits_total"},
-		{stats.PlanCache.Misses, "beas_plancache_misses_total"},
-		{stats.PlanCache.Evictions, "beas_plancache_evictions_total"},
-		{stats.PlanCache.Len, "beas_plancache_entries"},
-		{stats.PlanCache.Cap, "beas_plancache_capacity"},
+	for path, lo := range before {
+		hi := after[path]
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		got, ok := stats[path]
+		switch {
+		case !ok:
+			t.Errorf("/metrics %s = %v is missing from /stats", path, hi)
+		case math.IsNaN(lo) && math.IsNaN(got):
+		case !(lo <= got && got <= hi):
+			t.Errorf("%s: /stats %v, /metrics %v..%v", path, got, lo, hi)
+		}
 	}
-	for _, p := range pairs {
-		if got := metric(p.metric); got != p.stat {
-			t.Errorf("%s: /metrics %v != /stats %v", p.metric, got, p.stat)
+	for path, v := range stats {
+		if _, ok := before[path]; !ok {
+			t.Errorf("/stats %s = %v has no /metrics sample", path, v)
 		}
 	}
 	// The traffic actually moved the needles (the agreement is not 0 == 0).
-	if stats.Queries == 0 || stats.Failures == 0 || stats.Streams == 0 ||
-		stats.Batch.Completed == 0 || stats.PlanCache.Hits == 0 {
-		t.Errorf("replay left instruments at zero: %+v", stats)
-	}
-	// avgLatencyMs is derived from the histogram both ways.
-	h := fams["beas_query_duration_seconds"]
-	count := h.samples["beas_query_duration_seconds_count"]
-	sum := h.samples["beas_query_duration_seconds_sum"]
-	if count != stats.Queries {
-		t.Errorf("duration histogram count %v != queries %v", count, stats.Queries)
-	}
-	if want := sum / count * 1e3; math.Abs(stats.AvgLatencyMs-want) > 1e-9 {
-		t.Errorf("avgLatencyMs %v != histogram sum/count*1e3 %v", stats.AvgLatencyMs, want)
+	for _, path := range []string{
+		"beas_queries_total", "beas_query_failures_total", "beas_streams_total",
+		"beas_batch_completed_total", "beas_plancache_hits_total", "beas_tag_queries/ndjson",
+		"beas_query_duration_seconds/count", "beas_persist_snapshots",
+	} {
+		if stats[path] == 0 {
+			t.Errorf("replay left %s at zero", path)
+		}
 	}
 }
 

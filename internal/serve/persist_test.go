@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -43,11 +44,11 @@ func persistedServer(t *testing.T) (*Server, string) {
 	return s, dir
 }
 
-// statsBody fetches and decodes /stats.
+// statsBody fetches and decodes GET /stats.
 func statsBody(t *testing.T, s *Server) map[string]any {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats status %d", rec.Code)
 	}
@@ -58,40 +59,57 @@ func statsBody(t *testing.T, s *Server) map[string]any {
 	return body
 }
 
+// stat reads one number from a /stats body: the named unlabelled series,
+// or with a label value, that series of a labelled family.
+func stat(t *testing.T, body map[string]any, name string, label ...string) float64 {
+	t.Helper()
+	v := body[name]
+	if len(label) == 1 {
+		byLabel, _ := v.(map[string]any)
+		v = byLabel[label[0]]
+	}
+	n, ok := v.(float64)
+	if !ok {
+		t.Fatalf("/stats has no number at %s %v: %v", name, label, body[name])
+	}
+	return n
+}
+
 // /stats must expose uptime, per-ladder footprints, and — on a persisted
 // system — the snapshot/WAL counters operators size thresholds with.
 func TestStatsUptimeLaddersPersist(t *testing.T) {
 	s, _ := persistedServer(t)
 	body := statsBody(t, s)
 
-	if up, ok := body["uptimeSec"].(float64); !ok || up < 0 {
-		t.Errorf("uptimeSec = %v", body["uptimeSec"])
+	if up := stat(t, body, "beas_uptime_seconds"); up < 0 {
+		t.Errorf("uptime = %v", up)
 	}
-	ladders, ok := body["ladders"].([]any)
-	if !ok || len(ladders) == 0 {
-		t.Fatalf("ladders = %v", body["ladders"])
+	groups, _ := body["beas_ladder_groups"].(map[string]any)
+	if len(groups) == 0 {
+		t.Fatalf("beas_ladder_groups = %v", body["beas_ladder_groups"])
 	}
-	first, _ := ladders[0].(map[string]any)
-	for _, key := range []string{"relation", "groups", "levels", "residentTuples", "shards"} {
-		if _, ok := first[key]; !ok {
-			t.Errorf("ladder entry missing %q: %v", key, first)
+	for ladder := range groups {
+		for _, fam := range []string{"beas_ladder_levels", "beas_ladder_resident_tuples", "beas_ladder_max_group_distinct"} {
+			stat(t, body, fam, ladder)
 		}
 	}
-	ps, ok := body["persist"].(map[string]any)
-	if !ok {
-		t.Fatalf("persist = %v", body["persist"])
+	if _, ok := groups["person(pid->city)"]; !ok {
+		t.Errorf("no series for the person(pid->city) ladder: %v", groups)
 	}
-	if n, _ := ps["snapshots"].(float64); n < 1 {
-		t.Errorf("snapshots = %v, want ≥ 1 (the cold-start snapshot)", ps["snapshots"])
+	if n := stat(t, body, "beas_persist_snapshots"); n < 1 {
+		t.Errorf("snapshots = %v, want ≥ 1 (the cold-start snapshot)", n)
 	}
-	if _, ok := ps["walRecords"]; !ok {
-		t.Error("persist stats missing walRecords")
+	stat(t, body, "beas_persist_wal_records")
+	if stat(t, body, "beas_persist_checkpoint_state", "healthy") != 1 {
+		t.Errorf("checkpoint state = %v, want healthy", body["beas_persist_checkpoint_state"])
 	}
 
-	// An in-memory system reports no persist section.
+	// An in-memory system reports no persistence series.
 	mem := testServer(t)
-	if body := statsBody(t, mem); body["persist"] != nil {
-		t.Errorf("in-memory persist = %v, want null", body["persist"])
+	for name := range statsBody(t, mem) {
+		if strings.HasPrefix(name, "beas_persist_") {
+			t.Errorf("in-memory /stats has %s", name)
+		}
 	}
 }
 
@@ -108,9 +126,11 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	ps, _ := resp["persist"].(map[string]any)
-	if n, _ := ps["checkpoints"].(float64); n < 2 { // cold-start + this one
-		t.Errorf("checkpoints = %v, want ≥ 2", ps["checkpoints"])
+	if resp["status"] != "ok" || resp["dir"] != "" || len(resp) != 3 {
+		t.Errorf("snapshot response = %v, want status, dir and tookMs", resp)
+	}
+	if n := stat(t, statsBody(t, s), "beas_persist_checkpoints"); n < 2 { // cold-start + this one
+		t.Errorf("checkpoints = %v, want ≥ 2", n)
 	}
 
 	// Standalone copy into another directory.
@@ -187,5 +207,52 @@ func TestCloseDrainsBatchQueue(t *testing.T) {
 		if e.Rows == 0 && len(e.Columns) == 0 {
 			t.Fatalf("entry %d has no result after drain", i)
 		}
+	}
+}
+
+// A persistence circuit opened by a failing checkpoint takes the server
+// out of rotation, and the /readyz reason carries the checkpoint's error.
+func TestReadinessNamesCheckpointError(t *testing.T) {
+	dir := t.TempDir()
+	db := fixture.Example1(11, 120, 80)
+	sys, err := beas.OpenPersisted(context.Background(), db, dir,
+		beas.WithSchemaBuilder(fixture.SchemaA0), beas.WithCheckpointRetries(1), beas.WithPersistLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	s, err := New(Config{System: sys, DBSize: db.Size()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+
+	// A plain file where the directory was makes every checkpoint fail.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.handleSnapshot(rec, httptest.NewRequest(http.MethodPost, "/snapshot", strings.NewReader("")))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("checkpoint over a file: status %d: %s", rec.Code, rec.Body)
+	}
+	ckptErr := sys.PersistStats().CheckpointErr
+	rec = httptest.NewRecorder()
+	s.handleReadyz(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	var ready struct {
+		Reasons []string `json:"reasons"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &ready); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusServiceUnavailable || ckptErr == "" || len(ready.Reasons) != 1 ||
+		!strings.Contains(ready.Reasons[0], "persistence circuit open") || !strings.Contains(ready.Reasons[0], ckptErr) {
+		t.Fatalf("readyz %d %v, want 503 naming the open circuit and %q", rec.Code, ready.Reasons, ckptErr)
+	}
+	if stat(t, statsBody(t, s), "beas_persist_checkpoint_state", "circuit-open") != 1 {
+		t.Errorf("checkpoint state = %v, want circuit-open", statsBody(t, s)["beas_persist_checkpoint_state"])
 	}
 }

@@ -30,16 +30,14 @@
 // POST /snapshot is the operator's durability knob: it checkpoints a
 // persisted system into its own directory (truncating the WAL) or writes a
 // standalone snapshot copy to a requested directory. GET /healthz reports
-// liveness plus dataset shape; GET /stats reports serving counters, queue
-// pressure (including the in-flight budget weight), per-tag query
-// attribution, plan-cache effectiveness, process uptime, per-ladder
-// resident footprints and — when the system is persisted — the snapshot/WAL
-// counters of the durability layer.
+// liveness plus dataset shape. GET /metrics renders the metrics registry in
+// Prometheus text format and GET /stats renders the same registry walk as
+// JSON, so the two cannot disagree.
 //
 // When Config.Cluster is set, the node's /internal/fetch RPC (see
-// internal/cluster) rides the same mux, /stats grows a cluster section,
-// open peer circuits fail /readyz, and a query that dies on an unreachable
-// peer answers 502 with the typed *cluster.PeerError text.
+// internal/cluster) rides the same mux, its series join the registry, open
+// peer circuits fail /readyz, and a query that dies on an unreachable peer
+// answers 502 with the typed *cluster.PeerError text.
 package serve
 
 import (
@@ -110,15 +108,15 @@ type Config struct {
 	// Cluster, when non-nil, makes this server a member of a multi-node
 	// deployment: its /internal/fetch RPC is mounted on the same mux, a
 	// *cluster.PeerError maps to 502 Bad Gateway, open peer circuits fail
-	// /readyz and /stats grows a cluster section. The embedder still wires
+	// /readyz and its series join the registry. The embedder still wires
 	// the node's Fetcher into ExecOptions (beas.WithRemoteFetcher) — serve
 	// only exposes the node, it does not reroute execution by itself.
 	Cluster *cluster.Node
 
 	// Registry receives every serving instrument and is mounted at GET
-	// /metrics in Prometheus text exposition format. The serving counters
-	// live IN the registry (handlers increment registry-owned atomics), so
-	// /stats and /metrics cannot disagree. Nil builds a private registry.
+	// /metrics (Prometheus text) and GET /stats (JSON). The serving
+	// counters live IN the registry (handlers increment registry-owned
+	// atomics). Nil builds a private registry.
 	Registry *obs.Registry
 	// Audit, when non-nil, receives one structured AuditRecord per query
 	// on every serving surface (/query, /stream, each /batch entry),
@@ -174,7 +172,7 @@ type QueryRequest struct {
 	// brownout degradation may not shrink its effective α (optional;
 	// defaults to the server-wide BrownoutConfig.MinAlpha).
 	MinAlpha float64 `json:"minAlpha,omitempty"`
-	// Tag attributes the query in the per-tag stats of /stats (optional).
+	// Tag attributes the query in the per-tag series (optional).
 	Tag string `json:"tag,omitempty"`
 }
 
@@ -262,9 +260,7 @@ type job struct {
 // System. Create with New, release with Close.
 //
 // Every serving counter is an instrument owned by the metrics registry:
-// handlers increment the same atomics /metrics scrapes and /stats reads, so
-// the two endpoints render one source of truth by construction (there is no
-// shadow bookkeeping to drift).
+// handlers increment the atomics /metrics and /stats render.
 type Server struct {
 	cfg     Config
 	started time.Time
@@ -348,7 +344,7 @@ func New(cfg Config) (*Server, error) {
 // binds the engine's own (plan cache, persistence, cluster) so one GET
 // /metrics scrape covers the full stack. Derived state — brownout level,
 // queue pressure, uptime — is exported as computed gauges evaluated at
-// scrape time from the same controller /stats reads.
+// scrape time.
 func (s *Server) registerMetrics() {
 	r := s.reg
 	s.queries = r.Counter("beas_queries_total", "Queries answered successfully (all serving surfaces).")
@@ -382,6 +378,11 @@ func (s *Server) registerMetrics() {
 		}
 		return 0
 	})
+	r.GaugeFunc("beas_brownout_smoothed_pressure", "Moving average of the pressure that the step-down decision reads.", s.brown.smoothed)
+	r.GaugeFunc("beas_brownout_min_alpha", "Server-wide floor below which brownout may not shrink α.", func() float64 { return s.brown.cfg.MinAlpha })
+	r.GaugeFuncVec("beas_brownout_mode", "Brownout controller mode (1 for the configured mode).", "mode", s.brown.cfg.Mode, func() float64 { return 1 })
+	r.Gauge("beas_batch_workers", "Batch worker-pool size.").Set(int64(s.cfg.Workers))
+	r.Gauge("beas_batch_budget_cap", "Cap on the summed admission weight of unfinished batch jobs.").Set(int64(s.cfg.BudgetCap))
 	r.GaugeFunc("beas_uptime_seconds", "Seconds since the server started.", func() float64 { return time.Since(s.started).Seconds() })
 	if s.cfg.Audit != nil {
 		r.GaugeFunc("beas_audit_written", "Audit records delivered to the sink.", func() float64 { return float64(s.cfg.Audit.Written()) })
@@ -419,9 +420,10 @@ func (s *Server) Close() {
 }
 
 // Handler returns the route mux: /query, /stream, /batch, /snapshot,
-// /healthz (liveness), /readyz (readiness), /stats, /metrics (Prometheus
-// text exposition) — every route wrapped in the panic-recovery middleware,
-// so a handler crash answers 500 and leaves the process serving.
+// /healthz (liveness), /readyz (readiness), /stats (the registry as JSON),
+// /metrics (Prometheus text exposition) — every route wrapped in the
+// panic-recovery middleware, so a handler crash answers 500 and leaves the
+// process serving.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -430,7 +432,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/stats", s.handleStats)
+	mux.Handle("/stats", s.reg.JSONHandler())
 	mux.Handle("/metrics", s.reg.Handler())
 	if s.cfg.Cluster != nil {
 		mux.Handle(cluster.FetchPath, s.cfg.Cluster.Handler())
@@ -775,24 +777,21 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	// A writer that cannot flush (none in net/http) just buffers: Flush
+	// errors are ignored, and a lost client shows as an Encode error.
+	rc := http.NewResponseController(w)
 	_ = enc.Encode(streamLine{Columns: columns(ans)})
-	flush()
+	_ = rc.Flush()
 	for i, t := range ans.Rel.Tuples {
 		if err := enc.Encode(streamLine{Row: stringRow(t)}); err != nil {
 			return // the client is gone; the answer was already counted
 		}
 		if (i+1)%streamFlushRows == 0 {
-			flush()
+			_ = rc.Flush()
 		}
 	}
 	_ = enc.Encode(streamLine{Summary: &meta})
-	flush()
+	_ = rc.Flush()
 	s.streams.Inc()
 }
 
@@ -827,9 +826,11 @@ func (s *Server) admit(w int64) bool {
 // abandoned at the executor's next cancellation point — an expired job no
 // longer burns a worker to completion.
 func (s *Server) runJob(j *job) {
+	// Deferred calls run last-first: the job's weight and completion are
+	// booked before wg.Done lets the batch handler answer.
+	defer j.wg.Done()
 	defer s.completed.Inc()
 	defer s.inflight.Add(-j.weight)
-	defer j.wg.Done()
 	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
 		j.entry.TimedOut = true
 		j.entry.Error = "deadline exceeded before execution"
@@ -974,10 +975,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
-		"status":  "ok",
-		"dir":     req.Dir,
-		"tookMs":  float64(time.Since(start).Microseconds()) / 1e3,
-		"persist": persistStats(s.cfg.System),
+		"status": "ok",
+		"dir":    req.Dir,
+		"tookMs": float64(time.Since(start).Microseconds()) / 1e3,
 	})
 }
 
@@ -1013,10 +1013,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.System.Persisted() {
 		ps := s.cfg.System.PersistStats()
 		if ps.CircuitOpen {
-			reasons = append(reasons, "persistence circuit open: serving memory-only")
+			reasons = append(reasons, fmt.Sprintf("persistence circuit open: serving memory-only (last checkpoint error: %s)", ps.CheckpointErr))
 		}
 		if ps.WALDegraded {
-			reasons = append(reasons, "WAL degraded: mutations refused")
+			reasons = append(reasons, fmt.Sprintf("WAL degraded: mutations refused (%s)", ps.WALError))
 		}
 	}
 	if s.cfg.Cluster != nil {
@@ -1030,139 +1030,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
-}
-
-// persistStats renders a system's durability counters for the JSON
-// endpoints; nil when the system is not persisted.
-func persistStats(sys *beas.System) map[string]any {
-	if !sys.Persisted() {
-		return nil
-	}
-	ps := sys.PersistStats()
-	out := map[string]any{
-		"dir":             ps.Dir,
-		"warmStart":       ps.WarmStart,
-		"seq":             ps.Seq,
-		"walRecords":      ps.WALRecords,
-		"walBytes":        ps.WALBytes,
-		"replayed":        ps.Replayed,
-		"skippedReplay":   ps.SkippedReplay,
-		"snapshots":       ps.Snapshots,
-		"checkpoints":     ps.Checkpoints,
-		"checkpointState": ps.CheckpointState,
-	}
-	if !ps.LastCheckpoint.IsZero() {
-		out["lastCheckpointUnix"] = ps.LastCheckpoint.Unix()
-	}
-	if ps.CheckpointErr != "" {
-		out["checkpointErr"] = ps.CheckpointErr
-		out["checkpointFailures"] = ps.CheckpointFailures
-	}
-	if ps.CircuitOpen {
-		out["circuitOpen"] = true
-	}
-	if ps.WALDegraded {
-		out["walDegraded"] = true
-		out["walError"] = ps.WALError
-	}
-	return out
-}
-
-// ladderStats renders the per-ladder resident footprint, so operators can
-// size snapshot thresholds against what a snapshot would actually carry.
-func ladderStats(sys *beas.System) []map[string]any {
-	var out []map[string]any
-	for _, l := range sys.LadderStats() {
-		out = append(out, map[string]any{
-			"relation":         l.Relation,
-			"x":                l.X,
-			"y":                l.Y,
-			"shards":           l.Shards,
-			"groups":           l.Groups,
-			"levels":           l.Levels,
-			"residentTuples":   l.ResidentTuples,
-			"maxGroupDistinct": l.MaxGroupDistinct,
-		})
-	}
-	return out
-}
-
-// handleStats renders the JSON operator dashboard. It reads the same
-// registry instruments /metrics exposes — the endpoints are two renderings
-// of one set of atomics, which TestStatsMetricsAgree pins down.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	ok := s.queries.Value()
-	var avgMS float64
-	if n := s.latency.Count(); n > 0 {
-		avgMS = s.latency.Sum() / float64(n) * 1e3
-	}
-	cache := s.cfg.System.PlanCacheStats()
-	tags := map[string]any{}
-	for tag, st := range s.cfg.System.QueryStats() {
-		tags[tag] = map[string]any{
-			"queries":  st.Queries,
-			"errors":   st.Errors,
-			"accessed": st.Accessed,
-			"totalMs":  float64(st.Total.Microseconds()) / 1e3,
-		}
-	}
-	level, shifts := s.brown.snapshot()
-	var clusterSection map[string]any
-	if s.cfg.Cluster != nil {
-		clusterSection = s.cfg.Cluster.Stats()
-	}
-	var auditSection map[string]any
-	if s.cfg.Audit != nil {
-		auditSection = map[string]any{
-			"written": s.cfg.Audit.Written(),
-			"dropped": s.cfg.Audit.Dropped(),
-		}
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"cluster":        clusterSection,
-		"queries":        ok,
-		"failures":       s.failures.Value(),
-		"streams":        s.streams.Value(),
-		"avgLatencyMs":   avgMS,
-		"uptimeSec":      time.Since(s.started).Seconds(),
-		"internalErrors": s.internalErrors.Value(),
-		"persist":        persistStats(s.cfg.System),
-		"ladders":        ladderStats(s.cfg.System),
-		"audit":          auditSection,
-		"brownout": map[string]any{
-			"mode":           s.brown.cfg.Mode,
-			"level":          level,
-			"levelShifts":    shifts,
-			"pressure":       s.pressure(),
-			"smoothed":       s.brown.smoothed(),
-			"minAlphaFloor":  s.brown.cfg.MinAlpha,
-			"degradedServed": s.degradedServed.Value(),
-			"shed":           s.shed.Value(),
-			"draining":       s.draining.Load(),
-		},
-		"batch": map[string]any{
-			"batches":        s.batches.Value(),
-			"enqueued":       s.enqueued.Value(),
-			"completed":      s.completed.Value(),
-			"rejected":       s.rejected.Value(),
-			"expired":        s.expired.Value(),
-			"cancelled":      s.cancelled.Value(),
-			"queueDepth":     len(s.queue),
-			"queueCap":       cap(s.queue),
-			"workers":        s.cfg.Workers,
-			"budgetCap":      s.cfg.BudgetCap,
-			"inFlightBudget": s.inflight.Value(),
-		},
-		"tags": tags,
-		"planCache": map[string]any{
-			"hits":      cache.Hits,
-			"misses":    cache.Misses,
-			"evictions": cache.Evictions,
-			"len":       cache.Len,
-			"cap":       cache.Cap,
-			"hitRate":   cache.HitRate(),
-		},
-	})
 }
 
 // httpError answers a JSON error body. It stays a plain function (no

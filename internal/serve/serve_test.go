@@ -147,22 +147,15 @@ func TestHealthzAndStats(t *testing.T) {
 	postQuery(t, s, `{"sql": "select p.city from person as p"}`)
 	postQuery(t, s, `{"sql": "select p.city from person as p"}`)
 
-	rec = httptest.NewRecorder()
-	s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var stats map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
+	stats := statsBody(t, s)
+	if got := stat(t, stats, "beas_queries_total"); got != 2 {
+		t.Errorf("queries = %v", got)
 	}
-	if stats["queries"].(float64) != 2 {
-		t.Errorf("queries = %v", stats["queries"])
+	if got := stat(t, stats, "beas_plancache_hits_total"); got < 1 {
+		t.Errorf("plan cache hits = %v", got)
 	}
-	cache := stats["planCache"].(map[string]any)
-	if cache["hits"].(float64) < 1 {
-		t.Errorf("cache stats = %v", cache)
-	}
-	batch := stats["batch"].(map[string]any)
-	if batch["queueCap"].(float64) != 256 {
-		t.Errorf("batch stats = %v", batch)
+	if got := stat(t, stats, "beas_batch_queue_cap"); got != 256 {
+		t.Errorf("queue cap = %v", got)
 	}
 }
 
@@ -447,15 +440,9 @@ func TestBatchWeightedAdmissionEndToEnd(t *testing.T) {
 		t.Errorf("in-flight weight after batch = %d, want 0", got)
 	}
 	// The cap and the (now zero) in-flight weight are visible on /stats.
-	recStats := httptest.NewRecorder()
-	s.handleStats(recStats, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var stats map[string]any
-	if err := json.Unmarshal(recStats.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	batch := stats["batch"].(map[string]any)
-	if batch["budgetCap"].(float64) != float64(db.Size()) || batch["inFlightBudget"].(float64) != 0 {
-		t.Errorf("stats batch = %v", batch)
+	stats := statsBody(t, s)
+	if stat(t, stats, "beas_batch_budget_cap") != float64(db.Size()) || stat(t, stats, "beas_batch_inflight_budget") != 0 {
+		t.Errorf("budget cap %v, in-flight %v", stats["beas_batch_budget_cap"], stats["beas_batch_inflight_budget"])
 	}
 }
 
@@ -586,15 +573,8 @@ func TestStreamEndpoint(t *testing.T) {
 		t.Errorf("summary %+v != /query metadata %+v", got, qresp.AnswerMeta)
 	}
 	// The tagged call shows up in /stats.
-	recStats := httptest.NewRecorder()
-	s.handleStats(recStats, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var stats map[string]any
-	if err := json.Unmarshal(recStats.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	tags := stats["tags"].(map[string]any)
-	if _, ok := tags["ndjson"]; !ok {
-		t.Errorf("tag missing from stats: %v", tags)
+	if got := stat(t, statsBody(t, s), "beas_tag_queries", "ndjson"); got != 2 {
+		t.Errorf("tagged queries = %v, want 2 (the /query and the /stream call)", got)
 	}
 }
 

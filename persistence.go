@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/access"
 	"repro/internal/persist"
@@ -247,7 +248,7 @@ func (s *System) Close() error {
 }
 
 // LadderStat describes one ladder's resident footprint, for operators
-// sizing snapshot thresholds (see /stats in cmd/beasd).
+// sizing snapshot thresholds (the beas_ladder_* series of RegisterMetrics).
 type LadderStat struct {
 	// Relation, X and Y identify the ladder R(X → Y, ·, ·).
 	Relation string
@@ -264,6 +265,19 @@ type LadderStat struct {
 	// MaxGroupDistinct is the largest group's distinct-Y count (the N of
 	// the ladder's access-constraint view).
 	MaxGroupDistinct int
+}
+
+// label names the ladder in metric series, "relation(X->Y)", with a "#n"
+// suffix for the nth repeat of a name already in seen.
+func (l LadderStat) label(seen map[string]float64) string {
+	name := l.Relation + "(" + strings.Join(l.X, ",") + "->" + strings.Join(l.Y, ",") + ")"
+	base := name
+	for n := 2; ; n++ {
+		if _, dup := seen[name]; !dup {
+			return name
+		}
+		name = fmt.Sprintf("%s#%d", base, n)
+	}
 }
 
 // LadderStats returns the per-ladder footprint of the system's access

@@ -2,7 +2,6 @@ package beas_test
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -219,66 +218,6 @@ func TestWarmStartSkipsGeneration(t *testing.T) {
 	// double the dataset.
 	if err := shell2.Populate(seed); err == nil {
 		t.Fatal("Populate on a snapshot-restored dataset should fail")
-	}
-}
-
-// TestWarmStartFromV1Snapshot pins on-disk back-compat across the columnar
-// snapshot format change. testdata/snapshot_v1/snapshot.beas is a checked-in
-// pre-columnar (version-1, row-encoded) snapshot of the corpus fixture,
-// written before block encoding existed. The v2-capable decoder must
-// warm-start from it — the cold-build path must not run — and the restored
-// system must answer the whole soundness corpus byte-identically to a
-// freshly built in-memory one. The fixture is copied into a temp dir first
-// because opening attaches a WAL beside the snapshot.
-func TestWarmStartFromV1Snapshot(t *testing.T) {
-	ctx := context.Background()
-	src, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1", persist.SnapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Guard the fixture itself: if it is ever regenerated with a current
-	// encoder this test silently stops covering the legacy decode path.
-	if got := binary.LittleEndian.Uint32(src[8:12]); got != 1 {
-		t.Fatalf("fixture is snapshot version %d, want 1 — restore the pre-columnar file", got)
-	}
-
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, persist.SnapshotFile), src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := beas.OpenPersisted(ctx, corpusDB(), dir,
-		beas.WithPersistShards(1),
-		beas.WithSchemaBuilder(func(*beas.Database) (*beas.AccessSchema, error) {
-			return nil, fmt.Errorf("cold build must not run: the v1 snapshot must warm-start")
-		}))
-	if err != nil {
-		t.Fatalf("warm open from v1 snapshot: %v", err)
-	}
-	defer warm.Close()
-	if !warm.PersistStats().WarmStart {
-		t.Fatal("open was not a warm start")
-	}
-
-	db := corpusDB()
-	as, err := fixture.SchemaA0Sharded(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := beas.Open(db, as)
-	assertSameAnswers(t, "v1-compat", fresh, warm)
-
-	// A rewrite from the restored state upgrades the file to the current
-	// version: old snapshots are readable forever, never written back.
-	dir2 := t.TempDir()
-	if err := warm.Snapshot(ctx, dir2); err != nil {
-		t.Fatalf("re-snapshot: %v", err)
-	}
-	out, err := os.ReadFile(filepath.Join(dir2, persist.SnapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint32(out[8:12]); got != 2 {
-		t.Fatalf("re-snapshot wrote version %d, want 2", got)
 	}
 }
 
