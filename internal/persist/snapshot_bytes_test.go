@@ -20,21 +20,24 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/snapshot_digests.json from the current codec")
 
 // TestSnapshotBytesPinned pins the version-2 snapshot file bytes, by sha256,
-// of three deterministic systems — the TPCH fixture (sf=1) with its declared
+// of four deterministic systems — the TPCH fixture (sf=1) with its declared
 // ladders, the Example 1 database the randomized corpus runs on, and the
-// edge-shape corpus database — each built at 1 and 4 shards. The in-memory
-// index may change shape freely; the bytes it serialises to may not, so
-// snapshots written before and after such a change load interchangeably.
+// edge-shape corpus database, each built at 1 and 4 shards, and the
+// maintained explicitSystem, the only one whose snapshot encodes a ladder's
+// items explicitly. The in-memory index may change shape freely; the bytes
+// it serialises to may not, so snapshots written before and after such a
+// change load interchangeably.
 //
 // Regenerate (only when the file format changes on purpose) with:
 //
 //	go test ./internal/persist -run TestSnapshotBytesPinned -update-golden
 func TestSnapshotBytesPinned(t *testing.T) {
 	systems := []struct {
-		name  string
-		build func(shards int) (*relation.Database, *access.Schema, error)
+		name   string
+		shards []int
+		build  func(shards int) (*relation.Database, *access.Schema, error)
 	}{
-		{"tpch", func(shards int) (*relation.Database, *access.Schema, error) {
+		{"tpch", []int{1, 4}, func(shards int) (*relation.Database, *access.Schema, error) {
 			d := workload.TPCH(1, 3)
 			as, err := access.BuildAtSharded(d.DB, shards)
 			if err != nil {
@@ -47,25 +50,36 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			}
 			return d.DB, as, nil
 		}},
-		{"corpus", func(shards int) (*relation.Database, *access.Schema, error) {
+		{"corpus", []int{1, 4}, func(shards int) (*relation.Database, *access.Schema, error) {
 			db := fixture.Example1(7, 120, 80)
 			as, err := fixture.SchemaA0Sharded(db, shards)
 			return db, as, err
 		}},
-		{"edge", func(shards int) (*relation.Database, *access.Schema, error) {
+		{"edge", []int{1, 4}, func(shards int) (*relation.Database, *access.Schema, error) {
 			db := corpus.EdgeDB()
 			as, err := fixture.SchemaA0Sharded(db, shards)
 			return db, as, err
 		}},
+		{"explicit", []int{1}, func(shards int) (*relation.Database, *access.Schema, error) {
+			return explicitSystem(t, shards)
+		}},
 	}
 	got := map[string]string{}
 	for _, sys := range systems {
-		for _, shards := range []int{1, 4} {
+		for _, shards := range sys.shards {
 			db, as, err := sys.build(shards)
 			if err != nil {
 				t.Fatalf("%s@%d: %v", sys.name, shards, err)
 			}
-			data, err := encodeSnapshotFile(captureSnapshot(db, as, 5))
+			snap := captureSnapshot(db, as, 5)
+			if sys.name == "explicit" {
+				l := &snap.ladders[len(snap.ladders)-1]
+				if derivable(snap.ladderRel(l.RelName), l) {
+					t.Fatalf("explicit@%d: ladder %s(%v -> %v) is derivable; the system no longer covers explicit item encoding",
+						shards, l.RelName, l.X, l.Y)
+				}
+			}
+			data, err := encodeSnapshotFile(snap)
 			if err != nil {
 				t.Fatalf("%s@%d: encode: %v", sys.name, shards, err)
 			}
@@ -104,5 +118,62 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		if want[name] != sum {
 			t.Errorf("%s: snapshot bytes changed (sha256 %.12s, pinned %.12s)", name, sum, want[name])
 		}
+	}
+}
+
+// explicitSystem is a maintained system whose r(a → b) ladder's item lists
+// are not the X-grouped projections of r in relation order, so a snapshot
+// must encode them explicitly. A delete claims the first tuple of r equal to
+// it, (1,2,20), but the first item of group a=1 equal to its projection (2),
+// which came from (1,2,10): the group's list and the relation then disagree
+// on order. Column b holds ints, strings, nulls and a float across the
+// groups, so a column over every group's items mixes kinds while most
+// groups' items do not, and group a=6 holds only nulls. The ladders are the generic At (one X = ∅ group per relation) and
+// r(a → b).
+func explicitSystem(t testing.TB, shards int) (*relation.Database, *access.Schema, error) {
+	t.Helper()
+	db := relation.NewDatabase()
+	r := relation.NewRelation(relation.MustSchema("r",
+		relation.Attr("a", relation.KindInt, relation.Trivial()),
+		relation.Attr("b", relation.KindInt, relation.Numeric(4)),
+		relation.Attr("c", relation.KindInt, relation.Numeric(10)),
+	))
+	i, s, f, null := relation.Int, relation.String, relation.Float, relation.Null
+	r.MustAppend(
+		relation.Tuple{i(1), i(2), i(10)},
+		relation.Tuple{i(1), i(3), i(11)},
+		relation.Tuple{i(1), i(2), i(20)},
+		relation.Tuple{i(2), s("x"), i(30)},
+		relation.Tuple{i(2), s("y"), i(31)},
+		relation.Tuple{i(3), null(), i(40)},
+		relation.Tuple{i(3), null(), i(41)},
+		relation.Tuple{i(4), f(2.5), i(50)},
+		relation.Tuple{i(4), i(7), i(51)},
+	)
+	db.MustAdd(r)
+	as, err := access.BuildAtSharded(db, shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := as.ExtendSharded(db, "r", []string{"a"}, []string{"b"}, shards); err != nil {
+		return nil, nil, err
+	}
+	for _, batch := range explicitBatches() {
+		if _, err := as.Apply(db, batch); err != nil {
+			return nil, nil, err
+		}
+	}
+	return db, as, nil
+}
+
+// explicitBatches are the Apply batches explicitSystem runs after its build.
+func explicitBatches() [][]access.Op {
+	i, s := relation.Int, relation.String
+	ins := func(t ...relation.Value) access.Op { return access.Op{Kind: access.OpInsert, Rel: "r", Tuple: t} }
+	del := func(t ...relation.Value) access.Op { return access.Op{Kind: access.OpDelete, Rel: "r", Tuple: t} }
+	return [][]access.Op{
+		{del(i(1), i(2), i(20))},
+		{ins(i(5), i(9), i(60)), ins(i(2), s("z"), i(32)), del(i(2), s("x"), i(30)), ins(i(6), relation.Null(), i(70))},
+		{ins(i(1), i(2), i(21)), ins(i(3), i(8), i(42)), del(i(4), i(7), i(51))},
 	}
 }
