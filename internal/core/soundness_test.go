@@ -121,7 +121,7 @@ func TestEtaSoundTPCHQ1Pinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans, p, err := s.AnswerContext(t.Context(), q, ExecOptions{Alpha: 0.01, ExplainEta: true})
+		ans, p, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: 0.01, ExplainEta: true})
 		if err != nil {
 			t.Fatalf("pprice<=%g ship>=%d: %v", v.pprice, v.ship, err)
 		}

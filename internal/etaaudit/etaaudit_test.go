@@ -1,6 +1,7 @@
 package etaaudit
 
 import (
+	"context"
 	"flag"
 	"reflect"
 	"strings"
@@ -16,7 +17,7 @@ func TestAuditSweep(t *testing.T) {
 	if testing.Short() {
 		cfg = ShortConfig()
 	}
-	rep, err := Run(t.Context(), cfg)
+	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestAuditOnlyFilter(t *testing.T) {
 	cfg.Datasets = []string{"corpus"}
 	cfg.Alphas = []float64{0.1}
 	cfg.Only = "corpus:3"
-	rep, err := Run(t.Context(), cfg)
+	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +92,12 @@ func TestReproCommandParses(t *testing.T) {
 
 // TestAuditBadConfig rejects unrunnable configurations.
 func TestAuditBadConfig(t *testing.T) {
-	if _, err := Run(t.Context(), Config{}); err == nil {
+	if _, err := Run(context.Background(), Config{}); err == nil {
 		t.Fatal("empty config should fail")
 	}
 	cfg := DefaultConfig()
 	cfg.Datasets = []string{"nope"}
-	if _, err := Run(t.Context(), cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("unknown dataset should fail")
 	}
 }
