@@ -6,19 +6,20 @@ import (
 	"runtime"
 	"slices"
 
-	"repro/internal/kdtree"
 	"repro/internal/relation"
 )
 
 // This file implements batched incremental maintenance: a sequence of
-// insert/delete operations is applied to the base relations and to the
-// owning groups' tuple lists first, and every dirty group is rebuilt exactly
-// once at the end. A storm of updates hitting one hot group therefore costs
-// one rebuild instead of one per update, and one pass over the relation and
-// over the group instead of one per delete — the amortisation the per-op
-// path cannot provide — and the final ladder state is identical to applying
-// the operations one at a time (asserted by TestBatchApplyMatchesSequential). The WAL replay of internal/persist runs
-// through this path, which is what keeps crash recovery fast.
+// insert/delete operations is applied to the base relations and resolved
+// against the owning groups' items first, and every dirty group gets its
+// new item range and is rebuilt exactly once at the end. A storm of updates
+// hitting one hot group therefore costs one rebuild instead of one per
+// update, and one pass over the relation and over the group instead of one
+// per delete — the amortisation the per-op path cannot provide — and the
+// final ladder state is identical to applying the operations one at a time
+// (asserted by TestBatchApplyMatchesSequential). The WAL replay of
+// internal/persist runs through this path, which is what keeps crash
+// recovery fast.
 
 // OpKind identifies one maintenance operation kind.
 type OpKind uint8
@@ -51,16 +52,9 @@ type Op struct {
 	Tuple relation.Tuple
 }
 
-// dirtyGroups tracks the groups of one ladder touched by a batch, in
-// first-touch order.
-type dirtyGroups struct {
-	seen *relation.TupleSet
-	keys []relation.Tuple
-}
-
 // pendingDelete is a delete of a batch waiting for the one pass that
 // resolves it: against its relation's tuples first, then — carrying the
-// tuple actually removed — against the tuple list of each ladder group that
+// tuple actually removed — against the items of each ladder group that
 // tuple belongs to.
 type pendingDelete struct {
 	op    int            // position in the batch: only tuples inserted by earlier ops are visible
@@ -68,8 +62,9 @@ type pendingDelete struct {
 	hit   int            // position of the tuple claimed, -1 when there is none
 }
 
-// inserted records where a batch's inserts landed in a tuple list: every
-// position from base on holds the tuple appended by op births[position−base].
+// inserted records where a batch's inserts land in a relation's tuples or a
+// group's items: every position from base on holds the tuple appended by op
+// births[position−base].
 type inserted struct {
 	base   int
 	births []int
@@ -93,9 +88,12 @@ type relBatch struct {
 	dels []pendingDelete
 }
 
-// groupBatch is the part of one Apply that concerns one ladder group.
+// groupBatch is the part of one Apply that concerns one ladder group: its
+// items before the batch (positions [0, base)), the batch's inserts after
+// them, and the deletes that reach it.
 type groupBatch struct {
-	g *ladderGroup
+	g   *ladderGroup
+	old rowRange // the group's items before the batch
 	inserted
 	dels []pendingDelete
 }
@@ -147,14 +145,14 @@ stage:
 		rb.ops = append(rb.ops, i)
 	}
 
-	dirty := make(map[*Ladder]*dirtyGroups)
+	dirty := make(map[*Ladder][]*groupBatch)
 	for _, rb := range rels {
 		rb.resolveDeletes(applied)
 		for _, l := range s.LaddersFor(rb.name) {
-			l.applyBatch(ops, rb, dirty)
+			dirty[l] = l.applyBatch(ops, rb)
 		}
 	}
-	s.flushDirty(dirty)
+	s.flushDirty(ops, dirty)
 	return applied, err
 }
 
@@ -164,8 +162,9 @@ stage:
 // that the indices (keyed by canonical encoding) keep distinct.
 func (rb *relBatch) resolveDeletes(applied []bool) {
 	r := rb.r
-	claimFirstMatches(len(r.Tuples), rb.inserted, func(j int) relation.Tuple { return r.Tuples[j] },
-		rb.dels, relation.Tuple.EqualTuple)
+	claimFirstMatches(len(r.Tuples), rb.inserted, rb.dels,
+		func(j int) (uint64, bool) { return tupleHash(r.Tuples[j]) }, tupleHash,
+		func(j int, t relation.Tuple) bool { return r.Tuples[j].EqualTuple(t) })
 	for d := range rb.dels {
 		if del := &rb.dels[d]; del.hit >= 0 {
 			applied[del.op] = true
@@ -175,31 +174,36 @@ func (rb *relBatch) resolveDeletes(applied []bool) {
 	r.Tuples = dropClaimed(r.Tuples, rb.dels)
 }
 
-// applyBatch carries one relation's share of a batch into the ladder's group
-// tuple lists, in op order: an insert appends its Y-projection to the group
-// of its X-value (created on first use), a delete that removed a tuple
-// queues that tuple's Y-projection on the tuple's group, and each group then
-// resolves its queue in one pass. Matching is by canonical encoding
-// (KeyEqual) — the equality the group's index dedups and fetches by — so
-// exactly the removed tuple's projection leaves the list, as a from-scratch
-// rebuild would have it.
-func (l *Ladder) applyBatch(ops []Op, rb *relBatch, dirty map[*Ladder]*dirtyGroups) {
-	touch := func(key relation.Tuple) {
-		dg := dirty[l]
-		if dg == nil {
-			dg = &dirtyGroups{seen: relation.NewTupleSet(0)}
-			dirty[l] = dg
-		}
-		if dg.seen.Add(key) {
-			dg.keys = append(dg.keys, key)
-		}
-	}
+// applyBatch carries one relation's share of a batch to the ladder's groups
+// and returns the groups it changed, in first-touch order: an insert lands
+// in the group of its X-value (created on first use), a delete that removed
+// a tuple queues that tuple on the tuple's group, and each group then
+// resolves its queue against its items and the batch's inserts in one
+// pass. Matching is by canonical encoding (KeyEqual) of the Y-projection —
+// the equality the group's index dedups and fetches by — so exactly the
+// removed tuple's projection leaves the group, as a from-scratch rebuild
+// would have it. The items themselves are written by placeItems.
+func (l *Ladder) applyBatch(ops []Op, rb *relBatch) []*groupBatch {
 	var groups []*groupBatch
 	byGroup := make(map[*ladderGroup]*groupBatch)
-	batchOf := func(g *ladderGroup) *groupBatch {
+	key := make(relation.Tuple, len(l.xIdx))
+	// batchOf returns the batch of t's group; a missing group is created
+	// when create is set and reported as nil otherwise.
+	batchOf := func(t relation.Tuple, create bool) *groupBatch {
+		for c, j := range l.xIdx {
+			key[c] = t[j]
+		}
+		g, ok := l.store.group(key)
+		if !ok {
+			if !create {
+				return nil
+			}
+			g = &ladderGroup{key: key.Clone()}
+			l.store.put(g)
+		}
 		gb := byGroup[g]
 		if gb == nil {
-			gb = &groupBatch{g: g, inserted: inserted{base: len(g.items)}}
+			gb = &groupBatch{g: g, old: g.items, inserted: inserted{base: g.items.rows}}
 			byGroup[g] = gb
 			groups = append(groups, gb)
 		}
@@ -208,16 +212,8 @@ func (l *Ladder) applyBatch(ops []Op, rb *relBatch, dirty map[*Ladder]*dirtyGrou
 	dels := rb.dels
 	for _, i := range rb.ops {
 		if ops[i].Kind == OpInsert {
-			key, y := ops[i].Tuple.Project(l.xIdx), ops[i].Tuple.Project(l.yIdx)
-			g, ok := l.store.group(key)
-			if !ok {
-				g = &ladderGroup{key: key}
-				l.store.put(g)
-			}
-			gb := batchOf(g)
-			g.items = append(g.items, kdtree.Item{Tuple: y, Count: 1})
+			gb := batchOf(ops[i].Tuple, true)
 			gb.births = append(gb.births, i)
-			touch(key)
 			continue
 		}
 		del := dels[0] // rb.dels holds the batch's deletes in the order rb.ops meets them
@@ -225,43 +221,67 @@ func (l *Ladder) applyBatch(ops []Op, rb *relBatch, dirty map[*Ladder]*dirtyGrou
 		if del.hit < 0 {
 			continue
 		}
-		if g, ok := l.store.group(del.tuple.Project(l.xIdx)); ok {
-			gb := batchOf(g)
-			gb.dels = append(gb.dels, pendingDelete{op: i, tuple: del.tuple.Project(l.yIdx)})
+		if gb := batchOf(del.tuple, false); gb != nil {
+			gb.dels = append(gb.dels, pendingDelete{op: i, tuple: del.tuple})
 		}
 	}
+	y := l.items.y
+	var changed []*groupBatch
 	for _, gb := range groups {
-		g := gb.g
-		claimFirstMatches(len(g.items), gb.inserted, func(j int) relation.Tuple { return g.items[j].Tuple },
-			gb.dels, keyEqualTuple)
-		if kept := dropClaimed(g.items, gb.dels); len(kept) < len(g.items) {
-			g.items = kept
-			touch(g.key)
+		// Position j of the group is item j before the batch, then insert
+		// j−base; c indexes Y.
+		val := func(j, c int) relation.Value {
+			if j < gb.base {
+				return y.Value(gb.old.first+j, c)
+			}
+			return ops[gb.births[j-gb.base]].Tuple[l.yIdx[c]]
+		}
+		claimFirstMatches(gb.base+len(gb.births), gb.inserted, gb.dels,
+			func(j int) (uint64, bool) {
+				return equalHash(len(l.yIdx), func(c int) relation.Value { return val(j, c) })
+			},
+			func(t relation.Tuple) (uint64, bool) {
+				return equalHash(len(l.yIdx), func(c int) relation.Value { return t[l.yIdx[c]] })
+			},
+			func(j int, t relation.Tuple) bool {
+				for c, k := range l.yIdx {
+					if !val(j, c).KeyEqual(t[k]) {
+						return false
+					}
+				}
+				return true
+			})
+		if len(gb.births) > 0 || slices.ContainsFunc(gb.dels, func(d pendingDelete) bool { return d.hit >= 0 }) {
+			changed = append(changed, gb)
 		}
 	}
+	return changed
 }
 
-// claimFirstMatches resolves a batch's deletes against the n tuples at(0..n)
-// of a relation or group to exactly what applying them one at a time
-// yields: each delete, in batch order, claims the first tuple that equals
-// it, was there before it (see inserted) and no earlier delete has claimed.
-// What is amortised is the search: one pass over the tuples files, under
-// each delete's equalHash, the positions that delete could equal, and each
-// delete then tries only those. equal decides; it need not be transitive.
-func claimFirstMatches(n int, ins inserted, at func(int) relation.Tuple, dels []pendingDelete,
-	equal func(a, b relation.Tuple) bool) {
+// claimFirstMatches resolves a batch's deletes against the n entries of a
+// relation or group to exactly what applying them one at a time yields:
+// each delete, in batch order, claims the first entry that equals it, was
+// there before it (see inserted) and no earlier delete has claimed. What is
+// amortised is the search: one pass over the entries files, under each
+// delete's equalHash (hashDel of its tuple; hashAt(j) of entry j), the
+// positions that delete could equal, and each delete then tries only those.
+// equal(j, t) decides whether entry j equals tuple t; it need not be
+// transitive.
+func claimFirstMatches(n int, ins inserted, dels []pendingDelete,
+	hashAt func(j int) (uint64, bool), hashDel func(relation.Tuple) (uint64, bool),
+	equal func(j int, t relation.Tuple) bool) {
 	if len(dels) == 0 {
-		return // an insert-only batch must not pay for a pass over the tuples
+		return // an insert-only batch must not pay for a pass over the entries
 	}
 	cands := make(map[uint64][]int, len(dels)) // ascending positions per delete hash
 	for d := range dels {
 		dels[d].hit = -1
-		if h, ok := equalHash(dels[d].tuple); ok {
+		if h, ok := hashDel(dels[d].tuple); ok {
 			cands[h] = nil
 		}
 	}
 	for j := 0; j < n; j++ {
-		if h, ok := equalHash(at(j)); !ok {
+		if h, ok := hashAt(j); !ok {
 			for h := range cands {
 				cands[h] = append(cands[h], j)
 			}
@@ -273,13 +293,13 @@ func claimFirstMatches(n int, ins inserted, at func(int) relation.Tuple, dels []
 	for d := range dels {
 		del := &dels[d]
 		try := func(j int) bool {
-			if claimed[j] || ins.born(j) >= del.op || !equal(at(j), del.tuple) {
+			if claimed[j] || ins.born(j) >= del.op || !equal(j, del.tuple) {
 				return false
 			}
 			del.hit, claimed[j] = j, true
 			return true
 		}
-		if h, ok := equalHash(del.tuple); ok {
+		if h, ok := hashDel(del.tuple); ok {
 			for _, j := range cands[h] {
 				if try(j) {
 					break
@@ -316,15 +336,22 @@ func dropClaimed[T any](xs []T, dels []pendingDelete) []T {
 	return xs[:w]
 }
 
-// equalHash hashes a tuple so that tuples equal under EqualTuple — and so
-// under the narrower keyEqualTuple — hash alike: numbers by their float64
-// image, which is what Value.Compare falls back to across kinds (ints that
-// differ but share an image merely collide), strings by content. A tuple
-// holding NaN, which Compare finds equal to every number, has no such hash
-// and reports false: it is a candidate for everything.
-func equalHash(t relation.Tuple) (uint64, bool) {
+// tupleHash is equalHash of a tuple's values.
+func tupleHash(t relation.Tuple) (uint64, bool) {
+	return equalHash(len(t), func(c int) relation.Value { return t[c] })
+}
+
+// equalHash hashes the n values at(0..n) so that value lists equal under
+// Value.Equal component-wise — and so under the narrower KeyEqual — hash
+// alike: numbers by their float64 image, which is what Value.Compare falls
+// back to across kinds (ints that differ but share an image merely
+// collide), strings by content. A list holding NaN, which Compare finds
+// equal to every number, has no such hash and reports false: it is a
+// candidate for everything.
+func equalHash(n int, at func(c int) relation.Value) (uint64, bool) {
 	h := uint64(14695981039346656037)
-	for _, v := range t {
+	for c := 0; c < n; c++ {
+		v := at(c)
 		var x uint64
 		if s, ok := v.AsString(); ok {
 			for i := 0; i < len(s); i++ {
@@ -345,27 +372,86 @@ func equalHash(t relation.Tuple) (uint64, bool) {
 	return h, true
 }
 
-// flushDirty rebuilds every dirty group once — the dirty groups of all
-// ladders on one worker pool, see buildGroups — counting its old level rows
-// dead and placing its new ones in its ladder's arena (placeRebuilt); it
-// drops groups emptied by the batch and refreshes each touched ladder's
-// metadata.
-func (s *Schema) flushDirty(dirty map[*Ladder]*dirtyGroups) {
+// placeItems writes the new item range of each of l's changed groups, in
+// turn: the group's items no delete claimed, then the batch's inserts no
+// delete claimed, in op order — the list applying the operations one at a
+// time would leave. The old ranges are counted dead, and the item store is
+// compacted first when it is crowded (rowStore).
+func (l *Ladder) placeItems(ops []Op, gbs []*groupBatch) {
+	st := &l.items
+	n := 0
+	for _, gb := range gbs {
+		n += gb.base + len(gb.births)
+		for _, del := range gb.dels {
+			if del.hit >= 0 {
+				n--
+			}
+		}
+		st.dead += gb.old.rows
+		gb.g.items = rowRange{} // no live rows until placed below
+	}
+	src := st.y
+	if st.crowded(n) {
+		src = st.compact(n, func(move func(lo, hi int) int) {
+			l.store.rangeGroups(func(g *ladderGroup) bool {
+				if g.items.rows > 0 {
+					g.items.first = move(g.items.first, g.items.end())
+				}
+				return true
+			})
+		})
+	} else {
+		st.reserve(n)
+	}
+	y := st.y
+	for _, gb := range gbs {
+		var drop []int
+		for _, del := range gb.dels {
+			if del.hit >= 0 {
+				drop = append(drop, del.hit)
+			}
+		}
+		slices.Sort(drop)
+		first := y.Rows()
+		from := 0 // the next position not yet copied or dropped
+		for _, p := range append(drop, gb.base+len(gb.births)) {
+			// Positions [from, p) survive: old items straight from the
+			// columns (src may be y itself: rows are only appended), then
+			// inserts.
+			y.AppendBlockRange(src, gb.old.first+from, gb.old.first+min(p, gb.base))
+			for j := max(from, gb.base); j < p; j++ {
+				t := ops[gb.births[j-gb.base]].Tuple
+				for c, k := range l.yIdx {
+					y.Col(c).Append(t[k])
+				}
+				y.AddRows(1)
+			}
+			from = p + 1
+		}
+		gb.g.items = rowRange{first: first, rows: y.Rows() - first}
+	}
+}
+
+// flushDirty finishes a batch in three phases. First, each changed group
+// gets its new item range (placeItems), its old level rows are counted
+// dead, and a group the batch emptied is dropped. Then the trees of the
+// remaining changed groups — of all ladders, on one worker pool, see
+// buildGroups — are built over those read-only ranges. Last, each group's
+// new level rows are placed in its ladder's arena (placeRebuilt) and each
+// touched ladder's metadata is refreshed.
+func (s *Schema) flushDirty(ops []Op, dirty map[*Ladder][]*groupBatch) {
 	var jobs []groupBuild
 	for _, l := range s.Ladders {
-		dg := dirty[l]
-		if dg == nil {
+		if len(dirty[l]) == 0 {
 			continue
 		}
-		for _, key := range dg.keys {
-			g, ok := l.store.group(key)
-			if !ok {
-				continue
-			}
+		l.placeItems(ops, dirty[l])
+		for _, gb := range dirty[l] {
+			g := gb.g
 			lo, hi := g.span()
 			l.arena.dead += hi - lo
-			if len(g.items) == 0 {
-				l.store.remove(key)
+			if g.items.rows == 0 {
+				l.store.remove(g.key)
 				continue
 			}
 			jobs = append(jobs, groupBuild{l: l, g: g})
@@ -373,7 +459,7 @@ func (s *Schema) flushDirty(dirty map[*Ladder]*dirtyGroups) {
 	}
 	buildGroups(jobs, runtime.GOMAXPROCS(0))
 	for _, l := range s.Ladders {
-		if dirty[l] != nil {
+		if len(dirty[l]) > 0 {
 			l.placeRebuilt(jobs)
 			l.recomputeMeta()
 		}

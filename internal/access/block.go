@@ -2,36 +2,85 @@ package access
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/relation"
 )
 
-// This file holds a ladder's level views. Every ladder keeps the views of all
-// its groups in one levelArena: typed Y columns plus a count column, each
-// group's levels stored contiguously, level after level, so that a level is
-// a row range. A LevelBlock records that range; a group holds its levels'
-// records in one slice and FetchBlock hands out pointers into it, so a fetch
-// allocates nothing and the heap holds a few large columns instead of a
-// block per (group, level). The executor (internal/plan) appends fetched
-// ranges column-at-a-time, or serves a single level zero-copy through a
-// Column.View. Representatives are actual items, so the snapshot encodes a
-// level row as an item index (see GroupSnapshot).
+// This file holds a ladder's two row stores. The item store keeps every
+// group's items — the raw Y-projections of its base tuples, duplicates
+// kept, one row each — in typed Y columns, a group's items being one row
+// range. The level arena keeps the views of all groups' levels: typed Y
+// columns plus a count column, each group's levels stored contiguously,
+// level after level, so that a level is a row range. A LevelBlock records
+// that range; a group holds its levels' records in one slice and FetchBlock
+// hands out pointers into it, so a fetch allocates nothing and the heap
+// holds a few large columns instead of a block per (group, level) or an
+// object per item. The executor (internal/plan) appends fetched ranges
+// column-at-a-time, or serves a single level zero-copy through a
+// Column.View. Representatives are actual items, so a level row is a copy
+// of an item row, and the snapshot encodes it as an item index (see
+// GroupSnapshot).
+
+// rowStore is the placement discipline both stores follow: rows live in one
+// block of typed columns, a group's rows are one range of it, and rows are
+// never rewritten. A group whose rows are replaced has its new rows placed
+// after the others and its old ones counted dead, and a compaction into
+// fresh columns keeps dead rows from outnumbering live ones, so the copying
+// is amortised over the replacements that left the dead rows behind. Views
+// handed out earlier therefore stay valid.
+type rowStore struct {
+	y    *relation.Block
+	dead int // rows no group covers any more
+}
+
+// live returns the number of rows some group covers.
+func (s *rowStore) live() int { return s.y.Rows() - s.dead }
+
+// crowded reports whether placing n more rows must compact first: the dead
+// rows would otherwise be at least as many as the live ones.
+func (s *rowStore) crowded(n int) bool { return s.dead > 0 && s.dead >= s.live()+n }
+
+// reserve grows the columns' capacity for n more rows.
+func (s *rowStore) reserve(n int) {
+	for c := 0; c < s.y.Width(); c++ {
+		s.y.Col(c).Reserve(s.y.Col(c).Kind(), n)
+	}
+}
+
+// compact moves the live rows into fresh columns with room for extra more
+// and drops the dead ones. ranges calls move once per live range [lo, hi),
+// in the order the ranges are to be laid out, and move returns the range's
+// new first row. compact returns the old block, which stays readable.
+func (s *rowStore) compact(extra int, ranges func(move func(lo, hi int) int)) *relation.Block {
+	old := s.y
+	y := relation.NewBlock(old.Width())
+	for c := 0; c < y.Width(); c++ {
+		if src := old.Col(c); !src.Mixed() {
+			y.Col(c).Reserve(src.Kind(), s.live()+extra)
+		}
+	}
+	ranges(func(lo, hi int) int {
+		first := y.Rows()
+		y.AppendBlockRange(old, lo, hi)
+		return first
+	})
+	s.y, s.dead = y, 0
+	return old
+}
+
+// rowRange is rows [first, first+rows) of a row store.
+type rowRange struct{ first, rows int }
+
+// end returns one past the range's last row.
+func (r rowRange) end() int { return r.first + r.rows }
 
 // levelArena holds one ladder's level rows column-wise. Row r is one
 // representative: its Y-tuple across y's columns and the number of base
-// tuples it represents in counts[r]. Rows are never rewritten: a rebuilt
-// group's new rows are placed after the others and its old ones left dead,
-// and a repack into fresh columns keeps dead rows from outnumbering live
-// ones (placeRebuilt). Views handed out earlier therefore stay valid.
+// tuples it represents in counts[r]. Rows are placed as rowStore says.
 type levelArena struct {
-	y      *relation.Block
+	rowStore
 	counts []int
-	dead   int // rows no group's levels cover any more
 }
-
-// live returns the number of rows some group's levels cover.
-func (a *levelArena) live() int { return len(a.counts) - a.dead }
 
 // LevelBlock is one fetch level in columnar form: rows [First, First+Rows)
 // of an arena, row i of the level being row First+i of every Y column, with
@@ -46,7 +95,7 @@ type LevelBlock struct {
 // the represented-tuple count of row i (len(counts) must be y.Rows()) — the
 // form a level takes when it arrives from another process.
 func NewLevelBlock(y *relation.Block, counts []int) *LevelBlock {
-	return &LevelBlock{arena: &levelArena{y: y, counts: counts}, rows: y.Rows()}
+	return &LevelBlock{arena: &levelArena{rowStore: rowStore{y: y}, counts: counts}, rows: y.Rows()}
 }
 
 // Rows returns the number of samples in the level.
@@ -91,10 +140,11 @@ func (b *LevelBlock) Prefix(n int) *LevelBlock {
 	return &LevelBlock{arena: b.arena, first: b.first, rows: n}
 }
 
-// levelRow is one representative on its way into an arena: a group item's
-// Y-tuple and the number of base tuples it represents.
+// levelRow is one representative on its way into an arena: the item row of
+// the ladder's item store it copies, and the number of base tuples it
+// represents.
 type levelRow struct {
-	y     relation.Tuple
+	item  int
 	count int
 }
 
@@ -110,16 +160,13 @@ func (g *ladderGroup) place(a *levelArena, base int) {
 // packArenas gives every ladder with jobs a fresh arena holding exactly its
 // jobs' rows (callers pass all of a ladder's groups) and places each group's
 // levels in it. A prefix sum over the jobs gives every group a disjoint
-// range of exact-size columns, and the ranges are filled in parallel with
-// Column.Set. A column whose rows are not all non-null values of its first
-// row's kind — nulls, mixed kinds — is then refilled in row order with
-// Column.Append, whose validity and mixed fallbacks store any rows exactly.
+// range of the arena, and relation.FillBlock copies the item rows the
+// ranges name into exact-size columns.
 func packArenas(jobs []groupBuild, workers int) {
 	type pack struct {
-		a     *levelArena
-		rows  int
-		first relation.Tuple // the first row, whose kinds the columns start with
-		bad   []atomic.Bool  // per column: some row did not fit
+		rows   int
+		items  []int32 // per arena row: the item row it copies
+		counts []int
 	}
 	packs := make(map[*Ladder]*pack)
 	var order []*Ladder
@@ -127,7 +174,7 @@ func packArenas(jobs []groupBuild, workers int) {
 	for i, j := range jobs {
 		p := packs[j.l]
 		if p == nil {
-			p = &pack{a: j.l.arena, first: j.rows[0].y, bad: make([]atomic.Bool, len(j.l.yAttrs))}
+			p = &pack{}
 			packs[j.l] = p
 			order = append(order, j.l)
 		}
@@ -136,56 +183,29 @@ func packArenas(jobs []groupBuild, workers int) {
 	}
 	for _, l := range order {
 		p := packs[l]
-		p.a.y = relation.NewBlock(len(p.first))
-		for c, v := range p.first {
-			*p.a.y.Col(c) = relation.MakeColumn(v.Kind(), p.rows)
-		}
-		p.a.counts = make([]int, p.rows)
-		p.a.dead = 0
+		p.items, p.counts = make([]int32, p.rows), make([]int, p.rows)
 	}
 	parallelFor(len(jobs), workers, func(i int) {
 		j := jobs[i]
 		p := packs[j.l]
 		for r, row := range j.rows {
-			at := base[i] + r
-			p.a.counts[at] = row.count
-			for c, v := range row.y {
-				if !p.a.y.Col(c).Set(at, v) {
-					p.bad[c].Store(true)
-				}
-			}
+			p.items[base[i]+r], p.counts[base[i]+r] = int32(row.item), row.count
 		}
-		j.g.place(p.a, base[i])
+		j.g.place(j.l.arena, base[i])
 	})
 	for _, l := range order {
-		p := packs[l]
-		for c := range p.bad {
-			if !p.bad[c].Load() {
-				continue
-			}
-			var col relation.Column
-			col.Reserve(p.first[c].Kind(), p.rows)
-			for _, j := range jobs {
-				if j.l == l {
-					for _, row := range j.rows {
-						col.Append(row.y[c])
-					}
-				}
-			}
-			*p.a.y.Col(c) = col
-		}
-		p.a.y.AddRows(p.rows)
+		p, items := packs[l], l.items.y
+		l.arena.y = relation.FillBlock(items.Width(), p.rows, func(r, c int) relation.Value {
+			return items.Value(int(p.items[r]), c)
+		}, workers)
+		l.arena.counts, l.arena.dead = p.counts, 0
 	}
 }
 
 // placeRebuilt places the rows of l's groups rebuilt by maintenance (l's
 // jobs among jobs) in l's arena, whose rows of those groups were already
-// counted dead. The rows are appended after the arena's rows unless that
-// would leave at least as many dead rows as live ones: then the live rows
-// move into fresh columns first (a repack), so dead rows never outnumber
-// live ones and the copying is amortised over the rebuilds that left the
-// dead rows behind. Rows are never rewritten in place, so views handed out
-// earlier stay valid.
+// counted dead: after the arena's rows, compacting first when the arena is
+// crowded (repack).
 func (l *Ladder) placeRebuilt(jobs []groupBuild) {
 	a := l.arena
 	n := 0
@@ -194,12 +214,10 @@ func (l *Ladder) placeRebuilt(jobs []groupBuild) {
 			n += len(j.rows)
 		}
 	}
-	if a.dead > 0 && a.dead >= a.live()+n {
+	if a.crowded(n) {
 		l.repack(n)
 	} else {
-		for c := 0; c < a.y.Width(); c++ {
-			a.y.Col(c).Reserve(a.y.Col(c).Kind(), n)
-		}
+		a.reserve(n)
 		a.counts = slices.Grow(a.counts, n)
 	}
 	for _, j := range jobs {
@@ -208,39 +226,35 @@ func (l *Ladder) placeRebuilt(jobs []groupBuild) {
 		}
 		base := len(a.counts)
 		for _, r := range j.rows {
-			a.y.AppendTuple(r.y)
+			a.y.AppendRow(l.items.y, r.item)
 			a.counts = append(a.counts, r.count)
 		}
 		j.g.place(a, base)
 	}
 }
 
-// repack moves the live rows into fresh columns with room for extra more,
-// group by group, and drops the dead ones. Groups rebuilt but not yet placed
-// (their levels point at no arena) have no live rows to move.
+// repack compacts the arena with room for extra more rows, group by group.
+// Groups rebuilt but not yet placed (their levels point at no arena) have
+// no live rows to move.
 func (l *Ladder) repack(extra int) {
-	old := *l.arena
-	size := old.live() + extra
-	y := relation.NewBlock(old.y.Width())
-	for c := 0; c < y.Width(); c++ {
-		if src := old.y.Col(c); !src.Mixed() {
-			y.Col(c).Reserve(src.Kind(), size)
-		}
-	}
-	counts := make([]int, 0, size)
-	l.store.rangeGroups(func(g *ladderGroup) bool {
-		if g.levels[0].arena != l.arena {
+	a := l.arena
+	old := a.counts
+	counts := make([]int, 0, a.live()+extra)
+	a.compact(extra, func(move func(lo, hi int) int) {
+		l.store.rangeGroups(func(g *ladderGroup) bool {
+			if g.levels[0].arena != a {
+				return true
+			}
+			lo, hi := g.span()
+			shift := move(lo, hi) - lo
+			for k := range g.levels {
+				g.levels[k].first += shift
+			}
+			counts = append(counts, old[lo:hi]...)
 			return true
-		}
-		lo, hi := g.span()
-		y.AppendBlockRange(old.y, lo, hi)
-		for k := range g.levels {
-			g.levels[k].first += len(counts) - lo
-		}
-		counts = append(counts, old.counts[lo:hi]...)
-		return true
+		})
 	})
-	l.arena.y, l.arena.counts, l.arena.dead = y, counts, 0
+	a.counts = counts
 }
 
 // span returns the arena rows [lo, hi) holding the group's levels; empty

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/kdtree"
 	"repro/internal/relation"
 )
 
@@ -20,9 +19,9 @@ import (
 // Groups are keyed by the X-value tuple itself (hash-bucketed, equality
 // verified) and hash-partitioned across the shards of a ShardedLadder, so
 // the online fetch path never materialises string keys and batch fetches
-// can scatter-gather across partitions. Every group's level views live in
-// one columnar arena per ladder, built once and handed out as shared
-// read-only views.
+// can scatter-gather across partitions. Every group's items live in one
+// columnar item store per ladder, and every group's level views in one
+// columnar arena per ladder, handed out as shared read-only views.
 type Ladder struct {
 	RelName string
 	X, Y    []string
@@ -33,6 +32,7 @@ type Ladder struct {
 	resolutions [][]float64 // [k][|Y|]; max over groups of per-group level-k resolution
 	maxDistinct int         // largest distinct-Y count of any group
 	store       *ShardedLadder
+	items       rowStore    // every group's item rows (block.go)
 	arena       *levelArena // every group's level rows (block.go)
 	indexSize   int         // total representatives stored across all groups and levels
 }
@@ -57,7 +57,7 @@ func BuildLadderSharded(db *relation.Database, rel string, x, y []string, shards
 // buildLadderWorkers is BuildLadder with explicit worker and shard counts;
 // tests pin workers to 1 to assert the parallel build changes nothing.
 func buildLadderWorkers(db *relation.Database, rel string, x, y []string, workers, shards int) (*Ladder, error) {
-	l, groups, err := prepareLadder(db, rel, x, y, shards)
+	l, groups, err := prepareLadder(db, rel, x, y, shards, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -75,25 +75,49 @@ func buildLadderWorkers(db *relation.Database, rel string, x, y []string, worker
 }
 
 // prepareLadder scans the relation once and returns the ladder shell with
-// its groups bucketed but not yet built or stored: each group holds its
-// X-key and its Y-projections, in first-occurrence order.
-func prepareLadder(db *relation.Database, rel string, x, y []string, shards int) (*Ladder, []*ladderGroup, error) {
+// its item store filled and its groups, in first-occurrence order, bucketed
+// but not yet built or stored: each group holds its X-key and the range of
+// its Y-projections, in relation order. The scan files each tuple under its
+// group through a scratch key, cloning the key only for a new group; a
+// prefix sum over the group sizes then gives every group its range, and
+// relation.FillBlock copies the projections into exact-size columns.
+func prepareLadder(db *relation.Database, rel string, x, y []string, shards, workers int) (*Ladder, []*ladderGroup, error) {
 	l, r, err := newLadder(db, rel, x, y, shards)
 	if err != nil {
 		return nil, nil, err
 	}
-	byX := relation.NewTupleMap[*ladderGroup](0)
+	byX := relation.NewTupleMap[int32](0)
 	var groups []*ladderGroup
-	for _, t := range r.Tuples {
-		key := t.Project(l.xIdx)
-		g, ok := byX.Get(key)
+	of := make([]int32, len(r.Tuples)) // each tuple's group
+	key := make(relation.Tuple, len(l.xIdx))
+	for i, t := range r.Tuples {
+		for c, j := range l.xIdx {
+			key[c] = t[j]
+		}
+		gi, ok := byX.Get(key)
 		if !ok {
-			g = &ladderGroup{key: key}
-			byX.Put(key, g)
+			gi = int32(len(groups))
+			g := &ladderGroup{key: key.Clone()}
+			byX.Put(g.key, gi)
 			groups = append(groups, g)
 		}
-		g.items = append(g.items, kdtree.Item{Tuple: t.Project(l.yIdx), Count: 1})
+		of[i] = gi
+		groups[gi].items.rows++
 	}
+	next := make([]int, len(groups))
+	first := 0
+	for gi, g := range groups {
+		g.items.first, next[gi] = first, first
+		first += g.items.rows
+	}
+	src := make([]int32, len(of)) // each item's tuple
+	for i, gi := range of {
+		src[next[gi]] = int32(i)
+		next[gi]++
+	}
+	l.items.y = relation.FillBlock(len(l.yIdx), len(src), func(item, c int) relation.Value {
+		return r.Tuples[src[item]][l.yIdx[c]]
+	}, workers)
 	return l, groups, nil
 }
 
@@ -123,7 +147,8 @@ func newLadder(db *relation.Database, rel string, x, y []string, shards int) (*L
 		xIdx:    xIdx,
 		yIdx:    yIdx,
 		store:   newShardedLadder(shards),
-		arena:   &levelArena{y: relation.NewBlock(len(yIdx))},
+		items:   rowStore{y: relation.NewBlock(len(yIdx))},
+		arena:   &levelArena{rowStore: rowStore{y: relation.NewBlock(len(yIdx))}},
 	}
 	l.yAttrs = make([]relation.Attribute, len(yIdx))
 	for i, j := range yIdx {
@@ -133,8 +158,8 @@ func newLadder(db *relation.Database, rel string, x, y []string, shards int) (*L
 }
 
 // groupBuild is one unit of index construction: a group of some ladder whose
-// tree and level views are (re)built from its tuple list, and the level
-// rows the rebuild produced, until the ladder's arena takes them.
+// tree and level views are (re)built from its items, and the level rows the
+// rebuild produced, until the ladder's arena takes them.
 type groupBuild struct {
 	l    *Ladder
 	g    *ladderGroup
@@ -147,13 +172,15 @@ type groupBuild struct {
 // and forks inside kdtree.Build, and the thousands of small groups fill the
 // other workers behind it instead of queueing ladder after ladder. Groups
 // are independent and kdtree.Build is deterministic in its item order, so
-// neither the order nor the worker count affects the result.
+// neither the order nor the worker count affects the result. The item
+// stores are only read.
 func buildGroups(jobs []groupBuild, workers int) {
 	slices.SortStableFunc(jobs, func(a, b groupBuild) int {
-		return cmp.Compare(len(b.g.items), len(a.g.items))
+		return cmp.Compare(b.g.items.rows, a.g.items.rows)
 	})
 	parallelFor(len(jobs), workers, func(i int) {
-		jobs[i].rows = jobs[i].g.rebuild(jobs[i].l.yAttrs)
+		j := &jobs[i]
+		j.rows = j.g.rebuild(j.l.yAttrs, j.l.items.y)
 	})
 }
 

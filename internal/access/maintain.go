@@ -8,16 +8,19 @@ import (
 // maintaining the access-schema indices in response to updates to D.
 // Updates are localised twice over: a tuple only affects the group of its
 // own X-value in each ladder, and that group lives in exactly one shard,
-// which owns the group's tuple list. What a batch of updates costs
-// (batch.go): one pass over each written relation to find the tuples its
-// deletes remove, one pass over the tuple list of each group a delete
-// reaches, and one rebuild of each touched group from its list — a K-D tree
-// over the group's g points, O(g log g) per tree level (one sort, one
-// spread scan), at most ⌈log₂ g⌉ levels. No other group is touched. The
-// generic ladder At keeps a relation in a single group (X = ∅), so any write
-// to R rebuilds a |R|-point tree: that rebuild, not the scans, is what a
-// write costs, and splitting it is the next lever. Both entry points are
-// thin wrappers over the batched Apply.
+// which owns the record of the group's item range in the ladder's item
+// store. What a batch of updates costs (batch.go): one pass over each
+// written relation to find the tuples its deletes remove, one pass over the
+// items of each group a delete reaches, one copy of each touched group's
+// surviving items and inserts into a new range, and one rebuild of each
+// touched group from its range — a K-D tree over the group's g points,
+// O(g log g) per tree level (one sort, one spread scan), at most ⌈log₂ g⌉
+// levels. No other group is touched, except when a compaction of the item
+// store or the level arena moves every group's rows. The generic ladder At
+// keeps a relation in a single group (X = ∅), so any write to R rebuilds a
+// |R|-point tree: that rebuild, not the scans, is what a write costs, and
+// splitting it is the next lever. Both entry points are thin wrappers over
+// the batched Apply.
 
 // Insert appends the tuple to the relation in db and incrementally updates
 // every ladder of the schema that indexes that relation.
@@ -35,20 +38,6 @@ func (s *Schema) Delete(db *relation.Database, rel string, t relation.Tuple) (bo
 		return false, err
 	}
 	return applied[0], nil
-}
-
-// keyEqualTuple reports component-wise canonical-encoding equality — the
-// grouping/dedup equality of the ladder's indices.
-func keyEqualTuple(a, b relation.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].KeyEqual(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // recomputeMeta refreshes MaxK, MaxGroupDistinct, IndexSize and the

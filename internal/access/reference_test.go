@@ -2,6 +2,7 @@ package access
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -12,15 +13,16 @@ import (
 )
 
 // referenceLevels is the level-view construction the ladder once stored per
-// group, kept as the test oracle: a K-D tree over the group's item list, whose
-// AllLevels representatives are each level's rows, in order, with the number
-// of base tuples each represents.
-func referenceLevels(yAttrs []relation.Attribute, items []kdtree.Item) (rows [][]relation.Tuple, counts [][]int) {
-	for _, reps := range kdtree.Build(yAttrs, items).AllLevels() {
+// group, kept as the test oracle: a K-D tree over the group's items, rows
+// [first, first+n) of the item columns, whose AllLevels representatives are
+// each level's rows, in order, with the number of base tuples each
+// represents.
+func referenceLevels(yAttrs []relation.Attribute, items *relation.Block, first, n int) (rows [][]relation.Tuple, counts [][]int) {
+	for _, reps := range kdtree.Build(yAttrs, items, first, first+n).AllLevels() {
 		r := make([]relation.Tuple, len(reps))
 		c := make([]int, len(reps))
 		for i, rep := range reps {
-			r[i], c[i] = rep.Point, rep.Count
+			r[i], c[i] = items.Tuple(rep.Row), rep.Count
 		}
 		rows = append(rows, r)
 		counts = append(counts, c)
@@ -70,9 +72,11 @@ func identicalValue(a, b relation.Value) bool {
 // prefix view the level's first rows. The arena's bookkeeping must hold:
 // the groups' levels cover disjoint, adjacent row ranges that together are
 // exactly its live rows, IndexSize reports them, and dead rows never
-// outnumber live ones.
-func assertMatchesReference(t *testing.T, label string, l *Ladder) {
+// outnumber live ones. The reference reads each group's items from the item
+// store, so those are checked against db first (assertItemsMatchRelation).
+func assertMatchesReference(t *testing.T, label string, l *Ladder, db *relation.Database) {
 	t.Helper()
+	assertItemsMatchRelation(t, label, l, db)
 	var groups []*ladderGroup
 	owned := make([]bool, len(l.arena.counts))
 	covered := 0
@@ -111,7 +115,7 @@ func assertMatchesReference(t *testing.T, label string, l *Ladder) {
 				half.First() != batch[i].First() || half.Col(0) != batch[i].Col(0) {
 				t.Fatalf("%s: group %v level %d: prefix view is not the level's first rows", label, g.key, k)
 			}
-			rows, counts := referenceLevels(l.yAttrs, g.items)
+			rows, counts := referenceLevels(l.yAttrs, l.items.y, g.items.first, g.items.rows)
 			rk := min(k, len(rows)-1)
 			got := fetchRows(l, g.key, k)
 			if len(got) != len(rows[rk]) {
@@ -133,6 +137,37 @@ func assertMatchesReference(t *testing.T, label string, l *Ladder) {
 				}
 			}
 		}
+	}
+}
+
+// assertItemsMatchRelation checks that each group's items, as a multiset,
+// are the Y-projections of the tuples of l's relation in db with the
+// group's X-value — under canonical equality, the one the ladder groups and
+// dedups by — and that every X-value of the relation has a group.
+func assertItemsMatchRelation(t *testing.T, label string, l *Ladder, db *relation.Database) {
+	t.Helper()
+	want := make(map[string]map[string]int)
+	for _, tup := range db.MustRelation(l.RelName).Tuples {
+		x := tup.Project(l.xIdx).Key()
+		if want[x] == nil {
+			want[x] = make(map[string]int)
+		}
+		want[x][tup.Project(l.yIdx).Key()]++
+	}
+	groups := 0
+	l.store.rangeGroups(func(g *ladderGroup) bool {
+		groups++
+		got := make(map[string]int)
+		for r := g.items.first; r < g.items.end(); r++ {
+			got[l.items.y.Tuple(r).Key()]++
+		}
+		if !maps.Equal(got, want[g.key.Key()]) {
+			t.Fatalf("%s: group %v items %v, relation projections %v", label, g.key, got, want[g.key.Key()])
+		}
+		return true
+	})
+	if groups != len(want) {
+		t.Fatalf("%s: %d groups for %d X-values", label, groups, len(want))
 	}
 }
 
@@ -216,12 +251,12 @@ func TestLevelArenaMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertMatchesReference(t, label, l)
+					assertMatchesReference(t, label, l, d.db)
 					restored, err := RestoreLadder(d.db, l.Snapshot(), shards)
 					if err != nil {
 						t.Fatalf("%s: restore: %v", label, err)
 					}
-					assertMatchesReference(t, label+" restored", restored)
+					assertMatchesReference(t, label+" restored", restored, d.db)
 				}
 			}
 		}
@@ -252,7 +287,7 @@ func TestLevelArenaMatchesReference(t *testing.T) {
 			if l.arena.y != cols[i] {
 				repacked++
 			}
-			assertMatchesReference(t, fmt.Sprintf("batch %d %s(%v→%v)", b, l.RelName, l.X, l.Y), l)
+			assertMatchesReference(t, fmt.Sprintf("batch %d %s(%v→%v)", b, l.RelName, l.X, l.Y), l, db)
 		}
 	}
 	if emptied == 0 || recreated == 0 || repacked == 0 {

@@ -33,7 +33,7 @@ func BuildAtSharded(db *relation.Database, shards int) (*Schema, error) {
 		if r.Len() == 0 {
 			continue
 		}
-		l, groups, err := prepareLadder(db, name, nil, r.Schema.AttrNames(), resolveShards(shards))
+		l, groups, err := prepareLadder(db, name, nil, r.Schema.AttrNames(), resolveShards(shards), runtime.GOMAXPROCS(0))
 		if err != nil {
 			return nil, err
 		}

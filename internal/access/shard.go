@@ -9,10 +9,11 @@ import (
 
 // This file implements the partition-owned storage engine behind a Ladder.
 // Groups (one per distinct X-value) are hash-partitioned across N shards;
-// each shard exclusively owns its groups' tuple lists (what incremental
-// maintenance rebuilds a group's K-D tree from) and the records of where
-// their level views sit in the ladder's arena (block.go), so the online
-// fetch path hands out shared read-only views. Scatter-gather
+// each shard exclusively owns its groups' records of where their items
+// (what incremental maintenance rebuilds a group's K-D tree from) sit in
+// the ladder's item store and where their level views sit in the ladder's
+// arena (block.go), so the online fetch path hands out shared read-only
+// views. Scatter-gather
 // batch fetches fan the distinct X-values of one query out across the
 // shards, which is what lets a single query use multiple cores on the
 // fetch side (ROADMAP "shard the database/ladders").
@@ -53,14 +54,15 @@ func resolveShards(n int) int {
 }
 
 // ladderGroup is the storage of one X-group, exclusively owned by one shard:
-// the raw per-group tuple list (Y-projections of the base tuples, duplicates
-// kept) that incremental maintenance rebuilds from, and where its level
-// views sit in the ladder's arena. The group's K-D tree lives only inside
-// rebuild: the views are everything the fetch path and the snapshot need of
-// it.
+// where its items sit in the ladder's item store — the raw Y-projections of
+// its base tuples, duplicates kept, one row each, that incremental
+// maintenance rebuilds from — and where its level views sit in the ladder's
+// arena. The group's K-D tree lives only inside rebuild: the views are
+// everything the fetch path and the snapshot need of it.
 type ladderGroup struct {
-	key   relation.Tuple
-	items []kdtree.Item
+	key relation.Tuple
+	// items is the group's row range of the ladder's item store.
+	items rowRange
 	// levels[k] is the level-k fetch view: a row range of the ladder's arena.
 	// The levels' ranges are adjacent, in level order.
 	levels []LevelBlock
@@ -77,14 +79,15 @@ type ladderGroup struct {
 // kdtree.Tree.ExactLevel, derived from the level views.
 func (g *ladderGroup) exactLevel() int { return len(g.levels) - 1 }
 
-// rebuild reconstructs the level views from the tuple list: a K-D tree over
-// the g items — O(g log g) per tree level, independent of |D| and of every
-// other group — whose per-level representatives and resolutions are read in
-// one pass, after which the tree is garbage. It returns the representatives,
-// level after level, for the ladder to place in its arena; until then the
-// levels' first rows are offsets into that list.
-func (g *ladderGroup) rebuild(yAttrs []relation.Attribute) []levelRow {
-	tree := kdtree.Build(yAttrs, g.items)
+// rebuild reconstructs the level views from the group's items, rows of
+// items: a K-D tree over the g items — O(g log g) per tree level,
+// independent of |D| and of every other group — whose per-level
+// representatives and resolutions are read in one pass, after which the
+// tree is garbage. It returns the representatives, level after level, for
+// the ladder to place in its arena; until then the levels' first rows are
+// offsets into that list.
+func (g *ladderGroup) rebuild(yAttrs []relation.Attribute, items *relation.Block) []levelRow {
+	tree := kdtree.Build(yAttrs, items, g.items.first, g.items.end())
 	g.distinct = tree.Items()
 	all := tree.AllLevels()
 	total := 0
@@ -99,7 +102,7 @@ func (g *ladderGroup) rebuild(yAttrs []relation.Attribute) []levelRow {
 		g.levels[k] = LevelBlock{first: len(rows), rows: len(reps)}
 		res := g.res[k*arity : (k+1)*arity]
 		for _, r := range reps {
-			rows = append(rows, levelRow{y: r.Point, count: r.Count})
+			rows = append(rows, levelRow{item: r.Row, count: r.Count})
 			for a, d := range r.MaxDist {
 				if d > res[a] {
 					res[a] = d

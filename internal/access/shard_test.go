@@ -260,3 +260,43 @@ outer:
 	}
 	return true
 }
+
+// Building a ladder allocates per group and per tree, never per item:
+// doubling the rows of a single-group (X = ∅) relation, and of one whose
+// rows fall into a fixed set of groups, must not double BuildLadder's
+// allocations. A tuple or an object per item would double them.
+func TestBuildLadderAllocs(t *testing.T) {
+	rel := func(n int) *relation.Database {
+		r := relation.NewRelation(relation.MustSchema("r",
+			relation.Attr("g", relation.KindInt, relation.Trivial()),
+			relation.Attr("a", relation.KindInt, relation.Numeric(100)),
+			relation.Attr("b", relation.KindFloat, relation.Numeric(1)),
+			relation.Attr("c", relation.KindString, relation.Discrete()),
+		))
+		cs := []string{"p", "q", "r", "s", "t"}
+		for i := 0; i < n; i++ {
+			r.MustAppend(relation.Tuple{
+				relation.Int(int64(i % 16)), relation.Int(int64(i * 7 % 1000)),
+				relation.Float(float64(i%97) / 3), relation.String(cs[i%len(cs)]),
+			})
+		}
+		db := relation.NewDatabase()
+		db.MustAdd(r)
+		return db
+	}
+	for _, x := range [][]string{nil, {"g"}} {
+		allocs := func(n int) float64 {
+			db := rel(n)
+			return testing.AllocsPerRun(3, func() {
+				if _, err := BuildLadder(db, "r", x, []string{"a", "b", "c"}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		one, two := allocs(4000), allocs(8000)
+		t.Logf("X=%v: %.0f allocations at 4000 rows, %.0f at 8000", x, one, two)
+		if two-one > one/2 {
+			t.Errorf("X=%v: BuildLadder allocates %.0f times over 4000 rows and %.0f over 8000: it allocates per item", x, one, two)
+		}
+	}
+}

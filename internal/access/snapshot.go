@@ -2,26 +2,27 @@ package access
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 
-	"repro/internal/kdtree"
 	"repro/internal/relation"
 )
 
 // This file implements the portable form of a ladder, the unit the
-// persistence layer (internal/persist) writes to disk: per group, the
-// X-key, the raw tuple list (what incremental maintenance mutates), the
-// per-level fetch views as item references and the per-level resolutions
-// (what the online path serves from), and the distinct-Y count. Kd-tree
-// STRUCTURE is deliberately not serialised: the fetch path never touches a
-// tree, only the views made from one, and the first maintenance operation on
-// a restored group rebuilds its views from the tuple list deterministically
-// — so restoring is a linear pass with identical FetchBlock results, and a
-// snapshot stays a flat, checkable artifact.
+// persistence layer (internal/persist) writes to disk: the ladder's item
+// rows in one block and, per group, the X-key, the range of its items (what
+// incremental maintenance rebuilds from), the per-level fetch views as item
+// references and the per-level resolutions (what the online path serves
+// from), and the distinct-Y count. Kd-tree STRUCTURE is deliberately not
+// serialised: the fetch path never touches a tree, only the views made from
+// one, and the first maintenance operation on a restored group rebuilds its
+// views from its items deterministically — so restoring is a linear pass
+// with identical FetchBlock results, and a snapshot stays a flat, checkable
+// artifact.
 
 // LevelRef is one row of a level view in portable form. Representatives are
-// actual items, so a row is the index of its item in the group's item list —
+// actual items, so a row is the index of its item among the group's items —
 // the first item key-equal to it — and the number of base tuples it
 // represents.
 type LevelRef struct {
@@ -33,9 +34,11 @@ type LevelRef struct {
 type GroupSnapshot struct {
 	// Key is the group's X-value tuple (empty for X = ∅ ladders).
 	Key relation.Tuple
-	// Items is the group's raw Y-projection tuple list in stored order,
-	// duplicates kept — the list incremental maintenance rebuilds from.
-	Items []kdtree.Item
+	// First and Items locate the group's items, rows [First, First+Items)
+	// of the ladder snapshot's Items block: the raw Y-projections of its
+	// base tuples in stored order, duplicates kept, one per base tuple —
+	// what incremental maintenance rebuilds from.
+	First, Items int
 	// Distinct is the group's distinct-Y count (the built tree's item
 	// count; not derivable from Levels when distance-zero points collapse
 	// into one leaf).
@@ -49,29 +52,34 @@ type GroupSnapshot struct {
 }
 
 // LadderSnapshot is the portable state of one ladder: its identity (relation
-// and attribute sets), the shard count it was built with, and every group.
-// Groups are sorted by canonical X-key so snapshots of equal ladders are
-// byte-identical regardless of shard-map iteration order.
+// and attribute sets), the shard count it was built with, its item rows and
+// every group. Groups are sorted by canonical X-key so snapshots of equal
+// ladders are byte-identical regardless of shard-map iteration order.
 type LadderSnapshot struct {
 	RelName string
 	X, Y    []string
 	Shards  int
-	Groups  []GroupSnapshot
+	// Items holds every group's items, one column per Y attribute; rows no
+	// group's range covers are ignored.
+	Items  *relation.Block
+	Groups []GroupSnapshot
 }
 
 // Snapshot captures the ladder's full state for serialisation. The returned
-// tuples and item lists are shared with the live ladder and must be treated
+// tuples and item block are shared with the live ladder and must be treated
 // as read-only; take the snapshot under the same single-writer discipline
-// as maintenance.
+// as maintenance, and use it before the ladder is maintained again.
 func (l *Ladder) Snapshot() LadderSnapshot {
 	snap := LadderSnapshot{
 		RelName: l.RelName,
 		X:       append([]string(nil), l.X...),
 		Y:       append([]string(nil), l.Y...),
 		Shards:  l.store.NumShards(),
+		Items:   l.items.y,
 	}
+	var table []int32
 	l.store.rangeGroups(func(g *ladderGroup) bool {
-		snap.Groups = append(snap.Groups, g.snapshot(len(l.Y)))
+		snap.Groups = append(snap.Groups, g.snapshot(l.items.y, &table))
 		return true
 	})
 	sort.Slice(snap.Groups, func(i, j int) bool {
@@ -80,34 +88,50 @@ func (l *Ladder) Snapshot() LadderSnapshot {
 	return snap
 }
 
-// snapshot returns the group's portable state. Each arena row holds the
-// values of the item a tree representative came from — kdtree.Build merges
-// key-equal items into the first of them — so looking the row up among the
-// items by key equality finds that item.
-func (g *ladderGroup) snapshot(arity int) GroupSnapshot {
-	firstIdx := relation.NewTupleMap[int](len(g.items))
-	for i, it := range g.items {
-		if _, dup := firstIdx.Get(it.Tuple); !dup {
-			firstIdx.Put(it.Tuple, i)
+// snapshot returns the group's portable state; table is hash-table scratch
+// shared across groups. Each arena row holds the values of the item a tree
+// representative came from — kdtree.Build merges key-equal items into the
+// first of them — so looking the row up among the group's items by key
+// equality finds that item.
+func (g *ladderGroup) snapshot(items *relation.Block, table *[]int32) GroupSnapshot {
+	// Index the group's items, first occurrence of each key, in an
+	// open-addressing table of item offsets +1 (0 = empty).
+	size := 1 << bits.Len(uint(2*g.items.rows-1))
+	if cap(*table) < size {
+		*table = make([]int32, size)
+	}
+	t := (*table)[:size]
+	clear(t)
+	mask := size - 1
+	find := func(b *relation.Block, row int, insert int32) int32 {
+		for s := int(b.HashRow(row)) & mask; ; s = (s + 1) & mask {
+			if t[s] == 0 {
+				t[s] = insert
+				return insert
+			}
+			if items.RowKeyEqual(g.items.first+int(t[s])-1, b, row) {
+				return t[s]
+			}
 		}
+	}
+	for i := 0; i < g.items.rows; i++ {
+		find(items, g.items.first+i, int32(i+1))
 	}
 	lo, hi := g.span()
 	a := g.levels[0].arena
 	refs := make([]LevelRef, hi-lo)
-	row := make(relation.Tuple, arity)
 	for r := range refs {
-		for c := range row {
-			row[c] = a.y.Value(lo+r, c)
+		idx := find(a.y, lo+r, 0)
+		if idx == 0 {
+			panic(fmt.Sprintf("access: group %v level row %v is not an item", g.key, a.y.Tuple(lo+r)))
 		}
-		idx, ok := firstIdx.Get(row)
-		if !ok {
-			panic(fmt.Sprintf("access: group %v level row %v is not an item", g.key, row))
-		}
-		refs[r] = LevelRef{Item: idx, Count: a.counts[lo+r]}
+		refs[r] = LevelRef{Item: int(idx) - 1, Count: a.counts[lo+r]}
 	}
+	arity := items.Width()
 	gs := GroupSnapshot{
 		Key:         g.key,
-		Items:       g.items,
+		First:       g.items.first,
+		Items:       g.items.rows,
 		Distinct:    g.distinct,
 		Levels:      make([][]LevelRef, len(g.levels)),
 		Resolutions: make([][]float64, len(g.levels)),
@@ -124,10 +148,13 @@ func (g *ladderGroup) snapshot(arity int) GroupSnapshot {
 // snapshot was taken over. Groups are re-partitioned across `shards` shards
 // (0 keeps the snapshot's count) — partitioning is a deterministic function
 // of the X-value hash, so the shard count never changes what a fetch
-// returns. No kd-tree is built: the arena is filled straight from the item
-// lists the level references point into, identical to the original
-// ladder's views, and a group is rebuilt from its tuple list on its first
-// maintenance touch. Structural problems (unknown relation or attributes,
+// returns. No kd-tree is built: the ladder adopts snap.Items as its item
+// store, without copying it, and the arena is filled straight from the
+// item rows the level references point at, identical to the original
+// ladder's views; a group is rebuilt from its items on its first
+// maintenance touch. Because the block is adopted, a snapshot restores one
+// ladder that may be maintained, and only while the ladder it was taken
+// from is not. Structural problems (unknown relation or attributes,
 // malformed groups) are reported as errors, never panics.
 func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Ladder, error) {
 	if shards <= 0 {
@@ -138,16 +165,24 @@ func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Lad
 		return nil, fmt.Errorf("access: restore: %w", err)
 	}
 	arity := len(l.yAttrs)
-	total := 0
+	if snap.Items == nil || snap.Items.Width() != arity {
+		return nil, fmt.Errorf("access: restore %s: item block does not have %d columns", snap.RelName, arity)
+	}
+	total, items := 0, 0
 	for gi := range snap.Groups {
 		gs := &snap.Groups[gi]
-		if err := validGroup(gs, arity); err != nil {
+		if err := validGroup(gs, arity, snap.Items.Rows()); err != nil {
 			return nil, fmt.Errorf("access: restore %s group %v: %w", snap.RelName, gs.Key, err)
 		}
 		for _, lvl := range gs.Levels {
 			total += len(lvl)
 		}
+		items += gs.Items
 	}
+	if items > snap.Items.Rows() {
+		return nil, fmt.Errorf("access: restore %s: groups cover %d items of a %d-row block", snap.RelName, items, snap.Items.Rows())
+	}
+	l.items = rowStore{y: snap.Items, dead: snap.Items.Rows() - items}
 	// One backing array for every group's rows: restoration is the warm
 	// path's bulk work, and per-group slices would dominate its allocations.
 	rows := make([]levelRow, 0, total)
@@ -156,7 +191,7 @@ func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Lad
 		gs := &snap.Groups[gi]
 		g := &ladderGroup{
 			key:      gs.Key,
-			items:    gs.Items,
+			items:    rowRange{first: gs.First, rows: gs.Items},
 			distinct: gs.Distinct,
 			levels:   make([]LevelBlock, len(gs.Levels)),
 			res:      make([]float64, len(gs.Levels)*arity),
@@ -166,7 +201,7 @@ func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Lad
 			g.levels[k] = LevelBlock{first: len(rows) - start, rows: len(lvl)}
 			copy(g.res[k*arity:], gs.Resolutions[k])
 			for _, ref := range lvl {
-				rows = append(rows, levelRow{y: gs.Items[ref.Item].Tuple, count: ref.Count})
+				rows = append(rows, levelRow{item: gs.First + ref.Item, count: ref.Count})
 			}
 		}
 		jobs[gi] = groupBuild{l: l, g: g, rows: rows[start:len(rows):len(rows)]}
@@ -180,21 +215,13 @@ func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Lad
 }
 
 // validGroup checks the structural invariants a restored group must satisfy
-// before it can serve fetches.
-func validGroup(gs *GroupSnapshot, arity int) error {
-	if len(gs.Items) == 0 {
-		return fmt.Errorf("empty item list")
+// before it can serve fetches; rows is the item block's row count.
+func validGroup(gs *GroupSnapshot, arity, rows int) error {
+	if gs.Items <= 0 || gs.First < 0 || gs.First > rows-gs.Items {
+		return fmt.Errorf("item range [%d, +%d) outside a %d-row block", gs.First, gs.Items, rows)
 	}
-	for _, it := range gs.Items {
-		if len(it.Tuple) != arity {
-			return fmt.Errorf("item arity %d != %d", len(it.Tuple), arity)
-		}
-		if it.Count <= 0 {
-			return fmt.Errorf("non-positive item count %d", it.Count)
-		}
-	}
-	if gs.Distinct < 1 || gs.Distinct > len(gs.Items) {
-		return fmt.Errorf("distinct count %d outside [1, %d]", gs.Distinct, len(gs.Items))
+	if gs.Distinct < 1 || gs.Distinct > gs.Items {
+		return fmt.Errorf("distinct count %d outside [1, %d]", gs.Distinct, gs.Items)
 	}
 	if len(gs.Levels) == 0 || len(gs.Resolutions) != len(gs.Levels) {
 		return fmt.Errorf("%d levels with %d resolution rows", len(gs.Levels), len(gs.Resolutions))
@@ -204,7 +231,7 @@ func validGroup(gs *GroupSnapshot, arity int) error {
 			return fmt.Errorf("level %d is empty", k)
 		}
 		for _, ref := range lvl {
-			if ref.Item < 0 || ref.Item >= len(gs.Items) || ref.Count <= 0 {
+			if ref.Item < 0 || ref.Item >= gs.Items || ref.Count <= 0 {
 				return fmt.Errorf("level %d has a malformed row", k)
 			}
 		}

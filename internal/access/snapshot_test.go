@@ -82,7 +82,7 @@ func TestRestoreLadderRejectsDamage(t *testing.T) {
 	}
 	bad = base
 	bad.Groups = append([]GroupSnapshot(nil), base.Groups...)
-	bad.Groups[0].Distinct = len(bad.Groups[0].Items) + 1
+	bad.Groups[0].Distinct = bad.Groups[0].Items + 1
 	if _, err := RestoreLadder(db, bad, 0); err == nil {
 		t.Error("distinct count above item count must fail")
 	}

@@ -561,7 +561,7 @@ func (s *Scheme) combineDiff(p *Plan, q *query.Diff, results map[*query.SPC]*lea
 		// Large inputs: probe a K-D tree over the approximate answers
 		// instead of scanning them per left tuple (§4.1's tree structures,
 		// reused online). AnyWithin matches withinPerAttr exactly.
-		tree := kdtree.Build(attrs, treeItems(rHat))
+		tree := treeOf(attrs, rHat)
 		for _, t := range l.Tuples {
 			if !tree.AnyWithin(t, delta) {
 				out.Tuples = append(out.Tuples, t)
@@ -596,13 +596,10 @@ func useDiffIndex(probes, points int) bool {
 	return points >= 8 && probes*points >= diffIndexMinWork
 }
 
-// treeItems wraps a relation's tuples as unit-count K-D tree items.
-func treeItems(r *relation.Relation) []kdtree.Item {
-	items := make([]kdtree.Item, len(r.Tuples))
-	for i, t := range r.Tuples {
-		items[i] = kdtree.Item{Tuple: t, Count: 1}
-	}
-	return items
+// treeOf builds a K-D tree over a relation's tuples, whose attributes attrs
+// describes.
+func treeOf(attrs []relation.Attribute, r *relation.Relation) *kdtree.Tree {
+	return kdtree.Build(attrs, relation.BlockOfTuples(len(attrs), r.Tuples), 0, r.Len())
 }
 
 // sideExact reports whether every leaf under e fetched with resolution 0.
@@ -793,7 +790,7 @@ func (s *Scheme) refineEtaDiff(p *Plan, results map[*query.SPC]*leafResult, out 
 		// the answers instead of the O(|Ŝ|·|S|) scan. The attribute
 		// distances are symmetric metrics, so MinMaxDistance(t) equals the
 		// scan's min over answers of TupleDistance.
-		tree := kdtree.Build(attrs, treeItems(out))
+		tree := treeOf(attrs, out)
 		for _, t := range hat.Tuples {
 			if best := tree.MinMaxDistance(t); best > dPrime {
 				dPrime = best

@@ -17,90 +17,111 @@ package kdtree
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 
 	"repro/internal/relation"
 )
 
-// Item is a weighted point: a tuple plus the number of base tuples it stands
-// for (duplicates are collapsed by callers; Count feeds the count-annotated
-// samples that sum/count/avg aggregation needs, §7).
-type Item struct {
-	Tuple relation.Tuple
-	Count int
-}
-
-// Rep is one representative at a level: an actual tuple of the indexed data,
-// the number of base tuples it represents, and the per-attribute maximum
-// pairwise distance among those tuples.
+// Rep is one representative at a level: a row of the indexed block (an
+// actual indexed point), the number of indexed rows it represents, and the
+// per-attribute maximum pairwise distance among those rows.
 type Rep struct {
-	Point   relation.Tuple
+	Row     int
 	Count   int
 	MaxDist []float64
 }
 
-// Tree is an immutable K-D tree over weighted tuples.
+// Tree is an immutable K-D tree over the rows of a block.
 type Tree struct {
 	attrs    []relation.Attribute
+	b        *relation.Block
 	root     *node
-	count    int // total base-tuple count
+	count    int // number of rows indexed
 	items    int // number of distinct points
 	maxDepth int
 }
 
 type node struct {
-	rep         relation.Tuple
+	rep         int32 // the representative's row of the block
 	count       int
 	maxDist     []float64
 	left, right *node
 }
 
-// Build constructs the tree. The attrs describe the dimensions of every
-// tuple (names, kinds and distances); all items must have that arity.
-// Build copies the item slice but not the tuples.
-func Build(attrs []relation.Attribute, items []Item) *Tree {
-	t := &Tree{attrs: attrs}
-	if len(items) == 0 {
+// Build constructs the tree over rows [lo, hi) of b, each row one point
+// standing for one base tuple. The attrs describe b's columns (names, kinds
+// and distances); b must have one column per attribute. The tree reads b —
+// representatives are rows of it, and the searches read their values — so
+// b's rows must not change while the tree is in use.
+func Build(attrs []relation.Attribute, b *relation.Block, lo, hi int) *Tree {
+	t := &Tree{attrs: attrs, b: b}
+	n := hi - lo
+	if n <= 0 {
 		return t
 	}
-	// Merge identical points so duplicates always share one leaf and their
-	// counts accumulate; this keeps ExactLevel at ceil(log2 of the number
-	// of *distinct* points).
-	own := make([]Item, 0, len(items))
-	if len(items) == 1 {
-		own = append(own, items[0])
+	if hi > math.MaxInt32 {
+		panic("kdtree: row index beyond int32")
+	}
+	t.count = n
+	bld := &builder{attrs: attrs, b: b, lo: lo, cols: make([]colView, len(attrs))}
+	for a := range attrs {
+		bld.cols[a] = viewOf(b.Col(a))
+	}
+	var rows []int32
+	if n == 1 { // a single point is a leaf: nothing is merged or sorted
+		slab := []int32{int32(lo), 1}
+		rows, bld.counts = slab[:1], slab[1:]
 	} else {
-		byKey := relation.NewTupleMap[int](len(items))
-		for _, it := range items {
-			if i, dup := byKey.Get(it.Tuple); dup {
-				own[i].Count += it.Count
-				continue
-			}
-			byKey.Put(it.Tuple, len(own))
-			own = append(own, it)
-		}
+		// One int32 slab holds the distinct rows (permuted by the build),
+		// the per-row counts, the permutation scratch and the merge table.
+		size := 1 << bits.Len(uint(2*n-1))
+		slab := make([]int32, 3*n+size)
+		rows, bld.counts, bld.tmp = slab[:0:n], slab[n:2*n], slab[2*n:3*n]
+		bld.keys = make([]sortKey, n)
+		rows = bld.mergeDuplicates(rows, slab[3*n:])
+		bld.keys, bld.tmp = bld.keys[:len(rows)], bld.tmp[:len(rows)]
 	}
-	t.items = len(own)
-	for _, it := range own {
-		t.count += it.Count
-	}
+	t.items = len(rows)
 	// A tree over n points has at most 2n−1 nodes. The nodes and their
 	// maxDist rows come from two slabs, carved up front by subtree size (see
 	// build), so construction allocates per tree, not per node, and
 	// concurrent subtree builds never contend for slab space.
-	b := &builder{
-		attrs: attrs,
-		nodes: make([]node, 2*len(own)-1),
-		dists: make([]float64, (2*len(own)-1)*len(attrs)),
-	}
-	if len(own) > 1 { // a single point is a leaf: nothing is ever sorted
-		b.keys = make([]sortKey, len(own))
-		b.tmp = make([]Item, len(own))
-	}
-	t.maxDepth = b.build(own, 0, 0, 0, runtime.GOMAXPROCS(0))
-	t.root = &b.nodes[0]
+	bld.nodes = make([]node, 2*len(rows)-1)
+	bld.dists = make([]float64, (2*len(rows)-1)*len(attrs))
+	t.maxDepth = bld.build(rows, 0, 0, 0, runtime.GOMAXPROCS(0))
+	t.root = &bld.nodes[0]
 	return t
+}
+
+// mergeDuplicates appends to rows the first row of every class of
+// key-equal rows of [lo, lo+len(counts)), in row order, and counts each
+// class under its first row; table (a power of two long) is the scratch
+// hash table. Merging identical points makes duplicates share one leaf
+// with their counts accumulated, which keeps ExactLevel at ceil(log2 of the
+// number of *distinct* points). The keys slab holds each distinct row's
+// hash until the sort reuses it.
+func (bld *builder) mergeDuplicates(rows, table []int32) []int32 {
+	mask := len(table) - 1
+	for r := bld.lo; r < bld.lo+len(bld.counts); r++ {
+		h := bld.b.HashRow(r)
+		for s := int(h) & mask; ; s = (s + 1) & mask {
+			e := table[s]
+			if e == 0 {
+				table[s] = int32(len(rows) + 1)
+				bld.keys[len(rows)].key = h
+				rows = append(rows, int32(r))
+				bld.counts[r-bld.lo] = 1
+				break
+			}
+			if first := rows[e-1]; bld.keys[e-1].key == h && bld.b.RowKeyEqual(int(first), bld.b, r) {
+				bld.counts[int(first)-bld.lo]++
+				break
+			}
+		}
+	}
+	return rows
 }
 
 // forkMin is the smallest node whose two subtrees are built concurrently.
@@ -110,97 +131,140 @@ func Build(attrs []relation.Attribute, items []Item) *Tree {
 // goroutine hand-off costs what the second core returns.
 const forkMin = 2048
 
-// builder is the per-Build scratch state. The recursion on items[lo:hi]
-// only ever touches keys[lo:hi], tmp[lo:hi] and its own 2(hi−lo)−1 slab
-// slots, so subtrees can be built concurrently without synchronisation.
-type builder struct {
-	attrs []relation.Attribute
-	nodes []node
-	dists []float64 // maxDist rows, len(attrs) per node, parallel to nodes
-	keys  []sortKey
-	tmp   []Item
+// colView is one column as the build reads it: straight from the typed
+// payload when every row is a non-null int or float, through Column.Value
+// otherwise.
+type colView struct {
+	col    *relation.Column
+	ints   []int64
+	floats []float64
+	typed  relation.Kind // KindInt or KindFloat for a typed payload, else KindNull
 }
 
-// build constructs the subtree over items, which sit at offset lo of the
-// build's item slice, and returns the deepest level it reaches. The subtree
-// owns the slab slots from slot on: its root takes the first, the left half
-// (mid items) the next 2·mid−1 and the right half the rest. par is the
-// number of cores this subtree may use: a node of at least forkMin items
+func viewOf(c *relation.Column) colView {
+	v := colView{col: c}
+	if ints, ok := c.Ints(); ok {
+		v.ints, v.typed = ints, relation.KindInt
+	} else if floats, ok := c.Floats(); ok {
+		v.floats, v.typed = floats, relation.KindFloat
+	}
+	return v
+}
+
+// builder is the per-Build scratch state. The recursion on rows[off:off+n]
+// of the permutation only ever touches keys and tmp at the same positions
+// and its own 2n−1 slab slots, so subtrees can be built concurrently
+// without synchronisation.
+type builder struct {
+	attrs  []relation.Attribute
+	b      *relation.Block
+	cols   []colView
+	lo     int
+	counts []int32 // per row r of the build, at r−lo: the rows merged into r
+	nodes  []node
+	dists  []float64 // maxDist rows, len(attrs) per node, parallel to nodes
+	keys   []sortKey
+	tmp    []int32
+}
+
+// build constructs the subtree over rows, which sit at offset off of the
+// build's permutation, and returns the deepest level it reaches. The
+// subtree owns the slab slots from slot on: its root takes the first, the
+// left half (mid rows) the next 2·mid−1 and the right half the rest. par is
+// the number of cores this subtree may use: a node of at least forkMin rows
 // with par > 1 builds its left subtree on a new goroutine and splits par
 // between the halves, so a build never runs more than GOMAXPROCS goroutines
 // and the result does not depend on how many.
-func (b *builder) build(items []Item, lo, slot, depth, par int) int {
-	m := len(b.attrs)
-	n := &b.nodes[slot]
-	n.maxDist = b.dists[slot*m : (slot+1)*m : (slot+1)*m]
-	b.spread(items, n.maxDist)
-	for _, it := range items {
-		n.count += it.Count
+func (bld *builder) build(rows []int32, off, slot, depth, par int) int {
+	m := len(bld.attrs)
+	n := &bld.nodes[slot]
+	n.maxDist = bld.dists[slot*m : (slot+1)*m : (slot+1)*m]
+	bld.spread(rows, n.maxDist)
+	for _, r := range rows {
+		n.count += int(bld.counts[int(r)-bld.lo])
 	}
-	n.rep = items[len(items)/2].Tuple
-	if len(items) == 1 || allZero(n.maxDist) {
+	n.rep = rows[len(rows)/2]
+	if len(rows) == 1 || allZero(n.maxDist) {
 		// Leaf: a single point, or a set at pairwise distance 0 on every
 		// attribute (indistinguishable under the metric).
 		return depth
 	}
-	b.sortOnDim(items, lo, splitDim(n.maxDist))
-	mid := len(items) / 2
-	n.rep = items[mid].Tuple
+	bld.sortOnDim(rows, off, splitDim(n.maxDist))
+	mid := len(rows) / 2
+	n.rep = rows[mid]
 	left, right := slot+1, slot+2*mid
-	n.left, n.right = &b.nodes[left], &b.nodes[right]
-	var ld, rd int
-	if par > 1 && len(items) >= forkMin {
-		// A panic on the forked goroutine (malformed input: a tuple of the
-		// wrong arity) is re-raised here so the caller's containment sees it.
-		var perr any
-		done := make(chan struct{})
-		go func() {
-			defer func() {
-				perr = recover()
-				close(done)
-			}()
-			ld = b.build(items[:mid], lo, left, depth+1, par/2)
+	n.left, n.right = &bld.nodes[left], &bld.nodes[right]
+	if par > 1 && len(rows) >= forkMin {
+		return bld.fork(rows, off, mid, left, right, depth, par)
+	}
+	ld := bld.build(rows[:mid], off, left, depth+1, 1)
+	rd := bld.build(rows[mid:], off+mid, right, depth+1, 1)
+	return max(ld, rd)
+}
+
+// fork is build's recursion into the halves of rows split at mid with the
+// left half on a new goroutine. It is a function of its own so that only
+// forking nodes pay for the variables the goroutine shares.
+func (bld *builder) fork(rows []int32, off, mid, left, right, depth, par int) int {
+	// A panic on the forked goroutine is re-raised here so the caller's
+	// containment sees it.
+	var ld int
+	var perr any
+	done := make(chan struct{})
+	go func() {
+		defer func() {
+			perr = recover()
+			close(done)
 		}()
-		rd = b.build(items[mid:], lo+mid, right, depth+1, par-par/2)
-		<-done
-		if perr != nil {
-			panic(perr)
-		}
-	} else {
-		ld = b.build(items[:mid], lo, left, depth+1, 1)
-		rd = b.build(items[mid:], lo+mid, right, depth+1, 1)
+		ld = bld.build(rows[:mid], off, left, depth+1, par/2)
+	}()
+	rd := bld.build(rows[mid:], off+mid, right, depth+1, par-par/2)
+	<-done
+	if perr != nil {
+		panic(perr)
 	}
 	return max(ld, rd)
 }
 
 // sortKey is one record of the homogeneous-dimension sort: the value mapped
-// to an order-preserving uint64 and the item's current position.
+// to an order-preserving uint64 and the row's current position.
 type sortKey struct {
 	key uint64
 	pos uint32
 }
 
-// sortOnDim stably sorts items (at offset lo) by Value.Compare on dimension
+// sortOnDim stably sorts rows (at offset off) by Value.Compare on dimension
 // dim. A stable sort is the unique permutation ordered by (value, current
 // position) whenever Compare is a total preorder on the values present; it
 // is one when they are all KindInt (int64 order) or all NaN-free KindFloat,
 // which is every numeric column of a typed relation. Those dimensions sort
 // 16-byte (key, position) records with the unstable pattern-defeating
 // quicksort — position breaks ties, so the result is the stable one — and
-// permute the items once; a slice already ordered on dim (a child splitting
-// the dimension its parent just sorted) is left alone. Anything else —
-// nulls, strings, Int and Float mixed in one column (float comparison of
-// ints beyond 2^53 is not transitive), NaN (equal to everything) — runs the
+// permute the rows once; rows already ordered on dim (a child splitting
+// the dimension its parent just sorted) are left alone. A typed int or
+// float column is keyed straight from its payload. Anything else — nulls,
+// strings, Int and Float mixed in one column (float comparison of ints
+// beyond 2^53 is not transitive), NaN (equal to everything) — runs the
 // generic insertion+merge stable sort with Compare itself.
-func (b *builder) sortOnDim(items []Item, lo, dim int) {
-	keys := b.keys[lo : lo+len(items)]
-	kind := items[0].Tuple[dim].Kind()
+func (bld *builder) sortOnDim(rows []int32, off, dim int) {
+	keys := bld.keys[off : off+len(rows)]
+	v := &bld.cols[dim]
+	kind := v.col.Value(int(rows[0])).Kind()
 	sorted := true
-	for i := range items {
-		k, ok := orderKey(items[i].Tuple[dim], kind)
+	for i, r := range rows {
+		var k uint64
+		ok := true
+		switch v.typed {
+		case relation.KindInt:
+			k = intKey(v.ints[r])
+		case relation.KindFloat:
+			k, ok = floatKey(v.floats[r])
+		default:
+			k, ok = orderKey(v.col.Value(int(r)), kind)
+		}
 		if !ok {
-			slices.SortStableFunc(items, func(x, y Item) int {
-				return x.Tuple[dim].Compare(y.Tuple[dim])
+			slices.SortStableFunc(rows, func(x, y int32) int {
+				return v.col.Value(int(x)).Compare(v.col.Value(int(y)))
 			})
 			return
 		}
@@ -218,11 +282,11 @@ func (b *builder) sortOnDim(items []Item, lo, dim int) {
 		}
 		return cmp.Compare(x.pos, y.pos)
 	})
-	tmp := b.tmp[lo : lo+len(items)]
+	tmp := bld.tmp[off : off+len(rows)]
 	for i, k := range keys {
-		tmp[i] = items[k.pos]
+		tmp[i] = rows[k.pos]
 	}
-	copy(items, tmp)
+	copy(rows, tmp)
 }
 
 // orderKey maps a value of the given numeric kind to a uint64 that orders
@@ -235,58 +299,127 @@ func orderKey(v relation.Value, kind relation.Kind) (uint64, bool) {
 	switch kind {
 	case relation.KindInt:
 		i, _ := v.AsInt()
-		return uint64(i) ^ 1<<63, true
+		return intKey(i), true
 	case relation.KindFloat:
 		f, _ := v.AsFloat()
-		if f != f {
-			return 0, false
-		}
-		if f == 0 {
-			f = 0 // −0 and +0 are equal under Compare
-		}
-		bits := math.Float64bits(f)
-		if bits>>63 != 0 {
-			return ^bits, true
-		}
-		return bits | 1<<63, true
+		return floatKey(f)
 	}
 	return 0, false
 }
 
+func intKey(i int64) uint64 { return uint64(i) ^ 1<<63 }
+
+// floatKey is orderKey for a float; it reports false for NaN.
+func floatKey(f float64) (uint64, bool) {
+	if f != f {
+		return 0, false
+	}
+	if f == 0 {
+		f = 0 // −0 and +0 are equal under Compare
+	}
+	bits := math.Float64bits(f)
+	if bits>>63 != 0 {
+		return ^bits, true
+	}
+	return bits | 1<<63, true
+}
+
 // spread computes, per attribute, the maximum pairwise distance within
-// items into out (all zero on entry).
-func (b *builder) spread(items []Item, out []float64) {
-	for a, attr := range b.attrs {
-		switch attr.Dist.Kind {
-		case relation.DistNumeric:
-			out[a] = numericSpread(items, a, attr.Dist)
-		default:
-			// Discrete / trivial: 0 if all equal, else 1 or +inf.
-			allEq := true
-			first := items[0].Tuple[a]
-			for _, it := range items[1:] {
-				if !it.Tuple[a].Equal(first) {
-					allEq = false
-					break
-				}
-			}
-			if !allEq {
-				if attr.Dist.Kind == relation.DistDiscrete {
-					out[a] = 1
-				} else {
-					out[a] = math.Inf(1)
-				}
-			}
+// rows into out (all zero on entry).
+func (bld *builder) spread(rows []int32, out []float64) {
+	for a, attr := range bld.attrs {
+		v := &bld.cols[a]
+		if attr.Dist.Kind == relation.DistNumeric {
+			out[a] = v.numericSpread(rows, attr.Dist)
+		} else if !v.allEqual(rows) {
+			out[a] = unequalSpread(attr.Dist)
 		}
 	}
 }
 
-func numericSpread(items []Item, a int, d relation.Distance) float64 {
+// unequalSpread is the spread of a discrete or trivial attribute whose
+// values are not all equal: 1 or +inf.
+func unequalSpread(d relation.Distance) float64 {
+	if d.Kind == relation.DistDiscrete {
+		return 1
+	}
+	return math.Inf(1)
+}
+
+// numericSpread is valuesSpread over the given rows of the column, read
+// from the typed payload when there is one.
+func (v *colView) numericSpread(rows []int32, d relation.Distance) float64 {
+	switch v.typed {
+	case relation.KindInt:
+		lo, hi := v.ints[rows[0]], v.ints[rows[0]]
+		for _, r := range rows[1:] {
+			lo, hi = min(lo, v.ints[r]), max(hi, v.ints[r])
+		}
+		// float64 is monotone, so this is the spread of the float images.
+		return scaled(float64(lo), float64(hi), d)
+	case relation.KindFloat:
+		lo, hi := v.floats[rows[0]], v.floats[rows[0]]
+		for _, r := range rows[1:] {
+			f := v.floats[r]
+			// Not min/max: a NaN must compare exactly as valuesSpread's
+			// comparisons do.
+			if f < lo {
+				lo = f
+			}
+			if f > hi {
+				hi = f
+			}
+		}
+		return scaled(lo, hi, d)
+	}
+	return valuesSpread(len(rows), func(i int) relation.Value { return v.col.Value(int(rows[i])) }, d)
+}
+
+// allEqual is valuesEqual over the given rows of the column.
+func (v *colView) allEqual(rows []int32) bool {
+	switch v.typed {
+	case relation.KindInt:
+		first := v.ints[rows[0]]
+		for _, r := range rows[1:] {
+			if v.ints[r] != first {
+				return false
+			}
+		}
+		return true
+	case relation.KindFloat:
+		first := v.floats[rows[0]]
+		for _, r := range rows[1:] {
+			// Compare finds floats equal unless one orders before the
+			// other, so NaN equals everything.
+			if f := v.floats[r]; f < first || f > first {
+				return false
+			}
+		}
+		return true
+	}
+	return valuesEqual(len(rows), func(i int) relation.Value { return v.col.Value(int(rows[i])) })
+}
+
+// valuesEqual reports whether the n values at(0..n) are all Value.Equal
+// to the first: the zero-spread test of a discrete or trivial attribute.
+func valuesEqual(n int, at func(i int) relation.Value) bool {
+	first := at(0)
+	for i := 1; i < n; i++ {
+		if !at(i).Equal(first) {
+			return false
+		}
+	}
+	return true
+}
+
+// valuesSpread is the maximum pairwise distance, under the numeric
+// distance d, among the n values at(0..n).
+func valuesSpread(n int, at func(i int) relation.Value, d relation.Distance) float64 {
 	var lo, hi float64
 	seen := false
 	nulls, nonNumeric := 0, 0
-	for _, it := range items {
-		v := it.Tuple[a]
+	for i := 0; i < n; i++ {
+		v := at(i)
 		if v.IsNull() {
 			nulls++
 			continue
@@ -314,17 +447,19 @@ func numericSpread(items []Item, a int, d relation.Distance) float64 {
 	}
 	if nonNumeric > 1 {
 		// All non-numeric: unequal pairs are at +inf, equal all-round is 0.
-		first := items[0].Tuple[a]
-		for _, it := range items[1:] {
-			if !it.Tuple[a].Equal(first) {
-				return math.Inf(1)
-			}
+		if !valuesEqual(n, at) {
+			return math.Inf(1)
 		}
 		return 0
 	}
 	if !seen {
 		return 0
 	}
+	return scaled(lo, hi, d)
+}
+
+// scaled is the numeric distance between the extremes lo and hi.
+func scaled(lo, hi float64, d relation.Distance) float64 {
 	scale := d.Scale
 	if scale <= 0 {
 		scale = 1
@@ -364,7 +499,7 @@ func allZero(xs []float64) bool {
 	return true
 }
 
-// Count returns the total base-tuple count (sum of item counts).
+// Count returns the number of rows indexed.
 func (t *Tree) Count() int { return t.count }
 
 // Items returns the number of distinct points indexed.
@@ -390,7 +525,7 @@ func (t *Tree) Level(k int) []Rep {
 	var walk func(n *node, depth int)
 	walk = func(n *node, depth int) {
 		if depth == k || n.left == nil {
-			reps = append(reps, Rep{Point: n.rep, Count: n.count, MaxDist: n.maxDist})
+			reps = append(reps, Rep{Row: int(n.rep), Count: n.count, MaxDist: n.maxDist})
 			return
 		}
 		walk(n.left, depth+1)
@@ -438,7 +573,7 @@ func (t *Tree) AllLevels() [][]Rep {
 	}
 	var fill func(n *node, depth int)
 	fill = func(n *node, depth int) {
-		rep := Rep{Point: n.rep, Count: n.count, MaxDist: n.maxDist}
+		rep := Rep{Row: int(n.rep), Count: n.count, MaxDist: n.maxDist}
 		if n.left == nil {
 			for k := depth; k <= t.maxDepth; k++ {
 				out[k] = append(out[k], rep)
@@ -484,7 +619,7 @@ func (t *Tree) AnyWithin(point relation.Tuple, delta []float64) bool {
 	walk = func(n *node) bool {
 		within := true
 		for a, attr := range t.attrs {
-			da := attr.Dist.Between(point[a], n.rep[a])
+			da := attr.Dist.Between(point[a], t.b.Value(int(n.rep), a))
 			// Prune: the best achievable distance on this attribute
 			// exceeds a finite tolerance. (inf − inf is NaN, and NaN
 			// comparisons are false, so fully unbounded attributes never
@@ -520,7 +655,7 @@ func (t *Tree) MinMaxDistance(point relation.Tuple) float64 {
 	walk = func(n *node) {
 		repD, lb := 0.0, 0.0
 		for a, attr := range t.attrs {
-			da := attr.Dist.Between(point[a], n.rep[a])
+			da := attr.Dist.Between(point[a], t.b.Value(int(n.rep), a))
 			if da > repD {
 				repD = da
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -20,24 +19,29 @@ func testAttrs() []relation.Attribute {
 	}
 }
 
-func randomItems(rng *rand.Rand, n int) []Item {
+func randomRows(rng *rand.Rand, n int) *relation.Block {
 	types := []string{"hotel", "bar", "cafe"}
-	items := make([]Item, n)
-	for i := range items {
-		items[i] = Item{
-			Tuple: relation.Tuple{
-				relation.Float(rng.Float64() * 500),
-				relation.Int(int64(rng.Intn(6))),
-				relation.String(types[rng.Intn(len(types))]),
-			},
-			Count: 1 + rng.Intn(3),
+	b := relation.NewBlock(3)
+	for b.Rows() < n {
+		t := relation.Tuple{
+			relation.Float(rng.Float64() * 500),
+			relation.Int(int64(rng.Intn(6))),
+			relation.String(types[rng.Intn(len(types))]),
+		}
+		for c := 1 + rng.Intn(3); c > 0 && b.Rows() < n; c-- {
+			b.AppendTuple(t)
 		}
 	}
-	return items
+	return b
+}
+
+// buildAll builds the tree over every row of b.
+func buildAll(attrs []relation.Attribute, b *relation.Block) *Tree {
+	return Build(attrs, b, 0, b.Rows())
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := Build(testAttrs(), nil)
+	tr := buildAll(testAttrs(), relation.NewBlock(3))
 	if tr.Count() != 0 || tr.Items() != 0 || tr.ExactLevel() != 0 {
 		t.Error("empty tree counters")
 	}
@@ -51,13 +55,14 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestSingleItem(t *testing.T) {
-	it := Item{Tuple: relation.Tuple{relation.Float(10), relation.Int(3), relation.String("bar")}, Count: 5}
-	tr := Build(testAttrs(), []Item{it})
+	it := relation.Tuple{relation.Float(10), relation.Int(3), relation.String("bar")}
+	b := relation.BlockOfTuples(3, []relation.Tuple{it, it, it, it, it})
+	tr := buildAll(testAttrs(), b)
 	if tr.Count() != 5 || tr.Items() != 1 || tr.ExactLevel() != 0 {
 		t.Errorf("counters: count=%d items=%d exact=%d", tr.Count(), tr.Items(), tr.ExactLevel())
 	}
 	reps := tr.Level(0)
-	if len(reps) != 1 || reps[0].Count != 5 || !reps[0].Point.EqualTuple(it.Tuple) {
+	if len(reps) != 1 || reps[0].Count != 5 || reps[0].Row != 0 {
 		t.Errorf("Level(0) = %+v", reps)
 	}
 	if !allZero(reps[0].MaxDist) {
@@ -67,7 +72,7 @@ func TestSingleItem(t *testing.T) {
 
 func TestLevelCountBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tr := Build(testAttrs(), randomItems(rng, 200))
+	tr := buildAll(testAttrs(), randomRows(rng, 200))
 	for k := 0; k <= tr.ExactLevel()+1; k++ {
 		reps := tr.Level(k)
 		if len(reps) > 1<<uint(k) {
@@ -78,12 +83,9 @@ func TestLevelCountBound(t *testing.T) {
 
 func TestCountsPreservedAcrossLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	items := randomItems(rng, 157)
-	total := 0
-	for _, it := range items {
-		total += it.Count
-	}
-	tr := Build(testAttrs(), items)
+	b := randomRows(rng, 157)
+	total := b.Rows()
+	tr := buildAll(testAttrs(), b)
 	for k := 0; k <= tr.ExactLevel(); k++ {
 		sum := 0
 		for _, r := range tr.Level(k) {
@@ -100,18 +102,18 @@ func TestCountsPreservedAcrossLevels(t *testing.T) {
 func TestRepresentationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	attrs := testAttrs()
-	items := randomItems(rng, 300)
-	tr := Build(attrs, items)
+	b := randomRows(rng, 300)
+	tr := buildAll(attrs, b)
 	const eps = 1e-9
 	for k := 0; k <= tr.ExactLevel(); k++ {
 		reps := tr.Level(k)
 		res := tr.Resolution(k)
-		for _, it := range items {
+		for i := 0; i < b.Rows(); i++ {
 			covered := false
 			for _, r := range reps {
 				ok := true
 				for a := range attrs {
-					d := attrs[a].Dist.Between(it.Tuple[a], r.Point[a])
+					d := attrs[a].Dist.Between(b.Value(i, a), b.Value(r.Row, a))
 					if d > res[a]+eps && !(math.IsInf(d, 1) && math.IsInf(res[a], 1)) {
 						ok = false
 						break
@@ -123,7 +125,7 @@ func TestRepresentationInvariant(t *testing.T) {
 				}
 			}
 			if !covered {
-				t.Fatalf("level %d: tuple %v not covered within resolution %v", k, it.Tuple, res)
+				t.Fatalf("level %d: row %v not covered within resolution %v", k, b.Tuple(i), res)
 			}
 		}
 	}
@@ -131,7 +133,7 @@ func TestRepresentationInvariant(t *testing.T) {
 
 func TestResolutionMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tr := Build(testAttrs(), randomItems(rng, 250))
+	tr := buildAll(testAttrs(), randomRows(rng, 250))
 	prev := tr.Resolution(0)
 	for k := 1; k <= tr.ExactLevel(); k++ {
 		cur := tr.Resolution(k)
@@ -150,16 +152,17 @@ func TestResolutionMonotone(t *testing.T) {
 
 func TestRepsAreActualTuples(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	items := randomItems(rng, 120)
-	keys := make(map[string]bool, len(items))
-	for _, it := range items {
-		keys[it.Tuple.Key()] = true
+	b := randomRows(rng, 140)
+	lo, hi := 10, 130
+	first := make(map[string]int, hi-lo)
+	for r := hi - 1; r >= lo; r-- {
+		first[b.Tuple(r).Key()] = r
 	}
-	tr := Build(testAttrs(), items)
+	tr := Build(testAttrs(), b, lo, hi)
 	for k := 0; k <= tr.ExactLevel(); k++ {
 		for _, r := range tr.Level(k) {
-			if !keys[r.Point.Key()] {
-				t.Fatalf("level %d representative %v is not an indexed tuple", k, r.Point)
+			if r.Row < lo || r.Row >= hi || first[b.Tuple(r.Row).Key()] != r.Row {
+				t.Fatalf("level %d representative row %d is not the first indexed row of its point", k, r.Row)
 			}
 		}
 	}
@@ -170,13 +173,13 @@ func TestTrivialAttributeSpread(t *testing.T) {
 		relation.Attr("id", relation.KindInt, relation.Trivial()),
 		relation.Attr("v", relation.KindFloat, relation.Numeric(1)),
 	}
-	items := []Item{
-		{Tuple: relation.Tuple{relation.Int(1), relation.Float(0)}, Count: 1},
-		{Tuple: relation.Tuple{relation.Int(2), relation.Float(1)}, Count: 1},
-		{Tuple: relation.Tuple{relation.Int(3), relation.Float(2)}, Count: 1},
-		{Tuple: relation.Tuple{relation.Int(4), relation.Float(3)}, Count: 1},
-	}
-	tr := Build(attrs, items)
+	b := relation.BlockOfTuples(2, []relation.Tuple{
+		{relation.Int(1), relation.Float(0)},
+		{relation.Int(2), relation.Float(1)},
+		{relation.Int(3), relation.Float(2)},
+		{relation.Int(4), relation.Float(3)},
+	})
+	tr := buildAll(attrs, b)
 	res0 := tr.Resolution(0)
 	if !math.IsInf(res0[0], 1) {
 		t.Errorf("trivial attr resolution at root = %g, want +inf", res0[0])
@@ -191,12 +194,9 @@ func TestDuplicatePointsCollapseToLeaf(t *testing.T) {
 	attrs := []relation.Attribute{
 		relation.Attr("v", relation.KindInt, relation.Numeric(1)),
 	}
-	items := []Item{
-		{Tuple: relation.Tuple{relation.Int(7)}, Count: 2},
-		{Tuple: relation.Tuple{relation.Int(7)}, Count: 3},
-		{Tuple: relation.Tuple{relation.Int(9)}, Count: 1},
-	}
-	tr := Build(attrs, items)
+	seven, nine := relation.Tuple{relation.Int(7)}, relation.Tuple{relation.Int(9)}
+	b := relation.BlockOfTuples(1, []relation.Tuple{seven, seven, nine, seven, seven, seven})
+	tr := buildAll(attrs, b)
 	// Level 1 should split {7,7} from {9}; the 7-leaf must not split further.
 	if tr.ExactLevel() != 1 {
 		t.Errorf("ExactLevel = %d, want 1 (identical points form one leaf)", tr.ExactLevel())
@@ -206,15 +206,15 @@ func TestDuplicatePointsCollapseToLeaf(t *testing.T) {
 		t.Fatalf("Level(1) = %d reps, want 2", len(reps))
 	}
 	for _, r := range reps {
-		if v, _ := r.Point[0].AsInt(); v == 7 && r.Count != 5 {
-			t.Errorf("collapsed leaf count = %d, want 5", r.Count)
+		if v, _ := b.Value(r.Row, 0).AsInt(); v == 7 && (r.Count != 5 || r.Row != 0) {
+			t.Errorf("collapsed leaf = row %d count %d, want row 0 count 5", r.Row, r.Count)
 		}
 	}
 }
 
 func TestLevelClamping(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	tr := Build(testAttrs(), randomItems(rng, 50))
+	tr := buildAll(testAttrs(), randomRows(rng, 50))
 	if got, want := len(tr.Level(-3)), len(tr.Level(0)); got != want {
 		t.Errorf("Level(-3) = %d reps, want %d", got, want)
 	}
@@ -240,10 +240,10 @@ func lineitemAttrs() []relation.Attribute {
 	}
 }
 
-func lineitemItems(rng *rand.Rand, n int) []Item {
-	items := make([]Item, n)
-	for i := range items {
-		items[i] = Item{Count: 1, Tuple: relation.Tuple{
+func lineitemRows(rng *rand.Rand, n int) *relation.Block {
+	b := relation.NewBlock(7)
+	for i := 0; i < n; i++ {
+		b.AppendTuple(relation.Tuple{
 			relation.Int(int64(rng.Intn(n/4 + 1))),
 			relation.Int(int64(rng.Intn(n/8 + 1))),
 			relation.Int(int64(rng.Intn(n/64 + 1))),
@@ -251,9 +251,9 @@ func lineitemItems(rng *rand.Rand, n int) []Item {
 			relation.Float(100 + rng.Float64()*100000),
 			relation.Float(rng.Float64() * 0.1),
 			relation.Int(int64(rng.Intn(2556))),
-		}}
+		})
 	}
-	return items
+	return b
 }
 
 var benchTree *Tree
@@ -261,11 +261,11 @@ var benchTree *Tree
 func BenchmarkBuild(b *testing.B) {
 	attrs := lineitemAttrs()
 	for _, n := range []int{64, 4096, 65536} {
-		items := lineitemItems(rand.New(rand.NewSource(7)), n)
+		rows := lineitemRows(rand.New(rand.NewSource(7)), n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchTree = Build(attrs, items)
+				benchTree = buildAll(attrs, rows)
 			}
 		})
 	}
@@ -281,30 +281,27 @@ func mixedAttrs() []relation.Attribute {
 	}
 }
 
-func randomMixedItems(rng *rand.Rand, n int) []Item {
+func randomMixedRows(rng *rand.Rand, n int) *relation.Block {
 	types := []string{"hotel", "bar", "cafe"}
 	cities := []string{"NYC", "Boston"}
-	items := make([]Item, n)
-	for i := range items {
-		items[i] = Item{
-			Tuple: relation.Tuple{
-				relation.Float(float64(rng.Intn(50)) * 10),
-				relation.String(types[rng.Intn(len(types))]),
-				relation.String(cities[rng.Intn(len(cities))]),
-			},
-			Count: 1,
-		}
+	b := relation.NewBlock(3)
+	for i := 0; i < n; i++ {
+		b.AppendTuple(relation.Tuple{
+			relation.Float(float64(rng.Intn(50)) * 10),
+			relation.String(types[rng.Intn(len(types))]),
+			relation.String(cities[rng.Intn(len(cities))]),
+		})
 	}
-	return items
+	return b
 }
 
 // withinScan is the naive reference for AnyWithin, mirroring the
 // dangerous-distance exclusion's withinPerAttr semantics.
-func withinScan(attrs []relation.Attribute, items []Item, point relation.Tuple, delta []float64) bool {
-	for _, it := range items {
+func withinScan(attrs []relation.Attribute, b *relation.Block, point relation.Tuple, delta []float64) bool {
+	for i := 0; i < b.Rows(); i++ {
 		ok := true
 		for a := range attrs {
-			d := attrs[a].Dist.Between(point[a], it.Tuple[a])
+			d := attrs[a].Dist.Between(point[a], b.Value(i, a))
 			if d > delta[a] && !(math.IsInf(d, 1) && math.IsInf(delta[a], 1)) {
 				ok = false
 				break
@@ -321,8 +318,8 @@ func TestAnyWithinMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	attrs := mixedAttrs()
 	for trial := 0; trial < 40; trial++ {
-		items := randomMixedItems(rng, 1+rng.Intn(120))
-		tr := Build(attrs, items)
+		b := randomMixedRows(rng, 1+rng.Intn(120))
+		tr := buildAll(attrs, b)
 		deltas := [][]float64{
 			{0, 0, 0},
 			{0.2, 0, 0},
@@ -331,10 +328,10 @@ func TestAnyWithinMatchesScan(t *testing.T) {
 			{0.05, 0, math.Inf(1)},
 		}
 		for probe := 0; probe < 25; probe++ {
-			pt := randomMixedItems(rng, 1)[0].Tuple
+			pt := randomMixedRows(rng, 1).Tuple(0)
 			for di, delta := range deltas {
 				got := tr.AnyWithin(pt, delta)
-				want := withinScan(attrs, items, pt, delta)
+				want := withinScan(attrs, b, pt, delta)
 				if got != want {
 					t.Fatalf("trial %d probe %v delta %d (%v): AnyWithin = %v, scan = %v",
 						trial, pt, di, delta, got, want)
@@ -348,13 +345,13 @@ func TestMinMaxDistanceMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	attrs := mixedAttrs()
 	for trial := 0; trial < 40; trial++ {
-		items := randomMixedItems(rng, 1+rng.Intn(120))
-		tr := Build(attrs, items)
+		b := randomMixedRows(rng, 1+rng.Intn(120))
+		tr := buildAll(attrs, b)
 		for probe := 0; probe < 25; probe++ {
-			pt := randomMixedItems(rng, 1)[0].Tuple
+			pt := randomMixedRows(rng, 1).Tuple(0)
 			want := math.Inf(1)
-			for _, it := range items {
-				if d := relation.TupleDistance(attrs, it.Tuple, pt); d < want {
+			for i := 0; i < b.Rows(); i++ {
+				if d := relation.TupleDistance(attrs, b.Tuple(i), pt); d < want {
 					want = d
 				}
 			}
@@ -367,7 +364,7 @@ func TestMinMaxDistanceMatchesScan(t *testing.T) {
 }
 
 func TestQueriesOnEmptyTree(t *testing.T) {
-	tr := Build(mixedAttrs(), nil)
+	tr := buildAll(mixedAttrs(), relation.NewBlock(3))
 	pt := relation.Tuple{relation.Float(1), relation.String("bar"), relation.String("NYC")}
 	if tr.AnyWithin(pt, []float64{1, 1, 1}) {
 		t.Error("AnyWithin on empty tree")
@@ -381,7 +378,7 @@ func TestQueriesOnEmptyTree(t *testing.T) {
 // same order, at every level.
 func TestAllLevelsMatchesLevel(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 17, 200} {
-		tree := Build(testAttrs(), randomItems(rand.New(rand.NewSource(int64(n))), n))
+		tree := buildAll(testAttrs(), randomRows(rand.New(rand.NewSource(int64(n))), n))
 		all := tree.AllLevels()
 		if n == 0 {
 			if all != nil {
@@ -399,7 +396,7 @@ func TestAllLevelsMatchesLevel(t *testing.T) {
 				t.Fatalf("n=%d level %d: %d reps, want %d", n, k, len(got), len(want))
 			}
 			for i := range want {
-				if got[i].Count != want[i].Count || got[i].Point.Key() != want[i].Point.Key() {
+				if got[i].Count != want[i].Count || got[i].Row != want[i].Row {
 					t.Fatalf("n=%d level %d rep %d differs", n, k, i)
 				}
 				for a := range want[i].MaxDist {
@@ -412,85 +409,82 @@ func TestAllLevelsMatchesLevel(t *testing.T) {
 	}
 }
 
-// referenceBuild is the construction Build replaced, kept verbatim as the
-// one oracle: a per-level sort.SliceStable on Value.Less, one heap object
-// per node, single goroutine. Build must produce the same tree.
-func referenceBuild(attrs []relation.Attribute, items []Item) *Tree {
-	t := &Tree{attrs: attrs}
-	if len(items) == 0 {
+// referenceBuild is the construction Build replaced, kept as the one
+// oracle: a per-level sort.SliceStable on Value.Less over materialised
+// rows, one heap object per node, single goroutine. Build must produce the
+// same tree over rows [lo, hi) of b.
+func referenceBuild(attrs []relation.Attribute, b *relation.Block, lo, hi int) *Tree {
+	t := &Tree{attrs: attrs, b: b}
+	if hi <= lo {
 		return t
 	}
-	byKey := relation.NewTupleMap[int](len(items))
-	own := make([]Item, 0, len(items))
-	for _, it := range items {
-		if i, dup := byKey.Get(it.Tuple); dup {
-			own[i].Count += it.Count
+	byKey := relation.NewTupleMap[int](hi - lo)
+	own := make([]refItem, 0, hi-lo)
+	for r := lo; r < hi; r++ {
+		tup := b.Tuple(r)
+		if i, dup := byKey.Get(tup); dup {
+			own[i].count++
 			continue
 		}
-		byKey.Put(it.Tuple, len(own))
-		own = append(own, it)
+		byKey.Put(tup, len(own))
+		own = append(own, refItem{row: r, tuple: tup, count: 1})
 	}
 	t.items = len(own)
-	for _, it := range own {
-		t.count += it.Count
-	}
+	t.count = hi - lo
 	t.root = t.referenceBuildNode(own, 0)
 	return t
 }
 
-func (t *Tree) referenceBuildNode(items []Item, depth int) *node {
+// refItem is one distinct row as referenceBuild sorts it: its first row,
+// its values and the number of rows merged into it.
+type refItem struct {
+	row   int
+	tuple relation.Tuple
+	count int
+}
+
+func (t *Tree) referenceBuildNode(items []refItem, depth int) *node {
 	if depth > t.maxDepth {
 		t.maxDepth = depth
 	}
 	n := &node{maxDist: t.referenceSpread(items)}
 	for _, it := range items {
-		n.count += it.Count
+		n.count += it.count
 	}
-	n.rep = items[len(items)/2].Tuple
+	n.rep = int32(items[len(items)/2].row)
 	if len(items) == 1 || allZero(n.maxDist) {
 		return n
 	}
 	dim := splitDim(n.maxDist)
 	sort.SliceStable(items, func(i, j int) bool {
-		return items[i].Tuple[dim].Less(items[j].Tuple[dim])
+		return items[i].tuple[dim].Less(items[j].tuple[dim])
 	})
 	mid := len(items) / 2
-	n.rep = items[mid].Tuple
+	n.rep = int32(items[mid].row)
 	n.left = t.referenceBuildNode(items[:mid], depth+1)
 	n.right = t.referenceBuildNode(items[mid:], depth+1)
 	return n
 }
 
-func (t *Tree) referenceSpread(items []Item) []float64 {
+func (t *Tree) referenceSpread(items []refItem) []float64 {
 	out := make([]float64, len(t.attrs))
 	for a, attr := range t.attrs {
+		at := func(i int) relation.Value { return items[i].tuple[a] }
 		switch attr.Dist.Kind {
 		case relation.DistNumeric:
-			out[a] = numericSpread(items, a, attr.Dist)
+			out[a] = valuesSpread(len(items), at, attr.Dist)
 		default:
-			allEq := true
-			first := items[0].Tuple[a]
-			for _, it := range items[1:] {
-				if !it.Tuple[a].Equal(first) {
-					allEq = false
-					break
-				}
-			}
-			if !allEq {
-				if attr.Dist.Kind == relation.DistDiscrete {
-					out[a] = 1
-				} else {
-					out[a] = math.Inf(1)
-				}
+			if !valuesEqual(len(items), at) {
+				out[a] = unequalSpread(attr.Dist)
 			}
 		}
 	}
 	return out
 }
 
-// assertSameTree compares everything a caller can observe of two trees.
-// reflect.DeepEqual compares floats with ==, so a NaN resolution (possible
-// only when the data holds NaN) is compared by bit pattern instead.
+// assertSameTree compares everything a caller can observe of two trees
+// over the same rows. A NaN resolution (possible only when the data holds
+// NaN) is compared by bit pattern.
 func assertSameTree(t testing.TB, label string, got, want *Tree) {
 	t.Helper()
 	if got.Items() != want.Items() || got.Count() != want.Count() || got.ExactLevel() != want.ExactLevel() {
@@ -507,8 +501,8 @@ func assertSameTree(t testing.TB, label string, got, want *Tree) {
 		}
 		for i := range wa[k] {
 			g, w := ga[k][i], wa[k][i]
-			if g.Count != w.Count || !reflect.DeepEqual(pointBits(g.Point), pointBits(w.Point)) {
-				t.Fatalf("%s: level %d rep %d = (%v,%d), reference (%v,%d)", label, k, i, g.Point, g.Count, w.Point, w.Count)
+			if g.Count != w.Count || g.Row != w.Row {
+				t.Fatalf("%s: level %d rep %d = (row %d, %d), reference (row %d, %d)", label, k, i, g.Row, g.Count, w.Row, w.Count)
 			}
 			for a := range w.MaxDist {
 				if math.Float64bits(g.MaxDist[a]) != math.Float64bits(w.MaxDist[a]) {
@@ -519,21 +513,6 @@ func assertSameTree(t testing.TB, label string, got, want *Tree) {
 	}
 }
 
-// pointBits renders a tuple so that identity, not Equal, is compared: kind,
-// and the float payload by bits (NaN ≠ NaN under ==, −0 == +0).
-func pointBits(t relation.Tuple) []any {
-	out := make([]any, 0, 2*len(t))
-	for _, v := range t {
-		out = append(out, v.Kind())
-		if f, ok := v.AsFloat(); ok && v.Kind() == relation.KindFloat {
-			out = append(out, math.Float64bits(f))
-		} else {
-			out = append(out, v.String())
-		}
-	}
-	return out
-}
-
 // stressAttrs covers every distance kind over columns the generators below
 // fill with whatever the fast path must not get wrong.
 func stressAttrs() []relation.Attribute {
@@ -542,15 +521,37 @@ func stressAttrs() []relation.Attribute {
 		relation.Attr("b", relation.KindFloat, relation.Numeric(1)),
 		relation.Attr("c", relation.KindInt, relation.Trivial()),
 		relation.Attr("d", relation.KindString, relation.Discrete()),
+		relation.Attr("e", relation.KindFloat, relation.Trivial()),
 	}
 }
 
 // stressValue draws one value for a column under a mode:
 // 0 clean typed data with heavy ties; 1 adds nulls and strings; 2 mixes Int
 // and Float in one column, including ints beyond 2^53 whose float images
-// collide; 3 adds ±Inf, −0 and NaN.
+// collide; 3 adds ±Inf, −0 and NaN. Mode 4 keeps every column typed (no
+// nulls, no mixing) but draws extreme ints and ±Inf, −0 and NaN floats, so
+// the kernel's typed-payload paths meet the values that must leave them.
 func stressValue(rng *rand.Rand, col, mode int) relation.Value {
 	const big = int64(1) << 53
+	if col == 4 {
+		col = 1 // e draws what b draws, under a trivial distance
+	}
+	if mode == 4 {
+		switch col {
+		case 3:
+			return relation.String([]string{"x", "y", ""}[rng.Intn(3)])
+		case 1:
+			if rng.Intn(4) == 0 {
+				return relation.Float([]float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0}[rng.Intn(5)])
+			}
+			return relation.Float(float64(rng.Intn(8)) / 4)
+		default:
+			if rng.Intn(4) == 0 {
+				return relation.Int([]int64{math.MinInt64, math.MaxInt64, big, big + 1, -big - 1}[rng.Intn(5)])
+			}
+			return relation.Int(int64(rng.Intn(5)))
+		}
+	}
 	switch col {
 	case 3:
 		if mode >= 1 && rng.Intn(9) == 0 {
@@ -580,21 +581,31 @@ func stressValue(rng *rand.Rand, col, mode int) relation.Value {
 	}
 }
 
-func stressItems(rng *rand.Rand, n, mode int) []Item {
-	items := make([]Item, n)
-	for i := range items {
-		tup := make(relation.Tuple, 4)
+// stressModes is the number of stressValue modes.
+const stressModes = 5
+
+// stressRows draws n rows under a mode; a third of them repeat an earlier
+// row, so merged duplicates are everywhere.
+func stressRows(rng *rand.Rand, n, mode int) *relation.Block {
+	b := relation.NewBlock(len(stressAttrs()))
+	for i := 0; i < n; i++ {
+		if i > 0 && rng.Intn(3) == 0 {
+			b.AppendRow(b, rng.Intn(i))
+			continue
+		}
+		tup := make(relation.Tuple, b.Width())
 		for c := range tup {
 			tup[c] = stressValue(rng, c, mode)
 		}
-		items[i] = Item{Tuple: tup, Count: 1 + rng.Intn(3)}
+		b.AppendTuple(tup)
 	}
-	return items
+	return b
 }
 
 // Build must produce the tree referenceBuild produces — same reps, counts,
 // per-node maxDist and level order — on clean and on hostile inputs, at the
-// sizes around every threshold in the kernel.
+// sizes around every threshold in the kernel, over a whole block and over
+// a range inside one.
 func TestBuildMatchesReference(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4) // fork even on a one-core host
 	defer runtime.GOMAXPROCS(prev)
@@ -602,12 +613,14 @@ func TestBuildMatchesReference(t *testing.T) {
 	if !testing.Short() {
 		sizes = append(sizes, 50000)
 	}
-	for mode := 0; mode <= 3; mode++ {
+	for mode := 0; mode < stressModes; mode++ {
 		for _, n := range sizes {
 			rng := rand.New(rand.NewSource(int64(1000*mode + n)))
-			items := stressItems(rng, n, mode)
-			label := fmt.Sprintf("stress mode=%d n=%d", mode, n)
-			assertSameTree(t, label, Build(stressAttrs(), items), referenceBuild(stressAttrs(), items))
+			b := stressRows(rng, n+8, mode)
+			for _, lo := range []int{0, 5} {
+				label := fmt.Sprintf("stress mode=%d n=%d lo=%d", mode, n, lo)
+				assertSameTree(t, label, Build(stressAttrs(), b, lo, lo+n), referenceBuild(stressAttrs(), b, lo, lo+n))
+			}
 		}
 	}
 	// Few duplicates, so the distinct count actually straddles forkMin.
@@ -615,8 +628,8 @@ func TestBuildMatchesReference(t *testing.T) {
 		if testing.Short() && n > forkMin+1 {
 			continue
 		}
-		items := lineitemItems(rand.New(rand.NewSource(int64(n))), n)
-		assertSameTree(t, fmt.Sprintf("lineitem n=%d", n), Build(lineitemAttrs(), items), referenceBuild(lineitemAttrs(), items))
+		b := lineitemRows(rand.New(rand.NewSource(int64(n))), n)
+		assertSameTree(t, fmt.Sprintf("lineitem n=%d", n), buildAll(lineitemAttrs(), b), referenceBuild(lineitemAttrs(), b, 0, n))
 	}
 }
 
@@ -627,9 +640,10 @@ func FuzzBuildMatchesReference(f *testing.F) {
 	f.Add(int64(2), uint16(300), uint8(1))
 	f.Add(int64(3), uint16(300), uint8(2))
 	f.Add(int64(4), uint16(1000), uint8(3))
+	f.Add(int64(5), uint16(1000), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, mode uint8) {
-		items := stressItems(rand.New(rand.NewSource(seed)), int(n%2048), int(mode%4))
-		assertSameTree(t, "fuzz", Build(stressAttrs(), items), referenceBuild(stressAttrs(), items))
+		b := stressRows(rand.New(rand.NewSource(seed)), int(n%2048), int(mode%stressModes))
+		assertSameTree(t, "fuzz", buildAll(stressAttrs(), b), referenceBuild(stressAttrs(), b, 0, b.Rows()))
 	})
 }
 
@@ -639,11 +653,11 @@ func TestBuildWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		n = forkMin + forkMin/2
 	}
-	items := lineitemItems(rand.New(rand.NewSource(11)), n)
+	b := lineitemRows(rand.New(rand.NewSource(11)), n)
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	one := Build(lineitemAttrs(), items)
+	one := buildAll(lineitemAttrs(), b)
 	runtime.GOMAXPROCS(4)
-	four := Build(lineitemAttrs(), items)
+	four := buildAll(lineitemAttrs(), b)
 	assertSameTree(t, "GOMAXPROCS 4 vs 1", four, one)
 }

@@ -6,10 +6,10 @@ import (
 	"hash/crc32"
 	"math"
 	"path/filepath"
+	"runtime"
 
 	"repro/internal/access"
 	"repro/internal/faultfs"
-	"repro/internal/kdtree"
 	"repro/internal/relation"
 )
 
@@ -151,19 +151,6 @@ func strictEqualValue(a, b relation.Value) bool {
 	}
 }
 
-// strictEqualTuple is component-wise strictEqualValue.
-func strictEqualTuple(a, b relation.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !strictEqualValue(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // indicesOf resolves attribute names against an attribute list.
 func indicesOf(attrs, names []string) ([]int, bool) {
 	out := make([]int, len(names))
@@ -247,7 +234,7 @@ func (s *snapshot) ladderRel(name string) *relSnapshot {
 	return nil
 }
 
-// derivable reports whether the ladder's group item lists are exactly the
+// derivable reports whether the ladder's group items are exactly the
 // X-grouped Y-projections, in relation order and exact value spellings, of
 // the snapshot's stored relation tuples — the condition under which the
 // decoder can reconstruct them by one projection scan.
@@ -265,23 +252,28 @@ func derivable(rel *relSnapshot, l *access.LadderSnapshot) bool {
 		gidx.Put(l.Groups[i].Key, i)
 	}
 	cursors := make([]int, len(l.Groups))
+	key := make(relation.Tuple, len(xIdx)) // scratch: the lookup does not retain it
 	for _, t := range rel.tuples {
-		gi, ok := gidx.Get(t.Project(xIdx))
+		for i, j := range xIdx {
+			key[i] = t[j]
+		}
+		gi, ok := gidx.Get(key)
 		if !ok {
 			return false
 		}
 		g := &l.Groups[gi]
-		if cursors[gi] >= len(g.Items) {
+		if cursors[gi] >= g.Items {
 			return false
 		}
-		it := g.Items[cursors[gi]]
-		if it.Count != 1 || !strictEqualTuple(it.Tuple, t.Project(yIdx)) {
-			return false
+		for c, j := range yIdx {
+			if !strictEqualValue(l.Items.Value(g.First+cursors[gi], c), t[j]) {
+				return false
+			}
 		}
 		cursors[gi]++
 	}
 	for i := range l.Groups {
-		if cursors[i] != len(l.Groups[i].Items) {
+		if cursors[i] != l.Groups[i].Items {
 			return false
 		}
 	}
@@ -316,17 +308,21 @@ func encodeSnapshot(s *snapshot) ([]byte, error) {
 			e.tuple(g.Key)
 			if mode == itemsExplicit {
 				// Explicit items ride in a columnar block (the row count is
-				// the block's own) followed by the per-item counts.
-				itemTuples := make([]relation.Tuple, len(g.Items))
-				for i, it := range g.Items {
-					itemTuples[i] = it.Tuple
+				// the block's own) followed by the per-item counts, all 1.
+				// The block is copied row by row so each column is encoded
+				// as the group's own rows need (homogeneous, no validity
+				// bitmap) even where the ladder's column mixes kinds or
+				// holds nulls elsewhere.
+				items := relation.NewBlock(len(l.Y))
+				for r := g.First; r < g.First+g.Items; r++ {
+					items.AppendRow(l.Items, r)
 				}
-				e.block(len(l.Y), itemTuples)
-				for _, it := range g.Items {
-					e.uvarint(uint64(it.Count))
+				e.buf = relation.AppendBlock(e.buf, items)
+				for range g.Items {
+					e.uvarint(1)
 				}
 			} else {
-				e.uvarint(uint64(len(g.Items)))
+				e.uvarint(uint64(g.Items))
 			}
 			e.uvarint(uint64(g.Distinct))
 			// Level rows are (item index, count): every representative is
@@ -564,9 +560,10 @@ func (d *decoder) strings() ([]string, error) {
 	return out, nil
 }
 
-// deriveItems reconstructs a derived ladder's group item lists by one
-// projection scan over the snapshot's relation tuples. Group lists were
-// verified at encode time to be exactly this scan's output.
+// deriveItems reconstructs a derived ladder's items by one projection scan
+// over the snapshot's relation tuples, into one block in which each group's
+// items (wantItems[i] of group i) are a range, groups in order. Group items
+// were verified at encode time to be exactly this scan's output.
 func (d *decoder) deriveItems(rel *relSnapshot, l *access.LadderSnapshot, wantItems []int) error {
 	if rel == nil {
 		return d.fail("derived ladder %s has no relation in snapshot", l.RelName)
@@ -577,39 +574,40 @@ func (d *decoder) deriveItems(rel *relSnapshot, l *access.LadderSnapshot, wantIt
 		return d.fail("derived ladder %s: attributes missing from relation %s", l.RelName, rel.name)
 	}
 	gidx := relation.NewTupleMap[int](len(l.Groups))
+	next := make([]int, len(l.Groups)) // each group's next item row
+	total := 0
 	for i := range l.Groups {
-		l.Groups[i].Items = make([]kdtree.Item, 0, wantItems[i])
-		gidx.Put(l.Groups[i].Key, i)
+		g := &l.Groups[i]
+		g.First, g.Items, next[i] = total, wantItems[i], total
+		total += wantItems[i]
+		gidx.Put(g.Key, i)
 	}
-	// One scratch key (the lookup does not retain it) and one arena for all
-	// Y-projections: the scan allocates two blocks, not two slices per row.
-	key := make(relation.Tuple, len(xIdx))
-	yVals := carve(&d.valArena, len(rel.tuples)*len(yIdx))
-	for _, t := range rel.tuples {
-		for i, j := range xIdx {
-			key[i] = t[j]
+	src := make([]int32, total)            // each item's tuple
+	key := make(relation.Tuple, len(xIdx)) // scratch: the lookup does not retain it
+	for i, t := range rel.tuples {
+		for c, j := range xIdx {
+			key[c] = t[j]
 		}
 		gi, ok := gidx.Get(key)
 		if !ok {
 			return d.fail("derived ladder %s: tuple outside every group", l.RelName)
 		}
 		g := &l.Groups[gi]
-		if len(g.Items) >= wantItems[gi] {
-			return d.fail("derived ladder %s: group %v overflows %d items", l.RelName, g.Key, wantItems[gi])
+		if next[gi] == g.First+g.Items {
+			return d.fail("derived ladder %s: group %v overflows %d items", l.RelName, g.Key, g.Items)
 		}
-		y := relation.Tuple(yVals[:len(yIdx):len(yIdx)])
-		yVals = yVals[len(yIdx):]
-		for i, j := range yIdx {
-			y[i] = t[j]
-		}
-		g.Items = append(g.Items, kdtree.Item{Tuple: y, Count: 1})
+		src[next[gi]] = int32(i)
+		next[gi]++
 	}
 	for i := range l.Groups {
-		if len(l.Groups[i].Items) != wantItems[i] {
+		if g := &l.Groups[i]; next[i] != g.First+g.Items {
 			return d.fail("derived ladder %s: group %v has %d items, want %d",
-				l.RelName, l.Groups[i].Key, len(l.Groups[i].Items), wantItems[i])
+				l.RelName, g.Key, next[i]-g.First, g.Items)
 		}
 	}
+	l.Items = relation.FillBlock(len(yIdx), total, func(r, c int) relation.Value {
+		return rel.tuples[src[r]][yIdx[c]]
+	}, runtime.GOMAXPROCS(0))
 	return nil
 }
 
@@ -690,6 +688,9 @@ func decodeSnapshot(path string, payload []byte) (*snapshot, error) {
 		}
 		l.Groups = make([]access.GroupSnapshot, nGroups)
 		wantItems := make([]int, nGroups)
+		if mode == itemsExplicit {
+			l.Items = relation.NewBlock(len(l.Y))
+		}
 		for gi := range l.Groups {
 			g := &l.Groups[gi]
 			if g.Key, err = d.tuple(); err != nil {
@@ -703,18 +704,20 @@ func decodeSnapshot(path string, payload []byte) (*snapshot, error) {
 				if blk.Width() != len(l.Y) {
 					return nil, d.fail("ladder %s group %v item block width %d != %d", l.RelName, g.Key, blk.Width(), len(l.Y))
 				}
-				nItems := blk.Rows()
-				tuples := blk.Tuples()
-				g.Items = make([]kdtree.Item, nItems)
-				for j := range g.Items {
-					g.Items[j].Tuple = tuples[j]
+				// Every item stands for one base tuple; no encoder has
+				// written another count.
+				for range blk.Rows() {
 					c, err := d.count(0)
 					if err != nil {
 						return nil, err
 					}
-					g.Items[j].Count = c
+					if c != 1 {
+						return nil, d.fail("ladder %s group %v has an item of count %d", l.RelName, g.Key, c)
+					}
 				}
-				wantItems[gi] = nItems
+				g.First, g.Items = l.Items.Rows(), blk.Rows()
+				l.Items.AppendBlockRange(blk, 0, blk.Rows())
+				wantItems[gi] = blk.Rows()
 			} else {
 				nItems, err := d.intCount(itemBudget)
 				if err != nil {

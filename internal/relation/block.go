@@ -1,13 +1,16 @@
 // Block: a fixed-width batch of rows stored column-wise.
 //
 // Blocks are the unit the columnar execution path works in: a ladder keeps
-// every level's samples as row ranges of one block, the executor appends
-// fetched ranges column-at-a-time, evaluates predicates and join keys over
-// the flat columns, and only materialises Tuples again at the answer
-// boundary. Row hashing and key equality over blocks fold exactly the same
+// every group's items, and every level's samples, as row ranges of one
+// block each; the K-D tree construction reads a row range; the executor
+// appends fetched ranges column-at-a-time, evaluates predicates and join
+// keys over the flat columns, and only materialises Tuples again at the
+// answer boundary. Row hashing and key equality over blocks fold exactly the same
 // canonical encoding as Tuple.Hash / Value.KeyEqual, so block-keyed hash
 // joins land in the same buckets as the row path's TupleMap.
 package relation
+
+import "sync"
 
 // Block is a batch of rows of fixed width (arity), stored as one Column per
 // attribute. The zero Block is unusable; call NewBlock. A block whose
@@ -138,6 +141,71 @@ func BlockOfTuples(width int, rows []Tuple) *Block {
 	return b
 }
 
+// FillBlock returns a block of the given width and rows whose row r holds
+// at(r, c) in column c, filled on up to `workers` goroutines (each row is
+// read once; at must be safe to call concurrently for distinct rows). The
+// columns are allocated at their exact size, in the kinds of row 0, and
+// filled with Column.Set; a column that refuses a value — a null, or a kind
+// other than row 0's — is then rebuilt in row order with Append, whose
+// validity and mixed fallbacks store any rows exactly. Either way the block
+// holds what appending the rows one by one would.
+func FillBlock(width, rows int, at func(r, c int) Value, workers int) *Block {
+	b := NewBlock(width)
+	if rows == 0 {
+		return b
+	}
+	for c := range b.cols {
+		b.cols[c] = MakeColumn(at(0, c).kind, rows)
+	}
+	workers = max(1, min(workers, rows/minFillChunk))
+	bad := make([][]bool, workers) // bad[w][c]: worker w's rows refused c
+	var wg sync.WaitGroup
+	for w := range bad {
+		bad[w] = make([]bool, width)
+		lo, hi := rows*w/workers, rows*(w+1)/workers
+		fill := func() {
+			for r := lo; r < hi; r++ {
+				for c := range b.cols {
+					if !bad[w][c] && !b.cols[c].Set(r, at(r, c)) {
+						bad[w][c] = true
+					}
+				}
+			}
+		}
+		if w == workers-1 {
+			fill()
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill()
+		}()
+	}
+	wg.Wait()
+	for c := range b.cols {
+		refused := false
+		for w := range bad {
+			refused = refused || bad[w][c]
+		}
+		if !refused {
+			continue
+		}
+		var col Column
+		col.Reserve(b.cols[c].kind, rows)
+		for r := 0; r < rows; r++ {
+			col.Append(at(r, c))
+		}
+		b.cols[c] = col
+	}
+	b.rows = rows
+	return b
+}
+
+// minFillChunk is the fewest rows FillBlock hands one goroutine: below it
+// the hand-off costs more than the copying it spreads.
+const minFillChunk = 1 << 14
+
 // HashRow returns the FNV-1a hash of row i's canonical encoding — exactly
 // the value Tuple.Hash returns for the materialised row, so block-keyed
 // maps and TupleMap agree on buckets.
@@ -167,6 +235,18 @@ func (b *Block) HashCols(i int, cols []int) uint64 {
 func (b *Block) ColsKeyEqual(i int, cols []int, o *Block, k int, ocols []int) bool {
 	for x, j := range cols {
 		if !b.cols[j].Value(i).KeyEqual(o.cols[ocols[x]].Value(k)) {
+			return false
+		}
+	}
+	return true
+}
+
+// RowKeyEqual reports whether row i and o's row k, which must have b's
+// width, are canonically equal (Value.KeyEqual per column) — what HashRow
+// hashes alike.
+func (b *Block) RowKeyEqual(i int, o *Block, k int) bool {
+	for j := range b.cols {
+		if !b.cols[j].Value(i).KeyEqual(o.cols[j].Value(k)) {
 			return false
 		}
 	}

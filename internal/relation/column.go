@@ -352,6 +352,24 @@ func (c *Column) Set(i int, v Value) bool {
 	return true
 }
 
+// Ints returns the payload of a column whose rows are all non-null ints,
+// read-only, and reports false for any other column (nulls, another kind,
+// mixed kinds).
+func (c *Column) Ints() ([]int64, bool) {
+	if c.mixed || c.valid != nil || c.kind != KindInt {
+		return nil, false
+	}
+	return c.ints[:c.n:c.n], true
+}
+
+// Floats is Ints for a column whose rows are all non-null floats.
+func (c *Column) Floats() ([]float64, bool) {
+	if c.mixed || c.valid != nil || c.kind != KindFloat {
+		return nil, false
+	}
+	return c.floats[:c.n:c.n], true
+}
+
 // View returns a read-only view of rows [lo, hi) sharing the payload arrays
 // (capacity-capped, so an append to the view copies instead of writing into
 // the parent). The validity bitmap is shared when lo is word-aligned and
