@@ -96,6 +96,7 @@ type groupBatch struct {
 	old rowRange // the group's items before the batch
 	inserted
 	dels []pendingDelete
+	drop []int // the positions the deletes claimed, ascending
 }
 
 // Apply applies the operations in order against db and the schema's ladders,
@@ -251,7 +252,13 @@ func (l *Ladder) applyBatch(ops []Op, rb *relBatch) []*groupBatch {
 				}
 				return true
 			})
-		if len(gb.births) > 0 || slices.ContainsFunc(gb.dels, func(d pendingDelete) bool { return d.hit >= 0 }) {
+		for _, del := range gb.dels {
+			if del.hit >= 0 {
+				gb.drop = append(gb.drop, del.hit)
+			}
+		}
+		if len(gb.births) > 0 || len(gb.drop) > 0 {
+			slices.Sort(gb.drop)
 			changed = append(changed, gb)
 		}
 	}
@@ -381,12 +388,7 @@ func (l *Ladder) placeItems(ops []Op, gbs []*groupBatch) {
 	st := &l.items
 	n := 0
 	for _, gb := range gbs {
-		n += gb.base + len(gb.births)
-		for _, del := range gb.dels {
-			if del.hit >= 0 {
-				n--
-			}
-		}
+		n += gb.base + len(gb.births) - len(gb.drop)
 		st.dead += gb.old.rows
 		gb.g.items = rowRange{} // no live rows until placed below
 	}
@@ -405,16 +407,9 @@ func (l *Ladder) placeItems(ops []Op, gbs []*groupBatch) {
 	}
 	y := st.y
 	for _, gb := range gbs {
-		var drop []int
-		for _, del := range gb.dels {
-			if del.hit >= 0 {
-				drop = append(drop, del.hit)
-			}
-		}
-		slices.Sort(drop)
 		first := y.Rows()
 		from := 0 // the next position not yet copied or dropped
-		for _, p := range append(drop, gb.base+len(gb.births)) {
+		for _, p := range append(gb.drop, gb.base+len(gb.births)) {
 			// Positions [from, p) survive: old items straight from the
 			// columns (src may be y itself: rows are only appended), then
 			// inserts.

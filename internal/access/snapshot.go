@@ -2,7 +2,6 @@ package access
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sort"
 
@@ -77,9 +76,8 @@ func (l *Ladder) Snapshot() LadderSnapshot {
 		Shards:  l.store.NumShards(),
 		Items:   l.items.y,
 	}
-	var table []int32
 	l.store.rangeGroups(func(g *ladderGroup) bool {
-		snap.Groups = append(snap.Groups, g.snapshot(l.items.y, &table))
+		snap.Groups = append(snap.Groups, g.snapshot(l.items.y))
 		return true
 	})
 	sort.Slice(snap.Groups, func(i, j int) bool {
@@ -88,44 +86,24 @@ func (l *Ladder) Snapshot() LadderSnapshot {
 	return snap
 }
 
-// snapshot returns the group's portable state; table is hash-table scratch
-// shared across groups. Each arena row holds the values of the item a tree
-// representative came from — kdtree.Build merges key-equal items into the
-// first of them — so looking the row up among the group's items by key
-// equality finds that item.
-func (g *ladderGroup) snapshot(items *relation.Block, table *[]int32) GroupSnapshot {
-	// Index the group's items, first occurrence of each key, in an
-	// open-addressing table of item offsets +1 (0 = empty).
-	size := 1 << bits.Len(uint(2*g.items.rows-1))
-	if cap(*table) < size {
-		*table = make([]int32, size)
-	}
-	t := (*table)[:size]
-	clear(t)
-	mask := size - 1
-	find := func(b *relation.Block, row int, insert int32) int32 {
-		for s := int(b.HashRow(row)) & mask; ; s = (s + 1) & mask {
-			if t[s] == 0 {
-				t[s] = insert
-				return insert
-			}
-			if items.RowKeyEqual(g.items.first+int(t[s])-1, b, row) {
-				return t[s]
-			}
-		}
-	}
-	for i := 0; i < g.items.rows; i++ {
-		find(items, g.items.first+i, int32(i+1))
+// snapshot returns the group's portable state. Each arena row holds the
+// values of the item a tree representative came from — kdtree.Build merges
+// key-equal items into the first of them — so looking the row up among the
+// group's items by key equality finds that item.
+func (g *ladderGroup) snapshot(items *relation.Block) GroupSnapshot {
+	first := relation.NewRowIndex(items, g.items.rows)
+	for r := g.items.first; r < g.items.end(); r++ {
+		first.Add(r)
 	}
 	lo, hi := g.span()
 	a := g.levels[0].arena
 	refs := make([]LevelRef, hi-lo)
 	for r := range refs {
-		idx := find(a.y, lo+r, 0)
-		if idx == 0 {
+		item := first.Find(a.y, lo+r)
+		if item < 0 {
 			panic(fmt.Sprintf("access: group %v level row %v is not an item", g.key, a.y.Tuple(lo+r)))
 		}
-		refs[r] = LevelRef{Item: int(idx) - 1, Count: a.counts[lo+r]}
+		refs[r] = LevelRef{Item: item - g.items.first, Count: a.counts[lo+r]}
 	}
 	arity := items.Width()
 	gs := GroupSnapshot{

@@ -17,7 +17,6 @@ package kdtree
 import (
 	"cmp"
 	"math"
-	"math/bits"
 	"runtime"
 	"slices"
 
@@ -75,13 +74,21 @@ func Build(attrs []relation.Attribute, b *relation.Block, lo, hi int) *Tree {
 		rows, bld.counts = slab[:1], slab[1:]
 	} else {
 		// One int32 slab holds the distinct rows (permuted by the build),
-		// the per-row counts, the permutation scratch and the merge table.
-		size := 1 << bits.Len(uint(2*n-1))
-		slab := make([]int32, 3*n+size)
+		// the per-row counts and the permutation scratch. Merging identical
+		// points makes duplicates share one leaf with their counts
+		// accumulated, which keeps ExactLevel at ceil(log2 of the number of
+		// *distinct* points).
+		slab := make([]int32, 3*n)
 		rows, bld.counts, bld.tmp = slab[:0:n], slab[n:2*n], slab[2*n:3*n]
-		bld.keys = make([]sortKey, n)
-		rows = bld.mergeDuplicates(rows, slab[3*n:])
-		bld.keys, bld.tmp = bld.keys[:len(rows)], bld.tmp[:len(rows)]
+		idx := relation.NewRowIndex(b, n)
+		for r := lo; r < hi; r++ {
+			first := idx.Add(r)
+			if first == r {
+				rows = append(rows, int32(r))
+			}
+			bld.counts[first-lo]++
+		}
+		bld.keys, bld.tmp = make([]sortKey, len(rows)), bld.tmp[:len(rows)]
 	}
 	t.items = len(rows)
 	// A tree over n points has at most 2n−1 nodes. The nodes and their
@@ -93,35 +100,6 @@ func Build(attrs []relation.Attribute, b *relation.Block, lo, hi int) *Tree {
 	t.maxDepth = bld.build(rows, 0, 0, 0, runtime.GOMAXPROCS(0))
 	t.root = &bld.nodes[0]
 	return t
-}
-
-// mergeDuplicates appends to rows the first row of every class of
-// key-equal rows of [lo, lo+len(counts)), in row order, and counts each
-// class under its first row; table (a power of two long) is the scratch
-// hash table. Merging identical points makes duplicates share one leaf
-// with their counts accumulated, which keeps ExactLevel at ceil(log2 of the
-// number of *distinct* points). The keys slab holds each distinct row's
-// hash until the sort reuses it.
-func (bld *builder) mergeDuplicates(rows, table []int32) []int32 {
-	mask := len(table) - 1
-	for r := bld.lo; r < bld.lo+len(bld.counts); r++ {
-		h := bld.b.HashRow(r)
-		for s := int(h) & mask; ; s = (s + 1) & mask {
-			e := table[s]
-			if e == 0 {
-				table[s] = int32(len(rows) + 1)
-				bld.keys[len(rows)].key = h
-				rows = append(rows, int32(r))
-				bld.counts[r-bld.lo] = 1
-				break
-			}
-			if first := rows[e-1]; bld.keys[e-1].key == h && bld.b.RowKeyEqual(int(first), bld.b, r) {
-				bld.counts[int(first)-bld.lo]++
-				break
-			}
-		}
-	}
-	return rows
 }
 
 // forkMin is the smallest node whose two subtrees are built concurrently.

@@ -60,7 +60,7 @@ func (b *Block) AppendRow(src *Block, i int) {
 }
 
 // AppendBlockRange appends rows [lo, hi) of src column-wise; src must have
-// the same width.
+// the same width, and may be b itself.
 func (b *Block) AppendBlockRange(src *Block, lo, hi int) {
 	if len(src.cols) != len(b.cols) {
 		panic("relation: block width mismatch")

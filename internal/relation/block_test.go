@@ -338,3 +338,54 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FillBlock holds what appending its rows one by one holds — the same
+// values and the same representation (encoded bytes) — for typed columns,
+// columns with nulls and mixed columns, on one goroutine and on several.
+func TestFillBlockMatchesAppend(t *testing.T) {
+	vals := testValues()
+	rng := rand.New(rand.NewSource(4))
+	for _, rows := range []int{0, 1, 7, 3*minFillChunk + 5} {
+		// Column 0 is homogeneous, 1 takes a null late, 2 mixes kinds.
+		tuples := make([]Tuple, rows)
+		for i := range tuples {
+			tuples[i] = Tuple{Int(int64(i)), Float(float64(i) / 2), vals[rng.Intn(len(vals))]}
+		}
+		if rows > 1 {
+			tuples[rows-1][1] = Null()
+		}
+		want := AppendBlock(nil, BlockOfTuples(3, tuples))
+		for _, workers := range []int{1, 4} {
+			got := AppendBlock(nil, FillBlock(3, rows, func(r, c int) Value { return tuples[r][c] }, workers))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("rows=%d workers=%d: FillBlock differs from appending the rows", rows, workers)
+			}
+		}
+	}
+}
+
+// A block may append a range of its own rows, as a row store placing a
+// group's surviving rows after the others does.
+func TestAppendBlockRangeFromItself(t *testing.T) {
+	vals := testValues()
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(150)
+		homog := vals[rng.Intn(len(vals))]
+		b, ref := NewBlock(2), NewBlock(2)
+		for i := 0; i < n; i++ {
+			tp := Tuple{homog, vals[rng.Intn(len(vals))]}
+			b.AppendTuple(tp)
+			ref.AppendTuple(tp)
+		}
+		lo := rng.Intn(n)
+		hi := lo + rng.Intn(n-lo+1)
+		b.AppendBlockRange(b, lo, hi)
+		for i := lo; i < hi; i++ {
+			ref.AppendTuple(ref.Tuple(i))
+		}
+		if !bytes.Equal(AppendBlock(nil, b), AppendBlock(nil, ref)) {
+			t.Fatalf("trial %d: appending rows [%d, %d) of itself differs from appending copies", trial, lo, hi)
+		}
+	}
+}
