@@ -35,7 +35,7 @@ type Rep struct {
 // Tree is an immutable K-D tree over the rows of a block.
 type Tree struct {
 	attrs    []relation.Attribute
-	b        *relation.Block
+	cols     []colView // the block's columns, which the searches read
 	root     *node
 	count    int // number of rows indexed
 	items    int // number of distinct points
@@ -55,7 +55,7 @@ type node struct {
 // representatives are rows of it, and the searches read their values — so
 // b's rows must not change while the tree is in use.
 func Build(attrs []relation.Attribute, b *relation.Block, lo, hi int) *Tree {
-	t := &Tree{attrs: attrs, b: b}
+	t := &Tree{attrs: attrs}
 	n := hi - lo
 	if n <= 0 {
 		return t
@@ -64,10 +64,11 @@ func Build(attrs []relation.Attribute, b *relation.Block, lo, hi int) *Tree {
 		panic("kdtree: row index beyond int32")
 	}
 	t.count = n
-	bld := &builder{attrs: attrs, b: b, lo: lo, cols: make([]colView, len(attrs))}
+	t.cols = make([]colView, len(attrs))
 	for a := range attrs {
-		bld.cols[a] = viewOf(b.Col(a))
+		t.cols[a] = viewOf(b.Col(a))
 	}
+	bld := &builder{attrs: attrs, lo: lo, cols: t.cols}
 	var rows []int32
 	if n == 1 { // a single point is a leaf: nothing is merged or sorted
 		slab := []int32{int32(lo), 1}
@@ -135,7 +136,6 @@ func viewOf(c *relation.Column) colView {
 // without synchronisation.
 type builder struct {
 	attrs  []relation.Attribute
-	b      *relation.Block
 	cols   []colView
 	lo     int
 	counts []int32 // per row r of the build, at r−lo: the rows merged into r
@@ -597,7 +597,7 @@ func (t *Tree) AnyWithin(point relation.Tuple, delta []float64) bool {
 	walk = func(n *node) bool {
 		within := true
 		for a, attr := range t.attrs {
-			da := attr.Dist.Between(point[a], t.b.Value(int(n.rep), a))
+			da := attr.Dist.BetweenRow(point[a], t.cols[a].col, int(n.rep))
 			// Prune: the best achievable distance on this attribute
 			// exceeds a finite tolerance. (inf − inf is NaN, and NaN
 			// comparisons are false, so fully unbounded attributes never
@@ -633,7 +633,7 @@ func (t *Tree) MinMaxDistance(point relation.Tuple) float64 {
 	walk = func(n *node) {
 		repD, lb := 0.0, 0.0
 		for a, attr := range t.attrs {
-			da := attr.Dist.Between(point[a], t.b.Value(int(n.rep), a))
+			da := attr.Dist.BetweenRow(point[a], t.cols[a].col, int(n.rep))
 			if da > repD {
 				repD = da
 			}

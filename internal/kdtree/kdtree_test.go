@@ -339,6 +339,23 @@ func TestAnyWithinMatchesScan(t *testing.T) {
 			}
 		}
 	}
+	// Every distance kind over typed int, float and string columns, where
+	// the searches read the payloads directly.
+	attrs = stressAttrs()
+	for trial := 0; trial < 40; trial++ {
+		b := stressRows(rng, 1+rng.Intn(120), 0)
+		tr := buildAll(attrs, b)
+		for probe := 0; probe < 25; probe++ {
+			pt := stressRows(rng, 1, 0).Tuple(0)
+			delta := make([]float64, len(attrs))
+			for a := range delta {
+				delta[a] = []float64{0, 0.2, 1, math.Inf(1)}[rng.Intn(4)]
+			}
+			if got, want := tr.AnyWithin(pt, delta), withinScan(attrs, b, pt, delta); got != want {
+				t.Fatalf("typed trial %d probe %v delta %v: AnyWithin = %v, scan = %v", trial, pt, delta, got, want)
+			}
+		}
+	}
 }
 
 func TestMinMaxDistanceMatchesScan(t *testing.T) {
@@ -358,6 +375,25 @@ func TestMinMaxDistanceMatchesScan(t *testing.T) {
 			got := tr.MinMaxDistance(pt)
 			if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
 				t.Fatalf("trial %d probe %v: MinMaxDistance = %g, scan = %g", trial, pt, got, want)
+			}
+		}
+	}
+	// Every distance kind over typed int, float and string columns, where
+	// the searches read the payloads directly.
+	attrs = stressAttrs()
+	for trial := 0; trial < 40; trial++ {
+		b := stressRows(rng, 1+rng.Intn(120), 0)
+		tr := buildAll(attrs, b)
+		for probe := 0; probe < 25; probe++ {
+			pt := stressRows(rng, 1, 0).Tuple(0)
+			want := math.Inf(1)
+			for i := 0; i < b.Rows(); i++ {
+				if d := relation.TupleDistance(attrs, b.Tuple(i), pt); d < want {
+					want = d
+				}
+			}
+			if got := tr.MinMaxDistance(pt); got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
+				t.Fatalf("typed trial %d probe %v: MinMaxDistance = %g, scan = %g", trial, pt, got, want)
 			}
 		}
 	}
@@ -414,7 +450,7 @@ func TestAllLevelsMatchesLevel(t *testing.T) {
 // rows, one heap object per node, single goroutine. Build must produce the
 // same tree over rows [lo, hi) of b.
 func referenceBuild(attrs []relation.Attribute, b *relation.Block, lo, hi int) *Tree {
-	t := &Tree{attrs: attrs, b: b}
+	t := &Tree{attrs: attrs}
 	if hi <= lo {
 		return t
 	}

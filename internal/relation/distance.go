@@ -68,11 +68,7 @@ func (d Distance) Between(a, b Value) float64 {
 		fa, oka := a.AsFloat()
 		fb, okb := b.AsFloat()
 		if oka && okb {
-			scale := d.Scale
-			if scale <= 0 {
-				scale = 1
-			}
-			return math.Abs(fa-fb) / scale
+			return d.scaled(fa, fb)
 		}
 		// Non-numeric values under a numeric distance degrade to the
 		// trivial distance.
@@ -91,6 +87,55 @@ func (d Distance) Between(a, b Value) float64 {
 		}
 		return math.Inf(1)
 	}
+}
+
+// BetweenRow is Between(a, c.Value(r)), read straight from the column's
+// payload when a has the kind of a column without nulls or mixed kinds: the
+// distance searches over columnar points compute per visited row.
+func (d Distance) BetweenRow(a Value, c *Column, r int) float64 {
+	if c.mixed || c.valid != nil || a.kind != c.kind {
+		return d.Between(a, c.Value(r))
+	}
+	switch a.kind {
+	case KindInt:
+		if d.Kind == DistNumeric {
+			return d.scaled(float64(a.i), float64(c.ints[r]))
+		}
+		return d.unequal(a.i != c.ints[r])
+	case KindFloat:
+		if d.Kind == DistNumeric {
+			return d.scaled(a.f, c.floats[r])
+		}
+		// Equal is Compare == 0, which holds unless one orders first: a
+		// NaN equals everything.
+		return d.unequal(a.f < c.floats[r] || a.f > c.floats[r])
+	case KindString:
+		// Strings are not numeric, so every kind falls back to equality.
+		return d.unequal(a.s != c.strs[r])
+	}
+	return d.Between(a, c.Value(r))
+}
+
+// scaled is the numeric distance |fa − fb| / Scale.
+func (d Distance) scaled(fa, fb float64) float64 {
+	scale := d.Scale
+	if scale <= 0 {
+		scale = 1
+	}
+	return math.Abs(fa-fb) / scale
+}
+
+// unequal is the distance between two non-null values that are equal
+// (neq false) or not under a distance that compares them by equality only:
+// 0, or 1 when discrete and +inf otherwise.
+func (d Distance) unequal(neq bool) float64 {
+	switch {
+	case !neq:
+		return 0
+	case d.Kind == DistDiscrete:
+		return 1
+	}
+	return math.Inf(1)
 }
 
 // Bounded reports whether the distance can take finite non-zero values, i.e.

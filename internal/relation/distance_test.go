@@ -104,3 +104,39 @@ func TestDistanceKindString(t *testing.T) {
 		t.Error("DistanceKind.String names")
 	}
 }
+
+// BetweenRow is Between against the column's value, for every distance kind
+// and every pair of test values, over typed columns, columns with nulls and
+// mixed columns.
+func TestBetweenRowMatchesBetween(t *testing.T) {
+	vals := testValues()
+	var cols []Column
+	for _, v := range vals { // one typed (or all-null) column per value
+		var c Column
+		c.Append(v)
+		c.Append(v)
+		cols = append(cols, c)
+	}
+	var nulls, mixed Column
+	for _, v := range vals {
+		mixed.Append(v)
+		if v.Kind() == KindInt {
+			nulls.Append(v)
+			nulls.Append(Null())
+		}
+	}
+	cols = append(cols, nulls, mixed)
+	for _, d := range []Distance{Trivial(), Discrete(), Numeric(0), Numeric(4)} {
+		for ci := range cols {
+			c := &cols[ci]
+			for r := 0; r < c.Len(); r++ {
+				for _, a := range vals {
+					got, want := d.BetweenRow(a, c, r), d.Between(a, c.Value(r))
+					if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+						t.Fatalf("%v: BetweenRow(%v, %v) = %g, Between = %g", d.Kind, a, c.Value(r), got, want)
+					}
+				}
+			}
+		}
+	}
+}
