@@ -153,13 +153,13 @@ type builder struct {
 // with par > 1 builds its left subtree on a new goroutine and splits par
 // between the halves, so a build never runs more than GOMAXPROCS goroutines
 // and the result does not depend on how many.
-func (bld *builder) build(rows []int32, off, slot, depth, par int) int {
-	m := len(bld.attrs)
-	n := &bld.nodes[slot]
-	n.maxDist = bld.dists[slot*m : (slot+1)*m : (slot+1)*m]
-	bld.spread(rows, n.maxDist)
+func (b *builder) build(rows []int32, off, slot, depth, par int) int {
+	m := len(b.attrs)
+	n := &b.nodes[slot]
+	n.maxDist = b.dists[slot*m : (slot+1)*m : (slot+1)*m]
+	b.spread(rows, n.maxDist)
 	for _, r := range rows {
-		n.count += int(bld.counts[int(r)-bld.lo])
+		n.count += int(b.counts[int(r)-b.lo])
 	}
 	n.rep = rows[len(rows)/2]
 	if len(rows) == 1 || allZero(n.maxDist) {
@@ -167,23 +167,23 @@ func (bld *builder) build(rows []int32, off, slot, depth, par int) int {
 		// attribute (indistinguishable under the metric).
 		return depth
 	}
-	bld.sortOnDim(rows, off, splitDim(n.maxDist))
+	b.sortOnDim(rows, off, splitDim(n.maxDist))
 	mid := len(rows) / 2
 	n.rep = rows[mid]
 	left, right := slot+1, slot+2*mid
-	n.left, n.right = &bld.nodes[left], &bld.nodes[right]
+	n.left, n.right = &b.nodes[left], &b.nodes[right]
 	if par > 1 && len(rows) >= forkMin {
-		return bld.fork(rows, off, mid, left, right, depth, par)
+		return b.fork(rows, off, mid, left, right, depth, par)
 	}
-	ld := bld.build(rows[:mid], off, left, depth+1, 1)
-	rd := bld.build(rows[mid:], off+mid, right, depth+1, 1)
+	ld := b.build(rows[:mid], off, left, depth+1, 1)
+	rd := b.build(rows[mid:], off+mid, right, depth+1, 1)
 	return max(ld, rd)
 }
 
 // fork is build's recursion into the halves of rows split at mid with the
 // left half on a new goroutine. It is a function of its own so that only
 // forking nodes pay for the variables the goroutine shares.
-func (bld *builder) fork(rows []int32, off, mid, left, right, depth, par int) int {
+func (b *builder) fork(rows []int32, off, mid, left, right, depth, par int) int {
 	// A panic on the forked goroutine is re-raised here so the caller's
 	// containment sees it.
 	var ld int
@@ -194,9 +194,9 @@ func (bld *builder) fork(rows []int32, off, mid, left, right, depth, par int) in
 			perr = recover()
 			close(done)
 		}()
-		ld = bld.build(rows[:mid], off, left, depth+1, par/2)
+		ld = b.build(rows[:mid], off, left, depth+1, par/2)
 	}()
-	rd := bld.build(rows[mid:], off+mid, right, depth+1, par-par/2)
+	rd := b.build(rows[mid:], off+mid, right, depth+1, par-par/2)
 	<-done
 	if perr != nil {
 		panic(perr)
@@ -224,9 +224,9 @@ type sortKey struct {
 // strings, Int and Float mixed in one column (float comparison of ints
 // beyond 2^53 is not transitive), NaN (equal to everything) — runs the
 // generic insertion+merge stable sort with Compare itself.
-func (bld *builder) sortOnDim(rows []int32, off, dim int) {
-	keys := bld.keys[off : off+len(rows)]
-	v := &bld.cols[dim]
+func (b *builder) sortOnDim(rows []int32, off, dim int) {
+	keys := b.keys[off : off+len(rows)]
+	v := &b.cols[dim]
 	kind := v.col.Value(int(rows[0])).Kind()
 	sorted := true
 	for i, r := range rows {
@@ -260,7 +260,7 @@ func (bld *builder) sortOnDim(rows []int32, off, dim int) {
 		}
 		return cmp.Compare(x.pos, y.pos)
 	})
-	tmp := bld.tmp[off : off+len(rows)]
+	tmp := b.tmp[off : off+len(rows)]
 	for i, k := range keys {
 		tmp[i] = rows[k.pos]
 	}
@@ -304,9 +304,9 @@ func floatKey(f float64) (uint64, bool) {
 
 // spread computes, per attribute, the maximum pairwise distance within
 // rows into out (all zero on entry).
-func (bld *builder) spread(rows []int32, out []float64) {
-	for a, attr := range bld.attrs {
-		v := &bld.cols[a]
+func (b *builder) spread(rows []int32, out []float64) {
+	for a, attr := range b.attrs {
+		v := &b.cols[a]
 		if attr.Dist.Kind == relation.DistNumeric {
 			out[a] = v.numericSpread(rows, attr.Dist)
 		} else if !v.allEqual(rows) {
