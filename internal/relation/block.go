@@ -5,9 +5,10 @@
 // block each; the K-D tree construction reads a row range; the executor
 // appends fetched ranges column-at-a-time, evaluates predicates and join
 // keys over the flat columns, and only materialises Tuples again at the
-// answer boundary. Row hashing and key equality over blocks fold exactly the same
-// canonical encoding as Tuple.Hash / Value.KeyEqual, so block-keyed hash
-// joins land in the same buckets as the row path's TupleMap.
+// answer boundary. Row hashing and key equality over blocks fold exactly
+// the same canonical encoding as Tuple.Hash / Value.KeyEqual, so
+// block-keyed hash joins land in the same buckets as the row path's
+// TupleMap.
 package relation
 
 import "sync"
@@ -142,13 +143,13 @@ func BlockOfTuples(width int, rows []Tuple) *Block {
 }
 
 // FillBlock returns a block of the given width and rows whose row r holds
-// at(r, c) in column c, filled on up to `workers` goroutines (each row is
-// read once; at must be safe to call concurrently for distinct rows). The
-// columns are allocated at their exact size, in the kinds of row 0, and
-// filled with Column.Set; a column that refuses a value — a null, or a kind
-// other than row 0's — is then rebuilt in row order with Append, whose
-// validity and mixed fallbacks store any rows exactly. Either way the block
-// holds what appending the rows one by one would.
+// at(r, c) in column c, filled on up to `workers` goroutines (at must be
+// safe to call concurrently for distinct rows). The columns are allocated
+// at their exact size, in the kinds of row 0, and filled with Column.Set;
+// a column that refuses a value — a null, or a kind other than row 0's — is
+// then rebuilt in row order with Append, whose validity and mixed fallbacks
+// store any rows exactly. Either way the block holds what appending the
+// rows one by one would.
 func FillBlock(width, rows int, at func(r, c int) Value, workers int) *Block {
 	b := NewBlock(width)
 	if rows == 0 {
