@@ -336,17 +336,24 @@ func (v *colView) numericSpread(rows []int32, d relation.Distance) float64 {
 		// float64 is monotone, so this is the spread of the float images.
 		return scaled(float64(lo), float64(hi), d)
 	case relation.KindFloat:
-		lo, hi := v.floats[rows[0]], v.floats[rows[0]]
-		for _, r := range rows[1:] {
+		// NaN seeds nothing (see valuesSpread): lo stays NaN until the
+		// first number.
+		lo, hi := math.NaN(), math.NaN()
+		for _, r := range rows {
 			f := v.floats[r]
-			// Not min/max: a NaN must compare exactly as valuesSpread's
-			// comparisons do.
+			if lo != lo {
+				lo, hi = f, f
+				continue
+			}
 			if f < lo {
 				lo = f
 			}
 			if f > hi {
 				hi = f
 			}
+		}
+		if lo != lo {
+			return 0
 		}
 		return scaled(lo, hi, d)
 	}
@@ -365,11 +372,13 @@ func (v *colView) allEqual(rows []int32) bool {
 		}
 		return true
 	case relation.KindFloat:
-		first := v.floats[rows[0]]
-		for _, r := range rows[1:] {
-			// Compare finds floats equal unless one orders before the
-			// other, so NaN equals everything.
-			if f := v.floats[r]; f < first || f > first {
+		// Compare finds floats equal unless one orders before the other,
+		// so NaN equals everything and the first number decides.
+		first := math.NaN()
+		for _, r := range rows {
+			if f := v.floats[r]; first != first {
+				first = f
+			} else if f < first || f > first {
 				return false
 			}
 		}
@@ -378,11 +387,17 @@ func (v *colView) allEqual(rows []int32) bool {
 	return valuesEqual(len(rows), func(i int) relation.Value { return v.col.Value(int(rows[i])) })
 }
 
-// valuesEqual reports whether the n values at(0..n) are all Value.Equal
-// to the first: the zero-spread test of a discrete or trivial attribute.
+// valuesEqual reports whether the n values at(0..n) are pairwise
+// Value.Equal: the zero-spread test of a discrete or trivial attribute.
+// They are compared with the first value that is not NaN: NaN equals every
+// number, so a leading NaN would find 3 and 7.5 both equal to it.
 func valuesEqual(n int, at func(i int) relation.Value) bool {
-	first := at(0)
-	for i := 1; i < n; i++ {
+	seed := 0
+	for seed < n-1 && isNaN(at(seed)) {
+		seed++
+	}
+	first := at(seed)
+	for i := 0; i < n; i++ {
 		if !at(i).Equal(first) {
 			return false
 		}
@@ -390,12 +405,18 @@ func valuesEqual(n int, at func(i int) relation.Value) bool {
 	return true
 }
 
+// isNaN reports whether v is a float NaN.
+func isNaN(v relation.Value) bool {
+	f, ok := v.AsFloat()
+	return ok && f != f
+}
+
 // valuesSpread is the maximum pairwise distance, under the numeric
 // distance d, among the n values at(0..n).
 func valuesSpread(n int, at func(i int) relation.Value, d relation.Distance) float64 {
 	var lo, hi float64
 	seen := false
-	nulls, nonNumeric := 0, 0
+	nulls, nonNumeric, nans := 0, 0, 0
 	for i := 0; i < n; i++ {
 		v := at(i)
 		if v.IsNull() {
@@ -405,6 +426,13 @@ func valuesSpread(n int, at func(i int) relation.Value, d relation.Distance) flo
 		f, ok := v.AsFloat()
 		if !ok {
 			nonNumeric++
+			continue
+		}
+		if f != f {
+			// NaN is a number at distance NaN from every number, which no
+			// resolution is exceeded by: it takes part in the mixing rule
+			// below but not in the extremes.
+			nans++
 			continue
 		}
 		if !seen {
@@ -420,7 +448,8 @@ func valuesSpread(n int, at func(i int) relation.Value, d relation.Distance) flo
 	}
 	// Mixing nulls or non-numeric values with numbers makes the pairwise
 	// distance unbounded under the numeric distance's fallback behaviour.
-	if (nulls > 0 && (seen || nonNumeric > 0)) || (nonNumeric > 0 && seen) {
+	numeric := seen || nans > 0
+	if (nulls > 0 && (numeric || nonNumeric > 0)) || (nonNumeric > 0 && numeric) {
 		return math.Inf(1)
 	}
 	if nonNumeric > 1 {

@@ -70,6 +70,32 @@ func TestSingleItem(t *testing.T) {
 	}
 }
 
+// A leading NaN must not hide the spread of the numbers after it: NaN is
+// at distance NaN from every number, which exceeds no resolution, so the
+// level-0 resolution is the spread of the numbers alone — +inf here for the
+// numeric attribute, and +inf for the trivial one whose numbers differ. Both
+// a typed float column and a mixed one (the Value path) are checked.
+func TestLeadingNaNKeepsSpread(t *testing.T) {
+	attrs := []relation.Attribute{
+		relation.Attr("n", relation.KindFloat, relation.Numeric(10)),
+		relation.Attr("t", relation.KindFloat, relation.Trivial()),
+	}
+	nan := relation.Float(math.NaN())
+	for _, tail := range [][]relation.Value{
+		{relation.Float(math.Inf(1)), relation.Float(3)},
+		{relation.Float(math.Inf(1)), relation.Int(3)},
+	} {
+		var rows []relation.Tuple
+		for _, v := range append([]relation.Value{nan}, tail...) {
+			rows = append(rows, relation.Tuple{v, v})
+		}
+		res := buildAll(attrs, relation.BlockOfTuples(2, rows)).Resolution(0)
+		if !math.IsInf(res[0], 1) || !math.IsInf(res[1], 1) {
+			t.Errorf("NaN then %v: level-0 resolution %v, want +inf on both attributes", tail, res)
+		}
+	}
+}
+
 func TestLevelCountBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tr := buildAll(testAttrs(), randomRows(rng, 200))
