@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/kdtree"
@@ -77,6 +78,7 @@ func identicalValue(a, b relation.Value) bool {
 func assertMatchesReference(t *testing.T, label string, l *Ladder, db *relation.Database) {
 	t.Helper()
 	assertItemsMatchRelation(t, label, l, db)
+	assertCertificate(t, label, l)
 	var groups []*ladderGroup
 	owned := make([]bool, len(l.arena.counts))
 	covered := 0
@@ -171,6 +173,58 @@ func assertItemsMatchRelation(t *testing.T, label string, l *Ladder, db *relatio
 	}
 }
 
+// assertCertificate checks what each level view certifies, whatever built
+// it: for every group and every level k of the ladder, the view fetched for
+// the group covers each of the group's items within the ladder's level-k
+// resolution (the conformance Verify checks against the relation), holds at
+// most 2^k rows, has counts that sum to the group's size, and has rows whose
+// values are, kind-exact, those of one of the group's items.
+func assertCertificate(t *testing.T, label string, l *Ladder) {
+	t.Helper()
+	const eps = 1e-9
+	within := func(item, rep relation.Tuple, res []float64) bool {
+		for a := range l.yAttrs {
+			d := l.yAttrs[a].Dist.Between(item[a], rep[a])
+			if d > res[a]+eps && !(math.IsInf(d, 1) && math.IsInf(res[a], 1)) {
+				return false
+			}
+		}
+		return true
+	}
+	identical := func(a, b relation.Tuple) bool {
+		return slices.EqualFunc(a, b, identicalValue)
+	}
+	l.store.rangeGroups(func(g *ladderGroup) bool {
+		items := make([]relation.Tuple, g.items.rows)
+		for i := range items {
+			items[i] = l.items.y.Tuple(g.items.first + i)
+		}
+		for k := 0; k <= l.MaxK(); k++ {
+			rows := fetchRows(l, g.key, k)
+			if len(rows) > 1<<k {
+				t.Fatalf("%s: group %v level %d holds %d rows, more than 2^%d", label, g.key, k, len(rows), k)
+			}
+			sum := 0
+			for r, s := range rows {
+				sum += s.Count
+				if !slices.ContainsFunc(items, func(it relation.Tuple) bool { return identical(it, s.Y) }) {
+					t.Fatalf("%s: group %v level %d row %d: %v is none of the group's items", label, g.key, k, r, s.Y)
+				}
+			}
+			if sum != g.items.rows {
+				t.Fatalf("%s: group %v level %d: counts sum to %d, group size %d", label, g.key, k, sum, g.items.rows)
+			}
+			res := l.Resolution(k)
+			for _, it := range items {
+				if !slices.ContainsFunc(rows, func(s sample) bool { return within(it, s.Y, res) }) {
+					t.Fatalf("%s: group %v level %d: item %v not covered within %v", label, g.key, k, it, res)
+				}
+			}
+		}
+		return true
+	})
+}
+
 // hostileDB is kvFixture's relation under hostile values: NaN, ±Inf, −0 and
 // Int/Float spellings of one key, so ladder columns mix kinds.
 func hostileDB(t *testing.T) *relation.Database {
@@ -217,9 +271,11 @@ func hostileBatch(rng *rand.Rand, db *relation.Database, deleteShare int) []Op {
 }
 
 // TestLevelArenaMatchesReference pins the level views the ladder serves
-// against the kd-tree construction they come from: after a build at every
-// worker and shard count, after a snapshot restore, and after each of a run
-// of Apply batches that empty and recreate groups under hostile values.
+// against the kd-tree construction they come from, and checks what they
+// certify (assertCertificate): after a build at every worker and shard
+// count, after a snapshot restore, and after each of a run of Apply batches
+// that empty and recreate groups under hostile values, repack arenas and
+// compact item stores.
 func TestLevelArenaMatchesReference(t *testing.T) {
 	type spec struct {
 		rel  string
@@ -268,12 +324,13 @@ func TestLevelArenaMatchesReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(25))
 	byK := s.Find("kv", []string{"k"}, []string{"v"})
-	emptied, recreated, repacked := 0, 0, 0
+	emptied, recreated, repacked, compacted := 0, 0, 0, 0
 	for b := 0; b < 50; b++ {
 		before := byK.NumGroups()
 		cols := make([]*relation.Block, len(s.Ladders))
+		items := make([]*relation.Block, len(s.Ladders))
 		for i, l := range s.Ladders {
-			cols[i] = l.arena.y
+			cols[i], items[i] = l.arena.y, l.items.y
 		}
 		if _, err := s.Apply(db, hostileBatch(rng, db, 2+b%3*3)); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
@@ -287,11 +344,14 @@ func TestLevelArenaMatchesReference(t *testing.T) {
 			if l.arena.y != cols[i] {
 				repacked++
 			}
+			if l.items.y != items[i] {
+				compacted++
+			}
 			assertMatchesReference(t, fmt.Sprintf("batch %d %s(%v→%v)", b, l.RelName, l.X, l.Y), l, db)
 		}
 	}
-	if emptied == 0 || recreated == 0 || repacked == 0 {
-		t.Fatalf("batches emptied groups %d times, recreated them %d times and repacked an arena %d times; want all three",
-			emptied, recreated, repacked)
+	if emptied == 0 || recreated == 0 || repacked == 0 || compacted == 0 {
+		t.Fatalf("batches emptied groups %d times, recreated them %d times, repacked an arena %d times and compacted an item store %d times; want all four",
+			emptied, recreated, repacked, compacted)
 	}
 }
