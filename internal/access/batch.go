@@ -393,11 +393,14 @@ func (l *Ladder) placeItems(ops []Op, gbs []*groupBatch) {
 		gb.g.items = rowRange{} // no live rows until placed below
 	}
 	src := st.y
-	if st.crowded(n) {
+	if crowded(st.live(), st.dead, n) {
+		// The groups' level offsets are relative to their items, so only
+		// the item columns and the base their levels select from move.
 		src = st.compact(n, func(move func(lo, hi int) int) {
 			l.store.rangeGroups(func(g *ladderGroup) bool {
 				if g.items.rows > 0 {
 					g.items.first = move(g.items.first, g.items.end())
+					g.rebase(st.y)
 				}
 				return true
 			})

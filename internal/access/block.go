@@ -9,25 +9,33 @@ import (
 // This file holds a ladder's two row stores. The item store keeps every
 // group's items — the raw Y-projections of its base tuples, duplicates
 // kept, one row each — in typed Y columns, a group's items being one row
-// range. The level arena keeps the views of all groups' levels: typed Y
-// columns plus a count column, each group's levels stored contiguously,
-// level after level, so that a level is a row range. A LevelBlock records
-// that range; a group holds its levels' records in one slice and FetchBlock
-// hands out pointers into it, so a fetch allocates nothing and the heap
-// holds a few large columns instead of a block per (group, level) or an
-// object per item. The executor (internal/plan) appends fetched ranges
-// column-at-a-time, or serves a single level zero-copy through a
-// Column.View. Representatives are actual items, so a level row is a copy
-// of an item row, and the snapshot encodes it as an item index (see
-// GroupSnapshot).
+// range. The level arena keeps the views of all groups' levels as
+// selections over the item store: representatives are actual items, so a
+// level row is a pair of int32s, the offset of its item within the group's
+// items and the number of base tuples it represents. Each group's levels
+// are stored contiguously, level after level, so that a level is a row
+// range of the arena. A LevelBlock records that range, together with the
+// item columns and the group's first item row it selects from; a group
+// holds its levels' records in one slice and FetchBlock hands out pointers
+// into it, so a fetch allocates nothing and the heap holds a few large
+// columns instead of a block per (group, level) or an object per item. The
+// executor (internal/plan) gathers a fetched level's values from the item
+// columns one column at a time (Column.AppendIndexes), and the snapshot
+// encodes a level row as the very pair it is (see GroupSnapshot).
 
-// rowStore is the placement discipline both stores follow: rows live in one
-// block of typed columns, a group's rows are one range of it, and rows are
-// never rewritten. A group whose rows are replaced has its new rows placed
-// after the others and its old ones counted dead, and a compaction into
-// fresh columns keeps dead rows from outnumbering live ones, so the copying
-// is amortised over the replacements that left the dead rows behind. Views
-// handed out earlier therefore stay valid.
+// crowded reports whether a store holding live rows some group covers and
+// dead rows none does must compact before placing n more: the dead rows
+// would otherwise be at least as many as the live ones.
+func crowded(live, dead, n int) bool { return dead > 0 && dead >= live+n }
+
+// rowStore is the placement discipline both stores follow, and the item
+// store itself: rows live in one block of typed columns, a group's rows are
+// one range of it, and rows are never rewritten. A group whose rows are
+// replaced has its new rows placed after the others and its old ones
+// counted dead, and a compaction into fresh columns keeps dead rows from
+// outnumbering live ones (crowded), so the copying is amortised over the
+// replacements that left the dead rows behind. Views handed out earlier
+// therefore stay valid.
 type rowStore struct {
 	y    *relation.Block
 	dead int // rows no group covers any more
@@ -35,10 +43,6 @@ type rowStore struct {
 
 // live returns the number of rows some group covers.
 func (s *rowStore) live() int { return s.y.Rows() - s.dead }
-
-// crowded reports whether placing n more rows must compact first: the dead
-// rows would otherwise be at least as many as the live ones.
-func (s *rowStore) crowded(n int) bool { return s.dead > 0 && s.dead >= s.live()+n }
 
 // reserve grows the columns' capacity for n more rows.
 func (s *rowStore) reserve(n int) {
@@ -50,7 +54,8 @@ func (s *rowStore) reserve(n int) {
 // compact moves the live rows into fresh columns with room for extra more
 // and drops the dead ones. ranges calls move once per live range [lo, hi),
 // in the order the ranges are to be laid out, and move returns the range's
-// new first row. compact returns the old block, which stays readable.
+// new first row; s.y is already the fresh block while ranges runs. compact
+// returns the old block, which stays readable.
 func (s *rowStore) compact(extra int, ranges func(move func(lo, hi int) int)) *relation.Block {
 	old := s.y
 	y := relation.NewBlock(old.Width())
@@ -59,12 +64,12 @@ func (s *rowStore) compact(extra int, ranges func(move func(lo, hi int) int)) *r
 			y.Col(c).Reserve(src.Kind(), s.live()+extra)
 		}
 	}
+	s.y, s.dead = y, 0
 	ranges(func(lo, hi int) int {
 		first := y.Rows()
 		y.AppendBlockRange(old, lo, hi)
 		return first
 	})
-	s.y, s.dead = y, 0
 	return old
 }
 
@@ -74,60 +79,79 @@ type rowRange struct{ first, rows int }
 // end returns one past the range's last row.
 func (r rowRange) end() int { return r.first + r.rows }
 
-// levelArena holds one ladder's level rows column-wise. Row r is one
-// representative: its Y-tuple across y's columns and the number of base
-// tuples it represents in counts[r]. Rows are placed as rowStore says.
+// levelArena holds one ladder's level rows as two int32 columns. Row r is
+// one representative: the item at offset item[r] of its group's item range,
+// and the number of base tuples it represents in count[r]. The offsets are
+// group-relative, so compacting the item store moves no arena row. Rows are
+// placed as rowStore says.
 type levelArena struct {
-	rowStore
-	counts []int
+	item, count []int32
+	dead        int // rows no group covers any more
 }
 
-// LevelBlock is one fetch level in columnar form: rows [First, First+Rows)
-// of an arena, row i of the level being row First+i of every Y column, with
-// Counts()[i] the number of base tuples it represents. Blocks are shared
-// read-only views.
+// live returns the number of rows some group covers.
+func (a *levelArena) live() int { return len(a.item) - a.dead }
+
+// levelRow is one representative on its way into an arena: the offset of
+// its item within its group's items, and the number of base tuples it
+// represents.
+type levelRow struct{ item, count int32 }
+
+// LevelBlock is one fetch level in columnar form: a selection of a group's
+// items. Row i of the level is item row Base+Offsets()[i] of the item
+// columns, with Counts()[i] the number of base tuples it represents; the
+// offsets and counts are rows [first, first+rows) of an arena. Blocks are
+// shared read-only views.
 type LevelBlock struct {
 	arena       *levelArena
+	items       *relation.Block // the item columns the level selects from
+	base        int             // the group's first item row
 	first, rows int
 }
 
-// NewLevelBlock returns a standalone level over y's rows, with counts[i]
-// the represented-tuple count of row i (len(counts) must be y.Rows()) — the
-// form a level takes when it arrives from another process.
-func NewLevelBlock(y *relation.Block, counts []int) *LevelBlock {
-	return &LevelBlock{arena: &levelArena{rowStore: rowStore{y: y}, counts: counts}, rows: y.Rows()}
+// NewLevelBlock returns a standalone level holding y's rows in order, with
+// counts[i] the represented-tuple count of row i (len(counts) must be
+// y.Rows()) — the form a level takes when it arrives from another process:
+// the identity selection over y.
+func NewLevelBlock(y *relation.Block, counts []int32) *LevelBlock {
+	item := make([]int32, y.Rows())
+	for i := range item {
+		item[i] = int32(i)
+	}
+	return &LevelBlock{arena: &levelArena{item: item, count: counts}, items: y, rows: y.Rows()}
 }
 
 // Rows returns the number of samples in the level.
 func (b *LevelBlock) Rows() int { return b.rows }
 
-// First returns the row of Col(j) holding the level's first sample.
-func (b *LevelBlock) First() int { return b.first }
+// ItemCol returns the item column holding Y attribute j; the level's rows
+// are the rows of it that Offsets names. It is shared storage: read-only.
+func (b *LevelBlock) ItemCol(j int) *relation.Column { return b.items.Col(j) }
 
-// Col returns the column holding Y attribute j of the level's rows, at rows
-// [First, First+Rows). It is shared storage: read-only.
-func (b *LevelBlock) Col(j int) *relation.Column { return b.arena.y.Col(j) }
-
-// Counts returns the per-sample represented-tuple counts, read-only.
-func (b *LevelBlock) Counts() []int {
+// Offsets returns the level's selection of ItemCol's rows: row i of the
+// level is row base+offs[i]. offs is shared storage: read-only.
+func (b *LevelBlock) Offsets() (base int, offs []int32) {
 	end := b.first + b.rows
-	return b.arena.counts[b.first:end:end]
+	return b.base, b.arena.item[b.first:end:end]
 }
 
-// Y returns the level's Y-tuples as a read-only block of column views. It
-// allocates the block, so the fetch path uses Col and First instead.
+// Counts returns the per-sample represented-tuple counts, read-only.
+func (b *LevelBlock) Counts() []int32 {
+	end := b.first + b.rows
+	return b.arena.count[b.first:end:end]
+}
+
+// Y returns the level's Y-tuples as a fresh block gathered from the item
+// columns. It allocates, so the fetch path gathers through ItemCol and
+// Offsets into its own output instead.
 func (b *LevelBlock) Y() *relation.Block {
-	y := b.arena.y
-	if b.first == 0 && b.rows == y.Rows() {
-		return y
-	}
-	v := relation.NewBlock(y.Width())
+	y := relation.NewBlock(b.items.Width())
+	base, offs := b.Offsets()
 	for j := 0; j < y.Width(); j++ {
-		col := y.Col(j).View(b.first, b.first+b.rows)
-		v.SetColView(j, &col)
+		y.Col(j).AppendIndexes(b.items.Col(j), offs, base)
 	}
-	v.AddRows(b.rows)
-	return v
+	y.AddRows(b.rows)
+	return y
 }
 
 // Prefix returns a read-only view of the first n samples — what a fetch
@@ -137,68 +161,54 @@ func (b *LevelBlock) Prefix(n int) *LevelBlock {
 	if b == nil || n >= b.rows {
 		return b
 	}
-	return &LevelBlock{arena: b.arena, first: b.first, rows: n}
-}
-
-// levelRow is one representative on its way into an arena: the item row of
-// the ladder's item store it copies, and the number of base tuples it
-// represents.
-type levelRow struct {
-	item  int
-	count int
+	p := *b
+	p.rows = n
+	return &p
 }
 
 // place points the group's levels, whose first rows are offsets into the
-// group's own rows, at the arena rows from base on.
-func (g *ladderGroup) place(a *levelArena, base int) {
+// group's own rows, at l's arena rows from first on, and at l's items.
+func (g *ladderGroup) place(l *Ladder, first int) {
 	for k := range g.levels {
-		g.levels[k].arena = a
-		g.levels[k].first += base
+		g.levels[k].arena = l.arena
+		g.levels[k].first += first
+	}
+	g.rebase(l.items.y)
+}
+
+// rebase points the group's levels at its items in the item columns y,
+// where they start at row g.items.first.
+func (g *ladderGroup) rebase(y *relation.Block) {
+	for k := range g.levels {
+		g.levels[k].items, g.levels[k].base = y, g.items.first
 	}
 }
 
+// placeRows appends the job's level rows to its ladder's arena and places
+// the group's levels there.
+func (j groupBuild) placeRows() {
+	a := j.l.arena
+	first := len(a.item)
+	for _, r := range j.rows {
+		a.item = append(a.item, r.item)
+		a.count = append(a.count, r.count)
+	}
+	j.g.place(j.l, first)
+}
+
 // packArenas gives every ladder with jobs a fresh arena holding exactly its
-// jobs' rows (callers pass all of a ladder's groups) and places each group's
-// levels in it. A prefix sum over the jobs gives every group a disjoint
-// range of the arena, and relation.FillBlock copies the item rows the
-// ranges name into exact-size columns.
-func packArenas(jobs []groupBuild, workers int) {
-	type pack struct {
-		rows   int
-		items  []int32 // per arena row: the item row it copies
-		counts []int
+// jobs' rows (callers pass all of a ladder's groups), in job order, and
+// places each group's levels in it.
+func packArenas(jobs []groupBuild) {
+	rows := make(map[*levelArena]int)
+	for _, j := range jobs {
+		rows[j.l.arena] += len(j.rows)
 	}
-	packs := make(map[*Ladder]*pack)
-	var order []*Ladder
-	base := make([]int, len(jobs))
-	for i, j := range jobs {
-		p := packs[j.l]
-		if p == nil {
-			p = &pack{}
-			packs[j.l] = p
-			order = append(order, j.l)
-		}
-		base[i] = p.rows
-		p.rows += len(j.rows)
+	for a, n := range rows {
+		*a = levelArena{item: make([]int32, 0, n), count: make([]int32, 0, n)}
 	}
-	for _, l := range order {
-		p := packs[l]
-		p.items, p.counts = make([]int32, p.rows), make([]int, p.rows)
-	}
-	parallelFor(len(jobs), workers, func(i int) {
-		j := jobs[i]
-		p := packs[j.l]
-		for r, row := range j.rows {
-			p.items[base[i]+r], p.counts[base[i]+r] = int32(row.item), row.count
-		}
-		j.g.place(j.l.arena, base[i])
-	})
-	for _, l := range order {
-		p, items := packs[l], l.items.y
-		l.arena.y = relation.FillBlock(items.Width(), p.rows, func(r, c int) relation.Value {
-			return items.Value(int(p.items[r]), c)
-		}, workers)
-		l.arena.counts, l.arena.dead = p.counts, 0
+	for _, j := range jobs {
+		j.placeRows()
 	}
 }
 
@@ -214,47 +224,37 @@ func (l *Ladder) placeRebuilt(jobs []groupBuild) {
 			n += len(j.rows)
 		}
 	}
-	if a.crowded(n) {
+	if crowded(a.live(), a.dead, n) {
 		l.repack(n)
 	} else {
-		a.reserve(n)
-		a.counts = slices.Grow(a.counts, n)
+		a.item, a.count = slices.Grow(a.item, n), slices.Grow(a.count, n)
 	}
 	for _, j := range jobs {
-		if j.l != l {
-			continue
+		if j.l == l {
+			j.placeRows()
 		}
-		base := len(a.counts)
-		for _, r := range j.rows {
-			a.y.AppendRow(l.items.y, r.item)
-			a.counts = append(a.counts, r.count)
-		}
-		j.g.place(a, base)
 	}
 }
 
-// repack compacts the arena with room for extra more rows, group by group.
-// Groups rebuilt but not yet placed (their levels point at no arena) have
-// no live rows to move.
+// repack compacts the arena into fresh columns with room for extra more
+// rows, group by group. Groups rebuilt but not yet placed (their levels
+// point at no arena) have no live rows to move.
 func (l *Ladder) repack(extra int) {
 	a := l.arena
-	old := a.counts
-	counts := make([]int, 0, a.live()+extra)
-	a.compact(extra, func(move func(lo, hi int) int) {
-		l.store.rangeGroups(func(g *ladderGroup) bool {
-			if g.levels[0].arena != a {
-				return true
-			}
-			lo, hi := g.span()
-			shift := move(lo, hi) - lo
-			for k := range g.levels {
-				g.levels[k].first += shift
-			}
-			counts = append(counts, old[lo:hi]...)
+	item, count := make([]int32, 0, a.live()+extra), make([]int32, 0, a.live()+extra)
+	l.store.rangeGroups(func(g *ladderGroup) bool {
+		if g.levels[0].arena != a {
 			return true
-		})
+		}
+		lo, hi := g.span()
+		shift := len(item) - lo
+		for k := range g.levels {
+			g.levels[k].first += shift
+		}
+		item, count = append(item, a.item[lo:hi]...), append(count, a.count[lo:hi]...)
+		return true
 	})
-	a.counts = counts
+	a.item, a.count, a.dead = item, count, 0
 }
 
 // span returns the arena rows [lo, hi) holding the group's levels; empty

@@ -66,7 +66,7 @@ func buildLadderWorkers(db *relation.Database, rel string, x, y []string, worker
 		jobs[i] = groupBuild{l: l, g: g}
 	}
 	buildGroups(jobs, workers)
-	packArenas(jobs, workers)
+	packArenas(jobs)
 	for _, g := range groups {
 		l.store.put(g)
 	}
@@ -148,7 +148,7 @@ func newLadder(db *relation.Database, rel string, x, y []string, shards int) (*L
 		yIdx:    yIdx,
 		store:   newShardedLadder(shards),
 		items:   rowStore{y: relation.NewBlock(len(yIdx))},
-		arena:   &levelArena{rowStore: rowStore{y: relation.NewBlock(len(yIdx))}},
+		arena:   &levelArena{},
 	}
 	l.yAttrs = make([]relation.Attribute, len(yIdx))
 	for i, j := range yIdx {
@@ -361,10 +361,11 @@ func (l *Ladder) Verify(db *relation.Database) error {
 			yVal := t.Project(yIdx)
 			covered := false
 			if blk := l.FetchBlock(xVal, k); blk != nil {
-				for i := blk.First(); i < blk.First()+blk.Rows() && !covered; i++ {
+				base, offs := blk.Offsets()
+				for i := 0; i < len(offs) && !covered; i++ {
 					covered = true
 					for a := range l.yAttrs {
-						d := l.yAttrs[a].Dist.Between(yVal[a], blk.Col(a).Value(i))
+						d := l.yAttrs[a].Dist.Between(yVal[a], blk.ItemCol(a).Value(base+int(offs[i])))
 						if d > res[a]+eps && !(math.IsInf(d, 1) && math.IsInf(res[a], 1)) {
 							covered = false
 							break

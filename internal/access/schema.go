@@ -43,7 +43,7 @@ func BuildAtSharded(db *relation.Database, shards int) (*Schema, error) {
 		}
 	}
 	buildGroups(jobs, runtime.GOMAXPROCS(0))
-	packArenas(jobs, runtime.GOMAXPROCS(0))
+	packArenas(jobs)
 	for _, job := range jobs {
 		job.l.store.put(job.g)
 	}

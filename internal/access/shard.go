@@ -102,7 +102,7 @@ func (g *ladderGroup) rebuild(yAttrs []relation.Attribute, items *relation.Block
 		g.levels[k] = LevelBlock{first: len(rows), rows: len(reps)}
 		res := g.res[k*arity : (k+1)*arity]
 		for _, r := range reps {
-			rows = append(rows, levelRow{item: r.Row, count: r.Count})
+			rows = append(rows, levelRow{item: int32(r.Row - g.items.first), count: int32(r.Count)})
 			for a, d := range r.MaxDist {
 				if d > res[a] {
 					res[a] = d

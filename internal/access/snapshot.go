@@ -2,7 +2,7 @@ package access
 
 import (
 	"fmt"
-	"runtime"
+	"math"
 	"sort"
 
 	"repro/internal/relation"
@@ -20,9 +20,10 @@ import (
 // with identical FetchBlock results, and a snapshot stays a flat, checkable
 // artifact.
 
-// LevelRef is one row of a level view in portable form. Representatives are
-// actual items, so a row is the index of its item among the group's items —
-// the first item key-equal to it — and the number of base tuples it
+// LevelRef is one row of a level view in portable form, exactly as the
+// ladder's arena stores it: the index of its item among the group's items —
+// the first item key-equal to the tree representative, which kdtree.Build
+// merges key-equal items into — and the number of base tuples it
 // represents.
 type LevelRef struct {
 	Item  int
@@ -77,7 +78,7 @@ func (l *Ladder) Snapshot() LadderSnapshot {
 		Items:   l.items.y,
 	}
 	l.store.rangeGroups(func(g *ladderGroup) bool {
-		snap.Groups = append(snap.Groups, g.snapshot(l.items.y))
+		snap.Groups = append(snap.Groups, g.snapshot(len(l.yAttrs)))
 		return true
 	})
 	sort.Slice(snap.Groups, func(i, j int) bool {
@@ -86,26 +87,16 @@ func (l *Ladder) Snapshot() LadderSnapshot {
 	return snap
 }
 
-// snapshot returns the group's portable state. Each arena row holds the
-// values of the item a tree representative came from — kdtree.Build merges
-// key-equal items into the first of them — so looking the row up among the
-// group's items by key equality finds that item.
-func (g *ladderGroup) snapshot(items *relation.Block) GroupSnapshot {
-	first := relation.NewRowIndex(items, g.items.rows)
-	for r := g.items.first; r < g.items.end(); r++ {
-		first.Add(r)
-	}
+// snapshot returns the group's portable state, over Y attributes of the
+// given arity. Its level rows are read straight from the arena, whose rows
+// are LevelRefs already.
+func (g *ladderGroup) snapshot(arity int) GroupSnapshot {
 	lo, hi := g.span()
 	a := g.levels[0].arena
 	refs := make([]LevelRef, hi-lo)
 	for r := range refs {
-		item := first.Find(a.y, lo+r)
-		if item < 0 {
-			panic(fmt.Sprintf("access: group %v level row %v is not an item", g.key, a.y.Tuple(lo+r)))
-		}
-		refs[r] = LevelRef{Item: item - g.items.first, Count: a.counts[lo+r]}
+		refs[r] = LevelRef{Item: int(a.item[lo+r]), Count: int(a.count[lo+r])}
 	}
-	arity := items.Width()
 	gs := GroupSnapshot{
 		Key:         g.key,
 		First:       g.items.first,
@@ -127,10 +118,9 @@ func (g *ladderGroup) snapshot(items *relation.Block) GroupSnapshot {
 // (0 keeps the snapshot's count) — partitioning is a deterministic function
 // of the X-value hash, so the shard count never changes what a fetch
 // returns. No kd-tree is built: the ladder adopts snap.Items as its item
-// store, without copying it, and the arena is filled straight from the
-// item rows the level references point at, identical to the original
-// ladder's views; a group is rebuilt from its items on its first
-// maintenance touch. Because the block is adopted, a snapshot restores one
+// store, without copying it, and the arena takes the level references as
+// they are, so the views select the same items as the original ladder's;
+// a group is rebuilt from its items on its first maintenance touch. Because the block is adopted, a snapshot restores one
 // ladder that may be maintained, and only while the ladder it was taken
 // from is not. Structural problems (unknown relation or attributes,
 // malformed groups) are reported as errors, never panics.
@@ -161,10 +151,8 @@ func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Lad
 		return nil, fmt.Errorf("access: restore %s: groups cover %d items of a %d-row block", snap.RelName, items, snap.Items.Rows())
 	}
 	l.items = rowStore{y: snap.Items, dead: snap.Items.Rows() - items}
-	// One backing array for every group's rows: restoration is the warm
-	// path's bulk work, and per-group slices would dominate its allocations.
-	rows := make([]levelRow, 0, total)
-	jobs := make([]groupBuild, len(snap.Groups))
+	a := l.arena
+	a.item, a.count = make([]int32, 0, total), make([]int32, 0, total)
 	for gi := range snap.Groups {
 		gs := &snap.Groups[gi]
 		g := &ladderGroup{
@@ -174,19 +162,16 @@ func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Lad
 			levels:   make([]LevelBlock, len(gs.Levels)),
 			res:      make([]float64, len(gs.Levels)*arity),
 		}
-		start := len(rows)
+		first := len(a.item)
 		for k, lvl := range gs.Levels {
-			g.levels[k] = LevelBlock{first: len(rows) - start, rows: len(lvl)}
+			g.levels[k] = LevelBlock{first: len(a.item) - first, rows: len(lvl)}
 			copy(g.res[k*arity:], gs.Resolutions[k])
 			for _, ref := range lvl {
-				rows = append(rows, levelRow{item: gs.First + ref.Item, count: ref.Count})
+				a.item, a.count = append(a.item, int32(ref.Item)), append(a.count, int32(ref.Count))
 			}
 		}
-		jobs[gi] = groupBuild{l: l, g: g, rows: rows[start:len(rows):len(rows)]}
-	}
-	packArenas(jobs, runtime.GOMAXPROCS(0))
-	for _, j := range jobs {
-		l.store.put(j.g)
+		g.place(l, first)
+		l.store.put(g)
 	}
 	l.recomputeMeta()
 	return l, nil
@@ -195,7 +180,7 @@ func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Lad
 // validGroup checks the structural invariants a restored group must satisfy
 // before it can serve fetches; rows is the item block's row count.
 func validGroup(gs *GroupSnapshot, arity, rows int) error {
-	if gs.Items <= 0 || gs.First < 0 || gs.First > rows-gs.Items {
+	if gs.Items <= 0 || gs.Items > math.MaxInt32 || gs.First < 0 || gs.First > rows-gs.Items {
 		return fmt.Errorf("item range [%d, +%d) outside a %d-row block", gs.First, gs.Items, rows)
 	}
 	if gs.Distinct < 1 || gs.Distinct > gs.Items {
@@ -209,7 +194,7 @@ func validGroup(gs *GroupSnapshot, arity, rows int) error {
 			return fmt.Errorf("level %d is empty", k)
 		}
 		for _, ref := range lvl {
-			if ref.Item < 0 || ref.Item >= gs.Items || ref.Count <= 0 {
+			if ref.Item < 0 || ref.Item >= gs.Items || ref.Count <= 0 || ref.Count > gs.Items {
 				return fmt.Errorf("level %d has a malformed row", k)
 			}
 		}

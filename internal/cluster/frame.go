@@ -27,6 +27,7 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/access"
 	"repro/internal/relation"
@@ -225,16 +226,16 @@ func DecodeFetchResponse(data []byte) ([]*access.LevelBlock, error) {
 			return nil, &FrameError{Offset: pos, Reason: "corrupt level block: " + berr.Error(), Err: berr}
 		}
 		pos = end
-		counts := make([]int, blk.Rows())
+		counts := make([]int32, blk.Rows())
 		for r := range counts {
 			c, p, cerr := frameUvarint(data, pos, "sample count")
 			if cerr != nil {
 				return nil, cerr
 			}
-			if c > 1<<62 {
+			if c > math.MaxInt32 {
 				return nil, corruptFrame(pos, "sample count %d out of range", c)
 			}
-			counts[r] = int(c)
+			counts[r] = int32(c)
 			pos = p
 		}
 		out[i] = access.NewLevelBlock(blk, counts)

@@ -1,7 +1,7 @@
 // The executor (see ExecuteOpts).
 //
-// Fetched data stays columnar end to end: fetch steps append the fetched
-// levels (access.LevelBlock: row ranges of the ladder's columnar level arena)
+// Fetched data stays columnar end to end: fetch steps gather the fetched
+// levels (access.LevelBlock: selections of the ladder's columnar item store)
 // into per-atom output blocks one column at a time, predicates and hash-join
 // keys are evaluated block-at-a-time over the flat typed columns, and rows
 // are materialised exactly once, at the answer boundary.
@@ -317,11 +317,9 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 	}
 
 	// 4. Build the output block column-wise from the visits that fetched
-	// rows, with their total known. A step that emits exactly one level
-	// (every first fetch, and any step with one surviving X-value) serves
-	// that level's rows of the ladder's arena columns zero-copy as column
-	// views; multi-emit steps reserve each column's full capacity once, then
-	// bulk-append arena ranges.
+	// rows, with their total known: reserve each column's full capacity
+	// once, then per emitted level gather its rows from the ladder's item
+	// columns and broadcast its X-value and prefix columns.
 	emits := visits[:0]
 	total := 0
 	for _, v := range visits {
@@ -331,40 +329,20 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 		}
 	}
 	out := &blockAtom{
-		alias:  atomAlias(p, ai),
-		schema: sl.schema,
-		block:  relation.NewBlock(sl.schema.Arity()),
+		alias:   atomAlias(p, ai),
+		schema:  sl.schema,
+		block:   relation.NewBlock(sl.schema.Arity()),
+		weights: make([]int, 0, total),
 	}
 	fills := buildColFills(sl, sl.schema.Arity())
-	if len(emits) == 1 {
-		e := emits[0]
-		lvl, key := lvls[e.x], xs[e.x]
-		n := lvl.Rows()
-		for p := range fills {
-			f := &fills[p]
-			switch {
-			case f.yCol >= 0:
-				view := lvl.Col(f.yCol).View(lvl.First(), lvl.First()+n)
-				out.block.SetColView(p, &view)
-			case f.xPos >= 0:
-				out.block.Col(p).AppendRepeat(key[f.xPos], n)
-			default:
-				out.block.Col(p).AppendRepeat(curBlk.Value(int(e.ri), f.prefixCol), n)
-			}
-		}
-		out.block.AddRows(n)
-		out.weights = make([]int, n)
-		for i, c := range lvl.Counts() {
-			out.weights[i] = e.w * c
-		}
-	} else if len(emits) > 0 {
+	if len(emits) > 0 {
 		first := emits[0]
 		for p := range fills {
 			f := &fills[p]
 			col := out.block.Col(p)
 			switch {
 			case f.yCol >= 0:
-				src := lvls[first.x].Col(f.yCol)
+				src := lvls[first.x].ItemCol(f.yCol)
 				if !src.Mixed() {
 					col.Reserve(src.Kind(), total)
 				}
@@ -374,26 +352,26 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 				col.Reserve(curBlk.Value(int(first.ri), f.prefixCol).Kind(), total)
 			}
 		}
-		out.weights = make([]int, 0, total)
-		for _, e := range emits {
-			lvl, key := lvls[e.x], xs[e.x]
-			n := lvl.Rows()
-			for p := range fills {
-				f := &fills[p]
-				col := out.block.Col(p)
-				switch {
-				case f.yCol >= 0:
-					col.AppendRange(lvl.Col(f.yCol), lvl.First(), lvl.First()+n)
-				case f.xPos >= 0:
-					col.AppendRepeat(key[f.xPos], n)
-				default:
-					col.AppendRepeat(curBlk.Value(int(e.ri), f.prefixCol), n)
-				}
+	}
+	for _, e := range emits {
+		lvl, key := lvls[e.x], xs[e.x]
+		n := lvl.Rows()
+		base, offs := lvl.Offsets()
+		for p := range fills {
+			f := &fills[p]
+			col := out.block.Col(p)
+			switch {
+			case f.yCol >= 0:
+				col.AppendIndexes(lvl.ItemCol(f.yCol), offs, base)
+			case f.xPos >= 0:
+				col.AppendRepeat(key[f.xPos], n)
+			default:
+				col.AppendRepeat(curBlk.Value(int(e.ri), f.prefixCol), n)
 			}
-			out.block.AddRows(n)
-			for _, c := range lvl.Counts() {
-				out.weights = append(out.weights, e.w*c)
-			}
+		}
+		out.block.AddRows(n)
+		for _, c := range lvl.Counts() {
+			out.weights = append(out.weights, e.w*int(c))
 		}
 	}
 	atoms[ai] = out
@@ -487,7 +465,7 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 			}
 			env = relation.NewBlock(blk.Width())
 			for j := 0; j < blk.Width(); j++ {
-				env.Col(j).AppendIndexes(blk.Col(j), sel)
+				env.Col(j).AppendIndexes(blk.Col(j), sel, 0)
 			}
 			env.AddRows(len(sel))
 			envW = make([]int, len(sel))
@@ -605,10 +583,10 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 		prevWidth := ev.envOffset[ai]
 		next := relation.NewBlock(prevWidth + blk.Width())
 		for j := 0; j < prevWidth; j++ {
-			next.Col(j).AppendIndexes(env.Col(j), eIdx)
+			next.Col(j).AppendIndexes(env.Col(j), eIdx, 0)
 		}
 		for j := 0; j < blk.Width(); j++ {
-			next.Col(prevWidth+j).AppendIndexes(blk.Col(j), aIdx)
+			next.Col(prevWidth+j).AppendIndexes(blk.Col(j), aIdx, 0)
 		}
 		next.AddRows(len(eIdx))
 		env, envW = next, joinedW
@@ -639,7 +617,7 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 		}
 		next := relation.NewBlock(env.Width())
 		for j := 0; j < env.Width(); j++ {
-			next.Col(j).AppendIndexes(env.Col(j), kept)
+			next.Col(j).AppendIndexes(env.Col(j), kept, 0)
 		}
 		next.AddRows(len(kept))
 		env, envW = next, keptW

@@ -14,9 +14,7 @@ package relation
 import "sync"
 
 // Block is a batch of rows of fixed width (arity), stored as one Column per
-// attribute. The zero Block is unusable; call NewBlock. A block whose
-// columns were installed with SetColView is a read-only view — never append
-// to it.
+// attribute. The zero Block is unusable; call NewBlock.
 type Block struct {
 	cols []Column
 	rows int
@@ -88,15 +86,6 @@ func (b *Block) AddRows(n int) {
 			panic("relation: column length out of step with block rows")
 		}
 	}
-}
-
-// SetColView installs a read-only view of src as column j, sharing src's
-// backing arrays instead of copying them (the executor uses this to serve a
-// whole fetched level as an output column zero-copy). The block becomes a
-// view itself: never append to column j afterwards, and account for src's
-// rows with AddRows as usual.
-func (b *Block) SetColView(j int, src *Column) {
-	b.cols[j] = *src
 }
 
 // Value returns the value at row i, column j.

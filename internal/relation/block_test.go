@@ -60,27 +60,33 @@ func TestColumnRoundTrip(t *testing.T) {
 }
 
 // TestColumnBulkOpsMatchPerRow pins that AppendRange, AppendRepeat and
-// AppendIndexes produce exactly the rows the per-row Append path would.
+// AppendIndexes (from a random base row) produce exactly the rows the
+// per-row Append path would, over homogeneous columns, homogeneous columns
+// with nulls, and mixed ones.
 func TestColumnBulkOpsMatchPerRow(t *testing.T) {
 	vals := testValues()
 	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		var src Column
 		n := 1 + rng.Intn(100)
-		homog := rng.Intn(2) == 0
+		mode := trial % 3 // 0 homogeneous, 1 homogeneous with nulls, 2 mixed
 		base := vals[rng.Intn(len(vals))]
 		for i := 0; i < n; i++ {
-			if homog {
+			switch {
+			case mode == 1 && rng.Intn(4) == 0:
+				src.Append(Null())
+			case mode < 2:
 				src.Append(base)
-			} else {
+			default:
 				src.Append(vals[rng.Intn(len(vals))])
 			}
 		}
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo)
+		from := rng.Intn(n)
 		idx := make([]int32, rng.Intn(2*n))
 		for i := range idx {
-			idx[i] = int32(rng.Intn(n))
+			idx[i] = int32(rng.Intn(n - from))
 		}
 		rep := vals[rng.Intn(len(vals))]
 		repN := rng.Intn(10)
@@ -98,9 +104,9 @@ func TestColumnBulkOpsMatchPerRow(t *testing.T) {
 		for j := 0; j < repN; j++ {
 			slow.Append(rep)
 		}
-		fast.AppendIndexes(&src, idx)
+		fast.AppendIndexes(&src, idx, from)
 		for _, i := range idx {
-			slow.Append(src.Value(int(i)))
+			slow.Append(src.Value(from + int(i)))
 		}
 
 		if fast.Len() != slow.Len() {
@@ -150,22 +156,18 @@ func TestBlockHashMatchesTupleHash(t *testing.T) {
 	}
 }
 
-// viewBlock is a block of read-only column views of rows [lo, hi) of b.
-func viewBlock(b *Block, lo, hi int) *Block {
+// rangeBlock is a block holding a copy of rows [lo, hi) of b.
+func rangeBlock(b *Block, lo, hi int) *Block {
 	v := NewBlock(b.Width())
-	for j := 0; j < b.Width(); j++ {
-		col := b.Col(j).View(lo, hi)
-		v.SetColView(j, &col)
-	}
-	v.AddRows(hi - lo)
+	v.AppendBlockRange(b, lo, hi)
 	return v
 }
 
-// TestBlockPrefixAndTuples pins sub-range views (a fetched level is one of
-// the ladder arena's columns, and a budget cut keeps its first rows) and
-// arena materialisation: every view reads exactly its parent's rows, at
-// word-aligned and unaligned starts over null bitmaps and mixed columns,
-// and stays unchanged when the parent grows.
+// TestBlockPrefixAndTuples pins sub-range copies (a row store's compaction
+// moves each group's rows as one range) and their materialisation: every
+// copy reads exactly its parent's rows, at word-aligned and unaligned
+// starts over null bitmaps and mixed columns, and stays unchanged when the
+// parent grows.
 func TestBlockPrefixAndTuples(t *testing.T) {
 	vals := testValues()
 	rng := rand.New(rand.NewSource(4))
@@ -192,30 +194,30 @@ func TestBlockPrefixAndTuples(t *testing.T) {
 			if hi < lo {
 				continue
 			}
-			v := viewBlock(b, lo, hi)
+			v := rangeBlock(b, lo, hi)
 			ts := v.Tuples()
 			if v.Rows() != hi-lo || len(ts) != hi-lo {
-				t.Fatalf("view [%d,%d): %d rows, %d tuples", lo, hi, v.Rows(), len(ts))
+				t.Fatalf("copy [%d,%d): %d rows, %d tuples", lo, hi, v.Rows(), len(ts))
 			}
 			for i := range ts {
 				if !v.RowKeyEqualTuple(i, rows[lo+i]) || !keyEqualTuple(ts[i], rows[lo+i]) {
-					t.Fatalf("view [%d,%d) row %d diverges", lo, hi, i)
+					t.Fatalf("copy [%d,%d) row %d diverges", lo, hi, i)
 				}
 				for j := range ts[i] {
 					if ts[i][j].Kind() != rows[lo+i][j].Kind() || v.Col(j).IsNull(i) != rows[lo+i][j].IsNull() {
-						t.Fatalf("view [%d,%d) row %d column %d: kind or nullness diverges", lo, hi, i, j)
+						t.Fatalf("copy [%d,%d) row %d column %d: kind or nullness diverges", lo, hi, i, j)
 					}
 				}
 			}
 		}
 	}
-	v := viewBlock(b, 64, 100)
+	v := rangeBlock(b, 64, 100)
 	for i := 0; i < 40; i++ {
 		b.AppendTuple(Tuple{Null(), Int(1), Float(0), String("grown")})
 	}
 	for i := 0; i < v.Rows(); i++ {
 		if !v.RowKeyEqualTuple(i, rows[64+i]) {
-			t.Fatalf("view row %d changed when its parent grew", i)
+			t.Fatalf("copied row %d changed when its parent grew", i)
 		}
 	}
 }

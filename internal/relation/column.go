@@ -21,15 +21,13 @@ import "slices"
 // slice holds exactly one slot per row (zero-valued at null positions);
 // the validity bitmap is allocated lazily on the first null and bit i is
 // set iff row i is non-null; a kind conflict migrates the column to the
-// mixed []Value fallback. Columns obtained from View are read-only views
-// sharing the parent's arrays — never Append to a view.
+// mixed []Value fallback.
 type Column struct {
 	kind  Kind // payload kind of non-null rows; KindNull until one is seen
 	mixed bool // true: vals holds every row verbatim (kind-conflict fallback)
 	n     int
 	// valid is a little-endian bitmap: bit i set = row i non-null. nil means
-	// no row is null. Only bits < n are meaningful; a view may carry stray
-	// set bits past n in its last word.
+	// no row is null. Only bits < n are meaningful.
 	valid  []uint64
 	ints   []int64
 	floats []float64
@@ -252,44 +250,50 @@ func (c *Column) AppendRepeat(v Value, count int) {
 	}
 }
 
-// AppendIndexes appends src's rows at the given indexes, in order (gather:
-// the executor uses this to emit the surviving rows of a selection or the
-// matched pairs of a join, one column at a time).
-func (c *Column) AppendIndexes(src *Column, idx []int32) {
+// AppendIndexes appends src's rows base+i for each i of idx, in order
+// (gather: the executor uses this to emit the surviving rows of a selection
+// or the matched pairs of a join, and a fetch the items a level view
+// selects, one column at a time). Homogeneous same-kind sources copy from
+// the flat payload slices; everything else falls back to per-row Append, so
+// the result is always row-for-row identical to the per-row path.
+func (c *Column) AppendIndexes(src *Column, idx []int32, base int) {
 	if !c.mixed && !src.mixed && src.kind != KindNull &&
-		(c.kind == src.kind || c.kind == KindNull) && src.valid == nil {
+		(c.kind == src.kind || c.kind == KindNull) {
 		if c.kind == KindNull {
 			c.setKind(src.kind)
 		}
 		switch src.kind {
 		case KindInt:
+			ints := src.ints[base:]
 			c.ints = slices.Grow(c.ints, len(idx))
 			for _, i := range idx {
-				c.ints = append(c.ints, src.ints[i])
+				c.ints = append(c.ints, ints[i])
 			}
 		case KindFloat:
+			floats := src.floats[base:]
 			c.floats = slices.Grow(c.floats, len(idx))
 			for _, i := range idx {
-				c.floats = append(c.floats, src.floats[i])
+				c.floats = append(c.floats, floats[i])
 			}
 		default:
+			strs := src.strs[base:]
 			c.strs = slices.Grow(c.strs, len(idx))
 			for _, i := range idx {
-				c.strs = append(c.strs, src.strs[i])
+				c.strs = append(c.strs, strs[i])
 			}
 		}
-		if c.valid == nil {
+		if src.valid == nil && c.valid == nil {
 			c.n += len(idx)
 			return
 		}
-		for range idx {
-			c.setValid(c.n, true)
+		for _, i := range idx {
+			c.setValid(c.n, !src.IsNull(base+int(i)))
 			c.n++
 		}
 		return
 	}
 	for _, i := range idx {
-		c.Append(src.Value(int(i)))
+		c.Append(src.Value(base + int(i)))
 	}
 }
 
@@ -368,42 +372,6 @@ func (c *Column) Floats() ([]float64, bool) {
 		return nil, false
 	}
 	return c.floats[:c.n:c.n], true
-}
-
-// View returns a read-only view of rows [lo, hi) sharing the payload arrays
-// (capacity-capped, so an append to the view copies instead of writing into
-// the parent). The validity bitmap is shared when lo is word-aligned and
-// copied otherwise; a shared bitmap may carry stray set bits past hi in its
-// last word, and readers only consult bits < Len.
-func (c *Column) View(lo, hi int) Column {
-	out := *c
-	out.n = hi - lo
-	if c.valid != nil {
-		if lo&63 == 0 {
-			end := (hi + 63) >> 6
-			out.valid = c.valid[lo>>6 : end : end]
-		} else {
-			out.valid = make([]uint64, (out.n+63)>>6)
-			for i := lo; i < hi; i++ {
-				if !c.IsNull(i) {
-					out.valid[(i-lo)>>6] |= 1 << (uint(i-lo) & 63)
-				}
-			}
-		}
-	}
-	if out.mixed {
-		out.vals = c.vals[lo:hi:hi]
-		return out
-	}
-	switch out.kind {
-	case KindInt:
-		out.ints = c.ints[lo:hi:hi]
-	case KindFloat:
-		out.floats = c.floats[lo:hi:hi]
-	case KindString:
-		out.strs = c.strs[lo:hi:hi]
-	}
-	return out
 }
 
 // hashInto folds row i's canonical encoding into h, exactly as

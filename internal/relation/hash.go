@@ -293,9 +293,9 @@ func (s *TupleSet) Has(t Tuple) bool { return s.m.lookup(t) >= 0 }
 func (s *TupleSet) Len() int { return s.m.Len() }
 
 // RowIndex finds, among the rows of a block added to it, the first one
-// canonically equal to a given row (Block.HashRow and Block.RowKeyEqual:
-// the equality TupleMap keys by), without materialising a tuple. It holds
-// at most the number of rows it was created for.
+// canonically equal to a given row of the block (Block.HashRow and
+// Block.RowKeyEqual: the equality TupleMap keys by), without materialising
+// a tuple. It holds at most the number of rows it was created for.
 type RowIndex struct {
 	b     *Block
 	slots []int32 // added row + 1 per slot, 0 = free; len is a power of two
@@ -309,29 +309,16 @@ func NewRowIndex(b *Block, n int) *RowIndex {
 	return &RowIndex{b: b, slots: make([]int32, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
 }
 
-// probe returns the slot holding the added row equal to row r of o, or the
-// free slot that ends its probe.
-func (x *RowIndex) probe(o *Block, r int) int {
-	mask := len(x.slots) - 1
-	for s := int((o.HashRow(r) * 0x9E3779B97F4A7C15) >> x.shift); ; s = (s + 1) & mask {
-		if p := x.slots[s]; p == 0 || x.b.RowKeyEqual(int(p-1), o, r) {
-			return s
-		}
-	}
-}
-
 // Add returns the first added row equal to row r of the index's block,
 // adding r itself when there is none.
 func (x *RowIndex) Add(r int) int {
-	s := x.probe(x.b, r)
+	mask := len(x.slots) - 1
+	s := int((x.b.HashRow(r) * 0x9E3779B97F4A7C15) >> x.shift)
+	for x.slots[s] != 0 && !x.b.RowKeyEqual(int(x.slots[s]-1), x.b, r) {
+		s = (s + 1) & mask
+	}
 	if x.slots[s] == 0 {
 		x.slots[s] = int32(r + 1)
 	}
 	return int(x.slots[s] - 1)
-}
-
-// Find returns the added row equal to row r of o, a block of the index's
-// width, or −1 when there is none.
-func (x *RowIndex) Find(o *Block, r int) int {
-	return int(x.slots[x.probe(o, r)]) - 1
 }
