@@ -264,23 +264,11 @@ func (c *Column) AppendIndexes(src *Column, idx []int32, base int) {
 		}
 		switch src.kind {
 		case KindInt:
-			ints := src.ints[base:]
-			c.ints = slices.Grow(c.ints, len(idx))
-			for _, i := range idx {
-				c.ints = append(c.ints, ints[i])
-			}
+			c.ints = gather(c.ints, src.ints[base:], idx)
 		case KindFloat:
-			floats := src.floats[base:]
-			c.floats = slices.Grow(c.floats, len(idx))
-			for _, i := range idx {
-				c.floats = append(c.floats, floats[i])
-			}
+			c.floats = gather(c.floats, src.floats[base:], idx)
 		default:
-			strs := src.strs[base:]
-			c.strs = slices.Grow(c.strs, len(idx))
-			for _, i := range idx {
-				c.strs = append(c.strs, strs[i])
-			}
+			c.strs = gather(c.strs, src.strs[base:], idx)
 		}
 		if src.valid == nil && c.valid == nil {
 			c.n += len(idx)
@@ -295,6 +283,17 @@ func (c *Column) AppendIndexes(src *Column, idx []int32, base int) {
 	for _, i := range idx {
 		c.Append(src.Value(base + int(i)))
 	}
+}
+
+// gather appends src[i] for each i of idx to dst.
+func gather[T any](dst, src []T, idx []int32) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(idx))[:n+len(idx)]
+	out := dst[n:]
+	for k, i := range idx {
+		out[k] = src[i]
+	}
+	return dst
 }
 
 // Reserve grows the column's payload capacity for n more rows of kind k,
