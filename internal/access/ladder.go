@@ -20,8 +20,9 @@ import (
 // verified) and hash-partitioned across the shards of a ShardedLadder, so
 // the online fetch path never materialises string keys and batch fetches
 // can scatter-gather across partitions. Every group's items live in one
-// columnar item store per ladder, and every group's level views in one
-// columnar arena per ladder, handed out as shared read-only views.
+// columnar item store per ladder, and every group's level views, as
+// selections of those items, in one arena per ladder, handed out as shared
+// read-only views.
 type Ladder struct {
 	RelName string
 	X, Y    []string

@@ -57,14 +57,15 @@ func resolveShards(n int) int {
 // where its items sit in the ladder's item store — the raw Y-projections of
 // its base tuples, duplicates kept, one row each, that incremental
 // maintenance rebuilds from — and where its level views sit in the ladder's
-// arena. The group's K-D tree lives only inside rebuild: the views are
-// everything the fetch path and the snapshot need of it.
+// arena, each level a selection of those items by group-relative offset.
+// The group's K-D tree lives only inside rebuild: the views are everything
+// the fetch path and the snapshot need of it.
 type ladderGroup struct {
 	key relation.Tuple
 	// items is the group's row range of the ladder's item store.
 	items rowRange
-	// levels[k] is the level-k fetch view: a row range of the ladder's arena.
-	// The levels' ranges are adjacent, in level order.
+	// levels[k] is the level-k fetch view: a row range of the ladder's arena
+	// selecting from items. The levels' ranges are adjacent, in level order.
 	levels []LevelBlock
 	// res holds the group's per-level per-attribute resolutions (the max of
 	// Rep.MaxDist over the level), level k at [k·|Y|, (k+1)·|Y|), so ladder
@@ -83,9 +84,9 @@ func (g *ladderGroup) exactLevel() int { return len(g.levels) - 1 }
 // items: a K-D tree over the g items — O(g log g) per tree level,
 // independent of |D| and of every other group — whose per-level
 // representatives and resolutions are read in one pass, after which the
-// tree is garbage. It returns the representatives, level after level, for
-// the ladder to place in its arena; until then the levels' first rows are
-// offsets into that list.
+// tree is garbage. It returns the representatives, level after level, as
+// offsets into the group's items for the ladder to place in its arena;
+// until then the levels' first rows are offsets into that list.
 func (g *ladderGroup) rebuild(yAttrs []relation.Attribute, items *relation.Block) []levelRow {
 	tree := kdtree.Build(yAttrs, items, g.items.first, g.items.end())
 	g.distinct = tree.Items()

@@ -21,10 +21,10 @@ import (
 // artifact.
 
 // LevelRef is one row of a level view in portable form, exactly as the
-// ladder's arena stores it: the index of its item among the group's items —
-// the first item key-equal to the tree representative, which kdtree.Build
-// merges key-equal items into — and the number of base tuples it
-// represents.
+// ladder's arena stores it: the index of its item among the group's items
+// — the tree representative, which is the first item key-equal to it,
+// since kdtree.Build merges key-equal items into the first of them — and
+// the number of base tuples it represents.
 type LevelRef struct {
 	Item  int
 	Count int
@@ -120,10 +120,11 @@ func (g *ladderGroup) snapshot(arity int) GroupSnapshot {
 // returns. No kd-tree is built: the ladder adopts snap.Items as its item
 // store, without copying it, and the arena takes the level references as
 // they are, so the views select the same items as the original ladder's;
-// a group is rebuilt from its items on its first maintenance touch. Because the block is adopted, a snapshot restores one
-// ladder that may be maintained, and only while the ladder it was taken
-// from is not. Structural problems (unknown relation or attributes,
-// malformed groups) are reported as errors, never panics.
+// a group is rebuilt from its items on its first maintenance touch.
+// Because the block is adopted, a snapshot restores one ladder that may be
+// maintained, and only while the ladder it was taken from is not.
+// Structural problems (unknown relation or attributes, malformed groups)
+// are reported as errors, never panics.
 func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Ladder, error) {
 	if shards <= 0 {
 		shards = snap.Shards

@@ -1,9 +1,9 @@
 // Block: a fixed-width batch of rows stored column-wise.
 //
 // Blocks are the unit the columnar execution path works in: a ladder keeps
-// every group's items, and every level's samples, as row ranges of one
-// block each; the K-D tree construction reads a row range; the executor
-// appends fetched ranges column-at-a-time, evaluates predicates and join
+// every group's items as row ranges of one block; the K-D tree construction
+// reads a row range; the executor gathers the fetched levels' rows of it
+// column-at-a-time, evaluates predicates and join
 // keys over the flat columns, and only materialises Tuples again at the
 // answer boundary. Row hashing and key equality over blocks fold exactly
 // the same canonical encoding as Tuple.Hash / Value.KeyEqual, so
