@@ -72,8 +72,9 @@ func identicalValue(a, b relation.Value) bool {
 // order. FetchBatchBlocks must hand out the same views as FetchBlock, and a
 // prefix view the level's first rows. The arena's bookkeeping must hold:
 // the groups' levels cover disjoint, adjacent row ranges that together are
-// exactly its live rows, IndexSize reports them, and dead rows never
-// outnumber live ones. The reference reads each group's items from the item
+// exactly its live rows, select from the group's rows of the current item
+// store (not a block a compaction left behind), IndexSize reports them,
+// and dead rows never outnumber live ones. The reference reads each group's items from the item
 // store, so those are checked against db first (assertItemsMatchRelation).
 func assertMatchesReference(t *testing.T, label string, l *Ladder, db *relation.Database) {
 	t.Helper()
@@ -88,6 +89,10 @@ func assertMatchesReference(t *testing.T, label string, l *Ladder, db *relation.
 		for k, lb := range g.levels {
 			if lb.arena != l.arena || (k > 0 && lb.first != g.levels[k-1].first+g.levels[k-1].rows) {
 				t.Fatalf("%s: group %v level %d is not placed after level %d in the ladder's arena", label, g.key, k, k-1)
+			}
+			if lb.items != l.items.y || lb.base != g.items.first {
+				t.Fatalf("%s: group %v level %d selects from rows %d on of a stale item block, not the item store's rows %d on",
+					label, g.key, k, lb.base, g.items.first)
 			}
 		}
 		for r := lo; r < hi; r++ {
