@@ -74,8 +74,10 @@ func identicalValue(a, b relation.Value) bool {
 // the groups' levels cover disjoint, adjacent row ranges that together are
 // exactly its live rows, select from the group's rows of the current item
 // store (not a block a compaction left behind), IndexSize reports them,
-// and dead rows never outnumber live ones. The reference reads each group's items from the item
-// store, so those are checked against db first (assertItemsMatchRelation).
+// and dead rows never outnumber live ones. The reference reads each
+// group's items from the item store, so those are checked against db first
+// (assertItemsMatchRelation), and the views' certificate is checked too
+// (assertCertificate).
 func assertMatchesReference(t *testing.T, label string, l *Ladder, db *relation.Database) {
 	t.Helper()
 	assertItemsMatchRelation(t, label, l, db)

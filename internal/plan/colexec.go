@@ -209,8 +209,9 @@ type stepVisit struct {
 //     truncated as a level prefix view where the budget runs out (every
 //     later X-value gets nothing);
 //  4. the output block is built one column at a time from the recorded
-//     visits — the fetched level's Y columns appended as ranges and the
-//     prefix/X values broadcast — so no per-sample row tuple is allocated.
+//     visits — the fetched level's Y columns gathered from the ladder's
+//     item store and the prefix/X values broadcast — so no per-sample row
+//     tuple is allocated.
 //
 // ctx is consulted every cancelStride enumeration visits and before the
 // batch fetch.
