@@ -7,6 +7,7 @@ package accuracy
 // accuracy_test.go.
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func TestRCPropertiesOverCorpus(t *testing.T) {
 
 	checked := 0
 	for ci, c := range corpus.Cases(42, cases) {
-		ans, _, err := s.Answer(c.Query, c.Alpha)
+		ans, _, err := s.AnswerContext(context.Background(), c.Query, core.ExecOptions{Alpha: c.Alpha})
 		if err != nil {
 			if strings.Contains(err.Error(), "exceeds limit") {
 				continue // relaxed-join blowup guard; nothing to measure

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/corpus"
@@ -30,11 +31,11 @@ func TestDiffIndexMatchesScan(t *testing.T) {
 			// Fresh schemes per path so plan caches cannot cross-talk.
 			diffIndexMinWork = 1 << 30 // always scan
 			sScan := New(db, as)
-			ansScan, _, errScan := sScan.Answer(q, alpha)
+			ansScan, _, errScan := sScan.AnswerContext(context.Background(), q, ExecOptions{Alpha: alpha})
 
 			diffIndexMinWork = 0 // always index (when points >= 8)
 			sTree := New(db, as)
-			ansTree, _, errTree := sTree.Answer(q, alpha)
+			ansTree, _, errTree := sTree.AnswerContext(context.Background(), q, ExecOptions{Alpha: alpha})
 
 			if (errScan != nil) != (errTree != nil) {
 				t.Fatalf("case %d alpha %g: scan err %v, tree err %v", ci, alpha, errScan, errTree)

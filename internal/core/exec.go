@@ -373,20 +373,11 @@ func (s *Scheme) assemble(ctx context.Context, p *Plan, o ExecOptions, results m
 	return ans, nil
 }
 
-// Answer plans and executes in one call, consulting the plan cache: a
-// repeated (normalized query, α) pair skips the chase + chAT generation
-// work entirely. The returned plan is a per-call copy whose CacheHit field
-// reports where it came from.
-//
-// Deprecated: use AnswerContext, which takes a context and per-call options.
-func (s *Scheme) Answer(e query.Expr, alpha float64) (*Answer, *Plan, error) {
-	return s.AnswerContext(context.Background(), e, ExecOptions{Alpha: alpha})
-}
-
 // AnswerContext plans and executes in one call under the call's options,
-// consulting the plan cache (unless BypassCache) and honouring ctx
-// throughout execution. The returned plan is a per-call copy whose CacheHit
-// field reports where it came from.
+// consulting the plan cache (unless BypassCache) — a repeated (normalized
+// query, α) pair skips the chase + chAT generation work entirely — and
+// honouring ctx throughout execution. The returned plan is a per-call copy
+// whose CacheHit field reports where it came from.
 func (s *Scheme) AnswerContext(ctx context.Context, e query.Expr, o ExecOptions) (*Answer, *Plan, error) {
 	start := time.Now()
 	// The options owner ends the root span: every path out of this call

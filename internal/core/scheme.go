@@ -34,10 +34,10 @@ import (
 //
 // A Scheme is safe for concurrent use: the database and access-schema
 // indices are treated as immutable after New, generated plans are immutable
-// after GeneratePlan returns, and every execution builds its own per-call
-// state. The online path (GeneratePlan / Execute / Answer) may therefore be
-// shared by any number of goroutines serving queries over one prepared
-// database — the serving architecture of Fig. 2.
+// after PlanContext returns, and every execution builds its own per-call
+// state. The online path (PlanContext / ExecuteContext / AnswerContext) may
+// therefore be shared by any number of goroutines serving queries over one
+// prepared database — the serving architecture of Fig. 2.
 type Scheme struct {
 	db *relation.Database
 	as *access.Schema
@@ -293,19 +293,12 @@ func satAddTariff(a, b int) int {
 	return a + b
 }
 
-// GeneratePlan computes an α-bounded plan for the query (component C3 of
-// the BEAS architecture, Fig. 2). Only the query, the access schema's
-// metadata and the budget α|D| are consulted — never the data itself.
-//
-// Deprecated: use PlanContext, which takes a context and per-call options.
-func (s *Scheme) GeneratePlan(e query.Expr, alpha float64) (*Plan, error) {
-	return s.PlanContext(context.Background(), e, ExecOptions{Alpha: alpha})
-}
-
-// PlanContext computes a resource-bounded plan for the query under the
-// call's options (alpha- or absolute-budget bound), without consulting the
-// plan cache. Plan generation is pure metadata work — it never touches the
-// data — so ctx is only checked between chase passes.
+// PlanContext computes a resource-bounded plan for the query (component C3
+// of the BEAS architecture, Fig. 2) under the call's options (alpha- or
+// absolute-budget bound), without consulting the plan cache. Plan
+// generation is pure metadata work — only the query, the access schema's
+// metadata and the budget are consulted, never the data — so ctx is only
+// checked between chase passes.
 func (s *Scheme) PlanContext(ctx context.Context, e query.Expr, o ExecOptions) (*Plan, error) {
 	alpha, budget, err := s.resolveBudget(o)
 	if err != nil {

@@ -23,10 +23,10 @@ func setup(t testing.TB) (*Scheme, *relation.Database) {
 
 func TestGeneratePlanValidatesAlpha(t *testing.T) {
 	s, _ := setup(t)
-	if _, err := s.GeneratePlan(fixture.Q1(3, 95), 0); err == nil {
+	if _, err := s.PlanContext(context.Background(), fixture.Q1(3, 95), ExecOptions{Alpha: 0}); err == nil {
 		t.Error("alpha 0 must be rejected")
 	}
-	if _, err := s.GeneratePlan(fixture.Q1(3, 95), 1.5); err == nil {
+	if _, err := s.PlanContext(context.Background(), fixture.Q1(3, 95), ExecOptions{Alpha: 1.5}); err == nil {
 		t.Error("alpha > 1 must be rejected")
 	}
 }
@@ -34,9 +34,9 @@ func TestGeneratePlanValidatesAlpha(t *testing.T) {
 func TestPlanRespectsBudget(t *testing.T) {
 	s, db := setup(t)
 	for _, alpha := range []float64{0.01, 0.05, 0.2} {
-		p, err := s.GeneratePlan(fixture.Q1(3, 95), alpha)
+		p, err := s.PlanContext(context.Background(), fixture.Q1(3, 95), ExecOptions{Alpha: alpha})
 		if err != nil {
-			t.Fatalf("GeneratePlan(%g): %v", alpha, err)
+			t.Fatalf("PlanContext(%g): %v", alpha, err)
 		}
 		ans, err := s.Execute(p)
 		if err != nil {
@@ -60,7 +60,7 @@ func TestEtaIsSoundLowerBound(t *testing.T) {
 	}
 	for qi, q := range queries {
 		for _, alpha := range []float64{0.02, 0.1, 0.5} {
-			ans, p, err := s.Answer(q, alpha)
+			ans, p, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: alpha})
 			if err != nil {
 				t.Fatalf("query %d alpha %g: %v", qi, alpha, err)
 			}
@@ -82,9 +82,9 @@ func TestEtaMonotoneInAlpha(t *testing.T) {
 	s, _ := setup(t)
 	prev := -1.0
 	for _, alpha := range []float64{0.01, 0.03, 0.1, 0.3, 1.0} {
-		p, err := s.GeneratePlan(fixture.Q1(3, 95), alpha)
+		p, err := s.PlanContext(context.Background(), fixture.Q1(3, 95), ExecOptions{Alpha: alpha})
 		if err != nil {
-			t.Fatalf("GeneratePlan: %v", err)
+			t.Fatalf("PlanContext: %v", err)
 		}
 		if p.Eta < prev-1e-9 {
 			t.Errorf("eta decreased: alpha=%g eta=%.4f < previous %.4f", alpha, p.Eta, prev)
@@ -98,7 +98,7 @@ func TestQ2ExactUnderTinyAlpha(t *testing.T) {
 	// Q2 is boundedly evaluable: a small constant budget suffices no
 	// matter |D| (paper Example 1(2)).
 	alpha := 100.0 / float64(db.Size())
-	ans, p, err := s.Answer(fixture.Q2(3), alpha)
+	ans, p, err := s.AnswerContext(context.Background(), fixture.Q2(3), ExecOptions{Alpha: alpha})
 	if err != nil {
 		t.Fatalf("Answer: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestQ2ExactUnderTinyAlpha(t *testing.T) {
 
 func TestExactAtAlphaOne(t *testing.T) {
 	s, db := setup(t)
-	ans, p, err := s.Answer(fixture.Q1(3, 95), 1.0)
+	ans, p, err := s.AnswerContext(context.Background(), fixture.Q1(3, 95), ExecOptions{Alpha: 1.0})
 	if err != nil {
 		t.Fatalf("Answer: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestDiffSemanticsEnforced(t *testing.T) {
 		rhsKeys[tp.Key()] = true
 	}
 	for _, alpha := range []float64{0.02, 0.1, 0.5, 1.0} {
-		ans, _, err := s.Answer(q, alpha)
+		ans, _, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: alpha})
 		if err != nil {
 			t.Fatalf("alpha %g: %v", alpha, err)
 		}
@@ -167,7 +167,7 @@ func TestDiffSemanticsEnforced(t *testing.T) {
 func TestUnionCombines(t *testing.T) {
 	s, db := setup(t)
 	q := &query.Union{L: fixture.Q2(3), R: fixture.Q2(5)}
-	ans, p, err := s.Answer(q, 0.5)
+	ans, p, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: 0.5})
 	if err != nil {
 		t.Fatalf("Answer: %v", err)
 	}
@@ -198,7 +198,7 @@ func TestGroupByCountScalesWithWeights(t *testing.T) {
 		As:   "cnt",
 	}
 	for _, alpha := range []float64{0.02, 0.2, 1.0} {
-		ans, _, err := s.Answer(g, alpha)
+		ans, _, err := s.AnswerContext(context.Background(), g, ExecOptions{Alpha: alpha})
 		if err != nil {
 			t.Fatalf("Answer(%g): %v", alpha, err)
 		}
@@ -226,7 +226,7 @@ func TestGroupByMinMaxExactAtFullBudget(t *testing.T) {
 		On:   query.C("h", "price"),
 		As:   "minp",
 	}
-	ans, p, err := s.Answer(g, 1.0)
+	ans, p, err := s.AnswerContext(context.Background(), g, ExecOptions{Alpha: 1.0})
 	if err != nil {
 		t.Fatalf("Answer: %v", err)
 	}
@@ -296,7 +296,7 @@ func TestAggregateEtaSound(t *testing.T) {
 		As:   "maxp",
 	}
 	for _, alpha := range []float64{0.05, 0.3, 1.0} {
-		ans, _, err := s.Answer(g, alpha)
+		ans, _, err := s.AnswerContext(context.Background(), g, ExecOptions{Alpha: alpha})
 		if err != nil {
 			t.Fatalf("Answer: %v", err)
 		}

@@ -43,7 +43,7 @@ func TestEtaSoundOverGeneratedWorkloads(t *testing.T) {
 				t.Fatalf("%s q%d: evaluator: %v", d.Name, qi, err)
 			}
 			for _, alpha := range []float64{0.01, 0.05, 0.3} {
-				ans, _, err := s.Answer(q, alpha)
+				ans, _, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: alpha})
 				if err != nil {
 					t.Fatalf("%s q%d alpha %g: %v\n%s", d.Name, qi, alpha, err, query.Render(q))
 				}
@@ -167,7 +167,7 @@ func TestExactBudgetsProduceExactAnswers(t *testing.T) {
 		if err != nil {
 			continue // no exact plan within |D| tariff; skip
 		}
-		ans, p, err := s.Answer(q, alpha)
+		ans, p, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: alpha})
 		if err != nil {
 			t.Fatalf("q%d: %v", qi, err)
 		}
@@ -237,7 +237,7 @@ func TestSoundnessRandomQueries(t *testing.T) {
 	skipped := 0
 	for ci, c := range corpus.Cases(42, cases) {
 		q, alpha := c.Query, c.Alpha
-		ans, p, err := s.Answer(q, alpha)
+		ans, p, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: alpha})
 		if err != nil {
 			if strings.Contains(err.Error(), "exceeds limit") {
 				skipped++ // relaxed-join blowup guard; not a soundness issue

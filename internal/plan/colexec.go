@@ -17,14 +17,13 @@
 //     and bucket lists preserve build-side insertion order, so hash joins
 //     emit matches in environment-row order, build rows in filtered order.
 //   - Predicate evaluation calls the same RelaxedHolds/Holds methods on
-//     Values reconstructed (allocation-free) from the columns, with the
-//     same exact-vs-relaxed classification as evaluateDynamic.
+//     Values reconstructed (allocation-free) from the columns.
+//   - A run truncated on the budget still completes every atom: the steps
+//     after the truncating one contribute empty blocks over their
+//     precompiled schemas, so the one evaluator serves every run.
 //
-// Executions the precompiled evaluator cannot serve (budget truncation
-// left an atom with a partial schema, or the plan has no static eval
-// layout) materialise the fetched blocks into FetchedAtoms and run
-// evaluateDynamic. The golden digests of TestExecutorMatchesStringKeyReference
-// (randomized and edge-shape corpora) pin every answer byte for byte.
+// The golden digests of TestExecutorMatchesStringKeyReference (randomized
+// and edge-shape corpora) pin every answer byte for byte.
 package plan
 
 import (
@@ -39,54 +38,20 @@ import (
 )
 
 // blockAtom is the data fetched for one atom as a column-wise block with
-// per-row count weights.
+// per-row count weights. schema is the precompiled schema of the atom's
+// last applied step — the layout's object itself, so after a run it is
+// lay.finalSchema of the atom.
 type blockAtom struct {
-	alias   string
 	schema  *relation.Schema
 	block   *relation.Block
 	weights []int
 }
 
-// blocksComplete reports whether every atom carries its precompiled final
-// schema (pointer identity: fetch steps build atoms from the layout's
-// schema objects, so any truncation-induced deviation differs), i.e.
-// whether the precompiled evaluator applies.
-func blocksComplete(lay *planLayout, atoms []*blockAtom) bool {
-	for ai, ba := range atoms {
-		schema := lay.emptySchema[ai]
-		if ba != nil {
-			schema = ba.schema
-		}
-		if schema != lay.finalSchema[ai] {
-			return false
-		}
-	}
-	return true
-}
-
-// materializeAtoms converts fetched blocks into the row form evaluateDynamic
-// consumes; never-fetched atoms (possible after truncation) become empty
-// relations over their used attributes, so evaluation degrades cleanly.
-func materializeAtoms(p *Bounded, lay *planLayout, atoms []*blockAtom) []*FetchedAtom {
-	out := make([]*FetchedAtom, len(atoms))
-	for ai, ba := range atoms {
-		if ba == nil {
-			out[ai] = &FetchedAtom{
-				Alias: atomAlias(p, ai),
-				Rel:   relation.NewRelation(lay.emptySchema[ai]),
-			}
-			continue
-		}
-		rel := relation.NewRelation(ba.schema)
-		rel.Tuples = ba.block.Tuples()
-		out[ai] = &FetchedAtom{Alias: ba.alias, Rel: rel, Weights: ba.weights}
-	}
-	return out
-}
-
 // executeFetchBlocks runs ξF: it applies the chase steps in order against
-// the access-schema indices at each step's level, and stops after the
-// first step that truncates on the budget.
+// the access-schema indices at each step's level. Once a step truncates on
+// the budget, every later step yields an empty block over its schema
+// without calling the fetcher — what applyStepBlocks would build with
+// every level cut to nothing — so each atom ends on its final schema.
 func executeFetchBlocks(ctx context.Context, p *Bounded, lay *planLayout, o ExecOpts) ([]*blockAtom, *Stats, error) {
 	stats := &Stats{}
 	atoms := make([]*blockAtom, len(p.Chase.Query.Atoms))
@@ -94,16 +59,18 @@ func executeFetchBlocks(ctx context.Context, p *Bounded, lay *planLayout, o Exec
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
+		sl := &lay.steps[si]
+		if stats.Truncated {
+			atoms[sl.atom] = &blockAtom{schema: sl.schema, block: relation.NewBlock(sl.schema.Arity())}
+			continue
+		}
 		s := &p.Chase.Steps[si]
 		k := s.K
 		if !s.Pinned && p.Ks != nil {
 			k = p.Ks[si]
 		}
-		if err := applyStepBlocks(ctx, p, atoms, &lay.steps[si], s, si, k, o, stats); err != nil {
+		if err := applyStepBlocks(ctx, atoms, sl, s, si, k, o, stats); err != nil {
 			return nil, nil, err
-		}
-		if stats.Truncated {
-			break
 		}
 	}
 	return atoms, stats, nil
@@ -215,7 +182,7 @@ type stepVisit struct {
 //
 // ctx is consulted every cancelStride enumeration visits and before the
 // batch fetch.
-func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *stepLayout, s *chase.Step, si, k int, o ExecOpts, stats *Stats) error {
+func applyStepBlocks(ctx context.Context, atoms []*blockAtom, sl *stepLayout, s *chase.Step, si, k int, o ExecOpts, stats *Stats) error {
 	ai := sl.atom
 	cur := atoms[ai]
 
@@ -330,7 +297,6 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 		}
 	}
 	out := &blockAtom{
-		alias:   atomAlias(p, ai),
 		schema:  sl.schema,
 		block:   relation.NewBlock(sl.schema.Arity()),
 		weights: make([]int, 0, total),
@@ -379,11 +345,12 @@ func applyStepBlocks(ctx context.Context, p *Bounded, atoms []*blockAtom, sl *st
 	return nil
 }
 
-// evaluateColumnar is the precompiled evaluation path over blocks: constant
-// selections produce surviving index lists, joins hash block rows directly
-// and gather matched pairs column-wise, and the final projection is the
-// only place rows are materialised. Classification of exact vs relaxed
-// predicates, evaluation order and emission order match evaluateDynamic.
+// evaluateColumnar is ξE, the one evaluator, over blocks that carry their
+// final schemas: constant selections produce surviving index lists, joins
+// hash block rows directly and gather matched pairs column-wise, and the
+// final projection is the only place rows are materialised. Atoms join in
+// query order; each join applies the predicates whose later side is the
+// arriving atom, and emits matches in environment-row order.
 func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []*blockAtom) (*Result, error) {
 	q := p.Chase.Query
 	ev := lay.eval

@@ -21,11 +21,11 @@ import (
 //
 // The schema evolution is simulated step by step: steps execute in order
 // and each one only sees atoms built by earlier steps, so the simulated
-// schemas match the runtime schemas exactly for every step that runs. The
-// precompiled relation.Schema objects are reused by every execution (they
-// are immutable), which also lets the evaluator detect with a pointer
-// comparison whether a fetched atom was fully built (fast path) or left
-// incomplete by budget truncation (dynamic fallback path).
+// schemas match the runtime schemas exactly. Every step runs — after a
+// budget truncation as an empty block over its schema — so every atom ends
+// on its final schema, and the evaluation layout is compiled against those
+// final schemas once. The precompiled relation.Schema objects are reused
+// by every execution (they are immutable).
 
 // xRoute says where one X position of a step's ladder gets its value.
 type xRoute uint8
@@ -63,16 +63,9 @@ type stepLayout struct {
 // planLayout is the precompiled execution layout of one Bounded plan.
 type planLayout struct {
 	steps []stepLayout
-	// finalSchema[ai] is the fetched schema of atom ai after all its steps
-	// (the empty-atom schema when it has none); emptySchema[ai] is the
-	// schema materializeAtoms gives atoms the (possibly truncated) fetch
-	// never built.
+	// finalSchema[ai] is the fetched schema of atom ai after its last step.
 	finalSchema []*relation.Schema
-	emptySchema []*relation.Schema
-	// eval is the precompiled evaluation layout, or nil when static
-	// precompilation is impossible (e.g. a predicate column is never
-	// fetched) — the dynamic evaluator then preserves the original
-	// behaviour, including its lazily-raised errors.
+	// eval is the evaluation layout compiled against finalSchema.
 	eval *evalLayout
 }
 
@@ -93,7 +86,7 @@ type joinSel struct {
 	lDist        relation.Distance
 	// joinAt is the atom whose arrival makes both sides available:
 	// max(lAtom, rAtom). Predicates entirely within atom 0 are enforced on
-	// the final environment (residual), matching the dynamic evaluator.
+	// the final environment (residual).
 	joinAt int
 }
 
@@ -122,49 +115,33 @@ func (p *Bounded) layoutFor(db *relation.Database) (*planLayout, error) {
 	return p.layout, p.layoutErr
 }
 
+// buildLayout simulates the plan's fetch steps and compiles its evaluation
+// over the final schemas. A plan that leaves an atom without a fetch step,
+// or never fetches a column the query needs, is rejected here, before any
+// run.
 func buildLayout(p *Bounded, db *relation.Database) (*planLayout, error) {
 	q := p.Chase.Query
-	lay := &planLayout{
-		finalSchema: make([]*relation.Schema, len(q.Atoms)),
-		emptySchema: make([]*relation.Schema, len(q.Atoms)),
-	}
-	cur := make([]*relation.Schema, len(q.Atoms))
+	lay := &planLayout{finalSchema: make([]*relation.Schema, len(q.Atoms))}
 	for si := range p.Chase.Steps {
 		s := &p.Chase.Steps[si]
-		sl, err := buildStepLayout(q, db, cur, s, si)
+		sl, err := buildStepLayout(q, db, lay.finalSchema, s, si)
 		if err != nil {
 			return nil, err
 		}
-		cur[s.AtomIdx] = sl.schema
+		lay.finalSchema[s.AtomIdx] = sl.schema
 		lay.steps = append(lay.steps, *sl)
 	}
-	for ai := range q.Atoms {
-		es, err := emptySchemaFor(db, q, p.Chase, ai)
-		if err != nil {
-			return nil, err
-		}
-		lay.emptySchema[ai] = es
-		if cur[ai] != nil {
-			lay.finalSchema[ai] = cur[ai]
-		} else {
-			lay.finalSchema[ai] = es
+	for ai, s := range lay.finalSchema {
+		if s == nil {
+			return nil, fmt.Errorf("plan: atom %s has no fetch step", q.Atoms[ai].Name())
 		}
 	}
-	// Evaluation layout is best-effort: when a column the query needs is
-	// not statically fetched, leave eval nil and let the dynamic evaluator
-	// reproduce the original (possibly row-dependent) behaviour.
-	lay.eval = buildEvalLayout(q, db, lay.finalSchema)
+	ev, err := buildEvalLayout(q, db, lay.finalSchema)
+	if err != nil {
+		return nil, err
+	}
+	lay.eval = ev
 	return lay, nil
-}
-
-func emptySchemaFor(db *relation.Database, q *query.SPC, c *chase.Result, ai int) (*relation.Schema, error) {
-	base := db.MustRelation(q.Atoms[ai].Rel)
-	attrs := c.UsedAttrs(ai)
-	as := make([]relation.Attribute, len(attrs))
-	for i, a := range attrs {
-		as[i] = base.Schema.Attrs[base.Schema.MustIndex(a)]
-	}
-	return relation.NewSchema(q.Atoms[ai].Name(), as...)
 }
 
 // buildStepLayout simulates one fetch step against the current schemas.
@@ -289,12 +266,12 @@ func buildStepLayout(q *query.SPC, db *relation.Database, cur []*relation.Schema
 }
 
 // buildEvalLayout precompiles the evaluation plan over the final fetched
-// schemas. It returns nil when any required column is not statically
-// present — those plans take the dynamic path.
-func buildEvalLayout(q *query.SPC, db *relation.Database, finalSchema []*relation.Schema) *evalLayout {
+// schemas. A column the query needs that no fetch step provides is an
+// error naming that column.
+func buildEvalLayout(q *query.SPC, db *relation.Database, finalSchema []*relation.Schema) (*evalLayout, error) {
 	outSchema, err := query.OutputSchema(q, db)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	aliasIdx := make(map[string]int, len(q.Atoms))
 	for i, a := range q.Atoms {
@@ -303,6 +280,17 @@ func buildEvalLayout(q *query.SPC, db *relation.Database, finalSchema []*relatio
 	baseDist := func(ai int, attr string) relation.Distance {
 		s := db.MustRelation(q.Atoms[ai].Rel).Schema
 		return s.Attrs[s.MustIndex(attr)].Dist
+	}
+	// locate resolves a column the query needs to its atom and its column
+	// in that atom's final schema; role names the use in the error.
+	locate := func(role string, c query.Col) (ai, ci int, err error) {
+		ai, ok := aliasIdx[c.Rel]
+		if ok {
+			if ci, ok = finalSchema[ai].Index(c.Attr); ok {
+				return ai, ci, nil
+			}
+		}
+		return 0, 0, fmt.Errorf("plan: %s column %s not fetched", role, c)
 	}
 
 	ev := &evalLayout{
@@ -319,28 +307,22 @@ func buildEvalLayout(q *query.SPC, db *relation.Database, finalSchema []*relatio
 	ev.connecting = make([][]int, len(q.Atoms))
 	for _, pd := range q.Preds {
 		if !pd.Join {
-			ai, ok := aliasIdx[pd.Left.Rel]
-			if !ok {
-				return nil
-			}
-			ci, ok := finalSchema[ai].Index(pd.Left.Attr)
-			if !ok {
-				return nil
+			ai, ci, err := locate("predicate", pd.Left)
+			if err != nil {
+				return nil, err
 			}
 			ev.constSels[ai] = append(ev.constSels[ai], constSel{
 				pred: pd, col: ci, dist: baseDist(ai, pd.Left.Attr),
 			})
 			continue
 		}
-		lA, lok := aliasIdx[pd.Left.Rel]
-		rA, rok := aliasIdx[pd.Right.Rel]
-		if !lok || !rok {
-			return nil
+		lA, lC, err := locate("join", pd.Left)
+		if err != nil {
+			return nil, err
 		}
-		lC, lok := finalSchema[lA].Index(pd.Left.Attr)
-		rC, rok := finalSchema[rA].Index(pd.Right.Attr)
-		if !lok || !rok {
-			return nil
+		rA, rC, err := locate("join", pd.Right)
+		if err != nil {
+			return nil, err
 		}
 		j := joinSel{
 			pred:  pd,
@@ -363,19 +345,15 @@ func buildEvalLayout(q *query.SPC, db *relation.Database, finalSchema []*relatio
 
 	outCols, err := query.OutputCols(q, db)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	ev.outIdx = make([]int, len(outCols))
 	for i, c := range outCols {
-		ai, ok := aliasIdx[c.Rel]
-		if !ok {
-			return nil
-		}
-		ci, ok := finalSchema[ai].Index(c.Attr)
-		if !ok {
-			return nil
+		ai, ci, err := locate("output", c)
+		if err != nil {
+			return nil, err
 		}
 		ev.outIdx[i] = ev.envOffset[ai] + ci
 	}
-	return ev
+	return ev, nil
 }

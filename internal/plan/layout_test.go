@@ -3,22 +3,24 @@ package plan
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/fixture"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
 
-// fetchAll runs ξF of p at budget with one in-process worker and returns
-// the fetched blocks, their stats and the plan's layout.
-func fetchAll(t *testing.T, p *Bounded, db *relation.Database, budget int) ([]*blockAtom, *Stats, *planLayout) {
+// fetchAll runs ξF of p at budget with one worker through fetcher and
+// returns the fetched blocks, their stats and the plan's layout.
+func fetchAll(t *testing.T, p *Bounded, db *relation.Database, budget int, fetcher RemoteFetcher) ([]*blockAtom, *Stats, *planLayout) {
 	t.Helper()
 	lay, err := p.layoutFor(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := ExecOpts{Budget: budget, Workers: 1, Fetcher: localFetcher{workers: 1}}
+	o := ExecOpts{Budget: budget, Workers: 1, Fetcher: fetcher}
 	atoms, stats, err := executeFetchBlocks(context.Background(), p, lay, o)
 	if err != nil {
 		t.Fatal(err)
@@ -43,13 +45,28 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 	}
 }
 
-// On complete fetches the precompiled columnar evaluator must agree with
-// evaluateDynamic over the materialised rows, row for row (values, order
-// and weights): evaluateDynamic is the only evaluator truncated runs get,
-// so it has to stay an exact stand-in.
-func TestFastEvalMatchesDynamic(t *testing.T) {
+// countingFetcher resolves batches in process and records, per call, how
+// many rows its full levels hold.
+type countingFetcher struct{ rows []int }
+
+func (f *countingFetcher) FetchBatchBlocks(ctx context.Context, l *access.Ladder, xs []relation.Tuple, k int) ([]*access.LevelBlock, error) {
+	lvls, err := localFetcher{workers: 1}.FetchBatchBlocks(ctx, l, xs, k)
+	n := 0
+	for _, lvl := range lvls {
+		if lvl != nil {
+			n += lvl.Rows()
+		}
+	}
+	f.rows = append(f.rows, n)
+	return lvls, err
+}
+
+// At a budget of |D| every plan is exact, so the columnar evaluator's
+// answer set must be the exact model's (query.EvaluateSet) on a
+// selection-and-join mix. The frozen golden digests pin approximate
+// answers.
+func TestColumnarMatchesExact(t *testing.T) {
 	db, as := setup(t)
-	ctx := context.Background()
 	queries := []*query.SPC{
 		fixture.Q1(3, 95),
 		fixture.Q1(1, 250),
@@ -62,53 +79,63 @@ func TestFastEvalMatchesDynamic(t *testing.T) {
 			Output: []query.Col{query.C("p", "city"), query.C("f", "pid")},
 		},
 	}
-	compared := 0
+	budget := db.Size()
 	for qi, q := range queries {
-		for _, budget := range []int{40, 400, db.Size()} {
-			p := NewBounded(mustChase(t, q, as, db, budget), budget)
-			atoms, _, lay := fetchAll(t, p, db, budget)
-			if lay.eval == nil || !blocksComplete(lay, atoms) {
-				continue // a partial fetch has only the one evaluator
-			}
-			got, gotErr := evaluateColumnar(ctx, p, lay, atoms)
-			want, wantErr := evaluateDynamic(ctx, p, db, materializeAtoms(p, lay, atoms))
-			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("q%d budget %d: err %v vs dynamic %v", qi, budget, gotErr, wantErr)
-			}
-			if gotErr != nil {
-				continue
-			}
-			sameResult(t, fmt.Sprintf("q%d budget %d", qi, budget), got, want)
-			compared++
+		out, err := execute(NewBounded(mustChase(t, q, as, db, budget), budget), db)
+		if err != nil {
+			t.Fatalf("q%d: %v", qi, err)
 		}
-	}
-	t.Logf("%d complete fetches compared", compared)
-	if compared < len(queries) {
-		t.Fatalf("only %d complete fetches compared; the test is nearly vacuous", compared)
+		if out.Stats.Truncated {
+			t.Fatalf("q%d: full-budget run truncated", qi)
+		}
+		exact, err := query.EvaluateSet(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := asSet(out.Rel), asSet(exact)
+		if len(want) == 0 {
+			t.Fatalf("q%d: exact answer is empty; the comparison is vacuous", qi)
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("q%d: missing exact answer %q", qi, k)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("q%d: %d distinct answers, exact has %d", qi, len(got), len(want))
+		}
 	}
 }
 
-// A full-budget run must take the precompiled evaluator — guard against it
-// silently decaying to the fallback — and a run truncated with an atom
-// left unbuilt must take evaluateDynamic; ExecuteOpts must return exactly
-// what the selected evaluator computes.
-func TestFastPathSelected(t *testing.T) {
+// Every run ends with each atom on its precompiled final schema (pointer
+// identity), so the one evaluator serves it. A full-budget run fetches
+// every step. A run that truncates with steps remaining never calls the
+// fetcher after the truncating step, spends exactly its budget and — an
+// atom being left empty — answers nothing.
+func TestRunsCompleteTheirSchemas(t *testing.T) {
 	db, as := setup(t)
 	ctx := context.Background()
 	q := fixture.Q1(3, 95)
 	res := mustChase(t, q, as, db, db.Size())
+	onFinalSchemas := func(what string, atoms []*blockAtom, lay *planLayout) {
+		t.Helper()
+		for ai, ba := range atoms {
+			if ba == nil || ba.schema != lay.finalSchema[ai] {
+				t.Fatalf("%s: atom %d does not carry its final schema", what, ai)
+			}
+		}
+	}
 
 	full := NewBounded(res, db.Size())
-	atoms, stats, lay := fetchAll(t, full, db, db.Size())
+	cf := &countingFetcher{}
+	atoms, stats, lay := fetchAll(t, full, db, db.Size(), cf)
 	if stats.Truncated {
 		t.Fatal("full-budget fetch should not truncate")
 	}
-	if lay.eval == nil {
-		t.Fatal("eval layout not precompiled for Q1")
+	if len(cf.rows) != len(res.Steps) {
+		t.Fatalf("full-budget fetch made %d fetcher calls for %d steps", len(cf.rows), len(res.Steps))
 	}
-	if !blocksComplete(lay, atoms) {
-		t.Fatal("fetched atoms do not carry the precompiled schemas")
-	}
+	onFinalSchemas("full budget", atoms, lay)
 	want, err := evaluateColumnar(ctx, full, lay, atoms)
 	if err != nil {
 		t.Fatal(err)
@@ -119,25 +146,80 @@ func TestFastPathSelected(t *testing.T) {
 	}
 	sameResult(t, "full budget", got, want)
 
-	// The largest budget that still truncates Q1 with an atom unbuilt.
+	// The largest budget that truncates Q1 with steps still remaining.
 	for budget := db.Size() - 1; budget > 0; budget-- {
 		p := NewBounded(res, budget)
-		atoms, stats, lay := fetchAll(t, p, db, budget)
-		if !stats.Truncated || blocksComplete(lay, atoms) {
+		cf := &countingFetcher{}
+		atoms, stats, lay := fetchAll(t, p, db, budget, cf)
+		// The fetch truncates in the first step whose levels take the
+		// running total past the budget.
+		trunc, seen := -1, 0
+		for i, n := range cf.rows {
+			if seen += n; seen > budget {
+				trunc = i
+				break
+			}
+		}
+		if stats.Truncated != (trunc >= 0) {
+			t.Fatalf("budget %d: truncated %v, but the fetched levels hold %d rows", budget, stats.Truncated, seen)
+		}
+		if trunc < 0 || trunc == len(res.Steps)-1 {
 			continue
 		}
-		want, wantErr := evaluateDynamic(ctx, p, db, materializeAtoms(p, lay, atoms))
-		got, gotErr := execute(p, db)
-		if (gotErr != nil) != (wantErr != nil) {
-			t.Fatalf("budget %d: err %v vs fallback %v", budget, gotErr, wantErr)
+		if len(cf.rows) != trunc+1 {
+			t.Fatalf("budget %d: step %d truncated, but the fetcher was called %d times", budget, trunc+1, len(cf.rows))
 		}
-		if gotErr == nil {
-			sameResult(t, fmt.Sprintf("truncated at budget %d", budget), got, want)
-			t.Logf("budget %d truncates with a partial atom: fallback gives %d rows", budget, len(want.Rel.Tuples))
+		onFinalSchemas(fmt.Sprintf("truncated at budget %d", budget), atoms, lay)
+
+		cf = &countingFetcher{}
+		out, err := ExecuteOpts(ctx, p, db, ExecOpts{Budget: budget, Workers: 1, Fetcher: cf})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(out.Rel.Tuples) != 0 || !out.Stats.Truncated || out.Stats.Accessed != budget {
+			t.Fatalf("budget %d: %d rows, truncated %v, accessed %d; want 0 rows, truncated, accessed %d",
+				budget, len(out.Rel.Tuples), out.Stats.Truncated, out.Stats.Accessed, budget)
+		}
+		t.Logf("budget %d truncates in step %d of %d", budget, trunc+1, len(res.Steps))
 		return
 	}
-	t.Fatal("no budget truncates Q1 with a partial atom; the fallback is untested")
+	t.Fatal("no budget truncates Q1 with steps remaining; truncation is untested")
+}
+
+// A column the query needs that the final schemas lack is a build-time
+// error naming the column: a predicate column and an output column.
+func TestEvalLayoutNamesMissingColumn(t *testing.T) {
+	db, as := setup(t)
+	q := fixture.Q1(3, 95) // atom 0 is h: h.type is a predicate column, h.address output only
+	budget := db.Size()
+	lay, err := NewBounded(mustChase(t, q, as, db, budget), budget).layoutFor(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buildEvalLayout(q, db, lay.finalSchema); err != nil {
+		t.Fatalf("complete schemas: %v", err)
+	}
+	for _, attr := range []string{"type", "address"} {
+		h := lay.finalSchema[0]
+		var kept []relation.Attribute
+		for _, a := range h.Attrs {
+			if a.Name != attr {
+				kept = append(kept, a)
+			}
+		}
+		if len(kept) == len(h.Attrs) {
+			t.Fatalf("final schema of h has no %s column", attr)
+		}
+		without, err := relation.NewSchema(h.Name, kept...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemas := append([]*relation.Schema{without}, lay.finalSchema[1:]...)
+		_, err = buildEvalLayout(q, db, schemas)
+		if err == nil || !strings.Contains(err.Error(), "h."+attr) {
+			t.Fatalf("schema without h.%s: error %v, want one naming h.%s", attr, err, attr)
+		}
+	}
 }
 
 // Targeted regression for the hash-join build loop: with duplicate join
