@@ -285,9 +285,9 @@ func WithMinAlpha(minAlpha float64) Option {
 	return func(o *core.ExecOptions) { o.MinAlpha = minAlpha }
 }
 
-// WithFetchWorkers overrides the system's worker-pool bound for this call:
-// it caps both the parallel-leaf pool and the fetch-side scatter-gather
-// pool. 1 forces fully sequential execution; 0 keeps the system default.
+// WithFetchWorkers overrides the system's parallel-leaf pool bound for this
+// call: 1 runs a plan's leaves sequentially; 0 keeps the system default.
+// Every fetch resolves on its leaf's goroutine either way.
 func WithFetchWorkers(n int) Option {
 	return func(o *core.ExecOptions) { o.FetchWorkers = n }
 }
@@ -323,10 +323,10 @@ func WithTag(tag string) Option {
 }
 
 // Trace is a query-scoped span tree (see WithTrace): a root "query" span
-// with timed children for planning, each leaf fetch (per shard or cluster
-// peer), combine and η′ refinement, annotated with tuples accessed vs.
-// budget, the level served and η. Render it with Trace.String or walk it
-// from Trace.Root.
+// with timed children for planning, each leaf and its fetch steps (per
+// cluster peer when routed), combine and η′ refinement, annotated with
+// tuples accessed vs. budget, the level served and η. Render it with
+// Trace.String or walk it from Trace.Root.
 type Trace = obs.Trace
 
 // TraceSpan is one node of a Trace.
@@ -346,8 +346,8 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 func NewTrace() *Trace { return obs.NewTrace("query") }
 
 // WithTrace collects a query-scoped span tree into t: plan-cache lookup,
-// plan generation, each leaf fetch (shard scatter-gather per shard,
-// cluster RPC per peer with retry and circuit state), combine and η′
+// plan generation, each leaf and its fetch steps (cluster RPC per peer
+// with retry and circuit state when routed), combine and η′
 // refinement, each span annotated with wall time, tuples accessed vs.
 // budget and the resolution level served. A trace is for one call; the
 // disabled path (no WithTrace) costs one context lookup plus a nil check
@@ -446,8 +446,8 @@ func (s *System) Plan(ctx context.Context, q Query, opts ...Option) (*Plan, erro
 // Execute runs a generated plan (component C4) under the call's context
 // and execution options (the resource bound travels with the plan;
 // WithAlpha/WithBudget are ignored here). Cancelling ctx aborts the
-// execution mid-flight — between leaves, at shard fan-out and per emitted
-// chunk — returning ctx.Err() promptly.
+// execution mid-flight — between leaves, before each batch fetch and per
+// emitted chunk — returning ctx.Err() promptly.
 func (s *System) Execute(ctx context.Context, p *Plan, opts ...Option) (*Answer, error) {
 	return s.scheme.ExecuteContext(ctx, p, execOptions(opts))
 }

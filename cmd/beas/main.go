@@ -16,9 +16,10 @@
 // consumed — the way to see *why* a bound is what it is.
 //
 // Pass -explain-trace to print the execution span tree: planning (cache
-// hit or generation), each leaf with its fetch steps and per-shard
-// fan-out, combine and η′ refinement, each with wall time and access
-// counts — the way to see *where* a query's time and budget went.
+// hit or generation), each leaf with its fetch steps (the distinct
+// X-values each looked up and the samples they returned), combine and η′
+// refinement, each with wall time and access counts — the way to see
+// *where* a query's time and budget went.
 //
 // Pass -timeout to bound the wall time of the query: the deadline travels
 // into the executor as a context deadline, so an over-long execution is
@@ -48,7 +49,7 @@ func main() {
 		maxRows      = flag.Int("rows", 20, "max answer rows to print")
 		timeout      = flag.Duration("timeout", 0, "abandon the query after this long (0 = no limit)")
 		explain      = flag.Bool("explain-eta", false, "print the bound-derivation trace behind the reported eta")
-		explainTrace = flag.Bool("explain-trace", false, "print the execution span tree (planning, leaves, fetch steps, shard fan-out) with timings")
+		explainTrace = flag.Bool("explain-trace", false, "print the execution span tree (planning, leaves, fetch steps with their X-values and samples) with timings")
 	)
 	flag.Parse()
 	if *sql == "" {

@@ -1,18 +1,17 @@
 // Command beasd serves resource-bounded approximate query answering over
 // HTTP: the online half of the BEAS architecture (paper Fig. 2) as a
 // long-running daemon. At startup it loads a dataset and either builds the
-// access schema offline (partitioned across -shards goroutine-owned shards)
-// or — with -data — warm-starts from the directory's snapshot and replayed
-// maintenance WAL, skipping dataset generation and the offline index
-// construction entirely (the snapshot supplies tuples and ladders both). It
-// then serves any number of concurrent clients from one shared System —
-// parallel leaf execution, scatter-gather fetches, plan caching and all.
-// The handlers live in internal/serve; this command only wires flags,
-// dataset loading and process lifecycle.
+// access schema offline or — with -data — warm-starts from the directory's
+// snapshot and replayed maintenance WAL, skipping dataset generation and
+// the offline index construction entirely (the snapshot supplies tuples and
+// ladders both). It then serves any number of concurrent clients from one
+// shared System — parallel leaf execution, batched fetches, plan caching
+// and all. The handlers live in internal/serve; this command only wires
+// flags, dataset loading and process lifecycle.
 //
 // Usage:
 //
-//	beasd -addr :8080 -dataset tpch -scale 2 -alpha 0.01 -shards 4 \
+//	beasd -addr :8080 -dataset tpch -scale 2 -alpha 0.01 \
 //	      -data /var/lib/beasd/tpch
 //
 // Endpoints (see internal/serve and the README "Serving" and "Operations"
@@ -93,7 +92,6 @@ import (
 	"time"
 
 	beas "repro"
-	"repro/internal/access"
 	"repro/internal/cluster"
 	"repro/internal/fixture"
 	"repro/internal/guard"
@@ -110,7 +108,6 @@ func main() {
 		seed      = flag.Int64("seed", 2017, "generator seed")
 		alpha     = flag.Float64("alpha", 0.01, "default resource ratio in (0, 1]")
 		maxTuple  = flag.Int("rows", 1000, "max answer rows returned per query")
-		shards    = flag.Int("shards", 0, "ladder partitions (0 = min(GOMAXPROCS, 8))")
 		queue     = flag.Int("queue", 256, "batch request queue depth (backpressure bound)")
 		workers   = flag.Int("batch-workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 		maxBatch  = flag.Int("max-batch", 256, "max queries per /batch call")
@@ -145,9 +142,6 @@ func main() {
 			"panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
 	})
 
-	if *shards > 0 {
-		access.DefaultShards = *shards
-	}
 	members, self, err := parsePeers(*peers, *nodeID, *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "beasd: %v\n", err)
@@ -159,13 +153,13 @@ func main() {
 	if nodeDataDir != "" && len(members) > 0 {
 		nodeDataDir = filepath.Join(nodeDataDir, sanitizeNodeID(self))
 	}
-	sys, size, rels, err := open(*dataset, *scale, *seed, nodeDataDir, *ckptEvery, *ckptRetry, *walSync, *shards, logger)
+	sys, size, rels, err := open(*dataset, *scale, *seed, nodeDataDir, *ckptEvery, *ckptRetry, *walSync, logger)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "beasd: %v\n", err)
 		os.Exit(2)
 	}
 	logger.Info("dataset ready", "dataset", *dataset, "tuples", size,
-		"relations", rels, "shards", effectiveShards(sys))
+		"relations", rels)
 
 	var node *cluster.Node
 	var execOpts []beas.Option
@@ -209,7 +203,6 @@ func main() {
 		Dataset:      *dataset,
 		DBSize:       size,
 		Relations:    rels,
-		Shards:       effectiveShards(sys),
 		QueueDepth:   *queue,
 		Workers:      *workers,
 		MaxBatch:     *maxBatch,
@@ -374,22 +367,13 @@ func sanitizeNodeID(id string) string {
 	}, id)
 }
 
-// effectiveShards reports the partition count of the system's ladders (they
-// are uniform: every ladder is built with the same resolved count).
-func effectiveShards(sys *beas.System) int {
-	for _, l := range sys.Scheme().Access().Ladders {
-		return l.Shards()
-	}
-	return 1
-}
-
 // open loads the dataset schema and builds or warm-starts the System. With a
 // persistence directory the tuples and the access schema both come from its
 // snapshot when one exists (plus WAL replay) — dataset generation is skipped
 // entirely, not just the index build. Otherwise the dataset is generated,
 // the schema built cold, and the initial snapshot written for the next
 // start.
-func open(dataset string, scale int, seed int64, dataDir string, ckptEvery, ckptRetry int, walSync bool, shards int, logger *obs.Logger) (*beas.System, int, int, error) {
+func open(dataset string, scale int, seed int64, dataDir string, ckptEvery, ckptRetry int, walSync bool, logger *obs.Logger) (*beas.System, int, int, error) {
 	db, populate, build, err := loadDataset(dataset, scale, seed)
 	if err != nil {
 		return nil, 0, 0, err
@@ -406,7 +390,6 @@ func open(dataset string, scale int, seed int64, dataDir string, ckptEvery, ckpt
 	}
 	opts := []beas.PersistOption{
 		beas.WithSchemaBuilder(build),
-		beas.WithPersistShards(shards),
 		beas.WithCheckpointEvery(ckptEvery),
 		beas.WithCheckpointRetries(ckptRetry),
 		beas.WithPersistLogf(logger.Logf),

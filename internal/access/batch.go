@@ -194,13 +194,13 @@ func (l *Ladder) applyBatch(ops []Op, rb *relBatch) []*groupBatch {
 		for c, j := range l.xIdx {
 			key[c] = t[j]
 		}
-		g, ok := l.store.group(key)
+		g, ok := l.groups.Get(key)
 		if !ok {
 			if !create {
 				return nil
 			}
 			g = &ladderGroup{key: key.Clone()}
-			l.store.put(g)
+			l.groups.Put(g.key, g)
 		}
 		gb := byGroup[g]
 		if gb == nil {
@@ -397,7 +397,7 @@ func (l *Ladder) placeItems(ops []Op, gbs []*groupBatch) {
 		// The groups' level offsets are relative to their items, so only
 		// the item columns and the base their levels select from move.
 		src = st.compact(n, func(move func(lo, hi int) int) {
-			l.store.rangeGroups(func(g *ladderGroup) bool {
+			l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
 				if g.items.rows > 0 {
 					g.items.first = move(g.items.first, g.items.end())
 					g.rebase(st.y)
@@ -449,7 +449,7 @@ func (s *Schema) flushDirty(ops []Op, dirty map[*Ladder][]*groupBatch) {
 			lo, hi := g.span()
 			l.arena.dead += hi - lo
 			if g.items.rows == 0 {
-				l.store.remove(g.key)
+				l.groups.Delete(g.key)
 				continue
 			}
 			jobs = append(jobs, groupBuild{l: l, g: g})

@@ -242,7 +242,7 @@ func (l *Ladder) placeRebuilt(jobs []groupBuild) {
 func (l *Ladder) repack(extra int) {
 	a := l.arena
 	item, count := make([]int32, 0, a.live()+extra), make([]int32, 0, a.live()+extra)
-	l.store.rangeGroups(func(g *ladderGroup) bool {
+	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
 		if g.levels[0].arena != a {
 			return true
 		}
@@ -273,76 +273,26 @@ func (g *ladderGroup) fetchBlock(k int) *LevelBlock {
 	return &g.levels[max(0, min(k, len(g.levels)-1))]
 }
 
-// FetchBlock returns the level-k samples of the group of x in columnar
-// form; nil when the group does not exist. The block is a shared read-only
-// view.
-func (s *ShardedLadder) FetchBlock(x relation.Tuple, k int) *LevelBlock {
-	g, ok := s.group(x)
+// FetchBlock returns the level-k samples for one X-value tuple in columnar
+// form; nil when the X-value is not indexed. The block is a shared
+// read-only view: the same pointer on every call until maintenance rebuilds
+// the group.
+func (l *Ladder) FetchBlock(x relation.Tuple, k int) *LevelBlock {
+	g, ok := l.groups.Get(x)
 	if !ok {
 		return nil
 	}
 	return g.fetchBlock(k)
 }
 
-// minParallelBatch is the batch length below which FetchBatchBlocks looks
-// every X-value up inline: a small batch costs less than the goroutine
-// fan-out that would spread it.
-const minParallelBatch = 64
-
-// FetchBatchBlocks is the scatter-gather fetch: it resolves the level-k
-// blocks for every X-value of xs, fanning the lookups out across the
-// owning shards on up to `workers` goroutines, and gathers the results in
-// input order (out[i] corresponds to xs[i]; nil for missing groups).
-// Results are the shared read-only views FetchBlock returns. workers ≤ 1,
-// a single shard, or a batch shorter than minParallelBatch all degrade to
-// an inline loop with identical results.
-func (s *ShardedLadder) FetchBatchBlocks(xs []relation.Tuple, k, workers int) []*LevelBlock {
-	out := make([]*LevelBlock, len(xs))
-	if workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	if workers <= 1 || len(s.shards) == 1 || len(xs) < minParallelBatch {
-		for i, x := range xs {
-			out[i] = s.FetchBlock(x, k)
-		}
-		return out
-	}
-	// Scatter: partition the input indices by owning shard.
-	byShard := make([][]int, len(s.shards))
-	for i, x := range xs {
-		si := s.shardOf(x)
-		byShard[si] = append(byShard[si], i)
-	}
-	// Gather: one worker per non-empty shard (bounded), each writing only
-	// its own output slots, so the result is independent of scheduling.
-	var busy []int
-	for si := range byShard {
-		if len(byShard[si]) > 0 {
-			busy = append(busy, si)
-		}
-	}
-	parallelFor(len(busy), workers, func(bi int) {
-		si := busy[bi]
-		groups := s.shards[si].groups
-		for _, i := range byShard[si] {
-			if g, ok := groups.Get(xs[i]); ok {
-				out[i] = g.fetchBlock(k)
-			}
-		}
-	})
-	return out
-}
-
-// FetchBlock returns the level-k samples for one X-value tuple in columnar
-// form; nil when the X-value is not indexed. The block is a shared
-// read-only view: the same pointer on every call until maintenance rebuilds
-// the group.
-func (l *Ladder) FetchBlock(x relation.Tuple, k int) *LevelBlock {
-	return l.store.FetchBlock(x, k)
-}
-
-// FetchBatchBlocks resolves many X-values at once in columnar form,
-// scatter-gathering across the store's shards; out[i] corresponds to xs[i].
+// FetchBatchBlocks resolves the level-k blocks for every X-value of xs, in
+// input order (out[i] corresponds to xs[i]; nil for missing groups), with
+// one map lookup each on the calling goroutine. Results are the shared
+// read-only views FetchBlock returns. workers is ignored.
 func (l *Ladder) FetchBatchBlocks(xs []relation.Tuple, k, workers int) []*LevelBlock {
-	return l.store.FetchBatchBlocks(xs, k, workers)
+	out := make([]*LevelBlock, len(xs))
+	for i, x := range xs {
+		out[i] = l.FetchBlock(x, k)
+	}
+	return out
 }

@@ -7,88 +7,33 @@ import (
 	"repro/internal/relation"
 )
 
-// Sharded builds must be indistinguishable from the single-shard build:
-// same metadata, same resolutions, identical samples for every group at
-// every level — the storage-level half of the shard-invariance guarantee.
-func TestShardedBuildIdentical(t *testing.T) {
-	db := exampleDB(t)
-	specs := []struct {
-		rel  string
-		x, y []string
-	}{
-		{"poi", []string{"type", "city"}, []string{"price", "address"}},
-		{"poi", nil, []string{"address", "type", "city", "price"}},
-		{"friend", []string{"pid"}, []string{"fid"}},
-		{"person", []string{"pid"}, []string{"city"}},
-	}
-	for _, spec := range specs {
-		ref, err := BuildLadderSharded(db, spec.rel, spec.x, spec.y, 1)
-		if err != nil {
-			t.Fatalf("%s single shard: %v", spec.rel, err)
-		}
-		for _, n := range []int{2, 4, 8} {
-			l, err := BuildLadderSharded(db, spec.rel, spec.x, spec.y, n)
-			if err != nil {
-				t.Fatalf("%s %d shards: %v", spec.rel, n, err)
-			}
-			if l.Shards() != n {
-				t.Fatalf("%s: Shards() = %d, want %d", spec.rel, l.Shards(), n)
-			}
-			if ref.MaxK() != l.MaxK() || ref.NumGroups() != l.NumGroups() ||
-				ref.MaxGroupDistinct() != l.MaxGroupDistinct() || ref.IndexSize() != l.IndexSize() {
-				t.Fatalf("%s %d shards: metadata differs", spec.rel, n)
-			}
-			for k := 0; k <= ref.MaxK(); k++ {
-				if !reflect.DeepEqual(ref.Resolution(k), l.Resolution(k)) {
-					t.Fatalf("%s %d shards level %d: resolutions differ", spec.rel, n, k)
-				}
-			}
-			for _, x := range ref.GroupXs() {
-				for k := 0; k <= ref.ExactLevelFor(x); k++ {
-					if !reflect.DeepEqual(fetchRows(ref, x, k), fetchRows(l, x, k)) {
-						t.Fatalf("%s %d shards group %v level %d: samples differ", spec.rel, n, x, k)
-					}
-				}
-			}
-		}
-	}
-}
-
 // FetchBatchBlocks must gather exactly the views per-X FetchBlock returns,
-// in input order, for any worker count and on both sides of the inline
-// gate (minParallelBatch) — including missing groups (nil) and duplicate
-// Xs. The test fixtures elsewhere are too small to reach the parallel
-// fan-out, so this is where it runs outside the cluster.
+// in input order — including missing groups (nil) and duplicate Xs.
 func TestFetchBatchMatchesFetch(t *testing.T) {
 	db := exampleDB(t)
-	l, err := BuildLadderSharded(db, "poi", []string{"address"}, []string{"price", "type"}, 4)
+	l, err := BuildLadder(db, "poi", []string{"address"}, []string{"price", "type"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	groups := l.GroupXs()
-	if len(groups) <= minParallelBatch {
-		t.Fatalf("%d groups cannot fill a parallel batch of %d", len(groups), minParallelBatch)
-	}
-	for _, n := range []int{0, 1, minParallelBatch - 1, minParallelBatch, len(groups)} {
+	for _, n := range []int{0, 1, 3, len(groups)} {
 		xs := append([]relation.Tuple(nil), groups[:n]...)
 		if n >= 3 {
 			xs[n/2] = relation.Tuple{relation.String("no-such-address")}
 			xs[n-1] = xs[0]
 		}
 		for k := 0; k <= l.MaxK(); k++ {
-			for _, workers := range []int{1, 2, 8} {
-				got := l.FetchBatchBlocks(xs, k, workers)
-				if len(got) != len(xs) {
-					t.Fatalf("batch %d level %d workers %d: %d results", n, k, workers, len(got))
+			got := l.FetchBatchBlocks(xs, k, 1)
+			if len(got) != len(xs) {
+				t.Fatalf("batch %d level %d: %d results", n, k, len(got))
+			}
+			for i, x := range xs {
+				if want := l.FetchBlock(x, k); got[i] != want {
+					t.Fatalf("batch %d level %d: entry %d (%v) is not FetchBlock's view", n, k, i, x)
 				}
-				for i, x := range xs {
-					if want := l.FetchBlock(x, k); got[i] != want {
-						t.Fatalf("batch %d level %d workers %d: entry %d (%v) is not FetchBlock's view", n, k, workers, i, x)
-					}
-				}
-				if n >= 3 && got[n/2] != nil {
-					t.Fatalf("batch %d: missing group resolved to a view", n)
-				}
+			}
+			if n >= 3 && got[n/2] != nil {
+				t.Fatalf("batch %d: missing group resolved to a view", n)
 			}
 		}
 	}
@@ -98,7 +43,7 @@ func TestFetchBatchMatchesFetch(t *testing.T) {
 // return the same pointer, not build a view per fetch.
 func TestFetchReturnsSharedView(t *testing.T) {
 	db := exampleDB(t)
-	l, err := BuildLadderSharded(db, "poi", []string{"type", "city"}, []string{"price", "address"}, 2)
+	l, err := BuildLadder(db, "poi", []string{"type", "city"}, []string{"price", "address"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,34 +61,28 @@ func TestFetchReturnsSharedView(t *testing.T) {
 }
 
 // The fetch path allocates nothing of its own: FetchBlock hands out a stored
-// view, and FetchBatchBlocks on its inline path allocates only the result
-// slice.
+// view, and FetchBatchBlocks allocates only the result slice.
 func TestFetchAllocs(t *testing.T) {
 	db := exampleDB(t)
-	for _, shards := range []int{1, 4} {
-		l, err := BuildLadderSharded(db, "poi", []string{"type", "city"}, []string{"price", "address"}, shards)
-		if err != nil {
-			t.Fatal(err)
+	l, err := BuildLadder(db, "poi", []string{"type", "city"}, []string{"price", "address"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := append(l.GroupXs(), relation.Tuple{relation.String("zoo"), relation.String("Oslo")})
+	if n := testing.AllocsPerRun(50, func() {
+		for _, x := range xs {
+			l.FetchBlock(x, 1)
 		}
-		xs := append(l.GroupXs(), relation.Tuple{relation.String("zoo"), relation.String("Oslo")})
-		if n := testing.AllocsPerRun(50, func() {
-			for _, x := range xs {
-				l.FetchBlock(x, 1)
-			}
-		}); n != 0 {
-			t.Errorf("shards=%d: FetchBlock allocates %.1f times per batch of %d", shards, n, len(xs))
-		}
-		if len(xs) >= minParallelBatch {
-			t.Fatalf("%d X-values leave FetchBatchBlocks' inline path", len(xs))
-		}
-		if n := testing.AllocsPerRun(50, func() { l.FetchBatchBlocks(xs, 1, 4) }); n != 1 {
-			t.Errorf("shards=%d: inline FetchBatchBlocks allocates %.1f times, want 1 (the result slice)", shards, n)
-		}
+	}); n != 0 {
+		t.Errorf("FetchBlock allocates %.1f times per batch of %d", n, len(xs))
+	}
+	if n := testing.AllocsPerRun(50, func() { l.FetchBatchBlocks(xs, 1, 1) }); n != 1 {
+		t.Errorf("FetchBatchBlocks allocates %.1f times, want 1 (the result slice)", n)
 	}
 }
 
-// Incremental maintenance must touch only the partition owning the updated
-// group: every other group keeps the exact same level views, at the same
+// Incremental maintenance must touch only the updated group: every other
+// group keeps the exact same level views, at the same
 // arena rows.
 func TestMaintenanceIsPartitionLocal(t *testing.T) {
 	db := exampleDB(t)
@@ -156,7 +95,7 @@ func TestMaintenanceIsPartitionLocal(t *testing.T) {
 		at    LevelBlock
 	}
 	before := map[*ladderGroup]view{}
-	l.store.rangeGroups(func(g *ladderGroup) bool {
+	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
 		if !g.key.EqualTuple(target) {
 			before[g] = view{&g.levels[0], g.levels[0]}
 		}
@@ -210,7 +149,7 @@ func TestIncrementalMaintenanceMatchesRebuild(t *testing.T) {
 			}
 		}
 		inc := s.Find("poi", []string{"type", "city"}, []string{"price", "address"})
-		ref, err := BuildLadderSharded(db, "poi", []string{"type", "city"}, []string{"price", "address"}, inc.Shards())
+		ref, err := BuildLadder(db, "poi", []string{"type", "city"}, []string{"price", "address"})
 		if err != nil {
 			t.Fatalf("op %d rebuild: %v", oi, err)
 		}

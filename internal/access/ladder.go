@@ -17,12 +17,10 @@ import (
 // N the largest group's distinct-Y count.
 //
 // Groups are keyed by the X-value tuple itself (hash-bucketed, equality
-// verified) and hash-partitioned across the shards of a ShardedLadder, so
-// the online fetch path never materialises string keys and batch fetches
-// can scatter-gather across partitions. Every group's items live in one
-// columnar item store per ladder, and every group's level views, as
-// selections of those items, in one arena per ladder, handed out as shared
-// read-only views.
+// verified) in one map per ladder, so the online fetch path never
+// materialises string keys. Every group's items live in one columnar item
+// store per ladder, and every group's level views, as selections of those
+// items, in one arena per ladder, handed out as shared read-only views.
 type Ladder struct {
 	RelName string
 	X, Y    []string
@@ -32,33 +30,26 @@ type Ladder struct {
 	maxK        int
 	resolutions [][]float64 // [k][|Y|]; max over groups of per-group level-k resolution
 	maxDistinct int         // largest distinct-Y count of any group
-	store       *ShardedLadder
+	groups      *relation.TupleMap[*ladderGroup]
 	items       rowStore    // every group's item rows (block.go)
 	arena       *levelArena // every group's level rows (block.go)
 	indexSize   int         // total representatives stored across all groups and levels
 }
 
 // BuildLadder scans the relation once and builds the shared index for the
-// template family R(X → Y, 2^k, d̄k), partitioned across DefaultShards
-// shards. X may be empty (the whole relation is one group, as in the
-// generic schema At). Per-group K-D tree construction fans out over
-// GOMAXPROCS workers; the result is identical to a sequential, single-shard
-// build (groups are independent and each build is deterministic).
+// template family R(X → Y, 2^k, d̄k). X may be empty (the whole relation is
+// one group, as in the generic schema At). Per-group K-D tree construction
+// fans out over GOMAXPROCS workers; the result is identical to a
+// sequential build (groups are independent and each build is
+// deterministic).
 func BuildLadder(db *relation.Database, rel string, x, y []string) (*Ladder, error) {
-	return buildLadderWorkers(db, rel, x, y, runtime.GOMAXPROCS(0), resolveShards(0))
+	return buildLadderWorkers(db, rel, x, y, runtime.GOMAXPROCS(0))
 }
 
-// BuildLadderSharded is BuildLadder with an explicit partition count,
-// overriding DefaultShards. The shard count changes how fetch work spreads
-// over cores, never what a fetch returns.
-func BuildLadderSharded(db *relation.Database, rel string, x, y []string, shards int) (*Ladder, error) {
-	return buildLadderWorkers(db, rel, x, y, runtime.GOMAXPROCS(0), resolveShards(shards))
-}
-
-// buildLadderWorkers is BuildLadder with explicit worker and shard counts;
-// tests pin workers to 1 to assert the parallel build changes nothing.
-func buildLadderWorkers(db *relation.Database, rel string, x, y []string, workers, shards int) (*Ladder, error) {
-	l, groups, err := prepareLadder(db, rel, x, y, shards, workers)
+// buildLadderWorkers is BuildLadder with an explicit worker count; tests pin
+// workers to 1 to assert the parallel build changes nothing.
+func buildLadderWorkers(db *relation.Database, rel string, x, y []string, workers int) (*Ladder, error) {
+	l, groups, err := prepareLadder(db, rel, x, y, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +60,7 @@ func buildLadderWorkers(db *relation.Database, rel string, x, y []string, worker
 	buildGroups(jobs, workers)
 	packArenas(jobs)
 	for _, g := range groups {
-		l.store.put(g)
+		l.groups.Put(g.key, g)
 	}
 	l.recomputeMeta()
 	return l, nil
@@ -82,8 +73,8 @@ func buildLadderWorkers(db *relation.Database, rel string, x, y []string, worker
 // group through a scratch key, cloning the key only for a new group; a
 // prefix sum over the group sizes then gives every group its range, and
 // relation.FillBlock copies the projections into exact-size columns.
-func prepareLadder(db *relation.Database, rel string, x, y []string, shards, workers int) (*Ladder, []*ladderGroup, error) {
-	l, r, err := newLadder(db, rel, x, y, shards)
+func prepareLadder(db *relation.Database, rel string, x, y []string, workers int) (*Ladder, []*ladderGroup, error) {
+	l, r, err := newLadder(db, rel, x, y)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -122,10 +113,9 @@ func prepareLadder(db *relation.Database, rel string, x, y []string, shards, wor
 	return l, groups, nil
 }
 
-// newLadder returns an empty ladder on rel(X → Y) over `shards` partitions,
-// with the attribute sets resolved against the relation's schema, and the
-// relation itself.
-func newLadder(db *relation.Database, rel string, x, y []string, shards int) (*Ladder, *relation.Relation, error) {
+// newLadder returns an empty ladder on rel(X → Y), with the attribute sets
+// resolved against the relation's schema, and the relation itself.
+func newLadder(db *relation.Database, rel string, x, y []string) (*Ladder, *relation.Relation, error) {
 	r, ok := db.Relation(rel)
 	if !ok {
 		return nil, nil, fmt.Errorf("access: unknown relation %q", rel)
@@ -147,7 +137,7 @@ func newLadder(db *relation.Database, rel string, x, y []string, shards int) (*L
 		Y:       append([]string(nil), y...),
 		xIdx:    xIdx,
 		yIdx:    yIdx,
-		store:   newShardedLadder(shards),
+		groups:  relation.NewTupleMap[*ladderGroup](0),
 		items:   rowStore{y: relation.NewBlock(len(yIdx))},
 		arena:   &levelArena{},
 	}
@@ -221,15 +211,7 @@ func parallelFor(n, workers int, f func(int)) {
 func (l *Ladder) MaxK() int { return l.maxK }
 
 // NumGroups returns the number of distinct X-values indexed.
-func (l *Ladder) NumGroups() int { return l.store.numGroups() }
-
-// Shards returns the partition count of the group store.
-func (l *Ladder) Shards() int { return l.store.NumShards() }
-
-// ShardOf returns the index of the store shard owning x's group — the same
-// routing FetchBatchBlocks' scatter-gather uses. Exposed so tracing can account
-// a batched fetch per shard without changing the fetch path's signatures.
-func (l *Ladder) ShardOf(x relation.Tuple) int { return l.store.shardOf(x) }
+func (l *Ladder) NumGroups() int { return l.groups.Len() }
 
 // MaxGroupDistinct returns the largest group's distinct-Y count: the N of
 // the ladder's access-constraint view, and the per-X-value fetch bound that
@@ -318,8 +300,8 @@ func (l *Ladder) FetchBound(k int) int {
 // GroupXs returns the X-value tuples of all indexed groups, in unspecified
 // order. For X = ∅ this is the single empty tuple.
 func (l *Ladder) GroupXs() []relation.Tuple {
-	xs := make([]relation.Tuple, 0, l.store.numGroups())
-	l.store.rangeGroups(func(g *ladderGroup) bool {
+	xs := make([]relation.Tuple, 0, l.groups.Len())
+	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
 		xs = append(xs, g.key)
 		return true
 	})
@@ -329,7 +311,7 @@ func (l *Ladder) GroupXs() []relation.Tuple {
 // ExactLevelFor returns the level at which the group of x is represented
 // exactly; 0 when the group does not exist.
 func (l *Ladder) ExactLevelFor(x relation.Tuple) int {
-	g, ok := l.store.group(x)
+	g, ok := l.groups.Get(x)
 	if !ok {
 		return 0
 	}

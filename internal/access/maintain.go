@@ -7,9 +7,8 @@ import (
 // This file implements component C2 of the BEAS architecture (Fig. 2):
 // maintaining the access-schema indices in response to updates to D.
 // Updates are localised twice over: a tuple only affects the group of its
-// own X-value in each ladder, and that group lives in exactly one shard,
-// which owns the record of the group's item range in the ladder's item
-// store. What a batch of updates costs (batch.go): one pass over each
+// own X-value in each ladder, and that group alone records its item range
+// in the ladder's item store. What a batch of updates costs (batch.go): one pass over each
 // written relation to find the tuples its deletes remove, one pass over the
 // items of each group a delete reaches, one copy of each touched group's
 // surviving items and inserts into a new range, and one rebuild of each
@@ -48,7 +47,7 @@ func (l *Ladder) recomputeMeta() {
 	l.maxK, l.maxDistinct, l.indexSize = 0, 0, 0
 	// Fresh rows every time: Resolution hands the old ones out.
 	res := [][]float64{make([]float64, len(l.Y))}
-	l.store.rangeGroups(func(g *ladderGroup) bool {
+	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
 		l.maxK = max(l.maxK, g.exactLevel())
 		l.maxDistinct = max(l.maxDistinct, g.distinct)
 		lo, hi := g.span()

@@ -23,11 +23,11 @@ func TestParallelBuildLadderIdentical(t *testing.T) {
 		{"person", []string{"pid"}, []string{"city"}},
 	}
 	for _, spec := range specs {
-		seq, err := buildLadderWorkers(db, spec.rel, spec.x, spec.y, 1, 1)
+		seq, err := buildLadderWorkers(db, spec.rel, spec.x, spec.y, 1)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", spec.rel, err)
 		}
-		par, err := buildLadderWorkers(db, spec.rel, spec.x, spec.y, 8, 4)
+		par, err := buildLadderWorkers(db, spec.rel, spec.x, spec.y, 8)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", spec.rel, err)
 		}

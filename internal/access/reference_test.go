@@ -85,7 +85,7 @@ func assertMatchesReference(t *testing.T, label string, l *Ladder, db *relation.
 	var groups []*ladderGroup
 	owned := make([]bool, len(l.arena.item))
 	covered := 0
-	l.store.rangeGroups(func(g *ladderGroup) bool {
+	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
 		groups = append(groups, g)
 		lo, hi := g.span()
 		for k, lb := range g.levels {
@@ -165,7 +165,7 @@ func assertItemsMatchRelation(t *testing.T, label string, l *Ladder, db *relatio
 		want[x][tup.Project(l.yIdx).Key()]++
 	}
 	groups := 0
-	l.store.rangeGroups(func(g *ladderGroup) bool {
+	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
 		groups++
 		got := make(map[string]int)
 		for r := g.items.first; r < g.items.end(); r++ {
@@ -202,7 +202,7 @@ func assertCertificate(t *testing.T, label string, l *Ladder) {
 	identical := func(a, b relation.Tuple) bool {
 		return slices.EqualFunc(a, b, identicalValue)
 	}
-	l.store.rangeGroups(func(g *ladderGroup) bool {
+	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
 		items := make([]relation.Tuple, g.items.rows)
 		for i := range items {
 			items[i] = l.items.y.Tuple(g.items.first + i)
@@ -280,8 +280,7 @@ func hostileBatch(rng *rand.Rand, db *relation.Database, deleteShare int) []Op {
 
 // TestLevelArenaMatchesReference pins the level views the ladder serves
 // against the kd-tree construction they come from, and checks what they
-// certify (assertCertificate): after a build at every worker and shard
-// count, after a snapshot restore, and after each of a run of Apply batches
+// certify (assertCertificate): after a build at every worker count, after a snapshot restore, and after each of a run of Apply batches
 // that empty and recreate groups under hostile values, repack arenas and
 // compact item stores.
 func TestLevelArenaMatchesReference(t *testing.T) {
@@ -309,19 +308,17 @@ func TestLevelArenaMatchesReference(t *testing.T) {
 	for _, d := range dbs {
 		for _, sp := range d.specs {
 			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-				for _, shards := range []int{1, 4} {
-					label := fmt.Sprintf("%s %s(%v→%v) workers=%d shards=%d", d.name, sp.rel, sp.x, sp.y, workers, shards)
-					l, err := buildLadderWorkers(d.db, sp.rel, sp.x, sp.y, workers, shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertMatchesReference(t, label, l, d.db)
-					restored, err := RestoreLadder(d.db, l.Snapshot(), shards)
-					if err != nil {
-						t.Fatalf("%s: restore: %v", label, err)
-					}
-					assertMatchesReference(t, label+" restored", restored, d.db)
+				label := fmt.Sprintf("%s %s(%v→%v) workers=%d", d.name, sp.rel, sp.x, sp.y, workers)
+				l, err := buildLadderWorkers(d.db, sp.rel, sp.x, sp.y, workers)
+				if err != nil {
+					t.Fatal(err)
 				}
+				assertMatchesReference(t, label, l, d.db)
+				restored, err := RestoreLadder(d.db, l.Snapshot())
+				if err != nil {
+					t.Fatalf("%s: restore: %v", label, err)
+				}
+				assertMatchesReference(t, label+" restored", restored, d.db)
 			}
 		}
 	}

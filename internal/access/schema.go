@@ -16,16 +16,10 @@ type Schema struct {
 
 // BuildAt constructs the generic access schema At of Theorem 1(1): for every
 // relation R, the ladder R(∅ → attr(R), 2^k, d̄k) for k = 0..⌈log2 |DR|⌉.
-// Every instance conforms to its own At by construction. Ladders are
-// partitioned across DefaultShards shards.
+// Every instance conforms to its own At by construction. Each generic ladder
+// is a single group, so the relations' groups are built together on one
+// worker pool.
 func BuildAt(db *relation.Database) (*Schema, error) {
-	return BuildAtSharded(db, 0)
-}
-
-// BuildAtSharded is BuildAt with an explicit per-ladder partition count
-// (0 falls back to DefaultShards). Each generic ladder is a single group,
-// so the relations' groups are built together on one worker pool.
-func BuildAtSharded(db *relation.Database, shards int) (*Schema, error) {
 	s := &Schema{}
 	var jobs []groupBuild
 	for _, name := range db.Names() {
@@ -33,7 +27,7 @@ func BuildAtSharded(db *relation.Database, shards int) (*Schema, error) {
 		if r.Len() == 0 {
 			continue
 		}
-		l, groups, err := prepareLadder(db, name, nil, r.Schema.AttrNames(), resolveShards(shards), runtime.GOMAXPROCS(0))
+		l, groups, err := prepareLadder(db, name, nil, r.Schema.AttrNames(), runtime.GOMAXPROCS(0))
 		if err != nil {
 			return nil, err
 		}
@@ -45,7 +39,7 @@ func BuildAtSharded(db *relation.Database, shards int) (*Schema, error) {
 	buildGroups(jobs, runtime.GOMAXPROCS(0))
 	packArenas(jobs)
 	for _, job := range jobs {
-		job.l.store.put(job.g)
+		job.l.groups.Put(job.g.key, job.g)
 	}
 	for _, l := range s.Ladders {
 		l.recomputeMeta()
@@ -57,13 +51,7 @@ func BuildAtSharded(db *relation.Database, shards int) (*Schema, error) {
 // practice of enriching At with discovered or user-defined access templates
 // and constraints.
 func (s *Schema) Extend(db *relation.Database, rel string, x, y []string) (*Ladder, error) {
-	return s.ExtendSharded(db, rel, x, y, 0)
-}
-
-// ExtendSharded is Extend with an explicit partition count (0 falls back to
-// DefaultShards).
-func (s *Schema) ExtendSharded(db *relation.Database, rel string, x, y []string, shards int) (*Ladder, error) {
-	l, err := BuildLadderSharded(db, rel, x, y, shards)
+	l, err := BuildLadder(db, rel, x, y)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +108,7 @@ func (s *Schema) IndexSize() int {
 func (s *Schema) ConstraintIndexSize() int {
 	n := 0
 	for _, l := range s.Ladders {
-		l.store.rangeGroups(func(g *ladderGroup) bool {
+		l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
 			n += g.levels[g.exactLevel()].rows
 			return true
 		})

@@ -52,13 +52,12 @@ type GroupSnapshot struct {
 }
 
 // LadderSnapshot is the portable state of one ladder: its identity (relation
-// and attribute sets), the shard count it was built with, its item rows and
-// every group. Groups are sorted by canonical X-key so snapshots of equal
-// ladders are byte-identical regardless of shard-map iteration order.
+// and attribute sets), its item rows and every group. Groups are sorted by
+// canonical X-key so snapshots of equal ladders are byte-identical
+// regardless of group-map iteration order.
 type LadderSnapshot struct {
 	RelName string
 	X, Y    []string
-	Shards  int
 	// Items holds every group's items, one column per Y attribute; rows no
 	// group's range covers are ignored.
 	Items  *relation.Block
@@ -74,10 +73,9 @@ func (l *Ladder) Snapshot() LadderSnapshot {
 		RelName: l.RelName,
 		X:       append([]string(nil), l.X...),
 		Y:       append([]string(nil), l.Y...),
-		Shards:  l.store.NumShards(),
 		Items:   l.items.y,
 	}
-	l.store.rangeGroups(func(g *ladderGroup) bool {
+	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
 		snap.Groups = append(snap.Groups, g.snapshot(len(l.yAttrs)))
 		return true
 	})
@@ -114,22 +112,17 @@ func (g *ladderGroup) snapshot(arity int) GroupSnapshot {
 }
 
 // RestoreLadder rebuilds a ladder from its snapshot against the database the
-// snapshot was taken over. Groups are re-partitioned across `shards` shards
-// (0 keeps the snapshot's count) — partitioning is a deterministic function
-// of the X-value hash, so the shard count never changes what a fetch
-// returns. No kd-tree is built: the ladder adopts snap.Items as its item
-// store, without copying it, and the arena takes the level references as
-// they are, so the views select the same items as the original ladder's;
-// a group is rebuilt from its items on its first maintenance touch.
+// snapshot was taken over. No kd-tree is built: the ladder adopts snap.Items
+// as its item store, without copying it, and the arena takes the level
+// references as they are, so the views select the same items as the
+// original ladder's; a group is rebuilt from its items on its first
+// maintenance touch.
 // Because the block is adopted, a snapshot restores one ladder that may be
 // maintained, and only while the ladder it was taken from is not.
 // Structural problems (unknown relation or attributes, malformed groups)
 // are reported as errors, never panics.
-func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Ladder, error) {
-	if shards <= 0 {
-		shards = snap.Shards
-	}
-	l, _, err := newLadder(db, snap.RelName, snap.X, snap.Y, resolveShards(shards))
+func RestoreLadder(db *relation.Database, snap LadderSnapshot) (*Ladder, error) {
+	l, _, err := newLadder(db, snap.RelName, snap.X, snap.Y)
 	if err != nil {
 		return nil, fmt.Errorf("access: restore: %w", err)
 	}
@@ -172,7 +165,7 @@ func RestoreLadder(db *relation.Database, snap LadderSnapshot, shards int) (*Lad
 			}
 		}
 		g.place(l, first)
-		l.store.put(g)
+		l.groups.Put(g.key, g)
 	}
 	l.recomputeMeta()
 	return l, nil

@@ -9,32 +9,18 @@ import (
 func randSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Restoring a ladder from its snapshot must reproduce every observation —
-// Fetch at every group and level, metadata, resolutions — exactly, at the
-// stored shard count and when re-partitioned.
+// Fetch at every group and level, metadata, resolutions — exactly.
 func TestSnapshotRestoreIdentical(t *testing.T) {
 	db := exampleDB(t)
-	l, err := BuildLadderSharded(db, "poi", []string{"type", "city"}, []string{"price", "address"}, 4)
+	l, err := BuildLadder(db, "poi", []string{"type", "city"}, []string{"price", "address"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := l.Snapshot()
-	if snap.Shards != 4 {
-		t.Fatalf("snapshot shards = %d, want 4", snap.Shards)
+	restored, err := RestoreLadder(db, l.Snapshot())
+	if err != nil {
+		t.Fatalf("restore: %v", err)
 	}
-	for _, shards := range []int{0, 1, 2, 8} {
-		restored, err := RestoreLadder(db, snap, shards)
-		if err != nil {
-			t.Fatalf("restore at %d shards: %v", shards, err)
-		}
-		want := shards
-		if want == 0 {
-			want = 4
-		}
-		if restored.Shards() != want {
-			t.Errorf("restored shard count = %d, want %d", restored.Shards(), want)
-		}
-		assertLadderIdentical(t, "restore", l, restored)
-	}
+	assertLadderIdentical(t, "restore", l, restored)
 }
 
 // A snapshot taken after incremental maintenance restores the maintained
@@ -47,7 +33,7 @@ func TestSnapshotAfterMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range s.Ladders {
-		restored, err := RestoreLadder(db, l.Snapshot(), 0)
+		restored, err := RestoreLadder(db, l.Snapshot())
 		if err != nil {
 			t.Fatalf("restore %s: %v", l.RelName, err)
 		}
@@ -66,31 +52,31 @@ func TestRestoreLadderRejectsDamage(t *testing.T) {
 
 	bad := base
 	bad.RelName = "nope"
-	if _, err := RestoreLadder(db, bad, 0); err == nil {
+	if _, err := RestoreLadder(db, bad); err == nil {
 		t.Error("unknown relation must fail")
 	}
 	bad = base
 	bad.Y = []string{"no_such_attr"}
-	if _, err := RestoreLadder(db, bad, 0); err == nil {
+	if _, err := RestoreLadder(db, bad); err == nil {
 		t.Error("unknown attribute must fail")
 	}
 	bad = base
 	bad.Groups = append([]GroupSnapshot(nil), base.Groups...)
 	bad.Groups[0].Resolutions = bad.Groups[0].Resolutions[:len(bad.Groups[0].Resolutions)-1]
-	if _, err := RestoreLadder(db, bad, 0); err == nil {
+	if _, err := RestoreLadder(db, bad); err == nil {
 		t.Error("level/resolution count mismatch must fail")
 	}
 	bad = base
 	bad.Groups = append([]GroupSnapshot(nil), base.Groups...)
 	bad.Groups[0].Distinct = bad.Groups[0].Items + 1
-	if _, err := RestoreLadder(db, bad, 0); err == nil {
+	if _, err := RestoreLadder(db, bad); err == nil {
 		t.Error("distinct count above item count must fail")
 	}
 	bad = base
 	bad.Groups = append([]GroupSnapshot(nil), base.Groups...)
 	bad.Groups[0].Levels = nil
 	bad.Groups[0].Resolutions = nil
-	if _, err := RestoreLadder(db, bad, 0); err == nil {
+	if _, err := RestoreLadder(db, bad); err == nil {
 		t.Error("missing level views must fail")
 	}
 }

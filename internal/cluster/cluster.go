@@ -1,10 +1,12 @@
-// Package cluster promotes the in-process shard scatter-gather of
-// internal/access to a network protocol: the multi-node serving layer of
-// the BEAS reproduction.
+// Package cluster is the multi-node serving layer of the BEAS
+// reproduction: it spreads the ladder groups of internal/access over a
+// static set of nodes and routes each fetch-step batch to the groups'
+// owners.
 //
-// A consistent-hash ring (Ring) assigns ladder groups — keyed by the same
-// canonical X-value hash that partitions groups across shards, folded with
-// the owning ladder's identity — to a static set of named nodes. Every node
+// A consistent-hash ring (Ring) assigns ladder groups — keyed by the
+// canonical X-value hash (relation.Tuple.Hash) that also keys a ladder's
+// group map, folded with the owning ladder's identity — to a static set of
+// named nodes. Every node
 // holds the full deterministic dataset and index build, but the routing
 // layer enforces ownership: a Fetcher resolves each fetch-step batch by
 // splitting its X-values between the local ladder and per-peer
@@ -27,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sort"
 	"time"
 
@@ -72,9 +73,6 @@ type Config struct {
 	// BreakerCooloff is how long an open circuit fails fast before the next
 	// probe is allowed through (default 1s).
 	BreakerCooloff time.Duration
-	// LocalWorkers bounds the in-process scatter-gather pool for the
-	// locally owned share of a batch (default GOMAXPROCS).
-	LocalWorkers int
 	// Client issues the RPCs (default: a pooled http.Client). Tests inject
 	// failing transports here — the faultfs-style seam of this package.
 	Client *http.Client
@@ -95,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooloff <= 0 {
 		c.BreakerCooloff = time.Second
-	}
-	if c.LocalWorkers <= 0 {
-		c.LocalWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
@@ -237,7 +232,7 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 			req.LadderID, len(ent.l.X), req.Width), http.StatusBadRequest)
 		return
 	}
-	lvls := ent.l.FetchBatchBlocks(req.Xs, req.K, n.cfg.LocalWorkers)
+	lvls := ent.l.FetchBatchBlocks(req.Xs, req.K, 1)
 	rows := 0
 	for _, lvl := range lvls {
 		if lvl != nil {

@@ -37,7 +37,7 @@ func fastFail(cfg *Config) {
 // the node must report not-ready with the peer named.
 func TestPeerRefusedConnection(t *testing.T) {
 	db := fixture.Example1(7, 120, 80)
-	as, err := fixture.SchemaA0Sharded(db, 2)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,11 @@ func TestKilledPeerMidCorpus(t *testing.T) {
 	const cases = 90
 	ctx := context.Background()
 	db := fixture.Example1(7, 120, 80)
-	as, err := fixture.SchemaA0Sharded(db, 2)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refAS, err := fixture.SchemaA0Sharded(db, 1)
+	refAS, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestKilledPeerMidCorpus(t *testing.T) {
 // panic, never hand the executor a fabricated view.
 func TestCorruptFrameResponse(t *testing.T) {
 	db := fixture.Example1(7, 120, 80)
-	as, err := fixture.SchemaA0Sharded(db, 2)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestCorruptFrameResponse(t *testing.T) {
 // must retry and ultimately fail typed.
 func TestMidStreamDisconnect(t *testing.T) {
 	db := fixture.Example1(7, 120, 80)
-	as, err := fixture.SchemaA0Sharded(db, 2)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestMidStreamDisconnect(t *testing.T) {
 // in the body), never panic, never 200.
 func TestGarbageRequestRejected(t *testing.T) {
 	db := fixture.Example1(7, 60, 40)
-	as, err := fixture.SchemaA0Sharded(db, 2)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func (n *Node) fetchLevels(ctx context.Context, l *access.Ladder, xs []relation.
 	}
 	if len(n.peers) == 0 {
 		n.localXs.Add(uint64(len(xs)))
-		return l.FetchBatchBlocks(xs, k, n.cfg.LocalWorkers), nil
+		return l.FetchBatchBlocks(xs, k, 1), nil
 	}
 	id := LadderID(l)
 	h := hash64(id)
@@ -228,7 +228,7 @@ func (n *Node) fetchLevels(ctx context.Context, l *access.Ladder, xs []relation.
 		for j, i := range localIdx {
 			sub[j] = xs[i]
 		}
-		lvls := l.FetchBatchBlocks(sub, k, n.cfg.LocalWorkers)
+		lvls := l.FetchBatchBlocks(sub, k, 1)
 		for j, i := range localIdx {
 			out[i] = lvls[j]
 		}

@@ -15,7 +15,7 @@ import (
 func sampleLevels(t *testing.T) (*access.Ladder, []*access.LevelBlock) {
 	t.Helper()
 	db := fixture.Example1(3, 40, 30)
-	as, err := fixture.SchemaA0Sharded(db, 1)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func FuzzFetchFrame(f *testing.F) {
 	f.Add([]byte("garbage"))
 	// Seed with valid frames so the fuzzer starts inside the format.
 	db := fixture.Example1(3, 40, 30)
-	as, err := fixture.SchemaA0Sharded(db, 1)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -114,13 +114,13 @@ func TestClusterInvariance(t *testing.T) {
 	const cases = 200
 	ctx := context.Background()
 	db := fixture.Example1(7, 120, 80)
-	as, err := fixture.SchemaA0Sharded(db, 2)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Reference: single shard, one worker, no cluster anywhere.
-	refAS, err := fixture.SchemaA0Sharded(db, 1)
+	// Reference: one worker, no cluster anywhere.
+	refAS, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}

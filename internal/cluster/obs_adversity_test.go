@@ -51,7 +51,7 @@ func TestPeerSpansUnderPeerDeath(t *testing.T) {
 	const cases = 45
 	ctx := context.Background()
 	db := fixture.Example1(7, 120, 80)
-	as, err := fixture.SchemaA0Sharded(db, 2)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}

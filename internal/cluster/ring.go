@@ -53,9 +53,9 @@ func LadderID(l *access.Ladder) string {
 
 // RouteKey maps one ladder group to its ring position: the ladder identity
 // hash folded with the group's canonical X-value hash (the same
-// relation.Tuple.Hash that partitions groups across in-process shards),
-// then mixed. Every node computes this identically, which is what makes the
-// static ring a routing function rather than a directory.
+// relation.Tuple.Hash that keys a ladder's group map), then mixed. Every
+// node computes this identically, which is what makes the static ring a
+// routing function rather than a directory.
 func RouteKey(ladderHash uint64, x relation.Tuple) uint64 {
 	return splitmix64(ladderHash ^ x.Hash())
 }

@@ -54,11 +54,11 @@ func (c *countdownCtx) spent(initial int) int {
 
 // cancelFixture builds a multi-leaf, fetch-heavy workload whose execution
 // crosses many cancellation checkpoints: a union of two 3-atom join queries
-// at alpha = 1 over a sharded, multi-worker system.
+// at alpha = 1 over a multi-worker system.
 func cancelFixture(t *testing.T) (*Scheme, query.Expr, ExecOptions) {
 	t.Helper()
 	db := fixture.Example1(5, 800, 2000)
-	as, err := fixture.SchemaA0Sharded(db, 4)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCancelledContextFailsFast(t *testing.T) {
 // context.Canceled (not a partial answer), it stops within a bounded number
 // of checkpoint consultations after expiry (the work after cancellation is
 // bounded by the checkpoint stride, not by the remaining budget), and the
-// scheme — plan cache, sharded ladders, worker pools — stays fully usable:
+// scheme — plan cache, ladders, worker pools — stays fully usable:
 // a follow-up uncancelled call returns the reference answer byte for byte.
 func TestMidExecutionCancellation(t *testing.T) {
 	s, q, opt := cancelFixture(t)

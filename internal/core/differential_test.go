@@ -51,25 +51,22 @@ func TestExecutorMatchesStringKeyReference(t *testing.T) {
 // (results emptied by EXCEPT, single-tuple relations, 64+-wide duplicate
 // join keys) — the shapes where a columnar gather or block hash join would
 // plausibly diverge first — against the digests in edge_digests.json,
-// answered by 4-worker systems over 1 and 4 shards; both shard counts must
-// reproduce the one recorded digest list. Those digests were recorded while
-// a row-at-a-time executor and a lazy per-X fetch path still existed beside
-// the columnar batched one, and every combination of them reproduced the
-// list.
+// answered by a 4-worker system. Those digests were recorded while a
+// row-at-a-time executor, a lazy per-X fetch path and hash-partitioned
+// ladders still existed beside the columnar batched one, and every
+// combination of them reproduced the list.
 func TestColumnarScanEdgeShapes(t *testing.T) {
 	db := corpus.EdgeDB()
-	for _, shards := range []int{1, 4} {
-		as, err := fixture.SchemaA0Sharded(db, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := NewWithOptions(db, as, Options{Workers: 4})
-		var edge []string
-		for _, c := range corpus.EdgeCases() {
-			edge = append(edge, answerDigest(s, c.Query, c.Alpha, ExecOptions{}))
-		}
-		checkGolden(t, "edge_digests.json", edge)
+	as, err := fixture.SchemaA0(db)
+	if err != nil {
+		t.Fatal(err)
 	}
+	s := NewWithOptions(db, as, Options{Workers: 4})
+	var edge []string
+	for _, c := range corpus.EdgeCases() {
+		edge = append(edge, answerDigest(s, c.Query, c.Alpha, ExecOptions{}))
+	}
+	checkGolden(t, "edge_digests.json", edge)
 }
 
 // answerDigest answers q at alpha under o and hashes everything the answer

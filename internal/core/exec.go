@@ -37,7 +37,7 @@ type Answer struct {
 	// truncation). Populated only when ExecOptions.ExplainEta is set.
 	Trace *BoundTrace
 	// ExecTrace is the query-scoped span tree collected when the call
-	// carried ExecOptions.Trace: planning, each leaf, fetch steps, shard or
+	// carried ExecOptions.Trace: planning, each leaf, fetch steps, cluster
 	// peer fan-out, combine and η′ refinement, with timings and access
 	// accounting. Nil when tracing was disabled. (Named ExecTrace because
 	// Trace is taken by the η derivation record above.)
@@ -150,7 +150,7 @@ func (s *Scheme) executeOpts(ctx context.Context, p *Plan, o ExecOptions) (ans *
 		// here, so the double pass is visible rather than mysterious.)
 		ex.SetBool("fallback_sequential", true)
 	}
-	results, stats, err := s.executeLeavesSequential(ctx, p, o, workers)
+	results, stats, err := s.executeLeavesSequential(ctx, p, o)
 	if err != nil {
 		return nil, err
 	}
@@ -158,17 +158,13 @@ func (s *Scheme) executeOpts(ctx context.Context, p *Plan, o ExecOptions) (ans *
 }
 
 // leafOpts translates the call options into the per-leaf executor options.
-func leafOpts(o ExecOptions, budget, fetchWorkers int) plan.ExecOpts {
-	po := plan.DefaultExecOpts(budget, fetchWorkers)
-	po.Fetcher = o.Fetcher
-	return po
+func leafOpts(o ExecOptions, budget int) plan.ExecOpts {
+	return plan.ExecOpts{Budget: budget, Fetcher: o.Fetcher}
 }
 
 // executeLeavesSequential runs the leaves in order, each seeing the budget
-// left over by its predecessors, checking ctx between leaves. fetchWorkers
-// > 1 spreads each leaf's batched fetches across the ladder's shards
-// (identical results; see plan.ExecuteOpts).
-func (s *Scheme) executeLeavesSequential(ctx context.Context, p *Plan, o ExecOptions, fetchWorkers int) (map[*query.SPC]*leafResult, plan.Stats, error) {
+// left over by its predecessors, checking ctx between leaves.
+func (s *Scheme) executeLeavesSequential(ctx context.Context, p *Plan, o ExecOptions) (map[*query.SPC]*leafResult, plan.Stats, error) {
 	results := make(map[*query.SPC]*leafResult, len(p.Leaves))
 	var stats plan.Stats
 	parent := obs.SpanFrom(ctx)
@@ -188,7 +184,7 @@ func (s *Scheme) executeLeavesSequential(ctx context.Context, p *Plan, o ExecOpt
 			if ExecPanicHook != nil {
 				ExecPanicHook()
 			}
-			r, err := plan.ExecuteOpts(obs.ContextWithSpan(ctx, ls), l.Bounded, s.db, leafOpts(o, remaining, fetchWorkers))
+			r, err := plan.ExecuteOpts(obs.ContextWithSpan(ctx, ls), l.Bounded, s.db, leafOpts(o, remaining))
 			if err == nil {
 				ls.SetInt("accessed", int64(r.Stats.Accessed))
 				ls.SetBool("truncated", r.Stats.Truncated)
@@ -210,23 +206,16 @@ func (s *Scheme) executeLeavesSequential(ctx context.Context, p *Plan, o ExecOpt
 }
 
 // executeLeavesParallel fans the leaves out over at most `workers`
-// goroutines, each leaf holding a disjoint share of the global budget and a
-// proportional share of the fetch-side worker pool. Cancellation surfaces
-// from the per-leaf executors; ctx.Err() is preferred over leaf errors so a
-// cancelled call reports the cancellation, not a secondary failure.
+// goroutines, each leaf holding a disjoint share of the global budget.
+// Cancellation surfaces from the per-leaf executors; ctx.Err() is preferred
+// over leaf errors so a cancelled call reports the cancellation, not a
+// secondary failure.
 func (s *Scheme) executeLeavesParallel(ctx context.Context, p *Plan, o ExecOptions, workers int) (map[*query.SPC]*leafResult, plan.Stats, error) {
 	shares := partitionBudget(p)
 	resList := make([]*plan.Result, len(p.Leaves))
 	errList := make([]error, len(p.Leaves))
 
-	poolWorkers := workers
-	if poolWorkers > len(p.Leaves) {
-		poolWorkers = len(p.Leaves)
-	}
-	fetchWorkers := workers / len(p.Leaves)
-	if fetchWorkers < 1 {
-		fetchWorkers = 1
-	}
+	poolWorkers := min(workers, len(p.Leaves))
 	parent := obs.SpanFrom(ctx)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -248,7 +237,7 @@ func (s *Scheme) executeLeavesParallel(ctx context.Context, p *Plan, o ExecOptio
 					if ExecPanicHook != nil {
 						ExecPanicHook()
 					}
-					resList[li], errList[li] = plan.ExecuteOpts(obs.ContextWithSpan(ctx, ls), p.Leaves[li].Bounded, s.db, leafOpts(o, shares[li], fetchWorkers))
+					resList[li], errList[li] = plan.ExecuteOpts(obs.ContextWithSpan(ctx, ls), p.Leaves[li].Bounded, s.db, leafOpts(o, shares[li]))
 					if r := resList[li]; r != nil && errList[li] == nil {
 						ls.SetInt("accessed", int64(r.Stats.Accessed))
 						ls.SetBool("truncated", r.Stats.Truncated)

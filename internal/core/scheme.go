@@ -81,11 +81,12 @@ type ExecOptions struct {
 	// Budget, when > 0, is an absolute tuple budget that replaces α·|D|
 	// (the reported Alpha becomes Budget/|D|, capped at 1).
 	Budget int
-	// FetchWorkers overrides the scheme's worker-pool bound for this call;
-	// 0 keeps the scheme default, 1 forces sequential execution.
+	// FetchWorkers overrides the scheme's parallel-leaf pool bound for this
+	// call; 0 keeps the scheme default, 1 runs the leaves sequentially.
+	// Every fetch resolves on its leaf's goroutine either way.
 	FetchWorkers int
 	// Fetcher, when non-nil, resolves every fetch-step batch through the
-	// routing layer instead of the in-process ladder scatter-gather (the
+	// routing layer instead of the in-process ladder lookups (the
 	// cluster seam — see plan.ExecOpts.Fetcher). Answers, η and budget
 	// accounting are byte-identical to local execution; a fetch the router
 	// cannot complete surfaces as its typed error (never a silently partial
@@ -101,10 +102,10 @@ type ExecOptions struct {
 	// Tag attributes this call in the scheme's per-tag stats (TagStats).
 	Tag string
 	// Trace, when non-nil, collects a query-scoped span tree: plan-cache
-	// lookup, plan generation, each leaf fetch (per shard or per cluster
-	// peer), combine and η′ refinement open timed child spans under its
-	// root, each annotated with tuples accessed vs. budget, the resolution
-	// level served and its η contribution. Nil (the default) disables
+	// lookup, plan generation, each leaf and fetch step (per cluster peer
+	// when routed), combine and η′ refinement open timed child spans under
+	// its root, each annotated with tuples accessed vs. budget, the
+	// resolution level served and its η contribution. Nil (the default) disables
 	// tracing; the disabled cost is one context lookup plus a nil check per
 	// instrumentation point. The entry point that receives the options ends
 	// the root span, so Answer.ExecTrace is fully timed when the call

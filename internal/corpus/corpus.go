@@ -49,7 +49,7 @@ func Cases(seed int64, n int) []Case {
 }
 
 // Generator hands out the corpus's random queries one at a time, for suites
-// that want the raw stream (differential digests, shard invariance) rather
+// that want the raw stream (differential digests, worker invariance) rather
 // than the alpha-paired cases. The stream is deterministic in the seed.
 type Generator struct{ g qgen }
 

@@ -86,24 +86,17 @@ func PopulateExample1(db *relation.Database, seed int64, nPersons, nPOI int) {
 // template ladder ψ = poi({type, city} → {price, address}), on top of the
 // generic At ladders.
 func SchemaA0(db *relation.Database) (*access.Schema, error) {
-	return SchemaA0Sharded(db, 0)
-}
-
-// SchemaA0Sharded is SchemaA0 with an explicit ladder partition count
-// (0 falls back to access.DefaultShards), for shard-sensitive tests and
-// the perf harness.
-func SchemaA0Sharded(db *relation.Database, shards int) (*access.Schema, error) {
-	s, err := access.BuildAtSharded(db, shards)
+	s, err := access.BuildAt(db)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.ExtendSharded(db, "friend", []string{"pid"}, []string{"fid"}, shards); err != nil {
+	if _, err := s.Extend(db, "friend", []string{"pid"}, []string{"fid"}); err != nil {
 		return nil, err
 	}
-	if _, err := s.ExtendSharded(db, "person", []string{"pid"}, []string{"city"}, shards); err != nil {
+	if _, err := s.Extend(db, "person", []string{"pid"}, []string{"city"}); err != nil {
 		return nil, err
 	}
-	if _, err := s.ExtendSharded(db, "poi", []string{"type", "city"}, []string{"price", "address"}, shards); err != nil {
+	if _, err := s.Extend(db, "poi", []string{"type", "city"}, []string{"price", "address"}); err != nil {
 		return nil, err
 	}
 	return s, nil

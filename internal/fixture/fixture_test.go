@@ -63,11 +63,11 @@ func TestExample1Deterministic(t *testing.T) {
 	}
 }
 
-// SchemaA0Sharded builds the ladders its documentation names — At over each
+// SchemaA0 builds the ladders its documentation names — At over each
 // relation plus friend(pid → fid), person(pid → city) and
-// poi({type, city} → {price, address}) — at the requested shard count, and
-// the database conforms to every one of them.
-func TestSchemaA0Sharded(t *testing.T) {
+// poi({type, city} → {price, address}) — and the database conforms to every
+// one of them.
+func TestSchemaA0(t *testing.T) {
 	db := Example1(11, 60, 120)
 	type spec struct {
 		rel  string
@@ -81,25 +81,19 @@ func TestSchemaA0Sharded(t *testing.T) {
 		{"person", []string{"pid"}, []string{"city"}},
 		{"poi", []string{"type", "city"}, []string{"price", "address"}},
 	}
-	for _, shards := range []int{1, 4} {
-		s, err := SchemaA0Sharded(db, shards)
-		if err != nil {
-			t.Fatal(err)
+	s, err := SchemaA0(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Ladders) != len(want) {
+		t.Fatalf("%d ladders, want %d", len(s.Ladders), len(want))
+	}
+	for _, w := range want {
+		if s.Find(w.rel, w.x, w.y) == nil {
+			t.Fatalf("no ladder %s(%v -> %v)", w.rel, w.x, w.y)
 		}
-		if len(s.Ladders) != len(want) {
-			t.Fatalf("shards=%d: %d ladders, want %d", shards, len(s.Ladders), len(want))
-		}
-		for _, w := range want {
-			l := s.Find(w.rel, w.x, w.y)
-			if l == nil {
-				t.Fatalf("shards=%d: no ladder %s(%v -> %v)", shards, w.rel, w.x, w.y)
-			}
-			if l.Shards() != shards {
-				t.Errorf("shards=%d: %s(%v -> %v) has %d shards", shards, w.rel, w.x, w.y, l.Shards())
-			}
-		}
-		if err := s.Verify(db); err != nil {
-			t.Errorf("shards=%d: %v", shards, err)
-		}
+	}
+	if err := s.Verify(db); err != nil {
+		t.Error(err)
 	}
 }

@@ -16,9 +16,9 @@ import (
 //
 // A span records wall time plus a small set of typed attributes — tuples
 // accessed vs. budget granted, the resolution level served, the η
-// contribution, shard/peer identity, retry and circuit state. Child spans
-// may be opened concurrently (parallel leaves, scatter-gather shards,
-// per-peer RPC fan-out); the child list is mutex-guarded.
+// contribution, a fetch step's X-values and samples, peer identity, retry
+// and circuit state. Child spans may be opened concurrently (parallel
+// leaves, per-peer RPC fan-out); the child list is mutex-guarded.
 type Span struct {
 	name  string
 	start time.Time

@@ -44,7 +44,7 @@ func BenchmarkWarmLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Load(ctx, target, dir, 0); err != nil {
+		if _, _, err := Load(ctx, target, dir); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,7 +21,11 @@ import (
 // distinct-Y count, per-level fetch views and resolutions;
 // kd-tree structure is NOT encoded — the fetch path serves the views, and
 // the first maintenance touch on a restored group rebuilds its tree from
-// the tuple list deterministically). The file layout is
+// the tuple list deterministically). Each ladder record also carries a
+// partition count, from when ladders were hash-partitioned; the encoder
+// writes 1, and the decoder rejects a count below 1 and otherwise ignores
+// it, so snapshots written at any partition count still load. The file
+// layout is
 //
 //	magic "BEASSNAP" | uint32 version | uint64 payload length | uint32 CRC-32 | payload
 //
@@ -296,7 +300,7 @@ func encodeSnapshot(s *snapshot) ([]byte, error) {
 		e.string(l.RelName)
 		e.strings(l.X)
 		e.strings(l.Y)
-		e.uvarint(uint64(l.Shards))
+		e.uvarint(1) // partition count, fixed at 1 (see the file comment)
 		mode := byte(itemsExplicit)
 		if derivable(s.ladderRel(l.RelName), l) {
 			mode = itemsDerived
@@ -660,14 +664,13 @@ func decodeSnapshot(path string, payload []byte) (*snapshot, error) {
 		if l.Y, err = d.strings(); err != nil {
 			return nil, err
 		}
-		shards, err := d.count(0)
+		partitions, err := d.count(0)
 		if err != nil {
 			return nil, err
 		}
-		if shards < 1 {
-			return nil, d.fail("ladder %s has shard count %d", l.RelName, shards)
+		if partitions < 1 {
+			return nil, d.fail("ladder %s has partition count %d", l.RelName, partitions)
 		}
-		l.Shards = shards
 		mode, err := d.byte()
 		if err != nil {
 			return nil, err
@@ -822,9 +825,8 @@ func captureSnapshot(db *relation.Database, as *access.Schema, appliedSeq uint64
 // restoreSnapshot applies a decoded snapshot to db (replacing each
 // relation's tuples with the snapshot's contents, so the restored system
 // observes exactly the data the snapshot was taken over) and rebuilds the
-// access schema, re-partitioned across `shards` shards (0 keeps each
-// ladder's stored count).
-func restoreSnapshot(db *relation.Database, s *snapshot, shards int) (*access.Schema, error) {
+// access schema.
+func restoreSnapshot(db *relation.Database, s *snapshot) (*access.Schema, error) {
 	for _, rs := range s.relations {
 		r, ok := db.Relation(rs.name)
 		if !ok {
@@ -845,7 +847,7 @@ func restoreSnapshot(db *relation.Database, s *snapshot, shards int) (*access.Sc
 	}
 	as := &access.Schema{}
 	for _, ls := range s.ladders {
-		l, err := access.RestoreLadder(db, ls, shards)
+		l, err := access.RestoreLadder(db, ls)
 		if err != nil {
 			return nil, err
 		}

@@ -29,7 +29,7 @@ func openFaultStore(t *testing.T, dir string, opt Options) (*Store, *relation.Da
 	t.Helper()
 	db := testDB()
 	st, as, warm, err := OpenStore(context.Background(), db, dir, func(db *relation.Database) (*access.Schema, error) {
-		return testSchema(t, db, opt.Shards), nil
+		return testSchema(t, db), nil
 	}, opt)
 	if err != nil {
 		t.Fatalf("open store: %v", err)
@@ -49,7 +49,7 @@ func TestSnapshotFsyncFailureLeavesPreviousSnapshotLoadable(t *testing.T) {
 	ffs := faultfs.Wrap(faultfs.OS())
 	ops := testOps(7, 40)
 
-	st, _, _, _ := openFaultStore(t, dir, Options{Shards: 2, CheckpointEvery: -1, FS: ffs, Logf: quietLogf})
+	st, _, _, _ := openFaultStore(t, dir, Options{CheckpointEvery: -1, FS: ffs, Logf: quietLogf})
 	if _, err := st.Apply(ctx, ops); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestSnapshotFsyncFailureLeavesPreviousSnapshotLoadable(t *testing.T) {
 
 	// The previous (initial) snapshot must still load, and recovery must
 	// land on the full state: old snapshot plus the logged operations.
-	st2, db2, as2, warm := openTestStore(t, dir, 2)
+	st2, db2, as2, warm := openTestStore(t, dir)
 	defer st2.Close()
 	if !warm {
 		t.Fatal("reopen after failed checkpoint not warm")
@@ -82,7 +82,7 @@ func TestSnapshotFsyncFailureLeavesPreviousSnapshotLoadable(t *testing.T) {
 	if got := st2.Stats().Replayed; got != int64(len(ops)) {
 		t.Errorf("replayed %d records, want %d", got, len(ops))
 	}
-	refDB, refAS := referenceState(t, ops, len(ops), 2)
+	refDB, refAS := referenceState(t, ops, len(ops))
 	assertStateIdentical(t, "failed-fsync-recovery", refDB, refAS, db2, as2)
 }
 
@@ -96,7 +96,7 @@ func TestWALAppendFailureNeverAcknowledges(t *testing.T) {
 	ffs := faultfs.Wrap(faultfs.OS())
 	ops := testOps(9, 30)
 
-	st, db, as, _ := openFaultStore(t, dir, Options{Shards: 2, CheckpointEvery: -1, FS: ffs, Logf: quietLogf})
+	st, db, as, _ := openFaultStore(t, dir, Options{CheckpointEvery: -1, FS: ffs, Logf: quietLogf})
 	defer st.Close()
 	if _, err := st.Apply(ctx, ops[:10]); err != nil {
 		t.Fatalf("apply prefix: %v", err)
@@ -123,7 +123,7 @@ func TestWALAppendFailureNeverAcknowledges(t *testing.T) {
 	}
 
 	// In-memory state must equal the acknowledged prefix only.
-	refDB, refAS := referenceState(t, ops, 10, 2)
+	refDB, refAS := referenceState(t, ops, 10)
 	assertStateIdentical(t, "degraded-memory", refDB, refAS, db, as)
 
 	// A successful checkpoint heals: durability restored, mutations accepted.
@@ -148,7 +148,7 @@ func TestWALAppendFailureRecoveryHasNoPhantoms(t *testing.T) {
 	ffs := faultfs.Wrap(faultfs.OS())
 	ops := testOps(11, 24)
 
-	st, _, _, _ := openFaultStore(t, dir, Options{Shards: 2, CheckpointEvery: -1, FS: ffs, Logf: quietLogf})
+	st, _, _, _ := openFaultStore(t, dir, Options{CheckpointEvery: -1, FS: ffs, Logf: quietLogf})
 	if _, err := st.Apply(ctx, ops[:8]); err != nil {
 		t.Fatalf("apply prefix: %v", err)
 	}
@@ -162,12 +162,12 @@ func TestWALAppendFailureRecoveryHasNoPhantoms(t *testing.T) {
 	}
 	ffs.Clear()
 
-	st2, db2, as2, warm := openTestStore(t, dir, 2)
+	st2, db2, as2, warm := openTestStore(t, dir)
 	defer st2.Close()
 	if !warm {
 		t.Fatal("reopen not warm")
 	}
-	refDB, refAS := referenceState(t, ops, 8, 2)
+	refDB, refAS := referenceState(t, ops, 8)
 	assertStateIdentical(t, "no-phantom-recovery", refDB, refAS, db2, as2)
 }
 
@@ -181,7 +181,7 @@ func TestENOSPCDuringCheckpointIsCrashIdempotent(t *testing.T) {
 	ffs := faultfs.Wrap(faultfs.OS())
 	ops := testOps(13, 50)
 
-	st, _, _, _ := openFaultStore(t, dir, Options{Shards: 2, CheckpointEvery: -1, FS: ffs, Logf: quietLogf})
+	st, _, _, _ := openFaultStore(t, dir, Options{CheckpointEvery: -1, FS: ffs, Logf: quietLogf})
 	if _, err := st.Apply(ctx, ops); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
@@ -209,7 +209,7 @@ func TestENOSPCDuringCheckpointIsCrashIdempotent(t *testing.T) {
 
 	// Crash-idempotence: the reopened state equals the reference and the
 	// checkpoint made replay unnecessary.
-	st2, db2, as2, warm := openTestStore(t, dir, 2)
+	st2, db2, as2, warm := openTestStore(t, dir)
 	defer st2.Close()
 	if !warm {
 		t.Fatal("reopen not warm")
@@ -218,7 +218,7 @@ func TestENOSPCDuringCheckpointIsCrashIdempotent(t *testing.T) {
 	if stats.Replayed != 0 || stats.SkippedReplay != 0 {
 		t.Errorf("replayed=%d skipped=%d, want 0/0 after clean checkpoint", stats.Replayed, stats.SkippedReplay)
 	}
-	refDB, refAS := referenceState(t, ops, len(ops), 2)
+	refDB, refAS := referenceState(t, ops, len(ops))
 	assertStateIdentical(t, "enospc-recovery", refDB, refAS, db2, as2)
 }
 
@@ -240,7 +240,6 @@ func TestCheckpointerRetryAndCircuit(t *testing.T) {
 	}
 
 	st, _, _, _ := openFaultStore(t, dir, Options{
-		Shards:            2,
 		CheckpointEvery:   4,
 		CheckpointRetries: 3,
 		RetryBase:         time.Millisecond,

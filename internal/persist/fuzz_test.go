@@ -18,7 +18,7 @@ import (
 // the engine takes it from there.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	db := testDB()
-	as, err := fixture.SchemaA0Sharded(db, 2)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -101,16 +101,15 @@ func saveSeq(ctx context.Context, db *relation.Database, as *access.Schema, dir 
 
 // Load restores the snapshot in dir: each relation of db is replaced with
 // the snapshot's contents and the access schema is rebuilt from the stored
-// ladders, re-partitioned across `shards` shards (0 keeps each ladder's
-// stored count). It returns the schema and the snapshot's applied-sequence
+// ladders. It returns the schema and the snapshot's applied-sequence
 // watermark. Damaged files are rejected with a *CorruptError; a missing
 // snapshot surfaces the fs.ErrNotExist of the underlying read.
-func Load(ctx context.Context, db *relation.Database, dir string, shards int) (*access.Schema, uint64, error) {
-	return loadFS(ctx, db, dir, shards, faultfs.OS())
+func Load(ctx context.Context, db *relation.Database, dir string) (*access.Schema, uint64, error) {
+	return loadFS(ctx, db, dir, faultfs.OS())
 }
 
 // loadFS is Load through an explicit filesystem seam.
-func loadFS(ctx context.Context, db *relation.Database, dir string, shards int, fsys faultfs.FS) (*access.Schema, uint64, error) {
+func loadFS(ctx context.Context, db *relation.Database, dir string, fsys faultfs.FS) (*access.Schema, uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -126,7 +125,7 @@ func loadFS(ctx context.Context, db *relation.Database, dir string, shards int, 
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	as, err := restoreSnapshot(db, snap, shards)
+	as, err := restoreSnapshot(db, snap)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -135,10 +134,6 @@ func loadFS(ctx context.Context, db *relation.Database, dir string, shards int, 
 
 // Options configures OpenStore.
 type Options struct {
-	// Shards re-partitions loaded ladders (0 keeps each ladder's stored
-	// count). It also applies to the schema a cold start builds, via the
-	// caller's builder.
-	Shards int
 	// CheckpointEvery is the WAL record count that triggers an automatic
 	// background checkpoint; 0 means DefaultCheckpointEvery, negative
 	// disables automatic checkpoints (explicit Checkpoint still works).
@@ -262,7 +257,7 @@ func OpenStore(ctx context.Context, db *relation.Database, dir string, build fun
 		return nil, nil, false, err
 	}
 	var appliedSeq uint64
-	as, appliedSeq, err = loadFS(ctx, db, dir, opt.Shards, fsys)
+	as, appliedSeq, err = loadFS(ctx, db, dir, fsys)
 	switch {
 	case err == nil:
 		warm = true

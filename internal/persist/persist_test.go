@@ -23,10 +23,10 @@ import (
 // restored system against an independently built one.
 func testDB() *relation.Database { return fixture.Example1(11, 60, 120) }
 
-// testSchema builds the A0 access schema over db at the given shard count.
-func testSchema(t *testing.T, db *relation.Database, shards int) *access.Schema {
+// testSchema builds the A0 access schema over db.
+func testSchema(t *testing.T, db *relation.Database) *access.Schema {
 	t.Helper()
-	as, err := fixture.SchemaA0Sharded(db, shards)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,72 +126,53 @@ func testOps(seed int64, n int) []access.Op {
 }
 
 // Snapshot round trip: Save then Load must reproduce the database contents
-// and every ladder observation, at the stored shard count and when
-// re-partitioned on load.
+// and every ladder observation.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ctx := context.Background()
-	for _, shards := range []int{1, 4} {
-		db := testDB()
-		as := testSchema(t, db, shards)
-		dir := t.TempDir()
-		if err := Save(ctx, db, as, dir); err != nil {
-			t.Fatalf("save: %v", err)
-		}
-		for _, loadShards := range []int{0, 1, 4} {
-			db2 := testDB()
-			as2, seq, err := Load(ctx, db2, dir, loadShards)
-			if err != nil {
-				t.Fatalf("load: %v", err)
-			}
-			if seq != 0 {
-				t.Errorf("fresh snapshot watermark = %d, want 0", seq)
-			}
-			want := loadShards
-			if want == 0 {
-				want = shards
-			}
-			if got := as2.Ladders[0].Shards(); got != want {
-				t.Errorf("loaded shard count = %d, want %d", got, want)
-			}
-			assertStateIdentical(t, fmt.Sprintf("save@%d/load@%d", shards, loadShards), db, as, db2, as2)
-		}
-	}
-
-	// A ladder whose items are encoded explicitly round-trips too: the
-	// restored items are what the next batch rebuilds from, so applying it
-	// to both systems must keep them identical.
-	db, as, err := explicitSystem(t, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := testDB()
+	as := testSchema(t, db)
 	dir := t.TempDir()
 	if err := Save(ctx, db, as, dir); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	for _, loadShards := range []int{0, 4} {
-		db, as, err := explicitSystem(t, 1)
-		if err != nil {
+	db2 := testDB()
+	as2, seq, err := Load(ctx, db2, dir)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if seq != 0 {
+		t.Errorf("fresh snapshot watermark = %d, want 0", seq)
+	}
+	assertStateIdentical(t, "save/load", db, as, db2, as2)
+
+	// A ladder whose items are encoded explicitly round-trips too: the
+	// restored items are what the next batch rebuilds from, so applying it
+	// to both systems must keep them identical.
+	db, as, err = explicitSystem(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	if err := Save(ctx, db, as, dir); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	db2, _, err = explicitSystem(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as2, _, err = Load(ctx, db2, dir)
+	if err != nil {
+		t.Fatalf("load explicit: %v", err)
+	}
+	assertStateIdentical(t, "explicit load", db, as, db2, as2)
+	for _, batch := range explicitBatches() {
+		if _, err := as.Apply(db, batch); err != nil {
 			t.Fatal(err)
 		}
-		db2, _, err := explicitSystem(t, 1)
-		if err != nil {
+		if _, err := as2.Apply(db2, batch); err != nil {
 			t.Fatal(err)
 		}
-		as2, _, err := Load(ctx, db2, dir, loadShards)
-		if err != nil {
-			t.Fatalf("load explicit: %v", err)
-		}
-		label := fmt.Sprintf("explicit load@%d", loadShards)
-		assertStateIdentical(t, label, db, as, db2, as2)
-		for _, batch := range explicitBatches() {
-			if _, err := as.Apply(db, batch); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := as2.Apply(db2, batch); err != nil {
-				t.Fatal(err)
-			}
-			assertStateIdentical(t, label+" then batch", db, as, db2, as2)
-		}
+		assertStateIdentical(t, "explicit load then batch", db, as, db2, as2)
 	}
 }
 
@@ -199,7 +180,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // canonicalised), and decode∘encode must be the identity.
 func TestSnapshotEncodingDeterministic(t *testing.T) {
 	db := testDB()
-	as := testSchema(t, db, 4)
+	as := testSchema(t, db)
 	snap := captureSnapshot(db, as, 7)
 	one, err := encodeSnapshotFile(snap)
 	if err != nil {
@@ -232,7 +213,7 @@ func TestSnapshotEncodingDeterministic(t *testing.T) {
 // must be rejected with a *CorruptError and never panic or load garbage.
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	db := testDB()
-	as := testSchema(t, db, 2)
+	as := testSchema(t, db)
 	data, err := encodeSnapshotFile(captureSnapshot(db, as, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -262,13 +243,13 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 func TestLoadErrorKinds(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	if _, _, err := Load(ctx, testDB(), dir, 0); !os.IsNotExist(err) {
+	if _, _, err := Load(ctx, testDB(), dir); !os.IsNotExist(err) {
 		t.Errorf("missing snapshot: got %v, want not-exist", err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), []byte("BEASSNAPgarbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Load(ctx, testDB(), dir, 0)
+	_, _, err := Load(ctx, testDB(), dir)
 	if ce := (*CorruptError)(nil); !errors.As(err, &ce) {
 		t.Errorf("damaged snapshot: got %v, want *CorruptError", err)
 	}
@@ -282,7 +263,7 @@ func TestLoadErrorKinds(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Load(ctx, testDB(), dir, 0)
+	_, _, err = Load(ctx, testDB(), dir)
 	if ce := (*CorruptError)(nil); !errors.As(err, &ce) || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
 		t.Errorf("version-1 snapshot: got %v, want *CorruptError (unsupported snapshot version 1)", err)
 	}
@@ -293,13 +274,13 @@ func TestLoadErrorKinds(t *testing.T) {
 func TestLoadRejectsWrongDataset(t *testing.T) {
 	ctx := context.Background()
 	db := testDB()
-	as := testSchema(t, db, 1)
+	as := testSchema(t, db)
 	dir := t.TempDir()
 	if err := Save(ctx, db, as, dir); err != nil {
 		t.Fatal(err)
 	}
 	other := relation.NewDatabase()
-	if _, _, err := Load(ctx, other, dir, 0); err == nil {
+	if _, _, err := Load(ctx, other, dir); err == nil {
 		t.Error("load into an unrelated database must fail")
 	}
 }

@@ -17,13 +17,13 @@ import (
 func sleepMS(ms int) { time.Sleep(time.Duration(ms) * time.Millisecond) }
 
 // openTestStore opens (or reopens) a store over a fresh fixture database.
-func openTestStore(t *testing.T, dir string, shards int) (*Store, *relation.Database, *access.Schema, bool) {
+func openTestStore(t *testing.T, dir string) (*Store, *relation.Database, *access.Schema, bool) {
 	t.Helper()
 	db := testDB()
 	st, as, warm, err := OpenStore(context.Background(), db, dir, func(db *relation.Database) (*access.Schema, error) {
-		as, err := testSchema(t, db, shards), error(nil)
+		as, err := testSchema(t, db), error(nil)
 		return as, err
-	}, Options{Shards: shards, CheckpointEvery: -1})
+	}, Options{CheckpointEvery: -1})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
@@ -32,10 +32,10 @@ func openTestStore(t *testing.T, dir string, shards int) (*Store, *relation.Data
 
 // referenceState builds the ground truth: a cold system with ops[:n] applied
 // in-memory, no persistence involved.
-func referenceState(t *testing.T, ops []access.Op, n int, shards int) (*relation.Database, *access.Schema) {
+func referenceState(t *testing.T, ops []access.Op, n int) (*relation.Database, *access.Schema) {
 	t.Helper()
 	db := testDB()
-	as := testSchema(t, db, shards)
+	as := testSchema(t, db)
 	if n > 0 {
 		if _, err := as.Apply(db, ops[:n]); err != nil {
 			t.Fatalf("reference apply: %v", err)
@@ -52,7 +52,7 @@ func TestStoreWarmReopenReplaysWAL(t *testing.T) {
 	dir := t.TempDir()
 	ops := testOps(5, 80)
 
-	st, _, _, warm := openTestStore(t, dir, 2)
+	st, _, _, warm := openTestStore(t, dir)
 	if warm {
 		t.Fatal("first open reported warm")
 	}
@@ -63,7 +63,7 @@ func TestStoreWarmReopenReplaysWAL(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	st2, db2, as2, warm := openTestStore(t, dir, 2)
+	st2, db2, as2, warm := openTestStore(t, dir)
 	defer st2.Close()
 	if !warm {
 		t.Fatal("reopen not warm")
@@ -72,7 +72,7 @@ func TestStoreWarmReopenReplaysWAL(t *testing.T) {
 	if stats.Replayed != int64(len(ops)) {
 		t.Errorf("replayed %d records, want %d", stats.Replayed, len(ops))
 	}
-	refDB, refAS := referenceState(t, ops, len(ops), 2)
+	refDB, refAS := referenceState(t, ops, len(ops))
 	assertStateIdentical(t, "warm-reopen", refDB, refAS, db2, as2)
 }
 
@@ -85,7 +85,7 @@ func TestCrashRecoveryMidWAL(t *testing.T) {
 	dir := t.TempDir()
 	ops := testOps(8, 24)
 
-	st, _, _, _ := openTestStore(t, dir, 1)
+	st, _, _, _ := openTestStore(t, dir)
 	if _, err := st.Apply(ctx, ops); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestCrashRecoveryMidWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		st2, db2, as2, warm := openTestStore(t, cdir, 1)
+		st2, db2, as2, warm := openTestStore(t, cdir)
 		if !warm {
 			t.Fatalf("cut %d: not warm", cut.at)
 		}
@@ -138,7 +138,7 @@ func TestCrashRecoveryMidWAL(t *testing.T) {
 		if stats.Replayed != int64(cut.want) {
 			t.Errorf("cut %d: replayed %d, want %d", cut.at, stats.Replayed, cut.want)
 		}
-		refDB, refAS := referenceState(t, ops, cut.want, 1)
+		refDB, refAS := referenceState(t, ops, cut.want)
 		assertStateIdentical(t, "crash-recovery", refDB, refAS, db2, as2)
 
 		// The torn tail must be gone: appending after recovery and
@@ -148,8 +148,8 @@ func TestCrashRecoveryMidWAL(t *testing.T) {
 			t.Fatalf("cut %d: post-recovery apply: %v", cut.at, err)
 		}
 		st2.Close()
-		st3, db3, as3, _ := openTestStore(t, cdir, 1)
-		refDB2, refAS2 := referenceState(t, append(append([]access.Op(nil), ops[:cut.want]...), extra...), cut.want+1, 1)
+		st3, db3, as3, _ := openTestStore(t, cdir)
+		refDB2, refAS2 := referenceState(t, append(append([]access.Op(nil), ops[:cut.want]...), extra...), cut.want+1)
 		assertStateIdentical(t, "post-recovery-append", refDB2, refAS2, db3, as3)
 		st3.Close()
 	}
@@ -161,7 +161,7 @@ func TestWALRejectsMidFileCorruption(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	ops := testOps(3, 10)
-	st, _, _, _ := openTestStore(t, dir, 1)
+	st, _, _, _ := openTestStore(t, dir)
 	if _, err := st.Apply(ctx, ops); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCheckpointWatermarkMakesReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	ops := testOps(21, 40)
 
-	st, _, _, _ := openTestStore(t, dir, 2)
+	st, _, _, _ := openTestStore(t, dir)
 	if _, err := st.Apply(ctx, ops); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestCheckpointWatermarkMakesReplayIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, db2, as2, warm := openTestStore(t, dir, 2)
+	st2, db2, as2, warm := openTestStore(t, dir)
 	defer st2.Close()
 	if !warm {
 		t.Fatal("not warm")
@@ -222,7 +222,7 @@ func TestCheckpointWatermarkMakesReplayIdempotent(t *testing.T) {
 	if stats.SkippedReplay != int64(len(ops)) {
 		t.Errorf("skipped %d, want %d", stats.SkippedReplay, len(ops))
 	}
-	refDB, refAS := referenceState(t, ops, len(ops), 2)
+	refDB, refAS := referenceState(t, ops, len(ops))
 	assertStateIdentical(t, "watermark-skip", refDB, refAS, db2, as2)
 }
 
@@ -233,7 +233,7 @@ func TestAutoCheckpointer(t *testing.T) {
 	dir := t.TempDir()
 	db := testDB()
 	st, _, _, err := OpenStore(ctx, db, dir, func(db *relation.Database) (*access.Schema, error) {
-		return testSchema(t, db, 1), nil
+		return testSchema(t, db), nil
 	}, Options{CheckpointEvery: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestAutoCheckpointer(t *testing.T) {
 func TestWALRejectsCorruptedLengthField(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	st, _, _, _ := openTestStore(t, dir, 1)
+	st, _, _, _ := openTestStore(t, dir)
 	if _, err := st.Apply(ctx, testOps(3, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestWALRejectsCorruptedLengthField(t *testing.T) {
 func TestApplyValidatesBeforeLogging(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	st, _, _, _ := openTestStore(t, dir, 1)
+	st, _, _, _ := openTestStore(t, dir)
 	good := testOps(9, 4)
 	if _, err := st.Apply(ctx, good); err != nil {
 		t.Fatal(err)
@@ -318,12 +318,12 @@ func TestApplyValidatesBeforeLogging(t *testing.T) {
 	st.Close()
 
 	// Recovery replays only the good prefix and succeeds.
-	st2, db2, as2, _ := openTestStore(t, dir, 1)
+	st2, db2, as2, _ := openTestStore(t, dir)
 	defer st2.Close()
 	if got := st2.Stats().Replayed; got != int64(len(good)) {
 		t.Fatalf("replayed %d, want %d", got, len(good))
 	}
-	refDB, refAS := referenceState(t, good, len(good), 1)
+	refDB, refAS := referenceState(t, good, len(good))
 	assertStateIdentical(t, "post-validation", refDB, refAS, db2, as2)
 }
 
@@ -333,7 +333,7 @@ func TestApplyValidatesBeforeLogging(t *testing.T) {
 func TestOpenRefusesWALWithoutSnapshot(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	st, _, _, _ := openTestStore(t, dir, 1)
+	st, _, _, _ := openTestStore(t, dir)
 	if _, err := st.Apply(ctx, testOps(13, 6)); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestOpenRefusesWALWithoutSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, _, err := OpenStore(ctx, testDB(), dir, func(db *relation.Database) (*access.Schema, error) {
-		return testSchema(t, db, 1), nil
+		return testSchema(t, db), nil
 	}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "no snapshot") {
 		t.Fatalf("got %v, want refusal over snapshotless WAL", err)

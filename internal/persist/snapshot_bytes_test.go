@@ -2,13 +2,13 @@ package persist
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -26,73 +26,66 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/snapshot_
 
 // TestSnapshotBytesPinned pins the version-2 snapshot file bytes, by sha256,
 // of four deterministic systems — the TPCH fixture (sf=1) with its declared
-// ladders, the Example 1 database the randomized corpus runs on, and the
-// edge-shape corpus database, each built at 1 and 4 shards, and the
-// maintained explicitSystem, the only one whose snapshot encodes a ladder's
-// items explicitly. The in-memory index may change shape freely; the bytes
-// it serialises to may not, so snapshots written before and after such a
-// change load interchangeably.
+// ladders, the Example 1 database the randomized corpus runs on, the
+// edge-shape corpus database, and the maintained explicitSystem, the only
+// one whose snapshot encodes a ladder's items explicitly. The in-memory
+// index may change shape freely; the bytes it serialises to may not, so
+// snapshots written before and after such a change load interchangeably.
+// The "@1" in each name is the per-ladder partition count the file records.
 //
 // Regenerate (only when the file format changes on purpose) with:
 //
 //	go test ./internal/persist -run TestSnapshotBytesPinned -update-golden
 func TestSnapshotBytesPinned(t *testing.T) {
 	systems := []struct {
-		name   string
-		shards []int
-		build  func(shards int) (*relation.Database, *access.Schema, error)
+		name  string
+		build func() (*relation.Database, *access.Schema, error)
 	}{
-		{"tpch", []int{1, 4}, func(shards int) (*relation.Database, *access.Schema, error) {
+		{"tpch", func() (*relation.Database, *access.Schema, error) {
 			d := workload.TPCH(1, 3)
-			as, err := access.BuildAtSharded(d.DB, shards)
+			as, err := access.BuildAt(d.DB)
 			if err != nil {
 				return nil, nil, err
 			}
 			for _, spec := range d.Ladders {
-				if _, err := as.ExtendSharded(d.DB, spec.Rel, spec.X, spec.Y, shards); err != nil {
+				if _, err := as.Extend(d.DB, spec.Rel, spec.X, spec.Y); err != nil {
 					return nil, nil, err
 				}
 			}
 			return d.DB, as, nil
 		}},
-		{"corpus", []int{1, 4}, func(shards int) (*relation.Database, *access.Schema, error) {
+		{"corpus", func() (*relation.Database, *access.Schema, error) {
 			db := fixture.Example1(7, 120, 80)
-			as, err := fixture.SchemaA0Sharded(db, shards)
+			as, err := fixture.SchemaA0(db)
 			return db, as, err
 		}},
-		{"edge", []int{1, 4}, func(shards int) (*relation.Database, *access.Schema, error) {
-			db := corpus.EdgeDB()
-			as, err := fixture.SchemaA0Sharded(db, shards)
-			return db, as, err
-		}},
-		{"explicit", []int{1}, func(shards int) (*relation.Database, *access.Schema, error) {
-			return explicitSystem(t, shards)
+		{"edge", edgeSystem},
+		{"explicit", func() (*relation.Database, *access.Schema, error) {
+			return explicitSystem(t)
 		}},
 	}
 	got := map[string]string{}
 	for _, sys := range systems {
-		for _, shards := range sys.shards {
-			db, as, err := sys.build(shards)
-			if err != nil {
-				t.Fatalf("%s@%d: %v", sys.name, shards, err)
-			}
-			snap := captureSnapshot(db, as, 5)
-			for li := range snap.ladders {
-				if l := &snap.ladders[li]; sys.name == "explicit" && len(l.X) > 0 && derivable(snap.ladderRel(l.RelName), l) {
-					t.Fatalf("explicit@%d: ladder %s(%v -> %v) is derivable; the system no longer covers explicit item encoding",
-						shards, l.RelName, l.X, l.Y)
-				}
-			}
-			data, err := encodeSnapshotFile(snap)
-			if err != nil {
-				t.Fatalf("%s@%d: encode: %v", sys.name, shards, err)
-			}
-			sum := sha256.Sum256(data)
-			got[fmt.Sprintf("%s@%d", sys.name, shards)] = hex.EncodeToString(sum[:])
+		db, as, err := sys.build()
+		if err != nil {
+			t.Fatalf("%s: %v", sys.name, err)
 		}
+		snap := captureSnapshot(db, as, 5)
+		for li := range snap.ladders {
+			if l := &snap.ladders[li]; sys.name == "explicit" && len(l.X) > 0 && derivable(snap.ladderRel(l.RelName), l) {
+				t.Fatalf("explicit: ladder %s(%v -> %v) is derivable; the system no longer covers explicit item encoding",
+					l.RelName, l.X, l.Y)
+			}
+		}
+		data, err := encodeSnapshotFile(snap)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", sys.name, err)
+		}
+		sum := sha256.Sum256(data)
+		got[sys.name+"@1"] = hex.EncodeToString(sum[:])
 	}
 
-	path := filepath.Join("testdata", "snapshot_digests.json")
+	path := digestsPath
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
@@ -107,14 +100,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		t.Logf("wrote %d digests to %s", len(got), path)
 		return
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update-golden to create): %v", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := pinnedDigests(t)
 	if len(want) != len(got) {
 		t.Fatalf("%s has %d digests, the test builds %d systems", path, len(want), len(got))
 	}
@@ -122,6 +108,69 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		if want[name] != sum {
 			t.Errorf("%s: snapshot bytes changed (sha256 %.12s, pinned %.12s)", name, sum, want[name])
 		}
+	}
+}
+
+// digestsPath holds the pinned snapshot digests, by system name.
+var digestsPath = filepath.Join("testdata", "snapshot_digests.json")
+
+// pinnedDigests reads the digests TestSnapshotBytesPinned pins.
+func pinnedDigests(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(digestsPath)
+	if err != nil {
+		t.Fatalf("read golden (run TestSnapshotBytesPinned with -update-golden to create): %v", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// edgeSystem is the edge-shape corpus database with the A0 access schema.
+func edgeSystem() (*relation.Database, *access.Schema, error) {
+	db := corpus.EdgeDB()
+	as, err := fixture.SchemaA0(db)
+	return db, as, err
+}
+
+// legacyPartitionedSHA256 is the sha256 of testdata/snapshot_shards4's
+// snapshot: the edge system's snapshot as written when ladders were
+// hash-partitioned four ways, so each ladder record carries a partition
+// count of 4.
+const legacyPartitionedSHA256 = "691451dbd70121adb118df8f96abf4e8d3984df9bbc5c54e27808acd722a27aa"
+
+// A snapshot written when ladders were hash-partitioned still loads: the
+// decoder ignores the stored partition count, the restored system observes
+// exactly what a fresh build does, and re-encoding it gives the bytes a
+// fresh build writes.
+func TestLegacyPartitionedSnapshotLoads(t *testing.T) {
+	dir := filepath.Join("testdata", "snapshot_shards4")
+	data, err := os.ReadFile(filepath.Join(dir, SnapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != legacyPartitionedSHA256 {
+		t.Fatalf("%s changed (sha256 %.12s, pinned %.12s)", dir, hex.EncodeToString(sum[:]), legacyPartitionedSHA256)
+	}
+	db := corpus.EdgeDB()
+	as, seq, err := Load(context.Background(), db, dir)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	freshDB, freshAS, err := edgeSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStateIdentical(t, "legacy load", freshDB, freshAS, db, as)
+	out, err := encodeSnapshotFile(captureSnapshot(db, as, seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(out)
+	if got, want := hex.EncodeToString(sum[:]), pinnedDigests(t)["edge@1"]; got != want {
+		t.Fatalf("re-encoded legacy snapshot: sha256 %.12s, want edge@1 %.12s", got, want)
 	}
 }
 
@@ -135,7 +184,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 // kinds while most groups' items do not; column d holds ints and nulls, and
 // its groups a=3 and a=6 only nulls. The ladders are the generic At (one
 // X = ∅ group per relation), r(a → b) and r(a → d).
-func explicitSystem(t testing.TB, shards int) (*relation.Database, *access.Schema, error) {
+func explicitSystem(t testing.TB) (*relation.Database, *access.Schema, error) {
 	t.Helper()
 	db := relation.NewDatabase()
 	r := relation.NewRelation(relation.MustSchema("r",
@@ -157,12 +206,12 @@ func explicitSystem(t testing.TB, shards int) (*relation.Database, *access.Schem
 		relation.Tuple{i(4), i(7), i(51), i(8)},
 	)
 	db.MustAdd(r)
-	as, err := access.BuildAtSharded(db, shards)
+	as, err := access.BuildAt(db)
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, y := range []string{"b", "d"} {
-		if _, err := as.ExtendSharded(db, "r", []string{"a"}, []string{y}, shards); err != nil {
+		if _, err := as.Extend(db, "r", []string{"a"}, []string{y}); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -191,7 +240,7 @@ func explicitBatches() [][]access.Op {
 // rejects the file as corrupt instead of restoring a group that misstates
 // its tuples.
 func TestExplicitItemCountMustBeOne(t *testing.T) {
-	db, as, err := explicitSystem(t, 1)
+	db, as, err := explicitSystem(t)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // This file implements the maintenance write-ahead log. Every insert/delete
-// appends one compact record BEFORE the owning shard's group is mutated, so
+// appends one compact record BEFORE the affected groups are mutated, so
 // a crash at any point loses at most the operation whose record never made
 // it to disk. A record is
 //

@@ -11,8 +11,8 @@
 //
 //   - Each fetch step charges its distinct X-values in first-seen
 //     enumeration order, one batch per step, so Stats.Accessed and
-//     Stats.Truncated do not depend on how the batch was resolved (worker
-//     count, shard count, cluster placement).
+//     Stats.Truncated do not depend on how the batch was resolved (in
+//     process or across the cluster).
 //   - Block row hashing folds the same canonical encoding as Tuple.Hash,
 //     and bucket lists preserve build-side insertion order, so hash joins
 //     emit matches in environment-row order, build rows in filtered order.
@@ -186,9 +186,11 @@ func applyStepBlocks(ctx context.Context, atoms []*blockAtom, sl *stepLayout, s 
 	ai := sl.atom
 	cur := atoms[ai]
 
-	// One span per fetch step (a handful per leaf, never per row); attrs
-	// are filled on the way out so truncation and the access delta are the
-	// step's own.
+	// One span per fetch step (a handful per leaf, never per row). The
+	// batch's distinct X-values (xs) and the full-level rows it returned
+	// before budget accounting (samples) are set once it resolves; the
+	// rest is filled on the way out so truncation and the access delta are
+	// the step's own.
 	fs := obs.SpanFrom(ctx).Child("fetch_step")
 	if fs != nil {
 		fs.SetInt("step", int64(si))
@@ -253,8 +255,8 @@ func applyStepBlocks(ctx context.Context, atoms []*blockAtom, sl *stepLayout, s 
 		visits = append(visits, stepVisit{x: xi, ri: int32(ri), w: w})
 		return true
 	})
-	// Fan-out boundary: the last check before the batch does real index
-	// work (across shards, or across the cluster).
+	// The last check before the batch does real index work (in process, or
+	// across the cluster).
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -263,6 +265,16 @@ func applyStepBlocks(ctx context.Context, atoms []*blockAtom, sl *stepLayout, s 
 	lvls, err := o.Fetcher.FetchBatchBlocks(ctx, s.Ladder, xs, k)
 	if err != nil {
 		return err
+	}
+	if fs != nil {
+		samples := 0
+		for _, lvl := range lvls {
+			if lvl != nil {
+				samples += lvl.Rows()
+			}
+		}
+		fs.SetInt("xs", int64(len(xs)))
+		fs.SetInt("samples", int64(samples))
 	}
 
 	// 3. Budget backstop, charged in first-seen order: take what fits of

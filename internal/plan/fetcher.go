@@ -8,7 +8,7 @@ import (
 )
 
 // RemoteFetcher resolves the batched ladder fetch of every fetch step. The
-// in-process scatter-gather (localFetcher, the default) and the cluster
+// in-process lookup (localFetcher, the default) and the cluster
 // router (internal/cluster) are its two implementations; the executor
 // cannot tell them apart. The contract mirrors access.Ladder.FetchBatchBlocks
 // exactly: out[i] corresponds to xs[i] (nil for missing groups), every
@@ -28,14 +28,10 @@ type RemoteFetcher interface {
 	FetchBatchBlocks(ctx context.Context, l *access.Ladder, xs []relation.Tuple, k int) ([]*access.LevelBlock, error)
 }
 
-// localFetcher resolves batches in process: the ladder's own scatter-gather
-// across its shards on up to `workers` goroutines, traced per shard.
-type localFetcher struct{ workers int }
+// localFetcher resolves batches in process, from the ladder's own group map.
+type localFetcher struct{}
 
 // FetchBatchBlocks implements RemoteFetcher; it never fails.
-func (f localFetcher) FetchBatchBlocks(ctx context.Context, l *access.Ladder, xs []relation.Tuple, k int) ([]*access.LevelBlock, error) {
-	done := shardSpans(ctx, l, xs)
-	lvls := l.FetchBatchBlocks(xs, k, f.workers)
-	done(lvls)
-	return lvls, nil
+func (localFetcher) FetchBatchBlocks(_ context.Context, l *access.Ladder, xs []relation.Tuple, k int) ([]*access.LevelBlock, error) {
+	return l.FetchBatchBlocks(xs, k, 1), nil
 }

@@ -20,7 +20,7 @@ func fetchAll(t *testing.T, p *Bounded, db *relation.Database, budget int, fetch
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := ExecOpts{Budget: budget, Workers: 1, Fetcher: fetcher}
+	o := ExecOpts{Budget: budget, Fetcher: fetcher}
 	atoms, stats, err := executeFetchBlocks(context.Background(), p, lay, o)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 type countingFetcher struct{ rows []int }
 
 func (f *countingFetcher) FetchBatchBlocks(ctx context.Context, l *access.Ladder, xs []relation.Tuple, k int) ([]*access.LevelBlock, error) {
-	lvls, err := localFetcher{workers: 1}.FetchBatchBlocks(ctx, l, xs, k)
+	lvls, err := localFetcher{}.FetchBatchBlocks(ctx, l, xs, k)
 	n := 0
 	for _, lvl := range lvls {
 		if lvl != nil {
@@ -172,7 +172,7 @@ func TestRunsCompleteTheirSchemas(t *testing.T) {
 		onFinalSchemas(fmt.Sprintf("truncated at budget %d", budget), atoms, lay)
 
 		cf = &countingFetcher{}
-		out, err := ExecuteOpts(ctx, p, db, ExecOpts{Budget: budget, Workers: 1, Fetcher: cf})
+		out, err := ExecuteOpts(ctx, p, db, ExecOpts{Budget: budget, Fetcher: cf})
 		if err != nil {
 			t.Fatal(err)
 		}

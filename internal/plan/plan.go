@@ -79,12 +79,8 @@ type ExecOpts struct {
 	// Budget is this run's access budget (tuples returned by index
 	// lookups); the runtime backstop truncates fetching beyond it.
 	Budget int
-	// Workers bounds the fetch-side scatter-gather pool across the ladder's
-	// shards; < 2 resolves every batch inline. Answers are identical at any
-	// value.
-	Workers int
 	// Fetcher, when non-nil, resolves every fetch step's batch through it
-	// instead of the ladder's in-process scatter-gather — the cluster
+	// instead of the ladder's own lookups — the cluster
 	// routing seam. Budget accounting stays sequential in first-seen
 	// enumeration order over the returned views, so answers do not depend
 	// on where a fetch was served. A fetcher error aborts the step (typed,
@@ -93,9 +89,10 @@ type ExecOpts struct {
 }
 
 // DefaultExecOpts returns the executor defaults for one run: the given
-// budget and scatter-gather pool, in-process fetching.
+// budget, in-process fetching. workers is ignored: every batch resolves on
+// the calling goroutine.
 func DefaultExecOpts(budget, workers int) ExecOpts {
-	return ExecOpts{Budget: budget, Workers: workers}
+	return ExecOpts{Budget: budget}
 }
 
 // cancelStride bounds how many enumeration visits the fetch loop processes
@@ -111,13 +108,11 @@ const cancelStride = 64
 // leaves of a larger plan.
 //
 // Execution is columnar (colexec.go): each fetch step resolves its
-// distinct X-values with one batch — scatter-gathered across the ladder's
-// shards on up to o.Workers goroutines, or routed through o.Fetcher — and
-// accounts them against the budget sequentially in first-seen enumeration
-// order, so answers, Stats and truncation points do not depend on the
-// worker count, the shard count or where a fetch was served (asserted by
-// TestShardCountInvariance, TestClusterInvariance and the golden digest
-// suite). Every run, truncated or not, is evaluated by evaluateColumnar
+// distinct X-values with one batch — looked up in the ladder, or routed
+// through o.Fetcher — and accounts them against the budget sequentially in
+// first-seen enumeration order, so answers, Stats and truncation points do
+// not depend on where a fetch was served (asserted by
+// TestClusterInvariance and the golden digest suite). Every run, truncated or not, is evaluated by evaluateColumnar
 // over atoms that carry their final schemas.
 //
 // Cancellation is cooperative: ctx is checked between fetch steps, every
@@ -126,7 +121,7 @@ const cancelStride = 64
 // promptly instead of burning the rest of its budget.
 func ExecuteOpts(ctx context.Context, p *Bounded, db *relation.Database, o ExecOpts) (*Result, error) {
 	if o.Fetcher == nil {
-		o.Fetcher = localFetcher{workers: o.Workers}
+		o.Fetcher = localFetcher{}
 	}
 	lay, err := p.layoutFor(db)
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 func clusterServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	db := fixture.Example1(11, 120, 80)
-	as, err := fixture.SchemaA0Sharded(db, 2)
+	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 		t.Fatalf("snapshot-to-dir status %d: %s", rec.Code, rec.Body)
 	}
 	db := fixture.Example1(11, 120, 80)
-	if _, _, err := persist.Load(context.Background(), db, dir2, 0); err != nil {
+	if _, _, err := persist.Load(context.Background(), db, dir2); err != nil {
 		t.Errorf("standalone snapshot does not load: %v", err)
 	}
 

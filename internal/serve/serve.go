@@ -76,12 +76,11 @@ type Config struct {
 	// strategy per call — cmd/beasd routes fetches through its cluster node
 	// this way (beas.WithRemoteFetcher), without any global toggles.
 	ExecOptions []beas.Option
-	// Dataset, DBSize, Relations and Shards describe the loaded data for
-	// /healthz. DBSize also sizes the default batch BudgetCap.
+	// Dataset, DBSize and Relations describe the loaded data for /healthz.
+	// DBSize also sizes the default batch BudgetCap.
 	Dataset   string
 	DBSize    int
 	Relations int
-	Shards    int
 
 	// QueueDepth bounds the /batch request queue; enqueue attempts beyond
 	// it are rejected with a per-request error (default 256).
@@ -209,7 +208,7 @@ type QueryResponse struct {
 	Tuples  [][]string `json:"tuples"`
 	AnswerMeta
 	// Trace is the query's span tree — planning, leaves, fetch steps,
-	// shard/peer fan-out — present only when the call asked for it with
+	// cluster peer fan-out — present only when the call asked for it with
 	// ?debug=trace.
 	Trace *obs.SpanJSON `json:"trace,omitempty"`
 }
@@ -991,7 +990,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"dataset":   s.cfg.Dataset,
 		"size":      s.cfg.DBSize,
 		"relations": s.cfg.Relations,
-		"shards":    s.cfg.Shards,
 		"uptimeSec": time.Since(s.started).Seconds(),
 	})
 }

@@ -402,7 +402,9 @@ func TestWeightedAdmission(t *testing.T) {
 // TestBatchWeightedAdmissionEndToEnd: with a cap of one full-budget job and
 // a single worker, a batch of three alpha=1 queries admits the first and
 // rejects the rest while it is in flight — a giant batch cannot monopolise
-// the pool.
+// the pool. The first job is held in flight (core.ExecPanicHook blocks its
+// leaf) until both others have been rejected, so the worker cannot finish
+// it and free the cap before they arrive.
 func TestBatchWeightedAdmissionEndToEnd(t *testing.T) {
 	db := fixture.Example1(11, 120, 80)
 	as, err := fixture.SchemaA0(db)
@@ -419,6 +421,19 @@ func TestBatchWeightedAdmissionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	release := make(chan struct{})
+	prev := core.ExecPanicHook
+	core.ExecPanicHook = func() { <-release }
+	t.Cleanup(func() { core.ExecPanicHook = prev })
+	go func() {
+		defer close(release)
+		for deadline := time.Now().Add(10 * time.Second); s.rejected.Value() < 2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("only %d of the 2 later jobs rejected within 10s", s.rejected.Value())
+				return
+			}
+		}
+	}()
 	rec, resp := postBatch(t, s, `{"queries": [
 		{"sql": "select p.city from person as p", "alpha": 1.0},
 		{"sql": "select p.city from person as p", "alpha": 1.0},

@@ -37,7 +37,6 @@ const (
 // persistConfig collects the OpenPersisted options.
 type persistConfig struct {
 	build             func(*Database) (*AccessSchema, error)
-	shards            int
 	checkpointEvery   int
 	checkpointRetries int
 	sync              bool
@@ -52,14 +51,6 @@ type PersistOption func(*persistConfig)
 // Warm starts restore the persisted ladders and never invoke the builder.
 func WithSchemaBuilder(build func(*Database) (*AccessSchema, error)) PersistOption {
 	return func(c *persistConfig) { c.build = build }
-}
-
-// WithPersistShards re-partitions restored ladders across n shards (0, the
-// default, keeps each ladder's stored count). Partitioning is a
-// deterministic function of the group key hash, so the shard count never
-// changes what a fetch returns.
-func WithPersistShards(n int) PersistOption {
-	return func(c *persistConfig) { c.shards = n }
 }
 
 // WithCheckpointEvery sets how many WAL records accumulate before the
@@ -140,7 +131,6 @@ func OpenPersistedSchema(ctx context.Context, db *Database, dir string, populate
 // or cold via cfg.build followed by an initial snapshot.
 func openPersisted(ctx context.Context, db *Database, dir string, cfg persistConfig) (*System, error) {
 	st, as, _, err := persist.OpenStore(ctx, db, dir, cfg.build, persist.Options{
-		Shards:            cfg.shards,
 		CheckpointEvery:   cfg.checkpointEvery,
 		CheckpointRetries: cfg.checkpointRetries,
 		Sync:              cfg.sync,
@@ -253,8 +243,6 @@ type LadderStat struct {
 	// Relation, X and Y identify the ladder R(X → Y, ·, ·).
 	Relation string
 	X, Y     []string
-	// Shards is the ladder's partition count.
-	Shards int
 	// Groups is the number of distinct X-values indexed.
 	Groups int
 	// Levels is the number of template levels (MaxK + 1).
@@ -290,7 +278,6 @@ func (s *System) LadderStats() []LadderStat {
 			Relation:         l.RelName,
 			X:                append([]string(nil), l.X...),
 			Y:                append([]string(nil), l.Y...),
-			Shards:           l.Shards(),
 			Groups:           l.NumGroups(),
 			Levels:           l.MaxK() + 1,
 			ResidentTuples:   l.IndexSize(),
