@@ -92,29 +92,33 @@ func mutationOps(n int) []beas.Op {
 // the freshly built in-memory system.
 func TestWarmStartSoundnessCorpus(t *testing.T) {
 	ctx := context.Background()
-	db := corpusDB()
-	as, err := fixture.SchemaA0(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := beas.Open(db, as)
+	// The subtest keeps the name it had when ladders could be split into
+	// shards: one group map per ladder is the layout shards=1 pinned.
+	t.Run("shards=1", func(t *testing.T) {
+		db := corpusDB()
+		as, err := fixture.SchemaA0(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := beas.Open(db, as)
 
-	dir := t.TempDir()
-	if err := fresh.Snapshot(ctx, dir); err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	warm, err := beas.OpenPersisted(ctx, corpusDB(), dir,
-		beas.WithSchemaBuilder(func(*beas.Database) (*beas.AccessSchema, error) {
-			return nil, fmt.Errorf("cold build must not run: a snapshot exists")
-		}))
-	if err != nil {
-		t.Fatalf("warm open: %v", err)
-	}
-	defer warm.Close()
-	if !warm.PersistStats().WarmStart {
-		t.Fatal("open was not a warm start")
-	}
-	assertSameAnswers(t, "warm", fresh, warm)
+		dir := t.TempDir()
+		if err := fresh.Snapshot(ctx, dir); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		warm, err := beas.OpenPersisted(ctx, corpusDB(), dir,
+			beas.WithSchemaBuilder(func(*beas.Database) (*beas.AccessSchema, error) {
+				return nil, fmt.Errorf("cold build must not run: a snapshot exists")
+			}))
+		if err != nil {
+			t.Fatalf("warm open: %v", err)
+		}
+		defer warm.Close()
+		if !warm.PersistStats().WarmStart {
+			t.Fatal("open was not a warm start")
+		}
+		assertSameAnswers(t, "warm", fresh, warm)
+	})
 }
 
 // The warm-start regeneration fix (PR 6 satellite, ROADMAP carried item):
@@ -222,51 +226,55 @@ func TestWarmStartSkipsGeneration(t *testing.T) {
 func TestWarmStartAfterCrashRecovery(t *testing.T) {
 	ctx := context.Background()
 	ops := mutationOps(20)
-	dir := t.TempDir()
-	builder := fixture.SchemaA0
-	sys, err := beas.OpenPersisted(ctx, corpusDB(), dir,
-		beas.WithSchemaBuilder(builder),
-		beas.WithCheckpointEvery(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Apply(ctx, ops); err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	// Crash: no checkpoint. Tear the last WAL record by dropping the
-	// file's final byte, losing exactly the last operation.
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-	walPath := filepath.Join(dir, persist.WALFile)
-	data, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(walPath, data[:len(data)-1], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// The subtest keeps the name it had when ladders could be split into
+	// shards: one group map per ladder is the layout shards=1 pinned.
+	t.Run("shards=1", func(t *testing.T) {
+		dir := t.TempDir()
+		builder := fixture.SchemaA0
+		sys, err := beas.OpenPersisted(ctx, corpusDB(), dir,
+			beas.WithSchemaBuilder(builder),
+			beas.WithCheckpointEvery(-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Apply(ctx, ops); err != nil {
+			t.Fatalf("apply: %v", err)
+		}
+		// Crash: no checkpoint. Tear the last WAL record by dropping the
+		// file's final byte, losing exactly the last operation.
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		walPath := filepath.Join(dir, persist.WALFile)
+		data, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(walPath, data[:len(data)-1], 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	recovered, err := beas.OpenPersisted(ctx, corpusDB(), dir,
-		beas.WithSchemaBuilder(builder))
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	defer recovered.Close()
-	ps := recovered.PersistStats()
-	if !ps.WarmStart || ps.Replayed != int64(len(ops)-1) {
-		t.Fatalf("recovery stats: %+v, want warm with %d replayed", ps, len(ops)-1)
-	}
+		recovered, err := beas.OpenPersisted(ctx, corpusDB(), dir,
+			beas.WithSchemaBuilder(builder))
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		defer recovered.Close()
+		ps := recovered.PersistStats()
+		if !ps.WarmStart || ps.Replayed != int64(len(ops)-1) {
+			t.Fatalf("recovery stats: %+v, want warm with %d replayed", ps, len(ops)-1)
+		}
 
-	// Ground truth: a never-persisted system applying the prefix.
-	db := corpusDB()
-	as, err := builder(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := beas.Open(db, as)
-	if _, err := fresh.Apply(ctx, ops[:len(ops)-1]); err != nil {
-		t.Fatal(err)
-	}
-	assertSameAnswers(t, "crash-recovery", fresh, recovered)
+		// Ground truth: a never-persisted system applying the prefix.
+		db := corpusDB()
+		as, err := builder(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := beas.Open(db, as)
+		if _, err := fresh.Apply(ctx, ops[:len(ops)-1]); err != nil {
+			t.Fatal(err)
+		}
+		assertSameAnswers(t, "crash-recovery", fresh, recovered)
+	})
 }
