@@ -547,15 +547,20 @@ func (s *Store) noteCheckpointLocked(err error) {
 	}
 }
 
-// degradeWALLocked flips the store to degraded durability and wakes the
-// checkpointer, whose next success is the only way back to accepting
-// mutations.
+// degradeWALLocked flips the store to degraded durability; a successful
+// checkpoint is the only way back to accepting mutations. With automatic
+// checkpoints on, it wakes the checkpointer to attempt one; with them off
+// (CheckpointEvery < 0), the store stays degraded until an explicit
+// Checkpoint.
 func (s *Store) degradeWALLocked(cause error) {
 	if !s.walDegraded {
 		s.logf("persist: %s: WAL degraded, mutations refused until a checkpoint succeeds: %v", s.dir, cause)
 	}
 	s.walDegraded = true
 	s.walErr = cause.Error()
+	if s.opt.CheckpointEvery < 0 {
+		return
+	}
 	select {
 	case s.kick <- struct{}{}:
 	default:

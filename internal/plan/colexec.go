@@ -22,6 +22,20 @@
 //     after the truncating one contribute empty blocks over their
 //     precompiled schemas, so the one evaluator serves every run.
 //
+// A fetch step builds only what the plan reads and allocates per step, not
+// per distinct key:
+//
+//   - Its schema carries only the columns a predicate, a join, an output
+//     or a later step's X reads (layout.go), so unread Y columns are never
+//     gathered, unread X columns never broadcast, and the evaluator's join
+//     gathers copy narrower environments.
+//   - An external group's distinct valuations are the indexes of their
+//     first rows in the source block, and the distinct X-values sit back
+//     to back in one Value slab. One relation.ProbeTable each — int32
+//     positions keyed by the hash and canonical equality TupleMap uses —
+//     finds them in first-seen order, so the enumeration allocates no
+//     Tuple and no map entry per key.
+//
 // The golden digests of TestExecutorMatchesStringKeyReference (randomized
 // and edge-shape corpora) pin every answer byte for byte.
 package plan
@@ -96,19 +110,20 @@ func assembleXBlock(sl *stepLayout, fill []relation.Value, blk *relation.Block, 
 // forEachEnumBlock enumerates a step's fetch enumeration — existing rows
 // of blk (or one virtual row when blk is nil) × the cross product of
 // external valuations — in deterministic order, calling visit with the
-// current row index (-1 when virtual) and weight. fill (len(sl.route)) is
-// updated in place with the current external valuation before each visit.
-// A visit returning false aborts the enumeration (cooperative
-// cancellation).
-func forEachEnumBlock(blk *relation.Block, weights []int, extVals [][]relation.Tuple, sl *stepLayout, fill []relation.Value, visit func(ri, w int) bool) {
+// current row index (-1 when virtual) and weight. Group gi's valuations
+// are the rows extRows[gi] of its source block extBlk[gi]; fill
+// (len(sl.route)) is updated in place from them before each visit. A visit
+// returning false aborts the enumeration (cooperative cancellation).
+func forEachEnumBlock(blk *relation.Block, weights []int, extBlk []*relation.Block, extRows [][]int32, sl *stepLayout, fill []relation.Value, visit func(ri, w int) bool) {
 	var walkExt func(gi, ri, w int) bool
 	walkExt = func(gi, ri, w int) bool {
 		if gi == len(sl.extGroups) {
 			return visit(ri, w)
 		}
-		for _, vt := range extVals[gi] {
+		src, cols := extBlk[gi], sl.extSrcCols[gi]
+		for _, row := range extRows[gi] {
 			for i, xi := range sl.extGroups[gi] {
-				fill[xi] = vt[i]
+				fill[xi] = src.Value(int(row), cols[i])
 			}
 			if !walkExt(gi+1, ri, w) {
 				return false
@@ -166,6 +181,10 @@ type stepVisit struct {
 	w     int
 }
 
+// maxVisitsHint caps the visit list a fetch step reserves up front; a
+// larger enumeration grows it by appending.
+const maxVisitsHint = 1 << 20
+
 // applyStepBlocks runs one fetch operation, extending (or creating) the
 // atom's fetched block:
 //
@@ -204,57 +223,66 @@ func applyStepBlocks(ctx context.Context, atoms []*blockAtom, sl *stepLayout, s 
 		}()
 	}
 
-	// Materialise distinct joint valuations per external group, in
-	// first-seen row order.
-	extVals := make([][]relation.Tuple, len(sl.extGroups))
+	// Find the distinct joint valuations of each external group: the first
+	// source row of each, in row order.
+	extBlk := make([]*relation.Block, len(sl.extGroups))
+	extRows := make([][]int32, len(sl.extGroups))
 	for gi := range sl.extGroups {
 		ba := atoms[sl.extSrcAtom[gi]]
 		if ba == nil {
 			return fmt.Errorf("plan: step %d reads atom %d before it was fetched", si, sl.extSrcAtom[gi])
 		}
-		idx := sl.extSrcCols[gi]
-		seen := relation.NewTupleSet(0)
-		scratch := make(relation.Tuple, len(idx))
-		for ri := 0; ri < ba.block.Rows(); ri++ {
-			for i, ci := range idx {
-				scratch[i] = ba.block.Value(ri, ci)
-			}
-			if !seen.Has(scratch) {
-				pt := append(relation.Tuple(nil), scratch...)
-				seen.Add(pt)
-				extVals[gi] = append(extVals[gi], pt)
+		src, cols := ba.block, sl.extSrcCols[gi]
+		var distinct relation.ProbeTable
+		var rows []int32
+		for ri := 0; ri < src.Rows(); ri++ {
+			_, added := distinct.Insert(src.HashCols(ri, cols), func(p int) bool {
+				return src.ColsKeyEqual(int(rows[p]), cols, src, ri, cols)
+			})
+			if added {
+				rows = append(rows, int32(ri))
 			}
 		}
+		extBlk[gi], extRows[gi] = src, rows
 	}
 
-	// 1. Enumerate once. xs holds owned copies of the distinct X-values in
-	// first-seen order; index maps each to its position in xs.
-	fill := make([]relation.Value, len(sl.route))
-	scratch := make(relation.Tuple, len(sl.route))
-	index := relation.NewTupleMap[int32](0)
-	var xs []relation.Tuple
-	var visits []stepVisit
-	visited := 0
+	// 1. Enumerate once. The distinct X-values are stored back to back in
+	// slab, in first-seen order; index finds a value's position there.
+	width := len(sl.route)
+	fill := make([]relation.Value, width)
+	scratch := make(relation.Tuple, width)
+	var index relation.ProbeTable
+	var slab []relation.Value
 	var curBlk *relation.Block
 	var curW []int
+	nVisits := 1 // every row (or the virtual one) × each joint valuation
 	if cur != nil {
 		curBlk, curW = cur.block, cur.weights
+		nVisits = curBlk.Rows()
 	}
-	forEachEnumBlock(curBlk, curW, extVals, sl, fill, func(ri, w int) bool {
+	for _, rows := range extRows {
+		nVisits = min(nVisits*len(rows), maxVisitsHint)
+	}
+	visits := make([]stepVisit, 0, nVisits)
+	visited := 0
+	forEachEnumBlock(curBlk, curW, extBlk, extRows, sl, fill, func(ri, w int) bool {
 		if visited++; visited%cancelStride == 0 && ctx.Err() != nil {
 			return false
 		}
 		assembleXBlock(sl, fill, curBlk, ri, scratch)
-		xi, ok := index.Get(scratch)
-		if !ok {
-			xi = int32(len(xs))
-			key := append(relation.Tuple(nil), scratch...)
-			index.Put(key, xi)
-			xs = append(xs, key)
+		x, added := index.Insert(scratch.Hash(), func(p int) bool {
+			return scratch.KeyEqual(slab[p*width : (p+1)*width])
+		})
+		if added {
+			slab = append(slab, scratch...)
 		}
-		visits = append(visits, stepVisit{x: xi, ri: int32(ri), w: w})
+		visits = append(visits, stepVisit{x: int32(x), ri: int32(ri), w: w})
 		return true
 	})
+	xs := make([]relation.Tuple, index.Len())
+	for i := range xs {
+		xs[i] = slab[i*width : (i+1)*width : (i+1)*width]
+	}
 	// The last check before the batch does real index work (in process, or
 	// across the cluster).
 	if err := ctx.Err(); err != nil {

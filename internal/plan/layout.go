@@ -26,6 +26,19 @@ import (
 // on its final schema, and the evaluation layout is compiled against those
 // final schemas once. The precompiled relation.Schema objects are reused
 // by every execution (they are immutable).
+//
+// A step schema carries only the columns something downstream reads
+// (readColumns): the atom's predicate, join and output columns, the
+// columns later steps read as external X sources, and the ladder-X
+// attributes a later step on the same atom finds already fetched. The
+// fetch operation fetch(X ∈ T, R, Y) of the paper reads the Y attributes a
+// plan needs, so an unread Y column is never gathered and an unread X
+// column never broadcast. The last rule keeps every X route what it would
+// be over schemas holding every fetched attribute: a position whose
+// attribute the atom already fetched stays xOwn, read from the row itself,
+// rather than turning into a constant or a cross product with another
+// atom's values. An atom nothing reads a column of ends with width 0; its
+// rows and weights still count.
 
 // xRoute says where one X position of a step's ladder gets its value.
 type xRoute uint8
@@ -53,7 +66,8 @@ type stepLayout struct {
 	extSrcCols [][]int
 
 	// Output: the extended schema and, per ladder X/Y position, the output
-	// column it fills (-1 when the attribute already existed).
+	// column it fills (-1 when the attribute already existed or nothing
+	// reads it).
 	schema      *relation.Schema
 	prefixArity int
 	outX        []int
@@ -121,10 +135,14 @@ func (p *Bounded) layoutFor(db *relation.Database) (*planLayout, error) {
 // run.
 func buildLayout(p *Bounded, db *relation.Database) (*planLayout, error) {
 	q := p.Chase.Query
+	read, err := readColumns(q, db, p.Chase.Steps)
+	if err != nil {
+		return nil, err
+	}
 	lay := &planLayout{finalSchema: make([]*relation.Schema, len(q.Atoms))}
 	for si := range p.Chase.Steps {
 		s := &p.Chase.Steps[si]
-		sl, err := buildStepLayout(q, db, lay.finalSchema, s, si)
+		sl, err := buildStepLayout(q, db, lay.finalSchema, s, si, read[s.AtomIdx])
 		if err != nil {
 			return nil, err
 		}
@@ -144,8 +162,66 @@ func buildLayout(p *Bounded, db *relation.Database) (*planLayout, error) {
 	return lay, nil
 }
 
-// buildStepLayout simulates one fetch step against the current schemas.
-func buildStepLayout(q *query.SPC, db *relation.Database, cur []*relation.Schema, s *chase.Step, si int) (*stepLayout, error) {
+// readColumns returns, per atom, the attributes its step schemas carry:
+// the columns of its constant predicates, joins and outputs; every column
+// a step reads as an external X source; and every ladder-X attribute that
+// a step finds among the X and Y attributes earlier steps fetched on its
+// own atom, so that position keeps reading the row's own value (xOwn).
+func readColumns(q *query.SPC, db *relation.Database, steps []chase.Step) ([]map[string]bool, error) {
+	read := make([]map[string]bool, len(q.Atoms))
+	aliasIdx := make(map[string]int, len(q.Atoms))
+	for i, a := range q.Atoms {
+		read[i] = map[string]bool{}
+		aliasIdx[a.Name()] = i
+	}
+	mark := func(c query.Col) {
+		if ai, ok := aliasIdx[c.Rel]; ok {
+			read[ai][c.Attr] = true
+		}
+	}
+	for _, pd := range q.Preds {
+		mark(pd.Left)
+		if pd.Join {
+			mark(pd.Right)
+		}
+	}
+	outCols, err := query.OutputCols(q, db)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range outCols {
+		mark(c)
+	}
+	// fetched[ai] holds every X and Y attribute the atom's steps so far
+	// fetched: what its schema would hold if nothing were trimmed.
+	fetched := make([]map[string]bool, len(q.Atoms))
+	for ai := range fetched {
+		fetched[ai] = map[string]bool{}
+	}
+	for si := range steps {
+		s := &steps[si]
+		ai := s.AtomIdx
+		for xi, attr := range s.Ladder.X {
+			switch src := s.X[xi]; {
+			case fetched[ai][attr]:
+				read[ai][attr] = true
+			case !src.IsConst:
+				read[src.AtomIdx][src.Attr] = true
+			}
+		}
+		for _, a := range s.Ladder.X {
+			fetched[ai][a] = true
+		}
+		for _, a := range s.Ladder.Y {
+			fetched[ai][a] = true
+		}
+	}
+	return read, nil
+}
+
+// buildStepLayout simulates one fetch step against the current schemas;
+// the step adds the attributes of read it fetches that the atom lacks.
+func buildStepLayout(q *query.SPC, db *relation.Database, cur []*relation.Schema, s *chase.Step, si int, read map[string]bool) (*stepLayout, error) {
 	ai := s.AtomIdx
 	base := db.MustRelation(q.Atoms[ai].Rel)
 	curS := cur[ai]
@@ -198,12 +274,12 @@ func buildStepLayout(q *query.SPC, db *relation.Database, cur []*relation.Schema
 		}
 	}
 
-	// New columns this step adds, in the original emission order:
-	// constants (X order), external groups (group order), then Y.
+	// New columns this step adds, in emission order: constants (X order),
+	// external groups (group order), then Y — each only if it is read.
 	var newAttrs []string
 	isNew := map[string]bool{}
 	addNew := func(a string) {
-		if isNew[a] {
+		if isNew[a] || !read[a] {
 			return
 		}
 		if curS != nil {

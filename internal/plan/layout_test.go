@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/chase"
+	"repro/internal/corpus"
 	"repro/internal/fixture"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -269,5 +271,224 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 	}
 	if dups == 0 {
 		t.Fatal("fixture produced no duplicate build keys; test is vacuous")
+	}
+}
+
+// layoutCase is one SPC leaf of a corpus query, chased at its share of the
+// case's budget, over the database the corpus runs on.
+type layoutCase struct {
+	name string
+	db   *relation.Database
+	res  *chase.Result
+}
+
+// corpusLayoutCases chases every SPC leaf of the 200-case corpus (over the
+// differential suite's fixture) and of the edge-shape corpus, each leaf at
+// its even share of the case's budget as the planner does.
+func corpusLayoutCases(t *testing.T) []layoutCase {
+	t.Helper()
+	var out []layoutCase
+	add := func(set string, db *relation.Database, cases []corpus.Case) {
+		as, err := fixture.SchemaA0(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, c := range cases {
+			leaves := query.SPCLeaves(c.Query)
+			budget := int(c.Alpha*float64(db.Size())) / len(leaves)
+			for li, leaf := range leaves {
+				res, err := chase.Chase(leaf, as, db, budget)
+				if err != nil {
+					continue // the planner rejects this leaf before any layout
+				}
+				out = append(out, layoutCase{name: fmt.Sprintf("%s case %d leaf %d", set, ci, li), db: db, res: res})
+			}
+		}
+	}
+	add("corpus", fixture.Example1(7, 120, 80), corpus.Default())
+	add("edge", corpus.EdgeDB(), corpus.EdgeCases())
+	return out
+}
+
+// evalReads returns, per atom, the columns the evaluation reads: constant
+// predicates, both sides of joins, and outputs.
+func evalReads(t *testing.T, q *query.SPC, db *relation.Database) []map[string]bool {
+	t.Helper()
+	reads := make([]map[string]bool, len(q.Atoms))
+	for ai := range reads {
+		reads[ai] = map[string]bool{}
+	}
+	mark := func(c query.Col) {
+		for ai, a := range q.Atoms {
+			if a.Name() == c.Rel {
+				reads[ai][c.Attr] = true
+			}
+		}
+	}
+	for _, pd := range q.Preds {
+		mark(pd.Left)
+		if pd.Join {
+			mark(pd.Right)
+		}
+	}
+	outs, err := query.OutputCols(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range outs {
+		mark(c)
+	}
+	return reads
+}
+
+// checkStepSchemas replays lay's steps over res and checks that every step
+// schema carries exactly the columns something reads: the evaluation, or
+// a step as its external X source or as its own X. Routes are checked
+// against a replay of untrimmed schemas (every X and Y attribute a step
+// fetched): an X attribute the untrimmed schema holds is read from the
+// row itself (xOwn). It returns how many fetched columns the final schemas
+// leave out.
+func checkStepSchemas(t *testing.T, name string, db *relation.Database, res *chase.Result, lay *planLayout) int {
+	t.Helper()
+	q := res.Query
+	reads := evalReads(t, q, db)
+	fetched := make([]map[string]bool, len(q.Atoms)) // untrimmed schemas
+	stepReads := make([]map[string]bool, len(q.Atoms))
+	for ai := range fetched {
+		fetched[ai], stepReads[ai] = map[string]bool{}, map[string]bool{}
+	}
+	for si := range res.Steps {
+		s := &res.Steps[si]
+		for xi, attr := range s.Ladder.X {
+			if src := s.X[xi]; fetched[s.AtomIdx][attr] {
+				stepReads[s.AtomIdx][attr] = true
+			} else if !src.IsConst {
+				stepReads[src.AtomIdx][src.Attr] = true
+			}
+		}
+		for _, a := range append(append([]string(nil), s.Ladder.X...), s.Ladder.Y...) {
+			fetched[s.AtomIdx][a] = true
+		}
+	}
+	for ai := range fetched {
+		clear(fetched[ai])
+	}
+
+	cur := make([]*relation.Schema, len(q.Atoms))
+	for si := range res.Steps {
+		s, sl := &res.Steps[si], &lay.steps[si]
+		ai := s.AtomIdx
+		for xi, attr := range s.Ladder.X {
+			src := s.X[xi]
+			switch {
+			case fetched[ai][attr]:
+				if sl.route[xi] != xOwn || cur[ai].Attrs[sl.ownCol[xi]].Name != attr {
+					t.Fatalf("%s step %d: X %s was fetched on its atom, but its route is %d", name, si, attr, sl.route[xi])
+				}
+			case src.IsConst:
+				if sl.route[xi] != xConst {
+					t.Fatalf("%s step %d: constant X %s has route %d", name, si, attr, sl.route[xi])
+				}
+			default:
+				if sl.route[xi] != xExt {
+					t.Fatalf("%s step %d: external X %s has route %d", name, si, attr, sl.route[xi])
+				}
+			}
+		}
+		for gi, srcAtom := range sl.extSrcAtom {
+			for i, xi := range sl.extGroups[gi] {
+				if got := cur[srcAtom].Attrs[sl.extSrcCols[gi][i]].Name; got != s.X[xi].Attr {
+					t.Fatalf("%s step %d: external X %s reads column %s", name, si, s.X[xi].Attr, got)
+				}
+			}
+		}
+		for _, a := range append(append([]string(nil), s.Ladder.X...), s.Ladder.Y...) {
+			fetched[ai][a] = true
+		}
+		has := map[string]bool{}
+		for _, a := range sl.schema.Attrs {
+			has[a.Name] = true
+			if !reads[ai][a.Name] && !stepReads[ai][a.Name] {
+				t.Fatalf("%s step %d: atom %d carries %s, which nothing reads", name, si, ai, a.Name)
+			}
+		}
+		for a := range fetched[ai] {
+			if (reads[ai][a] || stepReads[ai][a]) && !has[a] {
+				t.Fatalf("%s step %d: atom %d lacks %s, which is fetched and read", name, si, ai, a)
+			}
+		}
+		cur[ai] = sl.schema
+	}
+	trimmed := 0
+	for ai, s := range lay.finalSchema {
+		trimmed += len(fetched[ai]) - s.Arity()
+	}
+	return trimmed
+}
+
+// Every step schema carries only the columns a predicate, a join, an
+// output or a step's X reads, and never lacks one of them, over the
+// randomized and edge-shape corpora — and in a plan whose only reader of
+// two columns is a later step's own X.
+func TestStepSchemasCarryOnlyReadColumns(t *testing.T) {
+	t.Run("corpora", func(t *testing.T) {
+		cases := corpusLayoutCases(t)
+		trimmed := 0
+		for _, c := range cases {
+			lay, err := NewBounded(c.res, 0).layoutFor(c.db)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			trimmed += checkStepSchemas(t, c.name, c.db, c.res, lay)
+		}
+		if trimmed == 0 {
+			t.Fatal("no plan of the corpora fetches a column nothing reads; the check is vacuous")
+		}
+		t.Logf("%d leaves; their final schemas leave out %d fetched columns", len(cases), trimmed)
+	})
+	t.Run("own X of an earlier Y", testOwnXOfEarlierY)
+}
+
+// testOwnXOfEarlierY: a step whose own X is an earlier step's Y that
+// nothing else reads keeps that column, and reads the X from the row itself
+// (xOwn). poi is sampled through the generic template, then refined per
+// (type, city) by the ϕ3 ladder, while the query reads only price and
+// address. Trimming type and city would leave the refinement without its X.
+func testOwnXOfEarlierY(t *testing.T) {
+	db, as := setup(t)
+	tmpl := as.Find("poi", nil, db.MustRelation("poi").Schema.AttrNames())
+	refine := as.Find("poi", []string{"type", "city"}, []string{"price", "address"})
+	if tmpl == nil || refine == nil {
+		t.Fatal("fixture schema lacks the poi template or the ϕ3 ladder")
+	}
+	q := &query.SPC{
+		Atoms:  []query.Atom{{Rel: "poi", Alias: "h"}},
+		Preds:  []query.Pred{query.LeC(query.C("h", "price"), relation.Float(200))},
+		Output: []query.Col{query.C("h", "address")},
+	}
+	res := &chase.Result{Query: q, Steps: []chase.Step{
+		{AtomIdx: 0, Ladder: tmpl},
+		{AtomIdx: 0, Ladder: refine, K: refine.MaxK(), X: []chase.Source{
+			{AtomIdx: 0, Attr: "type"}, {AtomIdx: 0, Attr: "city"},
+		}},
+	}}
+	lay, err := NewBounded(res, 0).layoutFor(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStepSchemas(t, "refinement", db, res, lay)
+	first := lay.steps[0].schema
+	for xi, attr := range refine.X {
+		sl := &lay.steps[1]
+		if sl.route[xi] != xOwn || first.Attrs[sl.ownCol[xi]].Name != attr {
+			t.Fatalf("refinement X %s: route %d, want own column %s", attr, sl.route[xi], attr)
+		}
+	}
+	var names []string
+	for _, a := range lay.finalSchema[0].Attrs {
+		names = append(names, a.Name)
+	}
+	if got, want := strings.Join(names, ","), "address,type,city,price"; got != want {
+		t.Fatalf("final schema of h = %s, want %s", got, want)
 	}
 }

@@ -149,7 +149,7 @@ func TestBlockHashMatchesTupleHash(t *testing.T) {
 				t.Fatalf("trial %d row %d: RowKeyEqualTuple false for own row", trial, i)
 			}
 			j := rng.Intn(len(rows))
-			if got, want := b.ColsKeyEqual(i, cols, b, j, cols), keyEqualTuple(proj, rows[j].Project(cols)); got != want {
+			if got, want := b.ColsKeyEqual(i, cols, b, j, cols), proj.KeyEqual(rows[j].Project(cols)); got != want {
 				t.Fatalf("trial %d rows %d,%d: ColsKeyEqual %v want %v", trial, i, j, got, want)
 			}
 		}
@@ -200,7 +200,7 @@ func TestBlockPrefixAndTuples(t *testing.T) {
 				t.Fatalf("copy [%d,%d): %d rows, %d tuples", lo, hi, v.Rows(), len(ts))
 			}
 			for i := range ts {
-				if !v.RowKeyEqualTuple(i, rows[lo+i]) || !keyEqualTuple(ts[i], rows[lo+i]) {
+				if !v.RowKeyEqualTuple(i, rows[lo+i]) || !ts[i].KeyEqual(rows[lo+i]) {
 					t.Fatalf("copy [%d,%d) row %d diverges", lo, hi, i)
 				}
 				for j := range ts[i] {

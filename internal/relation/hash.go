@@ -11,7 +11,8 @@ import (
 // FNV-1a hash without materialising it. TupleMap/TupleSet probe by that hash
 // and verify candidates with the canonical-encoding equality (KeyEqual per
 // component), so hash collisions cost a comparison, never a wrong answer, and
-// the maps key exactly like maps of Tuple.Key() strings.
+// the maps key exactly like maps of Tuple.Key() strings. ProbeTable is the
+// same table for keys the caller stores itself, such as block rows.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -21,7 +22,7 @@ const (
 // Hash returns a 64-bit hash of the tuple's canonical encoding (FNV-1a).
 // It is consistent with Key: tuples with equal canonical encodings
 // (Int/Float unified when integral, below Key's 1e15 cutoff) hash equally;
-// distinct tuples may collide and callers must verify with keyEqualTuple.
+// distinct tuples may collide and callers must verify with KeyEqual.
 func (t Tuple) Hash() uint64 {
 	h := uint64(fnvOffset64)
 	for _, v := range t {
@@ -66,14 +67,14 @@ func hashUint64(h, x uint64) uint64 {
 	return h
 }
 
-// keyEqualTuple reports component-wise canonical-encoding equality: the
-// same relation Tuple.Key strings would express, without building them.
-func keyEqualTuple(a, b Tuple) bool {
-	if len(a) != len(b) {
+// KeyEqual reports component-wise canonical-encoding equality: the same
+// relation Tuple.Key strings would express, without building them.
+func (t Tuple) KeyEqual(o Tuple) bool {
+	if len(t) != len(o) {
 		return false
 	}
-	for i := range a {
-		if !a[i].KeyEqual(b[i]) {
+	for i := range t {
+		if !t[i].KeyEqual(o[i]) {
 			return false
 		}
 	}
@@ -85,7 +86,7 @@ func keyEqualTuple(a, b Tuple) bool {
 // never materialises string keys. It is stored flat, with no allocation per
 // entry: the entries sit in one slice, and an open-addressing table of entry
 // positions, probed linearly from the home slot of the entry's Tuple.Hash,
-// finds them; a probe verifies candidates with keyEqualTuple, so hash
+// finds them; a probe verifies candidates with Tuple.KeyEqual, so hash
 // collisions cost a comparison, never a wrong answer. The zero value is an
 // empty map ready for use. Not safe for concurrent mutation.
 type TupleMap[V any] struct {
@@ -159,7 +160,7 @@ func (m *TupleMap[V]) find(t Tuple, h uint64) (slot, pos int) {
 		if p < 0 {
 			return s, -1
 		}
-		if e := &m.entries[p]; e.hash == h && keyEqualTuple(e.key, t) {
+		if e := &m.entries[p]; e.hash == h && e.key.KeyEqual(t) {
 			return s, p
 		}
 	}
@@ -292,33 +293,90 @@ func (s *TupleSet) Has(t Tuple) bool { return s.m.lookup(t) >= 0 }
 // Len returns the number of members.
 func (s *TupleSet) Len() int { return s.m.Len() }
 
+// ProbeTable is an open-addressing hash table of the dense positions 0, 1,
+// 2, … in insertion order, keyed by a hash and an equality the caller
+// supplies: the keys stay wherever the caller keeps them (block rows, a
+// value slab), so the table is two pointer-free slices that the garbage
+// collector never scans, and it allocates O(log n) times while it grows to
+// n positions. A probe runs linearly from the home slot of its hash and
+// tests a candidate with the caller's equality only when the stored hashes
+// agree, so hash collisions cost a comparison, never a wrong answer. With
+// Tuple.Hash or Block.HashCols and the matching KeyEqual it keys exactly as
+// TupleMap does. The zero value is an empty table ready for use.
+type ProbeTable struct {
+	slots  []int32  // position + 1 per slot, 0 = free; len is a power of two
+	shift  uint     // 64 − log2(len(slots))
+	hashes []uint64 // hashes[p] is the hash position p was inserted under
+}
+
+// Len returns the number of positions.
+func (t *ProbeTable) Len() int { return len(t.hashes) }
+
+// Insert returns the first position p inserted under hash h for which
+// eq(p) holds. When there is none, it inserts position Len() under h and
+// reports it added; the caller stores that key at the new position.
+func (t *ProbeTable) Insert(h uint64, eq func(p int) bool) (p int, added bool) {
+	if len(t.hashes) >= len(t.slots)*3/4 {
+		t.resize(len(t.hashes) + 1)
+	}
+	mask := len(t.slots) - 1
+	s := int((h * 0x9E3779B97F4A7C15) >> t.shift)
+	for ; t.slots[s] != 0; s = (s + 1) & mask {
+		if p := int(t.slots[s]) - 1; t.hashes[p] == h && eq(p) {
+			return p, false
+		}
+	}
+	t.hashes = append(t.hashes, h)
+	t.slots[s] = int32(len(t.hashes))
+	return len(t.hashes) - 1, true
+}
+
+// resize rebuilds the slot table to hold n positions at a load of at most
+// 3/4, doubling at least.
+func (t *ProbeTable) resize(n int) {
+	size := max(8, 2*len(t.slots))
+	for size*3/4 < n {
+		size *= 2
+	}
+	t.slots = make([]int32, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := size - 1
+	for p, h := range t.hashes {
+		s := int((h * 0x9E3779B97F4A7C15) >> t.shift)
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = int32(p + 1)
+	}
+}
+
 // RowIndex finds, among the rows of a block added to it, the first one
 // canonically equal to a given row of the block (Block.HashRow and
 // Block.RowKeyEqual: the equality TupleMap keys by), without materialising
-// a tuple. It holds at most the number of rows it was created for.
+// a tuple.
 type RowIndex struct {
 	b     *Block
-	slots []int32 // added row + 1 per slot, 0 = free; len is a power of two
-	shift uint    // 64 − log2(len(slots))
+	t     ProbeTable
+	added []int32 // the row at each position of t
 }
 
-// NewRowIndex returns an empty index over the rows of b that holds up to n
-// of them, at a load of at most 1/2.
+// NewRowIndex returns an empty index over the rows of b sized for n of
+// them.
 func NewRowIndex(b *Block, n int) *RowIndex {
-	size := 1 << bits.Len(uint(2*n))
-	return &RowIndex{b: b, slots: make([]int32, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+	x := &RowIndex{b: b, added: make([]int32, 0, n)}
+	x.t.hashes = make([]uint64, 0, n)
+	x.t.resize(n)
+	return x
 }
 
 // Add returns the first added row equal to row r of the index's block,
 // adding r itself when there is none.
 func (x *RowIndex) Add(r int) int {
-	mask := len(x.slots) - 1
-	s := int((x.b.HashRow(r) * 0x9E3779B97F4A7C15) >> x.shift)
-	for x.slots[s] != 0 && !x.b.RowKeyEqual(int(x.slots[s]-1), x.b, r) {
-		s = (s + 1) & mask
+	p, added := x.t.Insert(x.b.HashRow(r), func(p int) bool {
+		return x.b.RowKeyEqual(int(x.added[p]), x.b, r)
+	})
+	if added {
+		x.added = append(x.added, int32(r))
 	}
-	if x.slots[s] == 0 {
-		x.slots[s] = int32(r + 1)
-	}
-	return int(x.slots[s] - 1)
+	return int(x.added[p])
 }

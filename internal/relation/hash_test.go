@@ -294,3 +294,106 @@ func TestRowIndexMatchesTupleKeys(t *testing.T) {
 		}
 	}
 }
+
+// probeKeys are the values the ProbeTable dedup test draws from: Int(1)
+// and Float(1) (one key), NaN (one key for every NaN), null, −0 (the key
+// of 0), and strings that read like numbers.
+var probeKeys = []Value{
+	Int(1), Float(1), Float(1.5), Float(math.NaN()), Null(), Int(0),
+	Float(math.Copysign(0, -1)), String("1"), String(""), String("a"),
+}
+
+// randProbeBlock returns a block of random rows whose columns are, by
+// position mod 4: ints, floats (integral, fractional and NaN), strings,
+// and mixed kinds — every column with nulls.
+func randProbeBlock(rng *rand.Rand, rows, width int) *Block {
+	pools := [][]Value{
+		{Int(1), Int(0), Int(-2), Null()},
+		{Float(1), Float(1.5), Float(math.NaN()), Float(math.Copysign(0, -1)), Null()},
+		{String("1"), String(""), String("a"), Null()},
+		probeKeys,
+	}
+	b := NewBlock(width)
+	for r := 0; r < rows; r++ {
+		row := make(Tuple, width)
+		for c := range row {
+			pool := pools[c%len(pools)]
+			row[c] = pool[rng.Intn(len(pool))]
+		}
+		b.AppendTuple(row)
+	}
+	return b
+}
+
+// ProbeTable dedup keyed by Block.HashCols/ColsKeyEqual (a fetch step's
+// external valuations) and by Tuple.Hash/KeyEqual over a value slab (its
+// X-values) finds the same distinct keys in the same first-seen order as a
+// TupleSet, with the real hash and with every key forced into one chain.
+func TestProbeTableMatchesTupleSetDedup(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hash func(uint64) uint64
+	}{
+		{"real hash", func(h uint64) uint64 { return h }},
+		{"forced collisions", func(uint64) uint64 { return 0xdead }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			for trial := 0; trial < 60; trial++ {
+				b := randProbeBlock(rng, 1+rng.Intn(300), 1+rng.Intn(5))
+				cols := rng.Perm(b.Width())[:1+rng.Intn(b.Width())]
+
+				// Reference: first-seen rows of a TupleSet over the projections.
+				ref := NewTupleSet(0)
+				var want []int32
+				for r := 0; r < b.Rows(); r++ {
+					if ref.Add(b.Tuple(r).Project(cols)) {
+						want = append(want, int32(r))
+					}
+				}
+
+				var rowTable ProbeTable
+				var rows []int32
+				for r := 0; r < b.Rows(); r++ {
+					p, added := rowTable.Insert(tc.hash(b.HashCols(r, cols)), func(p int) bool {
+						return b.ColsKeyEqual(int(rows[p]), cols, b, r, cols)
+					})
+					if added {
+						rows = append(rows, int32(r))
+					}
+					if !b.Tuple(int(rows[p])).Project(cols).KeyEqual(b.Tuple(r).Project(cols)) {
+						t.Fatalf("trial %d row %d: filed under row %d, a different key", trial, r, rows[p])
+					}
+				}
+				if len(rows) != len(want) || rowTable.Len() != len(want) {
+					t.Fatalf("trial %d: %d distinct rows, TupleSet has %d", trial, len(rows), len(want))
+				}
+				for i := range want {
+					if rows[i] != want[i] {
+						t.Fatalf("trial %d: distinct row %d is %d, TupleSet's is %d", trial, i, rows[i], want[i])
+					}
+				}
+
+				var slabTable ProbeTable
+				var slab []Value
+				w := len(cols)
+				for r := 0; r < b.Rows(); r++ {
+					x := b.Tuple(r).Project(cols)
+					if _, added := slabTable.Insert(tc.hash(x.Hash()), func(p int) bool {
+						return x.KeyEqual(slab[p*w : (p+1)*w])
+					}); added {
+						slab = append(slab, x...)
+					}
+				}
+				if slabTable.Len() != len(want) {
+					t.Fatalf("trial %d: %d distinct slab keys, TupleSet has %d", trial, slabTable.Len(), len(want))
+				}
+				for i, r := range want {
+					if !b.Tuple(int(r)).Project(cols).EqualTuple(slab[i*w : (i+1)*w]) {
+						t.Fatalf("trial %d: slab key %d is %v, want row %d's %v", trial, i, slab[i*w:(i+1)*w], r, b.Tuple(int(r)).Project(cols))
+					}
+				}
+			}
+		})
+	}
+}
