@@ -83,13 +83,11 @@ type leafResult struct {
 // the leaves up front from the planner's tariff estimates — each share
 // covers its leaf's data-independent access bound, so no leaf truncates
 // and the α·|D| guarantee holds without threading a shared "remaining"
-// counter through the leaves. Unaffordable plans take the sequential
-// reference path directly. Should a tariff estimate ever under-shoot the
-// data (the runtime backstop's reason to exist), the truncated parallel
-// pass is discarded and re-run sequentially so truncation semantics match
-// the reference path exactly; that rare double pass costs up to Budget
-// extra physical accesses but the answers and reported Stats remain those
-// of a single ≤ Budget run.
+// counter through the leaves. A leaf reads at most its tariff
+// (TestWorkerCountInvariance and TestSoundnessRandomQueries assert it of
+// every parallel leaf), so a parallel pass never truncates and answers as
+// the sequential path would. Unaffordable plans take the sequential
+// reference path directly.
 func (s *Scheme) Execute(p *Plan) (*Answer, error) {
 	return s.ExecuteContext(context.Background(), p, ExecOptions{})
 }
@@ -141,14 +139,7 @@ func (s *Scheme) executeOpts(ctx context.Context, p *Plan, o ExecOptions) (ans *
 		if err != nil {
 			return nil, err
 		}
-		if !stats.Truncated {
-			return s.assemble(ctx, p, o, results, stats)
-		}
-		// A leaf overran its partition; re-run sequentially so truncation
-		// semantics match the reference path exactly. (Under tracing the
-		// discarded parallel pass's leaf spans stay in the tree, flagged
-		// here, so the double pass is visible rather than mysterious.)
-		ex.SetBool("fallback_sequential", true)
+		return s.assemble(ctx, p, o, results, stats)
 	}
 	results, stats, err := s.executeLeavesSequential(ctx, p, o)
 	if err != nil {

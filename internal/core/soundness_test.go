@@ -234,7 +234,7 @@ func TestSoundnessRandomQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(db, as)
-	skipped := 0
+	skipped, parallel := 0, 0
 	for ci, c := range corpus.Cases(42, cases) {
 		q, alpha := c.Query, c.Alpha
 		ans, p, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: alpha})
@@ -265,6 +265,11 @@ func TestSoundnessRandomQueries(t *testing.T) {
 				ci, ans.Eta, ans.Exact, ans.Stats, seq.Eta, seq.Exact, seq.Stats)
 		}
 
+		// Leaf soundness: a parallel pass never reads past a leaf's tariff.
+		if checkParallelLeaves(t, s, p, 2) {
+			parallel++
+		}
+
 		// Exactness soundness: Exact ⇒ answers ≡ reference evaluation.
 		if ans.Exact {
 			if ans.Eta != 1 {
@@ -288,5 +293,8 @@ func TestSoundnessRandomQueries(t *testing.T) {
 	if skipped > cases/4 {
 		t.Errorf("skipped %d/%d cases on join blowups — generator too wild", skipped, cases)
 	}
-	t.Logf("%d cases checked, %d skipped, cache: %+v", cases-skipped, skipped, s.CacheStats())
+	if parallel == 0 {
+		t.Error("no case ran its leaves in parallel; the leaf-tariff check is vacuous")
+	}
+	t.Logf("%d cases checked (%d with parallel leaves), %d skipped, cache: %+v", cases-skipped, parallel, skipped, s.CacheStats())
 }

@@ -18,7 +18,8 @@ import (
 // consumption, truncation and error text byte-identical to a strictly
 // sequential (Workers: 1) system. The worker count may only change which
 // goroutine runs a leaf, never what it returns or what it costs against
-// α·|D|.
+// α·|D|. Every leaf a parallel pass runs reads at most its tariff and never
+// truncates (checkParallelLeaves).
 func TestWorkerCountInvariance(t *testing.T) {
 	const cases = 200
 	ctx := context.Background()
@@ -40,12 +41,13 @@ func TestWorkerCountInvariance(t *testing.T) {
 
 	g := corpus.NewGenerator(42)
 	alphas := []float64{0.01, 0.1, 0.6}
+	parallel := 0
 	for ci := 0; ci < cases; ci++ {
 		q := g.Query()
 		alpha := alphas[ci%len(alphas)]
 		wantAns, _, wantErr := ref.AnswerContext(ctx, q, ExecOptions{Alpha: alpha})
 		for _, sc := range systems {
-			gotAns, _, gotErr := sc.s.AnswerContext(ctx, q, ExecOptions{Alpha: alpha})
+			gotAns, p, gotErr := sc.s.AnswerContext(ctx, q, ExecOptions{Alpha: alpha})
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("case %d workers=%d: error mismatch: ref %v, got %v\n%s",
 					ci, sc.n, wantErr, gotErr, query.Render(q))
@@ -68,6 +70,39 @@ func TestWorkerCountInvariance(t *testing.T) {
 					ci, sc.n, wantAns.Stats.Accessed, wantAns.Stats.Truncated,
 					gotAns.Stats.Accessed, gotAns.Stats.Truncated, query.Render(q))
 			}
+			if checkParallelLeaves(t, sc.s, p, sc.n) {
+				parallel++
+			}
 		}
 	}
+	if parallel == 0 {
+		t.Fatal("no case ran its leaves in parallel; the leaf-tariff check is vacuous")
+	}
+	t.Logf("%d parallel passes checked against their leaf tariffs", parallel)
+}
+
+// checkParallelLeaves runs p's leaves on the parallel path with the given
+// pool, when p takes that path (more than one worker and leaf, total tariff
+// within budget), and reports whether it did. Each leaf's budget share is
+// at least its tariff, so a leaf that reads at most its tariff never
+// truncates: a parallel pass is assembled as it is, with no sequential
+// re-run behind it. The check fails the test on any leaf that reads more
+// than its tariff or truncates.
+func checkParallelLeaves(t *testing.T, s *Scheme, p *Plan, workers int) bool {
+	t.Helper()
+	if workers <= 1 || len(p.Leaves) <= 1 || s.totalTariff(p) > p.Budget {
+		return false
+	}
+	results, _, err := s.executeLeavesParallel(context.Background(), p, ExecOptions{}, workers)
+	if err != nil {
+		t.Fatalf("parallel leaves: %v", err)
+	}
+	for li, l := range p.Leaves {
+		st := results[l.SPC].res.Stats
+		if tariff := l.Bounded.Tariff(); st.Accessed > tariff || st.Truncated {
+			t.Fatalf("parallel leaf %d read %d tuples (truncated %v) against a tariff of %d\n%s",
+				li, st.Accessed, st.Truncated, tariff, query.Render(l.SPC))
+		}
+	}
+	return true
 }

@@ -16,8 +16,13 @@
 //   - Block row hashing folds the same canonical encoding as Tuple.Hash,
 //     and bucket lists preserve build-side insertion order, so hash joins
 //     emit matches in environment-row order, build rows in filtered order.
-//   - Predicate evaluation calls the same RelaxedHolds/Holds methods on
-//     Values reconstructed (allocation-free) from the columns.
+//   - A constant selection compiles once per call into a query.ConstKernel
+//     that tests the column's typed payload (Ints, Floats, Strings) in one
+//     loop, per row exactly as RelaxedHolds: the same comparison, 0 <= tol
+//     where the predicate holds, otherwise the same distance expression.
+//     Columns with nulls or mixed kinds, and constants of another kind,
+//     take RelaxedHolds row by row; so do join and residual predicates,
+//     on Values reconstructed (allocation-free) from the columns.
 //   - A run truncated on the budget still completes every atom: the steps
 //     after the truncating one contribute empty blocks over their
 //     precompiled schemas, so the one evaluator serves every run.
@@ -412,45 +417,27 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 		blk := ba.block
 		ws := ba.weights
 
-		// Relaxed constant selection: tolerances are fixed per call, so they
-		// are hoisted out of the row loop, and unboundedly approximate
-		// columns (+inf resolution) cannot be filtered at all. The surviving
-		// rows become an index list instead of a tuple slice.
-		// sel == nil means every row survives (no active selections).
-		type activeSel struct {
-			col  int
-			tol  float64
-			dist relation.Distance
-			pred query.Pred
-		}
-		var active []activeSel
+		// Relaxed constant selection: tolerances are fixed per call, so each
+		// selection compiles once into a typed kernel that filters the
+		// column's payload, and unboundedly approximate columns (+inf
+		// resolution) cannot be filtered at all. The first kernel selects
+		// from every row, each later one narrows the surviving index list.
+		// selAll means every row survives and sel is unused.
+		var sel []int32
+		selAll := true
 		for _, cs := range ev.constSels[ai] {
 			r := resOf(ai, cs.pred.Left.Attr)
 			if math.IsInf(r, 1) {
 				continue
 			}
-			active = append(active, activeSel{col: cs.col, tol: r, dist: cs.dist, pred: cs.pred})
+			k := query.CompileConst(cs.pred, cs.dist, r)
+			sel = k.Select(blk.Col(cs.col), sel, selAll)
+			selAll = false
 		}
-		var sel []int32
-		selAll := len(active) == 0
-		if !selAll {
-			for ri := 0; ri < blk.Rows(); ri++ {
-				ok := true
-				for _, cs := range active {
-					if !cs.pred.RelaxedHolds(cs.dist, blk.Value(ri, cs.col), relation.Null(), cs.tol) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					sel = append(sel, int32(ri))
-				}
-			}
-			if len(sel) == blk.Rows() {
-				// Every row survived: drop the index list so downstream
-				// stages take the zero-copy all-rows path.
-				selAll, sel = true, nil
-			}
+		if !selAll && len(sel) == blk.Rows() {
+			// Every row survived: drop the index list so downstream
+			// stages take the zero-copy all-rows path.
+			selAll, sel = true, nil
 		}
 		nSel := len(sel)
 		if selAll {

@@ -127,3 +127,76 @@ func TestFetchStepAllocsDoNotGrowWithDistinctX(t *testing.T) {
 	}
 	t.Logf("allocations per step: %.0f at 10 distinct X-values, %.0f at 1000", small, large)
 }
+
+// Evaluating a leaf allocates per leaf, not per row or per selection: over
+// the poi block of a single-atom query with two constant selections, the
+// allocations beyond those of growing the selection vector — a NewBlock,
+// one gathered column per read attribute, the weights and the answer's
+// arena, tuples and relation — are the same at ~100 and ~10,000 fetched
+// rows, and few. The typed kernels run without closures or per-selection
+// buffers; the vector's appends are the only term that grows (with the
+// log of the surviving rows).
+func TestEvaluateAllocsGrowOnlyWithSelection(t *testing.T) {
+	q := &query.SPC{
+		Atoms: []query.Atom{{Rel: "poi", Alias: "h"}},
+		Preds: []query.Pred{
+			query.EqC(query.C("h", "type"), relation.String("hotel")),
+			query.LeC(query.C("h", "price"), relation.Float(200)),
+		},
+		Output: []query.Col{query.C("h", "address"), query.C("h", "price")},
+	}
+	extra := func(nPOI int) float64 {
+		db := fixture.Example1(7, 10, nPOI)
+		as, err := fixture.SchemaA0(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewBounded(mustChase(t, q, as, db, db.Size()), db.Size())
+		lay, err := p.layoutFor(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		atoms, _, err := executeFetchBlocks(ctx, p, lay, ExecOpts{Budget: p.Budget, Fetcher: localFetcher{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := atoms[0].block.Rows()
+		var res *Result
+		allocs := testing.AllocsPerRun(20, func() {
+			if res, err = evaluateColumnar(ctx, p, lay, atoms); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The first kernel keeps the hotels; the second narrows them.
+		typeCol := lookupCol(t, atoms[0].schema, "type")
+		hotels := 0
+		for i := 0; i < rows; i++ {
+			if s, _ := atoms[0].block.Value(i, typeCol).AsString(); s == "hotel" {
+				hotels++
+			}
+		}
+		if rows < nPOI || res.Rel.Len() == 0 || res.Rel.Len() >= hotels || hotels >= rows {
+			t.Fatalf("%d POIs: %d fetched rows, %d hotels, %d answers; want both selections to filter", nPOI, rows, hotels, res.Rel.Len())
+		}
+		growth := testing.AllocsPerRun(20, func() {
+			var sel []int32
+			for i := 0; i < hotels; i++ {
+				sel = append(sel, int32(i))
+			}
+		})
+		t.Logf("%d fetched rows: %.0f allocations, %.0f of them growing the selection vector to %d rows", rows, allocs, growth, hotels)
+		return allocs - growth
+	}
+	small, large := extra(100), extra(10000)
+	if small != large {
+		t.Fatalf("evaluation allocates %.0f times beyond its selection vector at ~100 rows, %.0f at ~10,000; want the same count", small, large)
+	}
+	const fixed = 11
+	if !raceEnabled && large > fixed {
+		t.Fatalf("evaluation allocates %.0f times beyond its selection vector; want at most %d", large, fixed)
+	}
+}
+
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool

@@ -14,6 +14,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -186,6 +187,200 @@ func rightOperand(p Pred, right relation.Value) relation.Value {
 // RelaxedHolds evaluates the predicate under relaxation range r.
 func (p Pred) RelaxedHolds(dist relation.Distance, left, right relation.Value, r float64) bool {
 	return p.Violation(dist, left, right) <= r
+}
+
+// ConstKernel is a constant predicate compiled with its column's distance
+// and a tolerance: Select keeps exactly the rows at which RelaxedHolds(dist,
+// row, Null, tol) holds, read straight from the column's typed payload. A
+// row the predicate holds at is kept iff 0 <= tol; any other row iff its
+// distance to the constant is within tol — |a−c|/scale for numeric
+// operands under a numeric distance, computed as Distance.Between does, and
+// otherwise 0 for an equal row and 1 or +Inf for an unequal one. Columns with nulls or
+// mixed kinds, and constants that are not ints, floats or strings, take the
+// RelaxedHolds row loop. The kernel is a value and allocates nothing.
+type ConstKernel struct {
+	pred Pred
+	dist relation.Distance
+	tol  float64
+	// kind is the constant's kind, KindNull when only the row loop applies;
+	// cf is a numeric constant as a float, ci an int constant exactly.
+	kind relation.Kind
+	ci   int64
+	cf   float64
+	cs   string
+	// holds has bit cmp+1 set when the predicate holds at Compare result cmp.
+	holds uint8
+	// numeric: numeric operands are at distance |a−c|/scale.
+	numeric bool
+	scale   float64
+	zeroOK  bool // a distance of 0 is within tol
+	neqOK   bool // the distance of unequal values (1 or +Inf) is within tol
+}
+
+// CompileConst compiles the constant predicate p (p.Join false) of a
+// column with distance dist under tolerance tol.
+func CompileConst(p Pred, dist relation.Distance, tol float64) ConstKernel {
+	k := ConstKernel{pred: p, dist: dist, tol: tol, numeric: dist.Kind == relation.DistNumeric}
+	if !p.Join {
+		switch k.kind = p.Const.Kind(); k.kind {
+		case relation.KindInt:
+			k.ci, _ = p.Const.AsInt()
+			k.cf = float64(k.ci)
+		case relation.KindFloat:
+			k.cf, _ = p.Const.AsFloat()
+		case relation.KindString:
+			k.cs, _ = p.Const.AsString()
+		}
+	}
+	switch p.Op {
+	case OpEq:
+		k.holds = 0b010
+	case OpLe:
+		k.holds = 0b011
+	case OpGe:
+		k.holds = 0b110
+	case OpLt:
+		k.holds = 0b001
+	default:
+		k.holds = 0b100
+	}
+	k.scale = dist.Scale
+	if k.scale <= 0 {
+		k.scale = 1
+	}
+	neq := math.Inf(1)
+	if dist.Kind == relation.DistDiscrete {
+		neq = 1
+	}
+	k.zeroOK, k.neqOK = 0 <= tol, neq <= tol
+	return k
+}
+
+// Select returns the rows of c that pass the kernel, in row order. With all
+// set it selects from every row of c, reusing sel's storage; otherwise it
+// narrows the row list sel in place.
+func (k *ConstKernel) Select(c *relation.Column, sel []int32, all bool) []int32 {
+	switch k.kind {
+	case relation.KindInt, relation.KindFloat:
+		if xs, ok := c.Ints(); ok {
+			return k.selectInts(xs, sel, all)
+		}
+		if xs, ok := c.Floats(); ok {
+			return k.selectFloats(xs, sel, all)
+		}
+	case relation.KindString:
+		if xs, ok := c.Strings(); ok {
+			return k.selectStrings(xs, sel, all)
+		}
+	}
+	n := len(sel)
+	if all {
+		n = c.Len()
+	}
+	out := sel[:0]
+	for j := 0; j < n; j++ {
+		i := int32(j)
+		if !all {
+			i = sel[j]
+		}
+		if k.pred.RelaxedHolds(k.dist, c.Value(int(i)), relation.Null(), k.tol) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func (k *ConstKernel) selectInts(xs []int64, sel []int32, all bool) []int32 {
+	n := len(sel)
+	if all {
+		n = len(xs)
+	}
+	out := sel[:0]
+	for j := 0; j < n; j++ {
+		i := int32(j)
+		if !all {
+			i = sel[j]
+		}
+		x := xs[i]
+		var cmp int
+		if k.kind == relation.KindInt {
+			cmp = compareNum(x, k.ci) // two ints compare exactly
+		} else {
+			cmp = compareNum(float64(x), k.cf)
+		}
+		if k.admitNum(cmp, float64(x)) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func (k *ConstKernel) selectFloats(xs []float64, sel []int32, all bool) []int32 {
+	n := len(sel)
+	if all {
+		n = len(xs)
+	}
+	out := sel[:0]
+	for j := 0; j < n; j++ {
+		i := int32(j)
+		if !all {
+			i = sel[j]
+		}
+		if x := xs[i]; k.admitNum(compareNum(x, k.cf), x) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func (k *ConstKernel) selectStrings(xs []string, sel []int32, all bool) []int32 {
+	n := len(sel)
+	if all {
+		n = len(xs)
+	}
+	out := sel[:0]
+	for j := 0; j < n; j++ {
+		i := int32(j)
+		if !all {
+			i = sel[j]
+		}
+		// Strings are not numeric: every distance compares them by equality.
+		if k.admitCmp(strings.Compare(xs[i], k.cs)) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// compareNum is Value.Compare of two numerics: it compares two ints
+// exactly and anything else as floats, where a NaN equals every number.
+func compareNum[T int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// admitNum decides a numeric row a whose Compare result against the
+// constant is cmp.
+func (k *ConstKernel) admitNum(cmp int, a float64) bool {
+	if k.numeric && k.holds>>uint(cmp+1)&1 == 0 {
+		return math.Abs(a-k.cf)/k.scale <= k.tol
+	}
+	return k.admitCmp(cmp)
+}
+
+// admitCmp decides a row whose distance to the constant follows from its
+// Compare result cmp alone: 0 when the predicate holds or the row equals
+// the constant, the unequal distance otherwise.
+func (k *ConstKernel) admitCmp(cmp int) bool {
+	if k.holds>>uint(cmp+1)&1 != 0 || cmp == 0 {
+		return k.zeroOK
+	}
+	return k.neqOK
 }
 
 // Expr is a query expression: *SPC, *Union, *Diff or *GroupBy.

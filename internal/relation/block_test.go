@@ -256,6 +256,61 @@ func TestColumnMakeSet(t *testing.T) {
 	}
 }
 
+// TestColumnPayloadAccessors pins Ints, Floats and Strings: each returns
+// the rows of a column of its kind without nulls, and refuses every other
+// column — another kind, a null, mixed kinds, no rows yet.
+func TestColumnPayloadAccessors(t *testing.T) {
+	build := func(vs ...Value) *Column {
+		var c Column
+		for _, v := range vs {
+			c.Append(v)
+		}
+		return &c
+	}
+	cases := []struct {
+		name string
+		c    *Column
+		want Kind // KindNull: every accessor refuses
+	}{
+		{"ints", build(Int(3), Int(-1), Int(3)), KindInt},
+		{"floats", build(Float(2.5), Float(math.NaN()), Float(math.Copysign(0, -1))), KindFloat},
+		{"strings", build(String("hotel"), String(""), String("a")), KindString},
+		{"strings with a null", build(String("a"), Null(), String("b")), KindNull},
+		{"ints then a float", build(Int(1), Float(1)), KindNull},
+		{"a string among ints", build(Int(1), String("1")), KindNull},
+		{"empty", build(), KindNull},
+		{"all null", build(Null(), Null()), KindNull},
+	}
+	for _, tc := range cases {
+		ints, okI := tc.c.Ints()
+		floats, okF := tc.c.Floats()
+		strs, okS := tc.c.Strings()
+		if okI != (tc.want == KindInt) || okF != (tc.want == KindFloat) || okS != (tc.want == KindString) {
+			t.Fatalf("%s: Ints %v, Floats %v, Strings %v; want only the %v payload", tc.name, okI, okF, okS, tc.want)
+		}
+		var n int
+		for i := 0; i < tc.c.Len(); i++ {
+			var got Value
+			switch tc.want {
+			case KindInt:
+				got, n = Int(ints[i]), len(ints)
+			case KindFloat:
+				got, n = Float(floats[i]), len(floats)
+			case KindString:
+				got, n = String(strs[i]), len(strs)
+			default:
+				continue
+			}
+			if !got.KeyEqual(tc.c.Value(i)) {
+				t.Fatalf("%s: payload row %d is %v, Value reads %v", tc.name, i, got, tc.c.Value(i))
+			}
+		}
+		if tc.want != KindNull && n != tc.c.Len() {
+			t.Fatalf("%s: payload of %d rows, column of %d", tc.name, n, tc.c.Len())
+		}
+	}
+}
+
 // TestDecodeBlockRejectsDamage spot-checks the typed-error contract on a
 // few deterministic damage modes (the fuzz target explores the rest).
 func TestDecodeBlockRejectsDamage(t *testing.T) {

@@ -373,6 +373,14 @@ func (c *Column) Floats() ([]float64, bool) {
 	return c.floats[:c.n:c.n], true
 }
 
+// Strings is Ints for a column whose rows are all non-null strings.
+func (c *Column) Strings() ([]string, bool) {
+	if c.mixed || c.valid != nil || c.kind != KindString {
+		return nil, false
+	}
+	return c.strs[:c.n:c.n], true
+}
+
 // hashInto folds row i's canonical encoding into h, exactly as
 // Value.hashInto would for the reconstructed Value.
 func (c *Column) hashInto(i int, h uint64) uint64 {
