@@ -92,8 +92,8 @@ type relBatch struct {
 // items before the batch (positions [0, base)), the batch's inserts after
 // them, and the deletes that reach it.
 type groupBatch struct {
-	g   *ladderGroup
-	old rowRange // the group's items before the batch
+	slot int      // the group's directory slot
+	old  rowRange // the group's items before the batch
 	inserted
 	dels []pendingDelete
 	drop []int // the positions the deletes claimed, ascending
@@ -186,26 +186,32 @@ func (rb *relBatch) resolveDeletes(applied []bool) {
 // would have it. The items themselves are written by placeItems.
 func (l *Ladder) applyBatch(ops []Op, rb *relBatch) []*groupBatch {
 	var groups []*groupBatch
-	byGroup := make(map[*ladderGroup]*groupBatch)
+	byGroup := make(map[int]*groupBatch)
 	key := make(relation.Tuple, len(l.xIdx))
-	// batchOf returns the batch of t's group; a missing group is created
-	// when create is set and reported as nil otherwise.
+	// batchOf returns the batch of t's group. A group with no slot is given
+	// one when create is set and reported as nil otherwise; a dead slot
+	// (a group an earlier batch emptied) is a group with no items, which
+	// its inserts revive.
 	batchOf := func(t relation.Tuple, create bool) *groupBatch {
 		for c, j := range l.xIdx {
 			key[c] = t[j]
 		}
-		g, ok := l.groups.Get(key)
+		s, ok := l.dir.keys.Find(key)
 		if !ok {
 			if !create {
 				return nil
 			}
-			g = &ladderGroup{key: key.Clone()}
-			l.groups.Put(g.key, g)
+			s = l.dir.slot(key)
+		} else if create && !l.dir.live(s) && byGroup[s] == nil {
+			// A revived group is spelled by the insert that revives it,
+			// as a new one would be.
+			l.dir.keys.Respell(s, key)
 		}
-		gb := byGroup[g]
+		gb := byGroup[s]
 		if gb == nil {
-			gb = &groupBatch{g: g, old: g.items, inserted: inserted{base: g.items.rows}}
-			byGroup[g] = gb
+			old := l.dir.items(s)
+			gb = &groupBatch{slot: s, old: old, inserted: inserted{base: old.rows}}
+			byGroup[s] = gb
 			groups = append(groups, gb)
 		}
 		return gb
@@ -385,25 +391,23 @@ func equalHash(n int, at func(c int) relation.Value) (uint64, bool) {
 // time would leave. The old ranges are counted dead, and the item store is
 // compacted first when it is crowded (rowStore).
 func (l *Ladder) placeItems(ops []Op, gbs []*groupBatch) {
-	st := &l.items
+	st, d := &l.items, &l.dir
 	n := 0
 	for _, gb := range gbs {
 		n += gb.base + len(gb.births) - len(gb.drop)
 		st.dead += gb.old.rows
-		gb.g.items = rowRange{} // no live rows until placed below
+		d.setItems(gb.slot, rowRange{}) // no live rows until placed below
 	}
 	src := st.y
 	if crowded(st.live(), st.dead, n) {
 		// The groups' level offsets are relative to their items, so only
-		// the item columns and the base their levels select from move.
+		// the groups' first item rows move.
 		src = st.compact(n, func(move func(lo, hi int) int) {
-			l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
-				if g.items.rows > 0 {
-					g.items.first = move(g.items.first, g.items.end())
-					g.rebase(st.y)
+			for s := range d.recs {
+				if r := d.items(s); r.rows > 0 {
+					d.recs[s].itemFirst = int32(move(r.first, r.end()))
 				}
-				return true
-			})
+			}
 		})
 	} else {
 		st.reserve(n)
@@ -426,17 +430,18 @@ func (l *Ladder) placeItems(ops []Op, gbs []*groupBatch) {
 			}
 			from = p + 1
 		}
-		gb.g.items = rowRange{first: first, rows: y.Rows() - first}
+		d.setItems(gb.slot, rowRange{first: first, rows: y.Rows() - first})
 	}
 }
 
 // flushDirty finishes a batch in three phases. First, each changed group
-// gets its new item range (placeItems), its old level rows are counted
-// dead, and a group the batch emptied is dropped. Then the trees of the
+// gets its new item range (placeItems) and its old levels are counted dead;
+// a group the batch emptied is left a dead slot. Then the trees of the
 // remaining changed groups — of all ladders, on one worker pool, see
 // buildGroups — are built over those read-only ranges. Last, each group's
-// new level rows are placed in its ladder's arena (placeRebuilt) and each
-// touched ladder's metadata is refreshed.
+// new levels are placed in its ladder's arena and directory
+// (placeRebuilt), each touched ladder's metadata is refreshed, and its
+// directory drops its dead slots when they outnumber the live ones.
 func (s *Schema) flushDirty(ops []Op, dirty map[*Ladder][]*groupBatch) {
 	var jobs []groupBuild
 	for _, l := range s.Ladders {
@@ -445,14 +450,10 @@ func (s *Schema) flushDirty(ops []Op, dirty map[*Ladder][]*groupBatch) {
 		}
 		l.placeItems(ops, dirty[l])
 		for _, gb := range dirty[l] {
-			g := gb.g
-			lo, hi := g.span()
-			l.arena.dead += hi - lo
-			if g.items.rows == 0 {
-				l.groups.Delete(g.key)
-				continue
+			l.dir.unplace(gb.slot, &l.arena)
+			if l.dir.recs[gb.slot].itemRows > 0 {
+				jobs = append(jobs, groupBuild{l: l, slot: gb.slot})
 			}
-			jobs = append(jobs, groupBuild{l: l, g: g})
 		}
 	}
 	buildGroups(jobs, runtime.GOMAXPROCS(0))
@@ -460,6 +461,9 @@ func (s *Schema) flushDirty(ops []Op, dirty map[*Ladder][]*groupBatch) {
 		if len(dirty[l]) > 0 {
 			l.placeRebuilt(jobs)
 			l.recomputeMeta()
+			if d := &l.dir; crowded(d.slots()-d.dead, d.dead, 0) {
+				d.compact()
+			}
 		}
 	}
 }

@@ -14,14 +14,15 @@ import (
 // level row is a pair of int32s, the offset of its item within the group's
 // items and the number of base tuples it represents. Each group's levels
 // are stored contiguously, level after level, so that a level is a row
-// range of the arena. A LevelBlock records that range, together with the
-// item columns and the group's first item row it selects from; a group
-// holds its levels' records in one slice and FetchBlock hands out pointers
-// into it, so a fetch allocates nothing and the heap holds a few large
-// columns instead of a block per (group, level) or an object per item. The
-// executor (internal/plan) gathers a fetched level's values from the item
-// columns one column at a time (Column.AppendIndexes), and the snapshot
-// encodes a level row as the very pair it is (see GroupSnapshot).
+// range of the arena. The group directory (directory.go) records each
+// level's range as two int32s, and FetchBlock builds from them a LevelBlock
+// value — a pointer to the ladder's two stores, the group's first item row
+// and the level's arena range — so a fetch allocates nothing and the heap
+// holds a few large columns instead of a block per (group, level), objects
+// per group or one per item. The executor (internal/plan) gathers a fetched level's
+// values from the item columns one column at a time
+// (Column.AppendIndexes), and the snapshot encodes a level row as the very
+// pair it is (see GroupSnapshot).
 
 // crowded reports whether a store holding live rows some group covers and
 // dead rows none does must compact before placing n more: the dead rows
@@ -97,16 +98,22 @@ func (a *levelArena) live() int { return len(a.item) - a.dead }
 // represents.
 type levelRow struct{ item, count int32 }
 
+// levelStore is what level views read: a ladder's item store and level
+// arena.
+type levelStore struct {
+	items rowStore   // every group's item rows
+	arena levelArena // every group's level rows
+}
+
 // LevelBlock is one fetch level in columnar form: a selection of a group's
 // items. Row i of the level is item row Base+Offsets()[i] of the item
 // columns, with Counts()[i] the number of base tuples it represents; the
-// offsets and counts are rows [first, first+rows) of an arena. Blocks are
-// shared read-only views.
+// offsets and counts are rows [first, first+rows) of the store's arena. A
+// LevelBlock is a 24-byte value built on each fetch, reading the ladder's
+// storage read-only, so it is valid until the ladder is next maintained.
 type LevelBlock struct {
-	arena       *levelArena
-	items       *relation.Block // the item columns the level selects from
-	base        int             // the group's first item row
-	first, rows int
+	st                *levelStore
+	base, first, rows int32 // the group's first item row, and the arena rows
 }
 
 // NewLevelBlock returns a standalone level holding y's rows in order, with
@@ -118,39 +125,41 @@ func NewLevelBlock(y *relation.Block, counts []int32) *LevelBlock {
 	for i := range item {
 		item[i] = int32(i)
 	}
-	return &LevelBlock{arena: &levelArena{item: item, count: counts}, items: y, rows: y.Rows()}
+	st := &levelStore{items: rowStore{y: y}, arena: levelArena{item: item, count: counts}}
+	return &LevelBlock{st: st, rows: int32(y.Rows())}
 }
 
 // Rows returns the number of samples in the level.
-func (b *LevelBlock) Rows() int { return b.rows }
+func (b *LevelBlock) Rows() int { return int(b.rows) }
 
 // ItemCol returns the item column holding Y attribute j; the level's rows
 // are the rows of it that Offsets names. It is shared storage: read-only.
-func (b *LevelBlock) ItemCol(j int) *relation.Column { return b.items.Col(j) }
+func (b *LevelBlock) ItemCol(j int) *relation.Column { return b.st.items.y.Col(j) }
 
 // Offsets returns the level's selection of ItemCol's rows: row i of the
 // level is row base+offs[i]. offs is shared storage: read-only.
 func (b *LevelBlock) Offsets() (base int, offs []int32) {
 	end := b.first + b.rows
-	return b.base, b.arena.item[b.first:end:end]
+	return int(b.base), b.st.arena.item[b.first:end:end]
 }
 
 // Counts returns the per-sample represented-tuple counts, read-only.
 func (b *LevelBlock) Counts() []int32 {
 	end := b.first + b.rows
-	return b.arena.count[b.first:end:end]
+	return b.st.arena.count[b.first:end:end]
 }
 
 // Y returns the level's Y-tuples as a fresh block gathered from the item
 // columns. It allocates, so the fetch path gathers through ItemCol and
 // Offsets into its own output instead.
 func (b *LevelBlock) Y() *relation.Block {
-	y := relation.NewBlock(b.items.Width())
+	items := b.st.items.y
+	y := relation.NewBlock(items.Width())
 	base, offs := b.Offsets()
 	for j := 0; j < y.Width(); j++ {
-		y.Col(j).AppendIndexes(b.items.Col(j), offs, base)
+		y.Col(j).AppendIndexes(items.Col(j), offs, base)
 	}
-	y.AddRows(b.rows)
+	y.AddRows(b.Rows())
 	return y
 }
 
@@ -158,141 +167,115 @@ func (b *LevelBlock) Y() *relation.Block {
 // keeps of a level under a budget that runs out inside it. A nil block (a
 // missing group) stays nil.
 func (b *LevelBlock) Prefix(n int) *LevelBlock {
-	if b == nil || n >= b.rows {
+	if b == nil || n >= b.Rows() {
 		return b
 	}
 	p := *b
-	p.rows = n
+	p.rows = int32(n)
 	return &p
 }
 
-// place points the group's levels, whose first rows are offsets into the
-// group's own rows, at l's arena rows from first on, and at l's items.
-func (g *ladderGroup) place(l *Ladder, first int) {
-	for k := range g.levels {
-		g.levels[k].arena = l.arena
-		g.levels[k].first += first
-	}
-	g.rebase(l.items.y)
-}
-
-// rebase points the group's levels at its items in the item columns y,
-// where they start at row g.items.first.
-func (g *ladderGroup) rebase(y *relation.Block) {
-	for k := range g.levels {
-		g.levels[k].items, g.levels[k].base = y, g.items.first
-	}
-}
-
-// placeRows appends the job's level rows to its ladder's arena and places
-// the group's levels there.
-func (j groupBuild) placeRows() {
-	a := j.l.arena
-	first := len(a.item)
-	for _, r := range j.rows {
-		a.item = append(a.item, r.item)
-		a.count = append(a.count, r.count)
-	}
-	j.g.place(j.l, first)
-}
-
-// packArenas gives every ladder with jobs a fresh arena holding exactly its
-// jobs' rows (callers pass all of a ladder's groups), in job order, and
-// places each group's levels in it.
+// packArenas gives every ladder with jobs a fresh arena and fresh level
+// entries holding exactly its jobs' (callers pass all of a ladder's
+// groups), in job order, and places each job's levels there.
 func packArenas(jobs []groupBuild) {
-	rows := make(map[*levelArena]int)
+	type size struct{ rows, levels int }
+	sizes := make(map[*Ladder]size)
 	for _, j := range jobs {
-		rows[j.l.arena] += len(j.rows)
+		n := sizes[j.l]
+		sizes[j.l] = size{n.rows + j.rows.rows, n.levels + j.levels.rows}
 	}
-	for a, n := range rows {
-		*a = levelArena{item: make([]int32, 0, n), count: make([]int32, 0, n)}
+	for l, n := range sizes {
+		l.arena = levelArena{item: make([]int32, 0, n.rows), count: make([]int32, 0, n.rows)}
+		d := &l.dir
+		d.spans, d.res, d.deadLevels = make([]int32, 0, 2*n.levels), make([]float64, 0, n.levels*len(l.yAttrs)), 0
 	}
-	for _, j := range jobs {
-		j.placeRows()
+	for i := range jobs {
+		jobs[i].place()
 	}
 }
 
-// placeRebuilt places the rows of l's groups rebuilt by maintenance (l's
-// jobs among jobs) in l's arena, whose rows of those groups were already
-// counted dead: after the arena's rows, compacting first when the arena is
-// crowded (repack).
+// placeRebuilt places the levels of l's groups rebuilt by maintenance (l's
+// jobs among jobs), whose old rows and level entries were already counted
+// dead: after the arena's rows and the directory's level entries,
+// compacting either first when it is crowded (repack, packLevels).
 func (l *Ladder) placeRebuilt(jobs []groupBuild) {
-	a := l.arena
-	n := 0
+	a, d := &l.arena, &l.dir
+	rows, levels := 0, 0
 	for _, j := range jobs {
 		if j.l == l {
-			n += len(j.rows)
+			rows, levels = rows+j.rows.rows, levels+j.levels.rows
 		}
 	}
-	if crowded(a.live(), a.dead, n) {
-		l.repack(n)
+	if crowded(a.live(), a.dead, rows) {
+		l.repack(rows)
 	} else {
-		a.item, a.count = slices.Grow(a.item, n), slices.Grow(a.count, n)
+		a.item, a.count = slices.Grow(a.item, rows), slices.Grow(a.count, rows)
 	}
-	for _, j := range jobs {
-		if j.l == l {
-			j.placeRows()
+	if crowded(d.liveLevels(), d.deadLevels, levels) {
+		d.packLevels(levels, len(l.yAttrs))
+	}
+	for i := range jobs {
+		if jobs[i].l == l {
+			jobs[i].place()
 		}
 	}
 }
 
 // repack compacts the arena into fresh columns with room for extra more
-// rows, group by group. Groups rebuilt but not yet placed (their levels
-// point at no arena) have no live rows to move.
+// rows, group by group, shifting each group's level entries with its rows.
+// Groups rebuilt but not yet placed have no levels, so no live rows to
+// move.
 func (l *Ladder) repack(extra int) {
-	a := l.arena
+	a, d := &l.arena, &l.dir
 	item, count := make([]int32, 0, a.live()+extra), make([]int32, 0, a.live()+extra)
-	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
-		if g.levels[0].arena != a {
-			return true
+	for s := range d.recs {
+		if !d.live(s) {
+			continue
 		}
-		lo, hi := g.span()
-		shift := len(item) - lo
-		for k := range g.levels {
-			g.levels[k].first += shift
+		lo, hi := d.span(s)
+		shift := int32(len(item) - lo)
+		r := d.recs[s]
+		for e := r.lvlFirst; e < r.lvlFirst+r.lvlCount; e++ {
+			d.spans[2*e] += shift
 		}
 		item, count = append(item, a.item[lo:hi]...), append(count, a.count[lo:hi]...)
-		return true
-	})
+	}
 	a.item, a.count, a.dead = item, count, 0
 }
 
-// span returns the arena rows [lo, hi) holding the group's levels; empty
-// for a group not yet placed.
-func (g *ladderGroup) span() (lo, hi int) {
-	if len(g.levels) == 0 {
-		return 0, 0
-	}
-	last := g.levels[len(g.levels)-1]
-	return g.levels[0].first, last.first + last.rows
-}
-
-// fetchBlock returns the group's level-k view. k is clamped to [0, exact
-// level], matching kdtree.Tree.Level.
-func (g *ladderGroup) fetchBlock(k int) *LevelBlock {
-	return &g.levels[max(0, min(k, len(g.levels)-1))]
+// view returns slot s's level-k view. k is clamped to [0, exact level].
+func (l *Ladder) view(s, k int) LevelBlock {
+	first, rows := l.dir.level(s, k)
+	return LevelBlock{st: &l.levelStore, base: l.dir.recs[s].itemFirst, first: int32(first), rows: int32(rows)}
 }
 
 // FetchBlock returns the level-k samples for one X-value tuple in columnar
-// form; nil when the X-value is not indexed. The block is a shared
-// read-only view: the same pointer on every call until maintenance rebuilds
-// the group.
-func (l *Ladder) FetchBlock(x relation.Tuple, k int) *LevelBlock {
-	g, ok := l.groups.Get(x)
+// form, and false when the X-value is not indexed. The block is built from
+// the directory's entries on each call, without allocating, and reads the
+// ladder's storage: equal blocks on every call until the ladder is next
+// maintained.
+func (l *Ladder) FetchBlock(x relation.Tuple, k int) (LevelBlock, bool) {
+	s, ok := l.dir.lookup(x)
 	if !ok {
-		return nil
+		return LevelBlock{}, false
 	}
-	return g.fetchBlock(k)
+	return l.view(s, k), true
 }
 
 // FetchBatchBlocks resolves the level-k blocks for every X-value of xs, in
 // input order (out[i] corresponds to xs[i]; nil for missing groups), with
-// one map lookup each on the calling goroutine. Results are the shared
-// read-only views FetchBlock returns. workers is ignored.
+// one directory lookup each on the calling goroutine. The blocks are
+// FetchBlock's, held in one backing slice, so a batch allocates twice
+// whatever its length. workers is ignored.
 func (l *Ladder) FetchBatchBlocks(xs []relation.Tuple, k, workers int) []*LevelBlock {
 	out := make([]*LevelBlock, len(xs))
+	views := make([]LevelBlock, len(xs))
 	for i, x := range xs {
-		out[i] = l.FetchBlock(x, k)
+		if s, ok := l.dir.lookup(x); ok {
+			views[i] = l.view(s, k)
+			out[i] = &views[i]
+		}
 	}
 	return out
 }

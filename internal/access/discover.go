@@ -72,7 +72,7 @@ func Discover(db *relation.Database, opts DiscoverOptions) []Candidate {
 	opts = opts.withDefaults()
 	names := db.Names()
 	perRel := make([][]Candidate, len(names))
-	parallelFor(len(names), runtime.GOMAXPROCS(0), func(i int) {
+	parallelFor(len(names), runtime.GOMAXPROCS(0), func(_, i int) {
 		perRel[i] = discoverRelation(db.MustRelation(names[i]), opts)
 	})
 

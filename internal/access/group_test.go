@@ -2,6 +2,7 @@ package access
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -28,7 +29,8 @@ func TestFetchBatchMatchesFetch(t *testing.T) {
 				t.Fatalf("batch %d level %d: %d results", n, k, len(got))
 			}
 			for i, x := range xs {
-				if want := l.FetchBlock(x, k); got[i] != want {
+				want, ok := l.FetchBlock(x, k)
+				if ok != (got[i] != nil) || (ok && !sameView(got[i], &want)) {
 					t.Fatalf("batch %d level %d: entry %d (%v) is not FetchBlock's view", n, k, i, x)
 				}
 			}
@@ -39,8 +41,9 @@ func TestFetchBatchMatchesFetch(t *testing.T) {
 	}
 }
 
-// FetchBlock hands out the stored level view itself — repeated calls must
-// return the same pointer, not build a view per fetch.
+// FetchBlock builds its view from the directory's columns: repeated calls
+// must return equal views of the same shared storage, and build them
+// without allocating.
 func TestFetchReturnsSharedView(t *testing.T) {
 	db := exampleDB(t)
 	l, err := BuildLadder(db, "poi", []string{"type", "city"}, []string{"price", "address"})
@@ -49,19 +52,24 @@ func TestFetchReturnsSharedView(t *testing.T) {
 	}
 	for _, x := range l.GroupXs() {
 		for k := 0; k <= l.MaxK(); k++ {
-			a := l.FetchBlock(x, k)
-			if a == nil || a.Rows() == 0 {
+			a, ok := l.FetchBlock(x, k)
+			if !ok || a.Rows() == 0 {
 				t.Fatalf("group %v level %d: empty fetch", x, k)
 			}
-			if b := l.FetchBlock(x, k); a != b {
-				t.Fatalf("group %v level %d: fetch built a new view instead of sharing the stored one", x, k)
+			var b LevelBlock
+			if n := testing.AllocsPerRun(10, func() { b, _ = l.FetchBlock(x, k) }); n != 0 {
+				t.Fatalf("group %v level %d: fetch allocates %.1f times", x, k, n)
+			}
+			if a != b {
+				t.Fatalf("group %v level %d: two fetches returned different views", x, k)
 			}
 		}
 	}
 }
 
-// The fetch path allocates nothing of its own: FetchBlock hands out a stored
-// view, and FetchBatchBlocks allocates only the result slice.
+// The fetch path allocates nothing of its own: FetchBlock builds its view
+// as a value, and FetchBatchBlocks allocates the result slice and the one
+// slice of views it points into, whatever the batch's length.
 func TestFetchAllocs(t *testing.T) {
 	db := exampleDB(t)
 	l, err := BuildLadder(db, "poi", []string{"type", "city"}, []string{"price", "address"})
@@ -76,31 +84,44 @@ func TestFetchAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("FetchBlock allocates %.1f times per batch of %d", n, len(xs))
 	}
-	if n := testing.AllocsPerRun(50, func() { l.FetchBatchBlocks(xs, 1, 1) }); n != 1 {
-		t.Errorf("FetchBatchBlocks allocates %.1f times, want 1 (the result slice)", n)
+	for _, batch := range [][]relation.Tuple{xs[:1], xs, append(append(xs, xs...), xs...)} {
+		if n := testing.AllocsPerRun(50, func() { l.FetchBatchBlocks(batch, 1, 1) }); n != 2 {
+			t.Errorf("FetchBatchBlocks allocates %.1f times for %d Xs, want 2 (the result and its views)", n, len(batch))
+		}
 	}
 }
 
 // Incremental maintenance must touch only the updated group: every other
-// group keeps the exact same level views, at the same
-// arena rows.
+// group keeps its directory slot, its item range and its level entries —
+// the same arena rows — and so serves the same level views.
 func TestMaintenanceIsPartitionLocal(t *testing.T) {
 	db := exampleDB(t)
 	s := maintSchema(t, db)
 	l := s.Find("poi", []string{"type", "city"}, []string{"price", "address"})
 
 	target := relation.Tuple{relation.String("hotel"), relation.String("NYC")}
-	type view struct {
-		first *LevelBlock
-		at    LevelBlock
+	type entry struct {
+		slot  int
+		items rowRange
+		spans []int32 // the group's level entries, copied
+		views []LevelBlock
 	}
-	before := map[*ladderGroup]view{}
-	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
-		if !g.key.EqualTuple(target) {
-			before[g] = view{&g.levels[0], g.levels[0]}
+	before := map[string]entry{}
+	for _, slot := range liveSlots(l) {
+		x := slotKey(l, slot)
+		if x.EqualTuple(target) {
+			continue
 		}
-		return true
-	})
+		d := &l.dir
+		e := entry{slot: slot, items: d.items(slot)}
+		first, n := int(d.recs[slot].lvlFirst), int(d.recs[slot].lvlCount)
+		e.spans = append(e.spans, d.spans[2*first:2*(first+n)]...)
+		for k := 0; k < n; k++ {
+			v, _ := l.FetchBlock(x, k)
+			e.views = append(e.views, v)
+		}
+		before[x.Key()] = e
+	}
 	if len(before) == 0 {
 		t.Fatal("fixture has no other groups")
 	}
@@ -112,10 +133,26 @@ func TestMaintenanceIsPartitionLocal(t *testing.T) {
 	if err := s.Insert(db, "poi", tup); err != nil {
 		t.Fatal(err)
 	}
-	for g, v := range before {
-		if &g.levels[0] != v.first || g.levels[0] != v.at {
-			t.Fatalf("group %v was rebuilt or moved by an insert into %v", g.key, target)
+	d := &l.dir
+	for _, slot := range liveSlots(l) {
+		x := slotKey(l, slot)
+		e, ok := before[x.Key()]
+		if !ok {
+			continue
 		}
+		delete(before, x.Key())
+		first, n := int(d.recs[slot].lvlFirst), int(d.recs[slot].lvlCount)
+		if slot != e.slot || d.items(slot) != e.items || !slices.Equal(d.spans[2*first:2*(first+n)], e.spans) {
+			t.Fatalf("group %v was rebuilt or moved by an insert into %v", x, target)
+		}
+		for k, want := range e.views {
+			if v, _ := l.FetchBlock(x, k); v != want {
+				t.Fatalf("group %v level %d: view moved after an insert into %v", x, k, target)
+			}
+		}
+	}
+	if len(before) > 0 {
+		t.Fatalf("%d groups vanished after an insert into %v", len(before), target)
 	}
 }
 
@@ -200,12 +237,15 @@ outer:
 	return true
 }
 
-// Building a ladder allocates per group and per tree, never per item:
-// doubling the rows of a single-group (X = ∅) relation, and of one whose
-// rows fall into a fixed set of groups, must not double BuildLadder's
-// allocations. A tuple or an object per item would double them.
+// Building a ladder allocates as its columns and scratch buffers grow,
+// never per item and never per group: doubling the rows of a single-group
+// (X = ∅) relation, doubling the rows of one whose rows fall into a fixed
+// set of groups, and doubling the number of groups over the same rows must
+// each leave BuildLadder's allocations short of doubling them — by a wide
+// margin. A tuple or an object per item, or a tree, a key or a slice per
+// group, would double them.
 func TestBuildLadderAllocs(t *testing.T) {
-	rel := func(n int) *relation.Database {
+	rel := func(n, groups int) *relation.Database {
 		r := relation.NewRelation(relation.MustSchema("r",
 			relation.Attr("g", relation.KindInt, relation.Trivial()),
 			relation.Attr("a", relation.KindInt, relation.Numeric(100)),
@@ -215,7 +255,7 @@ func TestBuildLadderAllocs(t *testing.T) {
 		cs := []string{"p", "q", "r", "s", "t"}
 		for i := 0; i < n; i++ {
 			r.MustAppend(relation.Tuple{
-				relation.Int(int64(i % 16)), relation.Int(int64(i * 7 % 1000)),
+				relation.Int(int64(i % groups)), relation.Int(int64(i * 7 % 1000)),
 				relation.Float(float64(i%97) / 3), relation.String(cs[i%len(cs)]),
 			})
 		}
@@ -223,19 +263,28 @@ func TestBuildLadderAllocs(t *testing.T) {
 		db.MustAdd(r)
 		return db
 	}
-	for _, x := range [][]string{nil, {"g"}} {
-		allocs := func(n int) float64 {
-			db := rel(n)
+	for _, c := range []struct {
+		name     string
+		x        []string
+		one, two [2]int // rows and groups of the two builds
+	}{
+		{"X=∅, rows doubled", nil, [2]int{4000, 1}, [2]int{8000, 1}},
+		{"16 groups, rows doubled", []string{"g"}, [2]int{4000, 16}, [2]int{8000, 16}},
+		{"rows fixed, groups doubled", []string{"g"}, [2]int{8000, 500}, [2]int{8000, 1000}},
+	} {
+		allocs := func(size [2]int) float64 {
+			db := rel(size[0], size[1])
 			return testing.AllocsPerRun(3, func() {
-				if _, err := BuildLadder(db, "r", x, []string{"a", "b", "c"}); err != nil {
+				if _, err := BuildLadder(db, "r", c.x, []string{"a", "b", "c"}); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
-		one, two := allocs(4000), allocs(8000)
-		t.Logf("X=%v: %.0f allocations at 4000 rows, %.0f at 8000", x, one, two)
+		one, two := allocs(c.one), allocs(c.two)
+		t.Logf("%s: %.0f allocations at %v, %.0f at %v", c.name, one, c.one, two, c.two)
 		if two-one > one/2 {
-			t.Errorf("X=%v: BuildLadder allocates %.0f times over 4000 rows and %.0f over 8000: it allocates per item", x, one, two)
+			t.Errorf("%s: BuildLadder allocates %.0f times at %v (rows, groups) and %.0f at %v: it allocates per item or per group",
+				c.name, one, c.one, two, c.two)
 		}
 	}
 }

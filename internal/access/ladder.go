@@ -16,11 +16,13 @@ import (
 // MaxK has d̄ = 0̄ and doubles as the access constraint R(X → Y, N, 0̄) with
 // N the largest group's distinct-Y count.
 //
-// Groups are keyed by the X-value tuple itself (hash-bucketed, equality
-// verified) in one map per ladder, so the online fetch path never
-// materialises string keys. Every group's items live in one columnar item
-// store per ladder, and every group's level views, as selections of those
-// items, in one arena per ladder, handed out as shared read-only views.
+// Groups are kept in a flat directory (directory.go): their X-keys are
+// rows of one typed key block, found through a hash table of slot numbers,
+// so the online fetch path never materialises string keys, and every other
+// field of a group sits in flat int32 and float64 slices. Every group's items
+// live in one columnar item store per ladder, and every group's level
+// views, as selections of those items, in one arena per ladder; a fetch
+// hands out a view of them built from the directory's entries.
 type Ladder struct {
 	RelName string
 	X, Y    []string
@@ -30,9 +32,8 @@ type Ladder struct {
 	maxK        int
 	resolutions [][]float64 // [k][|Y|]; max over groups of per-group level-k resolution
 	maxDistinct int         // largest distinct-Y count of any group
-	groups      *relation.TupleMap[*ladderGroup]
-	items       rowStore    // every group's item rows (block.go)
-	arena       *levelArena // every group's level rows (block.go)
+	dir         groupDir    // every group's key and fields (directory.go)
+	levelStore              // every group's item rows and level rows (block.go)
 	indexSize   int         // total representatives stored across all groups and levels
 }
 
@@ -49,68 +50,59 @@ func BuildLadder(db *relation.Database, rel string, x, y []string) (*Ladder, err
 // buildLadderWorkers is BuildLadder with an explicit worker count; tests pin
 // workers to 1 to assert the parallel build changes nothing.
 func buildLadderWorkers(db *relation.Database, rel string, x, y []string, workers int) (*Ladder, error) {
-	l, groups, err := prepareLadder(db, rel, x, y, workers)
+	l, err := prepareLadder(db, rel, x, y, workers)
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]groupBuild, len(groups))
-	for i, g := range groups {
-		jobs[i] = groupBuild{l: l, g: g}
+	jobs := make([]groupBuild, l.dir.slots())
+	for s := range jobs {
+		jobs[s] = groupBuild{l: l, slot: s}
 	}
 	buildGroups(jobs, workers)
 	packArenas(jobs)
-	for _, g := range groups {
-		l.groups.Put(g.key, g)
-	}
 	l.recomputeMeta()
 	return l, nil
 }
 
 // prepareLadder scans the relation once and returns the ladder shell with
-// its item store filled and its groups, in first-occurrence order, bucketed
-// but not yet built or stored: each group holds its X-key and the range of
-// its Y-projections, in relation order. The scan files each tuple under its
-// group through a scratch key, cloning the key only for a new group; a
-// prefix sum over the group sizes then gives every group its range, and
-// relation.FillBlock copies the projections into exact-size columns.
-func prepareLadder(db *relation.Database, rel string, x, y []string, workers int) (*Ladder, []*ladderGroup, error) {
+// its item store filled and its groups, in first-occurrence order, in the
+// directory but not yet built: each slot holds its X-key and the range of
+// its Y-projections, in relation order. The scan files each tuple under
+// its group through a scratch key, which the directory copies into its key
+// block only for a new group; a prefix sum over the group sizes then gives
+// every group its range, and relation.FillBlock copies the projections
+// into exact-size columns.
+func prepareLadder(db *relation.Database, rel string, x, y []string, workers int) (*Ladder, error) {
 	l, r, err := newLadder(db, rel, x, y)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	byX := relation.NewTupleMap[int32](0)
-	var groups []*ladderGroup
+	d := &l.dir
 	of := make([]int32, len(r.Tuples)) // each tuple's group
 	key := make(relation.Tuple, len(l.xIdx))
 	for i, t := range r.Tuples {
 		for c, j := range l.xIdx {
 			key[c] = t[j]
 		}
-		gi, ok := byX.Get(key)
-		if !ok {
-			gi = int32(len(groups))
-			g := &ladderGroup{key: key.Clone()}
-			byX.Put(g.key, gi)
-			groups = append(groups, g)
-		}
-		of[i] = gi
-		groups[gi].items.rows++
+		s := d.slot(key)
+		of[i] = int32(s)
+		d.recs[s].itemRows++
 	}
-	next := make([]int, len(groups))
-	first := 0
-	for gi, g := range groups {
-		g.items.first, next[gi] = first, first
-		first += g.items.rows
+	next := make([]int32, d.slots())
+	first := int32(0)
+	for s := range next {
+		d.recs[s].itemFirst, next[s] = first, first
+		first += d.recs[s].itemRows
 	}
 	src := make([]int32, len(of)) // each item's tuple
-	for i, gi := range of {
-		src[next[gi]] = int32(i)
-		next[gi]++
+	for i, s := range of {
+		src[next[s]] = int32(i)
+		next[s]++
 	}
 	l.items.y = relation.FillBlock(len(l.yIdx), len(src), func(item, c int) relation.Value {
 		return r.Tuples[src[item]][l.yIdx[c]]
 	}, workers)
-	return l, groups, nil
+	return l, nil
 }
 
 // newLadder returns an empty ladder on rel(X → Y), with the attribute sets
@@ -137,24 +129,14 @@ func newLadder(db *relation.Database, rel string, x, y []string) (*Ladder, *rela
 		Y:       append([]string(nil), y...),
 		xIdx:    xIdx,
 		yIdx:    yIdx,
-		groups:  relation.NewTupleMap[*ladderGroup](0),
-		items:   rowStore{y: relation.NewBlock(len(yIdx))},
-		arena:   &levelArena{},
+		dir:     groupDir{keys: relation.MakeKeyIndex(len(xIdx))},
 	}
+	l.items.y = relation.NewBlock(len(yIdx))
 	l.yAttrs = make([]relation.Attribute, len(yIdx))
 	for i, j := range yIdx {
 		l.yAttrs[i] = r.Schema.Attrs[j]
 	}
 	return l, r, nil
-}
-
-// groupBuild is one unit of index construction: a group of some ladder whose
-// tree and level views are (re)built from its items, and the level rows the
-// rebuild produced, until the ladder's arena takes them.
-type groupBuild struct {
-	l    *Ladder
-	g    *ladderGroup
-	rows []levelRow
 }
 
 // buildGroups rebuilds every job's group on one pool of up to `workers`
@@ -167,25 +149,24 @@ type groupBuild struct {
 // stores are only read.
 func buildGroups(jobs []groupBuild, workers int) {
 	slices.SortStableFunc(jobs, func(a, b groupBuild) int {
-		return cmp.Compare(b.g.items.rows, a.g.items.rows)
+		return cmp.Compare(b.l.dir.recs[b.slot].itemRows, a.l.dir.recs[a.slot].itemRows)
 	})
-	parallelFor(len(jobs), workers, func(i int) {
-		j := &jobs[i]
-		j.rows = j.g.rebuild(j.l.yAttrs, j.l.items.y)
-	})
+	outs := make([]buildOut, max(1, min(workers, len(jobs))))
+	parallelFor(len(jobs), workers, func(w, i int) { jobs[i].build(&outs[w]) })
 }
 
-// parallelFor runs f(i) for i in [0, n) over at most `workers` goroutines
-// (clamped to [1, n]; workers ≤ 1 runs inline). Each index is processed
-// exactly once; f must only write state owned by its index, which keeps
+// parallelFor runs f(w, i) for i in [0, n) over at most `workers`
+// goroutines (clamped to [1, n]; workers ≤ 1 runs inline), w being the
+// goroutine's number in [0, workers). Each index is processed exactly once;
+// f must only write state owned by its index or by its worker, which keeps
 // results independent of the worker count.
-func parallelFor(n, workers int, f func(int)) {
+func parallelFor(n, workers int, f func(w, i int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			f(i)
+			f(0, i)
 		}
 		return
 	}
@@ -196,7 +177,7 @@ func parallelFor(n, workers int, f func(int)) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				f(i)
+				f(w, i)
 			}
 		}()
 	}
@@ -211,7 +192,7 @@ func parallelFor(n, workers int, f func(int)) {
 func (l *Ladder) MaxK() int { return l.maxK }
 
 // NumGroups returns the number of distinct X-values indexed.
-func (l *Ladder) NumGroups() int { return l.groups.Len() }
+func (l *Ladder) NumGroups() int { return l.dir.slots() - l.dir.dead }
 
 // MaxGroupDistinct returns the largest group's distinct-Y count: the N of
 // the ladder's access-constraint view, and the per-X-value fetch bound that
@@ -298,24 +279,31 @@ func (l *Ladder) FetchBound(k int) int {
 }
 
 // GroupXs returns the X-value tuples of all indexed groups, in unspecified
-// order. For X = ∅ this is the single empty tuple.
+// order, each spelled as the directory first saw it, all backed by one
+// fresh slab. For X = ∅ this is the single empty tuple.
 func (l *Ladder) GroupXs() []relation.Tuple {
-	xs := make([]relation.Tuple, 0, l.groups.Len())
-	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
-		xs = append(xs, g.key)
-		return true
-	})
+	d := &l.dir
+	keys := d.keys.Keys()
+	w := keys.Width()
+	slab := make(relation.Tuple, 0, l.NumGroups()*w)
+	xs := make([]relation.Tuple, 0, l.NumGroups())
+	for s := 0; s < d.slots(); s++ {
+		if d.live(s) {
+			slab = keys.AppendRowTo(slab, s)
+			xs = append(xs, slab[len(slab)-w:len(slab):len(slab)])
+		}
+	}
 	return xs
 }
 
 // ExactLevelFor returns the level at which the group of x is represented
 // exactly; 0 when the group does not exist.
 func (l *Ladder) ExactLevelFor(x relation.Tuple) int {
-	g, ok := l.groups.Get(x)
+	s, ok := l.dir.lookup(x)
 	if !ok {
 		return 0
 	}
-	return g.exactLevel()
+	return l.dir.exactLevel(s)
 }
 
 // Verify checks the conformance invariant D |= ψk for every level of the
@@ -343,7 +331,7 @@ func (l *Ladder) Verify(db *relation.Database) error {
 			xVal := t.Project(xIdx)
 			yVal := t.Project(yIdx)
 			covered := false
-			if blk := l.FetchBlock(xVal, k); blk != nil {
+			if blk, ok := l.FetchBlock(xVal, k); ok {
 				base, offs := blk.Offsets()
 				for i := 0; i < len(offs) && !covered; i++ {
 					covered = true

@@ -39,33 +39,40 @@ func (s *Schema) Delete(db *relation.Database, rel string, t relation.Tuple) (bo
 	return applied[0], nil
 }
 
-// recomputeMeta refreshes MaxK, MaxGroupDistinct, IndexSize and the
-// per-level resolutions from the current groups, in one pass over them. It
-// touches metadata only — never group indices or the relation — so it is
-// O(Σ over groups of the group's levels).
+// recomputeMeta refreshes MaxK, MaxGroupDistinct, IndexSize, NumGroups and
+// the per-level resolutions from the current groups, in one pass over the
+// directory. It touches metadata only — never group indices or the
+// relation — so it is O(Σ over slots of the slot's levels).
 func (l *Ladder) recomputeMeta() {
-	l.maxK, l.maxDistinct, l.indexSize = 0, 0, 0
+	d := &l.dir
+	arity := len(l.Y)
+	l.maxK, l.maxDistinct, l.indexSize, d.dead = 0, 0, 0, 0
 	// Fresh rows every time: Resolution hands the old ones out.
-	res := [][]float64{make([]float64, len(l.Y))}
-	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
-		l.maxK = max(l.maxK, g.exactLevel())
-		l.maxDistinct = max(l.maxDistinct, g.distinct)
-		lo, hi := g.span()
+	res := [][]float64{make([]float64, arity)}
+	for s := 0; s < d.slots(); s++ {
+		if !d.live(s) {
+			d.dead++
+			continue
+		}
+		l.maxK = max(l.maxK, d.exactLevel(s))
+		r := d.recs[s]
+		l.maxDistinct = max(l.maxDistinct, int(r.distinct))
+		lo, hi := d.span(s)
 		l.indexSize += hi - lo
 		// Levels past a group's exact level resolve exactly (all-zero
 		// resolution, as kdtree clamping reports), so a group contributes
 		// to the maxima of its own levels only.
-		for k := range g.levels {
+		e := int(r.lvlFirst)
+		for k := 0; k < int(r.lvlCount); k++ {
 			if k == len(res) {
-				res = append(res, make([]float64, len(l.Y)))
+				res = append(res, make([]float64, arity))
 			}
-			for i, d := range g.res[k*len(l.Y) : (k+1)*len(l.Y)] {
-				if d > res[k][i] {
-					res[k][i] = d
+			for i, r := range d.res[(e+k)*arity : (e+k+1)*arity] {
+				if r > res[k][i] {
+					res[k][i] = r
 				}
 			}
 		}
-		return true
-	})
+	}
 	l.resolutions = res
 }

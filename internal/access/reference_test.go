@@ -40,8 +40,8 @@ type sample struct {
 // fetchRows materialises FetchBlock's level-k rows for x; nil when the group
 // does not exist.
 func fetchRows(l *Ladder, x relation.Tuple, k int) []sample {
-	blk := l.FetchBlock(x, k)
-	if blk == nil {
+	blk, ok := l.FetchBlock(x, k)
+	if !ok {
 		return nil
 	}
 	y := blk.Y()
@@ -50,6 +50,29 @@ func fetchRows(l *Ladder, x relation.Tuple, k int) []sample {
 		out[i] = sample{Y: y.Tuple(i), Count: int(blk.Counts()[i])}
 	}
 	return out
+}
+
+// liveSlots returns l's live directory slots, in slot order.
+func liveSlots(l *Ladder) []int {
+	var out []int
+	for s := 0; s < l.dir.slots(); s++ {
+		if l.dir.live(s) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// slotKey materialises the X-key of slot s of l's directory.
+func slotKey(l *Ladder, s int) relation.Tuple { return l.dir.keys.Keys().Tuple(s) }
+
+// sameView reports whether two level views, either possibly nil, select the
+// same rows of the same storage.
+func sameView(a, b *LevelBlock) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
 }
 
 // identicalValue is representation equality: same kind, same payload, float
@@ -70,33 +93,38 @@ func identicalValue(a, b relation.Value) bool {
 // level past its exact level, which clamps — against referenceLevels over
 // the group's current item list: row count, values kind-exact, counts and
 // order. FetchBatchBlocks must hand out the same views as FetchBlock, and a
-// prefix view the level's first rows. The arena's bookkeeping must hold:
-// the groups' levels cover disjoint, adjacent row ranges that together are
-// exactly its live rows, select from the group's rows of the current item
-// store (not a block a compaction left behind), IndexSize reports them,
-// and dead rows never outnumber live ones. The reference reads each
-// group's items from the item store, so those are checked against db first
+// prefix view the level's first rows. The directory's bookkeeping must
+// hold: each live slot's levels cover adjacent arena row ranges, the live
+// slots' ranges are disjoint and together exactly the arena's live rows,
+// IndexSize and NumGroups report them, dead slots hold no items, and dead
+// rows, level entries and slots never outnumber live ones. A view selects
+// from the group's rows of the current item store (not a block a
+// compaction left behind). The reference reads each group's items from the
+// item store, so those are checked against db first
 // (assertItemsMatchRelation), and the views' certificate is checked too
 // (assertCertificate).
 func assertMatchesReference(t *testing.T, label string, l *Ladder, db *relation.Database) {
 	t.Helper()
 	assertItemsMatchRelation(t, label, l, db)
 	assertCertificate(t, label, l)
-	var groups []*ladderGroup
+	d := &l.dir
+	slots := liveSlots(l)
 	owned := make([]bool, len(l.arena.item))
-	covered := 0
-	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
-		groups = append(groups, g)
-		lo, hi := g.span()
-		for k, lb := range g.levels {
-			if lb.arena != l.arena || (k > 0 && lb.first != g.levels[k-1].first+g.levels[k-1].rows) {
-				t.Fatalf("%s: group %v level %d is not placed after level %d in the ladder's arena", label, g.key, k, k-1)
+	covered, levels := 0, 0
+	for s := 0; s < d.slots(); s++ {
+		if !d.live(s) {
+			if d.recs[s].itemRows != 0 {
+				t.Fatalf("%s: dead slot %d (%v) holds %d items", label, s, slotKey(l, s), d.recs[s].itemRows)
 			}
-			if lb.items != l.items.y || lb.base != g.items.first {
-				t.Fatalf("%s: group %v level %d selects from rows %d on of a stale item block, not the item store's rows %d on",
-					label, g.key, k, lb.base, g.items.first)
+			continue
+		}
+		for k := 1; k <= d.exactLevel(s); k++ {
+			pf, pr := d.level(s, k-1)
+			if f, _ := d.level(s, k); f != pf+pr {
+				t.Fatalf("%s: group %v level %d is not placed after level %d in the ladder's arena", label, slotKey(l, s), k, k-1)
 			}
 		}
+		lo, hi := d.span(s)
 		for r := lo; r < hi; r++ {
 			if owned[r] {
 				t.Fatalf("%s: arena row %d belongs to two groups", label, r)
@@ -104,45 +132,63 @@ func assertMatchesReference(t *testing.T, label string, l *Ladder, db *relation.
 			owned[r] = true
 		}
 		covered += hi - lo
-		return true
-	})
+		levels += int(d.recs[s].lvlCount)
+		x := slotKey(l, s)
+		for k := 0; k <= d.exactLevel(s); k++ {
+			v, ok := l.FetchBlock(x, k)
+			if first, rows := d.level(s, k); !ok || v.st != &l.levelStore || v.base != d.recs[s].itemFirst ||
+				int(v.first) != first || int(v.rows) != rows {
+				t.Fatalf("%s: group %v level %d: view %+v, not the group's item rows from %d and level rows [%d, +%d)",
+					label, x, k, v, d.recs[s].itemFirst, first, rows)
+			}
+		}
+	}
 	if live := l.arena.live(); covered != live || l.IndexSize() != live || l.arena.dead > live || len(l.arena.item) != len(l.arena.count) {
 		t.Fatalf("%s: groups cover %d rows, IndexSize %d, arena %d rows (%d counts) with %d dead",
 			label, covered, l.IndexSize(), len(l.arena.item), len(l.arena.count), l.arena.dead)
 	}
-	xs := make([]relation.Tuple, len(groups))
-	for i, g := range groups {
-		xs[i] = g.key
+	if levels != d.liveLevels() || d.deadLevels > levels || len(d.res) != len(d.spans)/2*len(l.yAttrs) {
+		t.Fatalf("%s: groups hold %d level entries, directory %d with %d dead (%d resolutions)",
+			label, levels, len(d.spans)/2, d.deadLevels, len(d.res))
+	}
+	if l.NumGroups() != len(slots) || d.dead != d.slots()-len(slots) || (d.dead > 0 && d.dead >= len(slots)) {
+		t.Fatalf("%s: NumGroups %d, %d live slots of %d, %d counted dead", label, l.NumGroups(), len(slots), d.slots(), d.dead)
+	}
+	xs := make([]relation.Tuple, len(slots))
+	for i, s := range slots {
+		xs[i] = slotKey(l, s)
 	}
 	for k := 0; k <= l.MaxK()+1; k++ {
 		batch := l.FetchBatchBlocks(xs, k, 4)
-		for i, g := range groups {
-			if batch[i] != l.FetchBlock(g.key, k) {
-				t.Fatalf("%s: group %v level %d: batch view is not FetchBlock's", label, g.key, k)
+		for i, s := range slots {
+			x := xs[i]
+			if v, _ := l.FetchBlock(x, k); !sameView(batch[i], &v) {
+				t.Fatalf("%s: group %v level %d: batch view is not FetchBlock's", label, x, k)
 			}
 			want := *batch[i]
 			want.rows /= 2
-			if half := batch[i].Prefix(want.rows); *half != want {
-				t.Fatalf("%s: group %v level %d: prefix view is not the level's first rows", label, g.key, k)
+			if half := batch[i].Prefix(int(want.rows)); *half != want {
+				t.Fatalf("%s: group %v level %d: prefix view is not the level's first rows", label, x, k)
 			}
-			rows, counts := referenceLevels(l.yAttrs, l.items.y, g.items.first, g.items.rows)
+			items := d.items(s)
+			rows, counts := referenceLevels(l.yAttrs, l.items.y, items.first, items.rows)
 			rk := min(k, len(rows)-1)
-			got := fetchRows(l, g.key, k)
+			got := fetchRows(l, x, k)
 			if len(got) != len(rows[rk]) {
-				t.Fatalf("%s: group %v level %d: %d rows, reference %d", label, g.key, k, len(got), len(rows[rk]))
+				t.Fatalf("%s: group %v level %d: %d rows, reference %d", label, x, k, len(got), len(rows[rk]))
 			}
-			for r, s := range got {
-				if s.Count != counts[rk][r] {
-					t.Fatalf("%s: group %v level %d row %d: count %d, reference %d", label, g.key, k, r, s.Count, counts[rk][r])
+			for r, smp := range got {
+				if smp.Count != counts[rk][r] {
+					t.Fatalf("%s: group %v level %d row %d: count %d, reference %d", label, x, k, r, smp.Count, counts[rk][r])
 				}
 				want := rows[rk][r]
-				if len(s.Y) != len(want) {
-					t.Fatalf("%s: group %v level %d row %d: arity %d, reference %d", label, g.key, k, r, len(s.Y), len(want))
+				if len(smp.Y) != len(want) {
+					t.Fatalf("%s: group %v level %d row %d: arity %d, reference %d", label, x, k, r, len(smp.Y), len(want))
 				}
 				for a := range want {
-					if !identicalValue(s.Y[a], want[a]) {
+					if !identicalValue(smp.Y[a], want[a]) {
 						t.Fatalf("%s: group %v level %d row %d: %v (%v), reference %v (%v)",
-							label, g.key, k, r, s.Y[a], s.Y[a].Kind(), want[a], want[a].Kind())
+							label, x, k, r, smp.Y[a], smp.Y[a].Kind(), want[a], want[a].Kind())
 					}
 				}
 			}
@@ -164,19 +210,18 @@ func assertItemsMatchRelation(t *testing.T, label string, l *Ladder, db *relatio
 		}
 		want[x][tup.Project(l.yIdx).Key()]++
 	}
-	groups := 0
-	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
-		groups++
+	slots := liveSlots(l)
+	for _, s := range slots {
+		x, items := slotKey(l, s), l.dir.items(s)
 		got := make(map[string]int)
-		for r := g.items.first; r < g.items.end(); r++ {
+		for r := items.first; r < items.end(); r++ {
 			got[l.items.y.Tuple(r).Key()]++
 		}
-		if !maps.Equal(got, want[g.key.Key()]) {
-			t.Fatalf("%s: group %v items %v, relation projections %v", label, g.key, got, want[g.key.Key()])
+		if !maps.Equal(got, want[x.Key()]) {
+			t.Fatalf("%s: group %v items %v, relation projections %v", label, x, got, want[x.Key()])
 		}
-		return true
-	})
-	if groups != len(want) {
+	}
+	if groups := len(slots); groups != len(want) {
 		t.Fatalf("%s: %d groups for %d X-values", label, groups, len(want))
 	}
 }
@@ -202,35 +247,35 @@ func assertCertificate(t *testing.T, label string, l *Ladder) {
 	identical := func(a, b relation.Tuple) bool {
 		return slices.EqualFunc(a, b, identicalValue)
 	}
-	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
-		items := make([]relation.Tuple, g.items.rows)
+	for _, s := range liveSlots(l) {
+		x, r := slotKey(l, s), l.dir.items(s)
+		items := make([]relation.Tuple, r.rows)
 		for i := range items {
-			items[i] = l.items.y.Tuple(g.items.first + i)
+			items[i] = l.items.y.Tuple(r.first + i)
 		}
 		for k := 0; k <= l.MaxK(); k++ {
-			rows := fetchRows(l, g.key, k)
+			rows := fetchRows(l, x, k)
 			if len(rows) > 1<<k {
-				t.Fatalf("%s: group %v level %d holds %d rows, more than 2^%d", label, g.key, k, len(rows), k)
+				t.Fatalf("%s: group %v level %d holds %d rows, more than 2^%d", label, x, k, len(rows), k)
 			}
 			sum := 0
 			for r, s := range rows {
 				sum += s.Count
 				if !slices.ContainsFunc(items, func(it relation.Tuple) bool { return identical(it, s.Y) }) {
-					t.Fatalf("%s: group %v level %d row %d: %v is none of the group's items", label, g.key, k, r, s.Y)
+					t.Fatalf("%s: group %v level %d row %d: %v is none of the group's items", label, x, k, r, s.Y)
 				}
 			}
-			if sum != g.items.rows {
-				t.Fatalf("%s: group %v level %d: counts sum to %d, group size %d", label, g.key, k, sum, g.items.rows)
+			if sum != r.rows {
+				t.Fatalf("%s: group %v level %d: counts sum to %d, group size %d", label, x, k, sum, r.rows)
 			}
 			res := l.Resolution(k)
 			for _, it := range items {
 				if !slices.ContainsFunc(rows, func(s sample) bool { return within(it, s.Y, res) }) {
-					t.Fatalf("%s: group %v level %d: item %v not covered within %v", label, g.key, k, it, res)
+					t.Fatalf("%s: group %v level %d: item %v not covered within %v", label, x, k, it, res)
 				}
 			}
 		}
-		return true
-	})
+	}
 }
 
 // hostileDB is kvFixture's relation under hostile values: NaN, ±Inf, −0 and

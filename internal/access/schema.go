@@ -27,20 +27,17 @@ func BuildAt(db *relation.Database) (*Schema, error) {
 		if r.Len() == 0 {
 			continue
 		}
-		l, groups, err := prepareLadder(db, name, nil, r.Schema.AttrNames(), runtime.GOMAXPROCS(0))
+		l, err := prepareLadder(db, name, nil, r.Schema.AttrNames(), runtime.GOMAXPROCS(0))
 		if err != nil {
 			return nil, err
 		}
 		s.Ladders = append(s.Ladders, l)
-		for _, g := range groups {
-			jobs = append(jobs, groupBuild{l: l, g: g})
+		for slot := 0; slot < l.dir.slots(); slot++ {
+			jobs = append(jobs, groupBuild{l: l, slot: slot})
 		}
 	}
 	buildGroups(jobs, runtime.GOMAXPROCS(0))
 	packArenas(jobs)
-	for _, job := range jobs {
-		job.l.groups.Put(job.g.key, job.g)
-	}
 	for _, l := range s.Ladders {
 		l.recomputeMeta()
 	}
@@ -108,10 +105,13 @@ func (s *Schema) IndexSize() int {
 func (s *Schema) ConstraintIndexSize() int {
 	n := 0
 	for _, l := range s.Ladders {
-		l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
-			n += g.levels[g.exactLevel()].rows
-			return true
-		})
+		d := &l.dir
+		for slot := 0; slot < d.slots(); slot++ {
+			if d.live(slot) {
+				_, rows := d.level(slot, d.exactLevel(slot))
+				n += rows
+			}
+		}
 	}
 	return n
 }

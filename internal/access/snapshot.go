@@ -75,38 +75,55 @@ func (l *Ladder) Snapshot() LadderSnapshot {
 		Y:       append([]string(nil), l.Y...),
 		Items:   l.items.y,
 	}
-	l.groups.Range(func(_ relation.Tuple, g *ladderGroup) bool {
-		snap.Groups = append(snap.Groups, g.snapshot(len(l.yAttrs)))
-		return true
-	})
-	sort.Slice(snap.Groups, func(i, j int) bool {
-		return snap.Groups[i].Key.Key() < snap.Groups[j].Key.Key()
-	})
+	d := &l.dir
+	xs := l.GroupXs() // the live slots' keys, in slot order
+	slots := make([]int, 0, len(xs))
+	for s := 0; s < d.slots(); s++ {
+		if d.live(s) {
+			slots = append(slots, s)
+		}
+	}
+	// Sort by canonical key, each group's key built once.
+	order := make([]int, len(xs))
+	keys := make([]string, len(xs))
+	for i, x := range xs {
+		order[i], keys[i] = i, x.Key()
+	}
+	sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+	snap.Groups = make([]GroupSnapshot, len(order))
+	for i, o := range order {
+		snap.Groups[i] = l.groupSnapshot(slots[o], xs[o])
+	}
 	return snap
 }
 
-// snapshot returns the group's portable state, over Y attributes of the
-// given arity. Its level rows are read straight from the arena, whose rows
-// are LevelRefs already.
-func (g *ladderGroup) snapshot(arity int) GroupSnapshot {
-	lo, hi := g.span()
-	a := g.levels[0].arena
+// groupSnapshot returns the portable state of slot s, keyed by x. Its level
+// rows are read straight from the arena, whose rows are LevelRefs already.
+func (l *Ladder) groupSnapshot(s int, x relation.Tuple) GroupSnapshot {
+	d, a := &l.dir, &l.arena
+	arity := len(l.yAttrs)
+	lo, hi := d.span(s)
 	refs := make([]LevelRef, hi-lo)
 	for r := range refs {
 		refs[r] = LevelRef{Item: int(a.item[lo+r]), Count: int(a.count[lo+r])}
 	}
+	items := d.items(s)
+	r := d.recs[s]
+	n := int(r.lvlCount)
 	gs := GroupSnapshot{
-		Key:         g.key,
-		First:       g.items.first,
-		Items:       g.items.rows,
-		Distinct:    g.distinct,
-		Levels:      make([][]LevelRef, len(g.levels)),
-		Resolutions: make([][]float64, len(g.levels)),
+		Key:         x,
+		First:       items.first,
+		Items:       items.rows,
+		Distinct:    int(r.distinct),
+		Levels:      make([][]LevelRef, n),
+		Resolutions: make([][]float64, n),
 	}
-	for k, lb := range g.levels {
-		off := lb.first - lo
-		gs.Levels[k] = refs[off : off+lb.rows : off+lb.rows]
-		gs.Resolutions[k] = g.res[k*arity : (k+1)*arity : (k+1)*arity]
+	for k := 0; k < n; k++ {
+		first, rows := d.level(s, k)
+		off := first - lo
+		gs.Levels[k] = refs[off : off+rows : off+rows]
+		e := int(r.lvlFirst) + k
+		gs.Resolutions[k] = d.res[e*arity : (e+1)*arity : (e+1)*arity]
 	}
 	return gs
 }
@@ -115,8 +132,8 @@ func (g *ladderGroup) snapshot(arity int) GroupSnapshot {
 // snapshot was taken over. No kd-tree is built: the ladder adopts snap.Items
 // as its item store, without copying it, and the arena takes the level
 // references as they are, so the views select the same items as the
-// original ladder's; a group is rebuilt from its items on its first
-// maintenance touch.
+// original ladder's; the directory is filled from the groups as they come,
+// and a group is rebuilt from its items on its first maintenance touch.
 // Because the block is adopted, a snapshot restores one ladder that may be
 // maintained, and only while the ladder it was taken from is not.
 // Structural problems (unknown relation or attributes, malformed groups)
@@ -130,50 +147,55 @@ func RestoreLadder(db *relation.Database, snap LadderSnapshot) (*Ladder, error) 
 	if snap.Items == nil || snap.Items.Width() != arity {
 		return nil, fmt.Errorf("access: restore %s: item block does not have %d columns", snap.RelName, arity)
 	}
-	total, items := 0, 0
+	total, levels, items := 0, 0, 0
 	for gi := range snap.Groups {
 		gs := &snap.Groups[gi]
-		if err := validGroup(gs, arity, snap.Items.Rows()); err != nil {
+		if err := validGroup(gs, len(l.xIdx), arity, snap.Items.Rows()); err != nil {
 			return nil, fmt.Errorf("access: restore %s group %v: %w", snap.RelName, gs.Key, err)
 		}
 		for _, lvl := range gs.Levels {
 			total += len(lvl)
 		}
+		levels += len(gs.Levels)
 		items += gs.Items
 	}
 	if items > snap.Items.Rows() {
 		return nil, fmt.Errorf("access: restore %s: groups cover %d items of a %d-row block", snap.RelName, items, snap.Items.Rows())
 	}
 	l.items = rowStore{y: snap.Items, dead: snap.Items.Rows() - items}
-	a := l.arena
+	a, d := &l.arena, &l.dir
 	a.item, a.count = make([]int32, 0, total), make([]int32, 0, total)
+	d.spans, d.res = make([]int32, 0, 2*levels), make([]float64, 0, levels*arity)
 	for gi := range snap.Groups {
 		gs := &snap.Groups[gi]
-		g := &ladderGroup{
-			key:      gs.Key,
-			items:    rowRange{first: gs.First, rows: gs.Items},
-			distinct: gs.Distinct,
-			levels:   make([]LevelBlock, len(gs.Levels)),
-			res:      make([]float64, len(gs.Levels)*arity),
+		s := d.slot(gs.Key)
+		if d.recs[s].itemRows != 0 {
+			return nil, fmt.Errorf("access: restore %s: two groups keyed %v", snap.RelName, gs.Key)
 		}
-		first := len(a.item)
+		d.recs[s] = slotRec{
+			itemFirst: int32(gs.First), itemRows: int32(gs.Items),
+			distinct: int32(gs.Distinct),
+			lvlFirst: int32(len(d.spans) / 2), lvlCount: int32(len(gs.Levels)),
+		}
 		for k, lvl := range gs.Levels {
-			g.levels[k] = LevelBlock{first: len(a.item) - first, rows: len(lvl)}
-			copy(g.res[k*arity:], gs.Resolutions[k])
+			d.spans = append(d.spans, int32(len(a.item)), int32(len(lvl)))
+			d.res = append(d.res, gs.Resolutions[k]...)
 			for _, ref := range lvl {
 				a.item, a.count = append(a.item, int32(ref.Item)), append(a.count, int32(ref.Count))
 			}
 		}
-		g.place(l, first)
-		l.groups.Put(g.key, g)
 	}
 	l.recomputeMeta()
 	return l, nil
 }
 
 // validGroup checks the structural invariants a restored group must satisfy
-// before it can serve fetches; rows is the item block's row count.
-func validGroup(gs *GroupSnapshot, arity, rows int) error {
+// before it can serve fetches, over X and Y attributes of the given
+// arities; rows is the item block's row count.
+func validGroup(gs *GroupSnapshot, xArity, arity, rows int) error {
+	if len(gs.Key) != xArity {
+		return fmt.Errorf("key of %d values for %d X attributes", len(gs.Key), xArity)
+	}
 	if gs.Items <= 0 || gs.Items > math.MaxInt32 || gs.First < 0 || gs.First > rows-gs.Items {
 		return fmt.Errorf("item range [%d, +%d) outside a %d-row block", gs.First, gs.Items, rows)
 	}

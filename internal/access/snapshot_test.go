@@ -3,6 +3,8 @@ package access
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/relation"
 )
 
 // randSource is a tiny helper keeping the op-sequence seeds readable.
@@ -78,5 +80,17 @@ func TestRestoreLadderRejectsDamage(t *testing.T) {
 	bad.Groups[0].Resolutions = nil
 	if _, err := RestoreLadder(db, bad); err == nil {
 		t.Error("missing level views must fail")
+	}
+	bad = base
+	bad.Groups = append([]GroupSnapshot(nil), base.Groups...)
+	bad.Groups[0].Key = append(bad.Groups[0].Key.Clone(), relation.Int(1))
+	if _, err := RestoreLadder(db, bad); err == nil {
+		t.Error("a key wider than X must fail")
+	}
+	bad = base
+	bad.Groups = append([]GroupSnapshot(nil), base.Groups...)
+	bad.Groups[1].Key = bad.Groups[0].Key
+	if _, err := RestoreLadder(db, bad); err == nil {
+		t.Error("two groups under one key must fail")
 	}
 }

@@ -55,7 +55,42 @@ type node struct {
 // representatives are rows of it, and the searches read their values — so
 // b's rows must not change while the tree is in use.
 func Build(attrs []relation.Attribute, b *relation.Block, lo, hi int) *Tree {
-	t := &Tree{attrs: attrs}
+	return new(Scratch).Build(attrs, b, lo, hi)
+}
+
+// Scratch is the working memory of Build, kept for the next one: building
+// tree after tree through one Scratch reuses its buffers, so a run of
+// builds allocates as the buffers grow, not per tree. A Scratch serves one
+// Build at a time, and the tree it returns — with the Reps of its levels —
+// lives in the Scratch and is valid until the Scratch's next Build.
+type Scratch struct {
+	tree Tree
+	bld  builder
+	slab []int32
+	idx  relation.RowIndex
+	lv   levelBufs
+}
+
+// levelBufs are the buffers a level listing is built in.
+type levelBufs struct {
+	counts []int
+	reps   []Rep
+	levels [][]Rep
+}
+
+// grown returns buf resized to n elements, reallocated only when its
+// capacity is short; the contents are unspecified.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// Build is the package Build through the Scratch's buffers.
+func (s *Scratch) Build(attrs []relation.Attribute, b *relation.Block, lo, hi int) *Tree {
+	t := &s.tree
+	*t = Tree{attrs: attrs, cols: t.cols}
 	n := hi - lo
 	if n <= 0 {
 		return t
@@ -64,40 +99,45 @@ func Build(attrs []relation.Attribute, b *relation.Block, lo, hi int) *Tree {
 		panic("kdtree: row index beyond int32")
 	}
 	t.count = n
-	t.cols = make([]colView, len(attrs))
+	t.cols = grown(t.cols, len(attrs))
 	for a := range attrs {
 		t.cols[a] = viewOf(b.Col(a))
 	}
-	bld := &builder{attrs: attrs, lo: lo, cols: t.cols}
+	bld := &s.bld
+	*bld = builder{attrs: attrs, lo: lo, cols: t.cols, nodes: bld.nodes, dists: bld.dists, keys: bld.keys}
 	var rows []int32
 	if n == 1 { // a single point is a leaf: nothing is merged or sorted
-		slab := []int32{int32(lo), 1}
-		rows, bld.counts = slab[:1], slab[1:]
+		s.slab = grown(s.slab, 2)
+		s.slab[0], s.slab[1] = int32(lo), 1
+		rows, bld.counts = s.slab[:1], s.slab[1:2]
 	} else {
 		// One int32 slab holds the distinct rows (permuted by the build),
 		// the per-row counts and the permutation scratch. Merging identical
 		// points makes duplicates share one leaf with their counts
 		// accumulated, which keeps ExactLevel at ceil(log2 of the number of
 		// *distinct* points).
-		slab := make([]int32, 3*n)
-		rows, bld.counts, bld.tmp = slab[:0:n], slab[n:2*n], slab[2*n:3*n]
-		idx := relation.NewRowIndex(b, n)
+		s.slab = grown(s.slab, 3*n)
+		clear(s.slab)
+		rows, bld.counts, bld.tmp = s.slab[:0:n], s.slab[n:2*n], s.slab[2*n:3*n]
+		s.idx.Reset(b, n)
 		for r := lo; r < hi; r++ {
-			first := idx.Add(r)
+			first := s.idx.Add(r)
 			if first == r {
 				rows = append(rows, int32(r))
 			}
 			bld.counts[first-lo]++
 		}
-		bld.keys, bld.tmp = make([]sortKey, len(rows)), bld.tmp[:len(rows)]
+		bld.keys, bld.tmp = grown(bld.keys, len(rows)), bld.tmp[:len(rows)]
 	}
 	t.items = len(rows)
 	// A tree over n points has at most 2n−1 nodes. The nodes and their
 	// maxDist rows come from two slabs, carved up front by subtree size (see
-	// build), so construction allocates per tree, not per node, and
+	// build), so construction allocates per tree at most, not per node, and
 	// concurrent subtree builds never contend for slab space.
-	bld.nodes = make([]node, 2*len(rows)-1)
-	bld.dists = make([]float64, (2*len(rows)-1)*len(attrs))
+	bld.nodes = grown(bld.nodes, 2*len(rows)-1)
+	bld.dists = grown(bld.dists, (2*len(rows)-1)*len(attrs))
+	clear(bld.nodes)
+	clear(bld.dists)
 	t.maxDepth = bld.build(rows, 0, 0, 0, runtime.GOMAXPROCS(0))
 	t.root = &bld.nodes[0]
 	return t
@@ -550,49 +590,63 @@ func (t *Tree) Level(k int) []Rep {
 // bulk operation of the access layer, where the per-level walks and
 // re-allocations of repeated Level calls actually show up.
 func (t *Tree) AllLevels() [][]Rep {
+	return t.levelsInto(&levelBufs{})
+}
+
+// Levels is AllLevels of the tree the Scratch built last, in the Scratch's
+// buffers: valid until its next Build or Levels.
+func (s *Scratch) Levels() [][]Rep {
+	return s.tree.levelsInto(&s.lv)
+}
+
+// levelsInto is AllLevels built in b's buffers, which it grows as needed.
+func (t *Tree) levelsInto(b *levelBufs) [][]Rep {
 	if t.root == nil {
 		return nil
 	}
-	counts := make([]int, t.maxDepth+1)
-	var count func(n *node, depth int)
-	count = func(n *node, depth int) {
-		if n.left == nil {
-			for k := depth; k <= t.maxDepth; k++ {
-				counts[k]++
-			}
-			return
-		}
-		counts[depth]++
-		count(n.left, depth+1)
-		count(n.right, depth+1)
-	}
-	count(t.root, 0)
+	b.counts = grown(b.counts, t.maxDepth+1)
+	clear(b.counts)
+	t.countLevels(t.root, 0, b.counts)
 	total := 0
-	for _, c := range counts {
+	for _, c := range b.counts {
 		total += c
 	}
-	backing := make([]Rep, total)
-	out := make([][]Rep, t.maxDepth+1)
+	b.reps, b.levels = grown(b.reps, total), grown(b.levels, t.maxDepth+1)
 	off := 0
-	for k, c := range counts {
-		out[k] = backing[off : off : off+c]
+	for k, c := range b.counts {
+		b.levels[k] = b.reps[off : off : off+c]
 		off += c
 	}
-	var fill func(n *node, depth int)
-	fill = func(n *node, depth int) {
-		rep := Rep{Row: int(n.rep), Count: n.count, MaxDist: n.maxDist}
-		if n.left == nil {
-			for k := depth; k <= t.maxDepth; k++ {
-				out[k] = append(out[k], rep)
-			}
-			return
+	t.fillLevels(t.root, 0, b.levels)
+	return b.levels
+}
+
+// countLevels adds to counts[k] the number of level-k representatives in
+// the subtree of n, which sits at depth.
+func (t *Tree) countLevels(n *node, depth int, counts []int) {
+	if n.left == nil {
+		for k := depth; k <= t.maxDepth; k++ {
+			counts[k]++
 		}
-		out[depth] = append(out[depth], rep)
-		fill(n.left, depth+1)
-		fill(n.right, depth+1)
+		return
 	}
-	fill(t.root, 0)
-	return out
+	counts[depth]++
+	t.countLevels(n.left, depth+1, counts)
+	t.countLevels(n.right, depth+1, counts)
+}
+
+// fillLevels appends the subtree of n's representatives to their levels.
+func (t *Tree) fillLevels(n *node, depth int, out [][]Rep) {
+	rep := Rep{Row: int(n.rep), Count: n.count, MaxDist: n.maxDist}
+	if n.left == nil {
+		for k := depth; k <= t.maxDepth; k++ {
+			out[k] = append(out[k], rep)
+		}
+		return
+	}
+	out[depth] = append(out[depth], rep)
+	t.fillLevels(n.left, depth+1, out)
+	t.fillLevels(n.right, depth+1, out)
 }
 
 // pruneSlack over-approximates the floating-point rounding of the triangle

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -722,4 +723,36 @@ func TestBuildWorkerInvariance(t *testing.T) {
 	runtime.GOMAXPROCS(4)
 	four := buildAll(lineitemAttrs(), b)
 	assertSameTree(t, "GOMAXPROCS 4 vs 1", four, one)
+}
+
+// Building tree after tree through one Scratch must build each exactly as
+// a fresh Build does, whatever the Scratch built before: ranges growing and
+// shrinking across the merge table's reuse and re-make thresholds, empty
+// and single-point ranges, every stress mode, and Levels equal to
+// AllLevels of the same tree.
+func TestScratchReuseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var s Scratch
+	sizes := []int{500, 3, 0, 1, 40, 2000, 7, 1, 300, 13, 2, 900, 60}
+	for i, n := range sizes {
+		mode := i % stressModes
+		b := stressRows(rng, n+6, mode)
+		lo := rng.Intn(6)
+		label := fmt.Sprintf("build %d: mode=%d n=%d lo=%d", i, mode, n, lo)
+		got := s.Build(stressAttrs(), b, lo, lo+n)
+		assertSameTree(t, label, got, referenceBuild(stressAttrs(), b, lo, lo+n))
+		levels, all := s.Levels(), got.AllLevels()
+		if len(levels) != len(all) {
+			t.Fatalf("%s: Levels holds %d levels, AllLevels %d", label, len(levels), len(all))
+		}
+		for k := range all {
+			if !slices.EqualFunc(levels[k], all[k], func(a, b Rep) bool {
+				return a.Row == b.Row && a.Count == b.Count && slices.EqualFunc(a.MaxDist, b.MaxDist, func(x, y float64) bool {
+					return math.Float64bits(x) == math.Float64bits(y)
+				})
+			}) {
+				t.Fatalf("%s: Levels level %d differs from AllLevels", label, k)
+			}
+		}
+	}
 }

@@ -251,9 +251,9 @@ func derivable(rel *relSnapshot, l *access.LadderSnapshot) bool {
 	if !okX || !okY {
 		return false
 	}
-	gidx := relation.NewTupleMap[int](len(l.Groups))
-	for i := range l.Groups {
-		gidx.Put(l.Groups[i].Key, i)
+	gidx, ok := groupIndex(l, len(xIdx))
+	if !ok {
+		return false
 	}
 	cursors := make([]int, len(l.Groups))
 	key := make(relation.Tuple, len(xIdx)) // scratch: the lookup does not retain it
@@ -261,7 +261,7 @@ func derivable(rel *relSnapshot, l *access.LadderSnapshot) bool {
 		for i, j := range xIdx {
 			key[i] = t[j]
 		}
-		gi, ok := gidx.Get(key)
+		gi, ok := gidx.Find(key)
 		if !ok {
 			return false
 		}
@@ -282,6 +282,23 @@ func derivable(rel *relSnapshot, l *access.LadderSnapshot) bool {
 		}
 	}
 	return true
+}
+
+// groupIndex numbers the ladder's groups by X-key in group order, keyed
+// as the ladder's own group directory keys them (relation.KeyIndex): group
+// i is number i. It reports false when a key is not an X-value of the
+// given width or two groups share one.
+func groupIndex(l *access.LadderSnapshot, width int) (relation.KeyIndex, bool) {
+	gidx := relation.MakeKeyIndex(width)
+	for i := range l.Groups {
+		if len(l.Groups[i].Key) != width {
+			return gidx, false
+		}
+		if _, added := gidx.Add(l.Groups[i].Key); !added {
+			return gidx, false
+		}
+	}
+	return gidx, true
 }
 
 // encodeSnapshot renders the payload bytes (header excluded).
@@ -577,14 +594,16 @@ func (d *decoder) deriveItems(rel *relSnapshot, l *access.LadderSnapshot, wantIt
 	if !okX || !okY {
 		return d.fail("derived ladder %s: attributes missing from relation %s", l.RelName, rel.name)
 	}
-	gidx := relation.NewTupleMap[int](len(l.Groups))
+	gidx, ok := groupIndex(l, len(xIdx))
+	if !ok {
+		return d.fail("derived ladder %s: group keys are not distinct X-values", l.RelName)
+	}
 	next := make([]int, len(l.Groups)) // each group's next item row
 	total := 0
 	for i := range l.Groups {
 		g := &l.Groups[i]
 		g.First, g.Items, next[i] = total, wantItems[i], total
 		total += wantItems[i]
-		gidx.Put(g.Key, i)
 	}
 	src := make([]int32, total)            // each item's tuple
 	key := make(relation.Tuple, len(xIdx)) // scratch: the lookup does not retain it
@@ -592,7 +611,7 @@ func (d *decoder) deriveItems(rel *relSnapshot, l *access.LadderSnapshot, wantIt
 		for c, j := range xIdx {
 			key[c] = t[j]
 		}
-		gi, ok := gidx.Get(key)
+		gi, ok := gidx.Find(key)
 		if !ok {
 			return d.fail("derived ladder %s: tuple outside every group", l.RelName)
 		}

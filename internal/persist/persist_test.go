@@ -58,8 +58,9 @@ func assertLadderIdentical(t *testing.T, label string, a, b *access.Ladder) {
 			t.Fatalf("%s: %s group %v exact level differs", label, a.RelName, x)
 		}
 		for k := 0; k <= a.MaxK(); k++ {
-			ba, bb := a.FetchBlock(x, k), b.FetchBlock(x, k)
-			if bb == nil || ba.Rows() != bb.Rows() {
+			ba, _ := a.FetchBlock(x, k)
+			bb, ok := b.FetchBlock(x, k)
+			if !ok || ba.Rows() != bb.Rows() {
 				t.Fatalf("%s: %s group %v level %d: sample counts differ", label, a.RelName, x, k)
 			}
 			ya, yb := ba.Y(), bb.Y()
@@ -282,5 +283,34 @@ func TestLoadRejectsWrongDataset(t *testing.T) {
 	other := relation.NewDatabase()
 	if _, _, err := Load(ctx, other, dir); err == nil {
 		t.Error("load into an unrelated database must fail")
+	}
+}
+
+// groupIndex numbers a snapshot's groups as the ladder's directory keys
+// them — Int 3 and Float 3 are one key — and refuses keys of the wrong
+// width and keys two groups share, so group i is always number i.
+func TestGroupIndex(t *testing.T) {
+	i, f, s := relation.Int, relation.Float, relation.String
+	snap := func(keys ...relation.Tuple) *access.LadderSnapshot {
+		l := &access.LadderSnapshot{}
+		for _, k := range keys {
+			l.Groups = append(l.Groups, access.GroupSnapshot{Key: k})
+		}
+		return l
+	}
+	gidx, ok := groupIndex(snap(relation.Tuple{i(3), s("a")}, relation.Tuple{f(2.5), s("a")}), 2)
+	if !ok {
+		t.Fatal("distinct keys refused")
+	}
+	for want, k := range []relation.Tuple{{f(3), s("a")}, {f(2.5), s("a")}} {
+		if got, found := gidx.Find(k); !found || got != want {
+			t.Fatalf("key %v: number (%d, %v), want %d", k, got, found, want)
+		}
+	}
+	if _, ok := groupIndex(snap(relation.Tuple{i(3), s("a")}, relation.Tuple{f(3), s("a")}), 2); ok {
+		t.Error("two groups under one canonical key accepted")
+	}
+	if _, ok := groupIndex(snap(relation.Tuple{i(3)}), 2); ok {
+		t.Error("a key narrower than X accepted")
 	}
 }

@@ -224,7 +224,7 @@ func (b *Block) HashCols(i int, cols []int) uint64 {
 // per position). The projections must have equal length.
 func (b *Block) ColsKeyEqual(i int, cols []int, o *Block, k int, ocols []int) bool {
 	for x, j := range cols {
-		if !b.cols[j].Value(i).KeyEqual(o.cols[ocols[x]].Value(k)) {
+		if !b.cols[j].keyEqual(i, o.cols[ocols[x]].Value(k)) {
 			return false
 		}
 	}
@@ -236,7 +236,7 @@ func (b *Block) ColsKeyEqual(i int, cols []int, o *Block, k int, ocols []int) bo
 // hashes alike.
 func (b *Block) RowKeyEqual(i int, o *Block, k int) bool {
 	for j := range b.cols {
-		if !b.cols[j].Value(i).KeyEqual(o.cols[j].Value(k)) {
+		if !b.cols[j].keyEqual(i, o.cols[j].Value(k)) {
 			return false
 		}
 	}
@@ -251,7 +251,7 @@ func (b *Block) RowKeyEqualTuple(i int, t Tuple) bool {
 		return false
 	}
 	for j := range b.cols {
-		if !b.cols[j].Value(i).KeyEqual(t[j]) {
+		if !b.cols[j].keyEqual(i, t[j]) {
 			return false
 		}
 	}

@@ -355,6 +355,31 @@ func (c *Column) Set(i int, v Value) bool {
 	return true
 }
 
+// put overwrites row i with v, whatever v's kind: through Set when it can,
+// and otherwise after migrating the column to mixed storage, so a put
+// never fails but may cost the column its typed payload.
+func (c *Column) put(i int, v Value) {
+	if c.Set(i, v) {
+		return
+	}
+	if !c.mixed {
+		c.toMixed()
+	}
+	c.vals[i] = v
+	if v.kind == KindNull && c.valid == nil {
+		c.valid = make([]uint64, (c.n+63)>>6)
+		for j := 0; j < c.n; j++ {
+			c.valid[j>>6] |= 1 << (uint(j) & 63)
+		}
+	}
+	if c.valid != nil {
+		c.valid[i>>6] &^= 1 << (uint(i) & 63)
+		if v.kind != KindNull {
+			c.valid[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+}
+
 // Ints returns the payload of a column whose rows are all non-null ints,
 // read-only, and reports false for any other column (nulls, another kind,
 // mixed kinds).
@@ -379,6 +404,22 @@ func (c *Column) Strings() ([]string, bool) {
 		return nil, false
 	}
 	return c.strs[:c.n:c.n], true
+}
+
+// keyEqual reports whether row i is canonically equal to v —
+// c.Value(i).KeyEqual(v) — reading an int or string payload without nulls
+// straight from its slice.
+func (c *Column) keyEqual(i int, v Value) bool {
+	if !c.mixed && c.valid == nil {
+		switch c.kind {
+		case KindInt:
+			vi, ok := v.canonInt()
+			return ok && vi == c.ints[i]
+		case KindString:
+			return v.kind == KindString && v.s == c.strs[i]
+		}
+	}
+	return c.Value(i).KeyEqual(v)
 }
 
 // hashInto folds row i's canonical encoding into h, exactly as

@@ -320,7 +320,7 @@ func (t *ProbeTable) Insert(h uint64, eq func(p int) bool) (p int, added bool) {
 		t.resize(len(t.hashes) + 1)
 	}
 	mask := len(t.slots) - 1
-	s := int((h * 0x9E3779B97F4A7C15) >> t.shift)
+	s := t.home(h)
 	for ; t.slots[s] != 0; s = (s + 1) & mask {
 		if p := int(t.slots[s]) - 1; t.hashes[p] == h && eq(p) {
 			return p, false
@@ -330,6 +330,25 @@ func (t *ProbeTable) Insert(h uint64, eq func(p int) bool) (p int, added bool) {
 	t.slots[s] = int32(len(t.hashes))
 	return len(t.hashes) - 1, true
 }
+
+// Find returns the first position p inserted under hash h for which eq(p)
+// holds, without inserting anything: a lookup that never mutates the
+// table, so concurrent Finds are safe while nothing inserts.
+func (t *ProbeTable) Find(h uint64, eq func(p int) bool) (p int, ok bool) {
+	if len(t.slots) == 0 {
+		return 0, false
+	}
+	mask := len(t.slots) - 1
+	for s := t.home(h); t.slots[s] != 0; s = (s + 1) & mask {
+		if p := int(t.slots[s]) - 1; t.hashes[p] == h && eq(p) {
+			return p, true
+		}
+	}
+	return 0, false
+}
+
+// home returns the slot a probe for hash h starts at, as TupleMap.home.
+func (t *ProbeTable) home(h uint64) int { return int((h * 0x9E3779B97F4A7C15) >> t.shift) }
 
 // resize rebuilds the slot table to hold n positions at a load of at most
 // 3/4, doubling at least.
@@ -342,12 +361,72 @@ func (t *ProbeTable) resize(n int) {
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	mask := size - 1
 	for p, h := range t.hashes {
-		s := int((h * 0x9E3779B97F4A7C15) >> t.shift)
+		s := t.home(h)
 		for t.slots[s] != 0 {
 			s = (s + 1) & mask
 		}
 		t.slots[s] = int32(p + 1)
 	}
+}
+
+// KeyIndex numbers distinct tuples 0, 1, 2, … in insertion order, keeping
+// each one once as a row of a typed key block: row p is the tuple numbered
+// p, spelled as it was first added. A ProbeTable finds the rows, hashed
+// with Block.HashRow (the fold Tuple.Hash makes) and compared with
+// Block.RowKeyEqualTuple, so a KeyIndex keys exactly as TupleMap does while
+// holding a handful of flat columns instead of an object per key. A
+// zero-width index holds at most the empty tuple.
+type KeyIndex struct {
+	keys *Block
+	t    ProbeTable
+}
+
+// MakeKeyIndex returns an empty index of tuples of the given width.
+func MakeKeyIndex(width int) KeyIndex { return KeyIndex{keys: NewBlock(width)} }
+
+// Len returns the number of tuples indexed.
+func (x *KeyIndex) Len() int { return x.t.Len() }
+
+// Keys returns the key block, row p holding tuple p. It is shared storage:
+// read-only.
+func (x *KeyIndex) Keys() *Block { return x.keys }
+
+// Find returns the number of the tuple canonically equal to t. It never
+// mutates the index.
+func (x *KeyIndex) Find(t Tuple) (p int, ok bool) {
+	return x.t.Find(t.Hash(), func(p int) bool { return x.keys.RowKeyEqualTuple(p, t) })
+}
+
+// Add returns the number of the tuple canonically equal to t, numbering t
+// next (and copying its values into the key block) when there is none.
+func (x *KeyIndex) Add(t Tuple) (p int, added bool) {
+	p, added = x.t.Insert(t.Hash(), func(p int) bool { return x.keys.RowKeyEqualTuple(p, t) })
+	if added {
+		x.keys.AppendTuple(t)
+	}
+	return p, added
+}
+
+// Respell overwrites tuple p's values with t's, which must be canonically
+// equal to them: the index keys as before, and Keys spells tuple p as t.
+// Values already spelled identically are left alone, so respelling a key
+// to its own spelling never changes the key block's storage.
+func (x *KeyIndex) Respell(p int, t Tuple) {
+	for j, v := range t {
+		if old := x.keys.Value(p, j); old.kind != v.kind || old.i != v.i || old.s != v.s ||
+			math.Float64bits(old.f) != math.Float64bits(v.f) {
+			x.keys.Col(j).put(p, v)
+		}
+	}
+}
+
+// AddRow is Add of row r of src, which must have the index's width.
+func (x *KeyIndex) AddRow(src *Block, r int) (p int, added bool) {
+	p, added = x.t.Insert(src.HashRow(r), func(p int) bool { return x.keys.RowKeyEqual(p, src, r) })
+	if added {
+		x.keys.AppendRow(src, r)
+	}
+	return p, added
 }
 
 // RowIndex finds, among the rows of a block added to it, the first one
@@ -367,6 +446,20 @@ func NewRowIndex(b *Block, n int) *RowIndex {
 	x.t.hashes = make([]uint64, 0, n)
 	x.t.resize(n)
 	return x
+}
+
+// Reset empties the index and points it at the rows of b, sized for n of
+// them, reusing its memory: the slot table is kept and cleared unless it
+// is too small, or more than four times too large (clearing it would then
+// cost more than the rows it is to index).
+func (x *RowIndex) Reset(b *Block, n int) {
+	x.b, x.added, x.t.hashes = b, x.added[:0], x.t.hashes[:0]
+	if need := max(8, n*4/3+1); len(x.t.slots) >= need && len(x.t.slots) <= 4*need {
+		clear(x.t.slots)
+		return
+	}
+	x.t.slots = nil
+	x.t.resize(n)
 }
 
 // Add returns the first added row equal to row r of the index's block,

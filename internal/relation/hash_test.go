@@ -397,3 +397,157 @@ func TestProbeTableMatchesTupleSetDedup(t *testing.T) {
 		})
 	}
 }
+
+// identical is representation equality: same kind and payload, float bits
+// included.
+func identical(a, b Value) bool {
+	return a.kind == b.kind && a.i == b.i && a.s == b.s && math.Float64bits(a.f) == math.Float64bits(b.f)
+}
+
+// KeyIndex numbers tuples as a TupleMap of first-seen positions does, over
+// keys of every hostile kind and width (zero-width included): Add and
+// AddRow agree with the map, Find answers without changing the index, and
+// each key row keeps the spelling of its first Add until Respell rewrites
+// it — after which Find still finds it by every spelling.
+func TestKeyIndexMatchesTupleMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 40; trial++ {
+		width := trial % 4
+		b := randProbeBlock(rng, 1+rng.Intn(200), max(width, 1))
+		tuple := func(r int) Tuple { return b.Tuple(r)[:width] }
+		ref := NewTupleMap[int](0)
+		x := MakeKeyIndex(width)
+		y := MakeKeyIndex(width) // filled through AddRow
+		rows := NewBlock(width)
+		for r := 0; r < b.Rows(); r++ {
+			rows.AppendTuple(tuple(r))
+		}
+		for r := 0; r < b.Rows(); r++ {
+			tup := tuple(r)
+			want, seen := ref.Get(tup)
+			if got, ok := x.Find(tup); ok != seen || (ok && got != want) {
+				t.Fatalf("trial %d row %d: Find = (%d, %v), map (%d, %v)", trial, r, got, ok, want, seen)
+			}
+			if !seen {
+				want = ref.Len()
+				ref.Put(tup, want)
+			}
+			n := x.Len()
+			if got, added := x.Add(tup); got != want || added == seen {
+				t.Fatalf("trial %d row %d: Add = (%d, %v), map (%d, new %v)", trial, r, got, added, want, !seen)
+			}
+			if got, added := y.AddRow(rows, r); got != want || added == seen {
+				t.Fatalf("trial %d row %d: AddRow = (%d, %v), map (%d, new %v)", trial, r, got, added, want, !seen)
+			}
+			if !seen && (x.Len() != n+1 || !sliceIdentical(x.Keys().Tuple(want), tup)) {
+				t.Fatalf("trial %d row %d: key %d spelled %v, added as %v", trial, r, want, x.Keys().Tuple(want), tup)
+			}
+		}
+		// Respell every key with a canonically equal spelling and look it
+		// up by both.
+		for r := 0; r < b.Rows(); r++ {
+			tup := tuple(r)
+			p, _ := x.Find(tup)
+			x.Respell(p, tup)
+			if !sliceIdentical(x.Keys().Tuple(p), tup) {
+				t.Fatalf("trial %d row %d: respelled key %d reads %v, want %v", trial, r, p, x.Keys().Tuple(p), tup)
+			}
+			ref.Range(func(k Tuple, q int) bool {
+				if got, ok := x.Find(k); !ok || got != q {
+					t.Fatalf("trial %d: after a respell, key %v found at (%d, %v), want %d", trial, k, got, ok, q)
+				}
+				return true
+			})
+		}
+		if x.Len() != ref.Len() || y.Len() != ref.Len() {
+			t.Fatalf("trial %d: %d and %d keys, map %d", trial, x.Len(), y.Len(), ref.Len())
+		}
+	}
+}
+
+func sliceIdentical(a, b Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !identical(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// put overwrites one row with any value — same kind, another kind, null,
+// into typed, nullable and mixed columns — leaving every other row as it
+// was.
+func TestColumnPut(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		b := randProbeBlock(rng, 1+rng.Intn(80), 4)
+		c := rng.Intn(4)
+		want := make([]Value, b.Rows())
+		for r := range want {
+			want[r] = b.Value(r, c)
+		}
+		for n := rng.Intn(5); n >= 0; n-- {
+			r, v := rng.Intn(b.Rows()), probeKeys[rng.Intn(len(probeKeys))]
+			b.Col(c).put(r, v)
+			want[r] = v
+		}
+		for r, v := range want {
+			if got := b.Value(r, c); !identical(got, v) || b.Col(c).IsNull(r) != (v.Kind() == KindNull) {
+				t.Fatalf("trial %d row %d: reads %v, want %v", trial, r, got, v)
+			}
+		}
+	}
+}
+
+// A reset RowIndex forgets its rows and indexes a new block as a fresh one
+// does, whether its table is reused, too small or far too large.
+func TestRowIndexReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	x := NewRowIndex(NewBlock(1), 0)
+	for _, n := range []int{300, 5, 0, 1, 80, 2000, 3} {
+		b := randProbeBlock(rng, n, 2)
+		x.Reset(b, n)
+		fresh := NewRowIndex(b, n)
+		for r := 0; r < n; r++ {
+			if got, want := x.Add(r), fresh.Add(r); got != want {
+				t.Fatalf("n=%d row %d: reset index says %d, fresh %d", n, r, got, want)
+			}
+		}
+	}
+}
+
+// Column.keyEqual reads typed payloads directly; it must decide exactly as
+// Value.KeyEqual on the reconstructed value, for int, float and string
+// columns with and without nulls and for mixed ones, against probes of
+// every kind.
+func TestColumnKeyEqualMatchesValue(t *testing.T) {
+	pools := [][]Value{
+		{Int(3), Int(0), Int(-7), Int(1e15)},
+		{Float(3), Float(2.5), Float(math.NaN()), Float(math.Copysign(0, -1)), Float(1e15)},
+		{String("3"), String(""), String("a")},
+		{Int(3), String("3"), Float(3)},
+	}
+	probes := append(append([]Value{}, probeKeys...), Int(3), Float(3), Int(-7), Float(-7), String("3"), Int(1e15), Float(1e15))
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		pool := pools[trial%len(pools)]
+		var c Column
+		for n := 1 + rng.Intn(20); n > 0; n-- {
+			v := pool[rng.Intn(len(pool))]
+			if trial%3 == 0 && rng.Intn(4) == 0 {
+				v = Null()
+			}
+			c.Append(v)
+		}
+		for i := 0; i < c.Len(); i++ {
+			for _, v := range probes {
+				if got, want := c.keyEqual(i, v), c.Value(i).KeyEqual(v); got != want {
+					t.Fatalf("trial %d row %d (%v) against %v: keyEqual %v, KeyEqual %v", trial, i, c.Value(i), v, got, want)
+				}
+			}
+		}
+	}
+}
