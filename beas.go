@@ -23,9 +23,9 @@
 // carries a context.Context (cancellation and deadlines propagate into the
 // executor — a cancelled query aborts mid-flight instead of burning the
 // rest of its budget) and functional options tune the resource bound
-// (WithAlpha, WithBudget) and the execution strategy (WithFetchWorkers,
-// WithRemoteFetcher, WithCacheBypass, WithTag) per call. Answers can
-// be consumed whole (Query) or as a pull iterator (Answer.Rows).
+// (WithAlpha, WithBudget) and the execution strategy (WithRemoteFetcher,
+// WithCacheBypass, WithTag) per call. Answers can be consumed whole
+// (Query) or as a pull iterator (Answer.Rows).
 //
 // The heavy lifting lives in the internal packages: internal/core holds the
 // approximation schemes (the paper's contribution), internal/access the
@@ -283,13 +283,6 @@ func WithBudget(n int) Option {
 // WithBudget is in effect.
 func WithMinAlpha(minAlpha float64) Option {
 	return func(o *core.ExecOptions) { o.MinAlpha = minAlpha }
-}
-
-// WithFetchWorkers overrides the system's parallel-leaf pool bound for this
-// call: 1 runs a plan's leaves sequentially; 0 keeps the system default.
-// Every fetch resolves on its leaf's goroutine either way.
-func WithFetchWorkers(n int) Option {
-	return func(o *core.ExecOptions) { o.FetchWorkers = n }
 }
 
 // WithCacheBypass makes the call skip the plan cache entirely — no lookup,

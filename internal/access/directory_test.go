@@ -333,7 +333,7 @@ func TestGroupDirectoryMatchesReference(t *testing.T) {
 
 // FuzzGroupDirectory drives a ladder's directory through random keys and
 // insert, delete and lookup sequences, decoded from the input, against a
-// relation.TupleMap holding each X-value's number of tuples: a group must
+// map from each X-value's Tuple.Key to its number of tuples: a group must
 // exist exactly when its count is positive, its level-0 view must
 // represent exactly that many tuples, and lookups of any spelling must
 // agree with the map.
@@ -357,7 +357,7 @@ func FuzzGroupDirectory(f *testing.F) {
 			t.Fatal(err)
 		}
 		keys := dirKeys()
-		ref := relation.NewTupleMap[int](0)
+		ref := map[string]int{}
 		var batch []Op
 		flush := func() {
 			if _, err := s.Apply(db, batch); err != nil {
@@ -365,17 +365,16 @@ func FuzzGroupDirectory(f *testing.F) {
 			}
 			batch = batch[:0]
 			n := 0
-			ref.Range(func(x relation.Tuple, c int) bool {
+			for _, c := range ref {
 				if c > 0 {
 					n++
 				}
-				return true
-			})
+			}
 			if l.NumGroups() != n {
 				t.Fatalf("%d groups, reference %d", l.NumGroups(), n)
 			}
 			for _, x := range l.GroupXs() {
-				if c, _ := ref.Get(x); c == 0 {
+				if ref[x.Key()] == 0 {
 					t.Fatalf("group %v exists with no tuples", x)
 				}
 			}
@@ -395,7 +394,7 @@ func FuzzGroupDirectory(f *testing.F) {
 				}
 			default: // lookup, after applying what is queued
 				flush()
-				c, _ := ref.Get(x)
+				c := ref[x.Key()]
 				for _, y := range []relation.Tuple{x, respelled(x)} {
 					blk, ok := l.FetchBlock(y, 0)
 					if ok != (c > 0) {
@@ -415,9 +414,9 @@ func FuzzGroupDirectory(f *testing.F) {
 				if op.Kind == OpDelete {
 					u = db.MustRelation("r").Tuples[slices.IndexFunc(db.MustRelation("r").Tuples,
 						func(w relation.Tuple) bool { return w.EqualTuple(op.Tuple) })]
-					*ref.GetOrInsert(u[:2]) -= 1
+					ref[u[:2].Key()]--
 				} else {
-					*ref.GetOrInsert(u[:2].Clone()) += 1
+					ref[u[:2].Key()]++
 				}
 			}
 		}

@@ -98,6 +98,7 @@ func discoverRelation(r *relation.Relation, opts DiscoverOptions) []Candidate {
 		}
 	}
 
+	d := r.Distinct()
 	var cands []Candidate
 	for _, x := range xSets {
 		xIdx, err := r.Schema.Indices(x)
@@ -108,33 +109,16 @@ func discoverRelation(r *relation.Relation, opts DiscoverOptions) []Candidate {
 		if len(y) == 0 {
 			continue
 		}
-		yIdx, _ := r.Schema.Indices(y)
-		groups := relation.NewTupleMap[*relation.TupleSet](0)
-		for _, t := range r.Tuples {
-			xv := t.Project(xIdx)
-			g, ok := groups.Get(xv)
-			if !ok {
-				g = relation.NewTupleSet(0)
-				groups.Put(xv, g)
-			}
-			g.Add(t.Project(yIdx))
-		}
-		maxFanout := 0
-		groups.Range(func(_ relation.Tuple, g *relation.TupleSet) bool {
-			if g.Len() > maxFanout {
-				maxFanout = g.Len()
-			}
-			return true
-		})
-		c := Candidate{Rel: r.Schema.Name, X: x, Y: y, Groups: groups.Len(), MaxFanout: maxFanout}
+		groups, maxFanout := groupStats(d, xIdx)
+		c := Candidate{Rel: r.Schema.Name, X: x, Y: y, Groups: groups, MaxFanout: maxFanout}
 		switch {
-		case groups.Len() == 1:
+		case groups == 1:
 			// X is constant (or empty-equivalent): At already covers it.
 			continue
 		case maxFanout <= opts.MaxFanout:
 			c.ConstraintLike = true
 			cands = append(cands, c)
-		case groups.Len() <= opts.MaxGroups:
+		case groups <= opts.MaxGroups:
 			cands = append(cands, c)
 		}
 	}
@@ -177,6 +161,28 @@ func discoverRelation(r *relation.Relation, opts DiscoverOptions) []Candidate {
 		}
 	}
 	return kept
+}
+
+// groupStats returns the number of distinct X-values among the tuples of
+// d at xIdx, and the largest number of d's tuples that share one. With d
+// distinct and Y the complement of X, the tuples of an X group differ in
+// their Y-values, so that count is the group's number of distinct Y-values.
+func groupStats(d *relation.Relation, xIdx []int) (groups, maxFanout int) {
+	xs := relation.MakeKeyIndex(len(xIdx))
+	var counts []int
+	xv := make(relation.Tuple, len(xIdx))
+	for _, t := range d.Tuples {
+		for i, j := range xIdx {
+			xv[i] = t[j]
+		}
+		p, added := xs.Add(xv)
+		if added {
+			counts = append(counts, 0)
+		}
+		counts[p]++
+		maxFanout = max(maxFanout, counts[p])
+	}
+	return xs.Len(), maxFanout
 }
 
 // DiscoverSchema builds At plus ladders for all mined candidates: a fully

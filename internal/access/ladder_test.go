@@ -181,21 +181,25 @@ func TestLadderCountAnnotations(t *testing.T) {
 		t.Fatalf("BuildLadder: %v", err)
 	}
 	friend := db.MustRelation("friend")
-	sizes := relation.NewTupleMap[int](0)
+	sizes := map[string]int{}
+	var keys []relation.Tuple // each key of sizes once, first spelling
 	pidIdx := friend.Schema.MustIndex("pid")
 	for _, tp := range friend.Tuples {
-		*sizes.GetOrInsert(relation.Tuple{tp[pidIdx]})++
+		key := relation.Tuple{tp[pidIdx]}
+		if sizes[key.Key()] == 0 {
+			keys = append(keys, key)
+		}
+		sizes[key.Key()]++
 	}
-	sizes.Range(func(key relation.Tuple, want int) bool {
+	for _, key := range keys {
 		got := 0
 		for _, s := range fetchRows(l, key, 0) {
 			got += s.Count
 		}
-		if got != want {
+		if want := sizes[key.Key()]; got != want {
 			t.Errorf("group %v count sum = %d, want %d", key, got, want)
 		}
-		return true
-	})
+	}
 }
 
 func TestLadderVerify(t *testing.T) {

@@ -98,7 +98,7 @@ func (s *Scheme) Execute(p *Plan) (*Answer, error) {
 // see plan.ExecuteOpts), so a cancelled call returns ctx.Err() promptly
 // instead of burning the rest of its budget. ExecOptions.Alpha/Budget are
 // ignored here — the plan already carries its budget; the execution
-// options (FetchWorkers, Fetcher, Tag, Trace, ExplainEta) apply.
+// options (Fetcher, Tag, Trace, ExplainEta) apply.
 func (s *Scheme) ExecuteContext(ctx context.Context, p *Plan, o ExecOptions) (*Answer, error) {
 	start := time.Now()
 	defer o.Trace.End()
@@ -130,12 +130,8 @@ func (s *Scheme) executeOpts(ctx context.Context, p *Plan, o ExecOptions) (ans *
 		ex.End()
 	}()
 	ctx = obs.ContextWithSpan(ctx, ex)
-	workers := s.workers
-	if o.FetchWorkers > 0 {
-		workers = o.FetchWorkers
-	}
-	if workers > 1 && len(p.Leaves) > 1 && s.totalTariff(p) <= p.Budget {
-		results, stats, err := s.executeLeavesParallel(ctx, p, o, workers)
+	if s.workers > 1 && len(p.Leaves) > 1 && s.totalTariff(p) <= p.Budget {
+		results, stats, err := s.executeLeavesParallel(ctx, p, o, s.workers)
 		if err != nil {
 			return nil, err
 		}
@@ -504,13 +500,16 @@ func (s *Scheme) combineDiff(p *Plan, q *query.Diff, results map[*query.SPC]*lea
 		if err != nil {
 			return nil, err
 		}
-		drop := relation.NewTupleSet(r.Len())
+		// Position i of drop is r.Tuples[i]: r is a set (combine's
+		// answers are), so inserting needs no equality test.
+		var drop relation.ProbeTable
+		drop.Grow(r.Len())
 		for _, t := range r.Tuples {
-			drop.Add(t)
+			drop.Insert(t.Hash(), func(int) bool { return false })
 		}
 		out := relation.NewRelation(l.Schema)
 		for _, t := range l.Tuples {
-			if !drop.Has(t) {
+			if _, ok := drop.Find(t.Hash(), func(p int) bool { return r.Tuples[p].KeyEqual(t) }); !ok {
 				out.Tuples = append(out.Tuples, t)
 			}
 		}
@@ -691,16 +690,15 @@ func (s *Scheme) combineGroupBy(p *Plan, q *query.GroupBy, results map[*query.SP
 		min, max relation.Value
 		seen     bool
 	}
-	byKey := relation.NewTupleMap[*groupAgg](0)
-	var order []*groupAgg
+	var byKey relation.ProbeTable
+	var groups []groupAgg
 	for ri, t := range rows.Tuples {
 		key := t.Project(keyIdx)
-		g, ok := byKey.Get(key)
-		if !ok {
-			g = &groupAgg{key: key}
-			byKey.Put(key, g)
-			order = append(order, g)
+		gi, added := byKey.Insert(key.Hash(), func(p int) bool { return groups[p].key.KeyEqual(key) })
+		if added {
+			groups = append(groups, groupAgg{key: key})
 		}
+		g := &groups[gi]
 		w := weights[ri]
 		v := t[onIdx]
 		g.count += w
@@ -722,7 +720,7 @@ func (s *Scheme) combineGroupBy(p *Plan, q *query.GroupBy, results map[*query.SP
 	}
 
 	out := relation.NewRelation(sch)
-	for _, g := range order {
+	for _, g := range groups {
 		var agg relation.Value
 		switch q.Agg {
 		case query.AggCount:

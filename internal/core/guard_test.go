@@ -28,8 +28,9 @@ func withPanicHook(t *testing.T, hook func()) {
 
 func TestPanicInSequentialLeafIsContained(t *testing.T) {
 	s, _ := setup(t)
+	s = withWorkers(s, 1)
 	withPanicHook(t, func() { panic("forced evaluator failure") })
-	_, _, err := s.AnswerContext(context.Background(), fixture.Q1(3, 95), ExecOptions{Alpha: 0.5, FetchWorkers: 1})
+	_, _, err := s.AnswerContext(context.Background(), fixture.Q1(3, 95), ExecOptions{Alpha: 0.5})
 	pe, ok := guard.AsPanic(err)
 	if !ok {
 		t.Fatalf("err = %v, want contained *guard.PanicError", err)
@@ -47,15 +48,16 @@ func TestPanicInSequentialLeafIsContained(t *testing.T) {
 
 func TestPanicInParallelLeafWorkerIsContained(t *testing.T) {
 	s, _ := setup(t)
+	s = withWorkers(s, 4)
 	q := &query.Union{L: fixture.Q1(3, 95), R: fixture.Q1(5, 120)}
 	withPanicHook(t, func() { panic("forced worker failure") })
-	_, _, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: 0.9, FetchWorkers: 4})
+	_, _, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: 0.9})
 	if _, ok := guard.AsPanic(err); !ok {
 		t.Fatalf("err = %v, want contained *guard.PanicError from a worker goroutine", err)
 	}
 
 	withPanicHook(t, nil)
-	if _, _, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: 0.9, FetchWorkers: 4}); err != nil {
+	if _, _, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: 0.9}); err != nil {
 		t.Fatalf("query after contained worker panic: %v", err)
 	}
 }

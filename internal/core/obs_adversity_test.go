@@ -66,17 +66,18 @@ func TestTraceBalancedUnderPanic(t *testing.T) {
 
 	cases := []struct {
 		name string
+		s    *Scheme
 		q    query.Expr
 		opt  ExecOptions
 	}{
-		{"sequential", fixture.Q1(3, 95), ExecOptions{Alpha: 0.5, FetchWorkers: 1}},
-		{"parallel", &query.Union{L: fixture.Q1(3, 95), R: fixture.Q1(5, 120)},
-			ExecOptions{Alpha: 0.9, FetchWorkers: 4}},
+		{"sequential", withWorkers(s, 1), fixture.Q1(3, 95), ExecOptions{Alpha: 0.5}},
+		{"parallel", withWorkers(s, 4), &query.Union{L: fixture.Q1(3, 95), R: fixture.Q1(5, 120)},
+			ExecOptions{Alpha: 0.9}},
 	}
 	for _, c := range cases {
 		tr := obs.NewTrace("query")
 		c.opt.Trace = tr
-		_, _, err := s.AnswerContext(context.Background(), c.q, c.opt)
+		_, _, err := c.s.AnswerContext(context.Background(), c.q, c.opt)
 		if _, ok := guard.AsPanic(err); !ok {
 			t.Fatalf("%s: err = %v, want contained *guard.PanicError", c.name, err)
 		}

@@ -81,10 +81,6 @@ type ExecOptions struct {
 	// Budget, when > 0, is an absolute tuple budget that replaces α·|D|
 	// (the reported Alpha becomes Budget/|D|, capped at 1).
 	Budget int
-	// FetchWorkers overrides the scheme's parallel-leaf pool bound for this
-	// call; 0 keeps the scheme default, 1 runs the leaves sequentially.
-	// Every fetch resolves on its leaf's goroutine either way.
-	FetchWorkers int
 	// Fetcher, when non-nil, resolves every fetch-step batch through the
 	// routing layer instead of the in-process ladder lookups (the
 	// cluster seam — see plan.ExecOpts.Fetcher). Answers, η and budget

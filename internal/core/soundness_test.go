@@ -234,6 +234,7 @@ func TestSoundnessRandomQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(db, as)
+	sequential := NewWithOptions(db, as, Options{Workers: 1})
 	skipped, parallel := 0, 0
 	for ci, c := range corpus.Cases(42, cases) {
 		q, alpha := c.Query, c.Alpha
@@ -253,7 +254,7 @@ func TestSoundnessRandomQueries(t *testing.T) {
 
 		// Executor agreement: the parallel path (Execute) must match the
 		// sequential one — leaves in order, one fetch worker — bit-for-bit.
-		seq, err := s.ExecuteContext(context.Background(), p, ExecOptions{FetchWorkers: 1})
+		seq, err := sequential.ExecuteContext(context.Background(), p, ExecOptions{})
 		if err != nil {
 			t.Fatalf("case %d: sequential: %v", ci, err)
 		}

@@ -481,15 +481,15 @@ func referenceBuild(attrs []relation.Attribute, b *relation.Block, lo, hi int) *
 	if hi <= lo {
 		return t
 	}
-	byKey := relation.NewTupleMap[int](hi - lo)
+	byKey := make(map[string]int, hi-lo)
 	own := make([]refItem, 0, hi-lo)
 	for r := lo; r < hi; r++ {
 		tup := b.Tuple(r)
-		if i, dup := byKey.Get(tup); dup {
+		if i, dup := byKey[tup.Key()]; dup {
 			own[i].count++
 			continue
 		}
-		byKey.Put(tup, len(own))
+		byKey[tup.Key()] = len(own)
 		own = append(own, refItem{row: r, tuple: tup, count: 1})
 	}
 	t.items = len(own)

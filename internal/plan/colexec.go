@@ -37,9 +37,9 @@
 //   - An external group's distinct valuations are the indexes of their
 //     first rows in the source block, and the distinct X-values sit back
 //     to back in one Value slab. One relation.ProbeTable each — int32
-//     positions keyed by the hash and canonical equality TupleMap uses —
-//     finds them in first-seen order, so the enumeration allocates no
-//     Tuple and no map entry per key.
+//     positions that key values as Tuple.Key strings do — finds them in
+//     first-seen order, so the enumeration allocates no Tuple and no map
+//     entry per key.
 //
 // The golden digests of TestExecutorMatchesStringKeyReference (randomized
 // and edge-shape corpora) pin every answer byte for byte.

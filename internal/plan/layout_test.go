@@ -258,14 +258,14 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 	}
 	// Sanity: duplicate fids exist, so the build side really had bucket
 	// chains longer than one.
-	fids := relation.NewTupleMap[int](0)
+	fids := map[string]int{}
 	friend := db.MustRelation("friend")
 	fi := friend.Schema.MustIndex("fid")
 	dups := 0
 	for _, tp := range friend.Tuples {
-		c := fids.GetOrInsert(relation.Tuple{tp[fi]})
-		*c++
-		if *c == 2 {
+		key := relation.Tuple{tp[fi]}.Key()
+		fids[key]++
+		if fids[key] == 2 {
 			dups++
 		}
 	}

@@ -7,8 +7,7 @@
 // keys over the flat columns, and only materialises Tuples again at the
 // answer boundary. Row hashing and key equality over blocks fold exactly
 // the same canonical encoding as Tuple.Hash / Value.KeyEqual, so
-// block-keyed hash joins land in the same buckets as the row path's
-// TupleMap.
+// block-keyed hash joins key rows as Tuple.Key strings do.
 package relation
 
 import "sync"
@@ -198,7 +197,7 @@ const minFillChunk = 1 << 14
 
 // HashRow returns the FNV-1a hash of row i's canonical encoding — exactly
 // the value Tuple.Hash returns for the materialised row, so block-keyed
-// maps and TupleMap agree on buckets.
+// tables key rows as Tuple.Key strings do.
 func (b *Block) HashRow(i int) uint64 {
 	h := uint64(fnvOffset64)
 	for j := range b.cols {
@@ -245,7 +244,7 @@ func (b *Block) RowKeyEqual(i int, o *Block, k int) bool {
 
 // RowKeyEqualTuple reports whether row i is canonically equal to t
 // (Value.KeyEqual per component), i.e. whether the materialised row and t
-// would collide in a TupleMap and verify equal.
+// have the same Tuple.Key string.
 func (b *Block) RowKeyEqualTuple(i int, t Tuple) bool {
 	if len(t) != len(b.cols) {
 		return false

@@ -124,7 +124,7 @@ func TestColumnBulkOpsMatchPerRow(t *testing.T) {
 // TestBlockHashMatchesTupleHash pins the load-bearing equivalence of the
 // columnar path: HashRow/HashCols fold exactly what Tuple.Hash folds, and
 // the key-equality helpers agree with KeyEqual on the materialised rows, so
-// block-keyed joins land in the same buckets as the row path's TupleMap.
+// block-keyed joins key rows as Tuple.Key strings do.
 func TestBlockHashMatchesTupleHash(t *testing.T) {
 	vals := testValues()
 	rng := rand.New(rand.NewSource(3))

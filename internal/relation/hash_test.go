@@ -67,6 +67,120 @@ func TestKeyEqualMatchesKeyString(t *testing.T) {
 	}
 }
 
+// Collision injection: with a constant hash every key lands in one probe
+// chain, so correctness rests entirely on the caller's equality.
+func TestProbeTableCollisionFallback(t *testing.T) {
+	var pt ProbeTable
+	var keys []Tuple
+	insert := func(tp Tuple) (int, bool) {
+		p, added := pt.Insert(0xdead, func(p int) bool { return keys[p].KeyEqual(tp) })
+		if added {
+			keys = append(keys, tp)
+		}
+		return p, added
+	}
+	find := func(tp Tuple) (int, bool) {
+		return pt.Find(0xdead, func(p int) bool { return keys[p].KeyEqual(tp) })
+	}
+	for i, tp := range []Tuple{{Int(1)}, {Int(2)}, {String("1")}, {Null()}, {Int(1), Int(2)}} {
+		if p, added := insert(tp); p != i || !added {
+			t.Fatalf("Insert(%v) = (%d, %v), want (%d, true)", tp, p, added, i)
+		}
+	}
+	if p, added := insert(Tuple{Float(1)}); p != 0 || added {
+		t.Errorf("Insert(Float(1)) = (%d, %v), want (0, false): unified with Int(1)", p, added)
+	}
+	if p, ok := find(Tuple{Float(2)}); p != 1 || !ok {
+		t.Errorf("Find(Float(2)) = (%d, %v), want (1, true)", p, ok)
+	}
+	if _, ok := find(Tuple{Int(3)}); ok {
+		t.Error("Find(Int(3)) found a key never inserted")
+	}
+	if pt.Len() != 5 {
+		t.Errorf("Len = %d, want 5", pt.Len())
+	}
+}
+
+// mapKeys are the tuple components the probe-table property tests draw
+// keys from: NaN (one key for every NaN), −0 (the key of 0), ±Inf, Int(3)
+// and Float(3.0) (one key), the 1e15 cutoff past which Int and Float keys
+// differ, null, a string that reads like a number, and strings holding
+// the separators Tuple.Key escapes.
+var mapKeys = []Value{
+	Null(), Int(3), Float(3), Float(3.5), Float(math.NaN()), Float(math.Copysign(0, -1)),
+	Int(0), Float(math.Inf(1)), Float(math.Inf(-1)), String("a"), String("3"),
+	Int(1e15), Float(1e15), Float(1e16), Int(-1), String("b"), String("a\x1fb"), String("x\x1e"),
+}
+
+// checkProbeTableOps decodes data into Insert and Find calls on a table of
+// tuples kept in a slice and checks each against a map of Tuple.Key
+// strings to first-inserted positions. An odd first byte pre-sizes the
+// table with Grow; each later pair of bytes is one call on a tuple of one
+// or two mapKeys components.
+func checkProbeTableOps(t *testing.T, data []byte, hash func(Tuple) uint64) {
+	if len(data) == 0 {
+		return
+	}
+	var pt ProbeTable
+	if data[0]&1 == 1 {
+		pt.Grow(len(data) / 2)
+	}
+	data = data[1:]
+	var keys []Tuple
+	ref := map[string]int{}
+	for i := 0; i+1 < len(data); i += 2 {
+		a, b := data[i], data[i+1]
+		tp := Tuple{mapKeys[int(a>>2)%len(mapKeys)]}
+		if a&2 != 0 {
+			tp = append(tp, mapKeys[int(b)%len(mapKeys)])
+		}
+		want, seen := ref[tp.Key()]
+		eq := func(p int) bool { return keys[p].KeyEqual(tp) }
+		if a&1 == 0 {
+			if !seen {
+				want = len(ref)
+			}
+			p, added := pt.Insert(hash(tp), eq)
+			if p != want || added == seen {
+				t.Fatalf("op %d: Insert(%v) = (%d, %v), reference (%d, new %v)", i/2, tp, p, added, want, !seen)
+			}
+			if added {
+				keys = append(keys, tp)
+				ref[tp.Key()] = p
+			}
+		} else if p, ok := pt.Find(hash(tp), eq); ok != seen || (ok && p != want) {
+			t.Fatalf("op %d: Find(%v) = (%d, %v), reference (%d, %v)", i/2, tp, p, ok, want, seen)
+		}
+		if pt.Len() != len(ref) {
+			t.Fatalf("op %d: Len %d, reference %d", i/2, pt.Len(), len(ref))
+		}
+	}
+}
+
+// TestProbeTableMatchesStringKeys runs long random Insert and Find
+// sequences against a map keyed by Tuple.Key(), once with the real hash
+// (the table grows through several sizes) and once with every key forced
+// into one probe chain, with and without Grow.
+func TestProbeTableMatchesStringKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		name string
+		hash func(Tuple) uint64
+	}{
+		{"real hash", Tuple.Hash},
+		{"forced collisions", func(Tuple) uint64 { return 0x5eed }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, grow := range []byte{0, 1} {
+				data := make([]byte, 12001)
+				rng.Read(data)
+				data[0] = grow
+				checkProbeTableOps(t, data, tc.hash)
+			}
+		})
+	}
+}
+
 func randValue(rng *rand.Rand) Value {
 	switch rng.Intn(5) {
 	case 0:
@@ -83,197 +197,79 @@ func randValue(rng *rand.Rand) Value {
 	}
 }
 
-// Differential property: TupleMap behaves exactly like a map keyed by the
-// canonical Key string, over a workload of colliding-ish random tuples.
-func TestTupleMapMatchesStringKeyedMap(t *testing.T) {
+// TestProbeTableMatchesRandomTuples checks Insert and Find on tuples of one
+// to three random components, many of them equal across kinds, against a
+// map keyed by Tuple.Key().
+func TestProbeTableMatchesRandomTuples(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m := NewTupleMap[int](0)
+	var pt ProbeTable
+	var keys []Tuple
 	ref := map[string]int{}
 	for op := 0; op < 5000; op++ {
-		n := 1 + rng.Intn(3)
-		tp := make(Tuple, n)
+		tp := make(Tuple, 1+rng.Intn(3))
 		for i := range tp {
 			tp[i] = randValue(rng)
 		}
-		switch rng.Intn(4) {
-		case 0, 1:
-			m.Put(tp, op)
-			ref[tp.Key()] = op
-		case 2:
-			got, ok := m.Get(tp)
-			want, wok := ref[tp.Key()]
-			if ok != wok || (ok && got != want) {
-				t.Fatalf("op %d: Get(%v) = %d,%v; string map has %d,%v", op, tp, got, ok, want, wok)
+		want, seen := ref[tp.Key()]
+		eq := func(p int) bool { return keys[p].KeyEqual(tp) }
+		if rng.Intn(2) == 0 {
+			if !seen {
+				want = len(ref)
 			}
-		default:
-			if got, want := m.Delete(tp), false; true {
-				_, want = ref[tp.Key()]
-				delete(ref, tp.Key())
-				if got != want {
-					t.Fatalf("op %d: Delete(%v) = %v, want %v", op, tp, got, want)
-				}
+			p, added := pt.Insert(tp.Hash(), eq)
+			if p != want || added == seen {
+				t.Fatalf("op %d: Insert(%v) = (%d, %v), reference (%d, new %v)", op, tp, p, added, want, !seen)
 			}
+			if added {
+				keys = append(keys, tp)
+				ref[tp.Key()] = p
+			}
+		} else if p, ok := pt.Find(tp.Hash(), eq); ok != seen || (ok && p != want) {
+			t.Fatalf("op %d: Find(%v) = (%d, %v), reference (%d, %v)", op, tp, p, ok, want, seen)
 		}
-		if m.Len() != len(ref) {
-			t.Fatalf("op %d: Len %d != %d", op, m.Len(), len(ref))
+		if pt.Len() != len(ref) {
+			t.Fatalf("op %d: Len %d, reference %d", op, pt.Len(), len(ref))
 		}
 	}
-	// Range must visit exactly the reference entries.
-	seen := 0
-	m.Range(func(tp Tuple, v int) bool {
-		seen++
-		if want, ok := ref[tp.Key()]; !ok || want != v {
-			t.Errorf("Range visited %v=%d not in reference", tp, v)
+}
+
+// FuzzProbeTable is TestProbeTableMatchesStringKeys over fuzzed call
+// sequences, with the real hash and with a forced-collision one.
+func FuzzProbeTable(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 1, 8, 5, 12, 3, 5, 0})
+	f.Add([]byte{1, 6, 1, 10, 2, 7, 1, 11, 2, 16, 0, 20, 0, 17, 0, 21, 0})
+	f.Add([]byte{0, 18, 9, 22, 9, 46, 11, 50, 12, 19, 9, 23, 9, 47, 10})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			return
 		}
-		return true
+		checkProbeTableOps(t, data, Tuple.Hash)
+		checkProbeTableOps(t, data, func(Tuple) uint64 { return 1 })
 	})
-	if seen != len(ref) {
-		t.Errorf("Range visited %d entries, want %d", seen, len(ref))
-	}
 }
 
-// Collision injection: with a constant hash function every entry lands in
-// one bucket, so correctness rests entirely on the EqualTuple fallback.
-func TestTupleMapCollisionFallback(t *testing.T) {
-	m := newTupleMapHash[string](0, func(Tuple) uint64 { return 0xdead })
-	tuples := []Tuple{
-		{Int(1)},
-		{Int(2)},
-		{Float(1)}, // equal to {Int(1)} under EqualTuple
-		{String("1")},
-		{Null()},
-		{Int(1), Int(2)},
-	}
-	m.Put(tuples[0], "one")
-	m.Put(tuples[1], "two")
-	m.Put(tuples[3], "s1")
-	m.Put(tuples[4], "null")
-	m.Put(tuples[5], "pair")
-	if m.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", m.Len())
-	}
-	if v, ok := m.Get(tuples[2]); !ok || v != "one" {
-		t.Errorf("Get(Float(1)) = %q,%v; want one (unified with Int(1))", v, ok)
-	}
-	m.Put(tuples[2], "uno") // overwrites the Int(1) entry
-	if m.Len() != 5 {
-		t.Errorf("numeric-unified Put must overwrite, Len = %d", m.Len())
-	}
-	if v, _ := m.Get(tuples[0]); v != "uno" {
-		t.Errorf("Get(Int(1)) = %q after unified overwrite", v)
-	}
-	if !m.Delete(tuples[1]) || m.Delete(tuples[1]) {
-		t.Error("Delete must remove exactly once under collisions")
-	}
-	if v, ok := m.Get(tuples[5]); !ok || v != "pair" {
-		t.Errorf("sibling entry lost after delete: %q,%v", v, ok)
-	}
-
-	s := &TupleSet{m: newTupleMapHash[struct{}](0, func(Tuple) uint64 { return 1 })}
-	if !s.Add(Tuple{Int(7)}) || s.Add(Tuple{Float(7)}) {
-		t.Error("TupleSet.Add must dedup across kinds under full collision")
-	}
-	if !s.Has(Tuple{Int(7)}) || s.Has(Tuple{Int(8)}) {
-		t.Error("TupleSet.Has wrong under full collision")
-	}
-}
-
-// mapKeys are the tuple components the TupleMap property test draws keys
-// from: NaN (one key for every NaN), −0 (the key of 0), ±Inf, Int(3) and
-// Float(3.0) (one key), and the 1e15 cutoff past which Int and Float keys
-// differ.
-var mapKeys = []Value{
-	Null(), Int(3), Float(3), Float(3.5), Float(math.NaN()), Float(math.Copysign(0, -1)),
-	Int(0), Float(math.Inf(1)), Float(math.Inf(-1)), String("a"), String("3"),
-	Int(1e15), Float(1e16), Int(-1),
-}
-
-// TestTupleMapProperty runs random Put, Get, GetOrInsert, Delete, Range and
-// Len sequences against a map keyed by Tuple.Key(), once with the real hash
-// (the map grows through several table sizes and deletes shift entries) and
-// once with every key forced into one probe chain.
-func TestTupleMapProperty(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		m    *TupleMap[int]
-	}{
-		{"real hash", NewTupleMap[int](0)},
-		{"forced collisions", newTupleMapHash[int](0, func(Tuple) uint64 { return 0x5eed })},
-	} {
-		rng := rand.New(rand.NewSource(7))
-		m, ref := tc.m, map[string]int{}
-		for op := 0; op < 6000; op++ {
-			tp := make(Tuple, 1+rng.Intn(2))
-			for i := range tp {
-				tp[i] = mapKeys[rng.Intn(len(mapKeys))]
-			}
-			key := tp.Key()
-			switch rng.Intn(6) {
-			case 0:
-				m.Put(tp, op)
-				ref[key] = op
-			case 1:
-				got, ok := m.Get(tp)
-				want, wok := ref[key]
-				if ok != wok || got != want {
-					t.Fatalf("%s op %d: Get(%v) = %d,%v; reference %d,%v", tc.name, op, tp, got, ok, want, wok)
-				}
-			case 2:
-				p := m.GetOrInsert(tp)
-				if *p != ref[key] {
-					t.Fatalf("%s op %d: GetOrInsert(%v) holds %d; reference %d", tc.name, op, tp, *p, ref[key])
-				}
-				*p = op
-				ref[key] = op
-			case 3, 4:
-				_, want := ref[key]
-				delete(ref, key)
-				if got := m.Delete(tp); got != want {
-					t.Fatalf("%s op %d: Delete(%v) = %v, want %v", tc.name, op, tp, got, want)
-				}
-			default:
-				stop, seen := rng.Intn(len(ref)+1), 0
-				visited := map[string]bool{}
-				m.Range(func(k Tuple, v int) bool {
-					if want, ok := ref[k.Key()]; !ok || want != v || visited[k.Key()] {
-						t.Fatalf("%s op %d: Range visited %v=%d, reference %d,%v", tc.name, op, k, v, want, ok)
-					}
-					visited[k.Key()] = true
-					seen++
-					return seen < stop
-				})
-				if want := min(max(stop, 1), len(ref)); seen != want {
-					t.Fatalf("%s op %d: Range visited %d entries, want %d", tc.name, op, seen, want)
-				}
-			}
-			if m.Len() != len(ref) {
-				t.Fatalf("%s op %d: Len %d, reference %d", tc.name, op, m.Len(), len(ref))
-			}
-		}
-	}
-}
-
-// A lookup allocates nothing: no key string, no bucket, no boxed hash.
-func TestTupleMapGetAllocs(t *testing.T) {
-	m := NewTupleMap[int](0)
+// A lookup allocates nothing: no key string, no bucket, no boxed hash, no
+// escaping equality closure.
+func TestProbeTableFindAllocs(t *testing.T) {
+	var pt ProbeTable
 	var keys []Tuple
 	for i := 0; i < 100; i++ {
 		k := Tuple{Int(int64(i)), String("k"), Float(float64(i) / 4)}
-		m.Put(k, i)
+		pt.Insert(k.Hash(), func(int) bool { return false })
 		keys = append(keys, k)
 	}
-	keys = append(keys, Tuple{Int(-1), String("absent"), Float(0)})
+	probes := append(keys[:len(keys):len(keys)], Tuple{Int(-1), String("absent"), Float(0)})
 	if n := testing.AllocsPerRun(50, func() {
-		for _, k := range keys {
-			m.Get(k)
+		for _, k := range probes {
+			pt.Find(k.Hash(), func(p int) bool { return keys[p].KeyEqual(k) })
 		}
 	}); n != 0 {
-		t.Errorf("TupleMap.Get allocates %.1f times per %d lookups", n, len(keys))
+		t.Errorf("ProbeTable.Find allocates %.1f times per %d lookups", n, len(probes))
 	}
 }
 
-// RowIndex keys block rows as TupleMap keys their tuples: Add returns the
-// first added row whose materialised tuple has the same Key.
+// RowIndex keys block rows as Tuple.Key strings key their tuples: Add
+// returns the first added row whose materialised tuple has the same Key.
 func TestRowIndexMatchesTupleKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	b := NewBlock(2)
@@ -328,8 +324,9 @@ func randProbeBlock(rng *rand.Rand, rows, width int) *Block {
 // ProbeTable dedup keyed by Block.HashCols/ColsKeyEqual (a fetch step's
 // external valuations) and by Tuple.Hash/KeyEqual over a value slab (its
 // X-values) finds the same distinct keys in the same first-seen order as a
-// TupleSet, with the real hash and with every key forced into one chain.
-func TestProbeTableMatchesTupleSetDedup(t *testing.T) {
+// set of Tuple.Key strings, with the real hash and with every key forced
+// into one chain.
+func TestProbeTableMatchesStringKeyDedup(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		hash func(uint64) uint64
@@ -343,11 +340,12 @@ func TestProbeTableMatchesTupleSetDedup(t *testing.T) {
 				b := randProbeBlock(rng, 1+rng.Intn(300), 1+rng.Intn(5))
 				cols := rng.Perm(b.Width())[:1+rng.Intn(b.Width())]
 
-				// Reference: first-seen rows of a TupleSet over the projections.
-				ref := NewTupleSet(0)
+				// Reference: first-seen rows of a set of the projections' keys.
+				ref := map[string]bool{}
 				var want []int32
 				for r := 0; r < b.Rows(); r++ {
-					if ref.Add(b.Tuple(r).Project(cols)) {
+					if key := b.Tuple(r).Project(cols).Key(); !ref[key] {
+						ref[key] = true
 						want = append(want, int32(r))
 					}
 				}
@@ -366,11 +364,11 @@ func TestProbeTableMatchesTupleSetDedup(t *testing.T) {
 					}
 				}
 				if len(rows) != len(want) || rowTable.Len() != len(want) {
-					t.Fatalf("trial %d: %d distinct rows, TupleSet has %d", trial, len(rows), len(want))
+					t.Fatalf("trial %d: %d distinct rows, reference has %d", trial, len(rows), len(want))
 				}
 				for i := range want {
 					if rows[i] != want[i] {
-						t.Fatalf("trial %d: distinct row %d is %d, TupleSet's is %d", trial, i, rows[i], want[i])
+						t.Fatalf("trial %d: distinct row %d is %d, reference's is %d", trial, i, rows[i], want[i])
 					}
 				}
 
@@ -386,7 +384,7 @@ func TestProbeTableMatchesTupleSetDedup(t *testing.T) {
 					}
 				}
 				if slabTable.Len() != len(want) {
-					t.Fatalf("trial %d: %d distinct slab keys, TupleSet has %d", trial, slabTable.Len(), len(want))
+					t.Fatalf("trial %d: %d distinct slab keys, reference has %d", trial, slabTable.Len(), len(want))
 				}
 				for i, r := range want {
 					if !b.Tuple(int(r)).Project(cols).EqualTuple(slab[i*w : (i+1)*w]) {
@@ -404,18 +402,20 @@ func identical(a, b Value) bool {
 	return a.kind == b.kind && a.i == b.i && a.s == b.s && math.Float64bits(a.f) == math.Float64bits(b.f)
 }
 
-// KeyIndex numbers tuples as a TupleMap of first-seen positions does, over
-// keys of every hostile kind and width (zero-width included): Add and
-// AddRow agree with the map, Find answers without changing the index, and
-// each key row keeps the spelling of its first Add until Respell rewrites
-// it — after which Find still finds it by every spelling.
-func TestKeyIndexMatchesTupleMap(t *testing.T) {
+// KeyIndex numbers tuples as a map of Tuple.Key strings to first-seen
+// positions does, over keys of every hostile kind and width (zero-width
+// included): Add and AddRow agree with the map, Find answers without
+// changing the index, and each key row keeps the spelling of its first Add
+// until Respell rewrites it — after which Find still finds it by every
+// spelling.
+func TestKeyIndexMatchesStringKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 40; trial++ {
 		width := trial % 4
 		b := randProbeBlock(rng, 1+rng.Intn(200), max(width, 1))
 		tuple := func(r int) Tuple { return b.Tuple(r)[:width] }
-		ref := NewTupleMap[int](0)
+		ref := map[string]int{}
+		var refKeys []Tuple // ref's keys, by number
 		x := MakeKeyIndex(width)
 		y := MakeKeyIndex(width) // filled through AddRow
 		rows := NewBlock(width)
@@ -424,13 +424,14 @@ func TestKeyIndexMatchesTupleMap(t *testing.T) {
 		}
 		for r := 0; r < b.Rows(); r++ {
 			tup := tuple(r)
-			want, seen := ref.Get(tup)
+			want, seen := ref[tup.Key()]
 			if got, ok := x.Find(tup); ok != seen || (ok && got != want) {
 				t.Fatalf("trial %d row %d: Find = (%d, %v), map (%d, %v)", trial, r, got, ok, want, seen)
 			}
 			if !seen {
-				want = ref.Len()
-				ref.Put(tup, want)
+				want = len(ref)
+				ref[tup.Key()] = want
+				refKeys = append(refKeys, tup)
 			}
 			n := x.Len()
 			if got, added := x.Add(tup); got != want || added == seen {
@@ -452,15 +453,14 @@ func TestKeyIndexMatchesTupleMap(t *testing.T) {
 			if !sliceIdentical(x.Keys().Tuple(p), tup) {
 				t.Fatalf("trial %d row %d: respelled key %d reads %v, want %v", trial, r, p, x.Keys().Tuple(p), tup)
 			}
-			ref.Range(func(k Tuple, q int) bool {
+			for q, k := range refKeys {
 				if got, ok := x.Find(k); !ok || got != q {
 					t.Fatalf("trial %d: after a respell, key %v found at (%d, %v), want %d", trial, k, got, ok, q)
 				}
-				return true
-			})
+			}
 		}
-		if x.Len() != ref.Len() || y.Len() != ref.Len() {
-			t.Fatalf("trial %d: %d and %d keys, map %d", trial, x.Len(), y.Len(), ref.Len())
+		if x.Len() != len(ref) || y.Len() != len(ref) {
+			t.Fatalf("trial %d: %d and %d keys, map %d", trial, x.Len(), y.Len(), len(ref))
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Relation is an in-memory relation instance: a schema plus a bag of tuples.
 // BEAS itself works under set semantics for RA and bag semantics for
@@ -43,9 +40,10 @@ func (r *Relation) MustAppend(ts ...Tuple) {
 // first-occurrence order.
 func (r *Relation) Distinct() *Relation {
 	out := NewRelation(r.Schema)
-	seen := NewTupleSet(len(r.Tuples))
+	var seen ProbeTable
+	seen.Grow(len(r.Tuples))
 	for _, t := range r.Tuples {
-		if seen.Add(t) {
+		if _, added := seen.Insert(t.Hash(), func(p int) bool { return out.Tuples[p].KeyEqual(t) }); added {
 			out.Tuples = append(out.Tuples, t)
 		}
 	}
@@ -71,33 +69,6 @@ func (r *Relation) Project(attrs []string) (*Relation, error) {
 	return out, nil
 }
 
-// Contains reports whether the relation contains a tuple equal to t.
-func (r *Relation) Contains(t Tuple) bool {
-	for _, u := range r.Tuples {
-		if u.EqualTuple(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// SortByKey orders tuples by their canonical key, for deterministic output.
-func (r *Relation) SortByKey() {
-	sort.Slice(r.Tuples, func(i, j int) bool {
-		return r.Tuples[i].Key() < r.Tuples[j].Key()
-	})
-}
-
-// Clone returns a deep copy of the relation.
-func (r *Relation) Clone() *Relation {
-	out := NewRelation(r.Schema)
-	out.Tuples = make([]Tuple, len(r.Tuples))
-	for i, t := range r.Tuples {
-		out.Tuples[i] = t.Clone()
-	}
-	return out
-}
-
 // GroupBy partitions tuples by the key attributes and returns the groups in
 // first-occurrence order of their keys.
 func (r *Relation) GroupBy(attrs []string) ([]Group, error) {
@@ -105,14 +76,12 @@ func (r *Relation) GroupBy(attrs []string) ([]Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	byKey := NewTupleMap[int](0)
+	var byKey ProbeTable
 	var groups []Group
 	for _, t := range r.Tuples {
 		key := t.Project(idx)
-		gi, ok := byKey.Get(key)
-		if !ok {
-			gi = len(groups)
-			byKey.Put(key, gi)
+		gi, added := byKey.Insert(key.Hash(), func(p int) bool { return groups[p].Key.KeyEqual(key) })
+		if added {
 			groups = append(groups, Group{Key: key})
 		}
 		groups[gi].Tuples = append(groups[gi].Tuples, t)

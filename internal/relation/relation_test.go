@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -67,31 +68,6 @@ func TestRelationProject(t *testing.T) {
 	}
 }
 
-func TestRelationContains(t *testing.T) {
-	r := samplePOI(t)
-	if !r.Contains(Tuple{String("3 Elm Rd"), String("bar"), String("NYC"), Float(15)}) {
-		t.Error("Contains should find tuple")
-	}
-	if r.Contains(Tuple{String("x"), String("bar"), String("NYC"), Float(15)}) {
-		t.Error("Contains false positive")
-	}
-}
-
-func TestRelationSortAndClone(t *testing.T) {
-	r := samplePOI(t)
-	c := r.Clone()
-	c.Tuples[0][3] = Float(999)
-	if f, _ := r.Tuples[0][3].AsFloat(); f != 95 {
-		t.Error("Clone must deep-copy tuples")
-	}
-	r.SortByKey()
-	for i := 1; i < r.Len(); i++ {
-		if r.Tuples[i-1].Key() > r.Tuples[i].Key() {
-			t.Fatal("SortByKey not sorted")
-		}
-	}
-}
-
 func TestRelationGroupBy(t *testing.T) {
 	r := samplePOI(t)
 	groups, err := r.GroupBy([]string{"type", "city"})
@@ -118,6 +94,98 @@ func TestRelationGroupBy(t *testing.T) {
 	}
 	if _, err := r.GroupBy([]string{"nope"}); err == nil {
 		t.Error("GroupBy bad attr should fail")
+	}
+}
+
+// randKeyRelation returns n tuples of width 3 drawn from mapKeys, so that
+// many are duplicates under Tuple.Key and many more spell one key two ways.
+func randKeyRelation(rng *rand.Rand, n int) *Relation {
+	r := NewRelation(MustSchema("r",
+		Attr("a", KindInt, Trivial()), Attr("b", KindFloat, Trivial()), Attr("c", KindString, Trivial())))
+	for i := 0; i < n; i++ {
+		r.MustAppend(Tuple{mapKeys[rng.Intn(len(mapKeys))], mapKeys[rng.Intn(len(mapKeys))], mapKeys[rng.Intn(4)]})
+	}
+	return r
+}
+
+// Distinct keeps the first tuple of every Tuple.Key, in order of first
+// occurrence, and nothing else.
+func TestDistinctMatchesStringKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{0, 1, 7, 300, 3000} {
+		r := randKeyRelation(rng, n)
+		seen := map[string]bool{}
+		var want []Tuple
+		for _, tp := range r.Tuples {
+			if !seen[tp.Key()] {
+				seen[tp.Key()] = true
+				want = append(want, tp)
+			}
+		}
+		got := r.Distinct()
+		if got.Len() != len(want) {
+			t.Fatalf("n=%d: %d distinct tuples, reference %d", n, got.Len(), len(want))
+		}
+		for i := range want {
+			if !sliceIdentical(got.Tuples[i], want[i]) {
+				t.Fatalf("n=%d: distinct tuple %d is %v, reference %v", n, i, got.Tuples[i], want[i])
+			}
+		}
+	}
+}
+
+// GroupBy files every tuple under the first-seen spelling of its key's
+// Tuple.Key, groups and members in order of first occurrence.
+func TestGroupByMatchesStringKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, attrs := range [][]string{{"a"}, {"c", "b"}, {"a", "b", "c"}, {}} {
+		r := randKeyRelation(rng, 2000)
+		idx, _ := r.Schema.Indices(attrs)
+		byKey := map[string]int{}
+		var want []Group
+		for _, tp := range r.Tuples {
+			key := tp.Project(idx)
+			gi, ok := byKey[key.Key()]
+			if !ok {
+				gi = len(want)
+				byKey[key.Key()] = gi
+				want = append(want, Group{Key: key})
+			}
+			want[gi].Tuples = append(want[gi].Tuples, tp)
+		}
+		got, err := r.GroupBy(attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d groups, reference %d", attrs, len(got), len(want))
+		}
+		for i := range want {
+			if !sliceIdentical(got[i].Key, want[i].Key) || len(got[i].Tuples) != len(want[i].Tuples) {
+				t.Fatalf("%v: group %d is %v with %d tuples, reference %v with %d",
+					attrs, i, got[i].Key, len(got[i].Tuples), want[i].Key, len(want[i].Tuples))
+			}
+			for j := range want[i].Tuples {
+				if !sliceIdentical(got[i].Tuples[j], want[i].Tuples[j]) {
+					t.Fatalf("%v: group %d member %d is %v, reference %v", attrs, i, j, got[i].Tuples[j], want[i].Tuples[j])
+				}
+			}
+		}
+	}
+}
+
+// Distinct allocates O(log n) times, never per tuple: doubling the input
+// adds at most a couple of slice growths.
+func TestDistinctAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		r := NewRelation(MustSchema("r", Attr("a", KindInt, Trivial()), Attr("b", KindString, Trivial())))
+		for i := 0; i < n; i++ {
+			r.MustAppend(Tuple{Int(int64(i % (n / 2))), String("k")})
+		}
+		return testing.AllocsPerRun(5, func() { r.Distinct() })
+	}
+	if a, b := allocs(4096), allocs(8192); b > a+2 {
+		t.Errorf("Distinct allocates %.0f times over 4096 tuples and %.0f over 8192", a, b)
 	}
 }
 

@@ -227,9 +227,9 @@ func (v Value) canonInt() (int64, bool) {
 // KeyEqual reports whether two values share the same canonical Key encoding
 // — Int/Float unified when integral and below the 1e15 cutoff, kinds
 // distinct otherwise — without building the strings. This is the equality
-// the hashed tuple maps use, so they key exactly like maps of Tuple.Key()
-// strings. (It is deliberately narrower than Equal, which unifies numeric
-// kinds at any magnitude where float comparison is lossy.)
+// the hash tables verify keys with, so they key as Tuple.Key strings do.
+// (It is deliberately narrower than Equal, which unifies numeric kinds at
+// any magnitude where float comparison is lossy.)
 func (v Value) KeyEqual(o Value) bool {
 	vi, vInt := v.canonInt()
 	oi, oInt := o.canonInt()
