@@ -185,9 +185,10 @@ func BuildAt(db *Database) (*AccessSchema, error) { return access.BuildAt(db) }
 // immutable after Open, plans are immutable once generated, and every
 // query execution keeps its own state. One System can therefore serve any
 // number of goroutines (see cmd/beasd for an HTTP server doing exactly
-// that). Multi-leaf plans execute their leaves on a bounded worker pool
-// with the α·|D| access budget partitioned across the leaves up front, and
-// repeated (query, α) pairs are served from a size-bounded LRU plan cache.
+// that). An affordable multi-leaf plan runs each leaf on its own goroutine
+// with the α·|D| access budget partitioned across the leaves up front
+// (every other plan runs its leaves in order), and repeated (query, α)
+// pairs are served from a size-bounded LRU plan cache.
 // Do not mutate the Database after Open.
 type System struct {
 	scheme *core.Scheme
@@ -200,7 +201,7 @@ type System struct {
 type PlanCacheStats = plancache.Stats
 
 // InternalError is the typed error a contained evaluator panic surfaces as:
-// crash containment (in the evaluator and the parallel leaf workers)
+// crash containment (in the evaluator and every leaf, concurrent or not)
 // recovers the panic and returns it as one of these instead of killing the
 // process. Detect it with errors.As; the Stack field carries the panicking
 // goroutine's stack for the log.
@@ -356,14 +357,13 @@ func WithTrace(t *Trace) Option {
 // increments, so a scrape and PlanCacheStats cannot disagree; the per-tag
 // and per-ladder series are computed at scrape time.
 func (s *System) RegisterMetrics(reg *MetricsRegistry) {
-	if h, m, e := s.scheme.PlanCacheCounters(); h != nil {
-		reg.RegisterCounter("beas_plancache_hits_total",
-			"Plan cache lookups served from the LRU.", h)
-		reg.RegisterCounter("beas_plancache_misses_total",
-			"Plan cache lookups that generated a new plan.", m)
-		reg.RegisterCounter("beas_plancache_evictions_total",
-			"Plans evicted to respect the cache capacity.", e)
-	}
+	h, m, e := s.scheme.PlanCacheCounters()
+	reg.RegisterCounter("beas_plancache_hits_total",
+		"Plan cache lookups served from the LRU.", h)
+	reg.RegisterCounter("beas_plancache_misses_total",
+		"Plan cache lookups that generated a new plan.", m)
+	reg.RegisterCounter("beas_plancache_evictions_total",
+		"Plans evicted to respect the cache capacity.", e)
 	reg.GaugeFunc("beas_plancache_entries",
 		"Plans currently cached.",
 		func() float64 { return float64(s.scheme.CacheStats().Len) })

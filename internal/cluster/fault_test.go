@@ -45,7 +45,7 @@ func TestPeerRefusedConnection(t *testing.T) {
 	defer tc.close()
 	tc.servers[1].Close() // peer b-node refuses connections from the start
 
-	scheme := core.NewWithOptions(db, as, core.Options{Workers: 4})
+	scheme := core.New(db, as)
 	g := corpus.NewGenerator(7)
 	peerErrs, successes := 0, 0
 	for ci := 0; ci < 30; ci++ {
@@ -106,12 +106,11 @@ func TestKilledPeerMidCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := core.NewWithOptions(db, refAS, core.Options{Workers: 1})
+	ref := core.New(db, refAS)
 
 	tc := startCluster(t, 2, as, fastFail)
 	defer tc.close()
-	// Plan cache off: a killed peer must not be masked by replayed plans.
-	scheme := core.NewWithOptions(db, as, core.Options{Workers: 4, PlanCacheSize: -1})
+	scheme := core.New(db, as)
 
 	g := corpus.NewGenerator(42)
 	peerErrs := 0
@@ -121,8 +120,10 @@ func TestKilledPeerMidCorpus(t *testing.T) {
 		}
 		q := g.Query()
 		wantAns, _, wantErr := ref.AnswerContext(ctx, q, core.ExecOptions{Alpha: 0.2})
+		// The call bypasses the plan cache: a killed peer must not be
+		// masked by replayed plans.
 		gotAns, _, gotErr := scheme.AnswerContext(ctx, q, core.ExecOptions{
-			Alpha: 0.2, Fetcher: tc.nodes[0].Fetcher(),
+			Alpha: 0.2, Fetcher: tc.nodes[0].Fetcher(), BypassCache: true,
 		})
 		if gotErr != nil {
 			var pe *PeerError

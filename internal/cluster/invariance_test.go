@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/fixture"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -106,10 +107,12 @@ func relKeys(r *relation.Relation) []string {
 // rotating node whose routed Fetcher fans the executor's batched fetches
 // over real HTTP to ring-assigned peers — must produce answers, η,
 // exactness, budget consumption (Stats.Accessed) and truncation
-// byte-identical to the single-process sequential reference. The network
-// may only change where a fetch is served, never what it returns or what
-// it costs against α·|D|. The run asserts remote fetches actually
-// happened — the invariance is not vacuously local.
+// byte-identical to the single-process reference. The network may only
+// change where a fetch is served, never what it returns or what it costs
+// against α·|D|. The run asserts remote fetches actually happened — the
+// invariance is not vacuously local — and that some case ran its leaves
+// concurrently while fetching through the remote fetcher, so concurrent
+// leaves sharing one router are covered too.
 func TestClusterInvariance(t *testing.T) {
 	const cases = 200
 	ctx := context.Background()
@@ -119,12 +122,12 @@ func TestClusterInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference: one worker, no cluster anywhere.
+	// Reference: no cluster anywhere.
 	refAS, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := core.NewWithOptions(db, refAS, core.Options{Workers: 1})
+	ref := core.New(db, refAS)
 
 	// One engine per cluster size; the per-call Fetcher picks the
 	// coordinating node, so one engine serves all coordinators of a size.
@@ -137,21 +140,28 @@ func TestClusterInvariance(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		tc := startCluster(t, n, as, nil)
 		defer tc.close()
-		setups = append(setups, setup{n, tc, core.NewWithOptions(db, as, core.Options{Workers: 8})})
+		setups = append(setups, setup{n, tc, core.New(db, as)})
 	}
 
 	g := corpus.NewGenerator(42)
 	alphas := []float64{0.01, 0.1, 0.6}
+	concurrentRemote := 0
 	for ci := 0; ci < cases; ci++ {
 		q := g.Query()
 		alpha := alphas[ci%len(alphas)]
 		wantAns, _, wantErr := ref.AnswerContext(ctx, q, core.ExecOptions{Alpha: alpha})
 		for _, sc := range setups {
 			coord := sc.tc.nodes[ci%sc.n]
+			routed := remoteXs(sc.tc)
+			tr := obs.NewTrace("query")
 			gotAns, _, gotErr := sc.scheme.AnswerContext(ctx, q, core.ExecOptions{
 				Alpha:   alpha,
 				Fetcher: coord.Fetcher(),
+				Trace:   tr,
 			})
+			if leafMode(tr) == "par" && remoteXs(sc.tc) > routed {
+				concurrentRemote++
+			}
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("case %d nodes=%d: error mismatch: ref %v, got %v\n%s",
 					ci, sc.n, wantErr, gotErr, query.Render(q))
@@ -183,14 +193,37 @@ func TestClusterInvariance(t *testing.T) {
 		if sc.n == 1 {
 			continue
 		}
-		var served, remote uint64
+		var served uint64
 		for _, node := range sc.tc.nodes {
 			served += node.served.Value()
-			remote += node.remoteXs.Value()
 		}
-		if served == 0 || remote == 0 {
+		if remote := remoteXs(sc.tc); served == 0 || remote == 0 {
 			t.Fatalf("nodes=%d: no remote fetches happened (served=%d routed=%d); invariance was vacuous",
 				sc.n, served, remote)
 		}
 	}
+	if concurrentRemote == 0 {
+		t.Fatal("no case ran its leaves concurrently through the remote fetcher")
+	}
+	t.Logf("%d calls ran concurrent leaves over remote fetches", concurrentRemote)
+}
+
+// remoteXs sums the X-values the cluster's nodes have routed to peers.
+func remoteXs(tc *testCluster) uint64 {
+	var n uint64
+	for _, node := range tc.nodes {
+		n += node.remoteXs.Value()
+	}
+	return n
+}
+
+// leafMode returns the "mode" attribute of the trace's first leaf span:
+// "par" when the call ran its leaves concurrently, "seq" when in order.
+func leafMode(tr *obs.Trace) any {
+	for _, a := range tr.Root().Find("leaf").Attrs() {
+		if a.Key == "mode" {
+			return a.Val
+		}
+	}
+	return nil
 }

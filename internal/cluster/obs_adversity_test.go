@@ -57,8 +57,7 @@ func TestPeerSpansUnderPeerDeath(t *testing.T) {
 	}
 	tc := startCluster(t, 2, as, fastFail)
 	defer tc.close()
-	// Plan cache off so queries keep planning (and fetching) after the kill.
-	scheme := core.NewWithOptions(db, as, core.Options{Workers: 4, PlanCacheSize: -1})
+	scheme := core.New(db, as)
 
 	g := corpus.NewGenerator(42)
 	peerSpans, failedSpans := 0, 0
@@ -68,8 +67,10 @@ func TestPeerSpansUnderPeerDeath(t *testing.T) {
 		}
 		q := g.Query()
 		tr := obs.NewTrace("query")
+		// Bypass the plan cache so queries keep planning (and fetching)
+		// after the kill.
 		_, _, gotErr := scheme.AnswerContext(ctx, q, core.ExecOptions{
-			Alpha: 0.2, Fetcher: tc.nodes[0].Fetcher(), Trace: tr,
+			Alpha: 0.2, Fetcher: tc.nodes[0].Fetcher(), Trace: tr, BypassCache: true,
 		})
 		if gotErr != nil {
 			var pe *PeerError

@@ -54,7 +54,7 @@ func (c *countdownCtx) spent(initial int) int {
 
 // cancelFixture builds a multi-leaf, fetch-heavy workload whose execution
 // crosses many cancellation checkpoints: a union of two 3-atom join queries
-// at alpha = 1 over a multi-worker system.
+// at alpha = 1, an affordable plan whose leaves run concurrently.
 func cancelFixture(t *testing.T) (*Scheme, query.Expr, ExecOptions) {
 	t.Helper()
 	db := fixture.Example1(5, 800, 2000)
@@ -62,8 +62,9 @@ func cancelFixture(t *testing.T) (*Scheme, query.Expr, ExecOptions) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithOptions(db, as, Options{Workers: 4})
+	s := New(db, as)
 	q := &query.Union{L: fixture.Q1(1, 95), R: fixture.Q1(2, 250)}
+	wantSchedule(t, s, q, ExecOptions{Alpha: 1.0}, true)
 	return s, q, ExecOptions{Alpha: 1.0}
 }
 
@@ -90,7 +91,7 @@ func TestCancelledContextFailsFast(t *testing.T) {
 // context.Canceled (not a partial answer), it stops within a bounded number
 // of checkpoint consultations after expiry (the work after cancellation is
 // bounded by the checkpoint stride, not by the remaining budget), and the
-// scheme — plan cache, ladders, worker pools — stays fully usable:
+// scheme — plan cache, ladders, leaf goroutines — stays fully usable:
 // a follow-up uncancelled call returns the reference answer byte for byte.
 func TestMidExecutionCancellation(t *testing.T) {
 	s, q, opt := cancelFixture(t)
@@ -107,7 +108,7 @@ func TestMidExecutionCancellation(t *testing.T) {
 		t.Fatalf("workload crosses only %d cancellation checkpoints; too small to exercise mid-flight cancel", total)
 	}
 
-	// The abort bound: after expiry every live worker notices at its next
+	// The abort bound: after expiry every live leaf notices at its next
 	// consultation, and the unwinding layers (leaf loop, assemble) observe
 	// once more each. Far below `total`, and independent of the budget.
 	const maxExtraChecks = 64

@@ -50,18 +50,17 @@ func TestExecutorMatchesStringKeyReference(t *testing.T) {
 // TestColumnarScanEdgeShapes replays the deterministic edge-shape corpus
 // (results emptied by EXCEPT, single-tuple relations, 64+-wide duplicate
 // join keys) — the shapes where a columnar gather or block hash join would
-// plausibly diverge first — against the digests in edge_digests.json,
-// answered by a 4-worker system. Those digests were recorded while a
-// row-at-a-time executor, a lazy per-X fetch path and hash-partitioned
-// ladders still existed beside the columnar batched one, and every
-// combination of them reproduced the list.
+// plausibly diverge first — against the digests in edge_digests.json.
+// Those digests were recorded while a row-at-a-time executor, a lazy per-X
+// fetch path and hash-partitioned ladders still existed beside the
+// columnar batched one, and every combination of them reproduced the list.
 func TestColumnarScanEdgeShapes(t *testing.T) {
 	db := corpus.EdgeDB()
 	as, err := fixture.SchemaA0(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithOptions(db, as, Options{Workers: 4})
+	s := New(db, as)
 	var edge []string
 	for _, c := range corpus.EdgeCases() {
 		edge = append(edge, answerDigest(s, c.Query, c.Alpha, ExecOptions{}))

@@ -17,7 +17,7 @@ import (
 
 // ExecPanicHook, when non-nil, is invoked before every leaf execution. It
 // exists so tests can force a panic inside the evaluator — including inside
-// the parallel worker goroutines — and assert that crash containment turns
+// a concurrent leaf's goroutine — and assert that crash containment turns
 // it into a typed *guard.PanicError instead of killing the process. Always
 // nil in production; not synchronised, so set it only before execution
 // starts.
@@ -66,34 +66,23 @@ func (r *Rows) Next() (relation.Tuple, bool) {
 	return t, true
 }
 
-// Remaining reports how many rows Next has not yet returned.
-func (r *Rows) Remaining() int { return len(r.tuples) - r.i }
-
-// leafResult caches one executed leaf.
-type leafResult struct {
-	res *plan.Result
-}
-
-// Execute runs the plan against the database (component C4): the answers
-// derive from at most Budget tuple accesses. The plan is not mutated, so
-// one (possibly cached) *Plan may be executed concurrently.
+// ExecuteContext runs the plan against the database (component C4) under
+// the call's options: the answers derive from at most Budget tuple
+// accesses. The plan is not mutated, so one (possibly cached) *Plan may be
+// executed concurrently.
 //
-// Affordable multi-leaf plans (total tariff within budget) run their
-// leaves on a bounded worker pool, the global budget partitioned across
-// the leaves up front from the planner's tariff estimates — each share
-// covers its leaf's data-independent access bound, so no leaf truncates
-// and the α·|D| guarantee holds without threading a shared "remaining"
-// counter through the leaves. A leaf reads at most its tariff
-// (TestWorkerCountInvariance and TestSoundnessRandomQueries assert it of
-// every parallel leaf), so a parallel pass never truncates and answers as
-// the sequential path would. Unaffordable plans take the sequential
-// reference path directly.
-func (s *Scheme) Execute(p *Plan) (*Answer, error) {
-	return s.ExecuteContext(context.Background(), p, ExecOptions{})
-}
-
-// ExecuteContext runs a generated plan under the call's options, with
-// cooperative cancellation: ctx is checked between leaf executions and
+// The plan alone fixes how its budget is split across its leaves.
+// Affordable multi-leaf plans (total tariff within budget) run every leaf
+// on its own goroutine, the global budget partitioned across the leaves up
+// front from the planner's tariff estimates — each share covers its leaf's
+// data-independent access bound, so no leaf truncates and the α·|D|
+// guarantee holds without threading a shared "remaining" counter through
+// the leaves. A leaf reads at most its tariff (TestScheduleInvariance and
+// TestSoundnessRandomQueries assert it of every concurrent leaf), so a
+// concurrent pass answers as the in-order one would. Every other plan runs
+// its leaves in order, each on the budget its predecessors left.
+//
+// Cancellation is cooperative: ctx is checked between leaf executions and
 // inside each leaf (fetch steps, enumeration, batch fan-out, evaluation —
 // see plan.ExecuteOpts), so a cancelled call returns ctx.Err() promptly
 // instead of burning the rest of its budget. ExecOptions.Alpha/Budget are
@@ -130,138 +119,93 @@ func (s *Scheme) executeOpts(ctx context.Context, p *Plan, o ExecOptions) (ans *
 		ex.End()
 	}()
 	ctx = obs.ContextWithSpan(ctx, ex)
-	if s.workers > 1 && len(p.Leaves) > 1 && s.totalTariff(p) <= p.Budget {
-		results, stats, err := s.executeLeavesParallel(ctx, p, o, s.workers)
-		if err != nil {
-			return nil, err
-		}
-		return s.assemble(ctx, p, o, results, stats)
+	run := s.runInOrder
+	if p.concurrentLeaves() {
+		run = s.runConcurrent
 	}
-	results, stats, err := s.executeLeavesSequential(ctx, p, o)
+	results, err := run(ctx, p, o)
 	if err != nil {
 		return nil, err
 	}
-	return s.assemble(ctx, p, o, results, stats)
+	return s.assemble(ctx, p, o, results)
 }
 
-// leafOpts translates the call options into the per-leaf executor options.
-func leafOpts(o ExecOptions, budget int) plan.ExecOpts {
-	return plan.ExecOpts{Budget: budget, Fetcher: o.Fetcher}
-}
-
-// executeLeavesSequential runs the leaves in order, each seeing the budget
-// left over by its predecessors, checking ctx between leaves.
-func (s *Scheme) executeLeavesSequential(ctx context.Context, p *Plan, o ExecOptions) (map[*query.SPC]*leafResult, plan.Stats, error) {
-	results := make(map[*query.SPC]*leafResult, len(p.Leaves))
-	var stats plan.Stats
-	parent := obs.SpanFrom(ctx)
-	remaining := p.Budget
-	for li, l := range p.Leaves {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		// The leaf span closes by defer so the tree stays balanced even when
-		// the leaf panics (the guard at executeOpts recovers above us).
-		r, err := func() (*plan.Result, error) {
-			ls := parent.Child("leaf")
-			defer ls.End()
-			ls.SetInt("leaf", int64(li))
-			ls.SetStr("mode", "seq")
-			ls.SetInt("budget", int64(remaining))
-			if ExecPanicHook != nil {
-				ExecPanicHook()
-			}
-			r, err := plan.ExecuteOpts(obs.ContextWithSpan(ctx, ls), l.Bounded, s.db, leafOpts(o, remaining))
-			if err == nil {
-				ls.SetInt("accessed", int64(r.Stats.Accessed))
-				ls.SetBool("truncated", r.Stats.Truncated)
-			}
-			return r, err
-		}()
-		if err != nil {
-			return nil, stats, err
-		}
-		remaining -= r.Stats.Accessed
-		if remaining < 0 {
-			remaining = 0
-		}
-		stats.Accessed += r.Stats.Accessed
-		stats.Truncated = stats.Truncated || r.Stats.Truncated
-		results[l.SPC] = &leafResult{res: r}
+// runLeaf executes leaf li of p on the given budget under its own "leaf"
+// span. A panic inside the leaf is contained to the returned error, so a
+// concurrent leaf's goroutine never unwinds past it; the span closes by
+// defer, keeping the trace balanced either way.
+func (s *Scheme) runLeaf(ctx context.Context, p *Plan, li, budget int, mode string, o ExecOptions) (r *plan.Result, err error) {
+	defer guard.Recover("leaf execution", &err)
+	ls := obs.SpanFrom(ctx).Child("leaf")
+	defer ls.End()
+	ls.SetInt("leaf", int64(li))
+	ls.SetStr("mode", mode)
+	ls.SetInt("budget", int64(budget))
+	if ExecPanicHook != nil {
+		ExecPanicHook()
 	}
-	return results, stats, nil
+	r, err = plan.ExecuteOpts(obs.ContextWithSpan(ctx, ls), p.Leaves[li].Bounded, s.db, plan.ExecOpts{Budget: budget, Fetcher: o.Fetcher})
+	if err == nil {
+		ls.SetInt("accessed", int64(r.Stats.Accessed))
+		ls.SetBool("truncated", r.Stats.Truncated)
+	}
+	return r, err
 }
 
-// executeLeavesParallel fans the leaves out over at most `workers`
-// goroutines, each leaf holding a disjoint share of the global budget.
-// Cancellation surfaces from the per-leaf executors; ctx.Err() is preferred
-// over leaf errors so a cancelled call reports the cancellation, not a
-// secondary failure.
-func (s *Scheme) executeLeavesParallel(ctx context.Context, p *Plan, o ExecOptions, workers int) (map[*query.SPC]*leafResult, plan.Stats, error) {
-	shares := partitionBudget(p)
-	resList := make([]*plan.Result, len(p.Leaves))
-	errList := make([]error, len(p.Leaves))
+// runInOrder runs the leaves one after another, each on the budget its
+// predecessors left, checking ctx between leaves. Results are in p.Leaves
+// order.
+func (s *Scheme) runInOrder(ctx context.Context, p *Plan, o ExecOptions) ([]*plan.Result, error) {
+	results := make([]*plan.Result, len(p.Leaves))
+	remaining := p.Budget
+	for li := range p.Leaves {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := s.runLeaf(ctx, p, li, remaining, "seq", o)
+		if err != nil {
+			return nil, err
+		}
+		remaining = max(0, remaining-r.Stats.Accessed)
+		results[li] = r
+	}
+	return results, nil
+}
 
-	poolWorkers := min(workers, len(p.Leaves))
-	parent := obs.SpanFrom(ctx)
-	jobs := make(chan int)
+// runConcurrent runs every leaf on its own goroutine, each on its
+// partitionBudget share; the query's own leaves bound the goroutine count.
+// Results are in p.Leaves order. Cancellation surfaces from the per-leaf
+// executors; ctx.Err() is preferred over leaf errors so a cancelled call
+// reports the cancellation, not a secondary failure.
+func (s *Scheme) runConcurrent(ctx context.Context, p *Plan, o ExecOptions) ([]*plan.Result, error) {
+	shares := partitionBudget(p)
+	results := make([]*plan.Result, len(p.Leaves))
+	errs := make([]error, len(p.Leaves))
 	var wg sync.WaitGroup
-	for w := 0; w < poolWorkers; w++ {
+	for li := range p.Leaves {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for li := range jobs {
-				// Contain a panicking leaf to its error slot: the worker (and
-				// its siblings) keep draining, and the caller sees a typed
-				// internal error instead of a dead process.
-				func() {
-					defer guard.Recover("parallel leaf execution", &errList[li])
-					ls := parent.Child("leaf")
-					defer ls.End()
-					ls.SetInt("leaf", int64(li))
-					ls.SetStr("mode", "par")
-					ls.SetInt("budget", int64(shares[li]))
-					if ExecPanicHook != nil {
-						ExecPanicHook()
-					}
-					resList[li], errList[li] = plan.ExecuteOpts(obs.ContextWithSpan(ctx, ls), p.Leaves[li].Bounded, s.db, leafOpts(o, shares[li]))
-					if r := resList[li]; r != nil && errList[li] == nil {
-						ls.SetInt("accessed", int64(r.Stats.Accessed))
-						ls.SetBool("truncated", r.Stats.Truncated)
-					}
-				}()
-			}
+			results[li], errs[li] = s.runLeaf(ctx, p, li, shares[li], "par", o)
 		}()
 	}
-	for li := range p.Leaves {
-		jobs <- li
-	}
-	close(jobs)
 	wg.Wait()
-
 	if err := ctx.Err(); err != nil {
-		return nil, plan.Stats{}, err
+		return nil, err
 	}
-	for _, err := range errList {
+	for _, err := range errs {
 		if err != nil {
-			return nil, plan.Stats{}, err
+			return nil, err
 		}
 	}
-	results := make(map[*query.SPC]*leafResult, len(p.Leaves))
-	var stats plan.Stats
-	for li, l := range p.Leaves {
-		stats.Accessed += resList[li].Stats.Accessed
-		stats.Truncated = stats.Truncated || resList[li].Stats.Truncated
-		results[l.SPC] = &leafResult{res: resList[li]}
-	}
-	return results, stats, nil
+	return results, nil
 }
 
 // partitionBudget splits the plan's global budget across its leaves ahead
-// of execution: each leaf gets its tariff estimate — Execute only takes
-// the parallel path for affordable plans (total tariff ≤ budget) — with
-// the slack spread evenly. Shares sum to exactly p.Budget, which is what
-// preserves the α·|D| bound under parallel execution.
+// of execution: each leaf gets its tariff estimate — only affordable plans
+// (total tariff ≤ budget) run concurrently — with the slack spread evenly.
+// Shares sum to exactly p.Budget, which is what preserves the α·|D| bound
+// under concurrent execution.
 func partitionBudget(p *Plan) []int {
 	n := len(p.Leaves)
 	shares := make([]int, n)
@@ -280,15 +224,20 @@ func partitionBudget(p *Plan) []int {
 	return shares
 }
 
-// assemble combines executed leaves into the final Answer, re-checking ctx
-// before the combine pass and before the η′ refinement (both can do real
-// work — kd-tree probes — on large answer sets).
-func (s *Scheme) assemble(ctx context.Context, p *Plan, o ExecOptions, results map[*query.SPC]*leafResult, stats plan.Stats) (*Answer, error) {
+// assemble combines executed leaves (in p.Leaves order) into the final
+// Answer, summing their access statistics and re-checking ctx before the
+// combine pass and before the η′ refinement (both can do real work —
+// kd-tree probes — on large answer sets).
+func (s *Scheme) assemble(ctx context.Context, p *Plan, o ExecOptions, results []*plan.Result) (*Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sp := obs.SpanFrom(ctx)
-	ans := &Answer{Stats: stats}
+	ans := &Answer{}
+	for _, r := range results {
+		ans.Stats.Accessed += r.Stats.Accessed
+		ans.Stats.Truncated = ans.Stats.Truncated || r.Stats.Truncated
+	}
 	cs := sp.Child("combine")
 	out, err := s.combine(p, p.Expr, results)
 	cs.End()
@@ -384,7 +333,7 @@ func (s *Scheme) planFor(ctx context.Context, e query.Expr, o ExecOptions) (*Pla
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.cache == nil || o.BypassCache {
+	if o.BypassCache {
 		ps.SetBool("cache_bypass", true)
 		p, err := s.PlanContext(ctx, e, o)
 		if err == nil {
@@ -457,14 +406,14 @@ func (s *Scheme) planFor(ctx context.Context, e query.Expr, o ExecOptions) (*Pla
 // combine implements E(Q) of §6 over executed leaves: set semantics for
 // union/difference, the dangerous-distance exclusion for approximate set
 // difference, and (weighted) aggregation for group-by.
-func (s *Scheme) combine(p *Plan, e query.Expr, results map[*query.SPC]*leafResult) (*relation.Relation, error) {
+func (s *Scheme) combine(p *Plan, e query.Expr, results []*plan.Result) (*relation.Relation, error) {
 	switch q := e.(type) {
 	case *query.SPC:
-		lr, ok := results[q]
-		if !ok {
+		li := p.leafIndex(q)
+		if li < 0 {
 			return nil, fmt.Errorf("core: leaf not executed")
 		}
-		return lr.res.Rel.Distinct(), nil
+		return results[li].Rel.Distinct(), nil
 	case *query.Union:
 		l, err := s.combine(p, q.L, results)
 		if err != nil {
@@ -490,7 +439,7 @@ func (s *Scheme) combine(p *Plan, e query.Expr, results map[*query.SPC]*leafResu
 // set difference applies; otherwise E(Q) = E(Q1) − π σ_C (E(Q1) × E(Q̂2)):
 // answers within the "dangerous distance" δ(A) of the approximate Q̂2
 // answers are excluded, so no tuple of Q2(D) survives (Theorem 6(5)).
-func (s *Scheme) combineDiff(p *Plan, q *query.Diff, results map[*query.SPC]*leafResult) (*relation.Relation, error) {
+func (s *Scheme) combineDiff(p *Plan, q *query.Diff, results []*plan.Result) (*relation.Relation, error) {
 	l, err := s.combine(p, q.L, results)
 	if err != nil {
 		return nil, err
@@ -575,16 +524,16 @@ func treeOf(attrs []relation.Attribute, r *relation.Relation) *kdtree.Tree {
 // sideExact reports whether every leaf under e fetched with resolution 0.
 func (s *Scheme) sideExact(p *Plan, e query.Expr) bool {
 	for _, leaf := range query.SPCLeaves(e) {
-		for _, lp := range p.Leaves {
-			if lp.SPC != leaf {
-				continue
-			}
-			c := lp.Bounded.Chase
-			for ai := range leaf.Atoms {
-				for _, attr := range c.UsedAttrs(ai) {
-					if c.ResolutionOf(ai, attr, lp.Bounded.Ks) != 0 {
-						return false
-					}
+		li := p.leafIndex(leaf)
+		if li < 0 {
+			continue
+		}
+		lp := p.Leaves[li]
+		c := lp.Bounded.Chase
+		for ai := range leaf.Atoms {
+			for _, attr := range c.UsedAttrs(ai) {
+				if c.ResolutionOf(ai, attr, lp.Bounded.Ks) != 0 {
+					return false
 				}
 			}
 		}
@@ -601,16 +550,11 @@ func (s *Scheme) dangerousDistances(p *Plan, e query.Expr) ([]float64, []relatio
 	}
 	delta := make([]float64, sch.Arity())
 	for _, leaf := range query.SPCLeaves(e) {
-		var lp *LeafPlan
-		for _, cand := range p.Leaves {
-			if cand.SPC == leaf {
-				lp = cand
-				break
-			}
-		}
-		if lp == nil {
+		li := p.leafIndex(leaf)
+		if li < 0 {
 			continue
 		}
+		lp := p.Leaves[li]
 		aliasIdx := make(map[string]int, len(leaf.Atoms))
 		for i, a := range leaf.Atoms {
 			aliasIdx[a.Name()] = i
@@ -647,7 +591,7 @@ func withinPerAttr(attrs []relation.Attribute, t, u relation.Tuple, delta []floa
 // (§7's extension for sum/count/avg); over union/difference results the
 // weights are no longer derivable and rows count once (documented
 // approximation).
-func (s *Scheme) combineGroupBy(p *Plan, q *query.GroupBy, results map[*query.SPC]*leafResult) (*relation.Relation, error) {
+func (s *Scheme) combineGroupBy(p *Plan, q *query.GroupBy, results []*plan.Result) (*relation.Relation, error) {
 	sch, err := query.OutputSchema(q, s.db)
 	if err != nil {
 		return nil, err
@@ -655,9 +599,9 @@ func (s *Scheme) combineGroupBy(p *Plan, q *query.GroupBy, results map[*query.SP
 	var rows *relation.Relation
 	var weights []int
 	if leaf, ok := q.In.(*query.SPC); ok {
-		lr := results[leaf]
-		rows = lr.res.Rel
-		weights = lr.res.Weights
+		r := results[p.leafIndex(leaf)]
+		rows = r.Rel
+		weights = r.Weights
 	} else {
 		set, err := s.combine(p, q.In, results)
 		if err != nil {
@@ -745,7 +689,7 @@ func (s *Scheme) combineGroupBy(p *Plan, q *query.GroupBy, results map[*query.SP
 // maximal induced query Q̂ (its leaves are shared, so no extra fetching),
 // measuring the coverage gap d′ between Ŝ and S, and combining with the
 // triangle inequality: η′ = 1/(1 + max(drel, d′ + d̂cov)).
-func (s *Scheme) refineEtaDiff(p *Plan, results map[*query.SPC]*leafResult, out *relation.Relation) (float64, error) {
+func (s *Scheme) refineEtaDiff(p *Plan, results []*plan.Result, out *relation.Relation) (float64, error) {
 	hatExpr := query.MaxInduced(p.Expr)
 	hat, err := s.combine(p, hatExpr, results)
 	if err != nil {

@@ -1,7 +1,7 @@
 package core
 
 // Crash-containment regression tests: a panic anywhere in the evaluator —
-// the sequential path or the parallel leaf workers — must surface as a
+// a leaf run in order or a concurrent leaf's goroutine — must surface as a
 // typed *guard.PanicError on the calling goroutine instead of killing the
 // process, and must not poison subsequent queries.
 // Plus the MinAlpha floor: degradation may not shrink α below the caller's
@@ -26,9 +26,22 @@ func withPanicHook(t *testing.T, hook func()) {
 	t.Cleanup(func() { ExecPanicHook = prev })
 }
 
+// wantSchedule fails the test unless q's plan under o runs its leaves
+// concurrently (an affordable multi-leaf plan) or in order, as asked.
+func wantSchedule(t *testing.T, s *Scheme, q query.Expr, o ExecOptions, concurrent bool) {
+	t.Helper()
+	p, err := s.PlanContext(context.Background(), q, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.concurrentLeaves() != concurrent {
+		t.Fatalf("%s: concurrent schedule %v, want %v", query.Render(q), p.concurrentLeaves(), concurrent)
+	}
+}
+
 func TestPanicInSequentialLeafIsContained(t *testing.T) {
 	s, _ := setup(t)
-	s = withWorkers(s, 1)
+	wantSchedule(t, s, fixture.Q1(3, 95), ExecOptions{Alpha: 0.5}, false)
 	withPanicHook(t, func() { panic("forced evaluator failure") })
 	_, _, err := s.AnswerContext(context.Background(), fixture.Q1(3, 95), ExecOptions{Alpha: 0.5})
 	pe, ok := guard.AsPanic(err)
@@ -48,17 +61,17 @@ func TestPanicInSequentialLeafIsContained(t *testing.T) {
 
 func TestPanicInParallelLeafWorkerIsContained(t *testing.T) {
 	s, _ := setup(t)
-	s = withWorkers(s, 4)
 	q := &query.Union{L: fixture.Q1(3, 95), R: fixture.Q1(5, 120)}
-	withPanicHook(t, func() { panic("forced worker failure") })
+	wantSchedule(t, s, q, ExecOptions{Alpha: 0.9}, true)
+	withPanicHook(t, func() { panic("forced leaf failure") })
 	_, _, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: 0.9})
 	if _, ok := guard.AsPanic(err); !ok {
-		t.Fatalf("err = %v, want contained *guard.PanicError from a worker goroutine", err)
+		t.Fatalf("err = %v, want contained *guard.PanicError from a leaf goroutine", err)
 	}
 
 	withPanicHook(t, nil)
 	if _, _, err := s.AnswerContext(context.Background(), q, ExecOptions{Alpha: 0.9}); err != nil {
-		t.Fatalf("query after contained worker panic: %v", err)
+		t.Fatalf("query after contained leaf-goroutine panic: %v", err)
 	}
 }
 

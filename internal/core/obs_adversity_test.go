@@ -57,27 +57,26 @@ func TestTraceBalancedUnderCancellation(t *testing.T) {
 }
 
 // TestTraceBalancedUnderPanic forces the evaluator to panic inside both
-// the sequential and the parallel leaf path of a traced execution: the
-// guard converts the panic to a *guard.PanicError, and the unwinding must
-// still close every span it opened.
+// leaf schedules of a traced execution — a single leaf run in order, and
+// an affordable union whose leaves run concurrently: the guard converts
+// the panic to a *guard.PanicError, and the unwinding must still close
+// every span it opened.
 func TestTraceBalancedUnderPanic(t *testing.T) {
 	s, _ := setup(t)
 	withPanicHook(t, func() { panic("forced evaluator failure") })
 
 	cases := []struct {
 		name string
-		s    *Scheme
 		q    query.Expr
 		opt  ExecOptions
 	}{
-		{"sequential", withWorkers(s, 1), fixture.Q1(3, 95), ExecOptions{Alpha: 0.5}},
-		{"parallel", withWorkers(s, 4), &query.Union{L: fixture.Q1(3, 95), R: fixture.Q1(5, 120)},
-			ExecOptions{Alpha: 0.9}},
+		{"seq", fixture.Q1(3, 95), ExecOptions{Alpha: 0.5}},
+		{"par", &query.Union{L: fixture.Q1(3, 95), R: fixture.Q1(5, 120)}, ExecOptions{Alpha: 0.9}},
 	}
 	for _, c := range cases {
 		tr := obs.NewTrace("query")
 		c.opt.Trace = tr
-		_, _, err := c.s.AnswerContext(context.Background(), c.q, c.opt)
+		_, _, err := s.AnswerContext(context.Background(), c.q, c.opt)
 		if _, ok := guard.AsPanic(err); !ok {
 			t.Fatalf("%s: err = %v, want contained *guard.PanicError", c.name, err)
 		}
@@ -86,9 +85,24 @@ func TestTraceBalancedUnderPanic(t *testing.T) {
 				c.name, n, tr.Root().Ended(), tr)
 		}
 		// The leaf span that hosted the panic is present (closed by its
-		// defer), so the trace shows where the failure happened.
-		if tr.Root().Find("leaf") == nil {
-			t.Errorf("%s: trace lacks the leaf span that panicked\n%s", c.name, tr)
+		// defer), so the trace shows where the failure happened, and its
+		// mode names the schedule the case is meant to reach.
+		leaf := tr.Root().Find("leaf")
+		if leaf == nil {
+			t.Fatalf("%s: trace lacks the leaf span that panicked\n%s", c.name, tr)
+		}
+		if mode := spanAttr(leaf, "mode"); mode != c.name {
+			t.Errorf("%s: leaf ran with mode %v\n%s", c.name, mode, tr)
 		}
 	}
+}
+
+// spanAttr returns the value of the span's attribute key, or nil.
+func spanAttr(sp *obs.Span, key string) any {
+	for _, a := range sp.Attrs() {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return nil
 }

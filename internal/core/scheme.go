@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -41,8 +40,6 @@ import (
 type Scheme struct {
 	db *relation.Database
 	as *access.Schema
-	// workers bounds the leaf-execution worker pool (set once in New).
-	workers int
 	// cache memoises generated plans by (normalized query, α, budget).
 	cache *plancache.Cache
 	// flights coalesces concurrent cache misses on one key so a stampede
@@ -116,62 +113,31 @@ type flight struct {
 	err  error
 }
 
-// Options tunes a Scheme beyond the defaults of New.
-type Options struct {
-	// Workers bounds the parallel leaf-execution pool; 0 means GOMAXPROCS,
-	// 1 forces sequential execution.
-	Workers int
-	// PlanCacheSize bounds the plan LRU; 0 means
-	// plancache.DefaultCapacity, negative disables caching.
-	PlanCacheSize int
-}
-
-// New builds a scheme with default options. The access schema should
-// subsume At (use access.BuildAt plus extensions); the chase fails on
-// queries it cannot cover otherwise.
+// New builds a scheme with a plancache.DefaultCapacity plan cache. The
+// access schema should subsume At (use access.BuildAt plus extensions); the
+// chase fails on queries it cannot cover otherwise.
 func New(db *relation.Database, as *access.Schema) *Scheme {
-	return NewWithOptions(db, as, Options{})
-}
-
-// NewWithOptions builds a scheme with explicit concurrency/caching options.
-func NewWithOptions(db *relation.Database, as *access.Schema, opt Options) *Scheme {
-	s := &Scheme{db: db, as: as, workers: opt.Workers}
-	if s.workers <= 0 {
-		s.workers = runtime.GOMAXPROCS(0)
+	return &Scheme{
+		db:      db,
+		as:      as,
+		cache:   plancache.New(plancache.DefaultCapacity),
+		flights: make(map[string]*flight),
 	}
-	if opt.PlanCacheSize >= 0 {
-		s.cache = plancache.New(opt.PlanCacheSize)
-		s.flights = make(map[string]*flight)
-	}
-	return s
 }
 
 // InvalidatePlans drops every cached plan. Call after maintenance mutates
 // the database: generated plans bake in budgets derived from |D| and
 // template levels derived from the ladder metadata, both of which an
 // insert or delete can change.
-func (s *Scheme) InvalidatePlans() {
-	if s.cache != nil {
-		s.cache.Purge()
-	}
-}
+func (s *Scheme) InvalidatePlans() { s.cache.Purge() }
 
-// CacheStats returns the plan cache's effectiveness counters (zero stats
-// when caching is disabled).
-func (s *Scheme) CacheStats() plancache.Stats {
-	if s.cache == nil {
-		return plancache.Stats{}
-	}
-	return s.cache.Stats()
-}
+// CacheStats returns the plan cache's effectiveness counters.
+func (s *Scheme) CacheStats() plancache.Stats { return s.cache.Stats() }
 
 // PlanCacheCounters exposes the plan cache's effectiveness instruments for
-// metrics registration (obs.Registry.RegisterCounter); all nil when caching
-// is disabled. Reads still go through CacheStats.
+// metrics registration (obs.Registry.RegisterCounter). Reads still go
+// through CacheStats.
 func (s *Scheme) PlanCacheCounters() (hits, misses, evictions *obs.Counter) {
-	if s.cache == nil {
-		return nil, nil, nil
-	}
 	return s.cache.Counters()
 }
 
@@ -266,6 +232,24 @@ type Plan struct {
 	// cache instead of regenerating it. It is set on a per-call copy of the
 	// plan header, so cached plans stay immutable under concurrency.
 	CacheHit bool
+}
+
+// leafIndex returns the index in p.Leaves of the leaf planned for q, or -1
+// when q is not one of the plan's leaves.
+func (p *Plan) leafIndex(q *query.SPC) int {
+	for i, l := range p.Leaves {
+		if l.SPC == q {
+			return i
+		}
+	}
+	return -1
+}
+
+// concurrentLeaves reports whether the plan runs its leaves concurrently:
+// it has more than one leaf and its total tariff fits its budget, so every
+// leaf can be granted a share that covers its tariff.
+func (p *Plan) concurrentLeaves() bool {
+	return len(p.Leaves) > 1 && p.Tariff() <= p.Budget
 }
 
 // Tariff returns the plan's estimated data access. Per-leaf tariffs
@@ -441,7 +425,7 @@ func (s *Scheme) chAT(p *Plan) {
 					continue
 				}
 				l.Bounded.Ks[si]++
-				if s.totalTariff(p) <= p.Budget {
+				if p.Tariff() <= p.Budget {
 					dRel, dCov := s.planBound(p, p.Expr)
 					d := math.Max(dRel, dCov)
 					res := s.totalResolution(p)
@@ -499,8 +483,6 @@ func (s *Scheme) totalResolution(p *Plan) float64 {
 	}
 	return total
 }
-
-func (s *Scheme) totalTariff(p *Plan) int { return p.Tariff() }
 
 // --- the lower-bound function L (§5, §6, §7) ----------------------------
 
@@ -624,18 +606,11 @@ func renderCols(cols []query.Col) string {
 // row carries the exact join value of some fetched partner row, so the
 // covering combination always survives (joinFetchCorrelated).
 func (s *Scheme) leafBound(p *Plan, q *query.SPC, planning bool, tr *BoundTrace) (drel, dcov float64) {
-	var lp *LeafPlan
-	leafIdx := -1
-	for i, l := range p.Leaves {
-		if l.SPC == q {
-			lp = l
-			leafIdx = i
-			break
-		}
-	}
-	if lp == nil {
+	leafIdx := p.leafIndex(q)
+	if leafIdx < 0 {
 		return math.Inf(1), math.Inf(1)
 	}
+	lp := p.Leaves[leafIdx]
 	c := lp.Bounded.Chase
 	ks := lp.Bounded.Ks
 	aliasIdx := make(map[string]int, len(q.Atoms))

@@ -22,12 +22,6 @@ func setup(t testing.TB) (*Scheme, *relation.Database) {
 	return New(db, as), db
 }
 
-// withWorkers returns a scheme over s's database and access schema whose
-// parallel-leaf pool is bounded at workers (1 runs leaves sequentially).
-func withWorkers(s *Scheme, workers int) *Scheme {
-	return NewWithOptions(s.db, s.as, Options{Workers: workers})
-}
-
 func TestGeneratePlanValidatesAlpha(t *testing.T) {
 	s, _ := setup(t)
 	if _, err := s.PlanContext(context.Background(), fixture.Q1(3, 95), ExecOptions{Alpha: 0}); err == nil {
@@ -45,9 +39,9 @@ func TestPlanRespectsBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PlanContext(%g): %v", alpha, err)
 		}
-		ans, err := s.Execute(p)
+		ans, err := s.ExecuteContext(context.Background(), p, ExecOptions{})
 		if err != nil {
-			t.Fatalf("Execute: %v", err)
+			t.Fatalf("ExecuteContext: %v", err)
 		}
 		if ans.Stats.Accessed > p.Budget {
 			t.Errorf("alpha=%g: accessed %d > budget %d", alpha, ans.Stats.Accessed, p.Budget)

@@ -14,10 +14,8 @@ type Level int8
 
 // Log severities, lowest first.
 const (
-	// LevelDebug is development chatter.
-	LevelDebug Level = iota
 	// LevelInfo is normal operational events.
-	LevelInfo
+	LevelInfo Level = iota
 	// LevelWarn is degraded-but-serving conditions (brownout shifts,
 	// WAL degradation, circuit openings).
 	LevelWarn
@@ -28,8 +26,6 @@ const (
 // String returns the level's lowercase name.
 func (l Level) String() string {
 	switch l {
-	case LevelDebug:
-		return "debug"
 	case LevelWarn:
 		return "warn"
 	case LevelError:
@@ -50,7 +46,6 @@ type Logger struct {
 	mu   sync.Mutex
 	w    io.Writer
 	json bool
-	min  Level
 }
 
 // NewLogger builds a logger writing to w in the given format ("text" or
@@ -66,19 +61,6 @@ func NewLogger(w io.Writer, format string) (*Logger, error) {
 	}
 	return l, nil
 }
-
-// SetMinLevel drops events below min (default: everything passes).
-func (l *Logger) SetMinLevel(min Level) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.min = min
-	l.mu.Unlock()
-}
-
-// Debug logs at LevelDebug.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv...) }
 
 // Info logs at LevelInfo.
 func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv...) }
@@ -102,7 +84,7 @@ func (l *Logger) log(lvl Level, msg string, kv ...any) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if lvl < l.min || l.w == nil {
+	if l.w == nil {
 		return
 	}
 	now := time.Now().Format(time.RFC3339Nano)

@@ -148,19 +148,19 @@ type family struct {
 	byLabel  map[string]*series
 }
 
-// adopt binds caller-owned instruments as the series for labelVal,
-// replacing any auto-created ones. This is how components keep owning
+// adopt binds a caller-owned counter as the series for labelVal,
+// replacing any auto-created one. This is how components keep owning
 // their counters (plan cache hits, WAL records, per-peer failures) while
 // the registry renders them: /stats and /metrics then read the very same
 // atomics, so the two surfaces cannot drift apart.
-func (f *family) adopt(labelVal string, c *Counter, g *Gauge) {
+func (f *family) adopt(labelVal string, c *Counter) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if s, ok := f.byLabel[labelVal]; ok {
-		s.counter, s.gauge = c, g
+		s.counter = c
 		return
 	}
-	s := &series{labelVal: labelVal, counter: c, gauge: g}
+	s := &series{labelVal: labelVal, counter: c}
 	f.byLabel[labelVal] = s
 	f.series = append(f.series, s)
 }
@@ -267,25 +267,13 @@ func (h *Histogram) init(bounds []float64) {
 // (unlabelled) family — the adopt path for components that predate the
 // registry or outlive any one server.
 func (r *Registry) RegisterCounter(name, help string, c *Counter) {
-	r.family(name, help, kindCounter, "").adopt("", c, nil)
-}
-
-// RegisterGauge binds an existing caller-owned gauge as the named
-// (unlabelled) family.
-func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
-	r.family(name, help, kindGauge, "").adopt("", nil, g)
+	r.family(name, help, kindCounter, "").adopt("", c)
 }
 
 // RegisterCounterIn binds an existing counter as one labelled series of
 // the named one-label counter family.
 func (r *Registry) RegisterCounterIn(name, help, label, labelVal string, c *Counter) {
-	r.family(name, help, kindCounter, label).adopt(labelVal, c, nil)
-}
-
-// RegisterGaugeIn binds an existing gauge as one labelled series of the
-// named one-label gauge family.
-func (r *Registry) RegisterGaugeIn(name, help, label, labelVal string, g *Gauge) {
-	r.family(name, help, kindGauge, label).adopt(labelVal, nil, g)
+	r.family(name, help, kindCounter, label).adopt(labelVal, c)
 }
 
 // GaugeFunc registers a computed gauge: fn is evaluated at scrape time.
@@ -293,30 +281,6 @@ func (r *Registry) RegisterGaugeIn(name, help, label, labelVal string, g *Gauge)
 // circuit flag owned by a mutex) rather than maintained counts.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.family(name, help, kindGaugeFunc, "").get("").fn = fn
-}
-
-// CounterVec is a family of counters keyed by one label value.
-type CounterVec struct{ f *family }
-
-// With returns the counter for the given label value, creating it on
-// first use. Hot paths should call With once and keep the pointer.
-func (v CounterVec) With(labelVal string) *Counter { return v.f.get(labelVal).counter }
-
-// CounterVec returns the named one-label counter family.
-func (r *Registry) CounterVec(name, help, label string) CounterVec {
-	return CounterVec{r.family(name, help, kindCounter, label)}
-}
-
-// GaugeVec is a family of gauges keyed by one label value.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label value, creating it on first
-// use.
-func (v GaugeVec) With(labelVal string) *Gauge { return v.f.get(labelVal).gauge }
-
-// GaugeVec returns the named one-label gauge family.
-func (r *Registry) GaugeVec(name, help, label string) GaugeVec {
-	return GaugeVec{r.family(name, help, kindGauge, label)}
 }
 
 // GaugeFuncVec registers one computed series of a one-label gauge family.

@@ -493,10 +493,10 @@ func (s *Server) effectiveAlpha(req QueryRequest) float64 {
 // (WithBudget(0) = unset), because an absolute budget would silently
 // override every client's alpha and desynchronise the weighted batch
 // admission, which weighs jobs by ⌈α·|D|⌉. Config.ExecOptions is for
-// execution-strategy knobs (fetch workers, partition-aware toggle, cache
-// bypass), not resource bounds. The floor travels into the engine as
-// WithMinAlpha: even if a future degradation path miscomputes, the core
-// clamps the effective ratio back to the caller's SLO.
+// per-call execution options (cache bypass, η explanation, a remote
+// fetcher, tracing), not resource bounds. The floor travels into the
+// engine as WithMinAlpha: even if a future degradation path miscomputes,
+// the core clamps the effective ratio back to the caller's SLO.
 func (s *Server) queryOptions(req QueryRequest, alpha, floor float64) []beas.Option {
 	opts := make([]beas.Option, 0, len(s.cfg.ExecOptions)+4)
 	opts = append(opts, s.cfg.ExecOptions...)
