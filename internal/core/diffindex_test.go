@@ -7,6 +7,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fixture"
 	"repro/internal/query"
+	"repro/internal/relation"
 )
 
 // The kd-tree-indexed dangerous-distance exclusion and η′ coverage-gap
@@ -55,5 +56,28 @@ func TestDiffIndexMatchesScan(t *testing.T) {
 	}
 	if checked < 40 {
 		t.Errorf("only %d diff cases compared — corpus too lossy", checked)
+	}
+}
+
+// A tree scratch grown past maxPooledTreeBytes by a large answer is not
+// pooled: no scratch the pool hands out afterwards holds more.
+func TestOversizedTreeScratchIsNotPooled(t *testing.T) {
+	attrs := []relation.Attribute{relation.Attr("x", relation.KindFloat, relation.Numeric(1)), relation.Attr("y", relation.KindFloat, relation.Numeric(1))}
+	r := relation.NewRelation(relation.MustSchema("t", attrs...))
+	for i := 0; i < 100000; i++ {
+		r.Tuples = append(r.Tuples, relation.Tuple{relation.Float(float64(i)), relation.Float(float64(i % 97))})
+	}
+	ts := treeScratchPool.Get()
+	if tree := ts.treeOf(attrs, r); tree.Items() != r.Len() {
+		t.Fatalf("tree of %d items over %d distinct points", tree.Items(), r.Len())
+	}
+	if ts.points.RetainedBytes() <= maxPooledTreeBytes {
+		t.Fatalf("the large answer keeps %d bytes of points; want more than %d", ts.points.RetainedBytes(), maxPooledTreeBytes)
+	}
+	putTreeScratch(ts)
+	for range 4 {
+		if got := treeScratchPool.Get(); got == ts || got.points.RetainedBytes() > maxPooledTreeBytes {
+			t.Fatalf("the pool returned a tree scratch of %d bytes; want at most %d", got.points.RetainedBytes(), maxPooledTreeBytes)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/guard"
 	"repro/internal/kdtree"
 	"repro/internal/obs"
@@ -423,9 +424,7 @@ func (s *Scheme) combine(p *Plan, e query.Expr, results []*plan.Result) (*relati
 		if err != nil {
 			return nil, err
 		}
-		out := relation.NewRelation(l.Schema)
-		out.Tuples = append(append([]relation.Tuple{}, l.Tuples...), r.Tuples...)
-		return out.Distinct(), nil
+		return l.UnionDistinct(r), nil
 	case *query.Diff:
 		return s.combineDiff(p, q, results)
 	case *query.GroupBy:
@@ -480,12 +479,14 @@ func (s *Scheme) combineDiff(p *Plan, q *query.Diff, results []*plan.Result) (*r
 		// Large inputs: probe a K-D tree over the approximate answers
 		// instead of scanning them per left tuple (§4.1's tree structures,
 		// reused online). AnyWithin matches withinPerAttr exactly.
-		tree := treeOf(attrs, rHat)
+		ts := treeScratchPool.Get()
+		tree := ts.treeOf(attrs, rHat)
 		for _, t := range l.Tuples {
 			if !tree.AnyWithin(t, delta) {
 				out.Tuples = append(out.Tuples, t)
 			}
 		}
+		putTreeScratch(ts)
 		return out, nil
 	}
 	for _, t := range l.Tuples {
@@ -515,10 +516,40 @@ func useDiffIndex(probes, points int) bool {
 	return points >= 8 && probes*points >= diffIndexMinWork
 }
 
+// treeScratch is the working memory of one K-D tree over an answer set:
+// the block of its points and the tree's build scratch. A tree lives in
+// its treeScratch, so a caller takes one from treeScratchPool and returns
+// it (putTreeScratch) only once it is done with the tree.
+type treeScratch struct {
+	points relation.Block
+	build  kdtree.Scratch
+}
+
+// treeScratchPool holds up to four idle tree scratches, each with a point
+// block of at most maxPooledTreeBytes (freelist).
+var treeScratchPool = freelist.New[treeScratch](4)
+
+// maxPooledTreeBytes bounds the point block of a pooled tree scratch; the
+// kd-tree buffers it keeps grow with the same points.
+const maxPooledTreeBytes = 1 << 20
+
+// putTreeScratch returns ts to the pool, or drops it when an answer grew
+// it beyond maxPooledTreeBytes.
+func putTreeScratch(ts *treeScratch) {
+	if ts.points.RetainedBytes() <= maxPooledTreeBytes {
+		treeScratchPool.Put(ts)
+	}
+}
+
 // treeOf builds a K-D tree over a relation's tuples, whose attributes attrs
-// describes.
-func treeOf(attrs []relation.Attribute, r *relation.Relation) *kdtree.Tree {
-	return kdtree.Build(attrs, relation.BlockOfTuples(len(attrs), r.Tuples), 0, r.Len())
+// describes, in the scratch's memory: the tree is valid until the
+// scratch's next treeOf.
+func (ts *treeScratch) treeOf(attrs []relation.Attribute, r *relation.Relation) *kdtree.Tree {
+	ts.points.Reset(len(attrs))
+	for _, t := range r.Tuples {
+		ts.points.AppendTuple(t)
+	}
+	return ts.build.Build(attrs, &ts.points, 0, r.Len())
 }
 
 // sideExact reports whether every leaf under e fetched with resolution 0.
@@ -703,12 +734,14 @@ func (s *Scheme) refineEtaDiff(p *Plan, results []*plan.Result, out *relation.Re
 		// the answers instead of the O(|Ŝ|·|S|) scan. The attribute
 		// distances are symmetric metrics, so MinMaxDistance(t) equals the
 		// scan's min over answers of TupleDistance.
-		tree := treeOf(attrs, out)
+		ts := treeScratchPool.Get()
+		tree := ts.treeOf(attrs, out)
 		for _, t := range hat.Tuples {
 			if best := tree.MinMaxDistance(t); best > dPrime {
 				dPrime = best
 			}
 		}
+		putTreeScratch(ts)
 	} else {
 		for _, t := range hat.Tuples {
 			best := math.Inf(1)

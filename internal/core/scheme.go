@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -218,8 +219,8 @@ type Plan struct {
 	// Exact reports that the plan computes exact answers (bounded
 	// evaluability within budget, or templates upgraded to resolution 0̄).
 	Exact bool
-	// Leaves are the bounded plans of the max SPC sub-queries, in
-	// query.SPCLeaves order.
+	// Leaves are the bounded plans of the max SPC sub-queries, one per
+	// distinct *query.SPC in query.SPCLeaves order of first occurrence.
 	Leaves []*LeafPlan
 	// Trace records every bound-derivation rule application that produced
 	// Eta/DRel/DCov (the `beas -explain-eta` payload). Shared and
@@ -323,7 +324,7 @@ func (s *Scheme) generateWithBudget(ctx context.Context, e query.Expr, alpha flo
 	if err := query.Validate(e, s.db); err != nil {
 		return nil, err
 	}
-	leaves := query.SPCLeaves(e)
+	leaves := distinctLeaves(query.SPCLeaves(e))
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("core: query has no SPC leaves")
 	}
@@ -373,6 +374,20 @@ func (s *Scheme) generateWithBudget(ctx context.Context, e query.Expr, alpha flo
 	p.Trace = tr
 	p.GenTime = time.Since(start)
 	return p, nil
+}
+
+// distinctLeaves returns the distinct SPC pointers of leaves in
+// first-occurrence order: a sub-query the expression holds twice (q ∪ q)
+// is planned, fetched and charged once, and combine reads it wherever it
+// occurs.
+func distinctLeaves(leaves []*query.SPC) []*query.SPC {
+	out := leaves[:0:0]
+	for _, l := range leaves {
+		if !slices.Contains(out, l) {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // etaOf turns L's distance decomposition into the bound η.

@@ -184,6 +184,37 @@ func TestUnionCombines(t *testing.T) {
 	}
 }
 
+// A query that holds one SPC twice plans it as one leaf: q ∪ q fetches and
+// charges q once, and answers exactly as q does, with an η no lower.
+func TestRepeatedLeafPlannedOnce(t *testing.T) {
+	s, _ := setup(t)
+	ctx := context.Background()
+	q := fixture.Q1(3, 95)
+	for _, alpha := range []float64{0.05, 0.5} {
+		o := ExecOptions{Alpha: alpha, BypassCache: true}
+		want, _, err := s.AnswerContext(ctx, q, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, p, err := s.AnswerContext(ctx, &query.Union{L: q, R: q}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Leaves) != 1 {
+			t.Fatalf("alpha %g: q ∪ q planned as %d leaves, want 1", alpha, len(p.Leaves))
+		}
+		if got.Stats != want.Stats {
+			t.Errorf("alpha %g: q ∪ q read %+v, q alone %+v", alpha, got.Stats, want.Stats)
+		}
+		if !slices.Equal(relKeys(got.Rel), relKeys(want.Rel)) {
+			t.Errorf("alpha %g: q ∪ q answered %d rows, q alone %d", alpha, got.Rel.Len(), want.Rel.Len())
+		}
+		if got.Eta < want.Eta {
+			t.Errorf("alpha %g: q ∪ q has eta %g below q's %g", alpha, got.Eta, want.Eta)
+		}
+	}
+}
+
 func TestGroupByCountScalesWithWeights(t *testing.T) {
 	s, db := setup(t)
 	// Count all POIs per type: under At at any level, the weighted count

@@ -74,8 +74,9 @@ const (
 type BoundStep struct {
 	// Rule names the derivation rule.
 	Rule BoundRule
-	// Leaf is the index of the SPC leaf the rule fired in (query.SPCLeaves
-	// order), or -1 for combinator- and answer-level steps.
+	// Leaf is the index in Plan.Leaves of the SPC leaf the rule fired in
+	// (distinct leaves in query.SPCLeaves order of first occurrence), or -1
+	// for combinator- and answer-level steps.
 	Leaf int
 	// Subject is the column, predicate or combinator the rule applies to,
 	// e.g. "t0.ship" or "t0.pk = t1.pk".

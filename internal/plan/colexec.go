@@ -14,7 +14,7 @@
 //     Stats.Truncated do not depend on how the batch was resolved (in
 //     process or across the cluster).
 //   - Block row hashing folds the same canonical encoding as Tuple.Hash,
-//     and bucket lists preserve build-side insertion order, so hash joins
+//     and bucket chains preserve build-side insertion order, so hash joins
 //     emit matches in environment-row order, build rows in filtered order.
 //   - A constant selection compiles once per call into a query.ConstKernel
 //     that tests the column's typed payload (Ints, Floats, Strings) in one
@@ -27,8 +27,8 @@
 //     after the truncating one contribute empty blocks over their
 //     precompiled schemas, so the one evaluator serves every run.
 //
-// A fetch step builds only what the plan reads and allocates per step, not
-// per distinct key:
+// A fetch step builds only what the plan reads, and a run allocates
+// little beyond its answer:
 //
 //   - Its schema carries only the columns a predicate, a join, an output
 //     or a later step's X reads (layout.go), so unread Y columns are never
@@ -40,6 +40,13 @@
 //     positions that key values as Tuple.Key strings do — finds them in
 //     first-seen order, so the enumeration allocates no Tuple and no map
 //     entry per key.
+//   - Every working buffer — step output blocks and weights, enumeration
+//     tables, slab and visit list, selection vectors, join pairs, the
+//     hash join's bucket index and the joined environments — is the run's
+//     pooled scratch (scratch.go), emptied where taken. Only the answer
+//     (Result.Rel, its value arena, Result.Weights) is allocated per run;
+//     TestPooledScratchIsolation and TestPoisonedScratchLeavesAnswersAlone
+//     check that no answer shares memory with a scratch.
 //
 // The golden digests of TestExecutorMatchesStringKeyReference (randomized
 // and edge-shape corpora) pin every answer byte for byte.
@@ -49,6 +56,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/chase"
 	"repro/internal/obs"
@@ -66,21 +74,24 @@ type blockAtom struct {
 	weights []int
 }
 
-// executeFetchBlocks runs ξF: it applies the chase steps in order against
-// the access-schema indices at each step's level. Once a step truncates on
-// the budget, every later step yields an empty block over its schema
-// without calling the fetcher — what applyStepBlocks would build with
-// every level cut to nothing — so each atom ends on its final schema.
-func executeFetchBlocks(ctx context.Context, p *Bounded, lay *planLayout, o ExecOpts) ([]*blockAtom, *Stats, error) {
-	stats := &Stats{}
-	atoms := make([]*blockAtom, len(p.Chase.Query.Atoms))
+// executeFetchBlocks runs ξF into sc, from no atom fetched: it applies the
+// chase steps in order against the access-schema indices at each step's
+// level, and returns sc.atoms. Once a step truncates on the budget, every later step yields
+// an empty block over its schema without calling the fetcher — what
+// applyStepBlocks would build with every level cut to nothing — so each
+// atom ends on its final schema.
+func executeFetchBlocks(ctx context.Context, p *Bounded, lay *planLayout, o ExecOpts, sc *runScratch) ([]*blockAtom, Stats, error) {
+	n := len(p.Chase.Query.Atoms)
+	sc.atoms = slices.Grow(sc.atoms[:0], n)[:n]
+	clear(sc.atoms)
+	var stats Stats
 	for si := range p.Chase.Steps {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, Stats{}, err
 		}
 		sl := &lay.steps[si]
 		if stats.Truncated {
-			atoms[sl.atom] = &blockAtom{schema: sl.schema, block: relation.NewBlock(sl.schema.Arity())}
+			sc.atoms[sl.atom] = sc.stepOut(si, sl.schema)
 			continue
 		}
 		s := &p.Chase.Steps[si]
@@ -88,11 +99,11 @@ func executeFetchBlocks(ctx context.Context, p *Bounded, lay *planLayout, o Exec
 		if !s.Pinned && p.Ks != nil {
 			k = p.Ks[si]
 		}
-		if err := applyStepBlocks(ctx, atoms, sl, s, si, k, o, stats); err != nil {
-			return nil, nil, err
+		if err := applyStepBlocks(ctx, sc, sl, s, si, k, o, &stats); err != nil {
+			return nil, Stats{}, err
 		}
 	}
-	return atoms, stats, nil
+	return sc.atoms, stats, nil
 }
 
 // assembleXBlock writes the step's ladder-order X tuple for enumeration row
@@ -116,17 +127,17 @@ func assembleXBlock(sl *stepLayout, fill []relation.Value, blk *relation.Block, 
 // of blk (or one virtual row when blk is nil) × the cross product of
 // external valuations — in deterministic order, calling visit with the
 // current row index (-1 when virtual) and weight. Group gi's valuations
-// are the rows extRows[gi] of its source block extBlk[gi]; fill
+// are the rows ext[gi].rows of its source block ext[gi].src; fill
 // (len(sl.route)) is updated in place from them before each visit. A visit
 // returning false aborts the enumeration (cooperative cancellation).
-func forEachEnumBlock(blk *relation.Block, weights []int, extBlk []*relation.Block, extRows [][]int32, sl *stepLayout, fill []relation.Value, visit func(ri, w int) bool) {
+func forEachEnumBlock(blk *relation.Block, weights []int, ext []extGroup, sl *stepLayout, fill []relation.Value, visit func(ri, w int) bool) {
 	var walkExt func(gi, ri, w int) bool
 	walkExt = func(gi, ri, w int) bool {
 		if gi == len(sl.extGroups) {
 			return visit(ri, w)
 		}
-		src, cols := extBlk[gi], sl.extSrcCols[gi]
-		for _, row := range extRows[gi] {
+		src, cols := ext[gi].src, sl.extSrcCols[gi]
+		for _, row := range ext[gi].rows {
 			for i, xi := range sl.extGroups[gi] {
 				fill[xi] = src.Value(int(row), cols[i])
 			}
@@ -186,10 +197,6 @@ type stepVisit struct {
 	w     int
 }
 
-// maxVisitsHint caps the visit list a fetch step reserves up front; a
-// larger enumeration grows it by appending.
-const maxVisitsHint = 1 << 20
-
 // applyStepBlocks runs one fetch operation, extending (or creating) the
 // atom's fetched block:
 //
@@ -206,9 +213,9 @@ const maxVisitsHint = 1 << 20
 //
 // ctx is consulted every cancelStride enumeration visits and before the
 // batch fetch.
-func applyStepBlocks(ctx context.Context, atoms []*blockAtom, sl *stepLayout, s *chase.Step, si, k int, o ExecOpts, stats *Stats) error {
+func applyStepBlocks(ctx context.Context, sc *runScratch, sl *stepLayout, s *chase.Step, si, k int, o ExecOpts, stats *Stats) error {
 	ai := sl.atom
-	cur := atoms[ai]
+	cur := sc.atoms[ai]
 
 	// One span per fetch step (a handful per leaf, never per row). The
 	// batch's distinct X-values (xs) and the full-level rows it returned
@@ -230,61 +237,54 @@ func applyStepBlocks(ctx context.Context, atoms []*blockAtom, sl *stepLayout, s 
 
 	// Find the distinct joint valuations of each external group: the first
 	// source row of each, in row order.
-	extBlk := make([]*relation.Block, len(sl.extGroups))
-	extRows := make([][]int32, len(sl.extGroups))
-	for gi := range sl.extGroups {
-		ba := atoms[sl.extSrcAtom[gi]]
+	ext := sc.extGroups(len(sl.extGroups))
+	for gi := range ext {
+		ba := sc.atoms[sl.extSrcAtom[gi]]
 		if ba == nil {
 			return fmt.Errorf("plan: step %d reads atom %d before it was fetched", si, sl.extSrcAtom[gi])
 		}
-		src, cols := ba.block, sl.extSrcCols[gi]
-		var distinct relation.ProbeTable
-		var rows []int32
-		for ri := 0; ri < src.Rows(); ri++ {
-			_, added := distinct.Insert(src.HashCols(ri, cols), func(p int) bool {
-				return src.ColsKeyEqual(int(rows[p]), cols, src, ri, cols)
+		g, cols := &ext[gi], sl.extSrcCols[gi]
+		g.src = ba.block
+		for ri := 0; ri < g.src.Rows(); ri++ {
+			_, added := g.distinct.Insert(g.src.HashCols(ri, cols), func(p int) bool {
+				return g.src.ColsKeyEqual(int(g.rows[p]), cols, g.src, ri, cols)
 			})
 			if added {
-				rows = append(rows, int32(ri))
+				g.rows = append(g.rows, int32(ri))
 			}
 		}
-		extBlk[gi], extRows[gi] = src, rows
 	}
 
 	// 1. Enumerate once. The distinct X-values are stored back to back in
 	// slab, in first-seen order; index finds a value's position there.
 	width := len(sl.route)
-	fill := make([]relation.Value, width)
-	scratch := make(relation.Tuple, width)
-	var index relation.ProbeTable
-	var slab []relation.Value
+	sc.fill, sc.x = slices.Grow(sc.fill[:0], width)[:width], slices.Grow(sc.x[:0], width)[:width]
+	fill, x := sc.fill, sc.x
+	sc.index.Reset()
+	slab, visits := sc.slab[:0], sc.visits[:0]
 	var curBlk *relation.Block
 	var curW []int
-	nVisits := 1 // every row (or the virtual one) × each joint valuation
 	if cur != nil {
 		curBlk, curW = cur.block, cur.weights
-		nVisits = curBlk.Rows()
 	}
-	for _, rows := range extRows {
-		nVisits = min(nVisits*len(rows), maxVisitsHint)
-	}
-	visits := make([]stepVisit, 0, nVisits)
 	visited := 0
-	forEachEnumBlock(curBlk, curW, extBlk, extRows, sl, fill, func(ri, w int) bool {
+	forEachEnumBlock(curBlk, curW, ext, sl, fill, func(ri, w int) bool {
 		if visited++; visited%cancelStride == 0 && ctx.Err() != nil {
 			return false
 		}
-		assembleXBlock(sl, fill, curBlk, ri, scratch)
-		x, added := index.Insert(scratch.Hash(), func(p int) bool {
-			return scratch.KeyEqual(slab[p*width : (p+1)*width])
+		assembleXBlock(sl, fill, curBlk, ri, x)
+		xi, added := sc.index.Insert(x.Hash(), func(p int) bool {
+			return x.KeyEqual(slab[p*width : (p+1)*width])
 		})
 		if added {
-			slab = append(slab, scratch...)
+			slab = append(slab, x...)
 		}
-		visits = append(visits, stepVisit{x: int32(x), ri: int32(ri), w: w})
+		visits = append(visits, stepVisit{x: int32(xi), ri: int32(ri), w: w})
 		return true
 	})
-	xs := make([]relation.Tuple, index.Len())
+	sc.slab, sc.visits = slab, visits
+	xs := slices.Grow(sc.xs[:0], sc.index.Len())[:sc.index.Len()]
+	sc.xs = xs
 	for i := range xs {
 		xs[i] = slab[i*width : (i+1)*width : (i+1)*width]
 	}
@@ -341,16 +341,12 @@ func applyStepBlocks(ctx context.Context, atoms []*blockAtom, sl *stepLayout, s 
 			total += lvl.Rows()
 		}
 	}
-	out := &blockAtom{
-		schema:  sl.schema,
-		block:   relation.NewBlock(sl.schema.Arity()),
-		weights: make([]int, 0, total),
-	}
-	fills := buildColFills(sl, sl.schema.Arity())
+	out := sc.stepOut(si, sl.schema)
+	out.weights = slices.Grow(out.weights, total)
 	if len(emits) > 0 {
 		first := emits[0]
-		for p := range fills {
-			f := &fills[p]
+		for p := range sl.fills {
+			f := &sl.fills[p]
 			col := out.block.Col(p)
 			switch {
 			case f.yCol >= 0:
@@ -369,8 +365,8 @@ func applyStepBlocks(ctx context.Context, atoms []*blockAtom, sl *stepLayout, s 
 		lvl, key := lvls[e.x], xs[e.x]
 		n := lvl.Rows()
 		base, offs := lvl.Offsets()
-		for p := range fills {
-			f := &fills[p]
+		for p := range sl.fills {
+			f := &sl.fills[p]
 			col := out.block.Col(p)
 			switch {
 			case f.yCol >= 0:
@@ -386,8 +382,16 @@ func applyStepBlocks(ctx context.Context, atoms []*blockAtom, sl *stepLayout, s 
 			out.weights = append(out.weights, e.w*int(c))
 		}
 	}
-	atoms[ai] = out
+	sc.atoms[ai] = out
 	return nil
+}
+
+// activeJoin is a join predicate relaxed at tolerance tol, or enforced
+// exactly when exact.
+type activeJoin struct {
+	j     *joinSel
+	tol   float64
+	exact bool
 }
 
 // evaluateColumnar is ξE, the one evaluator, over blocks that carry their
@@ -395,8 +399,9 @@ func applyStepBlocks(ctx context.Context, atoms []*blockAtom, sl *stepLayout, s 
 // hash block rows directly and gather matched pairs column-wise, and the
 // final projection is the only place rows are materialised. Atoms join in
 // query order; each join applies the predicates whose later side is the
-// arriving atom, and emits matches in environment-row order.
-func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []*blockAtom) (*Result, error) {
+// arriving atom, and emits matches in environment-row order. Its working
+// memory is sc's; only the Result is allocated.
+func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []*blockAtom, sc *runScratch) (*Result, error) {
 	q := p.Chase.Query
 	ev := lay.eval
 	resOf := func(ai int, attr string) float64 {
@@ -405,7 +410,7 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 
 	// env is the joined environment so far; envW its per-row weights. env
 	// may alias an atom's fetched block (read-only) until the first join
-	// replaces it with a freshly gathered block.
+	// replaces it with one of sc's environment buffers.
 	var env *relation.Block
 	var envW []int
 
@@ -423,7 +428,7 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 		// resolution) cannot be filtered at all. The first kernel selects
 		// from every row, each later one narrows the surviving index list.
 		// selAll means every row survives and sel is unused.
-		var sel []int32
+		sel := sc.sel[:0]
 		selAll := true
 		for _, cs := range ev.constSels[ai] {
 			r := resOf(ai, cs.pred.Left.Attr)
@@ -434,6 +439,7 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 			sel = k.Select(blk.Col(cs.col), sel, selAll)
 			selAll = false
 		}
+		sc.sel = sel
 		if !selAll && len(sel) == blk.Rows() {
 			// Every row survived: drop the index list so downstream
 			// stages take the zero-copy all-rows path.
@@ -458,15 +464,15 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 				env, envW = blk, ws
 				continue
 			}
-			env = relation.NewBlock(blk.Width())
+			next := sc.nextEnv(env, blk.Width())
 			for j := 0; j < blk.Width(); j++ {
-				env.Col(j).AppendIndexes(blk.Col(j), sel, 0)
+				next.block.Col(j).AppendIndexes(blk.Col(j), sel, 0)
 			}
-			env.AddRows(len(sel))
-			envW = make([]int, len(sel))
-			for i, ri := range sel {
-				envW[i] = ws[ri]
+			next.block.AddRows(len(sel))
+			for _, ri := range sel {
+				next.w = append(next.w, ws[ri])
 			}
+			env, envW = &next.block, next.w
 			continue
 		}
 
@@ -475,13 +481,7 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 		// meaningfully widen such a join (the accuracy bound is already 0),
 		// so it is enforced exactly — which also keeps the join from
 		// degenerating into a cross product.
-		type activeJoin struct {
-			j     *joinSel
-			tol   float64
-			exact bool
-		}
-		var exactEq []*joinSel
-		var relaxed []activeJoin
+		exactEq, relaxed := sc.exactEq[:0], sc.relaxed[:0]
 		for _, ji := range ev.connecting[ai] {
 			j := &ev.joins[ji]
 			tol := (resOf(j.lAtom, j.pred.Left.Attr) + resOf(j.rAtom, j.pred.Right.Attr)) / 2
@@ -492,6 +492,7 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 				relaxed = append(relaxed, activeJoin{j: j, tol: tol, exact: math.IsInf(tol, 1)})
 			}
 		}
+		sc.exactEq, sc.relaxed = exactEq, relaxed
 
 		valOf := func(side int, j *joinSel, ei, ri int) relation.Value {
 			a, c := j.lAtom, j.lCol
@@ -505,13 +506,10 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 		}
 
 		// Match phase: collect surviving (env row, atom row) pairs in
-		// emission order, then gather them column-wise. Seed
-		// capacity at the environment's row count — joins in α-bounded plans
-		// rarely shrink the environment by much more than they grow it.
-		capHint := env.Rows()
-		eIdx := make([]int32, 0, capHint)
-		aIdx := make([]int32, 0, capHint)
-		joinedW := make([]int, 0, capHint)
+		// emission order, then gather them column-wise into the
+		// environment buffer env is not.
+		next := sc.nextEnv(env, ev.envOffset[ai]+blk.Width())
+		eIdx, aIdx, joinedW := sc.eIdx[:0], sc.aIdx[:0], next.w
 		match := func(ei, ri int) {
 			for _, aj := range relaxed {
 				lv := valOf(0, aj.j, ei, ri)
@@ -537,8 +535,9 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 			// same canonical fold as Tuple.Hash) in filtered order; probes
 			// verify per candidate with canonical key equality, so matches
 			// come out in environment-row order, build rows in filtered order.
-			atomKeyIdx := make([]int, len(exactEq))
-			envKeyIdx := make([]int, len(exactEq))
+			atomKeyIdx := slices.Grow(sc.atomKey[:0], len(exactEq))[:len(exactEq)]
+			envKeyIdx := slices.Grow(sc.envKey[:0], len(exactEq))[:len(exactEq)]
+			sc.atomKey, sc.envKey = atomKeyIdx, envKeyIdx
 			for i, j := range exactEq {
 				if j.lAtom == ai {
 					atomKeyIdx[i] = j.lCol
@@ -548,17 +547,16 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 					envKeyIdx[i] = ev.envOffset[j.lAtom] + j.lCol
 				}
 			}
-			ht := make(map[uint64][]int32, nSel)
+			ht := &sc.join
+			ht.reset()
 			for fi := 0; fi < nSel; fi++ {
 				ri := selRow(fi)
-				h := blk.HashCols(ri, atomKeyIdx)
-				ht[h] = append(ht[h], int32(ri))
+				ht.add(blk.HashCols(ri, atomKeyIdx), int32(ri))
 			}
 			for ei := 0; ei < env.Rows(); ei++ {
-				h := env.HashCols(ei, envKeyIdx)
-				for _, ri := range ht[h] {
-					if env.ColsKeyEqual(ei, envKeyIdx, blk, int(ri), atomKeyIdx) {
-						match(ei, int(ri))
+				for e := ht.first(env.HashCols(ei, envKeyIdx)); e >= 0; e = ht.next[e] {
+					if ri := int(ht.rows[e]); env.ColsKeyEqual(ei, envKeyIdx, blk, ri, atomKeyIdx) {
+						match(ei, ri)
 					}
 				}
 			}
@@ -572,19 +570,19 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 				}
 			}
 		}
+		sc.eIdx, sc.aIdx, next.w = eIdx, aIdx, joinedW
 
 		// Gather phase: one AppendIndexes per column builds the new
 		// environment without materialising any row.
 		prevWidth := ev.envOffset[ai]
-		next := relation.NewBlock(prevWidth + blk.Width())
 		for j := 0; j < prevWidth; j++ {
-			next.Col(j).AppendIndexes(env.Col(j), eIdx, 0)
+			next.block.Col(j).AppendIndexes(env.Col(j), eIdx, 0)
 		}
 		for j := 0; j < blk.Width(); j++ {
-			next.Col(prevWidth+j).AppendIndexes(blk.Col(j), aIdx, 0)
+			next.block.Col(prevWidth+j).AppendIndexes(blk.Col(j), aIdx, 0)
 		}
-		next.AddRows(len(eIdx))
-		env, envW = next, joinedW
+		next.block.AddRows(len(eIdx))
+		env, envW = &next.block, next.w
 	}
 
 	// Residual join predicates within the final environment.
@@ -593,8 +591,7 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 		tol := (resOf(j.lAtom, j.pred.Left.Attr) + resOf(j.rAtom, j.pred.Right.Attr)) / 2
 		li := ev.envOffset[j.lAtom] + j.lCol
 		ri := ev.envOffset[j.rAtom] + j.rCol
-		var kept []int32
-		var keptW []int
+		kept := sc.eIdx[:0]
 		for i := 0; i < env.Rows(); i++ {
 			ok := false
 			if math.IsInf(tol, 1) {
@@ -604,22 +601,26 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 			}
 			if ok {
 				kept = append(kept, int32(i))
-				keptW = append(keptW, envW[i])
 			}
 		}
+		sc.eIdx = kept
 		if len(kept) == env.Rows() {
 			continue
 		}
-		next := relation.NewBlock(env.Width())
+		next := sc.nextEnv(env, env.Width())
 		for j := 0; j < env.Width(); j++ {
-			next.Col(j).AppendIndexes(env.Col(j), kept, 0)
+			next.block.Col(j).AppendIndexes(env.Col(j), kept, 0)
 		}
-		next.AddRows(len(kept))
-		env, envW = next, keptW
+		next.block.AddRows(len(kept))
+		for _, i := range kept {
+			next.w = append(next.w, envW[i])
+		}
+		env, envW = &next.block, next.w
 	}
 
 	// Project and materialise — the single row-building pass of the whole
-	// run, over one shared value arena.
+	// run, over one shared value arena: the answer is the only memory a
+	// run allocates, because it is the only memory that outlives it.
 	res := &Result{Rel: relation.NewRelation(ev.outSchema)}
 	n := env.Rows()
 	if n == 0 {

@@ -15,7 +15,9 @@ import (
 // returned view is the group's FULL untruncated level, and the returned
 // slice belongs to the caller — budget accounting and truncation stay with
 // the executor, sequential in first-seen enumeration order, which is what
-// keeps N-node execution byte-identical to the in-process path.
+// keeps N-node execution byte-identical to the in-process path. xs and its
+// tuples are the executor's run scratch: a fetcher reads them during the
+// call and keeps none of them after it returns.
 //
 // A fetcher must return row-for-row the same samples the ladder itself
 // would (TestClusterInvariance asserts this over the soundness corpus). A

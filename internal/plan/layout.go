@@ -72,6 +72,8 @@ type stepLayout struct {
 	prefixArity int
 	outX        []int
 	outY        []int
+	// fills[p] says where output column p gets its values.
+	fills []colFill
 }
 
 // planLayout is the precompiled execution layout of one Bounded plan.
@@ -338,6 +340,7 @@ func buildStepLayout(q *query.SPC, db *relation.Database, cur []*relation.Schema
 			sl.outY[yi] = -1
 		}
 	}
+	sl.fills = buildColFills(sl, schema.Arity())
 	return sl, nil
 }
 

@@ -14,16 +14,17 @@ import (
 	"repro/internal/relation"
 )
 
-// fetchAll runs ξF of p at budget with one worker through fetcher and
-// returns the fetched blocks, their stats and the plan's layout.
-func fetchAll(t *testing.T, p *Bounded, db *relation.Database, budget int, fetcher RemoteFetcher) ([]*blockAtom, *Stats, *planLayout) {
+// fetchAll runs ξF of p at budget through fetcher on a scratch of its own
+// and returns the fetched blocks, their stats and the plan's layout.
+func fetchAll(t *testing.T, p *Bounded, db *relation.Database, budget int, fetcher RemoteFetcher) ([]*blockAtom, Stats, *planLayout) {
 	t.Helper()
 	lay, err := p.layoutFor(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := ExecOpts{Budget: budget, Fetcher: fetcher}
-	atoms, stats, err := executeFetchBlocks(context.Background(), p, lay, o)
+	sc := new(runScratch)
+	atoms, stats, err := executeFetchBlocks(context.Background(), p, lay, o, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestRunsCompleteTheirSchemas(t *testing.T) {
 		t.Fatalf("full-budget fetch made %d fetcher calls for %d steps", len(cf.rows), len(res.Steps))
 	}
 	onFinalSchemas("full budget", atoms, lay)
-	want, err := evaluateColumnar(ctx, full, lay, atoms)
+	want, err := evaluateColumnar(ctx, full, lay, atoms, new(runScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ const cancelStride = 64
 // ExecuteOpts runs the full plan — fetch then relaxed evaluation — under
 // per-call options, leaving the plan itself untouched. Plans are immutable
 // once generated, so the same *Bounded may be executed concurrently from
-// many goroutines (each call builds its own fetch state); the budget is
+// many goroutines (each call takes its own scratch); the budget is
 // per-call because callers partition one global α|D| budget across the
 // leaves of a larger plan.
 //
@@ -112,29 +112,45 @@ const cancelStride = 64
 // through o.Fetcher — and accounts them against the budget sequentially in
 // first-seen enumeration order, so answers, Stats and truncation points do
 // not depend on where a fetch was served (asserted by
-// TestClusterInvariance and the golden digest suite). Every run, truncated or not, is evaluated by evaluateColumnar
-// over atoms that carry their final schemas.
+// TestClusterInvariance and the golden digest suite). Every run, truncated
+// or not, is evaluated by evaluateColumnar over atoms that carry their
+// final schemas.
+//
+// The run's working memory — fetched blocks, enumeration tables, selection
+// vectors, join pairs and environments — is a pooled scratch (scratch.go),
+// taken when the call starts and returned when it ends, so a warm run
+// allocates little beyond its answer. A call that panics drops its scratch
+// instead of returning it, and so does one whose scratch grew beyond
+// maxPooledBytes.
 //
 // Cancellation is cooperative: ctx is checked between fetch steps, every
 // cancelStride enumeration visits, before each batch fetch and at every
 // atom-join boundary of evaluation. A cancelled call returns ctx.Err()
 // promptly instead of burning the rest of its budget.
 func ExecuteOpts(ctx context.Context, p *Bounded, db *relation.Database, o ExecOpts) (*Result, error) {
-	if o.Fetcher == nil {
-		o.Fetcher = localFetcher{}
-	}
+	sc := scratchPool.Get()
+	res, err := executeOn(ctx, p, db, o, sc)
+	putScratch(sc)
+	return res, err
+}
+
+// executeOn is ExecuteOpts with sc as the run's working memory.
+func executeOn(ctx context.Context, p *Bounded, db *relation.Database, o ExecOpts, sc *runScratch) (*Result, error) {
 	lay, err := p.layoutFor(db)
 	if err != nil {
 		return nil, err
 	}
-	atoms, stats, err := executeFetchBlocks(ctx, p, lay, o)
+	if o.Fetcher == nil {
+		o.Fetcher = localFetcher{}
+	}
+	atoms, stats, err := executeFetchBlocks(ctx, p, lay, o, sc)
 	if err != nil {
 		return nil, err
 	}
-	res, err := evaluateColumnar(ctx, p, lay, atoms)
+	res, err := evaluateColumnar(ctx, p, lay, atoms, sc)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = *stats
+	res.Stats = stats
 	return res, nil
 }

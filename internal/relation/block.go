@@ -13,7 +13,8 @@ package relation
 import "sync"
 
 // Block is a batch of rows of fixed width (arity), stored as one Column per
-// attribute. The zero Block is unusable; call NewBlock.
+// attribute. The zero Block has width 0; call NewBlock, or Reset to give it
+// a width.
 type Block struct {
 	cols []Column
 	rows int
@@ -22,6 +23,30 @@ type Block struct {
 // NewBlock returns an empty block of the given width.
 func NewBlock(width int) *Block {
 	return &Block{cols: make([]Column, width)}
+}
+
+// Reset empties the block and sets its width, keeping its columns' memory
+// (Column.Reset) for the rows appended next: a reset block fills exactly as
+// NewBlock(width) would.
+func (b *Block) Reset(width int) {
+	if cap(b.cols) < width {
+		b.cols = append(b.cols[:cap(b.cols)], make([]Column, width-cap(b.cols))...)
+	}
+	b.cols = b.cols[:width]
+	for j := range b.cols {
+		b.cols[j].Reset()
+	}
+	b.rows = 0
+}
+
+// RetainedBytes returns the bytes of column memory the block keeps across
+// a Reset: every payload slice and validity bitmap at its capacity.
+func (b *Block) RetainedBytes() int {
+	n, cols := 0, b.cols[:cap(b.cols)]
+	for j := range cols {
+		n += cols[j].retainedBytes()
+	}
+	return n
 }
 
 // Width returns the number of columns.

@@ -446,3 +446,78 @@ func TestAppendBlockRangeFromItself(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockResetFillsAsNew pins that a reset block fills exactly as a new
+// one: after rows of any shape — typed, with nulls, mixed — and a Reset to
+// any width, the same reservations and appends give the same columns as
+// on NewBlock: kind, mixed fallback, validity bitmap (nil while no row is
+// null), payload accessors and every value.
+func TestBlockResetFillsAsNew(t *testing.T) {
+	vals := testValues()
+	rng := rand.New(rand.NewSource(9))
+	fill := func(b *Block, rows [][]Value, reserve Kind) {
+		for j := 0; j < b.Width(); j++ {
+			b.Col(j).Reserve(reserve, len(rows))
+		}
+		for _, r := range rows {
+			b.AppendTuple(r)
+		}
+	}
+	shape := func(width int) [][]Value {
+		n := rng.Intn(80)
+		mode := rng.Intn(3) // 0 typed, 1 typed with nulls, 2 mixed
+		base := make([]Value, width)
+		for j := range base {
+			base[j] = vals[1+rng.Intn(len(vals)-1)]
+		}
+		rows := make([][]Value, n)
+		for i := range rows {
+			rows[i] = make([]Value, width)
+			for j := range rows[i] {
+				switch {
+				case mode == 1 && rng.Intn(4) == 0:
+					rows[i][j] = Null()
+				case mode < 2:
+					rows[i][j] = base[j]
+				default:
+					rows[i][j] = vals[rng.Intn(len(vals))]
+				}
+			}
+		}
+		return rows
+	}
+	kinds := []Kind{KindNull, KindInt, KindFloat, KindString}
+	for trial := 0; trial < 300; trial++ {
+		b := NewBlock(1 + rng.Intn(4))
+		fill(b, shape(b.Width()), kinds[rng.Intn(len(kinds))])
+		width := 1 + rng.Intn(4)
+		rows, reserve := shape(width), kinds[rng.Intn(len(kinds))]
+		b.Reset(width)
+		fill(b, rows, reserve)
+		want := NewBlock(width)
+		fill(want, rows, reserve)
+		if b.Width() != want.Width() || b.Rows() != want.Rows() {
+			t.Fatalf("trial %d: %d×%d after reset, want %d×%d", trial, b.Rows(), b.Width(), want.Rows(), want.Width())
+		}
+		for j := 0; j < width; j++ {
+			got, exp := b.Col(j), want.Col(j)
+			_, gi := got.Ints()
+			_, ei := exp.Ints()
+			_, gf := got.Floats()
+			_, ef := exp.Floats()
+			_, gs := got.Strings()
+			_, es := exp.Strings()
+			if got.Kind() != exp.Kind() || got.Mixed() != exp.Mixed() || (got.valid == nil) != (exp.valid == nil) ||
+				gi != ei || gf != ef || gs != es || got.Len() != exp.Len() {
+				t.Fatalf("trial %d column %d: kind %v mixed %v nulls %v after reset, want kind %v mixed %v nulls %v",
+					trial, j, got.Kind(), got.Mixed(), got.valid != nil, exp.Kind(), exp.Mixed(), exp.valid != nil)
+			}
+			for i := 0; i < exp.Len(); i++ {
+				a, e := got.Value(i), exp.Value(i)
+				if a != e && !(a.kind == KindFloat && e.kind == KindFloat && math.IsNaN(a.f) && math.IsNaN(e.f)) {
+					t.Fatalf("trial %d column %d row %d: %#v after reset, want %#v", trial, j, i, a, e)
+				}
+			}
+		}
+	}
+}

@@ -10,7 +10,10 @@
 // columnar layout never changes what values round-trip.
 package relation
 
-import "slices"
+import (
+	"slices"
+	"unsafe"
+)
 
 // Column is typed columnar storage for one attribute. The zero Column is an
 // empty column ready for Append. Reading (Value, IsNull, hashing) is
@@ -103,17 +106,45 @@ func growBitmap(b []uint64, i int) []uint64 {
 }
 
 // setKind fixes the payload kind, back-filling zero slots for the rows
-// appended so far (which were all null).
+// appended so far (which were all null), in the payload slice's own memory
+// when it has the room (a Reset column keeps it).
 func (c *Column) setKind(k Kind) {
 	c.kind = k
 	switch k {
 	case KindInt:
-		c.ints = make([]int64, c.n)
+		c.ints = zeroed(c.ints, c.n)
 	case KindFloat:
-		c.floats = make([]float64, c.n)
+		c.floats = zeroed(c.floats, c.n)
 	case KindString:
-		c.strs = make([]string, c.n)
+		c.strs = zeroed(c.strs, c.n)
 	}
+}
+
+// zeroed returns buf resized to n zero elements, freshly allocated unless
+// buf has the capacity.
+func zeroed[T any](buf []T, n int) []T {
+	if buf == nil || cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// Reset empties the column and returns it to the state of the zero Column —
+// payload kind KindNull, not mixed, no validity bitmap — while keeping its
+// payload slices' memory for the rows appended next. A reset column fills
+// exactly as a fresh one would: the same kind, the same fallbacks, the same
+// values.
+func (c *Column) Reset() {
+	*c = Column{ints: c.ints[:0], floats: c.floats[:0], strs: c.strs[:0], vals: c.vals[:0]}
+}
+
+// retainedBytes returns the bytes of payload and bitmap memory the column
+// keeps across a Reset.
+func (c *Column) retainedBytes() int {
+	return 8*(cap(c.valid)+cap(c.ints)+cap(c.floats)) +
+		int(unsafe.Sizeof(""))*cap(c.strs) + int(unsafe.Sizeof(Value{}))*cap(c.vals)
 }
 
 // toMixed migrates the column to the per-row []Value fallback, materialising

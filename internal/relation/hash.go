@@ -147,6 +147,16 @@ func (t *ProbeTable) Grow(n int) {
 	}
 }
 
+// Reset empties the table and keeps its memory, the slot table cleared,
+// for the next fill.
+func (t *ProbeTable) Reset() {
+	clear(t.slots)
+	t.hashes = t.hashes[:0]
+}
+
+// RetainedBytes returns the bytes the table keeps across a Reset.
+func (t *ProbeTable) RetainedBytes() int { return 4*cap(t.slots) + 8*cap(t.hashes) }
+
 // home returns the slot a probe for hash h starts at: the top bits of h
 // times 2^64/φ, which spreads hashes that differ only in low bits.
 func (t *ProbeTable) home(h uint64) int { return int((h * 0x9E3779B97F4A7C15) >> t.shift) }
@@ -249,17 +259,11 @@ func NewRowIndex(b *Block, n int) *RowIndex {
 }
 
 // Reset empties the index and points it at the rows of b, sized for n of
-// them, reusing its memory: the slot table is kept and cleared unless it
-// is too small, or more than four times too large (clearing it would then
-// cost more than the rows it is to index).
+// them, reusing its memory (ProbeTable.Reset).
 func (x *RowIndex) Reset(b *Block, n int) {
-	x.b, x.added, x.t.hashes = b, x.added[:0], x.t.hashes[:0]
-	if need := max(8, n*4/3+1); len(x.t.slots) >= need && len(x.t.slots) <= 4*need {
-		clear(x.t.slots)
-		return
-	}
-	x.t.slots = nil
-	x.t.resize(n)
+	x.b, x.added = b, x.added[:0]
+	x.t.Reset()
+	x.t.Grow(n)
 }
 
 // Add returns the first added row equal to row r of the index's block,

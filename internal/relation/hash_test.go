@@ -115,8 +115,9 @@ var mapKeys = []Value{
 // checkProbeTableOps decodes data into Insert and Find calls on a table of
 // tuples kept in a slice and checks each against a map of Tuple.Key
 // strings to first-inserted positions. An odd first byte pre-sizes the
-// table with Grow; each later pair of bytes is one call on a tuple of one
-// or two mapKeys components.
+// table with Grow, and a first byte with bit 1 set makes every pair whose
+// first byte is 0xff a Reset (of the table and the reference); each other
+// pair of bytes is one call on a tuple of one or two mapKeys components.
 func checkProbeTableOps(t *testing.T, data []byte, hash func(Tuple) uint64) {
 	if len(data) == 0 {
 		return
@@ -125,11 +126,17 @@ func checkProbeTableOps(t *testing.T, data []byte, hash func(Tuple) uint64) {
 	if data[0]&1 == 1 {
 		pt.Grow(len(data) / 2)
 	}
+	resets := data[0]&2 != 0
 	data = data[1:]
 	var keys []Tuple
 	ref := map[string]int{}
 	for i := 0; i+1 < len(data); i += 2 {
 		a, b := data[i], data[i+1]
+		if resets && a == 0xff {
+			pt.Reset()
+			keys, ref = keys[:0], map[string]int{}
+			continue
+		}
 		tp := Tuple{mapKeys[int(a>>2)%len(mapKeys)]}
 		if a&2 != 0 {
 			tp = append(tp, mapKeys[int(b)%len(mapKeys)])
@@ -171,7 +178,7 @@ func TestProbeTableMatchesStringKeys(t *testing.T) {
 		{"forced collisions", func(Tuple) uint64 { return 0x5eed }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, grow := range []byte{0, 1} {
+			for _, grow := range []byte{0, 1, 2, 3} {
 				data := make([]byte, 12001)
 				rng.Read(data)
 				data[0] = grow
@@ -239,6 +246,7 @@ func FuzzProbeTable(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 1, 8, 5, 12, 3, 5, 0})
 	f.Add([]byte{1, 6, 1, 10, 2, 7, 1, 11, 2, 16, 0, 20, 0, 17, 0, 21, 0})
 	f.Add([]byte{0, 18, 9, 22, 9, 46, 11, 50, 12, 19, 9, 23, 9, 47, 10})
+	f.Add([]byte{3, 0, 4, 1, 8, 255, 0, 1, 4, 5, 12, 255, 7, 2, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			return

@@ -38,13 +38,32 @@ func (r *Relation) MustAppend(ts ...Tuple) {
 
 // Distinct returns a new relation with duplicate tuples removed, preserving
 // first-occurrence order.
-func (r *Relation) Distinct() *Relation {
-	out := NewRelation(r.Schema)
+func (r *Relation) Distinct() *Relation { return distinct(r.Schema, r.Tuples, nil) }
+
+// UnionDistinct returns a new relation over r's schema holding the distinct
+// tuples of r followed by those of o, in first-occurrence order: the
+// Distinct of their concatenation, without building it.
+func (r *Relation) UnionDistinct(o *Relation) *Relation {
+	return distinct(r.Schema, r.Tuples, o.Tuples)
+}
+
+// distinct dedups a then b into one relation. Its tuples and its table of
+// seen tuples are sized up front for all of them, so a call allocates the
+// same few times whatever the input's length; the table is pointer-free,
+// so the collector does not scan it.
+func distinct(s *Schema, a, b []Tuple) *Relation {
+	out := NewRelation(s)
+	if len(a)+len(b) == 0 {
+		return out
+	}
+	out.Tuples = make([]Tuple, 0, len(a)+len(b))
 	var seen ProbeTable
-	seen.Grow(len(r.Tuples))
-	for _, t := range r.Tuples {
-		if _, added := seen.Insert(t.Hash(), func(p int) bool { return out.Tuples[p].KeyEqual(t) }); added {
-			out.Tuples = append(out.Tuples, t)
+	seen.Grow(len(a) + len(b))
+	for _, part := range [2][]Tuple{a, b} {
+		for _, t := range part {
+			if _, added := seen.Insert(t.Hash(), func(p int) bool { return out.Tuples[p].KeyEqual(t) }); added {
+				out.Tuples = append(out.Tuples, t)
+			}
 		}
 	}
 	return out
