@@ -204,9 +204,6 @@ func (l *Ladder) MaxGroupDistinct() int { return l.maxDistinct }
 // of live rows in the ladder's arena).
 func (l *Ladder) IndexSize() int { return l.indexSize }
 
-// YAttrs returns the attribute descriptors of Y, in Y order.
-func (l *Ladder) YAttrs() []relation.Attribute { return l.yAttrs }
-
 // Template materialises the level-k template. k is clamped to [0, MaxK].
 func (l *Ladder) Template(k int) *Template {
 	if k < 0 {

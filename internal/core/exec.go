@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -474,46 +473,18 @@ func (s *Scheme) combineDiff(p *Plan, q *query.Diff, results []*plan.Result) (*r
 	if err != nil {
 		return nil, err
 	}
+	// Probe a K-D tree over the approximate answers (§4.1's tree
+	// structures, reused online) once per left answer.
 	out := relation.NewRelation(l.Schema)
-	if useDiffIndex(l.Len(), rHat.Len()) {
-		// Large inputs: probe a K-D tree over the approximate answers
-		// instead of scanning them per left tuple (§4.1's tree structures,
-		// reused online). AnyWithin matches withinPerAttr exactly.
-		ts := treeScratchPool.Get()
-		tree := ts.treeOf(attrs, rHat)
-		for _, t := range l.Tuples {
-			if !tree.AnyWithin(t, delta) {
-				out.Tuples = append(out.Tuples, t)
-			}
-		}
-		putTreeScratch(ts)
-		return out, nil
-	}
+	ts := treeScratchPool.Get()
+	tree := ts.treeOf(attrs, rHat)
 	for _, t := range l.Tuples {
-		danger := false
-		for _, u := range rHat.Tuples {
-			if withinPerAttr(attrs, t, u, delta) {
-				danger = true
-				break
-			}
-		}
-		if !danger {
+		if !tree.AnyWithin(t, delta) {
 			out.Tuples = append(out.Tuples, t)
 		}
 	}
+	putTreeScratch(ts)
 	return out, nil
-}
-
-// diffIndexMinWork is the probes×points product above which the dangerous-
-// distance exclusion and the η′ coverage-gap search index one side in a
-// K-D tree instead of scanning (tests lower/raise it to force either path).
-var diffIndexMinWork = 4096
-
-// useDiffIndex decides whether to build a K-D tree over `points` before
-// probing it `probes` times: worthwhile once the quadratic scan clearly
-// dominates the O(n log² n) build.
-func useDiffIndex(probes, points int) bool {
-	return points >= 8 && probes*points >= diffIndexMinWork
 }
 
 // treeScratch is the working memory of one K-D tree over an answer set:
@@ -555,18 +526,8 @@ func (ts *treeScratch) treeOf(attrs []relation.Attribute, r *relation.Relation) 
 // sideExact reports whether every leaf under e fetched with resolution 0.
 func (s *Scheme) sideExact(p *Plan, e query.Expr) bool {
 	for _, leaf := range query.SPCLeaves(e) {
-		li := p.leafIndex(leaf)
-		if li < 0 {
-			continue
-		}
-		lp := p.Leaves[li]
-		c := lp.Bounded.Chase
-		for ai := range leaf.Atoms {
-			for _, attr := range c.UsedAttrs(ai) {
-				if c.ResolutionOf(ai, attr, lp.Bounded.Ks) != 0 {
-					return false
-				}
-			}
+		if li := p.leafIndex(leaf); li >= 0 && !p.Leaves[li].exact() {
+			return false
 		}
 	}
 	return true
@@ -598,23 +559,12 @@ func (s *Scheme) dangerousDistances(p *Plan, e query.Expr) ([]float64, []relatio
 			if i >= len(delta) {
 				break
 			}
-			r := lp.Bounded.Chase.ResolutionOf(aliasIdx[col.Rel], col.Attr, lp.Bounded.Ks)
-			if r > delta[i] {
+			if r := lp.Bounded.ResolutionOf(aliasIdx[col.Rel], col.Attr); r > delta[i] {
 				delta[i] = r
 			}
 		}
 	}
 	return delta, sch.Attrs, nil
-}
-
-func withinPerAttr(attrs []relation.Attribute, t, u relation.Tuple, delta []float64) bool {
-	for i, a := range attrs {
-		d := a.Dist.Between(t[i], u[i])
-		if d > delta[i] && !(math.IsInf(d, 1) && math.IsInf(delta[i], 1)) {
-			return false
-		}
-	}
-	return true
 }
 
 // combineGroupBy aggregates over the child. When the child is a single SPC
@@ -727,36 +677,21 @@ func (s *Scheme) refineEtaDiff(p *Plan, results []*plan.Result, out *relation.Re
 		return 0, err
 	}
 	_, hatCov := s.bound(p, hatExpr)
-	dPrime := 0.0
-	attrs := hat.Schema.Attrs
-	if useDiffIndex(hat.Len(), out.Len()) {
-		// Large answer sets: nearest-answer search through a K-D tree over
-		// the answers instead of the O(|Ŝ|·|S|) scan. The attribute
-		// distances are symmetric metrics, so MinMaxDistance(t) equals the
-		// scan's min over answers of TupleDistance.
-		ts := treeScratchPool.Get()
-		tree := ts.treeOf(attrs, out)
-		for _, t := range hat.Tuples {
-			if best := tree.MinMaxDistance(t); best > dPrime {
-				dPrime = best
-			}
-		}
-		putTreeScratch(ts)
-	} else {
-		for _, t := range hat.Tuples {
-			best := math.Inf(1)
-			for _, st := range out.Tuples {
-				if d := relation.TupleDistance(attrs, st, t); d < best {
-					best = d
-				}
-			}
-			if best > dPrime {
-				dPrime = best
-			}
-		}
-	}
 	if hat.Len() == 0 {
-		dPrime = 0
+		return etaOf(p.DRel, hatCov), nil
 	}
+	// d′ is the largest distance from an Ŝ tuple to its nearest answer,
+	// searched through a K-D tree over the answers: the attribute
+	// distances are symmetric metrics, so MinMaxDistance(t) is the min over
+	// answers of TupleDistance (+inf when there are none).
+	dPrime := 0.0
+	ts := treeScratchPool.Get()
+	tree := ts.treeOf(hat.Schema.Attrs, out)
+	for _, t := range hat.Tuples {
+		if best := tree.MinMaxDistance(t); best > dPrime {
+			dPrime = best
+		}
+	}
+	putTreeScratch(ts)
 	return etaOf(p.DRel, dPrime+hatCov), nil
 }

@@ -399,16 +399,25 @@ func etaOf(drel, dcov float64) float64 {
 	return 1 / (1 + d)
 }
 
-// isExact reports whether every used attribute of every leaf resolves with
-// resolution 0 under the current level assignment.
+// isExact reports whether every leaf resolves exactly under the current
+// level assignment.
 func (s *Scheme) isExact(p *Plan) bool {
 	for _, l := range p.Leaves {
-		c := l.Bounded.Chase
-		for ai := range l.SPC.Atoms {
-			for _, attr := range c.UsedAttrs(ai) {
-				if c.ResolutionOf(ai, attr, l.Bounded.Ks) != 0 {
-					return false
-				}
+		if !l.exact() {
+			return false
+		}
+	}
+	return true
+}
+
+// exact reports whether every used attribute of the leaf resolves with
+// resolution 0 under its current level assignment.
+func (l *LeafPlan) exact() bool {
+	c := l.Bounded.Chase
+	for ai := range l.SPC.Atoms {
+		for _, attr := range c.UsedAttrs(ai) {
+			if l.Bounded.ResolutionOf(ai, attr) != 0 {
+				return false
 			}
 		}
 	}
@@ -627,13 +636,12 @@ func (s *Scheme) leafBound(p *Plan, q *query.SPC, planning bool, tr *BoundTrace)
 	}
 	lp := p.Leaves[leafIdx]
 	c := lp.Bounded.Chase
-	ks := lp.Bounded.Ks
 	aliasIdx := make(map[string]int, len(q.Atoms))
 	for i, a := range q.Atoms {
 		aliasIdx[a.Name()] = i
 	}
 	res := func(col query.Col) float64 {
-		return c.ResolutionOf(aliasIdx[col.Rel], col.Attr, ks)
+		return lp.Bounded.ResolutionOf(aliasIdx[col.Rel], col.Attr)
 	}
 	outCols, err := query.OutputCols(q, s.db)
 	if err != nil {

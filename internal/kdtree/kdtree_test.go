@@ -322,8 +322,9 @@ func randomMixedRows(rng *rand.Rand, n int) *relation.Block {
 	return b
 }
 
-// withinScan is the naive reference for AnyWithin, mirroring the
-// dangerous-distance exclusion's withinPerAttr semantics.
+// withinScan is the naive reference for AnyWithin: some point is within
+// delta of point on every attribute, two +inf distances counting as
+// within, as §6's dangerous-distance exclusion requires.
 func withinScan(attrs []relation.Attribute, b *relation.Block, point relation.Tuple, delta []float64) bool {
 	for i := 0; i < b.Rows(); i++ {
 		ok := true

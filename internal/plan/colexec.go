@@ -404,9 +404,7 @@ type activeJoin struct {
 func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []*blockAtom, sc *runScratch) (*Result, error) {
 	q := p.Chase.Query
 	ev := lay.eval
-	resOf := func(ai int, attr string) float64 {
-		return p.Chase.ResolutionOf(ai, attr, p.Ks)
-	}
+	resOf := p.ResolutionOf
 
 	// env is the joined environment so far; envW its per-row weights. env
 	// may alias an atom's fetched block (read-only) until the first join

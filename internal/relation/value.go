@@ -71,9 +71,6 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether v is the null value.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
-// IsNumeric reports whether v is an integer or a float.
-func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
-
 // AsInt returns the value as an int64. It reports false when v is not
 // numeric; floats are truncated toward zero.
 func (v Value) AsInt() (int64, bool) {
