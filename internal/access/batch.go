@@ -234,6 +234,8 @@ func (l *Ladder) applyBatch(ops []Op, rb *relBatch) []*groupBatch {
 	}
 	y := l.items.y
 	var changed []*groupBatch
+	var itemHashes []uint64
+	var hashable []bool
 	for _, gb := range groups {
 		// Position j of the group is item j before the batch, then insert
 		// j−base; c indexes Y.
@@ -243,8 +245,20 @@ func (l *Ladder) applyBatch(ops []Op, rb *relBatch) []*groupBatch {
 			}
 			return ops[gb.births[j-gb.base]].Tuple[l.yIdx[c]]
 		}
+		if len(gb.dels) > 0 {
+			// The items a delete may claim are hashed column by column
+			// from the item block's payloads, not value by value.
+			if cap(itemHashes) < gb.base {
+				itemHashes, hashable = make([]uint64, gb.base), make([]bool, gb.base)
+			}
+			itemHashes, hashable = itemHashes[:gb.base], hashable[:gb.base]
+			rowsEqualHash(y, gb.old.first, itemHashes, hashable)
+		}
 		claimFirstMatches(gb.base+len(gb.births), gb.inserted, gb.dels,
 			func(j int) (uint64, bool) {
+				if j < gb.base {
+					return itemHashes[j], hashable[j]
+				}
 				return equalHash(len(l.yIdx), func(c int) relation.Value { return val(j, c) })
 			},
 			func(t relation.Tuple) (uint64, bool) {
@@ -360,29 +374,94 @@ func tupleHash(t relation.Tuple) (uint64, bool) {
 // back to across kinds (ints that differ but share an image merely
 // collide), strings by content. A list holding NaN, which Compare finds
 // equal to every number, has no such hash and reports false: it is a
-// candidate for everything.
+// candidate for everything. rowsEqualHash computes the same hash over the
+// rows of a block.
 func equalHash(n int, at func(c int) relation.Value) (uint64, bool) {
-	h := uint64(14695981039346656037)
+	h := uint64(equalHashSeed)
 	for c := 0; c < n; c++ {
-		v := at(c)
-		var x uint64
-		if s, ok := v.AsString(); ok {
-			for i := 0; i < len(s); i++ {
-				x = (x ^ uint64(s[i])) * 1099511628211
-			}
-		} else if f, ok := v.AsFloat(); ok {
-			if f != f {
-				return 0, false
-			}
-			if f == 0 {
-				f = 0 // −0 equals +0
-			}
-			x = math.Float64bits(f)
+		x, ok := valueImage(at(c))
+		if !ok {
+			return 0, false
 		}
-		h = (h ^ x) * 0x9E3779B97F4A7C15
-		h ^= h >> 32
+		h = mixImage(h, x)
 	}
 	return h, true
+}
+
+// equalHashSeed is equalHash's hash of the empty list.
+const equalHashSeed = 14695981039346656037
+
+// mixImage folds one value's image into an equalHash.
+func mixImage(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9E3779B97F4A7C15
+	return h ^ h>>32
+}
+
+// valueImage is the image equalHash folds for one value: stringImage of a
+// string, floatImage of a number, 0 for null.
+func valueImage(v relation.Value) (uint64, bool) {
+	if s, ok := v.AsString(); ok {
+		return stringImage(s), true
+	}
+	if f, ok := v.AsFloat(); ok {
+		return floatImage(f)
+	}
+	return 0, true
+}
+
+// floatImage is the image of a number — an int by its float64 image — with
+// −0 made +0 (they are equal); NaN has none and reports false.
+func floatImage(f float64) (uint64, bool) {
+	if f != f {
+		return 0, false
+	}
+	if f == 0 {
+		f = 0
+	}
+	return math.Float64bits(f), true
+}
+
+// stringImage is the image of a string: an FNV-1a fold of its bytes.
+func stringImage(s string) uint64 {
+	var x uint64
+	for i := 0; i < len(s); i++ {
+		x = (x ^ uint64(s[i])) * 1099511628211
+	}
+	return x
+}
+
+// rowsEqualHash sets hs[j] and ok[j] to equalHash of row first+j of b (its
+// columns in order) for every j < len(hs), reading the typed payload of
+// each column without nulls and Value only for a mixed or nullable one.
+// hs[j] is meaningless where ok[j] is false.
+func rowsEqualHash(b *relation.Block, first int, hs []uint64, ok []bool) {
+	for j := range hs {
+		hs[j], ok[j] = equalHashSeed, true
+	}
+	end := first + len(hs)
+	for c := 0; c < b.Width(); c++ {
+		col := b.Col(c)
+		if ints, typed := col.Ints(); typed {
+			for j, i := range ints[first:end] {
+				x, _ := floatImage(float64(i))
+				hs[j] = mixImage(hs[j], x)
+			}
+		} else if floats, typed := col.Floats(); typed {
+			for j, f := range floats[first:end] {
+				x, fine := floatImage(f)
+				hs[j], ok[j] = mixImage(hs[j], x), ok[j] && fine
+			}
+		} else if strs, typed := col.Strings(); typed {
+			for j, s := range strs[first:end] {
+				hs[j] = mixImage(hs[j], stringImage(s))
+			}
+		} else {
+			for j := range hs {
+				x, fine := valueImage(col.Value(first + j))
+				hs[j], ok[j] = mixImage(hs[j], x), ok[j] && fine
+			}
+		}
+	}
 }
 
 // placeItems writes the new item range of each of l's changed groups, in

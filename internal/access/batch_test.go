@@ -302,3 +302,85 @@ func TestBatchApplyEmptiesAndRecreatesGroups(t *testing.T) {
 		t.Errorf("conformance: %v", err)
 	}
 }
+
+// rowsEqualHash must hash every row of a block exactly as equalHash hashes
+// its values, whatever each column holds: typed ints (beyond 2^53 too),
+// typed floats (−0, +0, NaN, ±Inf), typed strings (the empty one too),
+// and nullable or mixed Int/Float/String columns, which take the Value
+// path. An int and its float64 image hash alike across typed columns.
+func TestRowsEqualHashMatchesEqualHash(t *testing.T) {
+	const big = int64(1) << 53
+	ints := []int64{0, 1, -1, big, big + 1, -big - 1, math.MaxInt64, math.MinInt64}
+	floats := []float64{0, math.Copysign(0, -1), 1, math.NaN(), math.Inf(1), math.Inf(-1), float64(big), 0.5}
+	strs := []string{"", "a", "ab", "\x00"}
+	cols := []func(rng *rand.Rand) relation.Value{
+		func(rng *rand.Rand) relation.Value { return relation.Int(ints[rng.Intn(len(ints))]) },
+		func(rng *rand.Rand) relation.Value { return relation.Float(floats[rng.Intn(len(floats))]) },
+		func(rng *rand.Rand) relation.Value { return relation.String(strs[rng.Intn(len(strs))]) },
+		func(rng *rand.Rand) relation.Value { // nullable int
+			if rng.Intn(4) == 0 {
+				return relation.Null()
+			}
+			return relation.Int(ints[rng.Intn(len(ints))])
+		},
+		func(rng *rand.Rand) relation.Value { // nullable string
+			if rng.Intn(4) == 0 {
+				return relation.Null()
+			}
+			return relation.String(strs[rng.Intn(len(strs))])
+		},
+		func(rng *rand.Rand) relation.Value { // mixed kinds
+			switch rng.Intn(4) {
+			case 0:
+				return relation.Int(ints[rng.Intn(len(ints))])
+			case 1:
+				return relation.Float(floats[rng.Intn(len(floats))])
+			case 2:
+				return relation.String(strs[rng.Intn(len(strs))])
+			}
+			return relation.Null()
+		},
+	}
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 200; trial++ {
+		width := 1 + rng.Intn(4)
+		kinds := make([]int, width)
+		for c := range kinds {
+			kinds[c] = rng.Intn(len(cols))
+		}
+		n := 1 + rng.Intn(40)
+		b := relation.NewBlock(width)
+		for i := 0; i < n; i++ {
+			row := make(relation.Tuple, width)
+			for c, k := range kinds {
+				row[c] = cols[k](rng)
+			}
+			b.AppendTuple(row)
+		}
+		first := rng.Intn(n)
+		hs, ok := make([]uint64, n-first), make([]bool, n-first)
+		rowsEqualHash(b, first, hs, ok)
+		for j := range hs {
+			wh, wok := equalHash(width, func(c int) relation.Value { return b.Value(first+j, c) })
+			if ok[j] != wok || (wok && hs[j] != wh) {
+				t.Fatalf("trial %d row %d %v (columns %v): rowsEqualHash = (%#x, %v), equalHash = (%#x, %v)",
+					trial, first+j, b.Tuple(first+j), kinds, hs[j], ok[j], wh, wok)
+			}
+		}
+	}
+	// Typed ints hash as the typed floats of their images.
+	ib, fb := relation.NewBlock(1), relation.NewBlock(1)
+	for _, i := range ints {
+		ib.AppendTuple(relation.Tuple{relation.Int(i)})
+		fb.AppendTuple(relation.Tuple{relation.Float(float64(i))})
+	}
+	ih, iok := make([]uint64, len(ints)), make([]bool, len(ints))
+	fh, fok := make([]uint64, len(ints)), make([]bool, len(ints))
+	rowsEqualHash(ib, 0, ih, iok)
+	rowsEqualHash(fb, 0, fh, fok)
+	for j, i := range ints {
+		if !iok[j] || !fok[j] || ih[j] != fh[j] {
+			t.Fatalf("int %d hashes (%#x, %v), its float image (%#x, %v)", i, ih[j], iok[j], fh[j], fok[j])
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -683,13 +684,28 @@ func (s *Scheme) refineEtaDiff(p *Plan, results []*plan.Result, out *relation.Re
 	// d′ is the largest distance from an Ŝ tuple to its nearest answer,
 	// searched through a K-D tree over the answers: the attribute
 	// distances are symmetric metrics, so MinMaxDistance(t) is the min over
-	// answers of TupleDistance (+inf when there are none).
+	// answers of TupleDistance (+inf when there are none). A tuple with an
+	// answer within the running d′ cannot raise the maximum, so only the
+	// others pay for the nearest-answer search, and none does once d′ is
+	// +inf: d′ is the same maximum, found with less search. For a finite
+	// d′, AnyWithin with d′ on every attribute is that test — some answer
+	// at TupleDistance ≤ d′ — stopping at the first such answer.
 	dPrime := 0.0
+	within := make([]float64, len(hat.Schema.Attrs)) // d′ on every attribute
 	ts := treeScratchPool.Get()
 	tree := ts.treeOf(hat.Schema.Attrs, out)
 	for _, t := range hat.Tuples {
+		if math.IsInf(dPrime, 1) {
+			break
+		}
+		if tree.AnyWithin(t, within) {
+			continue
+		}
 		if best := tree.MinMaxDistance(t); best > dPrime {
 			dPrime = best
+			for i := range within {
+				within[i] = dPrime
+			}
 		}
 	}
 	putTreeScratch(ts)

@@ -19,6 +19,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 
 	"repro/internal/relation"
 )
@@ -104,7 +105,7 @@ func (s *Scratch) Build(attrs []relation.Attribute, b *relation.Block, lo, hi in
 		t.cols[a] = viewOf(b.Col(a))
 	}
 	bld := &s.bld
-	*bld = builder{attrs: attrs, lo: lo, cols: t.cols, nodes: bld.nodes, dists: bld.dists, keys: bld.keys}
+	*bld = builder{attrs: attrs, lo: lo, cols: t.cols, nodes: bld.nodes, dists: bld.dists, keys: bld.keys, keys2: bld.keys2}
 	var rows []int32
 	if n == 1 { // a single point is a leaf: nothing is merged or sorted
 		s.slab = grown(s.slab, 2)
@@ -127,7 +128,8 @@ func (s *Scratch) Build(attrs []relation.Attribute, b *relation.Block, lo, hi in
 			}
 			bld.counts[first-lo]++
 		}
-		bld.keys, bld.tmp = grown(bld.keys, len(rows)), bld.tmp[:len(rows)]
+		bld.keys, bld.keys2 = grown(bld.keys, len(rows)), grown(bld.keys2, len(rows))
+		bld.tmp = bld.tmp[:len(rows)]
 	}
 	t.items = len(rows)
 	// A tree over n points has at most 2n−1 nodes. The nodes and their
@@ -151,13 +153,14 @@ func (s *Scratch) Build(attrs []relation.Attribute, b *relation.Block, lo, hi in
 const forkMin = 2048
 
 // colView is one column as the build reads it: straight from the typed
-// payload when every row is a non-null int or float, through Column.Value
-// otherwise.
+// payload when every row is a non-null int, float or string, through
+// Column.Value otherwise.
 type colView struct {
 	col    *relation.Column
 	ints   []int64
 	floats []float64
-	typed  relation.Kind // KindInt or KindFloat for a typed payload, else KindNull
+	strs   []string
+	typed  relation.Kind // KindInt, KindFloat or KindString for a typed payload, else KindNull
 }
 
 func viewOf(c *relation.Column) colView {
@@ -166,14 +169,16 @@ func viewOf(c *relation.Column) colView {
 		v.ints, v.typed = ints, relation.KindInt
 	} else if floats, ok := c.Floats(); ok {
 		v.floats, v.typed = floats, relation.KindFloat
+	} else if strs, ok := c.Strings(); ok {
+		v.strs, v.typed = strs, relation.KindString
 	}
 	return v
 }
 
 // builder is the per-Build scratch state. The recursion on rows[off:off+n]
-// of the permutation only ever touches keys and tmp at the same positions
-// and its own 2n−1 slab slots, so subtrees can be built concurrently
-// without synchronisation.
+// of the permutation only ever touches keys, keys2 and tmp at the same
+// positions and its own 2n−1 slab slots, so subtrees can be built
+// concurrently without synchronisation.
 type builder struct {
 	attrs  []relation.Attribute
 	cols   []colView
@@ -182,6 +187,7 @@ type builder struct {
 	nodes  []node
 	dists  []float64 // maxDist rows, len(attrs) per node, parallel to nodes
 	keys   []sortKey
+	keys2  []sortKey // the radix sort's second buffer, parallel to keys
 	tmp    []int32
 }
 
@@ -251,24 +257,43 @@ type sortKey struct {
 	pos uint32
 }
 
+// radixKeysPerPass sets where sortOnDim's radix sort takes over from
+// pdqsort: it sorts a node's keys when there are at least this many per
+// counting pass it needs (per key byte in which they differ). Measured on
+// two cores over 16-byte records, the radix sort overtakes pdqsort at ~30
+// int keys differing in two bytes and at ~115 float keys differing in all
+// eight — about 15 keys a pass; at 4096 keys it is 20× (ints) and 6×
+// (floats) faster.
+const radixKeysPerPass = 16
+
 // sortOnDim stably sorts rows (at offset off) by Value.Compare on dimension
 // dim. A stable sort is the unique permutation ordered by (value, current
 // position) whenever Compare is a total preorder on the values present; it
-// is one when they are all KindInt (int64 order) or all NaN-free KindFloat,
-// which is every numeric column of a typed relation. Those dimensions sort
-// 16-byte (key, position) records with the unstable pattern-defeating
-// quicksort — position breaks ties, so the result is the stable one — and
-// permute the rows once; rows already ordered on dim (a child splitting
-// the dimension its parent just sorted) are left alone. A typed int or
-// float column is keyed straight from its payload. Anything else — nulls,
-// strings, Int and Float mixed in one column (float comparison of ints
-// beyond 2^53 is not transitive), NaN (equal to everything) — runs the
-// generic insertion+merge stable sort with Compare itself.
+// is one when they are all KindInt (int64 order), all NaN-free KindFloat or
+// all KindString, which is every column of a typed relation without nulls.
+// A typed string column is stably sorted by strings.Compare straight from
+// its payload. A numeric dimension maps each value to an order-preserving
+// uint64 key — from the payload of a typed int or float column — and sorts
+// 16-byte (key, position) records, built in position order: by a stable
+// LSD radix sort over only the key bytes in which the node's keys differ
+// when there are radixKeysPerPass keys per pass, else by the unstable
+// pattern-defeating quicksort with position breaking ties. Either way the
+// result is the (key, position) order, and the rows are permuted once;
+// rows already ordered on dim (a child splitting the dimension its parent
+// just sorted) are left alone. Anything else — nulls, Int and Float mixed
+// in one column (float comparison of ints beyond 2^53 is not transitive),
+// NaN (equal to everything) — runs the generic insertion+merge stable sort
+// with Compare itself.
 func (b *builder) sortOnDim(rows []int32, off, dim int) {
-	keys := b.keys[off : off+len(rows)]
 	v := &b.cols[dim]
+	if v.typed == relation.KindString {
+		sortStrings(rows, v.strs)
+		return
+	}
+	keys := b.keys[off : off+len(rows)]
 	kind := v.col.Value(int(rows[0])).Kind()
 	sorted := true
+	var diff uint64 // the bits in which some key differs from the first
 	for i, r := range rows {
 		var k uint64
 		ok := true
@@ -290,21 +315,81 @@ func (b *builder) sortOnDim(rows []int32, off, dim int) {
 			sorted = false
 		}
 		keys[i] = sortKey{key: k, pos: uint32(i)}
+		diff |= k ^ keys[0].key
 	}
 	if sorted {
 		return
 	}
-	slices.SortFunc(keys, func(x, y sortKey) int {
-		if x.key != y.key {
-			return cmp.Compare(x.key, y.key)
-		}
-		return cmp.Compare(x.pos, y.pos)
-	})
+	if len(keys) >= radixKeysPerPass*radixPasses(diff) {
+		keys = radixSort(keys, b.keys2[off:off+len(rows)], diff)
+	} else {
+		slices.SortFunc(keys, func(x, y sortKey) int {
+			if x.key != y.key {
+				return cmp.Compare(x.key, y.key)
+			}
+			return cmp.Compare(x.pos, y.pos)
+		})
+	}
 	tmp := b.tmp[off : off+len(rows)]
 	for i, k := range keys {
 		tmp[i] = rows[k.pos]
 	}
 	copy(rows, tmp)
+}
+
+// radixPasses is the number of bytes set in diff: the counting passes
+// radixSort makes.
+func radixPasses(diff uint64) int {
+	n := 0
+	for ; diff != 0; diff >>= 8 {
+		if diff&0xff != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// radixSort stably sorts keys by key with one counting pass per byte that
+// is set in diff, least significant first, moving the records between keys
+// and buf (of the same length); it returns whichever of the two holds the
+// result. Bytes outside diff are equal in every key, so skipping them
+// leaves the order a full sort would produce.
+func radixSort(keys, buf []sortKey, diff uint64) []sortKey {
+	src, dst := keys, buf
+	var counts [256]uint32
+	for s := uint(0); s < 64; s += 8 {
+		if diff>>s&0xff == 0 {
+			continue
+		}
+		clear(counts[:])
+		for _, k := range src {
+			counts[byte(k.key>>s)]++
+		}
+		var sum uint32
+		for i, n := range counts {
+			counts[i], sum = sum, sum+n
+		}
+		for _, k := range src {
+			d := byte(k.key >> s)
+			dst[counts[d]] = k
+			counts[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// sortStrings stably sorts rows by their strings in strs; rows already in
+// order are left alone.
+func sortStrings(rows []int32, strs []string) {
+	for i := 1; i < len(rows); i++ {
+		if strs[rows[i]] < strs[rows[i-1]] {
+			slices.SortStableFunc(rows, func(x, y int32) int {
+				return strings.Compare(strs[x], strs[y])
+			})
+			return
+		}
+	}
 }
 
 // orderKey maps a value of the given numeric kind to a uint64 that orders
@@ -419,6 +504,14 @@ func (v *colView) allEqual(rows []int32) bool {
 			if f := v.floats[r]; first != first {
 				first = f
 			} else if f < first || f > first {
+				return false
+			}
+		}
+		return true
+	case relation.KindString:
+		first := v.strs[rows[0]]
+		for _, r := range rows[1:] {
+			if v.strs[r] != first {
 				return false
 			}
 		}

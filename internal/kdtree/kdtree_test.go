@@ -427,6 +427,51 @@ func TestMinMaxDistanceMatchesScan(t *testing.T) {
 	}
 }
 
+// AnyWithin with one finite d on every attribute must be MinMaxDistance ≤ d
+// exactly — some point at TupleDistance ≤ d, the test η′'s early break
+// makes — at d = 0 and at each exact distance from the probe to a point and
+// the float just below it, over every distance kind and over nulls, mixed
+// kinds, NaN and ±Inf; at d = +inf it holds for every non-empty tree.
+func TestWithinDistanceMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	check := func(label string, attrs []relation.Attribute, b *relation.Block, pt relation.Tuple) {
+		t.Helper()
+		tr := buildAll(attrs, b)
+		ds := []float64{0, math.Inf(1)}
+		for i := 0; i < b.Rows(); i++ {
+			d := relation.TupleDistance(attrs, b.Tuple(i), pt)
+			ds = append(ds, d, math.Nextafter(d, 0))
+		}
+		for _, d := range ds {
+			want := false
+			for i := 0; i < b.Rows() && !want; i++ {
+				want = relation.TupleDistance(attrs, b.Tuple(i), pt) <= d
+			}
+			delta := make([]float64, len(attrs))
+			for a := range delta {
+				delta[a] = d
+			}
+			if got := tr.AnyWithin(pt, delta); got != want {
+				t.Fatalf("%s probe %v d=%g: AnyWithin = %v, scan = %v", label, pt, d, got, want)
+			}
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		b := randomMixedRows(rng, rng.Intn(120))
+		for probe := 0; probe < 10; probe++ {
+			check(fmt.Sprintf("mixed trial %d", trial), mixedAttrs(), b, randomMixedRows(rng, 1).Tuple(0))
+		}
+	}
+	for mode := 0; mode < stressModes; mode++ {
+		for trial := 0; trial < 20; trial++ {
+			b := stressRows(rng, rng.Intn(120), mode)
+			for probe := 0; probe < 10; probe++ {
+				check(fmt.Sprintf("stress mode %d trial %d", mode, trial), stressAttrs(), b, stressRows(rng, 1, mode).Tuple(0))
+			}
+		}
+	}
+}
+
 func TestQueriesOnEmptyTree(t *testing.T) {
 	tr := buildAll(mixedAttrs(), relation.NewBlock(3))
 	pt := relation.Tuple{relation.Float(1), relation.String("bar"), relation.String("NYC")}
@@ -666,6 +711,63 @@ func stressRows(rng *rand.Rand, n, mode int) *relation.Block {
 	return b
 }
 
+// keyShapeAttrs are the columns keyShapeRows fills: a typed int and a
+// typed float column under numeric distances, whose keys the build sorts,
+// and a typed string column without nulls under the discrete distance.
+func keyShapeAttrs() []relation.Attribute {
+	return []relation.Attribute{
+		relation.Attr("i", relation.KindInt, relation.Numeric(1)),
+		relation.Attr("f", relation.KindFloat, relation.Numeric(1)),
+		relation.Attr("s", relation.KindString, relation.Discrete()),
+	}
+}
+
+// keyShapes is the number of keyShapeRows shapes.
+const keyShapes = 6
+
+// keyShapeRows draws n rows whose int and float sort keys take one shape:
+// 0 distinct keys that differ in their lowest byte only; 1 in their two
+// lowest; 2 in every byte (random bits, with ±(2^63−1), MinInt64, ±Inf,
+// ±MaxFloat64 and −0/+0 among them); 3 not at all (one int, and −0 and +0
+// floats, which key alike); 4 ascending and 5 descending with the row, the
+// strings too.
+func keyShapeRows(rng *rand.Rand, n, shape int) *relation.Block {
+	strs := []string{"", "a", "ab", "b"}
+	perm := rng.Perm(1 << (8 * min(shape+1, 2))) // distinct keys of one or two bytes
+	b := relation.NewBlock(3)
+	for r := 0; r < n; r++ {
+		var i int64
+		var f float64
+		str := strs[rng.Intn(len(strs))]
+		switch shape {
+		case 0, 1:
+			k := perm[r%len(perm)]
+			i, f = int64(k), 1+float64(k)*0x1p-52
+		case 2:
+			i = int64(rng.Uint64())
+			if rng.Intn(8) == 0 {
+				i = []int64{math.MaxInt64, -math.MaxInt64, math.MinInt64}[rng.Intn(3)]
+			}
+			for f = math.NaN(); f != f; {
+				f = math.Float64frombits(rng.Uint64())
+			}
+			if rng.Intn(8) == 0 {
+				f = []float64{math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, math.Copysign(0, -1), 0}[rng.Intn(6)]
+			}
+		case 3:
+			i, f = 7, math.Copysign(0, float64(rng.Intn(2)*2-1))
+		case 4, 5:
+			k := r
+			if shape == 5 {
+				k = n - r
+			}
+			i, f, str = int64(3*k-n), float64(k)/8, fmt.Sprintf("%06d", k)
+		}
+		b.AppendTuple(relation.Tuple{relation.Int(i), relation.Float(f), relation.String(str)})
+	}
+	return b
+}
+
 // Build must produce the tree referenceBuild produces — same reps, counts,
 // per-node maxDist and level order — on clean and on hostile inputs, at the
 // sizes around every threshold in the kernel, over a whole block and over
@@ -687,6 +789,23 @@ func TestBuildMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// Every key shape the radix sort must order as pdqsort would, at the
+	// node sizes where it takes over for one, two and eight passes.
+	var shapeSizes []int
+	for _, passes := range []int{1, 2, 8} {
+		c := radixKeysPerPass * passes
+		shapeSizes = append(shapeSizes, c-1, c, c+1)
+	}
+	shapeSizes = append(shapeSizes, 0, 1, 2, 1000, forkMin+1)
+	for shape := 0; shape < keyShapes; shape++ {
+		for _, n := range shapeSizes {
+			b := keyShapeRows(rand.New(rand.NewSource(int64(100*shape+n))), n+4, shape)
+			for _, lo := range []int{0, 4} {
+				label := fmt.Sprintf("key shape %d n=%d lo=%d", shape, n, lo)
+				assertSameTree(t, label, Build(keyShapeAttrs(), b, lo, lo+n), referenceBuild(keyShapeAttrs(), b, lo, lo+n))
+			}
+		}
+	}
 	// Few duplicates, so the distinct count actually straddles forkMin.
 	for _, n := range []int{forkMin - 1, forkMin, forkMin + 1, 50000} {
 		if testing.Short() && n > forkMin+1 {
@@ -698,16 +817,26 @@ func TestBuildMatchesReference(t *testing.T) {
 }
 
 // FuzzBuildMatchesReference drives the same differential from fuzzed
-// (seed, size, mode) triples.
+// (seed, size, mode) triples: modes below stressModes draw stressRows, the
+// rest keyShapeRows.
 func FuzzBuildMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(0))
 	f.Add(int64(2), uint16(300), uint8(1))
 	f.Add(int64(3), uint16(300), uint8(2))
 	f.Add(int64(4), uint16(1000), uint8(3))
 	f.Add(int64(5), uint16(1000), uint8(4))
+	for shape := 0; shape < keyShapes; shape++ {
+		f.Add(int64(6+shape), uint16(radixKeysPerPass*(1+shape)), uint8(stressModes+shape))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, mode uint8) {
-		b := stressRows(rand.New(rand.NewSource(seed)), int(n%2048), int(mode%stressModes))
-		assertSameTree(t, "fuzz", buildAll(stressAttrs(), b), referenceBuild(stressAttrs(), b, 0, b.Rows()))
+		rng := rand.New(rand.NewSource(seed))
+		attrs, b := stressAttrs(), (*relation.Block)(nil)
+		if m := int(mode) % (stressModes + keyShapes); m < stressModes {
+			b = stressRows(rng, int(n%2048), m)
+		} else {
+			attrs, b = keyShapeAttrs(), keyShapeRows(rng, int(n%2048), m-stressModes)
+		}
+		assertSameTree(t, "fuzz", buildAll(attrs, b), referenceBuild(attrs, b, 0, b.Rows()))
 	})
 }
 

@@ -124,16 +124,21 @@ func TestColumnBulkOpsMatchPerRow(t *testing.T) {
 // TestBlockHashMatchesTupleHash pins the load-bearing equivalence of the
 // columnar path: HashRow/HashCols fold exactly what Tuple.Hash folds, and
 // the key-equality helpers agree with KeyEqual on the materialised rows, so
-// block-keyed joins key rows as Tuple.Key strings do.
+// block-keyed joins key rows as Tuple.Key strings do. Every other trial
+// draws ints only, so typed int columns (hashed from their payload) occur.
 func TestBlockHashMatchesTupleHash(t *testing.T) {
 	vals := testValues()
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
+		pool := vals
+		if trial%2 == 1 {
+			pool = vals[1:6]
+		}
 		width := 1 + rng.Intn(5)
 		rows := make([]Tuple, 1+rng.Intn(60))
 		b := NewBlock(width)
 		for i := range rows {
-			rows[i] = randTuple(rng, vals, width)
+			rows[i] = randTuple(rng, pool, width)
 			b.AppendTuple(rows[i])
 		}
 		cols := rng.Perm(width)[:1+rng.Intn(width)]

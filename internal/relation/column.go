@@ -454,7 +454,11 @@ func (c *Column) keyEqual(i int, v Value) bool {
 }
 
 // hashInto folds row i's canonical encoding into h, exactly as
-// Value.hashInto would for the reconstructed Value.
+// Value.hashInto would for the reconstructed Value, reading an int payload
+// without nulls straight from its slice.
 func (c *Column) hashInto(i int, h uint64) uint64 {
+	if !c.mixed && c.valid == nil && c.kind == KindInt {
+		return hashUint64((h^'i')*fnvPrime64, uint64(c.ints[i]))
+	}
 	return c.Value(i).hashInto(h)
 }

@@ -33,7 +33,7 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -129,13 +129,14 @@ type brownoutController struct {
 	lat        []time.Duration
 	latIdx     int
 	latFull    bool
+	latSorted  []time.Duration // p95Locked's scratch, as long as lat
 }
 
 // newBrownoutController validates and builds the controller; mode "off" and
 // the pinned digits collapse to a fixed level.
 func newBrownoutController(cfg BrownoutConfig) (*brownoutController, error) {
 	cfg = cfg.withDefaults()
-	b := &brownoutController{cfg: cfg, lat: make([]time.Duration, cfg.Window)}
+	b := &brownoutController{cfg: cfg, lat: make([]time.Duration, cfg.Window), latSorted: make([]time.Duration, cfg.Window)}
 	switch cfg.Mode {
 	case "auto":
 		b.auto = true
@@ -199,7 +200,7 @@ func (b *brownoutController) rejectionPressure(now time.Time) float64 {
 }
 
 // p95Locked computes the 95th-percentile latency of the window (0 until
-// samples exist).
+// samples exist), sorting a copy of the window in the controller's scratch.
 func (b *brownoutController) p95Locked() time.Duration {
 	n := b.latIdx
 	if b.latFull {
@@ -208,9 +209,9 @@ func (b *brownoutController) p95Locked() time.Duration {
 	if n == 0 {
 		return 0
 	}
-	tmp := make([]time.Duration, n)
+	tmp := b.latSorted[:n]
 	copy(tmp, b.lat[:n])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	slices.Sort(tmp)
 	i := n * 95 / 100
 	if i >= n {
 		i = n - 1
@@ -296,8 +297,9 @@ func (s *Server) pressure() float64 {
 }
 
 // currentLevel evaluates the controller against the live signals. Called on
-// every request admission; the work is one mutex hop plus a small sort over
-// the latency window.
+// every request admission; the work is a few mutex hops and a sort of the
+// latency window's samples (Window, default 128) in a reused buffer, which
+// allocates nothing.
 func (s *Server) currentLevel() int {
 	return s.brown.decide(time.Now(), s.pressure())
 }

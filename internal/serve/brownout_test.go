@@ -11,8 +11,10 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -373,5 +375,48 @@ func TestReadiness(t *testing.T) {
 	code, reasons = readyz(s3)
 	if code != http.StatusServiceUnavailable || len(reasons) == 0 || !strings.Contains(reasons[0], "brownout") {
 		t.Fatalf("max-brownout readiness = %d %v, want 503 with a brownout reason", code, reasons)
+	}
+}
+
+// The window's p95 is the sample the sort of a copy of the window puts at
+// index n·95/100 — over full windows and partly filled ones, with ties —
+// and reading it through pressure() allocates nothing.
+func TestBrownoutP95MatchesSort(t *testing.T) {
+	reference := func(window []time.Duration) time.Duration {
+		if len(window) == 0 {
+			return 0
+		}
+		tmp := append([]time.Duration(nil), window...)
+		sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+		return tmp[min(len(tmp)*95/100, len(tmp)-1)]
+	}
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 200; trial++ {
+		b, err := newBrownoutController(BrownoutConfig{Window: 1 + rng.Intn(200)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var window []time.Duration // the samples the window holds
+		for i, n := 0, rng.Intn(3*len(b.lat)); i < n; i++ {
+			d := time.Duration(rng.Intn(50)) * time.Millisecond
+			b.observe(d)
+			window = append(window, d)
+			if len(window) > len(b.lat) {
+				window = window[1:]
+			}
+		}
+		b.mu.Lock()
+		got := b.p95Locked()
+		b.mu.Unlock()
+		if want := reference(window); got != want {
+			t.Fatalf("trial %d (window %d, %d samples): p95 = %v, sort gives %v", trial, len(b.lat), len(window), got, want)
+		}
+	}
+	s := brownoutServer(t, BrownoutConfig{})
+	for i := 0; i < 300; i++ {
+		s.brown.observe(time.Duration(rng.Intn(1000)) * time.Microsecond)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.pressure() }); allocs != 0 {
+		t.Fatalf("pressure() allocates %v times per call, want 0", allocs)
 	}
 }
