@@ -28,128 +28,154 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"strings"
+	"time"
 
 	beas "repro"
 	"repro/internal/workload"
 )
 
 func main() {
-	var (
-		dataset      = flag.String("dataset", "tpch", "dataset: tpch | airca | tfacc")
-		scale        = flag.Int("scale", 1, "dataset scale factor")
-		seed         = flag.Int64("seed", 2017, "generator seed")
-		alpha        = flag.Float64("alpha", 0.01, "resource ratio in (0, 1]")
-		sql          = flag.String("sql", "", "SQL query (required)")
-		exact        = flag.Bool("exact", false, "also compute exact answers and realised accuracy")
-		maxRows      = flag.Int("rows", 20, "max answer rows to print")
-		timeout      = flag.Duration("timeout", 0, "abandon the query after this long (0 = no limit)")
-		explain      = flag.Bool("explain-eta", false, "print the bound-derivation trace behind the reported eta")
-		explainTrace = flag.Bool("explain-trace", false, "print the execution span tree (planning, leaves, fetch steps with their X-values and samples) with timings")
-	)
-	flag.Parse()
-	if *sql == "" {
-		fmt.Fprintln(os.Stderr, "beas: -sql is required")
-		flag.Usage()
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var d *workload.Dataset
-	switch strings.ToLower(*dataset) {
-	case "tpch":
-		d = workload.TPCH(*scale, *seed)
-	case "airca":
-		d = workload.AIRCA(*scale, *seed)
-	case "tfacc":
-		d = workload.TFACC(*scale, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "beas: unknown dataset %q\n", *dataset)
-		os.Exit(2)
+// config is one invocation's query and output options.
+type config struct {
+	seed                         int64
+	alpha                        float64
+	sql                          string
+	rows                         int
+	timeout                      time.Duration
+	exact, explain, explainTrace bool
+}
+
+// run answers one query and returns the exit code: 0 on success, 1 when
+// the query failed, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("beas", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var c config
+	dataset := fs.String("dataset", "tpch", "dataset: tpch | airca | tfacc")
+	scale := fs.Int("scale", 1, "dataset scale factor")
+	fs.Int64Var(&c.seed, "seed", 2017, "generator seed")
+	fs.Float64Var(&c.alpha, "alpha", 0.01, "resource ratio in (0, 1]")
+	fs.StringVar(&c.sql, "sql", "", "SQL query (required)")
+	fs.BoolVar(&c.exact, "exact", false, "also compute exact answers and realised accuracy")
+	fs.IntVar(&c.rows, "rows", 20, "max answer rows to print")
+	fs.DurationVar(&c.timeout, "timeout", 0, "abandon the query after this long (0 = no limit)")
+	fs.BoolVar(&c.explain, "explain-eta", false, "print the bound-derivation trace behind the reported eta")
+	fs.BoolVar(&c.explainTrace, "explain-trace", false, "print the execution span tree (planning, leaves, fetch steps with their X-values and samples) with timings")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	fmt.Printf("dataset %s: |D| = %d tuples across %d relations\n", d.Name, d.DB.Size(), len(d.DB.Names()))
+	if c.sql == "" {
+		fmt.Fprintln(stderr, "beas: -sql is required")
+		fs.Usage()
+		return 2
+	}
+	d, err := workload.ByName(*dataset, *scale)
+	if err != nil {
+		fmt.Fprintln(stderr, "beas:", err)
+		return 2
+	}
+	if err := answer(stdout, d, c); err != nil {
+		fmt.Fprintln(stderr, "beas:", err)
+		return 1
+	}
+	return 0
+}
+
+// answer populates the dataset, answers the query on it and prints the
+// answers, η and what the plan accessed.
+func answer(w io.Writer, d *workload.Dataset, c config) error {
+	if err := d.Populate(c.seed); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "dataset %s: |D| = %d tuples across %d relations\n", d.Name, d.DB.Size(), len(d.DB.Names()))
 
 	as, err := d.AccessSchema()
-	fatal(err)
-	fmt.Printf("access schema: %d ladders (%d templates), index %d tuples (%.2f x |D|)\n",
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "access schema: %d ladders (%d templates), index %d tuples (%.2f x |D|)\n",
 		as.Size(), as.NumTemplates(), as.IndexSize(), float64(as.IndexSize())/float64(d.DB.Size()))
 
 	sys := beas.Open(d.DB, as)
-	q, err := beas.ParseSQL(*sql)
-	fatal(err)
+	q, err := beas.ParseSQL(c.sql)
+	if err != nil {
+		return err
+	}
 
 	// Interrupt cancels the in-flight execution cooperatively; -timeout
 	// additionally bounds it with a context deadline.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if *timeout > 0 {
+	if c.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
 
-	opts := []beas.Option{beas.WithAlpha(*alpha)}
-	if *explain {
+	opts := []beas.Option{beas.WithAlpha(c.alpha)}
+	if c.explain {
 		opts = append(opts, beas.WithExplainEta())
 	}
 	var tr *beas.Trace
-	if *explainTrace {
+	if c.explainTrace {
 		tr = beas.NewTrace()
 		opts = append(opts, beas.WithTrace(tr))
 	}
 	ans, plan, err := sys.Query(ctx, q, opts...)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 
-	fmt.Printf("\nplan: class=%s budget=%d tuples (alpha=%g), generated in %v\n",
-		plan.Class, plan.Budget, *alpha, plan.GenTime)
+	fmt.Fprintf(w, "\nplan: class=%s budget=%d tuples (alpha=%g), generated in %v\n",
+		plan.Class, plan.Budget, c.alpha, plan.GenTime)
 	if ans.Exact {
-		fmt.Println("answers are EXACT (boundedly evaluable within budget)")
+		fmt.Fprintln(w, "answers are EXACT (boundedly evaluable within budget)")
 	} else {
-		fmt.Printf("accuracy lower bound eta = %.4f\n", ans.Eta)
+		fmt.Fprintf(w, "accuracy lower bound eta = %.4f\n", ans.Eta)
 	}
-	fmt.Printf("accessed %d tuples (truncated=%v)\n\n", ans.Stats.Accessed, ans.Stats.Truncated)
+	fmt.Fprintf(w, "accessed %d tuples (truncated=%v)\n\n", ans.Stats.Accessed, ans.Stats.Truncated)
 
-	if *explain {
-		fmt.Println("bound trace:")
-		fmt.Print(ans.Trace)
-		fmt.Println()
+	if c.explain {
+		fmt.Fprintf(w, "bound trace:\n%v\n", ans.Trace)
 	}
-
-	if *explainTrace && tr != nil {
-		fmt.Println("execution trace:")
-		fmt.Print(tr.String())
-		fmt.Println()
+	if c.explainTrace {
+		fmt.Fprintf(w, "execution trace:\n%v\n", tr)
 	}
 
-	printed := 0
-	for _, t := range ans.Rel.Tuples {
-		if printed >= *maxRows {
-			fmt.Printf("... (%d more rows)\n", ans.Rel.Len()-printed)
+	for i, t := range ans.Rel.Tuples {
+		if i >= c.rows {
+			fmt.Fprintf(w, "... (%d more rows)\n", ans.Rel.Len()-i)
 			break
 		}
-		fmt.Println("  ", t)
-		printed++
+		fmt.Fprintln(w, "  ", t)
 	}
 	if ans.Rel.Len() == 0 {
-		fmt.Println("   (no answers)")
+		fmt.Fprintln(w, "   (no answers)")
 	}
 
-	if *exact {
+	if c.exact {
 		ex, err := beas.Exact(d.DB, q)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		rep, err := beas.Accuracy(d.DB, q, ans.Rel)
-		fatal(err)
-		fmt.Printf("\nexact answers: %d rows; realised RC accuracy = %.4f (Frel %.4f, Fcov %.4f)\n",
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\nexact answers: %d rows; realised RC accuracy = %.4f (Frel %.4f, Fcov %.4f)\n",
 			ex.Len(), rep.Accuracy, rep.Frel, rep.Fcov)
 	}
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "beas:", err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -427,16 +427,9 @@ func loadDataset(dataset string, scale int, seed int64) (*beas.Database, func(*b
 			return fixture.SchemaA0(db)
 		}, nil
 	}
-	var d *workload.Dataset
-	switch strings.ToLower(dataset) {
-	case "tpch":
-		d = workload.TPCHSchema(scale)
-	case "airca":
-		d = workload.AIRCASchema(scale)
-	case "tfacc":
-		d = workload.TFACCSchema(scale)
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown dataset %q", dataset)
+	d, err := workload.ByName(dataset, scale)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	populate := func(*beas.Database) error { return d.Populate(seed) }
 	return d.DB, populate, func(*beas.Database) (*beas.AccessSchema, error) {

@@ -7,8 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,49 +20,63 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run writes the dataset and returns the exit code: 0 on success, 1 when
+// generating or writing failed, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dataset = flag.String("dataset", "tpch", "dataset: tpch | airca | tfacc")
-		scale   = flag.Int("scale", 1, "dataset scale factor")
-		seed    = flag.Int64("seed", 2017, "generator seed")
-		out     = flag.String("out", ".", "output directory")
+		dataset = fs.String("dataset", "tpch", "dataset: tpch | airca | tfacc")
+		scale   = fs.Int("scale", 1, "dataset scale factor")
+		seed    = fs.Int64("seed", 2017, "generator seed")
+		out     = fs.String("out", ".", "output directory")
 	)
-	flag.Parse()
-
-	var d *workload.Dataset
-	switch strings.ToLower(*dataset) {
-	case "tpch":
-		d = workload.TPCH(*scale, *seed)
-	case "airca":
-		d = workload.AIRCA(*scale, *seed)
-	case "tfacc":
-		d = workload.TFACC(*scale, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "datagen: unknown dataset %q\n", *dataset)
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	d, err := workload.ByName(*dataset, *scale)
+	if err != nil {
+		fmt.Fprintln(stderr, "datagen:", err)
+		return 2
+	}
+	if err := write(stdout, d, *seed, *out); err != nil {
+		fmt.Fprintln(stderr, "datagen:", err)
+		return 1
+	}
+	return 0
+}
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
+// write populates the dataset and writes one CSV file per relation into
+// dir, named <dataset>_<relation>.csv.
+func write(w io.Writer, d *workload.Dataset, seed int64, dir string) error {
+	if err := d.Populate(seed); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
 	for _, name := range d.DB.Names() {
 		r := d.DB.MustRelation(name)
-		path := filepath.Join(*out, fmt.Sprintf("%s_%s.csv", strings.ToLower(d.Name), name))
+		path := filepath.Join(dir, fmt.Sprintf("%s_%s.csv", strings.ToLower(d.Name), name))
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := relation.WriteCSV(f, r); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("wrote %s (%d rows)\n", path, r.Len())
+		fmt.Fprintf(w, "wrote %s (%d rows)\n", path, r.Len())
 	}
-	fmt.Printf("total |D| = %d tuples\n", d.DB.Size())
+	fmt.Fprintf(w, "total |D| = %d tuples\n", d.DB.Size())
+	return nil
 }

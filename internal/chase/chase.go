@@ -61,6 +61,9 @@ type Step struct {
 // skeleton, plus the bookkeeping the planner and executor need.
 type Result struct {
 	Query *query.SPC
+	// Leaf is Query with every column bound (query.Resolve): the planner,
+	// the bound and the executor read it instead of resolving names.
+	Leaf  *query.Resolved
 	Steps []Step
 	// coveredBy[atom][attr] = index of the covering step.
 	coveredBy []map[string]int
@@ -85,26 +88,6 @@ func (r *Result) UsedAttrs(atom int) []string {
 	out := make([]string, 0, len(r.usedAttrs[atom]))
 	for a := range r.usedAttrs[atom] {
 		out = append(out, a)
-	}
-	return out
-}
-
-// FetchedAttrs returns all attributes of the atom materialised by the fetch
-// plan (the union of X∪Y over its covering steps), in step order.
-func (r *Result) FetchedAttrs(atom int) []string {
-	var out []string
-	seen := map[string]bool{}
-	for si, s := range r.Steps {
-		if s.AtomIdx != atom {
-			continue
-		}
-		_ = si
-		for _, a := range s.Covers {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
 	}
 	return out
 }
@@ -177,7 +160,7 @@ func (r *Result) Tariff(ks []int) int {
 	total := 0
 	for si := range r.Steps {
 		s := &r.Steps[si]
-		tb := r.tBound(si, outBound)
+		tb := r.tBound(s.X, s.Ladder, si, outBound)
 		k := levelOf(s, ks, si)
 		fetch := s.Ladder.FetchBound(k)
 		cost := satMul(tb, fetch)
@@ -187,25 +170,23 @@ func (r *Result) Tariff(ks []int) int {
 	return total
 }
 
-// tBound bounds the number of distinct X-valuations of step si. Sources
-// covered by the same earlier step contribute jointly (they are correlated
-// columns of one fetched relation); independent sources multiply. The
-// ladder's group count caps everything: T only ranges over indexed X-values.
-func (r *Result) tBound(si int, outBound []int) int {
-	s := &r.Steps[si]
-	if len(s.X) == 0 {
-		return 1
-	}
+// tBound bounds the number of distinct X-valuations of a step with
+// sources xs on ladder l that runs after the first n steps, whose output
+// bounds are outBound. Sources covered by the same earlier step contribute
+// jointly (they are correlated columns of one fetched relation);
+// independent sources multiply. The ladder's group count caps everything:
+// T only ranges over indexed X-values.
+func (r *Result) tBound(xs []Source, l *access.Ladder, n int, outBound []int) int {
 	perStep := map[int]bool{}
 	bound := 1
-	for _, src := range s.X {
+	for _, src := range xs {
 		if src.IsConst {
 			continue
 		}
 		cs := r.CoveredBy(src.AtomIdx, src.Attr)
-		if cs < 0 || cs >= si {
+		if cs < 0 || cs >= n {
 			// Defensive: unresolvable source, assume the cap.
-			return maxInt(1, s.Ladder.NumGroups())
+			return maxInt(1, l.NumGroups())
 		}
 		if perStep[cs] {
 			continue // joint with a column already counted
@@ -213,7 +194,7 @@ func (r *Result) tBound(si int, outBound []int) int {
 		perStep[cs] = true
 		bound = satMul(bound, maxInt(1, outBound[cs]))
 	}
-	if g := s.Ladder.NumGroups(); g > 0 && bound > g {
+	if g := l.NumGroups(); g > 0 && bound > g {
 		bound = g
 	}
 	return bound
@@ -272,7 +253,6 @@ const (
 type chaser struct {
 	q       *query.SPC
 	schema  *access.Schema
-	src     query.SchemaSource
 	budget  int
 	parent  map[query.Col]query.Col
 	classes map[query.Col]*classInfo
@@ -284,18 +264,19 @@ type chaser struct {
 // with budget B = α|D|, and derives the fetch-plan skeleton (Lemma 4: under
 // A ⊇ At it always terminates with every atom covered).
 func Chase(q *query.SPC, as *access.Schema, src query.SchemaSource, budget int) (*Result, error) {
-	if err := query.Validate(q, src); err != nil {
+	leaf, err := query.Resolve(q, src)
+	if err != nil {
 		return nil, err
 	}
 	c := &chaser{
 		q:       q,
 		schema:  as,
-		src:     src,
 		budget:  budget,
 		parent:  make(map[query.Col]query.Col),
 		classes: make(map[query.Col]*classInfo),
 		res: &Result{
 			Query:     q,
+			Leaf:      leaf,
 			coveredBy: make([]map[string]int, len(q.Atoms)),
 			usedAttrs: make([]map[string]bool, len(q.Atoms)),
 		},
@@ -304,22 +285,12 @@ func Chase(q *query.SPC, as *access.Schema, src query.SchemaSource, budget int) 
 		c.res.coveredBy[i] = make(map[string]int)
 		c.res.usedAttrs[i] = make(map[string]bool)
 	}
-	if err := c.init(); err != nil {
-		return nil, err
-	}
+	c.init()
 	if err := c.run(); err != nil {
 		return nil, err
 	}
 	c.res.AllExact = c.allExact()
 	return c.res, nil
-}
-
-func (c *chaser) aliasToIdx() map[string]int {
-	m := make(map[string]int, len(c.q.Atoms))
-	for i, a := range c.q.Atoms {
-		m[a.Name()] = i
-	}
-	return m
 }
 
 func (c *chaser) find(col query.Col) query.Col {
@@ -357,33 +328,26 @@ func (c *chaser) info(root query.Col) *classInfo {
 	return ci
 }
 
-func (c *chaser) init() error {
-	aliasIdx := c.aliasToIdx()
+func (c *chaser) init() {
+	leaf := c.res.Leaf
 	// Used attributes: predicates and output.
-	mark := func(col query.Col) {
-		if i, ok := aliasIdx[col.Rel]; ok {
-			c.res.usedAttrs[i][col.Attr] = true
-		}
+	mark := func(b query.Binding) {
+		c.res.usedAttrs[b.Atom][b.Attr.Name] = true
 	}
-	for _, p := range c.q.Preds {
-		mark(p.Left)
+	for pi, p := range c.q.Preds {
+		mark(leaf.Preds[pi].Left)
 		if p.Join {
-			mark(p.Right)
+			mark(leaf.Preds[pi].Right)
 		}
 	}
-	outCols, err := query.OutputCols(c.q, c.src)
-	if err != nil {
-		return err
-	}
-	for _, col := range outCols {
-		mark(col)
+	for _, b := range leaf.Output {
+		mark(b)
 	}
 	for i := range c.q.Atoms {
 		if len(c.res.usedAttrs[i]) == 0 {
 			// Pure existence atom: track its first attribute so the
 			// fetch plan materialises something to cross-product with.
-			r, _ := c.src.Relation(c.q.Atoms[i].Rel)
-			c.res.usedAttrs[i][r.Schema.Attrs[0].Name] = true
+			c.res.usedAttrs[i][leaf.Bases[i].Attrs[0].Name] = true
 		}
 	}
 	// Equivalence classes: equality joins unify, constants bind.
@@ -401,7 +365,6 @@ func (c *chaser) init() error {
 			ci.site = Source{IsConst: true, Const: p.Const}
 		}
 	}
-	return nil
 }
 
 // candidate is one applicable chase step under consideration.
@@ -426,8 +389,6 @@ type candidate struct {
 }
 
 func (c *chaser) run() error {
-	aliasIdx := c.aliasToIdx()
-	_ = aliasIdx
 	maxSteps := 4 * (len(c.q.Atoms) + 1) * (c.schema.Size() + 4)
 	for iter := 0; iter < maxSteps; iter++ {
 		if c.done() {
@@ -547,7 +508,7 @@ func (c *chaser) tryLadder(ai int, l *access.Ladder) *candidate {
 		}
 	}
 	// New coverage.
-	rel, _ := c.src.Relation(c.q.Atoms[ai].Rel)
+	base := c.res.Leaf.Bases[ai]
 	inX := make(map[string]bool, len(l.X))
 	for _, x := range l.X {
 		inX[x] = true
@@ -569,7 +530,7 @@ func (c *chaser) tryLadder(ai int, l *access.Ladder) *candidate {
 			// X attributes inherit the (typically exact) source
 			// resolution; Y attributes only become usefully
 			// approximate when their distance is bounded.
-			if inX[attr] || rel.Schema.Attrs[rel.Schema.MustIndex(attr)].Dist.Bounded() {
+			if inX[attr] || base.Attrs[base.MustIndex(attr)].Dist.Bounded() {
 				usefulTemplate++
 			}
 		}
@@ -627,29 +588,9 @@ func (c *chaser) stepTBound(xs []Source, l *access.Ladder) int {
 	outBound := make([]int, len(c.res.Steps))
 	for si := range c.res.Steps {
 		s := &c.res.Steps[si]
-		tb := c.res.tBound(si, outBound)
-		outBound[si] = satMul(tb, s.Ladder.FetchBound(s.K))
+		outBound[si] = satMul(c.res.tBound(s.X, s.Ladder, si, outBound), s.Ladder.FetchBound(s.K))
 	}
-	bound := 1
-	perStep := map[int]bool{}
-	for _, src := range xs {
-		if src.IsConst {
-			continue
-		}
-		cs := c.res.CoveredBy(src.AtomIdx, src.Attr)
-		if cs < 0 {
-			return maxInt(1, l.NumGroups())
-		}
-		if perStep[cs] {
-			continue
-		}
-		perStep[cs] = true
-		bound = satMul(bound, maxInt(1, outBound[cs]))
-	}
-	if g := l.NumGroups(); g > 0 && bound > g {
-		bound = g
-	}
-	return bound
+	return c.res.tBound(xs, l, len(outBound), outBound)
 }
 
 func (c *chaser) apply(cand *candidate) {

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/access"
@@ -105,14 +106,12 @@ func TestChaseCoverage(t *testing.T) {
 			}
 		}
 	}
-	// FetchedAttrs includes all used attrs.
+	// Every used attribute is fetched by its covering step: a step on the
+	// same atom whose Covers lists it.
 	for ai := range q.Atoms {
-		fetched := map[string]bool{}
-		for _, a := range res.FetchedAttrs(ai) {
-			fetched[a] = true
-		}
 		for _, a := range res.UsedAttrs(ai) {
-			if !fetched[a] {
+			si := res.CoveredBy(ai, a)
+			if si < 0 || res.Steps[si].AtomIdx != ai || !slices.Contains(res.Steps[si].Covers, a) {
 				t.Errorf("atom %d: used attr %s not fetched", ai, a)
 			}
 		}

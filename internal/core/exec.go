@@ -535,37 +535,28 @@ func (s *Scheme) sideExact(p *Plan, e query.Expr) bool {
 }
 
 // dangerousDistances computes δ(A) per output attribute of the expression:
-// the worst fetch resolution of that column across the leaves.
+// the worst fetch resolution of that column across the leaves. The
+// expression has no group-by, so its output attributes are those of its
+// first leaf.
 func (s *Scheme) dangerousDistances(p *Plan, e query.Expr) ([]float64, []relation.Attribute, error) {
-	sch, err := query.OutputSchema(e, s.db)
-	if err != nil {
-		return nil, nil, err
-	}
-	delta := make([]float64, sch.Arity())
+	var delta []float64
+	var attrs []relation.Attribute
 	for _, leaf := range query.SPCLeaves(e) {
 		li := p.leafIndex(leaf)
 		if li < 0 {
-			continue
+			return nil, nil, fmt.Errorf("core: leaf not planned")
 		}
-		lp := p.Leaves[li]
-		aliasIdx := make(map[string]int, len(leaf.Atoms))
-		for i, a := range leaf.Atoms {
-			aliasIdx[a.Name()] = i
+		b := p.Leaves[li].Bounded
+		if attrs == nil {
+			attrs = b.Chase.Leaf.Schema.Attrs
+			delta = make([]float64, len(attrs))
 		}
-		outCols, err := query.OutputCols(leaf, s.db)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i, col := range outCols {
-			if i >= len(delta) {
-				break
-			}
-			if r := lp.Bounded.ResolutionOf(aliasIdx[col.Rel], col.Attr); r > delta[i] {
-				delta[i] = r
-			}
+		// Validation gave every leaf of e the same arity.
+		for i, col := range b.Chase.Leaf.Output {
+			delta[i] = max(delta[i], b.ResolutionOf(col.Atom, col.Attr.Name))
 		}
 	}
-	return delta, sch.Attrs, nil
+	return delta, attrs, nil
 }
 
 // combineGroupBy aggregates over the child. When the child is a single SPC
@@ -574,10 +565,6 @@ func (s *Scheme) dangerousDistances(p *Plan, e query.Expr) ([]float64, []relatio
 // weights are no longer derivable and rows count once (documented
 // approximation).
 func (s *Scheme) combineGroupBy(p *Plan, q *query.GroupBy, results []*plan.Result) (*relation.Relation, error) {
-	sch, err := query.OutputSchema(q, s.db)
-	if err != nil {
-		return nil, err
-	}
 	var rows *relation.Relation
 	var weights []int
 	if leaf, ok := q.In.(*query.SPC); ok {
@@ -595,19 +582,6 @@ func (s *Scheme) combineGroupBy(p *Plan, q *query.GroupBy, results []*plan.Resul
 			weights[i] = 1
 		}
 	}
-	childSchema := rows.Schema
-	keyIdx := make([]int, len(q.Keys))
-	for i, k := range q.Keys {
-		j, ok := childSchema.Index(k.Name())
-		if !ok {
-			return nil, fmt.Errorf("core: group-by key %s missing", k)
-		}
-		keyIdx[i] = j
-	}
-	onIdx, ok := childSchema.Index(q.On.Name())
-	if !ok {
-		return nil, fmt.Errorf("core: aggregate column %s missing", q.On)
-	}
 
 	type groupAgg struct {
 		key      relation.Tuple
@@ -619,14 +593,14 @@ func (s *Scheme) combineGroupBy(p *Plan, q *query.GroupBy, results []*plan.Resul
 	var byKey relation.ProbeTable
 	var groups []groupAgg
 	for ri, t := range rows.Tuples {
-		key := t.Project(keyIdx)
+		key := t.Project(p.keyIdx)
 		gi, added := byKey.Insert(key.Hash(), func(p int) bool { return groups[p].key.KeyEqual(key) })
 		if added {
 			groups = append(groups, groupAgg{key: key})
 		}
 		g := &groups[gi]
 		w := weights[ri]
-		v := t[onIdx]
+		v := t[p.onIdx]
 		g.count += w
 		if f, okF := v.AsFloat(); okF {
 			g.sum += f * float64(w)
@@ -645,7 +619,7 @@ func (s *Scheme) combineGroupBy(p *Plan, q *query.GroupBy, results []*plan.Resul
 		}
 	}
 
-	out := relation.NewRelation(sch)
+	out := relation.NewRelation(p.schema)
 	for _, g := range groups {
 		var agg relation.Value
 		switch q.Agg {

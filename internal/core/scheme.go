@@ -233,6 +233,13 @@ type Plan struct {
 	// cache instead of regenerating it. It is set on a per-call copy of the
 	// plan header, so cached plans stay immutable under concurrency.
 	CacheHit bool
+
+	// schema is Expr's output schema, computed once by validation. For a
+	// group-by, keyIdx and onIdx place its keys and its aggregated column
+	// in the child's output, whose columns are those of the first leaf.
+	schema *relation.Schema
+	keyIdx []int
+	onIdx  int
 }
 
 // leafIndex returns the index in p.Leaves of the leaf planned for q, or -1
@@ -321,14 +328,15 @@ func (s *Scheme) resolveBudget(o ExecOptions) (float64, int, error) {
 
 func (s *Scheme) generateWithBudget(ctx context.Context, e query.Expr, alpha float64, budget int) (*Plan, error) {
 	start := time.Now()
-	if err := query.Validate(e, s.db); err != nil {
+	sch, err := query.Validate(e, s.db)
+	if err != nil {
 		return nil, err
 	}
 	leaves := distinctLeaves(query.SPCLeaves(e))
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("core: query has no SPC leaves")
 	}
-	p := &Plan{Expr: e, Class: query.Classify(e), Alpha: alpha, Budget: budget}
+	p := &Plan{Expr: e, Class: query.Classify(e), Alpha: alpha, Budget: budget, schema: sch}
 
 	// Step 1 (BEAS_SPC / BEAS_RA): chase every max SPC sub-query into an
 	// initial bounded plan, sharing the budget evenly for constraint
@@ -343,6 +351,14 @@ func (s *Scheme) generateWithBudget(ctx context.Context, e query.Expr, alpha flo
 			return nil, err
 		}
 		p.Leaves = append(p.Leaves, &LeafPlan{SPC: leaf, Bounded: plan.NewBounded(res, budget)})
+	}
+
+	if g, ok := e.(*query.GroupBy); ok {
+		child := p.Leaves[0].Bounded.Chase.Leaf.Schema
+		for _, k := range g.Keys {
+			p.keyIdx = append(p.keyIdx, child.MustIndex(k.Name()))
+		}
+		p.onIdx = child.MustIndex(g.On.Name())
 	}
 
 	// Step 2: chAT — upgrade access-template levels to maximise accuracy
@@ -441,7 +457,6 @@ func (s *Scheme) chAT(p *Plan) {
 
 		var best *upgrade
 		bestD, bestRes := curD, curRes
-		improved := false
 		for li, l := range p.Leaves {
 			for si := range l.Bounded.Chase.Steps {
 				st := &l.Bounded.Chase.Steps[si]
@@ -453,16 +468,13 @@ func (s *Scheme) chAT(p *Plan) {
 					dRel, dCov := s.planBound(p, p.Expr)
 					d := math.Max(dRel, dCov)
 					res := s.totalResolution(p)
-					if betterBound(d, res, bestD, bestRes) || (!improved && best == nil) {
-						// Any affordable upgrade is acceptable; a
-						// bound-improving one is preferred.
-						if betterBound(d, res, bestD, bestRes) {
-							bestD, bestRes = d, res
-							best = &upgrade{li, si}
-							improved = true
-						} else if best == nil {
-							best = &upgrade{li, si}
-						}
+					// Any affordable upgrade is acceptable; a
+					// bound-improving one is preferred.
+					if betterBound(d, res, bestD, bestRes) {
+						bestD, bestRes = d, res
+						best = &upgrade{li, si}
+					} else if best == nil {
+						best = &upgrade{li, si}
 					}
 				}
 				l.Bounded.Ks[si]--
@@ -550,40 +562,39 @@ func (s *Scheme) boundRec(p *Plan, e query.Expr, planning bool, tr *BoundTrace) 
 	case *query.Union:
 		lr, lc := s.boundRec(p, q.L, planning, tr)
 		rr, rc := s.boundRec(p, q.R, planning, tr)
-		tr.add(BoundStep{
-			Rule: RuleUnionMax, Leaf: -1, Subject: "union",
-			Inputs: []float64{lr, lc, rr, rc},
-			DRel:   math.Max(lr, rr), DCov: math.Max(lc, rc), Eta: -1,
-			Note: "union takes the component-wise max of both sides' bounds",
-		})
+		if tr != nil {
+			tr.add(BoundStep{
+				Rule: RuleUnionMax, Leaf: -1, Subject: "union",
+				Inputs: []float64{lr, lc, rr, rc},
+				DRel:   math.Max(lr, rr), DCov: math.Max(lc, rc), Eta: -1,
+				Note: "union takes the component-wise max of both sides' bounds",
+			})
+		}
 		return math.Max(lr, rr), math.Max(lc, rc)
 	case *query.Diff:
 		dr, dc := s.boundRec(p, q.L, planning, tr)
-		tr.add(BoundStep{
-			Rule: RuleDiffLeft, Leaf: -1, Subject: "difference",
-			Inputs: []float64{dr, dc}, DRel: dr, DCov: dc, Eta: -1,
-			Note: "difference uses Q1's bounds; execution refines them into eta' (§6)",
-		})
+		if tr != nil {
+			tr.add(BoundStep{
+				Rule: RuleDiffLeft, Leaf: -1, Subject: "difference",
+				Inputs: []float64{dr, dc}, DRel: dr, DCov: dc, Eta: -1,
+				Note: "difference uses Q1's bounds; execution refines them into eta' (§6)",
+			})
+		}
 		return dr, dc
 	case *query.GroupBy:
 		dr, dc := s.boundRec(p, q.In, planning, tr)
 		if tr != nil {
-			switch q.Agg {
-			case query.AggMin, query.AggMax:
-				tr.add(BoundStep{
-					Rule: RuleGroupByMinMax, Leaf: -1,
-					Subject: fmt.Sprintf("%s(%s) by %s", q.Agg, q.On.String(), renderCols(q.Keys)),
-					Inputs:  []float64{dr, dc}, Eta: -1,
-					Note: "min/max group-by inherits the child's bounds unchanged (Corollary 7)",
-				})
-			default:
-				tr.add(BoundStep{
-					Rule: RuleGroupByDataDep, Leaf: -1,
-					Subject: fmt.Sprintf("%s(%s) by %s", q.Agg, q.On.String(), renderCols(q.Keys)),
-					Inputs:  []float64{dr, dc}, Eta: 0,
-					Note: "sum/count/avg value error is data-dependent; no deterministic bound, eta = 0",
-				})
+			st := BoundStep{
+				Rule: RuleGroupByDataDep, Leaf: -1,
+				Subject: fmt.Sprintf("%s(%s) by %s", q.Agg, q.On.String(), renderCols(q.Keys)),
+				Inputs:  []float64{dr, dc}, Eta: 0,
+				Note: "sum/count/avg value error is data-dependent; no deterministic bound, eta = 0",
 			}
+			if q.Agg == query.AggMin || q.Agg == query.AggMax {
+				st.Rule, st.Eta = RuleGroupByMinMax, -1
+				st.Note = "min/max group-by inherits the child's bounds unchanged (Corollary 7)"
+			}
+			tr.add(st)
 		}
 		return dr, dc
 	default:
@@ -636,83 +647,82 @@ func (s *Scheme) leafBound(p *Plan, q *query.SPC, planning bool, tr *BoundTrace)
 	}
 	lp := p.Leaves[leafIdx]
 	c := lp.Bounded.Chase
-	aliasIdx := make(map[string]int, len(q.Atoms))
-	for i, a := range q.Atoms {
-		aliasIdx[a.Name()] = i
+	res := func(b query.Binding) float64 {
+		return lp.Bounded.ResolutionOf(b.Atom, b.Attr.Name)
 	}
-	res := func(col query.Col) float64 {
-		return lp.Bounded.ResolutionOf(aliasIdx[col.Rel], col.Attr)
-	}
-	outCols, err := query.OutputCols(q, s.db)
-	if err != nil {
-		return math.Inf(1), math.Inf(1)
-	}
-	for _, col := range outCols {
-		r := res(col)
+	for _, b := range c.Leaf.Output {
+		r := res(b)
 		if r > dcov {
 			dcov = r
 		}
-		tr.add(BoundStep{
-			Rule: RuleOutputResolution, Leaf: leafIdx, Subject: col.String(),
-			Inputs: []float64{r}, DCov: r, Eta: -1,
-			Note: "coverage is bounded by the worst output-column fetch resolution",
-		})
+		if tr != nil {
+			tr.add(BoundStep{
+				Rule: RuleOutputResolution, Leaf: leafIdx, Subject: b.Col.String(),
+				Inputs: []float64{r}, DCov: r, Eta: -1,
+				Note: "coverage is bounded by the worst output-column fetch resolution",
+			})
+		}
 	}
-	for _, pd := range q.Preds {
+	for pi, pd := range q.Preds {
+		pb := c.Leaf.Preds[pi]
 		if pd.Join {
-			rl, rr := res(pd.Left), res(pd.Right)
+			rl, rr := res(pb.Left), res(pb.Right)
 			half := (rl + rr) / 2
-			subject := pd.Left.String() + " " + pd.Op.String() + " " + pd.Right.String()
 			if math.IsInf(half, 1) {
 				// Exactly-enforced join: no relevance contribution, but
 				// coverage is void unless the fetch correlates the sides.
-				tr.add(BoundStep{
-					Rule: RuleJoinExactEnforced, Leaf: leafIdx, Subject: subject,
-					Inputs: []float64{rl, rr}, Eta: -1,
-					Note: "infinite tolerance: the executor enforces this join exactly, so it admits nothing spurious",
-				})
-				if joinFetchCorrelated(c, aliasIdx, pd) {
+				correlated := joinFetchCorrelated(c, pb)
+				if !correlated && !planning {
+					dcov = math.Inf(1)
+				}
+				if tr != nil {
+					subject := pd.Left.String() + " " + pd.Op.String() + " " + pd.Right.String()
 					tr.add(BoundStep{
+						Rule: RuleJoinExactEnforced, Leaf: leafIdx, Subject: subject,
+						Inputs: []float64{rl, rr}, Eta: -1,
+						Note: "infinite tolerance: the executor enforces this join exactly, so it admits nothing spurious",
+					})
+					st := BoundStep{
 						Rule: RuleJoinFetchCorrelated, Leaf: leafIdx, Subject: subject,
 						Inputs: []float64{rl, rr}, Eta: -1,
 						Note: "one side's fetch draws its X values from the other side's rows, so every fetched row has a fetched join partner: coverage survives",
-					})
-				} else {
-					if !planning {
-						dcov = math.Inf(1)
 					}
-					tr.add(BoundStep{
-						Rule: RuleJoinCoverageVoid, Leaf: leafIdx, Subject: subject,
-						Inputs: []float64{rl, rr}, DCov: math.Inf(1), Eta: -1,
-						Note: "covering samples carry arbitrary values on an unbounded-resolution join column and need not survive the exact join: coverage bound void",
-					})
+					if !correlated {
+						st.Rule, st.DCov = RuleJoinCoverageVoid, math.Inf(1)
+						st.Note = "covering samples carry arbitrary values on an unbounded-resolution join column and need not survive the exact join: coverage bound void"
+					}
+					tr.add(st)
 				}
 				continue
 			}
 			if half > drel {
 				drel = half
 			}
-			tr.add(BoundStep{
-				Rule: RuleJoinHalfSum, Leaf: leafIdx, Subject: subject,
-				Inputs: []float64{rl, rr}, DRel: half, Eta: -1,
-				Note: "join relaxed to dis(left,right) <= res(left)+res(right); Violation reports half the distance",
-			})
+			if tr != nil {
+				tr.add(BoundStep{
+					Rule: RuleJoinHalfSum, Leaf: leafIdx, Subject: pd.Left.String() + " " + pd.Op.String() + " " + pd.Right.String(),
+					Inputs: []float64{rl, rr}, DRel: half, Eta: -1,
+					Note: "join relaxed to dis(left,right) <= res(left)+res(right); Violation reports half the distance",
+				})
+			}
 			continue
 		}
-		r := res(pd.Left)
+		r := res(pb.Left)
 		if r > drel {
 			drel = r
 		}
-		rule := RuleConstRelaxation
-		note := "constant predicate relaxed by the attribute's fetch resolution"
-		if math.IsInf(r, 1) {
-			rule = RuleConstUnbounded
-			note = "attribute fetched with unbounded resolution: the predicate cannot be filtered, relevance bound void"
+		if tr != nil {
+			rule := RuleConstRelaxation
+			note := "constant predicate relaxed by the attribute's fetch resolution"
+			if math.IsInf(r, 1) {
+				rule = RuleConstUnbounded
+				note = "attribute fetched with unbounded resolution: the predicate cannot be filtered, relevance bound void"
+			}
+			tr.add(BoundStep{
+				Rule: rule, Leaf: leafIdx, Subject: pd.Left.String() + " " + pd.Op.String() + " const",
+				Inputs: []float64{r}, DRel: r, Eta: -1, Note: note,
+			})
 		}
-		tr.add(BoundStep{
-			Rule: rule, Leaf: leafIdx, Subject: pd.Left.String() + " " + pd.Op.String() + " const",
-			Inputs: []float64{r}, DRel: r, Eta: -1, Note: note,
-		})
 	}
 	return drel, dcov
 }
@@ -724,9 +734,10 @@ func (s *Scheme) leafBound(p *Plan, q *query.SPC, planning bool, tr *BoundTrace)
 // values drawn from the source side's fetched rows, so the exactly
 // enforced join always finds the fetched partner and the coverage
 // argument goes through despite the infinite tolerance.
-func joinFetchCorrelated(c *chase.Result, aliasIdx map[string]int, pd query.Pred) bool {
-	return xSourcedFrom(c, aliasIdx[pd.Right.Rel], pd.Right.Attr, aliasIdx[pd.Left.Rel], pd.Left.Attr) ||
-		xSourcedFrom(c, aliasIdx[pd.Left.Rel], pd.Left.Attr, aliasIdx[pd.Right.Rel], pd.Right.Attr)
+func joinFetchCorrelated(c *chase.Result, pb query.PredBinding) bool {
+	l, r := pb.Left, pb.Right
+	return xSourcedFrom(c, r.Atom, r.Attr.Name, l.Atom, l.Attr.Name) ||
+		xSourcedFrom(c, l.Atom, l.Attr.Name, r.Atom, r.Attr.Name)
 }
 
 // xSourcedFrom reports whether (atom, attr) is covered by a non-chimeric

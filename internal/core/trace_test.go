@@ -4,7 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/corpus"
+	"repro/internal/fixture"
 	"repro/internal/obs"
+	"repro/internal/query"
 )
 
 // A traced run attributes every batch to its fetch step: each fetch_step
@@ -49,4 +52,35 @@ func TestFetchStepSpansCarryBatch(t *testing.T) {
 	if steps == 0 {
 		t.Fatalf("traced run has no fetch_step span\n%s", opt.Trace)
 	}
+}
+
+// chAT's objective builds no trace: planBound over every plan of the
+// corpus allocates nothing, and agrees with a traced bound run in
+// planning mode.
+func TestPlanBoundAllocatesNothing(t *testing.T) {
+	db := fixture.Example1(7, 120, 80)
+	as, err := fixture.SchemaA0(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db, as)
+	plans := 0
+	for ci, c := range corpus.Default() {
+		p, err := s.PlanContext(context.Background(), c.Query, ExecOptions{Alpha: c.Alpha})
+		if err != nil {
+			continue // the planner rejects the case; nothing to bound
+		}
+		plans++
+		drel, dcov := s.planBound(p, p.Expr)
+		if tr, tc := s.boundRec(p, p.Expr, true, &BoundTrace{}); tr != drel || tc != dcov {
+			t.Fatalf("case %d: untraced bound (%g, %g), traced (%g, %g)", ci, drel, dcov, tr, tc)
+		}
+		if n := testing.AllocsPerRun(10, func() { s.planBound(p, p.Expr) }); n != 0 {
+			t.Fatalf("case %d: planBound allocates %v times per call\n%s", ci, n, query.Render(p.Expr))
+		}
+	}
+	if plans == 0 {
+		t.Fatal("no corpus case plans; the pin is vacuous")
+	}
+	t.Logf("%d corpus plans", plans)
 }

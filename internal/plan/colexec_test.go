@@ -43,7 +43,11 @@ func pidStep(t testing.TB, db *relation.Database, as *access.Schema, pids []rela
 	}
 	prefix := relation.MustSchema("p", db.MustRelation("person").Schema.Attrs[0])
 	s := &chase.Step{Ladder: l, K: l.MaxK(), X: []chase.Source{{Attr: "pid"}}}
-	sl, err := buildStepLayout(q, db, []*relation.Schema{prefix}, s, 0, map[string]bool{"pid": true, "city": true})
+	leaf, err := query.Resolve(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := buildStepLayout(leaf, []*relation.Schema{prefix}, s, 0, map[string]bool{"pid": true, "city": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestEvaluateAllocsGrowOnlyWithSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := NewBounded(mustChase(t, q, as, db, db.Size()), db.Size())
-		lay, err := p.layoutFor(db)
+		lay, err := p.layoutFor()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +230,7 @@ func TestExecuteWarmBytes(t *testing.T) {
 		f.xs = 0
 		runtime.ReadMemStats(&before)
 		var err error
-		res, err = executeOn(ctx, p, db, o, sc)
+		res, err = executeOn(ctx, p, o, sc)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -266,7 +270,7 @@ func TestOversizedScratchIsNotPooled(t *testing.T) {
 	db, as := setup(t)
 	p := NewBounded(mustChase(t, fixture.Q1(3, 200), as, db, db.Size()), db.Size())
 	sc := new(runScratch)
-	if _, err := executeOn(context.Background(), p, db, ExecOpts{Budget: p.Budget}, sc); err != nil {
+	if _, err := executeOn(context.Background(), p, ExecOpts{Budget: p.Budget}, sc); err != nil {
 		t.Fatal(err)
 	}
 	putScratch(sc)

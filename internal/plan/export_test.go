@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/relation"
@@ -13,7 +14,9 @@ type Scratch = runScratch
 func NewScratch() *Scratch { return new(runScratch) }
 
 // ExecuteOn is ExecuteOpts on sc instead of a pooled scratch.
-var ExecuteOn = executeOn
+func ExecuteOn(ctx context.Context, p *Bounded, db *relation.Database, o ExecOpts, sc *Scratch) (*Result, error) {
+	return executeOn(ctx, p, o, sc)
+}
 
 // Poison overwrites every buffer of the scratch, to its full capacity,
 // with sentinel values: whatever an earlier run's answer still shared with

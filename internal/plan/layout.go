@@ -124,27 +124,25 @@ type evalLayout struct {
 // layout returns the plan's precompiled layout, building it on first use.
 // Layouts depend only on the chase result (never on Ks or the budget), so
 // one layout serves every execution of the plan, concurrent ones included.
-func (p *Bounded) layoutFor(db *relation.Database) (*planLayout, error) {
+func (p *Bounded) layoutFor() (*planLayout, error) {
 	p.layoutOnce.Do(func() {
-		p.layout, p.layoutErr = buildLayout(p, db)
+		p.layout, p.layoutErr = buildLayout(p)
 	})
 	return p.layout, p.layoutErr
 }
 
 // buildLayout simulates the plan's fetch steps and compiles its evaluation
-// over the final schemas. A plan that leaves an atom without a fetch step,
-// or never fetches a column the query needs, is rejected here, before any
-// run.
-func buildLayout(p *Bounded, db *relation.Database) (*planLayout, error) {
-	q := p.Chase.Query
-	read, err := readColumns(q, db, p.Chase.Steps)
-	if err != nil {
-		return nil, err
-	}
+// over the final schemas, reading every column binding from the chase's
+// resolved leaf. A plan that leaves an atom without a fetch step, or never
+// fetches a column the query needs, is rejected here, before any run.
+func buildLayout(p *Bounded) (*planLayout, error) {
+	leaf := p.Chase.Leaf
+	q := leaf.Q
+	read := readColumns(leaf, p.Chase.Steps)
 	lay := &planLayout{finalSchema: make([]*relation.Schema, len(q.Atoms))}
 	for si := range p.Chase.Steps {
 		s := &p.Chase.Steps[si]
-		sl, err := buildStepLayout(q, db, lay.finalSchema, s, si, read[s.AtomIdx])
+		sl, err := buildStepLayout(leaf, lay.finalSchema, s, si, read[s.AtomIdx])
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +154,7 @@ func buildLayout(p *Bounded, db *relation.Database) (*planLayout, error) {
 			return nil, fmt.Errorf("plan: atom %s has no fetch step", q.Atoms[ai].Name())
 		}
 	}
-	ev, err := buildEvalLayout(q, db, lay.finalSchema)
+	ev, err := buildEvalLayout(leaf, lay.finalSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -169,30 +167,23 @@ func buildLayout(p *Bounded, db *relation.Database) (*planLayout, error) {
 // a step reads as an external X source; and every ladder-X attribute that
 // a step finds among the X and Y attributes earlier steps fetched on its
 // own atom, so that position keeps reading the row's own value (xOwn).
-func readColumns(q *query.SPC, db *relation.Database, steps []chase.Step) ([]map[string]bool, error) {
+func readColumns(leaf *query.Resolved, steps []chase.Step) []map[string]bool {
+	q := leaf.Q
 	read := make([]map[string]bool, len(q.Atoms))
-	aliasIdx := make(map[string]int, len(q.Atoms))
-	for i, a := range q.Atoms {
+	for i := range q.Atoms {
 		read[i] = map[string]bool{}
-		aliasIdx[a.Name()] = i
 	}
-	mark := func(c query.Col) {
-		if ai, ok := aliasIdx[c.Rel]; ok {
-			read[ai][c.Attr] = true
-		}
+	mark := func(b query.Binding) {
+		read[b.Atom][b.Attr.Name] = true
 	}
-	for _, pd := range q.Preds {
-		mark(pd.Left)
+	for pi, pd := range q.Preds {
+		mark(leaf.Preds[pi].Left)
 		if pd.Join {
-			mark(pd.Right)
+			mark(leaf.Preds[pi].Right)
 		}
 	}
-	outCols, err := query.OutputCols(q, db)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range outCols {
-		mark(c)
+	for _, b := range leaf.Output {
+		mark(b)
 	}
 	// fetched[ai] holds every X and Y attribute the atom's steps so far
 	// fetched: what its schema would hold if nothing were trimmed.
@@ -218,14 +209,14 @@ func readColumns(q *query.SPC, db *relation.Database, steps []chase.Step) ([]map
 			fetched[ai][a] = true
 		}
 	}
-	return read, nil
+	return read
 }
 
 // buildStepLayout simulates one fetch step against the current schemas;
 // the step adds the attributes of read it fetches that the atom lacks.
-func buildStepLayout(q *query.SPC, db *relation.Database, cur []*relation.Schema, s *chase.Step, si int, read map[string]bool) (*stepLayout, error) {
+func buildStepLayout(leaf *query.Resolved, cur []*relation.Schema, s *chase.Step, si int, read map[string]bool) (*stepLayout, error) {
 	ai := s.AtomIdx
-	base := db.MustRelation(q.Atoms[ai].Rel)
+	base := leaf.Bases[ai]
 	curS := cur[ai]
 	ladderX, ladderY := s.Ladder.X, s.Ladder.Y
 
@@ -311,10 +302,14 @@ func buildStepLayout(q *query.SPC, db *relation.Database, cur []*relation.Schema
 		schemaAttrs = append(schemaAttrs, curS.Attrs...)
 		sl.prefixArity = curS.Arity()
 	}
-	for _, a := range newAttrs {
-		schemaAttrs = append(schemaAttrs, base.Schema.Attrs[base.Schema.MustIndex(a)])
+	idx, err := base.Indices(newAttrs)
+	if err != nil {
+		return nil, fmt.Errorf("plan: step %d schema: %w", si, err)
 	}
-	schema, err := relation.NewSchema(q.Atoms[ai].Name(), schemaAttrs...)
+	for _, i := range idx {
+		schemaAttrs = append(schemaAttrs, base.Attrs[i])
+	}
+	schema, err := relation.NewSchema(leaf.Q.Atoms[ai].Name(), schemaAttrs...)
 	if err != nil {
 		return nil, fmt.Errorf("plan: step %d schema: %w", si, err)
 	}
@@ -344,36 +339,22 @@ func buildStepLayout(q *query.SPC, db *relation.Database, cur []*relation.Schema
 	return sl, nil
 }
 
-// buildEvalLayout precompiles the evaluation plan over the final fetched
-// schemas. A column the query needs that no fetch step provides is an
-// error naming that column.
-func buildEvalLayout(q *query.SPC, db *relation.Database, finalSchema []*relation.Schema) (*evalLayout, error) {
-	outSchema, err := query.OutputSchema(q, db)
-	if err != nil {
-		return nil, err
-	}
-	aliasIdx := make(map[string]int, len(q.Atoms))
-	for i, a := range q.Atoms {
-		aliasIdx[a.Name()] = i
-	}
-	baseDist := func(ai int, attr string) relation.Distance {
-		s := db.MustRelation(q.Atoms[ai].Rel).Schema
-		return s.Attrs[s.MustIndex(attr)].Dist
-	}
-	// locate resolves a column the query needs to its atom and its column
-	// in that atom's final schema; role names the use in the error.
-	locate := func(role string, c query.Col) (ai, ci int, err error) {
-		ai, ok := aliasIdx[c.Rel]
-		if ok {
-			if ci, ok = finalSchema[ai].Index(c.Attr); ok {
-				return ai, ci, nil
-			}
+// buildEvalLayout precompiles the evaluation plan of the resolved leaf over
+// the final fetched schemas. A column the query needs that no fetch step
+// provides is an error naming that column.
+func buildEvalLayout(leaf *query.Resolved, finalSchema []*relation.Schema) (*evalLayout, error) {
+	q := leaf.Q
+	// locate finds a bound column in its atom's final schema; role names
+	// the use in the error.
+	locate := func(role string, b query.Binding) (int, error) {
+		if ci, ok := finalSchema[b.Atom].Index(b.Attr.Name); ok {
+			return ci, nil
 		}
-		return 0, 0, fmt.Errorf("plan: %s column %s not fetched", role, c)
+		return 0, fmt.Errorf("plan: %s column %s not fetched", role, b.Col)
 	}
 
 	ev := &evalLayout{
-		outSchema: outSchema,
+		outSchema: leaf.Schema,
 		envOffset: make([]int, len(q.Atoms)),
 		constSels: make([][]constSel, len(q.Atoms)),
 	}
@@ -384,34 +365,33 @@ func buildEvalLayout(q *query.SPC, db *relation.Database, finalSchema []*relatio
 	}
 
 	ev.connecting = make([][]int, len(q.Atoms))
-	for _, pd := range q.Preds {
+	for pi, pd := range q.Preds {
+		l := leaf.Preds[pi].Left
 		if !pd.Join {
-			ai, ci, err := locate("predicate", pd.Left)
+			ci, err := locate("predicate", l)
 			if err != nil {
 				return nil, err
 			}
-			ev.constSels[ai] = append(ev.constSels[ai], constSel{
-				pred: pd, col: ci, dist: baseDist(ai, pd.Left.Attr),
+			ev.constSels[l.Atom] = append(ev.constSels[l.Atom], constSel{
+				pred: pd, col: ci, dist: l.Attr.Dist,
 			})
 			continue
 		}
-		lA, lC, err := locate("join", pd.Left)
+		r := leaf.Preds[pi].Right
+		lC, err := locate("join", l)
 		if err != nil {
 			return nil, err
 		}
-		rA, rC, err := locate("join", pd.Right)
+		rC, err := locate("join", r)
 		if err != nil {
 			return nil, err
 		}
 		j := joinSel{
 			pred:  pd,
-			lAtom: lA, rAtom: rA,
+			lAtom: l.Atom, rAtom: r.Atom,
 			lCol: lC, rCol: rC,
-			lDist:  baseDist(lA, pd.Left.Attr),
-			joinAt: lA,
-		}
-		if rA > j.joinAt {
-			j.joinAt = rA
+			lDist:  l.Attr.Dist,
+			joinAt: max(l.Atom, r.Atom),
 		}
 		ji := len(ev.joins)
 		ev.joins = append(ev.joins, j)
@@ -422,17 +402,13 @@ func buildEvalLayout(q *query.SPC, db *relation.Database, finalSchema []*relatio
 		}
 	}
 
-	outCols, err := query.OutputCols(q, db)
-	if err != nil {
-		return nil, err
-	}
-	ev.outIdx = make([]int, len(outCols))
-	for i, c := range outCols {
-		ai, ci, err := locate("output", c)
+	ev.outIdx = make([]int, len(leaf.Output))
+	for i, b := range leaf.Output {
+		ci, err := locate("output", b)
 		if err != nil {
 			return nil, err
 		}
-		ev.outIdx[i] = ev.envOffset[ai] + ci
+		ev.outIdx[i] = ev.envOffset[b.Atom] + ci
 	}
 	return ev, nil
 }

@@ -18,7 +18,7 @@ import (
 // and returns the fetched blocks, their stats and the plan's layout.
 func fetchAll(t *testing.T, p *Bounded, db *relation.Database, budget int, fetcher RemoteFetcher) ([]*blockAtom, Stats, *planLayout) {
 	t.Helper()
-	lay, err := p.layoutFor(db)
+	lay, err := p.layoutFor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,12 @@ func TestEvalLayoutNamesMissingColumn(t *testing.T) {
 	db, as := setup(t)
 	q := fixture.Q1(3, 95) // atom 0 is h: h.type is a predicate column, h.address output only
 	budget := db.Size()
-	lay, err := NewBounded(mustChase(t, q, as, db, budget), budget).layoutFor(db)
+	res := mustChase(t, q, as, db, budget)
+	lay, err := NewBounded(res, budget).layoutFor()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := buildEvalLayout(q, db, lay.finalSchema); err != nil {
+	if _, err := buildEvalLayout(res.Leaf, lay.finalSchema); err != nil {
 		t.Fatalf("complete schemas: %v", err)
 	}
 	for _, attr := range []string{"type", "address"} {
@@ -218,7 +219,7 @@ func TestEvalLayoutNamesMissingColumn(t *testing.T) {
 			t.Fatal(err)
 		}
 		schemas := append([]*relation.Schema{without}, lay.finalSchema[1:]...)
-		_, err = buildEvalLayout(q, db, schemas)
+		_, err = buildEvalLayout(res.Leaf, schemas)
 		if err == nil || !strings.Contains(err.Error(), "h."+attr) {
 			t.Fatalf("schema without h.%s: error %v, want one naming h.%s", attr, err, attr)
 		}
@@ -436,7 +437,7 @@ func TestStepSchemasCarryOnlyReadColumns(t *testing.T) {
 		cases := corpusLayoutCases(t)
 		trimmed := 0
 		for _, c := range cases {
-			lay, err := NewBounded(c.res, 0).layoutFor(c.db)
+			lay, err := NewBounded(c.res, 0).layoutFor()
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
@@ -467,13 +468,17 @@ func testOwnXOfEarlierY(t *testing.T) {
 		Preds:  []query.Pred{query.LeC(query.C("h", "price"), relation.Float(200))},
 		Output: []query.Col{query.C("h", "address")},
 	}
-	res := &chase.Result{Query: q, Steps: []chase.Step{
+	leaf, err := query.Resolve(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &chase.Result{Query: q, Leaf: leaf, Steps: []chase.Step{
 		{AtomIdx: 0, Ladder: tmpl},
 		{AtomIdx: 0, Ladder: refine, K: refine.MaxK(), X: []chase.Source{
 			{AtomIdx: 0, Attr: "type"}, {AtomIdx: 0, Attr: "city"},
 		}},
 	}}
-	lay, err := NewBounded(res, 0).layoutFor(db)
+	lay, err := NewBounded(res, 0).layoutFor()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,16 +127,19 @@ const cancelStride = 64
 // cancelStride enumeration visits, before each batch fetch and at every
 // atom-join boundary of evaluation. A cancelled call returns ctx.Err()
 // promptly instead of burning the rest of its budget.
+//
+// db is ignored: the plan's chase result carries the resolved leaf, which
+// binds every schema a run reads.
 func ExecuteOpts(ctx context.Context, p *Bounded, db *relation.Database, o ExecOpts) (*Result, error) {
 	sc := scratchPool.Get()
-	res, err := executeOn(ctx, p, db, o, sc)
+	res, err := executeOn(ctx, p, o, sc)
 	putScratch(sc)
 	return res, err
 }
 
 // executeOn is ExecuteOpts with sc as the run's working memory.
-func executeOn(ctx context.Context, p *Bounded, db *relation.Database, o ExecOpts, sc *runScratch) (*Result, error) {
-	lay, err := p.layoutFor(db)
+func executeOn(ctx context.Context, p *Bounded, o ExecOpts, sc *runScratch) (*Result, error) {
+	lay, err := p.layoutFor()
 	if err != nil {
 		return nil, err
 	}

@@ -181,13 +181,13 @@ func (e *colEnv) mustPos(c Col) int {
 // evalSPC evaluates the SPC body. In tracked mode the result is distinct
 // with per-row minimal relaxation ranges; otherwise a bag with nil viols.
 func evalSPC(db *relation.Database, q *SPC, track bool) ([]relation.Tuple, []float64, *relation.Schema, error) {
-	sch, err := spcOutputSchema(q, db)
+	sch, err := OutputSchema(q, db)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	byAlias := make(map[string]*relation.Relation, len(q.Atoms))
 	for _, a := range q.Atoms {
-		r, _ := db.Relation(a.Rel) // validated by spcOutputSchema
+		r, _ := db.Relation(a.Rel) // validated by OutputSchema
 		byAlias[a.Name()] = r
 	}
 	distOf := func(c Col) relation.Distance {

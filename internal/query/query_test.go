@@ -127,49 +127,49 @@ func TestMaxInduced(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	db := testDB(t)
-	if err := Validate(q1(0, 95), db); err != nil {
+	if _, err := Validate(q1(0, 95), db); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
 	bad := &SPC{Atoms: []Atom{{Rel: "nope"}}}
-	if err := Validate(bad, db); err == nil {
+	if _, err := Validate(bad, db); err == nil {
 		t.Error("unknown relation must fail")
 	}
 	dup := &SPC{Atoms: []Atom{{Rel: "poi", Alias: "x"}, {Rel: "person", Alias: "x"}}}
-	if err := Validate(dup, db); err == nil {
+	if _, err := Validate(dup, db); err == nil {
 		t.Error("duplicate alias must fail")
 	}
 	badCol := &SPC{Atoms: []Atom{{Rel: "poi"}}, Preds: []Pred{EqC(C("poi", "nope"), relation.Int(1))}}
-	if err := Validate(badCol, db); err == nil {
+	if _, err := Validate(badCol, db); err == nil {
 		t.Error("unknown predicate column must fail")
 	}
 	badOut := &SPC{Atoms: []Atom{{Rel: "poi"}}, Output: []Col{C("x", "price")}}
-	if err := Validate(badOut, db); err == nil {
+	if _, err := Validate(badOut, db); err == nil {
 		t.Error("unknown output alias must fail")
 	}
 	nullPred := &SPC{Atoms: []Atom{{Rel: "poi"}}, Preds: []Pred{EqC(C("poi", "price"), relation.Null())}}
-	if err := Validate(nullPred, db); err == nil {
+	if _, err := Validate(nullPred, db); err == nil {
 		t.Error("NULL constant must fail")
 	}
 	badJoinOp := &SPC{Atoms: []Atom{{Rel: "poi"}},
 		Preds: []Pred{{Op: OpGt, Left: C("poi", "price"), Join: true, Right: C("poi", "price")}}}
-	if err := Validate(badJoinOp, db); err == nil {
+	if _, err := Validate(badJoinOp, db); err == nil {
 		t.Error("> between columns must fail")
 	}
 	arity := &Union{L: q1(0, 95), R: &SPC{Atoms: []Atom{{Rel: "person"}}, Output: []Col{C("person", "pid")}}}
-	if err := Validate(arity, db); err == nil {
+	if _, err := Validate(arity, db); err == nil {
 		t.Error("union arity mismatch must fail")
 	}
 	nested := &Union{L: q1(0, 95), R: q1(1, 95)}
 	g := &GroupBy{In: nested, Keys: []Col{C("h", "address")}, Agg: AggCount, On: C("h", "price")}
-	if err := Validate(g, db); err != nil {
+	if _, err := Validate(g, db); err != nil {
 		t.Errorf("group-by over RA should validate: %v", err)
 	}
 	inner := &Diff{L: g, R: g}
-	if err := Validate(inner, db); err == nil {
+	if _, err := Validate(inner, db); err == nil {
 		t.Error("non-root group-by must fail")
 	}
 	badKey := &GroupBy{In: q1(0, 95), Keys: []Col{C("h", "city")}, Agg: AggCount, On: C("h", "price")}
-	if err := Validate(badKey, db); err == nil {
+	if _, err := Validate(badKey, db); err == nil {
 		t.Error("group-by key outside output must fail")
 	}
 }

@@ -12,24 +12,19 @@ type SchemaSource interface {
 	Relation(name string) (*relation.Relation, bool)
 }
 
-// Validate checks the expression against the database schema: atoms resolve,
-// aliases are unique per SPC leaf, columns exist, set operations are
-// compatible, and group-by appears only at the root.
-func Validate(e Expr, src SchemaSource) error {
+// Validate checks the expression against the database schema — atoms
+// resolve, aliases are unique per SPC leaf, columns exist, set operations
+// are compatible, and group-by appears only at the root — and returns its
+// output schema (OutputSchema).
+func Validate(e Expr, src SchemaSource) (*relation.Schema, error) {
+	in := e
 	if g, ok := e.(*GroupBy); ok {
-		if err := validateNoAgg(g.In); err != nil {
-			return err
-		}
-		if _, err := OutputSchema(e, src); err != nil {
-			return err
-		}
-		return nil
+		in = g.In
 	}
-	if err := validateNoAgg(e); err != nil {
-		return err
+	if err := validateNoAgg(in); err != nil {
+		return nil, err
 	}
-	_, err := OutputSchema(e, src)
-	return err
+	return OutputSchema(e, src)
 }
 
 func validateNoAgg(e Expr) error {
@@ -59,7 +54,11 @@ func validateNoAgg(e Expr) error {
 func OutputSchema(e Expr, src SchemaSource) (*relation.Schema, error) {
 	switch q := e.(type) {
 	case *SPC:
-		return spcOutputSchema(q, src)
+		r, err := Resolve(q, src)
+		if err != nil {
+			return nil, err
+		}
+		return r.Schema, nil
 	case *Union:
 		l, err := OutputSchema(q.L, src)
 		if err != nil {
@@ -93,39 +92,80 @@ func OutputSchema(e Expr, src SchemaSource) (*relation.Schema, error) {
 	}
 }
 
-func spcOutputSchema(q *SPC, src SchemaSource) (*relation.Schema, error) {
+// Binding is one column of an SPC leaf bound to the atom that carries it.
+type Binding struct {
+	// Col is the column as the query names it.
+	Col Col
+	// Atom indexes SPC.Atoms; Index is the attribute's position in that
+	// atom's base schema.
+	Atom, Index int
+	// Attr is the base attribute: its name, type and distance.
+	Attr relation.Attribute
+}
+
+// PredBinding binds the operands of one predicate: Left always, Right
+// for joins only.
+type PredBinding struct {
+	Left, Right Binding
+}
+
+// Resolved is an SPC leaf with every column bound to (atom, attribute):
+// the one name resolution of a leaf, which the chase, the accuracy bound,
+// the execution layout and combine read instead of looking names up again.
+type Resolved struct {
+	Q *SPC
+	// Bases[i] is the base schema of Q.Atoms[i].
+	Bases []*relation.Schema
+	// Preds[i] binds Q.Preds[i].
+	Preds []PredBinding
+	// Output binds the effective projection list (OutputCols, in order).
+	Output []Binding
+	// Schema is the leaf's output schema (OutputSchema).
+	Schema *relation.Schema
+}
+
+// Resolve validates an SPC leaf against the database schema and binds
+// every predicate operand and output column: atoms resolve, aliases are
+// unique, columns exist, joins compare with = or <= and no predicate
+// compares against NULL.
+func Resolve(q *SPC, src SchemaSource) (*Resolved, error) {
 	if len(q.Atoms) == 0 {
 		return nil, fmt.Errorf("query: SPC needs at least one atom")
 	}
-	byAlias := make(map[string]*relation.Schema, len(q.Atoms))
-	for _, a := range q.Atoms {
-		r, ok := src.Relation(a.Rel)
+	r := &Resolved{Q: q, Bases: make([]*relation.Schema, len(q.Atoms))}
+	atomOf := make(map[string]int, len(q.Atoms))
+	for i, a := range q.Atoms {
+		rel, ok := src.Relation(a.Rel)
 		if !ok {
 			return nil, fmt.Errorf("query: unknown relation %q", a.Rel)
 		}
 		name := a.Name()
-		if _, dup := byAlias[name]; dup {
+		if _, dup := atomOf[name]; dup {
 			return nil, fmt.Errorf("query: duplicate alias %q", name)
 		}
-		byAlias[name] = r.Schema
+		atomOf[name] = i
+		r.Bases[i] = rel.Schema
 	}
-	resolve := func(c Col) (relation.Attribute, error) {
-		s, ok := byAlias[c.Rel]
+	bind := func(c Col) (Binding, error) {
+		ai, ok := atomOf[c.Rel]
 		if !ok {
-			return relation.Attribute{}, fmt.Errorf("query: column %s: unknown alias %q", c, c.Rel)
+			return Binding{}, fmt.Errorf("query: column %s: unknown alias %q", c, c.Rel)
 		}
+		s := r.Bases[ai]
 		i, ok := s.Index(c.Attr)
 		if !ok {
-			return relation.Attribute{}, fmt.Errorf("query: column %s: relation %s has no attribute %q", c, s.Name, c.Attr)
+			return Binding{}, fmt.Errorf("query: column %s: relation %s has no attribute %q", c, s.Name, c.Attr)
 		}
-		return s.Attrs[i], nil
+		return Binding{Col: c, Atom: ai, Index: i, Attr: s.Attrs[i]}, nil
 	}
-	for _, p := range q.Preds {
-		if _, err := resolve(p.Left); err != nil {
+	var err error
+	r.Preds = make([]PredBinding, len(q.Preds))
+	for pi, p := range q.Preds {
+		if r.Preds[pi].Left, err = bind(p.Left); err != nil {
 			return nil, err
 		}
 		if p.Join {
-			if _, err := resolve(p.Right); err != nil {
+			if r.Preds[pi].Right, err = bind(p.Right); err != nil {
 				return nil, err
 			}
 			if p.Op != OpEq && p.Op != OpLe {
@@ -139,15 +179,18 @@ func spcOutputSchema(q *SPC, src SchemaSource) (*relation.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.Output = make([]Binding, len(out))
 	attrs := make([]relation.Attribute, len(out))
 	for i, c := range out {
-		a, err := resolve(c)
-		if err != nil {
+		if r.Output[i], err = bind(c); err != nil {
 			return nil, err
 		}
-		attrs[i] = relation.Attr(c.Name(), a.Type, a.Dist)
+		attrs[i] = relation.Attr(c.Name(), r.Output[i].Attr.Type, r.Output[i].Attr.Dist)
 	}
-	return relation.NewSchema("q", attrs...)
+	if r.Schema, err = relation.NewSchema("q", attrs...); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // OutputCols returns the effective projection list of an SPC leaf (its

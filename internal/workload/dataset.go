@@ -16,6 +16,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/access"
 	"repro/internal/query"
@@ -71,6 +72,20 @@ type Dataset struct {
 	// stays unexported so the only ways to fill a shell are Populate and a
 	// persisted snapshot restore.
 	populate func(seed int64)
+}
+
+// ByName returns the named dataset (tpch, airca or tfacc, in any case) at
+// the scale as a schema-only shell; call Populate to generate its tuples.
+func ByName(name string, scale int) (*Dataset, error) {
+	switch strings.ToLower(name) {
+	case "tpch":
+		return TPCHSchema(scale), nil
+	case "airca":
+		return AIRCASchema(scale), nil
+	case "tfacc":
+		return TFACCSchema(scale), nil
+	}
+	return nil, fmt.Errorf("unknown dataset %q", name)
 }
 
 // Populate generates the dataset's tuples into its schema-only relations,

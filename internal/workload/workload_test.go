@@ -89,7 +89,7 @@ func TestGenerateSPCKnobs(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Generate(sel=%d, prod=%d): %v", d.Name, nSel, nProd, err)
 				}
-				if err := query.Validate(e, d.DB); err != nil {
+				if _, err := query.Validate(e, d.DB); err != nil {
 					t.Fatalf("%s: invalid query: %v\n%s", d.Name, err, query.Render(e))
 				}
 				if got := query.NumProducts(e); got != nProd {
@@ -117,7 +117,7 @@ func TestGenerateRAAndDiffCount(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Generate RA: %v", err)
 		}
-		if err := query.Validate(e, d.DB); err != nil {
+		if _, err := query.Validate(e, d.DB); err != nil {
 			t.Fatalf("invalid RA query: %v", err)
 		}
 		if nDiff == 0 {
@@ -160,7 +160,7 @@ func TestGenerateAggregates(t *testing.T) {
 			if g.Agg != agg {
 				t.Errorf("agg = %v, want %v", g.Agg, agg)
 			}
-			if err := query.Validate(e, d.DB); err != nil {
+			if _, err := query.Validate(e, d.DB); err != nil {
 				t.Fatalf("%s: invalid aggregate query: %v", d.Name, err)
 			}
 		}
@@ -178,7 +178,7 @@ func TestWorkloadMix(t *testing.T) {
 	}
 	aggs, ras, spcs := 0, 0, 0
 	for _, q := range qs {
-		if err := query.Validate(q, d.DB); err != nil {
+		if _, err := query.Validate(q, d.DB); err != nil {
 			t.Fatalf("workload query invalid: %v", err)
 		}
 		switch query.Classify(q) {
