@@ -188,6 +188,14 @@ func parallelFor(n, workers int, f func(w, i int)) {
 	wg.Wait()
 }
 
+// XIdx returns the positions of X in the relation's schema, in ladder
+// order. The slice is the ladder's own: read-only.
+func (l *Ladder) XIdx() []int { return l.xIdx }
+
+// YIdx returns the positions of Y in the relation's schema, in ladder
+// order. The slice is the ladder's own: read-only.
+func (l *Ladder) YIdx() []int { return l.yIdx }
+
 // MaxK returns the top level; Template(MaxK) is exact.
 func (l *Ladder) MaxK() int { return l.maxK }
 

@@ -235,19 +235,7 @@ func TestTemplateString(t *testing.T) {
 	if s2 == "" || s2 == s {
 		t.Errorf("approximate template String = %q", s2)
 	}
-}
-
-func TestTemplateResolutionOf(t *testing.T) {
-	db := exampleDB(t)
-	l, _ := BuildLadder(db, "poi", []string{"type"}, []string{"price", "address"})
-	tm := l.Template(0)
-	if tm.ResolutionOf("price") != tm.Resolution[0] {
-		t.Error("ResolutionOf(price)")
-	}
-	if tm.ResolutionOf("not-there") != 0 {
-		t.Error("ResolutionOf unknown attr should be 0")
-	}
-	if tm.MaxResolution() < tm.Resolution[0] {
+	if tm := l2.Template(0); tm.MaxResolution() < tm.Resolution[0] {
 		t.Error("MaxResolution lower than a component")
 	}
 }

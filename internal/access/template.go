@@ -56,17 +56,6 @@ func (t *Template) MaxResolution() float64 {
 	return worst
 }
 
-// ResolutionOf returns d̄Y[attr] for a Y attribute, or 0 when the attribute
-// is not in Y.
-func (t *Template) ResolutionOf(attr string) float64 {
-	for i, y := range t.Y {
-		if y == attr {
-			return t.Resolution[i]
-		}
-	}
-	return 0
-}
-
 // String renders the template in the paper's notation, e.g.
 // "poi({type,city} -> {price,address}, 8, (0.1, 0.2))".
 func (t *Template) String() string {

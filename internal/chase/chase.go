@@ -17,6 +17,7 @@ package chase
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/access"
 	"repro/internal/query"
@@ -29,7 +30,8 @@ type Source struct {
 	IsConst bool
 	Const   relation.Value
 	AtomIdx int
-	Attr    string
+	// Attr is the attribute's index in the base schema of atom AtomIdx.
+	Attr int
 }
 
 // Step is one fetch operation fetch(X ∈ T, R, Y, ψ): apply ladder level K
@@ -47,8 +49,9 @@ type Step struct {
 	Exact bool
 	// X holds one source per Ladder.X attribute.
 	X []Source
-	// Covers lists the atom attributes this step newly covers (⊆ X∪Y).
-	Covers []string
+	// Covers lists the atom attributes this step newly covers (⊆ X∪Y), as
+	// indices into the atom's base schema.
+	Covers []int
 	// Chimeric marks a fetch that extends an already-fetched atom without
 	// correlating through the atom's own columns: the executor can only
 	// cross-product the new values with the existing rows, so the pairing
@@ -59,88 +62,94 @@ type Step struct {
 
 // Result is a terminated chasing sequence translated into a fetch-plan
 // skeleton, plus the bookkeeping the planner and executor need.
+//
+// Every column is addressed by (atom, attribute index into the atom's base
+// schema, Leaf.Bases), and flat column tables — the tableau, the
+// resolution table — by Col(atom, attr).
 type Result struct {
-	Query *query.SPC
-	// Leaf is Query with every column bound (query.Resolve): the planner,
-	// the bound and the executor read it instead of resolving names.
+	// Leaf is the chased query with every column bound (query.Resolve):
+	// the planner, the bound and the executor read it instead of resolving
+	// names.
 	Leaf  *query.Resolved
 	Steps []Step
-	// coveredBy[atom][attr] = index of the covering step.
-	coveredBy []map[string]int
-	// usedAttrs[atom] = attributes the evaluation plan needs.
-	usedAttrs []map[string]bool
+	// off[atom] is where the atom's columns start in a flat column table;
+	// off[len(Leaf.Q.Atoms)] is the table's length.
+	off []int
+	// coveredBy[atom][attr] = index of the covering step, -1 if uncovered.
+	coveredBy [][]int
+	// usedAttrs[atom] = attributes the evaluation plan needs, ascending.
+	usedAttrs [][]int
 	// AllExact reports whether every used attribute was exactly covered:
 	// the query is boundedly evaluable within budget (exact answers).
 	AllExact bool
 }
 
 // CoveredBy returns the index of the step covering (atom, attr), or -1.
-func (r *Result) CoveredBy(atom int, attr string) int {
-	if s, ok := r.coveredBy[atom][attr]; ok {
-		return s
-	}
-	return -1
-}
+func (r *Result) CoveredBy(atom, attr int) int { return r.coveredBy[atom][attr] }
 
 // UsedAttrs returns the attributes of the atom that the evaluation plan
-// needs (those in predicates or output), in no particular order.
-func (r *Result) UsedAttrs(atom int) []string {
-	out := make([]string, 0, len(r.usedAttrs[atom]))
-	for a := range r.usedAttrs[atom] {
-		out = append(out, a)
-	}
-	return out
-}
+// needs (those in predicates or output), ascending. The slice is the
+// result's own: read-only.
+func (r *Result) UsedAttrs(atom int) []int { return r.usedAttrs[atom] }
 
-// ResolutionOf returns the fetch resolution of (atom, attr) under the level
-// assignment ks (one level per step): the resolution of the template that
-// fetched it, or, for X attributes, the resolution propagated from the
-// source site (constants are exact). Unknown attributes resolve to +inf.
-func (r *Result) ResolutionOf(atom int, attr string, ks []int) float64 {
-	return r.resolutionOf(atom, attr, ks, 0)
-}
+// Col returns the position of column (atom, attr) in a flat column table
+// of NumCols entries.
+func (r *Result) Col(atom, attr int) int { return r.off[atom] + attr }
 
-func (r *Result) resolutionOf(atom int, attr string, ks []int, depth int) float64 {
-	if depth > len(r.Steps)+1 {
-		return math.Inf(1)
+// NumCols returns the number of columns of the query's atoms: the length
+// of a flat column table.
+func (r *Result) NumCols() int { return r.off[len(r.off)-1] }
+
+// Resolutions fills dst, a flat column table of NumCols entries, with the
+// fetch resolution of every column under the level assignment ks (one
+// level per step; nil means the steps' own levels), and +inf for every
+// column no step covers. A covered X attribute inherits the resolution of
+// its source site (constants are exact); a covered Y attribute has its
+// ladder level's resolution when every X input is exact, and +inf
+// otherwise; chimeric coverage is +inf. One forward pass suffices: a
+// step's non-constant X sources are covered by earlier steps.
+func (r *Result) Resolutions(ks []int, dst []float64) {
+	dst = dst[:r.NumCols()]
+	for i := range dst {
+		dst[i] = math.Inf(1)
 	}
-	si := r.CoveredBy(atom, attr)
-	if si < 0 {
-		return math.Inf(1)
-	}
-	s := &r.Steps[si]
-	if s.Chimeric {
-		return math.Inf(1)
-	}
-	for xi, x := range s.Ladder.X {
-		if x != attr {
+	for si := range r.Steps {
+		s := &r.Steps[si]
+		if s.Chimeric {
 			continue
 		}
-		src := s.X[xi]
-		if src.IsConst {
-			return 0
+		cov, off := r.coveredBy[s.AtomIdx], r.off[s.AtomIdx]
+		// The ladder's per-level resolution only bounds the distance to
+		// the true Y-values when the X inputs are exact: fetching a group
+		// for an approximate X-value returns a (real but) unrelated
+		// group, so any approximation on the inputs voids the bound.
+		exactIn := true
+		for _, src := range s.X {
+			if !src.IsConst && dst[r.Col(src.AtomIdx, src.Attr)] != 0 {
+				exactIn = false
+				break
+			}
 		}
-		return r.resolutionOf(src.AtomIdx, src.Attr, ks, depth+1)
+		if exactIn {
+			res := s.Ladder.Resolution(levelOf(s, ks, si))
+			for yi, y := range s.Ladder.YIdx() {
+				if cov[y] == si {
+					dst[off+y] = res[yi]
+				}
+			}
+		}
+		// X last: an attribute in both X and Y resolves as an X attribute.
+		for xi, x := range s.Ladder.XIdx() {
+			if cov[x] != si {
+				continue
+			}
+			if src := s.X[xi]; src.IsConst {
+				dst[off+x] = 0
+			} else {
+				dst[off+x] = dst[r.Col(src.AtomIdx, src.Attr)]
+			}
+		}
 	}
-	// A Y attribute. The ladder's per-level resolution only bounds the
-	// distance to the true Y-values when the X inputs are exact: fetching
-	// a group for an approximate X-value returns a (real but) unrelated
-	// group, so any approximation on the inputs voids the bound.
-	for _, src := range s.X {
-		if src.IsConst {
-			continue
-		}
-		if r.resolutionOf(src.AtomIdx, src.Attr, ks, depth+1) != 0 {
-			return math.Inf(1)
-		}
-	}
-	res := s.Ladder.Resolution(levelOf(s, ks, si))
-	for yi, y := range s.Ladder.Y {
-		if y == attr {
-			return res[yi]
-		}
-	}
-	return math.Inf(1)
 }
 
 func levelOf(s *Step, ks []int, si int) int {
@@ -177,7 +186,8 @@ func (r *Result) Tariff(ks []int) int {
 // independent sources multiply. The ladder's group count caps everything:
 // T only ranges over indexed X-values.
 func (r *Result) tBound(xs []Source, l *access.Ladder, n int, outBound []int) int {
-	perStep := map[int]bool{}
+	var buf [8]int
+	counted := buf[:0] // the earlier steps already counted
 	bound := 1
 	for _, src := range xs {
 		if src.IsConst {
@@ -186,13 +196,13 @@ func (r *Result) tBound(xs []Source, l *access.Ladder, n int, outBound []int) in
 		cs := r.CoveredBy(src.AtomIdx, src.Attr)
 		if cs < 0 || cs >= n {
 			// Defensive: unresolvable source, assume the cap.
-			return maxInt(1, l.NumGroups())
+			return max(1, l.NumGroups())
 		}
-		if perStep[cs] {
+		if slices.Contains(counted, cs) {
 			continue // joint with a column already counted
 		}
-		perStep[cs] = true
-		bound = satMul(bound, maxInt(1, outBound[cs]))
+		counted = append(counted, cs)
+		bound = satMul(bound, max(1, outBound[cs]))
 	}
 	if g := l.NumGroups(); g > 0 && bound > g {
 		bound = g
@@ -228,13 +238,6 @@ func satAdd(a, b int) int {
 	return a + b
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // --- the chase ----------------------------------------------------------
 
 type classInfo struct {
@@ -251,13 +254,18 @@ const (
 )
 
 type chaser struct {
-	q       *query.SPC
-	schema  *access.Schema
-	budget  int
-	parent  map[query.Col]query.Col
-	classes map[query.Col]*classInfo
+	q      *query.SPC
+	schema *access.Schema
+	budget int
+	// The tableau: a union-find over the flat column ids (Result.Col);
+	// classes[root] describes the class root heads.
+	parent  []int
+	classes []classInfo
 	res     *Result
 	tariff  int
+	// outBound[si] bounds the tuples step si fetches at its chosen level
+	// (Tariff's per-step bound, which tBound reads).
+	outBound []int
 }
 
 // Chase runs the chasing sequence for an SPC query under the access schema
@@ -268,48 +276,56 @@ func Chase(q *query.SPC, as *access.Schema, src query.SchemaSource, budget int) 
 	if err != nil {
 		return nil, err
 	}
+	res := &Result{
+		Leaf:      leaf,
+		off:       make([]int, len(q.Atoms)+1),
+		coveredBy: make([][]int, len(q.Atoms)),
+		usedAttrs: make([][]int, len(q.Atoms)),
+	}
+	for i, b := range leaf.Bases {
+		res.off[i+1] = res.off[i] + b.Arity()
+	}
+	cover := make([]int, res.NumCols())
+	for i := range cover {
+		cover[i] = -1
+	}
+	for i := range q.Atoms {
+		res.coveredBy[i] = cover[res.off[i]:res.off[i+1]:res.off[i+1]]
+	}
 	c := &chaser{
 		q:       q,
 		schema:  as,
 		budget:  budget,
-		parent:  make(map[query.Col]query.Col),
-		classes: make(map[query.Col]*classInfo),
-		res: &Result{
-			Query:     q,
-			Leaf:      leaf,
-			coveredBy: make([]map[string]int, len(q.Atoms)),
-			usedAttrs: make([]map[string]bool, len(q.Atoms)),
-		},
+		parent:  make([]int, res.NumCols()),
+		classes: make([]classInfo, res.NumCols()),
+		res:     res,
 	}
-	for i := range q.Atoms {
-		c.res.coveredBy[i] = make(map[string]int)
-		c.res.usedAttrs[i] = make(map[string]bool)
+	for i := range c.parent {
+		c.parent[i] = i
 	}
 	c.init()
 	if err := c.run(); err != nil {
 		return nil, err
 	}
-	c.res.AllExact = c.allExact()
-	return c.res, nil
+	res.AllExact = c.allExact()
+	return res, nil
 }
 
-func (c *chaser) find(col query.Col) query.Col {
-	p, ok := c.parent[col]
-	if !ok || p == col {
-		return col
+func (c *chaser) find(col int) int {
+	for c.parent[col] != col {
+		c.parent[col] = c.parent[c.parent[col]]
+		col = c.parent[col]
 	}
-	root := c.find(p)
-	c.parent[col] = root
-	return root
+	return col
 }
 
-func (c *chaser) union(a, b query.Col) {
+func (c *chaser) union(a, b int) {
 	ra, rb := c.find(a), c.find(b)
 	if ra == rb {
 		return
 	}
 	// Merge class info, preferring constants and stronger marks.
-	ia, ib := c.info(ra), c.info(rb)
+	ia, ib := &c.classes[ra], &c.classes[rb]
 	c.parent[rb] = ra
 	if ib.isConst && !ia.isConst {
 		ia.isConst, ia.cv = true, ib.cv
@@ -319,20 +335,18 @@ func (c *chaser) union(a, b query.Col) {
 	}
 }
 
-func (c *chaser) info(root query.Col) *classInfo {
-	ci, ok := c.classes[root]
-	if !ok {
-		ci = &classInfo{}
-		c.classes[root] = ci
-	}
-	return ci
+// class returns the class of column (atom, attr).
+func (c *chaser) class(atom, attr int) *classInfo {
+	return &c.classes[c.find(c.res.Col(atom, attr))]
 }
 
 func (c *chaser) init() {
 	leaf := c.res.Leaf
 	// Used attributes: predicates and output.
 	mark := func(b query.Binding) {
-		c.res.usedAttrs[b.Atom][b.Attr.Name] = true
+		if used := c.res.usedAttrs[b.Atom]; !slices.Contains(used, b.Index) {
+			c.res.usedAttrs[b.Atom] = append(used, b.Index)
+		}
 	}
 	for pi, p := range c.q.Preds {
 		mark(leaf.Preds[pi].Left)
@@ -343,22 +357,25 @@ func (c *chaser) init() {
 	for _, b := range leaf.Output {
 		mark(b)
 	}
+	for _, used := range c.res.usedAttrs {
+		slices.Sort(used)
+	}
 	for i := range c.q.Atoms {
 		if len(c.res.usedAttrs[i]) == 0 {
 			// Pure existence atom: track its first attribute so the
 			// fetch plan materialises something to cross-product with.
-			c.res.usedAttrs[i][leaf.Bases[i].Attrs[0].Name] = true
+			c.res.usedAttrs[i] = []int{0}
 		}
 	}
 	// Equivalence classes: equality joins unify, constants bind.
-	for _, p := range c.q.Preds {
-		if p.Join && p.Op == query.OpEq {
-			c.union(p.Left, p.Right)
+	for pi, p := range c.q.Preds {
+		if pb := leaf.Preds[pi]; p.Join && p.Op == query.OpEq {
+			c.union(c.res.Col(pb.Left.Atom, pb.Left.Index), c.res.Col(pb.Right.Atom, pb.Right.Index))
 		}
 	}
-	for _, p := range c.q.Preds {
-		if !p.Join && p.Op == query.OpEq {
-			ci := c.info(c.find(p.Left))
+	for pi, p := range c.q.Preds {
+		if l := leaf.Preds[pi].Left; !p.Join && p.Op == query.OpEq {
+			ci := c.class(l.Atom, l.Index)
 			ci.isConst = true
 			ci.cv = p.Const
 			ci.state = stExact
@@ -367,16 +384,14 @@ func (c *chaser) init() {
 	}
 }
 
-// candidate is one applicable chase step under consideration.
+// candidate is one applicable chase step under consideration: the step it
+// would append — an exact constraint step (Exact, Pinned at the ladder's
+// top level, affordable within the budget) or a k = 0 template
+// placeholder — and how it ranks.
 type candidate struct {
-	atom       int
-	ladder     *access.Ladder
-	constraint bool
-	exact      bool
-	xs         []Source
-	covers     []string
-	tariff     int // estimated cost of this step at its chosen level
-	newUsed    int // uncovered used attributes it covers
+	Step
+	tariff  int // estimated cost of this step at its chosen level
+	newUsed int // uncovered used attributes it covers
 	// useful counts the newly covered used attributes whose resolution can
 	// actually become finite: X attributes (inherited from the source),
 	// bounded-distance Y attributes, and — for constraint steps — all of
@@ -384,8 +399,6 @@ type candidate struct {
 	// template is worthless (its resolution stays +inf below the exact
 	// level), so such coverage does not count.
 	useful int
-	// chimeric mirrors Step.Chimeric for the prospective step.
-	chimeric bool
 }
 
 func (c *chaser) run() error {
@@ -408,20 +421,18 @@ func (c *chaser) run() error {
 
 func (c *chaser) done() bool {
 	for i := range c.q.Atoms {
-		for a := range c.res.usedAttrs[i] {
-			if _, ok := c.res.coveredBy[i][a]; !ok {
-				return false
-			}
+		if !c.atomDone(i) {
+			return false
 		}
 	}
 	return true
 }
 
 func (c *chaser) allExact() bool {
-	for i := range c.q.Atoms {
-		for a := range c.res.usedAttrs[i] {
-			si, ok := c.res.coveredBy[i][a]
-			if !ok || !c.res.Steps[si].Exact {
+	for i, used := range c.res.usedAttrs {
+		for _, a := range used {
+			si := c.res.coveredBy[i][a]
+			if si < 0 || !c.res.Steps[si].Exact {
 				return false
 			}
 		}
@@ -443,14 +454,12 @@ func (c *chaser) bestCandidate() *candidate {
 			if cand == nil {
 				continue
 			}
-			if cand.constraint && cand.exact && c.tariff+cand.tariff <= c.budget {
-				if better(cand, bestExact) {
-					bestExact = cand
-				}
-			} else if !cand.constraint {
-				if better(cand, bestApprox) {
-					bestApprox = cand
-				}
+			best := &bestApprox
+			if cand.Exact {
+				best = &bestExact
+			}
+			if better(cand, *best) {
+				*best = cand
 			}
 		}
 	}
@@ -478,8 +487,8 @@ func better(a, b *candidate) bool {
 }
 
 func (c *chaser) atomDone(ai int) bool {
-	for a := range c.res.usedAttrs[ai] {
-		if _, ok := c.res.coveredBy[ai][a]; !ok {
+	for _, a := range c.res.usedAttrs[ai] {
+		if c.res.coveredBy[ai][a] < 0 {
 			return false
 		}
 	}
@@ -490,11 +499,11 @@ func (c *chaser) atomDone(ai int) bool {
 // candidate step. Two variants are considered: the constraint (top level)
 // when the inputs allow exact marking, and the k=0 template placeholder.
 func (c *chaser) tryLadder(ai int, l *access.Ladder) *candidate {
-	alias := c.q.Atoms[ai].Name()
-	xs := make([]Source, len(l.X))
+	xIdx := l.XIdx()
+	xs := make([]Source, len(xIdx))
 	inputsExact := true
-	for i, xattr := range l.X {
-		ci := c.info(c.find(query.C(alias, xattr)))
+	for i, x := range xIdx {
+		ci := c.class(ai, x)
 		switch {
 		case ci.isConst:
 			xs[i] = Source{IsConst: true, Const: ci.cv}
@@ -509,124 +518,78 @@ func (c *chaser) tryLadder(ai int, l *access.Ladder) *candidate {
 	}
 	// New coverage.
 	base := c.res.Leaf.Bases[ai]
-	inX := make(map[string]bool, len(l.X))
-	for _, x := range l.X {
-		inX[x] = true
-	}
-	var covers []string
+	cov, used := c.res.coveredBy[ai], c.res.usedAttrs[ai]
+	var covers []int
 	newUsed, usefulTemplate := 0, 0
-	add := func(attr string) {
-		if _, done := c.res.coveredBy[ai][attr]; done {
+	// add covers attr; inX says it is an X attribute, which inherits the
+	// (typically exact) source resolution, while a Y attribute only
+	// becomes usefully approximate when its distance is bounded.
+	add := func(attr int, inX bool) {
+		if cov[attr] >= 0 || slices.Contains(covers, attr) {
 			return
 		}
-		for _, seen := range covers {
-			if seen == attr {
-				return
-			}
-		}
 		covers = append(covers, attr)
-		if c.res.usedAttrs[ai][attr] {
+		if slices.Contains(used, attr) {
 			newUsed++
-			// X attributes inherit the (typically exact) source
-			// resolution; Y attributes only become usefully
-			// approximate when their distance is bounded.
-			if inX[attr] || base.Attrs[base.MustIndex(attr)].Dist.Bounded() {
+			if inX || base.Attrs[attr].Dist.Bounded() {
 				usefulTemplate++
 			}
 		}
 	}
-	for _, x := range l.X {
-		add(x)
+	for _, x := range xIdx {
+		add(x, true)
 	}
-	for _, y := range l.Y {
-		add(y)
+	for _, y := range l.YIdx() {
+		add(y, false)
 	}
 	if newUsed == 0 {
 		return nil
 	}
-	cand := &candidate{atom: ai, ladder: l, xs: xs, covers: covers, newUsed: newUsed}
+	cand := &candidate{Step: Step{AtomIdx: ai, Ladder: l, X: xs, Covers: covers}, newUsed: newUsed}
 
 	// Correlation check: a follow-up fetch for a partially covered atom
 	// must key on the atom's own covered attributes, or its rows can only
 	// be cross-producted with the existing ones (chimeric pairing).
-	if len(c.res.coveredBy[ai]) > 0 {
-		for _, x := range l.X {
-			if _, own := c.res.coveredBy[ai][x]; !own {
-				cand.chimeric = true
-				break
-			}
-		}
-		if len(l.X) == 0 {
-			cand.chimeric = true
-		}
+	if slices.ContainsFunc(cov, func(si int) bool { return si >= 0 }) {
+		cand.Chimeric = len(xIdx) == 0 || slices.ContainsFunc(xIdx, func(x int) bool { return cov[x] < 0 })
 	}
-	if cand.chimeric {
-		cand.tariff = satMul(c.stepTBound(xs, l), l.FetchBound(0))
-		cand.useful = 0
+	tb := c.res.tBound(xs, l, len(c.outBound), c.outBound)
+	if cand.Chimeric {
+		cand.tariff = satMul(tb, l.FetchBound(0))
 		return cand
 	}
 
 	// Tariff of this step at the constraint level vs the k=0 placeholder.
-	tb := c.stepTBound(xs, l)
 	constraintCost := satMul(tb, l.MaxGroupDistinct())
 	if inputsExact && c.tariff+constraintCost <= c.budget {
-		cand.constraint = true
-		cand.exact = true
+		cand.Exact, cand.Pinned, cand.K = true, true, l.MaxK()
 		cand.tariff = constraintCost
 		cand.useful = newUsed // exact fetches are useful on every attribute
 		return cand
 	}
-	cand.constraint = false
-	cand.exact = false
 	cand.tariff = satMul(tb, l.FetchBound(0))
 	cand.useful = usefulTemplate
 	return cand
 }
 
-// stepTBound bounds |T| for a prospective step from the current plan.
-func (c *chaser) stepTBound(xs []Source, l *access.Ladder) int {
-	outBound := make([]int, len(c.res.Steps))
-	for si := range c.res.Steps {
-		s := &c.res.Steps[si]
-		outBound[si] = satMul(c.res.tBound(s.X, s.Ladder, si, outBound), s.Ladder.FetchBound(s.K))
-	}
-	return c.res.tBound(xs, l, len(outBound), outBound)
-}
-
 func (c *chaser) apply(cand *candidate) {
-	alias := c.q.Atoms[cand.atom].Name()
-	k := 0
-	pinned := false
-	if cand.constraint {
-		k = cand.ladder.MaxK()
-		pinned = true
-	}
-	step := Step{
-		AtomIdx:  cand.atom,
-		Ladder:   cand.ladder,
-		K:        k,
-		Pinned:   pinned,
-		Exact:    cand.exact,
-		X:        cand.xs,
-		Covers:   cand.covers,
-		Chimeric: cand.chimeric,
-	}
 	si := len(c.res.Steps)
-	c.res.Steps = append(c.res.Steps, step)
+	c.res.Steps = append(c.res.Steps, cand.Step)
+	c.outBound = append(c.outBound, satMul(c.res.tBound(cand.X, cand.Ladder, si, c.outBound), cand.Ladder.FetchBound(cand.K)))
 	c.tariff += cand.tariff
-	for _, attr := range cand.covers {
-		c.res.coveredBy[cand.atom][attr] = si
+	for _, attr := range cand.Covers {
+		c.res.coveredBy[cand.AtomIdx][attr] = si
 	}
 	// Mark the Y classes (variable marking rule).
 	state := stApprox
-	if cand.exact {
+	if cand.Exact {
 		state = stExact
 	}
-	for _, y := range cand.ladder.Y {
-		ci := c.info(c.find(query.C(alias, y)))
+	for _, y := range cand.Ladder.YIdx() {
+		ci := c.class(cand.AtomIdx, y)
 		if ci.state < state {
 			ci.state = state
-			ci.site = Source{AtomIdx: cand.atom, Attr: y}
+			ci.site = Source{AtomIdx: cand.AtomIdx, Attr: y}
 		}
 	}
 }

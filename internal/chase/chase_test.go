@@ -1,7 +1,6 @@
 package chase
 
 import (
-	"math"
 	"slices"
 	"testing"
 
@@ -90,7 +89,7 @@ func TestChaseCoverage(t *testing.T) {
 	for ai := range q.Atoms {
 		for _, attr := range res.UsedAttrs(ai) {
 			if res.CoveredBy(ai, attr) < 0 {
-				t.Errorf("atom %d attr %s not covered", ai, attr)
+				t.Errorf("atom %d attr %s not covered", ai, attrName(res, ai, attr))
 			}
 		}
 	}
@@ -112,7 +111,7 @@ func TestChaseCoverage(t *testing.T) {
 		for _, a := range res.UsedAttrs(ai) {
 			si := res.CoveredBy(ai, a)
 			if si < 0 || res.Steps[si].AtomIdx != ai || !slices.Contains(res.Steps[si].Covers, a) {
-				t.Errorf("atom %d: used attr %s not fetched", ai, a)
+				t.Errorf("atom %d: used attr %s not fetched", ai, attrName(res, ai, a))
 			}
 		}
 	}
@@ -126,7 +125,7 @@ func TestChaseResolution(t *testing.T) {
 	}
 	// Find the poi atom (index 0 in Q1) and its price resolution.
 	ks := res.Levels()
-	r0 := res.ResolutionOf(0, "price", ks)
+	r0 := resolutionOf(res, 0, "price", ks)
 	if r0 <= 0 {
 		t.Errorf("price resolution at k=0 = %g, want > 0", r0)
 	}
@@ -136,15 +135,12 @@ func TestChaseResolution(t *testing.T) {
 			ks[si] = res.Steps[si].Ladder.MaxK()
 		}
 	}
-	if got := res.ResolutionOf(0, "price", ks); got != 0 {
+	if got := resolutionOf(res, 0, "price", ks); got != 0 {
 		t.Errorf("price resolution at top level = %g, want 0", got)
 	}
-	// Constants resolve exactly; unknown attrs are +inf.
-	if got := res.ResolutionOf(1, "pid", res.Levels()); got != 0 {
+	// Constants resolve exactly.
+	if got := resolutionOf(res, 1, "pid", res.Levels()); got != 0 {
 		t.Errorf("constant-bound attr resolution = %g, want 0", got)
-	}
-	if got := res.ResolutionOf(0, "no-such-attr", res.Levels()); !math.IsInf(got, 1) {
-		t.Error("unknown attr must resolve to +inf")
 	}
 }
 
@@ -197,10 +193,10 @@ func TestChaseAtOnlyCoversEverything(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Chase under At: %v", err)
 	}
-	for ai := range res.Query.Atoms {
+	for ai := range res.Leaf.Q.Atoms {
 		for _, attr := range res.UsedAttrs(ai) {
 			if res.CoveredBy(ai, attr) < 0 {
-				t.Errorf("At chase left atom %d attr %s uncovered", ai, attr)
+				t.Errorf("At chase left atom %d attr %s uncovered", ai, attrName(res, ai, attr))
 			}
 		}
 	}

@@ -69,7 +69,7 @@ func TestChimericStepDetection(t *testing.T) {
 			ks[si] = res.Steps[si].Ladder.MaxK()
 		}
 	}
-	if got := res.ResolutionOf(0, "c", ks); !math.IsInf(got, 1) {
+	if got := resolutionOf(res, 0, "c", ks); !math.IsInf(got, 1) {
 		t.Errorf("chimeric attr resolution = %g, want +inf", got)
 	}
 	// ... and the plan is never reported all-exact.

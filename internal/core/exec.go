@@ -74,8 +74,8 @@ func (r *Rows) Next() (relation.Tuple, bool) {
 //
 // The plan alone fixes how its budget is split across its leaves.
 // Affordable multi-leaf plans (total tariff within budget) run every leaf
-// on its own goroutine, the global budget partitioned across the leaves up
-// front from the planner's tariff estimates — each share covers its leaf's
+// on its own goroutine, on the budget shares generation partitioned from
+// the planner's tariff estimates (leafShares) — each share covers its leaf's
 // data-independent access bound, so no leaf truncates and the α·|D|
 // guarantee holds without threading a shared "remaining" counter through
 // the leaves. A leaf reads at most its tariff (TestScheduleInvariance and
@@ -121,7 +121,7 @@ func (s *Scheme) executeOpts(ctx context.Context, p *Plan, o ExecOptions) (ans *
 	}()
 	ctx = obs.ContextWithSpan(ctx, ex)
 	run := s.runInOrder
-	if p.concurrentLeaves() {
+	if p.shares != nil {
 		run = s.runConcurrent
 	}
 	results, err := run(ctx, p, o)
@@ -173,13 +173,12 @@ func (s *Scheme) runInOrder(ctx context.Context, p *Plan, o ExecOptions) ([]*pla
 	return results, nil
 }
 
-// runConcurrent runs every leaf on its own goroutine, each on its
-// partitionBudget share; the query's own leaves bound the goroutine count.
+// runConcurrent runs every leaf on its own goroutine, each on its budget
+// share (p.shares); the query's own leaves bound the goroutine count.
 // Results are in p.Leaves order. Cancellation surfaces from the per-leaf
 // executors; ctx.Err() is preferred over leaf errors so a cancelled call
 // reports the cancellation, not a secondary failure.
 func (s *Scheme) runConcurrent(ctx context.Context, p *Plan, o ExecOptions) ([]*plan.Result, error) {
-	shares := partitionBudget(p)
 	results := make([]*plan.Result, len(p.Leaves))
 	errs := make([]error, len(p.Leaves))
 	var wg sync.WaitGroup
@@ -187,7 +186,7 @@ func (s *Scheme) runConcurrent(ctx context.Context, p *Plan, o ExecOptions) ([]*
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[li], errs[li] = s.runLeaf(ctx, p, li, shares[li], "par", o)
+			results[li], errs[li] = s.runLeaf(ctx, p, li, p.shares[li], "par", o)
 		}()
 	}
 	wg.Wait()
@@ -202,13 +201,17 @@ func (s *Scheme) runConcurrent(ctx context.Context, p *Plan, o ExecOptions) ([]*
 	return results, nil
 }
 
-// partitionBudget splits the plan's global budget across its leaves ahead
-// of execution: each leaf gets its tariff estimate — only affordable plans
-// (total tariff ≤ budget) run concurrently — with the slack spread evenly.
-// Shares sum to exactly p.Budget, which is what preserves the α·|D| bound
-// under concurrent execution.
-func partitionBudget(p *Plan) []int {
+// leafShares splits a generated plan's global budget across its leaves
+// for concurrent execution: each leaf gets its tariff estimate, with the
+// slack spread evenly. Shares sum to exactly p.Budget, which is what
+// preserves the α·|D| bound under concurrent execution. Only an affordable
+// multi-leaf plan (more than one leaf, total tariff ≤ budget) runs its
+// leaves concurrently; for any other it returns nil.
+func leafShares(p *Plan) []int {
 	n := len(p.Leaves)
+	if n < 2 || p.Tariff() > p.Budget {
+		return nil
+	}
 	shares := make([]int, n)
 	total := 0
 	for li, l := range p.Leaves {
@@ -553,7 +556,7 @@ func (s *Scheme) dangerousDistances(p *Plan, e query.Expr) ([]float64, []relatio
 		}
 		// Validation gave every leaf of e the same arity.
 		for i, col := range b.Chase.Leaf.Output {
-			delta[i] = max(delta[i], b.ResolutionOf(col.Atom, col.Attr.Name))
+			delta[i] = max(delta[i], b.Resolution(col.Atom, col.Index))
 		}
 	}
 	return delta, attrs, nil
@@ -592,11 +595,19 @@ func (s *Scheme) combineGroupBy(p *Plan, q *query.GroupBy, results []*plan.Resul
 	}
 	var byKey relation.ProbeTable
 	var groups []groupAgg
+	// A row is hashed and compared on its own key positions; only a row
+	// that opens a group has its key projected.
 	for ri, t := range rows.Tuples {
-		key := t.Project(p.keyIdx)
-		gi, added := byKey.Insert(key.Hash(), func(p int) bool { return groups[p].key.KeyEqual(key) })
+		gi, added := byKey.Insert(t.HashCols(p.keyIdx), func(g int) bool {
+			for i, j := range p.keyIdx {
+				if !groups[g].key[i].KeyEqual(t[j]) {
+					return false
+				}
+			}
+			return true
+		})
 		if added {
-			groups = append(groups, groupAgg{key: key})
+			groups = append(groups, groupAgg{key: t.Project(p.keyIdx)})
 		}
 		g := &groups[gi]
 		w := weights[ri]

@@ -34,8 +34,8 @@ func wantSchedule(t *testing.T, s *Scheme, q query.Expr, o ExecOptions, concurre
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.concurrentLeaves() != concurrent {
-		t.Fatalf("%s: concurrent schedule %v, want %v", query.Render(q), p.concurrentLeaves(), concurrent)
+	if (p.shares != nil) != concurrent {
+		t.Fatalf("%s: concurrent schedule %v, want %v", query.Render(q), p.shares != nil, concurrent)
 	}
 }
 

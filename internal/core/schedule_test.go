@@ -92,7 +92,7 @@ func executeInOrder(s *Scheme, p *Plan) (*Answer, error) {
 // the test on any leaf that reads more than its tariff or truncates.
 func checkConcurrentLeaves(t *testing.T, s *Scheme, p *Plan) bool {
 	t.Helper()
-	if !p.concurrentLeaves() {
+	if p.shares == nil {
 		return false
 	}
 	results, err := s.runConcurrent(context.Background(), p, ExecOptions{})

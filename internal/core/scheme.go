@@ -240,6 +240,9 @@ type Plan struct {
 	schema *relation.Schema
 	keyIdx []int
 	onIdx  int
+	// shares are the leaves' budget shares when they run concurrently
+	// (leafShares), nil when they run in order. Fixed at generation.
+	shares []int
 }
 
 // leafIndex returns the index in p.Leaves of the leaf planned for q, or -1
@@ -251,13 +254,6 @@ func (p *Plan) leafIndex(q *query.SPC) int {
 		}
 	}
 	return -1
-}
-
-// concurrentLeaves reports whether the plan runs its leaves concurrently:
-// it has more than one leaf and its total tariff fits its budget, so every
-// leaf can be granted a share that covers its tariff.
-func (p *Plan) concurrentLeaves() bool {
-	return len(p.Leaves) > 1 && p.Tariff() <= p.Budget
 }
 
 // Tariff returns the plan's estimated data access. Per-leaf tariffs
@@ -388,6 +384,7 @@ func (s *Scheme) generateWithBudget(ctx context.Context, e query.Expr, alpha flo
 	}
 	tr.DRel, tr.DCov, tr.Eta = p.DRel, p.DCov, p.Eta
 	p.Trace = tr
+	p.shares = leafShares(p)
 	p.GenTime = time.Since(start)
 	return p, nil
 }
@@ -429,10 +426,10 @@ func (s *Scheme) isExact(p *Plan) bool {
 // exact reports whether every used attribute of the leaf resolves with
 // resolution 0 under its current level assignment.
 func (l *LeafPlan) exact() bool {
-	c := l.Bounded.Chase
+	b := l.Bounded
 	for ai := range l.SPC.Atoms {
-		for _, attr := range c.UsedAttrs(ai) {
-			if l.Bounded.ResolutionOf(ai, attr) != 0 {
+		for _, attr := range b.Chase.UsedAttrs(ai) {
+			if b.Resolution(ai, attr) != 0 {
 				return false
 			}
 		}
@@ -448,8 +445,11 @@ type upgrade struct {
 
 // chAT greedily upgrades the template step whose next level yields the
 // best improvement of the lower-bound function L, while the estimated
-// tariff of the whole fetch plan stays within the budget.
+// tariff of the whole fetch plan stays within the budget. A probe bounds
+// the plan with the probed leaf's resolution table filled into a scratch
+// table; a committed upgrade refreshes the leaf's own table.
 func (s *Scheme) chAT(p *Plan) {
+	var scratch []float64
 	for {
 		curRel, curCov := s.planBound(p, p.Expr)
 		curD := math.Max(curRel, curCov)
@@ -458,14 +458,20 @@ func (s *Scheme) chAT(p *Plan) {
 		var best *upgrade
 		bestD, bestRes := curD, curRes
 		for li, l := range p.Leaves {
-			for si := range l.Bounded.Chase.Steps {
-				st := &l.Bounded.Chase.Steps[si]
-				if st.Pinned || l.Bounded.Ks[si] >= st.Ladder.MaxK() {
+			b := l.Bounded
+			for si := range b.Chase.Steps {
+				st := &b.Chase.Steps[si]
+				if st.Pinned || b.Ks[si] >= st.Ladder.MaxK() {
 					continue
 				}
-				l.Bounded.Ks[si]++
+				b.Ks[si]++
 				if p.Tariff() <= p.Budget {
+					committed := b.Res
+					scratch = slices.Grow(scratch[:0], len(committed))[:len(committed)]
+					b.Chase.Resolutions(b.Ks, scratch)
+					b.Res = scratch
 					dRel, dCov := s.planBound(p, p.Expr)
+					b.Res = committed
 					d := math.Max(dRel, dCov)
 					res := s.totalResolution(p)
 					// Any affordable upgrade is acceptable; a
@@ -477,13 +483,14 @@ func (s *Scheme) chAT(p *Plan) {
 						best = &upgrade{li, si}
 					}
 				}
-				l.Bounded.Ks[si]--
+				b.Ks[si]--
 			}
 		}
 		if best == nil {
 			return
 		}
-		p.Leaves[best.leaf].Bounded.Ks[best.step]++
+		b := p.Leaves[best.leaf].Bounded
+		b.SetLevel(best.step, b.Ks[best.step]+1)
 	}
 }
 
@@ -648,7 +655,7 @@ func (s *Scheme) leafBound(p *Plan, q *query.SPC, planning bool, tr *BoundTrace)
 	lp := p.Leaves[leafIdx]
 	c := lp.Bounded.Chase
 	res := func(b query.Binding) float64 {
-		return lp.Bounded.ResolutionOf(b.Atom, b.Attr.Name)
+		return lp.Bounded.Resolution(b.Atom, b.Index)
 	}
 	for _, b := range c.Leaf.Output {
 		r := res(b)
@@ -735,29 +742,21 @@ func (s *Scheme) leafBound(p *Plan, q *query.SPC, planning bool, tr *BoundTrace)
 // enforced join always finds the fetched partner and the coverage
 // argument goes through despite the infinite tolerance.
 func joinFetchCorrelated(c *chase.Result, pb query.PredBinding) bool {
-	l, r := pb.Left, pb.Right
-	return xSourcedFrom(c, r.Atom, r.Attr.Name, l.Atom, l.Attr.Name) ||
-		xSourcedFrom(c, l.Atom, l.Attr.Name, r.Atom, r.Attr.Name)
+	return xSourcedFrom(c, pb.Right, pb.Left) || xSourcedFrom(c, pb.Left, pb.Right)
 }
 
-// xSourcedFrom reports whether (atom, attr) is covered by a non-chimeric
-// step that fetches attr as a ladder X attribute sourced directly from
-// (srcAtom, srcAttr).
-func xSourcedFrom(c *chase.Result, atom int, attr string, srcAtom int, srcAttr string) bool {
-	si := c.CoveredBy(atom, attr)
-	if si < 0 || si >= len(c.Steps) {
+// xSourcedFrom reports whether column b is covered by a non-chimeric step
+// that fetches it as a ladder X attribute sourced directly from column src.
+func xSourcedFrom(c *chase.Result, b, src query.Binding) bool {
+	si := c.CoveredBy(b.Atom, b.Index)
+	if si < 0 {
 		return false
 	}
-	st := c.Steps[si]
-	if st.Chimeric || st.AtomIdx != atom {
+	st := &c.Steps[si]
+	xi := slices.Index(st.Ladder.XIdx(), b.Index)
+	if st.Chimeric || st.AtomIdx != b.Atom || xi < 0 {
 		return false
 	}
-	for xi, x := range st.Ladder.X {
-		if x != attr {
-			continue
-		}
-		src := st.X[xi]
-		return !src.IsConst && src.AtomIdx == srcAtom && src.Attr == srcAttr
-	}
-	return false
+	x := st.X[xi]
+	return !x.IsConst && x.AtomIdx == src.Atom && x.Attr == src.Index
 }

@@ -166,9 +166,9 @@ func (tr *BoundTrace) String() string {
 	return b.String()
 }
 
-// HasRule reports whether any recorded step applied the rule — the audit
-// uses it to attach the offending derivation to a violation, and tests use
-// it to pin root causes.
+// HasRule reports whether any recorded step applied the rule. Tests use it
+// to pin the rule behind a bound (the soundness suite checks that an
+// inexact plan's void coverage comes from RuleJoinCoverageVoid).
 func (tr *BoundTrace) HasRule(rule BoundRule) bool {
 	if tr == nil {
 		return false

@@ -81,7 +81,7 @@ type blockAtom struct {
 // applyStepBlocks would build with every level cut to nothing — so each
 // atom ends on its final schema.
 func executeFetchBlocks(ctx context.Context, p *Bounded, lay *planLayout, o ExecOpts, sc *runScratch) ([]*blockAtom, Stats, error) {
-	n := len(p.Chase.Query.Atoms)
+	n := len(p.Chase.Leaf.Q.Atoms)
 	sc.atoms = slices.Grow(sc.atoms[:0], n)[:n]
 	clear(sc.atoms)
 	var stats Stats
@@ -402,9 +402,8 @@ type activeJoin struct {
 // arriving atom, and emits matches in environment-row order. Its working
 // memory is sc's; only the Result is allocated.
 func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []*blockAtom, sc *runScratch) (*Result, error) {
-	q := p.Chase.Query
+	q := p.Chase.Leaf.Q
 	ev := lay.eval
-	resOf := p.ResolutionOf
 
 	// env is the joined environment so far; envW its per-row weights. env
 	// may alias an atom's fetched block (read-only) until the first join
@@ -429,7 +428,7 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 		sel := sc.sel[:0]
 		selAll := true
 		for _, cs := range ev.constSels[ai] {
-			r := resOf(ai, cs.pred.Left.Attr)
+			r := p.Res[cs.res]
 			if math.IsInf(r, 1) {
 				continue
 			}
@@ -482,7 +481,7 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 		exactEq, relaxed := sc.exactEq[:0], sc.relaxed[:0]
 		for _, ji := range ev.connecting[ai] {
 			j := &ev.joins[ji]
-			tol := (resOf(j.lAtom, j.pred.Left.Attr) + resOf(j.rAtom, j.pred.Right.Attr)) / 2
+			tol := (p.Res[j.lRes] + p.Res[j.rRes]) / 2
 			bothNew := j.lAtom == ai && j.rAtom == ai
 			if j.pred.Op == query.OpEq && (tol == 0 || math.IsInf(tol, 1)) && !bothNew {
 				exactEq = append(exactEq, j)
@@ -586,7 +585,7 @@ func evaluateColumnar(ctx context.Context, p *Bounded, lay *planLayout, atoms []
 	// Residual join predicates within the final environment.
 	for _, ji := range ev.residual {
 		j := &ev.joins[ji]
-		tol := (resOf(j.lAtom, j.pred.Left.Attr) + resOf(j.rAtom, j.pred.Right.Attr)) / 2
+		tol := (p.Res[j.lRes] + p.Res[j.rRes]) / 2
 		li := ev.envOffset[j.lAtom] + j.lCol
 		ri := ev.envOffset[j.rAtom] + j.rCol
 		kept := sc.eIdx[:0]

@@ -42,12 +42,17 @@ func pidStep(t testing.TB, db *relation.Database, as *access.Schema, pids []rela
 		Output: []query.Col{query.C("p", "pid"), query.C("p", "city")},
 	}
 	prefix := relation.MustSchema("p", db.MustRelation("person").Schema.Attrs[0])
-	s := &chase.Step{Ladder: l, K: l.MaxK(), X: []chase.Source{{Attr: "pid"}}}
 	leaf, err := query.Resolve(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl, err := buildStepLayout(leaf, []*relation.Schema{prefix}, s, 0, map[string]bool{"pid": true, "city": true})
+	pid, city := attrIdx(leaf, 0, "pid"), attrIdx(leaf, 0, "city")
+	s := &chase.Step{Ladder: l, K: l.MaxK(), X: []chase.Source{{Attr: pid}}}
+	colOf := [][]int{{-1, -1}}
+	colOf[0][pid] = 0
+	read := []bool{false, false}
+	read[pid], read[city] = true, true
+	sl, err := buildStepLayout(leaf, []*relation.Schema{prefix}, colOf, s, 0, read)
 	if err != nil {
 		t.Fatal(err)
 	}

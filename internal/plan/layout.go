@@ -15,9 +15,13 @@ import (
 // every execution — per step and partly per row — which X positions come
 // from the current atom relation, which are constants or external columns,
 // what the extended schema looks like, and where each fetched value lands
-// (map[string]int and map[int]Value fills, Schema.Index calls, fmt.Sprintf
-// group keys). All of that is a pure function of the chase result, so it is
-// computed once per plan here and the executor runs over flat int slices.
+// (name-keyed map fills, Schema.Index calls, fmt.Sprintf group keys). All
+// of that is a pure function of the chase result, so it is computed once
+// per plan here and the executor runs over flat int slices.
+//
+// The simulation addresses a column as the chase does, by (atom, base
+// attribute index): per atom, which attributes a step schema carries and
+// which column each one holds are slices over the base attributes.
 //
 // The schema evolution is simulated step by step: steps execute in order
 // and each one only sees atoms built by earlier steps, so the simulated
@@ -90,6 +94,7 @@ type planLayout struct {
 type constSel struct {
 	pred query.Pred
 	col  int
+	res  int // the column's entry in Bounded.Res
 	dist relation.Distance
 }
 
@@ -99,6 +104,7 @@ type joinSel struct {
 	pred         query.Pred
 	lAtom, rAtom int
 	lCol, rCol   int
+	lRes, rRes   int // the sides' entries in Bounded.Res
 	lDist        relation.Distance
 	// joinAt is the atom whose arrival makes both sides available:
 	// max(lAtom, rAtom). Predicates entirely within atom 0 are enforced on
@@ -136,13 +142,22 @@ func (p *Bounded) layoutFor() (*planLayout, error) {
 // resolved leaf. A plan that leaves an atom without a fetch step, or never
 // fetches a column the query needs, is rejected here, before any run.
 func buildLayout(p *Bounded) (*planLayout, error) {
-	leaf := p.Chase.Leaf
-	q := leaf.Q
-	read := readColumns(leaf, p.Chase.Steps)
+	c := p.Chase
+	q := c.Leaf.Q
+	read := readColumns(c)
 	lay := &planLayout{finalSchema: make([]*relation.Schema, len(q.Atoms))}
-	for si := range p.Chase.Steps {
-		s := &p.Chase.Steps[si]
-		sl, err := buildStepLayout(leaf, lay.finalSchema, s, si, read[s.AtomIdx])
+	// colOf[ai][attr] is the column base attribute attr holds in atom ai's
+	// schema so far, -1 while the atom lacks it.
+	colOf := make([][]int, len(q.Atoms))
+	for ai, b := range c.Leaf.Bases {
+		colOf[ai] = make([]int, b.Arity())
+		for i := range colOf[ai] {
+			colOf[ai][i] = -1
+		}
+	}
+	for si := range c.Steps {
+		s := &c.Steps[si]
+		sl, err := buildStepLayout(c.Leaf, lay.finalSchema, colOf, s, si, read[s.AtomIdx])
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +169,7 @@ func buildLayout(p *Bounded) (*planLayout, error) {
 			return nil, fmt.Errorf("plan: atom %s has no fetch step", q.Atoms[ai].Name())
 		}
 	}
-	ev, err := buildEvalLayout(leaf, lay.finalSchema)
+	ev, err := buildEvalLayout(c, lay.finalSchema, colOf)
 	if err != nil {
 		return nil, err
 	}
@@ -162,21 +177,24 @@ func buildLayout(p *Bounded) (*planLayout, error) {
 	return lay, nil
 }
 
-// readColumns returns, per atom, the attributes its step schemas carry:
-// the columns of its constant predicates, joins and outputs; every column
-// a step reads as an external X source; and every ladder-X attribute that
-// a step finds among the X and Y attributes earlier steps fetched on its
-// own atom, so that position keeps reading the row's own value (xOwn).
-func readColumns(leaf *query.Resolved, steps []chase.Step) []map[string]bool {
-	q := leaf.Q
-	read := make([]map[string]bool, len(q.Atoms))
-	for i := range q.Atoms {
-		read[i] = map[string]bool{}
+// readColumns returns, per atom and base attribute, whether its step
+// schemas carry that attribute: the columns of its constant predicates,
+// joins and outputs; every column a step reads as an external X source;
+// and every ladder-X attribute that a step finds among the X and Y
+// attributes earlier steps fetched on its own atom, so that position keeps
+// reading the row's own value (xOwn).
+func readColumns(c *chase.Result) [][]bool {
+	leaf := c.Leaf
+	// fetched[ai] holds every X and Y attribute the atom's steps so far
+	// fetched: what its schema would hold if nothing were trimmed.
+	read, fetched := make([][]bool, len(leaf.Bases)), make([][]bool, len(leaf.Bases))
+	for ai, b := range leaf.Bases {
+		read[ai], fetched[ai] = make([]bool, b.Arity()), make([]bool, b.Arity())
 	}
 	mark := func(b query.Binding) {
-		read[b.Atom][b.Attr.Name] = true
+		read[b.Atom][b.Index] = true
 	}
-	for pi, pd := range q.Preds {
+	for pi, pd := range leaf.Q.Preds {
 		mark(leaf.Preds[pi].Left)
 		if pd.Join {
 			mark(leaf.Preds[pi].Right)
@@ -185,16 +203,10 @@ func readColumns(leaf *query.Resolved, steps []chase.Step) []map[string]bool {
 	for _, b := range leaf.Output {
 		mark(b)
 	}
-	// fetched[ai] holds every X and Y attribute the atom's steps so far
-	// fetched: what its schema would hold if nothing were trimmed.
-	fetched := make([]map[string]bool, len(q.Atoms))
-	for ai := range fetched {
-		fetched[ai] = map[string]bool{}
-	}
-	for si := range steps {
-		s := &steps[si]
+	for si := range c.Steps {
+		s := &c.Steps[si]
 		ai := s.AtomIdx
-		for xi, attr := range s.Ladder.X {
+		for xi, attr := range s.Ladder.XIdx() {
 			switch src := s.X[xi]; {
 			case fetched[ai][attr]:
 				read[ai][attr] = true
@@ -202,10 +214,10 @@ func readColumns(leaf *query.Resolved, steps []chase.Step) []map[string]bool {
 				read[src.AtomIdx][src.Attr] = true
 			}
 		}
-		for _, a := range s.Ladder.X {
+		for _, a := range s.Ladder.XIdx() {
 			fetched[ai][a] = true
 		}
-		for _, a := range s.Ladder.Y {
+		for _, a := range s.Ladder.YIdx() {
 			fetched[ai][a] = true
 		}
 	}
@@ -213,12 +225,13 @@ func readColumns(leaf *query.Resolved, steps []chase.Step) []map[string]bool {
 }
 
 // buildStepLayout simulates one fetch step against the current schemas;
-// the step adds the attributes of read it fetches that the atom lacks.
-func buildStepLayout(leaf *query.Resolved, cur []*relation.Schema, s *chase.Step, si int, read map[string]bool) (*stepLayout, error) {
+// the step adds the attributes of read it fetches that the atom lacks,
+// recording their columns in colOf.
+func buildStepLayout(leaf *query.Resolved, cur []*relation.Schema, colOf [][]int, s *chase.Step, si int, read []bool) (*stepLayout, error) {
 	ai := s.AtomIdx
 	base := leaf.Bases[ai]
-	curS := cur[ai]
-	ladderX, ladderY := s.Ladder.X, s.Ladder.Y
+	curS, own := cur[ai], colOf[ai]
+	ladderX, ladderY := s.Ladder.XIdx(), s.Ladder.YIdx()
 
 	sl := &stepLayout{
 		atom:   ai,
@@ -228,12 +241,10 @@ func buildStepLayout(leaf *query.Resolved, cur []*relation.Schema, s *chase.Step
 	}
 	groupOf := map[int]int{}
 	for xi, attr := range ladderX {
-		if curS != nil {
-			if ci, ok := curS.Index(attr); ok {
-				sl.route[xi] = xOwn
-				sl.ownCol[xi] = ci
-				continue
-			}
+		if ci := own[attr]; ci >= 0 {
+			sl.route[xi] = xOwn
+			sl.ownCol[xi] = ci
+			continue
 		}
 		src := s.X[xi]
 		if src.IsConst {
@@ -254,14 +265,14 @@ func buildStepLayout(leaf *query.Resolved, cur []*relation.Schema, s *chase.Step
 	}
 	for gi, positions := range sl.extGroups {
 		srcAtom := sl.extSrcAtom[gi]
-		srcS := cur[srcAtom]
-		if srcS == nil {
+		if cur[srcAtom] == nil {
 			return nil, fmt.Errorf("plan: step %d reads atom %d before it was fetched", si, srcAtom)
 		}
 		for _, xi := range positions {
-			ci, ok := srcS.Index(s.X[xi].Attr)
-			if !ok {
-				return nil, fmt.Errorf("plan: step %d: source column %s missing on atom %d", si, s.X[xi].Attr, srcAtom)
+			ci := colOf[srcAtom][s.X[xi].Attr]
+			if ci < 0 {
+				return nil, fmt.Errorf("plan: step %d: source column %s missing on atom %d",
+					si, leaf.Bases[srcAtom].Attrs[s.X[xi].Attr].Name, srcAtom)
 			}
 			sl.extSrcCols[gi] = append(sl.extSrcCols[gi], ci)
 		}
@@ -269,19 +280,16 @@ func buildStepLayout(leaf *query.Resolved, cur []*relation.Schema, s *chase.Step
 
 	// New columns this step adds, in emission order: constants (X order),
 	// external groups (group order), then Y — each only if it is read.
-	var newAttrs []string
-	isNew := map[string]bool{}
-	addNew := func(a string) {
-		if isNew[a] || !read[a] {
-			return
+	var schemaAttrs []relation.Attribute
+	if curS != nil {
+		schemaAttrs = append(schemaAttrs, curS.Attrs...)
+		sl.prefixArity = curS.Arity()
+	}
+	addNew := func(a int) {
+		if read[a] && own[a] < 0 {
+			own[a] = len(schemaAttrs)
+			schemaAttrs = append(schemaAttrs, base.Attrs[a])
 		}
-		if curS != nil {
-			if _, ok := curS.Index(a); ok {
-				return
-			}
-		}
-		isNew[a] = true
-		newAttrs = append(newAttrs, a)
 	}
 	for xi, r := range sl.route {
 		if r == xConst {
@@ -296,58 +304,42 @@ func buildStepLayout(leaf *query.Resolved, cur []*relation.Schema, s *chase.Step
 	for _, y := range ladderY {
 		addNew(y)
 	}
-
-	var schemaAttrs []relation.Attribute
-	if curS != nil {
-		schemaAttrs = append(schemaAttrs, curS.Attrs...)
-		sl.prefixArity = curS.Arity()
-	}
-	idx, err := base.Indices(newAttrs)
-	if err != nil {
-		return nil, fmt.Errorf("plan: step %d schema: %w", si, err)
-	}
-	for _, i := range idx {
-		schemaAttrs = append(schemaAttrs, base.Attrs[i])
-	}
 	schema, err := relation.NewSchema(leaf.Q.Atoms[ai].Name(), schemaAttrs...)
 	if err != nil {
 		return nil, fmt.Errorf("plan: step %d schema: %w", si, err)
 	}
 	sl.schema = schema
 
-	newPos := make(map[string]int, len(newAttrs))
-	for i, a := range newAttrs {
-		newPos[a] = sl.prefixArity + i
+	// newCol is the column a attribute got from this step, or -1.
+	newCol := func(a int) int {
+		if own[a] >= sl.prefixArity {
+			return own[a]
+		}
+		return -1
 	}
 	sl.outX = make([]int, len(ladderX))
 	for xi, a := range ladderX {
-		if pos, ok := newPos[a]; ok {
-			sl.outX[xi] = pos
-		} else {
-			sl.outX[xi] = -1
-		}
+		sl.outX[xi] = newCol(a)
 	}
 	sl.outY = make([]int, len(ladderY))
 	for yi, a := range ladderY {
-		if pos, ok := newPos[a]; ok {
-			sl.outY[yi] = pos
-		} else {
-			sl.outY[yi] = -1
-		}
+		sl.outY[yi] = newCol(a)
 	}
 	sl.fills = buildColFills(sl, schema.Arity())
 	return sl, nil
 }
 
-// buildEvalLayout precompiles the evaluation plan of the resolved leaf over
-// the final fetched schemas. A column the query needs that no fetch step
-// provides is an error naming that column.
-func buildEvalLayout(leaf *query.Resolved, finalSchema []*relation.Schema) (*evalLayout, error) {
+// buildEvalLayout precompiles the evaluation plan of the chased leaf over
+// the final fetched schemas, in which colOf places every base attribute.
+// A column the query needs that no fetch step provides is an error naming
+// that column.
+func buildEvalLayout(c *chase.Result, finalSchema []*relation.Schema, colOf [][]int) (*evalLayout, error) {
+	leaf := c.Leaf
 	q := leaf.Q
 	// locate finds a bound column in its atom's final schema; role names
 	// the use in the error.
 	locate := func(role string, b query.Binding) (int, error) {
-		if ci, ok := finalSchema[b.Atom].Index(b.Attr.Name); ok {
+		if ci := colOf[b.Atom][b.Index]; ci >= 0 {
 			return ci, nil
 		}
 		return 0, fmt.Errorf("plan: %s column %s not fetched", role, b.Col)
@@ -373,7 +365,7 @@ func buildEvalLayout(leaf *query.Resolved, finalSchema []*relation.Schema) (*eva
 				return nil, err
 			}
 			ev.constSels[l.Atom] = append(ev.constSels[l.Atom], constSel{
-				pred: pd, col: ci, dist: l.Attr.Dist,
+				pred: pd, col: ci, res: c.Col(l.Atom, l.Index), dist: l.Attr.Dist,
 			})
 			continue
 		}
@@ -390,6 +382,7 @@ func buildEvalLayout(leaf *query.Resolved, finalSchema []*relation.Schema) (*eva
 			pred:  pd,
 			lAtom: l.Atom, rAtom: r.Atom,
 			lCol: lC, rCol: rC,
+			lRes: c.Col(l.Atom, l.Index), rRes: c.Col(r.Atom, r.Index),
 			lDist:  l.Attr.Dist,
 			joinAt: max(l.Atom, r.Atom),
 		}

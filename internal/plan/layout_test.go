@@ -200,7 +200,7 @@ func TestEvalLayoutNamesMissingColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := buildEvalLayout(res.Leaf, lay.finalSchema); err != nil {
+	if _, err := buildEvalLayout(res, lay.finalSchema, colsOf(res, lay.finalSchema)); err != nil {
 		t.Fatalf("complete schemas: %v", err)
 	}
 	for _, attr := range []string{"type", "address"} {
@@ -219,7 +219,7 @@ func TestEvalLayoutNamesMissingColumn(t *testing.T) {
 			t.Fatal(err)
 		}
 		schemas := append([]*relation.Schema{without}, lay.finalSchema[1:]...)
-		_, err = buildEvalLayout(res.Leaf, schemas)
+		_, err = buildEvalLayout(res, schemas, colsOf(res, schemas))
 		if err == nil || !strings.Contains(err.Error(), "h."+attr) {
 			t.Fatalf("schema without h.%s: error %v, want one naming h.%s", attr, err, attr)
 		}
@@ -274,6 +274,23 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 	if dups == 0 {
 		t.Fatal("fixture produced no duplicate build keys; test is vacuous")
 	}
+}
+
+// colsOf places every base attribute of res's atoms in the given
+// schemas by name: the column table buildEvalLayout reads, -1 where a
+// schema lacks the attribute.
+func colsOf(res *chase.Result, schemas []*relation.Schema) [][]int {
+	out := make([][]int, len(schemas))
+	for ai, b := range res.Leaf.Bases {
+		for _, a := range b.Attrs {
+			ci, ok := schemas[ai].Index(a.Name)
+			if !ok {
+				ci = -1
+			}
+			out[ai] = append(out[ai], ci)
+		}
+	}
+	return out
 }
 
 // layoutCase is one SPC leaf of a corpus query, chased at its share of the
@@ -352,7 +369,7 @@ func evalReads(t *testing.T, q *query.SPC, db *relation.Database) []map[string]b
 // leave out.
 func checkStepSchemas(t *testing.T, name string, db *relation.Database, res *chase.Result, lay *planLayout) int {
 	t.Helper()
-	q := res.Query
+	q := res.Leaf.Q
 	reads := evalReads(t, q, db)
 	fetched := make([]map[string]bool, len(q.Atoms)) // untrimmed schemas
 	stepReads := make([]map[string]bool, len(q.Atoms))
@@ -365,7 +382,7 @@ func checkStepSchemas(t *testing.T, name string, db *relation.Database, res *cha
 			if src := s.X[xi]; fetched[s.AtomIdx][attr] {
 				stepReads[s.AtomIdx][attr] = true
 			} else if !src.IsConst {
-				stepReads[src.AtomIdx][src.Attr] = true
+				stepReads[src.AtomIdx][res.Leaf.Bases[src.AtomIdx].Attrs[src.Attr].Name] = true
 			}
 		}
 		for _, a := range append(append([]string(nil), s.Ladder.X...), s.Ladder.Y...) {
@@ -399,8 +416,9 @@ func checkStepSchemas(t *testing.T, name string, db *relation.Database, res *cha
 		}
 		for gi, srcAtom := range sl.extSrcAtom {
 			for i, xi := range sl.extGroups[gi] {
-				if got := cur[srcAtom].Attrs[sl.extSrcCols[gi][i]].Name; got != s.X[xi].Attr {
-					t.Fatalf("%s step %d: external X %s reads column %s", name, si, s.X[xi].Attr, got)
+				want := res.Leaf.Bases[srcAtom].Attrs[s.X[xi].Attr].Name
+				if got := cur[srcAtom].Attrs[sl.extSrcCols[gi][i]].Name; got != want {
+					t.Fatalf("%s step %d: external X %s reads column %s", name, si, want, got)
 				}
 			}
 		}
@@ -468,16 +486,14 @@ func testOwnXOfEarlierY(t *testing.T) {
 		Preds:  []query.Pred{query.LeC(query.C("h", "price"), relation.Float(200))},
 		Output: []query.Col{query.C("h", "address")},
 	}
-	leaf, err := query.Resolve(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := &chase.Result{Query: q, Leaf: leaf, Steps: []chase.Step{
+	// Chased for its column tables, then given the hand-built steps.
+	res := mustChase(t, q, as, db, db.Size())
+	res.Steps = []chase.Step{
 		{AtomIdx: 0, Ladder: tmpl},
 		{AtomIdx: 0, Ladder: refine, K: refine.MaxK(), X: []chase.Source{
-			{AtomIdx: 0, Attr: "type"}, {AtomIdx: 0, Attr: "city"},
+			{AtomIdx: 0, Attr: attrIdx(res.Leaf, 0, "type")}, {AtomIdx: 0, Attr: attrIdx(res.Leaf, 0, "city")},
 		}},
-	}}
+	}
 	lay, err := NewBounded(res, 0).layoutFor()
 	if err != nil {
 		t.Fatal(err)

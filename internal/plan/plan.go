@@ -32,6 +32,11 @@ type Bounded struct {
 	Chase  *chase.Result
 	Ks     []int
 	Budget int
+	// Res is the resolution table of Chase under Ks
+	// (chase.Result.Resolutions): column (atom, attr) resolves to
+	// Res[Chase.Col(atom, attr)]. NewBounded fills it and SetLevel keeps it
+	// current; like Ks it is read-only once the plan is generated.
+	Res []float64
 
 	// The execution layout is precompiled lazily on first execution and
 	// shared by all (concurrent) executions; it depends only on Chase,
@@ -43,13 +48,21 @@ type Bounded struct {
 
 // NewBounded wraps a chase result with its initial level assignment.
 func NewBounded(c *chase.Result, budget int) *Bounded {
-	return &Bounded{Chase: c, Ks: c.Levels(), Budget: budget}
+	p := &Bounded{Chase: c, Ks: c.Levels(), Budget: budget, Res: make([]float64, c.NumCols())}
+	c.Resolutions(p.Ks, p.Res)
+	return p
 }
 
-// ResolutionOf exposes the fetch resolution of (atom, attr) under the
-// plan's current level assignment.
-func (p *Bounded) ResolutionOf(atom int, attr string) float64 {
-	return p.Chase.ResolutionOf(atom, attr, p.Ks)
+// SetLevel sets step si's level to k and refreshes the resolution table.
+func (p *Bounded) SetLevel(si, k int) {
+	p.Ks[si] = k
+	p.Chase.Resolutions(p.Ks, p.Res)
+}
+
+// Resolution returns the fetch resolution of column (atom, attr) under the
+// plan's level assignment, attr indexing the atom's base schema.
+func (p *Bounded) Resolution(atom, attr int) float64 {
+	return p.Res[p.Chase.Col(atom, attr)]
 }
 
 // Tariff estimates the plan's data access from schema metadata alone.

@@ -36,6 +36,12 @@ func mustChase(t testing.TB, q *query.SPC, as *access.Schema, db *relation.Datab
 	return res
 }
 
+// attrIdx maps an attribute name of atom to its index in the atom's base
+// schema, the column currency of chase results and plans.
+func attrIdx(leaf *query.Resolved, atom int, name string) int {
+	return leaf.Bases[atom].MustIndex(name)
+}
+
 func asSet(r *relation.Relation) map[string]bool {
 	out := map[string]bool{}
 	for _, t := range r.Distinct().Tuples {
@@ -112,7 +118,7 @@ func TestPlanDefinitionUpgradedToExact(t *testing.T) {
 	p := NewBounded(res, db.Size()*10)
 	for si := range res.Steps {
 		if !res.Steps[si].Pinned {
-			p.Ks[si] = res.Steps[si].Ladder.MaxK()
+			p.SetLevel(si, res.Steps[si].Ladder.MaxK())
 		}
 	}
 	out, err := execute(p, db)
@@ -162,7 +168,7 @@ func TestApproximatePlanCoversExactAnswers(t *testing.T) {
 	tol := 0.0
 	for _, c := range q.Output {
 		atom := map[string]int{"h": 0, "f": 1, "p": 2}[c.Rel]
-		if r := p.Chase.ResolutionOf(atom, c.Attr, p.Ks); r > tol {
+		if r := p.Resolution(atom, attrIdx(p.Chase.Leaf, atom, c.Attr)); r > tol {
 			tol = r
 		}
 	}
@@ -257,7 +263,7 @@ func TestWeightsSumPreservedAcrossLevels(t *testing.T) {
 		p := NewBounded(res, 1<<uint(k))
 		for si := range res.Steps {
 			if !res.Steps[si].Pinned {
-				p.Ks[si] = k
+				p.SetLevel(si, k)
 			}
 		}
 		out, err := execute(p, db)

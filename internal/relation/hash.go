@@ -34,6 +34,17 @@ func (t Tuple) Hash() uint64 {
 	return h
 }
 
+// HashCols returns the hash of t's projection onto the positions idx
+// without building it: t.HashCols(idx) == t.Project(idx).Hash().
+func (t Tuple) HashCols(idx []int) uint64 {
+	h := uint64(fnvOffset64)
+	for _, j := range idx {
+		h = t[j].hashInto(h)
+		h = (h ^ 0x1f) * fnvPrime64
+	}
+	return h
+}
+
 // hashInto folds the value's canonical encoding into h, mirroring Key: a
 // kind tag, then the payload, with integral floats unified with ints.
 func (v Value) hashInto(h uint64) uint64 {
