@@ -276,6 +276,13 @@ func Chase(q *query.SPC, as *access.Schema, src query.SchemaSource, budget int) 
 	if err != nil {
 		return nil, err
 	}
+	return ChaseResolved(leaf, as, budget)
+}
+
+// ChaseResolved is Chase over a leaf already resolved against the
+// database schema (query.Resolve), which the result keeps as Leaf.
+func ChaseResolved(leaf *query.Resolved, as *access.Schema, budget int) (*Result, error) {
+	q := leaf.Q
 	res := &Result{
 		Leaf:      leaf,
 		off:       make([]int, len(q.Atoms)+1),

@@ -89,9 +89,9 @@ type ExecOptions struct {
 	// BypassCache skips the plan cache entirely (no lookup, no insert).
 	BypassCache bool
 	// ExplainEta attaches the full bound-derivation trace (BoundTrace) to
-	// the Answer, extended with execution-stage overrides. Plans always
-	// carry their generation-time trace; this flag only controls the
-	// per-answer copy.
+	// the Answer, extended with execution-stage overrides. Generation
+	// derives η without a trace; this flag re-derives it, rule by rule,
+	// over the finished plan.
 	ExplainEta bool
 	// Tag attributes this call in the scheme's per-tag stats (TagStats).
 	Tag string
@@ -178,17 +178,23 @@ func (s *Scheme) recordTag(tag string, accessed int, took time.Duration, err err
 	st.Total += took
 }
 
-// planKey normalizes a (query, α, budget) triple into a plan-cache key.
-// Rendering is deterministic and injective for a given expression tree, so
-// structurally equal queries share one cached plan regardless of how they
-// were constructed. GroupBy.DistScale is the one semantic field Render
-// omits (it is presentation-free), so it is appended explicitly.
-func planKey(e query.Expr, alpha float64, budget int) string {
-	key := strconv.FormatFloat(alpha, 'g', -1, 64) + "|" + strconv.Itoa(budget) + "|" + query.Render(e)
+// appendPlanKey appends the plan-cache key of a (query, α, budget) triple
+// to dst: α|budget|Render(e), with |ds=… for a group-by's DistScale, the
+// one semantic field Render omits (it is presentation-free). Rendering is
+// deterministic and injective for a given expression tree, so structurally
+// equal queries share one cached plan regardless of how they were
+// constructed. Into a buffer with room it allocates nothing.
+func appendPlanKey(dst []byte, e query.Expr, alpha float64, budget int) []byte {
+	dst = strconv.AppendFloat(dst, alpha, 'g', -1, 64)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(budget), 10)
+	dst = append(dst, '|')
+	dst = query.AppendRender(dst, e)
 	if g, ok := e.(*query.GroupBy); ok && g.DistScale > 0 {
-		key += "|ds=" + strconv.FormatFloat(g.DistScale, 'g', -1, 64)
+		dst = append(dst, "|ds="...)
+		dst = strconv.AppendFloat(dst, g.DistScale, 'g', -1, 64)
 	}
-	return key
+	return dst
 }
 
 // DB returns the underlying database.
@@ -222,11 +228,6 @@ type Plan struct {
 	// Leaves are the bounded plans of the max SPC sub-queries, one per
 	// distinct *query.SPC in query.SPCLeaves order of first occurrence.
 	Leaves []*LeafPlan
-	// Trace records every bound-derivation rule application that produced
-	// Eta/DRel/DCov (the `beas -explain-eta` payload). Shared and
-	// immutable once the plan is generated; Answer extends a copy with
-	// execution-stage overrides when ExecOptions.ExplainEta is set.
-	Trace *BoundTrace
 	// GenTime is how long plan generation took (Exp-5).
 	GenTime time.Duration
 	// CacheHit reports that Answer served this plan from the scheme's plan
@@ -322,16 +323,25 @@ func (s *Scheme) resolveBudget(o ExecOptions) (float64, int, error) {
 	return alpha, int(alpha * float64(s.db.Size())), nil
 }
 
+// generateWithBudget validates the query, resolving each distinct leaf
+// once, and plans it.
 func (s *Scheme) generateWithBudget(ctx context.Context, e query.Expr, alpha float64, budget int) (*Plan, error) {
 	start := time.Now()
-	sch, err := query.Validate(e, s.db)
+	sch, leaves, err := query.Validate(e, s.db)
 	if err != nil {
 		return nil, err
 	}
-	leaves := distinctLeaves(query.SPCLeaves(e))
-	if len(leaves) == 0 {
-		return nil, fmt.Errorf("core: query has no SPC leaves")
+	p, err := s.generate(ctx, e, sch, leaves, alpha, budget)
+	if err != nil {
+		return nil, err
 	}
+	p.GenTime = time.Since(start)
+	return p, nil
+}
+
+// generate plans a validated query whose output schema is sch from its
+// resolved distinct leaves (query.Validate), which the chase reuses.
+func (s *Scheme) generate(ctx context.Context, e query.Expr, sch *relation.Schema, leaves []*query.Resolved, alpha float64, budget int) (*Plan, error) {
 	p := &Plan{Expr: e, Class: query.Classify(e), Alpha: alpha, Budget: budget, schema: sch}
 
 	// Step 1 (BEAS_SPC / BEAS_RA): chase every max SPC sub-query into an
@@ -342,11 +352,11 @@ func (s *Scheme) generateWithBudget(ctx context.Context, e query.Expr, alpha flo
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := chase.Chase(leaf, s.as, s.db, share)
+		res, err := chase.ChaseResolved(leaf, s.as, share)
 		if err != nil {
 			return nil, err
 		}
-		p.Leaves = append(p.Leaves, &LeafPlan{SPC: leaf, Bounded: plan.NewBounded(res, budget)})
+		p.Leaves = append(p.Leaves, &LeafPlan{SPC: leaf.Q, Bounded: plan.NewBounded(res, budget)})
 	}
 
 	if g, ok := e.(*query.GroupBy); ok {
@@ -361,16 +371,13 @@ func (s *Scheme) generateWithBudget(ctx context.Context, e query.Expr, alpha flo
 	// while the total tariff stays within the budget.
 	s.chAT(p)
 
-	tr := &BoundTrace{}
-	p.DRel, p.DCov = s.boundRec(p, e, false, tr)
+	// The bound is derived untraced; ExplainEta re-derives it with its
+	// trace over the finished plan (boundTrace).
+	p.DRel, p.DCov = s.bound(p, e)
 	p.Eta = etaOf(p.DRel, p.DCov)
 	p.Exact = s.isExact(p)
 	if p.Exact {
 		p.Eta = 1
-		tr.add(BoundStep{
-			Rule: RuleExact, Leaf: -1, Subject: "plan", Eta: 1,
-			Note: "every used attribute resolves at resolution 0: the plan computes exact answers",
-		})
 	} else if g, ok := e.(*query.GroupBy); ok {
 		switch g.Agg {
 		case query.AggSum, query.AggCount, query.AggAvg:
@@ -382,25 +389,8 @@ func (s *Scheme) generateWithBudget(ctx context.Context, e query.Expr, alpha flo
 			p.Eta = 0
 		}
 	}
-	tr.DRel, tr.DCov, tr.Eta = p.DRel, p.DCov, p.Eta
-	p.Trace = tr
 	p.shares = leafShares(p)
-	p.GenTime = time.Since(start)
 	return p, nil
-}
-
-// distinctLeaves returns the distinct SPC pointers of leaves in
-// first-occurrence order: a sub-query the expression holds twice (q ∪ q)
-// is planned, fetched and charged once, and combine reads it wherever it
-// occurs.
-func distinctLeaves(leaves []*query.SPC) []*query.SPC {
-	out := leaves[:0:0]
-	for _, l := range leaves {
-		if !slices.Contains(out, l) {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // etaOf turns L's distance decomposition into the bound η.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/accuracy"
+	"repro/internal/corpus"
 	"repro/internal/fixture"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -340,5 +341,67 @@ func TestAggregateEtaSound(t *testing.T) {
 		if rep.Accuracy+1e-9 < ans.Eta {
 			t.Errorf("alpha %g: max-aggregate accuracy %.4f < eta %.4f", alpha, rep.Accuracy, ans.Eta)
 		}
+	}
+}
+
+// countingSource counts the relation lookups made through it.
+type countingSource struct {
+	db      *relation.Database
+	lookups int
+}
+
+func (c *countingSource) Relation(name string) (*relation.Relation, bool) {
+	c.lookups++
+	return c.db.Relation(name)
+}
+
+// Generation resolves each distinct leaf exactly once: validation resolves
+// it (query.Resolve looks up each atom's relation once, and once more for
+// the projection of a select-* leaf), and the chase plans from that very
+// resolution instead of resolving the leaf again.
+func TestGenerationResolvesEachLeafOnce(t *testing.T) {
+	s, db := setup(t)
+	q := fixture.Q1(3, 95)
+	star := &query.SPC{Atoms: []query.Atom{{Rel: "person", Alias: "p"}}}
+	qs := []query.Expr{q, star, &query.Union{L: q, R: q}, &query.Diff{L: q, R: &query.Union{L: q, R: star}}}
+	for _, c := range corpus.Default() {
+		qs = append(qs, c.Query)
+	}
+	plans := 0
+	for qi, e := range qs {
+		src := &countingSource{db: db}
+		sch, leaves, err := query.Validate(e, src)
+		if err != nil {
+			continue // the case does not validate; nothing to plan
+		}
+		want := 0
+		seen := map[*query.SPC]bool{}
+		for _, l := range query.SPCLeaves(e) {
+			if seen[l] {
+				continue
+			}
+			seen[l] = true
+			want += len(l.Atoms)
+			if len(l.Output) == 0 {
+				want += len(l.Atoms)
+			}
+		}
+		if src.lookups != want || len(leaves) != len(seen) {
+			t.Fatalf("query %d: %d relation lookups for %d resolved leaves, want %d for %d distinct leaves\n%s",
+				qi, src.lookups, len(leaves), want, len(seen), query.Render(e))
+		}
+		p, err := s.generate(context.Background(), e, sch, leaves, 0.1, int(0.1*float64(db.Size())))
+		if err != nil {
+			continue // the planner rejects the case
+		}
+		for li, l := range p.Leaves {
+			if l.Bounded.Chase.Leaf != leaves[li] {
+				t.Fatalf("query %d: leaf %d was chased from a resolution of its own, not validation's\n%s", qi, li, query.Render(e))
+			}
+		}
+		plans++
+	}
+	if plans == 0 {
+		t.Fatal("no query planned; the test is vacuous")
 	}
 }

@@ -130,9 +130,9 @@ func TestEtaSoundTPCHQ1Pinned(t *testing.T) {
 			t.Errorf("pprice<=%g ship>=%d: accuracy %.4f < eta %.4f — the q1 escape is back\n%s",
 				v.pprice, v.ship, rep.Accuracy, ans.Eta, ans.Trace)
 		}
-		if !p.Exact && !p.Trace.HasRule(RuleJoinCoverageVoid) {
+		if !p.Exact && !ans.Trace.HasRule(RuleJoinCoverageVoid) {
 			t.Errorf("pprice<=%g ship>=%d: expected the join-coverage-void rule in the bound trace\n%s",
-				v.pprice, v.ship, p.Trace)
+				v.pprice, v.ship, ans.Trace)
 		}
 		if ans.Trace == nil {
 			t.Errorf("pprice<=%g ship>=%d: ExplainEta set but Answer.Trace is nil", v.pprice, v.ship)

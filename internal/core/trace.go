@@ -95,9 +95,10 @@ type BoundStep struct {
 }
 
 // BoundTrace is the full derivation record of a plan's η: every rule
-// application in order, plus the resulting decomposition. Request it per
-// answer with ExecOptions.ExplainEta (the `beas -explain-eta` flag); the
-// plan-level trace is always available on Plan.Trace.
+// application in order, plus the resulting decomposition. It is built on
+// request: ExecOptions.ExplainEta (the `beas -explain-eta` flag) re-derives
+// the bound of the finished plan with each rule recorded (boundTrace) and
+// attaches it to the Answer; generation itself records nothing.
 type BoundTrace struct {
 	// Steps are the rule applications in derivation order.
 	Steps []BoundStep
@@ -115,15 +116,21 @@ func (tr *BoundTrace) add(st BoundStep) {
 	tr.Steps = append(tr.Steps, st)
 }
 
-// clone returns a deep copy whose steps can be extended with answer-stage
-// overrides without mutating the (cached, shared) plan's trace.
-func (tr *BoundTrace) clone() *BoundTrace {
-	if tr == nil {
-		return nil
+// boundTrace re-derives the plan's bound with every rule application
+// recorded, plus generation's exactness override. The plan is immutable
+// once generated, so the trace is the one generation would have recorded,
+// and building it only on request keeps generation free of it.
+func (s *Scheme) boundTrace(p *Plan) *BoundTrace {
+	tr := &BoundTrace{}
+	s.boundRec(p, p.Expr, false, tr)
+	if p.Exact {
+		tr.add(BoundStep{
+			Rule: RuleExact, Leaf: -1, Subject: "plan", Eta: 1,
+			Note: "every used attribute resolves at resolution 0: the plan computes exact answers",
+		})
 	}
-	cp := *tr
-	cp.Steps = append([]BoundStep(nil), tr.Steps...)
-	return &cp
+	tr.DRel, tr.DCov, tr.Eta = p.DRel, p.DCov, p.Eta
+	return tr
 }
 
 // fmtRes formats a resolution with +inf spelled out.
@@ -164,19 +171,4 @@ func (tr *BoundTrace) String() string {
 		}
 	}
 	return b.String()
-}
-
-// HasRule reports whether any recorded step applied the rule. Tests use it
-// to pin the rule behind a bound (the soundness suite checks that an
-// inexact plan's void coverage comes from RuleJoinCoverageVoid).
-func (tr *BoundTrace) HasRule(rule BoundRule) bool {
-	if tr == nil {
-		return false
-	}
-	for _, st := range tr.Steps {
-		if st.Rule == rule {
-			return true
-		}
-	}
-	return false
 }

@@ -6,11 +6,12 @@
 // queries; caching the generated plan for a (normalized query, α) pair
 // amortises the chase + chAT cost over a repeated workload, in the spirit of
 // data-driven preparation reuse (Eggersmann et al.; Bartlett, Indyk &
-// Wagner). Keys are produced by the caller — core uses
-// query.Render-normalized text plus the resource ratio — and values are
-// opaque, so the package has no dependency on the query machinery and stays
-// usable for other prepared artefacts (compiled access paths, chase
-// results).
+// Wagner). Keys are produced by the caller and looked up as bytes — core
+// appends the resource ratio, the budget and query.AppendRender's text into
+// a buffer it owns, so a hit allocates no key; a key string is made only
+// when Put stores an entry. Values are opaque, so the package has no
+// dependency on the query machinery and stays usable for other prepared
+// artefacts (compiled access paths, chase results).
 //
 // All methods are safe for concurrent use.
 package plancache
@@ -76,11 +77,13 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Get returns the cached value for key and marks it most recently used.
-func (c *Cache) Get(key string) (any, bool) {
+// Get returns the cached value stored under the key's bytes and marks it
+// most recently used. The lookup copies nothing: key may live in a
+// caller's reused or stack buffer, and Get does not retain it.
+func (c *Cache) Get(key []byte) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	el, ok := c.items[string(key)]
 	if !ok {
 		c.misses.Inc()
 		return nil, false

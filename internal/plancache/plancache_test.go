@@ -10,18 +10,18 @@ func TestGetPutAndLRUEviction(t *testing.T) {
 	c := New(2)
 	c.Put("a", 1)
 	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
+	if v, ok := c.Get([]byte("a")); !ok || v.(int) != 1 {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
 	}
 	// "b" is now least recently used; inserting "c" must evict it.
 	c.Put("c", 3)
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.Get([]byte("b")); ok {
 		t.Errorf("b survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get([]byte("a")); !ok {
 		t.Errorf("a evicted despite being recently used")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := c.Get([]byte("c")); !ok {
 		t.Errorf("c missing")
 	}
 	st := c.Stats()
@@ -37,7 +37,7 @@ func TestPutRefreshKeepsSingleEntry(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("len = %d, want 1", c.Len())
 	}
-	if v, _ := c.Get("k"); v.(int) != 2 {
+	if v, _ := c.Get([]byte("k")); v.(int) != 2 {
 		t.Errorf("refresh lost: got %v", v)
 	}
 }
@@ -45,9 +45,9 @@ func TestPutRefreshKeepsSingleEntry(t *testing.T) {
 func TestStatsAndHitRate(t *testing.T) {
 	c := New(8)
 	c.Put("x", 1)
-	c.Get("x")
-	c.Get("x")
-	c.Get("missing")
+	c.Get([]byte("x"))
+	c.Get([]byte("x"))
+	c.Get([]byte("missing"))
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -87,7 +87,7 @@ func TestConcurrentAccess(t *testing.T) {
 				if i%3 == 0 {
 					c.Put(key, i)
 				} else {
-					c.Get(key)
+					c.Get([]byte(key))
 				}
 			}
 		}(g)

@@ -532,7 +532,7 @@ func evalGroupBy(db *relation.Database, q *GroupBy) (*relation.Relation, error) 
 	if err != nil {
 		return nil, err
 	}
-	sch, err := groupByOutputSchema(q, db)
+	sch, err := OutputSchema(q, db)
 	if err != nil {
 		return nil, err
 	}

@@ -13,9 +13,7 @@
 package query
 
 import (
-	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"repro/internal/relation"
@@ -108,37 +106,6 @@ func EqJ(l, r Col) Pred { return Pred{Op: OpEq, Left: l, Join: true, Right: r} }
 
 // LeJ builds the join predicate l <= r.
 func LeJ(l, r Col) Pred { return Pred{Op: OpLe, Left: l, Join: true, Right: r} }
-
-// String renders the predicate in re-parseable form: string constants are
-// quoted and float constants keep a digits-and-dot spelling, so that
-// Render's output feeds back through the SQL parser (Parse ∘ Render is the
-// identity on parsed queries, which the sqlparser fuzz target checks).
-func (p Pred) String() string {
-	if p.Join {
-		return fmt.Sprintf("%s %s %s", p.Left, p.Op, p.Right)
-	}
-	return fmt.Sprintf("%s %s %s", p.Left, p.Op, renderConst(p.Const))
-}
-
-// renderConst spells a constant the SQL lexer can read back.
-func renderConst(v relation.Value) string {
-	switch v.Kind() {
-	case relation.KindString:
-		// Double embedded quotes (SQL escaping): keeps Render injective —
-		// it doubles as the plan-cache key — and re-parseable.
-		s, _ := v.AsString()
-		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
-	case relation.KindFloat:
-		f, _ := v.AsFloat()
-		s := strconv.FormatFloat(f, 'f', -1, 64)
-		if !strings.ContainsRune(s, '.') {
-			s += ".0" // keep the float kind through a re-parse
-		}
-		return s
-	default:
-		return v.String()
-	}
-}
 
 // Holds evaluates the predicate on concrete values (left, and right for join
 // predicates).

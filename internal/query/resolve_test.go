@@ -148,7 +148,7 @@ func testResolveErrors(t *testing.T) {
 		{"non-root group-by", &query.Diff{L: g, R: g}},
 		{"group-by key outside output", &query.GroupBy{In: valid, Keys: []query.Col{query.C("h", "type")}, Agg: query.AggCount, On: query.C("h", "price")}},
 	} {
-		_, verr := query.Validate(tc.e, db)
+		_, _, verr := query.Validate(tc.e, db)
 		if verr == nil {
 			t.Fatalf("%s: Validate accepts it", tc.name)
 		}

@@ -1,34 +1,36 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
+	"strconv"
+
+	"repro/internal/relation"
 )
 
 // Render pretty-prints the expression in a SQL-ish notation for logs, CLIs
 // and experiment reports.
-func Render(e Expr) string {
-	var b strings.Builder
-	render(&b, e, 0)
-	return b.String()
-}
+func Render(e Expr) string { return string(AppendRender(nil, e)) }
 
-func render(b *strings.Builder, e Expr, depth int) {
+// AppendRender appends Render's text of e to dst and returns the extended
+// buffer. With enough room in dst it allocates nothing, which is how the
+// plan cache builds its key on every lookup.
+func AppendRender(dst []byte, e Expr) []byte {
 	switch q := e.(type) {
 	case *SPC:
-		renderSPC(b, q, nil)
+		return appendSPC(dst, q, nil)
 	case *Union:
-		b.WriteString("(")
-		render(b, q.L, depth+1)
-		b.WriteString(") UNION (")
-		render(b, q.R, depth+1)
-		b.WriteString(")")
+		dst = append(dst, '(')
+		dst = AppendRender(dst, q.L)
+		dst = append(dst, ") UNION ("...)
+		dst = AppendRender(dst, q.R)
+		return append(dst, ')')
 	case *Diff:
-		b.WriteString("(")
-		render(b, q.L, depth+1)
-		b.WriteString(") EXCEPT (")
-		render(b, q.R, depth+1)
-		b.WriteString(")")
+		dst = append(dst, '(')
+		dst = AppendRender(dst, q.L)
+		dst = append(dst, ") EXCEPT ("...)
+		dst = AppendRender(dst, q.R)
+		return append(dst, ')')
 	case *GroupBy:
 		// SQL form only when it loses nothing: the inner SPC's projection
 		// must be exactly keys + aggregate column (what the parser builds).
@@ -36,57 +38,64 @@ func render(b *strings.Builder, e Expr, depth int) {
 		// full — Render must stay injective, it doubles as the plan-cache
 		// key.
 		if spc, ok := q.In.(*SPC); ok && sqlRenderable(spc, q) {
-			renderSPC(b, spc, q)
-			return
+			return appendSPC(dst, spc, q)
 		}
-		fmt.Fprintf(b, "gpBy(")
-		render(b, q.In, depth+1)
-		fmt.Fprintf(b, ", {%s}, %s(%s))", colList(q.Keys), q.Agg, q.On)
+		dst = append(dst, "gpBy("...)
+		dst = AppendRender(dst, q.In)
+		dst = append(dst, ", {"...)
+		dst = appendCols(dst, q.Keys)
+		dst = append(dst, "}, "...)
+		dst = appendAgg(dst, q)
+		return append(dst, ')')
 	default:
-		fmt.Fprintf(b, "<%T>", e)
+		return fmt.Appendf(dst, "<%T>", e)
 	}
 }
 
-func renderSPC(b *strings.Builder, q *SPC, g *GroupBy) {
-	b.WriteString("select ")
+func appendSPC(dst []byte, q *SPC, g *GroupBy) []byte {
+	dst = append(dst, "select "...)
 	switch {
 	case g != nil:
+		if len(g.Keys) > 0 {
+			dst = appendCols(dst, g.Keys)
+			dst = append(dst, ", "...)
+		}
+		dst = appendAgg(dst, g)
 		as := g.As
 		if as == "" {
 			as = "agg"
 		}
-		if len(g.Keys) > 0 {
-			fmt.Fprintf(b, "%s, ", colList(g.Keys))
-		}
-		fmt.Fprintf(b, "%s(%s) as %s", g.Agg, g.On, as)
+		dst = append(dst, " as "...)
+		dst = append(dst, as...)
 	case len(q.Output) == 0:
-		b.WriteString("*")
+		dst = append(dst, '*')
 	default:
-		b.WriteString(colList(q.Output))
+		dst = appendCols(dst, q.Output)
 	}
-	b.WriteString(" from ")
+	dst = append(dst, " from "...)
 	for i, a := range q.Atoms {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
+		dst = append(dst, a.Rel...)
 		if a.Alias != "" && a.Alias != a.Rel {
-			fmt.Fprintf(b, "%s as %s", a.Rel, a.Alias)
-		} else {
-			b.WriteString(a.Rel)
+			dst = append(dst, " as "...)
+			dst = append(dst, a.Alias...)
 		}
 	}
-	if len(q.Preds) > 0 {
-		b.WriteString(" where ")
-		for i, p := range q.Preds {
-			if i > 0 {
-				b.WriteString(" and ")
-			}
-			b.WriteString(p.String())
+	for i, p := range q.Preds {
+		if i == 0 {
+			dst = append(dst, " where "...)
+		} else {
+			dst = append(dst, " and "...)
 		}
+		dst = appendPred(dst, p)
 	}
 	if g != nil && len(g.Keys) > 0 {
-		fmt.Fprintf(b, " group by %s", colList(g.Keys))
+		dst = append(dst, " group by "...)
+		dst = appendCols(dst, g.Keys)
 	}
+	return dst
 }
 
 // sqlRenderable reports whether the group-by's inner projection is exactly
@@ -103,10 +112,74 @@ func sqlRenderable(spc *SPC, g *GroupBy) bool {
 	return spc.Output[len(spc.Output)-1] == g.On
 }
 
-func colList(cols []Col) string {
-	parts := make([]string, len(cols))
+// appendAgg appends "agg(alias.attr)".
+func appendAgg(dst []byte, g *GroupBy) []byte {
+	dst = append(dst, g.Agg.String()...)
+	dst = append(dst, '(')
+	dst = appendCol(dst, g.On)
+	return append(dst, ')')
+}
+
+func appendCols(dst []byte, cols []Col) []byte {
 	for i, c := range cols {
-		parts[i] = c.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = appendCol(dst, c)
 	}
-	return strings.Join(parts, ", ")
+	return dst
+}
+
+func appendCol(dst []byte, c Col) []byte {
+	dst = append(dst, c.Rel...)
+	dst = append(dst, '.')
+	return append(dst, c.Attr...)
+}
+
+// String renders the predicate in re-parseable form: string constants are
+// quoted and float constants keep a digits-and-dot spelling, so that
+// Render's output feeds back through the SQL parser (Parse ∘ Render is the
+// identity on parsed queries, which the sqlparser fuzz target checks).
+func (p Pred) String() string { return string(appendPred(nil, p)) }
+
+func appendPred(dst []byte, p Pred) []byte {
+	dst = appendCol(dst, p.Left)
+	dst = append(dst, ' ')
+	dst = append(dst, p.Op.String()...)
+	dst = append(dst, ' ')
+	if p.Join {
+		return appendCol(dst, p.Right)
+	}
+	return appendConst(dst, p.Const)
+}
+
+// appendConst spells a constant the SQL lexer can read back.
+func appendConst(dst []byte, v relation.Value) []byte {
+	switch v.Kind() {
+	case relation.KindString:
+		// Double embedded quotes (SQL escaping): keeps Render injective —
+		// it doubles as the plan-cache key — and re-parseable.
+		s, _ := v.AsString()
+		dst = append(dst, '\'')
+		for i := 0; i < len(s); i++ {
+			if s[i] == '\'' {
+				dst = append(dst, '\'')
+			}
+			dst = append(dst, s[i])
+		}
+		return append(dst, '\'')
+	case relation.KindFloat:
+		f, _ := v.AsFloat()
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, f, 'f', -1, 64)
+		if bytes.IndexByte(dst[start:], '.') < 0 {
+			dst = append(dst, ".0"...) // keep the float kind through a re-parse
+		}
+		return dst
+	case relation.KindInt:
+		i, _ := v.AsInt()
+		return strconv.AppendInt(dst, i, 10)
+	default:
+		return append(dst, v.String()...)
+	}
 }

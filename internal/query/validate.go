@@ -15,16 +15,23 @@ type SchemaSource interface {
 // Validate checks the expression against the database schema — atoms
 // resolve, aliases are unique per SPC leaf, columns exist, set operations
 // are compatible, and group-by appears only at the root — and returns its
-// output schema (OutputSchema).
-func Validate(e Expr, src SchemaSource) (*relation.Schema, error) {
+// output schema (OutputSchema) with the resolution of every distinct SPC
+// leaf, in SPCLeaves order of first occurrence. Each leaf is resolved once,
+// however often the expression holds it.
+func Validate(e Expr, src SchemaSource) (*relation.Schema, []*Resolved, error) {
 	in := e
 	if g, ok := e.(*GroupBy); ok {
 		in = g.In
 	}
 	if err := validateNoAgg(in); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return OutputSchema(e, src)
+	var leaves []*Resolved
+	sch, err := outputSchema(e, src, &leaves)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sch, leaves, nil
 }
 
 func validateNoAgg(e Expr) error {
@@ -52,19 +59,31 @@ func validateNoAgg(e Expr) error {
 // Attribute names are qualified column names ("alias.attr"); for group-by,
 // the aggregate column is named by GroupBy.As (default "agg").
 func OutputSchema(e Expr, src SchemaSource) (*relation.Schema, error) {
+	return outputSchema(e, src, new([]*Resolved))
+}
+
+// outputSchema is OutputSchema that resolves each distinct leaf once,
+// appending its resolution to *leaves in order of first occurrence.
+func outputSchema(e Expr, src SchemaSource, leaves *[]*Resolved) (*relation.Schema, error) {
 	switch q := e.(type) {
 	case *SPC:
+		for _, r := range *leaves {
+			if r.Q == q {
+				return r.Schema, nil
+			}
+		}
 		r, err := Resolve(q, src)
 		if err != nil {
 			return nil, err
 		}
+		*leaves = append(*leaves, r)
 		return r.Schema, nil
 	case *Union:
-		l, err := OutputSchema(q.L, src)
+		l, err := outputSchema(q.L, src, leaves)
 		if err != nil {
 			return nil, err
 		}
-		r, err := OutputSchema(q.R, src)
+		r, err := outputSchema(q.R, src, leaves)
 		if err != nil {
 			return nil, err
 		}
@@ -73,11 +92,11 @@ func OutputSchema(e Expr, src SchemaSource) (*relation.Schema, error) {
 		}
 		return l, nil
 	case *Diff:
-		l, err := OutputSchema(q.L, src)
+		l, err := outputSchema(q.L, src, leaves)
 		if err != nil {
 			return nil, err
 		}
-		r, err := OutputSchema(q.R, src)
+		r, err := outputSchema(q.R, src, leaves)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +105,7 @@ func OutputSchema(e Expr, src SchemaSource) (*relation.Schema, error) {
 		}
 		return l, nil
 	case *GroupBy:
-		return groupByOutputSchema(q, src)
+		return groupByOutputSchema(q, src, leaves)
 	default:
 		return nil, fmt.Errorf("query: unknown expression %T", e)
 	}
@@ -212,8 +231,8 @@ func OutputCols(q *SPC, src SchemaSource) ([]Col, error) {
 	return out, nil
 }
 
-func groupByOutputSchema(q *GroupBy, src SchemaSource) (*relation.Schema, error) {
-	in, err := OutputSchema(q.In, src)
+func groupByOutputSchema(q *GroupBy, src SchemaSource, leaves *[]*Resolved) (*relation.Schema, error) {
+	in, err := outputSchema(q.In, src, leaves)
 	if err != nil {
 		return nil, err
 	}

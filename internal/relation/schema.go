@@ -16,27 +16,26 @@ func Attr(name string, typ Kind, dist Distance) Attribute {
 	return Attribute{Name: name, Type: typ, Dist: dist}
 }
 
-// Schema is a relation schema R(A1, ..., Ah).
+// Schema is a relation schema R(A1, ..., Ah). Name lookups scan Attrs:
+// schemas are narrow, and no caller looks a name up per row.
 type Schema struct {
 	Name  string
 	Attrs []Attribute
-
-	byName map[string]int
 }
 
 // NewSchema builds a relation schema. Attribute names must be unique.
 func NewSchema(name string, attrs ...Attribute) (*Schema, error) {
-	s := &Schema{Name: name, Attrs: attrs, byName: make(map[string]int, len(attrs))}
 	for i, a := range attrs {
 		if a.Name == "" {
 			return nil, fmt.Errorf("relation: schema %s: attribute %d has empty name", name, i)
 		}
-		if _, dup := s.byName[a.Name]; dup {
-			return nil, fmt.Errorf("relation: schema %s: duplicate attribute %q", name, a.Name)
+		for _, b := range attrs[:i] {
+			if b.Name == a.Name {
+				return nil, fmt.Errorf("relation: schema %s: duplicate attribute %q", name, a.Name)
+			}
 		}
-		s.byName[a.Name] = i
 	}
-	return s, nil
+	return &Schema{Name: name, Attrs: attrs}, nil
 }
 
 // MustSchema is NewSchema that panics on error; intended for statically
@@ -54,23 +53,21 @@ func (s *Schema) Arity() int { return len(s.Attrs) }
 
 // Index returns the position of the named attribute, or false.
 func (s *Schema) Index(attr string) (int, bool) {
-	i, ok := s.byName[attr]
-	return i, ok
+	for i, a := range s.Attrs {
+		if a.Name == attr {
+			return i, true
+		}
+	}
+	return -1, false
 }
 
 // MustIndex is Index that panics when the attribute does not exist.
 func (s *Schema) MustIndex(attr string) int {
-	i, ok := s.byName[attr]
+	i, ok := s.Index(attr)
 	if !ok {
 		panic(fmt.Sprintf("relation: schema %s has no attribute %q", s.Name, attr))
 	}
 	return i
-}
-
-// Has reports whether the schema contains the named attribute.
-func (s *Schema) Has(attr string) bool {
-	_, ok := s.byName[attr]
-	return ok
 }
 
 // AttrNames returns the attribute names in schema order.
@@ -86,7 +83,7 @@ func (s *Schema) AttrNames() []string {
 func (s *Schema) Indices(attrs []string) ([]int, error) {
 	idx := make([]int, len(attrs))
 	for i, a := range attrs {
-		j, ok := s.byName[a]
+		j, ok := s.Index(a)
 		if !ok {
 			return nil, fmt.Errorf("relation: schema %s has no attribute %q", s.Name, a)
 		}

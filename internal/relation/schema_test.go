@@ -27,9 +27,6 @@ func TestSchemaBasics(t *testing.T) {
 	if _, ok := s.Index("nope"); ok {
 		t.Error("Index(nope) should fail")
 	}
-	if !s.Has("price") || s.Has("nope") {
-		t.Error("Has misbehaves")
-	}
 	want := []string{"address", "type", "city", "price"}
 	got := s.AttrNames()
 	for i := range want {

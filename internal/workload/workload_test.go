@@ -40,17 +40,20 @@ func TestDatasetShapes(t *testing.T) {
 				}
 			}
 			f := d.DB.MustRelation(j.FromRel)
-			if !f.Schema.Has(j.FromAttr) {
+			if _, ok := f.Schema.Index(j.FromAttr); !ok {
 				t.Errorf("%s: join attr %s.%s missing", d.Name, j.FromRel, j.FromAttr)
 			}
 			to := d.DB.MustRelation(j.ToRel)
-			if !to.Schema.Has(j.ToAttr) {
+			if _, ok := to.Schema.Index(j.ToAttr); !ok {
 				t.Errorf("%s: join attr %s.%s missing", d.Name, j.ToRel, j.ToAttr)
 			}
 		}
 		for _, s := range append(append([]SelAttr{}, d.Sel...), append(d.AggKeys, d.AggVals...)...) {
 			r, ok := d.DB.Relation(s.Rel)
-			if !ok || !r.Schema.Has(s.Attr) {
+			if ok {
+				_, ok = r.Schema.Index(s.Attr)
+			}
+			if !ok {
 				t.Errorf("%s: selection attr %s.%s missing", d.Name, s.Rel, s.Attr)
 			}
 		}
@@ -89,7 +92,7 @@ func TestGenerateSPCKnobs(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Generate(sel=%d, prod=%d): %v", d.Name, nSel, nProd, err)
 				}
-				if _, err := query.Validate(e, d.DB); err != nil {
+				if _, _, err := query.Validate(e, d.DB); err != nil {
 					t.Fatalf("%s: invalid query: %v\n%s", d.Name, err, query.Render(e))
 				}
 				if got := query.NumProducts(e); got != nProd {
@@ -117,7 +120,7 @@ func TestGenerateRAAndDiffCount(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Generate RA: %v", err)
 		}
-		if _, err := query.Validate(e, d.DB); err != nil {
+		if _, _, err := query.Validate(e, d.DB); err != nil {
 			t.Fatalf("invalid RA query: %v", err)
 		}
 		if nDiff == 0 {
@@ -160,7 +163,7 @@ func TestGenerateAggregates(t *testing.T) {
 			if g.Agg != agg {
 				t.Errorf("agg = %v, want %v", g.Agg, agg)
 			}
-			if _, err := query.Validate(e, d.DB); err != nil {
+			if _, _, err := query.Validate(e, d.DB); err != nil {
 				t.Fatalf("%s: invalid aggregate query: %v", d.Name, err)
 			}
 		}
@@ -178,7 +181,7 @@ func TestWorkloadMix(t *testing.T) {
 	}
 	aggs, ras, spcs := 0, 0, 0
 	for _, q := range qs {
-		if _, err := query.Validate(q, d.DB); err != nil {
+		if _, _, err := query.Validate(q, d.DB); err != nil {
 			t.Fatalf("workload query invalid: %v", err)
 		}
 		switch query.Classify(q) {
