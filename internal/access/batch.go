@@ -160,10 +160,17 @@ stage:
 // resolveDeletes removes from the relation the tuple each queued delete
 // claims, marks those deletes applied, and leaves in each the tuple actually
 // removed, not the query tuple: EqualTuple unifies e.g. Int/Float values
-// that the indices (keyed by canonical encoding) keep distinct.
+// that the indices (keyed by canonical encoding) keep distinct. A tuple is
+// hashed only when its first value could equal some delete's (firstImages):
+// most of a large relation is passed over on one value each.
 func (rb *relBatch) resolveDeletes(applied []bool) {
 	r := rb.r
+	var first firstImages
+	for _, del := range rb.dels {
+		first.add(del.tuple)
+	}
 	claimFirstMatches(len(r.Tuples), rb.inserted, rb.dels,
+		func(j int) bool { return first.maybe(r.Tuples[j]) },
 		func(j int) (uint64, bool) { return tupleHash(r.Tuples[j]) }, tupleHash,
 		func(j int, t relation.Tuple) bool { return r.Tuples[j].EqualTuple(t) })
 	for d := range rb.dels {
@@ -254,7 +261,7 @@ func (l *Ladder) applyBatch(ops []Op, rb *relBatch) []*groupBatch {
 			itemHashes, hashable = itemHashes[:gb.base], hashable[:gb.base]
 			rowsEqualHash(y, gb.old.first, itemHashes, hashable)
 		}
-		claimFirstMatches(gb.base+len(gb.births), gb.inserted, gb.dels,
+		claimFirstMatches(gb.base+len(gb.births), gb.inserted, gb.dels, nil,
 			func(j int) (uint64, bool) {
 				if j < gb.base {
 					return itemHashes[j], hashable[j]
@@ -293,8 +300,9 @@ func (l *Ladder) applyBatch(ops []Op, rb *relBatch) []*groupBatch {
 // delete's equalHash (hashDel of its tuple; hashAt(j) of entry j), the
 // positions that delete could equal, and each delete then tries only those.
 // equal(j, t) decides whether entry j equals tuple t; it need not be
-// transitive.
-func claimFirstMatches(n int, ins inserted, dels []pendingDelete,
+// transitive. maybe, when not nil, is false for an entry that equals no
+// delete, which the pass then neither hashes nor files.
+func claimFirstMatches(n int, ins inserted, dels []pendingDelete, maybe func(j int) bool,
 	hashAt func(j int) (uint64, bool), hashDel func(relation.Tuple) (uint64, bool),
 	equal func(j int, t relation.Tuple) bool) {
 	if len(dels) == 0 {
@@ -308,6 +316,9 @@ func claimFirstMatches(n int, ins inserted, dels []pendingDelete,
 		}
 	}
 	for j := 0; j < n; j++ {
+		if maybe != nil && !maybe(j) {
+			continue
+		}
 		if h, ok := hashAt(j); !ok {
 			for h := range cands {
 				cands[h] = append(cands[h], j)
@@ -337,6 +348,50 @@ func claimFirstMatches(n int, ins inserted, dels []pendingDelete,
 			}
 		}
 	}
+}
+
+// firstImages is resolveDeletes' prefilter: the images (valueImage) of the
+// deletes' first values. A tuple equal to a delete has a first value equal
+// to the delete's, so an image among these — or none, for NaN, which
+// equals every number. A delete whose first value is NaN, or that has
+// none, lets every tuple through.
+type firstImages struct {
+	all  bool
+	bits [64]uint64 // bit imageBit(x) set for each image x: a one-word test before the list
+	xs   []uint64
+}
+
+// imageBit is the bit of firstImages.bits an image sets: its top 12 bits
+// after a multiplicative mix.
+func imageBit(x uint64) uint64 { return x * 0x9E3779B97F4A7C15 >> 52 }
+
+// add records the first value of a delete's tuple.
+func (f *firstImages) add(t relation.Tuple) {
+	if len(t) == 0 {
+		f.all = true
+		return
+	}
+	x, ok := valueImage(t[0])
+	if !ok {
+		f.all = true
+		return
+	}
+	b := imageBit(x)
+	f.bits[b>>6] |= 1 << (b & 63)
+	f.xs = append(f.xs, x)
+}
+
+// maybe reports whether t could equal a recorded delete on its first value.
+func (f *firstImages) maybe(t relation.Tuple) bool {
+	if f.all || len(t) == 0 {
+		return true
+	}
+	x, ok := valueImage(t[0])
+	if !ok {
+		return true
+	}
+	b := imageBit(x)
+	return f.bits[b>>6]&(1<<(b&63)) != 0 && slices.Contains(f.xs, x)
 }
 
 // dropClaimed removes the claimed positions from xs, preserving order.
@@ -517,7 +572,8 @@ func (l *Ladder) placeItems(ops []Op, gbs []*groupBatch) {
 // gets its new item range (placeItems) and its old levels are counted dead;
 // a group the batch emptied is left a dead slot. Then the trees of the
 // remaining changed groups — of all ladders, on one worker pool, see
-// buildGroups — are built over those read-only ranges. Last, each group's
+// buildGroups — are built over those read-only ranges, in the build
+// memory the schema keeps between batches. Last, each group's
 // new levels are placed in its ladder's arena and directory
 // (placeRebuilt), each touched ladder's metadata is refreshed, and its
 // directory drops its dead slots when they outnumber the live ones.
@@ -535,7 +591,11 @@ func (s *Schema) flushDirty(ops []Op, dirty map[*Ladder][]*groupBatch) {
 			}
 		}
 	}
-	buildGroups(jobs, runtime.GOMAXPROCS(0))
+	workers := runtime.GOMAXPROCS(0)
+	if len(s.builds) < workers {
+		s.builds = append(s.builds, make([]buildOut, workers-len(s.builds))...)
+	}
+	buildGroups(jobs, s.builds[:workers])
 	for _, l := range s.Ladders {
 		if len(dirty[l]) > 0 {
 			l.placeRebuilt(jobs)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -164,7 +165,53 @@ func TestBatchApplyMatchesSequential(t *testing.T) {
 	for _, c := range deleteSemanticsCases() {
 		t.Run(c.name, func(t *testing.T) {
 			assertBatchMatchesSequential(t, kvFixture, c.ops)
+			assertBatchMatchesScan(t, c.ops)
 		})
+	}
+}
+
+// assertBatchMatchesScan applies ops over the kv relation of kvFixture as
+// one batch and requires the applied flags and the tuples, in order, that
+// the definition gives: an insert appends its tuple, and a delete removes
+// the first tuple EqualTuple to it, found by a scan of the relation as it
+// stands when the delete's turn comes. An op the batch cannot apply (an
+// unknown relation or kind, a bad arity) ends the scan, as it ends the
+// batch.
+func assertBatchMatchesScan(t *testing.T, ops []Op) {
+	t.Helper()
+	db, s := kvFixture(t)
+	want := append([]relation.Tuple(nil), db.MustRelation("kv").Tuples...)
+	wantApplied := make([]bool, len(ops))
+scan:
+	for i, op := range ops {
+		switch {
+		case op.Rel != "kv" || len(op.Tuple) != 2:
+			break scan
+		case op.Kind == OpInsert:
+			want, wantApplied[i] = append(want, op.Tuple), true
+		case op.Kind == OpDelete:
+			for j, tup := range want {
+				if tup.EqualTuple(op.Tuple) {
+					want, wantApplied[i] = slices.Delete(want, j, j+1), true
+					break
+				}
+			}
+		default:
+			break scan
+		}
+	}
+	applied, _ := s.Apply(db, ops)
+	if !slices.Equal(applied, wantApplied) {
+		t.Fatalf("applied %v, the scan says %v", applied, wantApplied)
+	}
+	got := db.MustRelation("kv").Tuples
+	if len(got) != len(want) {
+		t.Fatalf("%d tuples, the scan leaves %d", len(got), len(want))
+	}
+	for i := range want {
+		if !slices.EqualFunc(got[i], want[i], identicalValue) {
+			t.Fatalf("tuple %d is %v, the scan leaves %v (compared kind for kind)", i, got[i], want[i])
+		}
 	}
 }
 
@@ -244,6 +291,32 @@ func deleteSemanticsCases() []batchCase {
 		}},
 		{"NaN equals every number", []Op{
 			ins(kv(4, relation.Float(math.NaN()))), del(kv(4, relation.Float(2))), del(kv(3, relation.Float(math.NaN()))),
+		}},
+		{"NaN in the first column equals every first value", []Op{
+			del(relation.Tuple{relation.Float(math.NaN()), relation.Float(8)}),
+			ins(relation.Tuple{relation.Float(math.NaN()), relation.Float(6)}), del(kv(12, relation.Float(6))),
+		}},
+		{"NaN in a later column only", []Op{
+			del(kv(2, relation.Float(math.NaN()))), del(kv(12, relation.Float(math.NaN()))),
+			ins(kv(5, relation.Float(math.NaN()))), del(kv(5, relation.Float(1))),
+		}},
+		{"Int 3 against Float 3 in the first column", []Op{
+			del(relation.Tuple{relation.Float(3), relation.Float(4)}),
+			ins(relation.Tuple{relation.Float(6), relation.Float(1)}), del(kv(6, relation.Float(1))),
+		}},
+		{"1e15 as Int against Float in the first column", []Op{
+			del(relation.Tuple{relation.Float(float64(big)), relation.Int(big)}),
+			ins(relation.Tuple{relation.Float(float64(big)), relation.Float(2)}), del(kv(big, relation.Float(2))),
+		}},
+		{"−0 against +0 in the first column", []Op{
+			ins(relation.Tuple{relation.Float(math.Copysign(0, -1)), relation.Float(1)}), del(kv(0, relation.Float(1))),
+			ins(kv(0, relation.Float(2))), del(relation.Tuple{relation.Float(math.Copysign(0, -1)), relation.Float(2)}),
+		}},
+		{"equal first values with different tails", []Op{
+			del(kv(1, relation.Float(6))), del(kv(2, relation.Float(8))), del(kv(3, relation.Float(3))), del(kv(1, relation.Float(5))),
+		}},
+		{"a delete of a tuple inserted earlier in the batch, its first value new", []Op{
+			ins(kv(11, relation.Float(2))), del(kv(2, relation.Float(7))), del(kv(11, relation.Float(2))), del(kv(11, relation.Float(2))),
 		}},
 		{"an unknown relation mid-batch leaves the prefix applied", []Op{
 			ins(kv(9, relation.Float(1))), del(kv(1, relation.Float(5))),

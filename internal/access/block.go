@@ -93,11 +93,6 @@ type levelArena struct {
 // live returns the number of rows some group covers.
 func (a *levelArena) live() int { return len(a.item) - a.dead }
 
-// levelRow is one representative on its way into an arena: the offset of
-// its item within its group's items, and the number of base tuples it
-// represents.
-type levelRow struct{ item, count int32 }
-
 // levelStore is what level views read: a ladder's item store and level
 // arena.
 type levelStore struct {

@@ -168,11 +168,12 @@ type groupBuild struct {
 	l    *Ladder
 	slot int
 	// out holds what build produced: the level rows, level after level, at
-	// out.rows[rows.first:rows.end()]; level k's row count at
-	// out.sizes[levels.first+k]; its resolutions at
-	// out.res[res+k·|Y| : res+(k+1)·|Y|].
+	// out.reps[rows.first:rows.end()], rows of the item store from
+	// itemFirst on; level k's row count at out.sizes[levels.first+k]; its
+	// resolutions at out.res[res+k·|Y| : res+(k+1)·|Y|].
 	out          *buildOut
 	rows, levels rowRange
+	itemFirst    int32
 	res          int
 	distinct     int32
 }
@@ -180,59 +181,63 @@ type groupBuild struct {
 // buildOut is one build worker's memory: the kd-tree scratch it builds
 // every tree of its share in turn with, and the results of its share of the
 // jobs, appended job after job. A worker building group after group
-// therefore allocates as these grow, not per group.
+// therefore allocates as these grow, not per group, and a buildOut kept
+// for the next round of builds (Schema.builds) not at all once grown. None
+// of the buffers that grow holds a pointer.
 type buildOut struct {
 	kd    kdtree.Scratch
-	rows  []levelRow
+	reps  []kdtree.Rep
 	sizes []int32
 	res   []float64
 }
 
+// reset empties out of the results of its last round of builds, keeping
+// its memory.
+func (out *buildOut) reset() {
+	out.reps, out.sizes, out.res = out.reps[:0], out.sizes[:0], out.res[:0]
+}
+
 // build reconstructs the slot's level views from its items into out: a K-D
 // tree over the group's g items — O(g log g) per tree level, independent
-// of |D| and of every other group — whose per-level representatives and
-// resolutions are read in one pass. The rows are offsets into the group's
-// items. build only reads the ladder, so builds of different slots run
-// concurrently, each worker with its own out.
+// of |D| and of every other group — whose per-level representatives are
+// listed straight into out, and whose per-level resolutions are read from
+// them before the next build reuses the tree's memory. build only reads the
+// ladder, so builds of different slots run concurrently, each worker with
+// its own out.
 func (j *groupBuild) build(out *buildOut) {
 	l := j.l
 	items := l.dir.items(j.slot)
 	tree := out.kd.Build(l.yAttrs, l.items.y, items.first, items.end())
-	j.out, j.distinct = out, int32(tree.Items())
-	all := out.kd.Levels()
+	j.out, j.distinct, j.itemFirst = out, int32(tree.Items()), int32(items.first)
+	j.rows.first, j.levels.first, j.res = len(out.reps), len(out.sizes), len(out.res)
+	out.reps, out.sizes = out.kd.AppendLevels(out.reps, out.sizes)
+	j.rows.rows, j.levels.rows = len(out.reps)-j.rows.first, len(out.sizes)-j.levels.first
 	arity := len(l.yAttrs)
-	total := 0
-	for _, reps := range all {
-		total += len(reps)
-	}
-	out.rows = slices.Grow(out.rows, total)
-	out.sizes, out.res = slices.Grow(out.sizes, len(all)), slices.Grow(out.res, len(all)*arity)
-	j.rows.first, j.levels, j.res = len(out.rows), rowRange{first: len(out.sizes), rows: len(all)}, len(out.res)
-	for _, reps := range all {
-		out.sizes = append(out.sizes, int32(len(reps)))
+	out.res = slices.Grow(out.res, j.levels.rows*arity)
+	reps := out.reps[j.rows.first:]
+	for _, n := range out.sizes[j.levels.first:] {
 		at := len(out.res)
 		out.res = out.res[:at+arity] // within the capacity grown above
 		res := out.res[at:]
 		clear(res)
-		for _, r := range reps {
-			out.rows = append(out.rows, levelRow{item: int32(r.Row - items.first), count: int32(r.Count)})
-			for a, d := range r.MaxDist {
+		for _, r := range reps[:n] {
+			for a, d := range tree.MaxDist(r) {
 				if d > res[a] {
 					res[a] = d
 				}
 			}
 		}
+		reps = reps[n:]
 	}
-	j.rows.rows = len(out.rows) - j.rows.first
 }
 
-// place appends the built rows to the ladder's arena and the levels to its
-// directory, as the slot's levels.
+// place appends the built rows to the ladder's arena, as offsets into the
+// group's items, and the levels to its directory, as the slot's levels.
 func (j *groupBuild) place() {
 	a, d := &j.l.arena, &j.l.dir
 	at := int32(len(a.item))
-	for _, r := range j.out.rows[j.rows.first:j.rows.end()] {
-		a.item, a.count = append(a.item, r.item), append(a.count, r.count)
+	for _, r := range j.out.reps[j.rows.first:j.rows.end()] {
+		a.item, a.count = append(a.item, r.Row-j.itemFirst), append(a.count, r.Count)
 	}
 	r := &d.recs[j.slot]
 	r.lvlFirst, r.lvlCount, r.distinct = int32(len(d.spans)/2), int32(j.levels.rows), j.distinct

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/relation"
 )
@@ -58,7 +59,7 @@ func buildLadderWorkers(db *relation.Database, rel string, x, y []string, worker
 	for s := range jobs {
 		jobs[s] = groupBuild{l: l, slot: s}
 	}
-	buildGroups(jobs, workers)
+	buildGroups(jobs, make([]buildOut, workers))
 	packArenas(jobs)
 	l.recomputeMeta()
 	return l, nil
@@ -139,27 +140,32 @@ func newLadder(db *relation.Database, rel string, x, y []string) (*Ladder, *rela
 	return l, r, nil
 }
 
-// buildGroups rebuilds every job's group on one pool of up to `workers`
-// goroutines, whichever ladders the groups belong to. Largest first: the
-// one giant group of a generic ladder (X = ∅, |R| points) starts at once
-// and forks inside kdtree.Build, and the thousands of small groups fill the
-// other workers behind it instead of queueing ladder after ladder. Groups
-// are independent and kdtree.Build is deterministic in its item order, so
-// neither the order nor the worker count affects the result. The item
-// stores are only read.
-func buildGroups(jobs []groupBuild, workers int) {
+// buildGroups rebuilds every job's group on one pool of up to len(outs)
+// goroutines, whichever ladders the groups belong to, worker w building in
+// outs[w] (emptied of earlier results first, its buffers kept). Largest
+// first: the one giant group of a generic ladder (X = ∅, |R| points)
+// starts at once on worker 0 — so of memory kept across calls only
+// outs[0] grows to the largest group — and forks inside the kd-tree
+// build, and the thousands of small groups fill the other workers behind
+// it instead of queueing ladder after ladder. Groups are independent and
+// the build is deterministic in its item order, so neither the order nor
+// the worker count affects the result. The item stores are only read.
+func buildGroups(jobs []groupBuild, outs []buildOut) {
 	slices.SortStableFunc(jobs, func(a, b groupBuild) int {
 		return cmp.Compare(b.l.dir.recs[b.slot].itemRows, a.l.dir.recs[a.slot].itemRows)
 	})
-	outs := make([]buildOut, max(1, min(workers, len(jobs))))
-	parallelFor(len(jobs), workers, func(w, i int) { jobs[i].build(&outs[w]) })
+	for w := range outs {
+		outs[w].reset()
+	}
+	parallelFor(len(jobs), len(outs), func(w, i int) { jobs[i].build(&outs[w]) })
 }
 
 // parallelFor runs f(w, i) for i in [0, n) over at most `workers`
 // goroutines (clamped to [1, n]; workers ≤ 1 runs inline), w being the
-// goroutine's number in [0, workers). Each index is processed exactly once;
-// f must only write state owned by its index or by its worker, which keeps
-// results independent of the worker count.
+// goroutine's number in [0, workers): worker w takes index w first, then
+// the lowest index no worker has taken. Each index is processed exactly
+// once; f must only write state owned by its index or by its worker,
+// which keeps results independent of the worker count.
 func parallelFor(n, workers int, f func(w, i int)) {
 	if workers > n {
 		workers = n
@@ -170,21 +176,18 @@ func parallelFor(n, workers int, f func(w, i int)) {
 		}
 		return
 	}
-	jobs := make(chan int)
+	var next atomic.Int64 // the lowest index not yet taken
+	next.Store(int64(workers))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			for i := w; i < n; i = int(next.Add(1) - 1) {
 				f(w, i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
 	wg.Wait()
 }
 

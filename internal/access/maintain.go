@@ -1,9 +1,5 @@
 package access
 
-import (
-	"repro/internal/relation"
-)
-
 // This file implements component C2 of the BEAS architecture (Fig. 2):
 // maintaining the access-schema indices in response to updates to D.
 // Updates are localised twice over: a tuple only affects the group of its
@@ -18,26 +14,8 @@ import (
 // store or the level arena moves every group's rows. The generic ladder At
 // keeps a relation in a single group (X = ∅), so any write to R rebuilds a
 // |R|-point tree: that rebuild, not the scans, is what a write costs, and
-// splitting it is the next lever. Both entry points are thin wrappers over
-// the batched Apply.
-
-// Insert appends the tuple to the relation in db and incrementally updates
-// every ladder of the schema that indexes that relation.
-func (s *Schema) Insert(db *relation.Database, rel string, t relation.Tuple) error {
-	_, err := s.Apply(db, []Op{{Kind: OpInsert, Rel: rel, Tuple: t}})
-	return err
-}
-
-// Delete removes (one occurrence of) the tuple from the relation in db and
-// updates the affected ladder groups. It reports whether a tuple was
-// removed.
-func (s *Schema) Delete(db *relation.Database, rel string, t relation.Tuple) (bool, error) {
-	applied, err := s.Apply(db, []Op{{Kind: OpDelete, Rel: rel, Tuple: t}})
-	if err != nil {
-		return false, err
-	}
-	return applied[0], nil
-}
+// splitting it is the next lever. Every write goes through the batched
+// Apply.
 
 // recomputeMeta refreshes MaxK, MaxGroupDistinct, IndexSize, NumGroups and
 // the per-level resolutions from the current groups, in one pass over the

@@ -180,3 +180,21 @@ func TestMaintainErrors(t *testing.T) {
 		t.Error("arity mismatch must fail")
 	}
 }
+
+// Insert appends the tuple to the relation in db and incrementally updates
+// every ladder of the schema that indexes that relation.
+func (s *Schema) Insert(db *relation.Database, rel string, t relation.Tuple) error {
+	_, err := s.Apply(db, []Op{{Kind: OpInsert, Rel: rel, Tuple: t}})
+	return err
+}
+
+// Delete removes (one occurrence of) the tuple from the relation in db and
+// updates the affected ladder groups. It reports whether a tuple was
+// removed.
+func (s *Schema) Delete(db *relation.Database, rel string, t relation.Tuple) (bool, error) {
+	applied, err := s.Apply(db, []Op{{Kind: OpDelete, Rel: rel, Tuple: t}})
+	if err != nil {
+		return false, err
+	}
+	return applied[0], nil
+}

@@ -12,6 +12,13 @@ import (
 // user-defined or discovered ladders on top.
 type Schema struct {
 	Ladders []*Ladder
+	// builds is the memory of the maintenance rebuilds (flushDirty), one
+	// buildOut per worker, kept from batch to batch so that a steady
+	// stream of writes stops allocating it: the buffers that grow with a
+	// group — kd-tree nodes, maxDist rows, sort keys, level rows — hold no
+	// pointers, so keeping them costs the collector nothing. Maintenance is
+	// single-writer, so no lock guards it.
+	builds []buildOut
 }
 
 // BuildAt constructs the generic access schema At of Theorem 1(1): for every
@@ -36,7 +43,7 @@ func BuildAt(db *relation.Database) (*Schema, error) {
 			jobs = append(jobs, groupBuild{l: l, slot: slot})
 		}
 	}
-	buildGroups(jobs, runtime.GOMAXPROCS(0))
+	buildGroups(jobs, make([]buildOut, runtime.GOMAXPROCS(0)))
 	packArenas(jobs)
 	for _, l := range s.Ladders {
 		l.recomputeMeta()

@@ -1,9 +1,11 @@
 package kdtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -66,8 +68,8 @@ func TestSingleItem(t *testing.T) {
 	if len(reps) != 1 || reps[0].Count != 5 || reps[0].Row != 0 {
 		t.Errorf("Level(0) = %+v", reps)
 	}
-	if !allZero(reps[0].MaxDist) {
-		t.Errorf("single-item MaxDist = %v", reps[0].MaxDist)
+	if !allZero(tr.MaxDist(reps[0])) {
+		t.Errorf("single-item MaxDist = %v", tr.MaxDist(reps[0]))
 	}
 }
 
@@ -116,7 +118,7 @@ func TestCountsPreservedAcrossLevels(t *testing.T) {
 	for k := 0; k <= tr.ExactLevel(); k++ {
 		sum := 0
 		for _, r := range tr.Level(k) {
-			sum += r.Count
+			sum += int(r.Count)
 		}
 		if sum != total {
 			t.Errorf("Level(%d) count sum = %d, want %d", k, sum, total)
@@ -140,7 +142,7 @@ func TestRepresentationInvariant(t *testing.T) {
 			for _, r := range reps {
 				ok := true
 				for a := range attrs {
-					d := attrs[a].Dist.Between(b.Value(i, a), b.Value(r.Row, a))
+					d := attrs[a].Dist.Between(b.Value(i, a), b.Value(int(r.Row), a))
 					if d > res[a]+eps && !(math.IsInf(d, 1) && math.IsInf(res[a], 1)) {
 						ok = false
 						break
@@ -188,7 +190,7 @@ func TestRepsAreActualTuples(t *testing.T) {
 	tr := Build(testAttrs(), b, lo, hi)
 	for k := 0; k <= tr.ExactLevel(); k++ {
 		for _, r := range tr.Level(k) {
-			if r.Row < lo || r.Row >= hi || first[b.Tuple(r.Row).Key()] != r.Row {
+			if row := int(r.Row); row < lo || row >= hi || first[b.Tuple(row).Key()] != row {
 				t.Fatalf("level %d representative row %d is not the first indexed row of its point", k, r.Row)
 			}
 		}
@@ -233,7 +235,7 @@ func TestDuplicatePointsCollapseToLeaf(t *testing.T) {
 		t.Fatalf("Level(1) = %d reps, want 2", len(reps))
 	}
 	for _, r := range reps {
-		if v, _ := b.Value(r.Row, 0).AsInt(); v == 7 && (r.Count != 5 || r.Row != 0) {
+		if v, _ := b.Value(int(r.Row), 0).AsInt(); v == 7 && (r.Count != 5 || r.Row != 0) {
 			t.Errorf("collapsed leaf = row %d count %d, want row 0 count 5", r.Row, r.Count)
 		}
 	}
@@ -285,6 +287,9 @@ func lineitemRows(rng *rand.Rand, n int) *relation.Block {
 
 var benchTree *Tree
 
+// BenchmarkBuild builds lineitem-shaped trees in fresh memory (n=) and,
+// as maintenance does, through one reused Scratch with the levels listed
+// after each build (scratch_n=).
 func BenchmarkBuild(b *testing.B) {
 	attrs := lineitemAttrs()
 	for _, n := range []int{64, 4096, 65536} {
@@ -295,6 +300,90 @@ func BenchmarkBuild(b *testing.B) {
 				benchTree = buildAll(attrs, rows)
 			}
 		})
+	}
+	for _, n := range []int{64, 4096, 16384, 65536} {
+		rows := lineitemRows(rand.New(rand.NewSource(7)), n)
+		b.Run(fmt.Sprintf("scratch_n=%d", n), func(b *testing.B) {
+			var s Scratch
+			var reps []Rep
+			var sizes []int32
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchTree = s.Build(attrs, rows, 0, n)
+				reps, sizes = s.AppendLevels(reps[:0], sizes[:0])
+			}
+		})
+	}
+}
+
+// sortKeys must give the (key, position) order at every length — below,
+// at and across insertionRun and the merge widths — with the few distinct
+// keys that make ties common and keys spread over all eight bytes.
+func TestSortKeysIsStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n <= 8*insertionRun+3; n++ {
+		for _, distinct := range []int{1, 3, n + 1} {
+			keys := make([]sortKey, n)
+			for i := range keys {
+				keys[i] = sortKey{key: uint64(rng.Intn(distinct)) * 0x0101010101010101, pos: uint32(i)}
+			}
+			want := slices.Clone(keys)
+			slices.SortStableFunc(want, func(a, b sortKey) int { return cmp.Compare(a.key, b.key) })
+			if got := sortKeys(keys, make([]sortKey, n)); !slices.Equal(got, want) {
+				t.Fatalf("n=%d, %d distinct keys: %v, want %v", n, distinct, got, want)
+			}
+		}
+	}
+}
+
+// pointerFree reports whether values of type t hold no pointer: the
+// garbage collector never scans a slice of them.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.String:
+		return false
+	}
+	return true
+}
+
+// The buffers a kept Scratch grows with its points — the nodes, the
+// maxDist rows, the sort records, the row slab, the row hashes — and the
+// level listing AppendLevels fills hold no pointers.
+func TestKeptBuildMemoryHoldsNoPointers(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(node{}), reflect.TypeOf(float64(0)), reflect.TypeOf(sortKey{}),
+		reflect.TypeOf(int32(0)), reflect.TypeOf(uint64(0)), reflect.TypeOf(Rep{}),
+	} {
+		if !pointerFree(typ) {
+			t.Errorf("%v has pointers", typ)
+		}
+	}
+	for _, f := range []struct {
+		owner reflect.Type
+		name  string
+		elem  reflect.Type
+	}{
+		{reflect.TypeOf(builder{}), "nodes", reflect.TypeOf(node{})},
+		{reflect.TypeOf(builder{}), "dists", reflect.TypeOf(float64(0))},
+		{reflect.TypeOf(builder{}), "keys", reflect.TypeOf(sortKey{})},
+		{reflect.TypeOf(builder{}), "keys2", reflect.TypeOf(sortKey{})},
+		{reflect.TypeOf(Scratch{}), "slab", reflect.TypeOf(int32(0))},
+		{reflect.TypeOf(Scratch{}), "hashes", reflect.TypeOf(uint64(0))},
+	} {
+		got, ok := f.owner.FieldByName(f.name)
+		if !ok || got.Type != reflect.SliceOf(f.elem) {
+			t.Errorf("%v.%s is not a []%v", f.owner, f.name, f.elem)
+		}
 	}
 }
 
@@ -508,8 +597,8 @@ func TestAllLevelsMatchesLevel(t *testing.T) {
 				if got[i].Count != want[i].Count || got[i].Row != want[i].Row {
 					t.Fatalf("n=%d level %d rep %d differs", n, k, i)
 				}
-				for a := range want[i].MaxDist {
-					if got[i].MaxDist[a] != want[i].MaxDist[a] {
+				for a, d := range tree.MaxDist(want[i]) {
+					if tree.MaxDist(got[i])[a] != d {
 						t.Fatalf("n=%d level %d rep %d maxdist differs", n, k, i)
 					}
 				}
@@ -520,8 +609,9 @@ func TestAllLevelsMatchesLevel(t *testing.T) {
 
 // referenceBuild is the construction Build replaced, kept as the one
 // oracle: a per-level sort.SliceStable on Value.Less over materialised
-// rows, one heap object per node, single goroutine. Build must produce the
-// same tree over rows [lo, hi) of b.
+// rows, a fresh maxDist per node computed from the Values, nodes appended
+// in preorder, single goroutine. Build must produce the same tree over rows
+// [lo, hi) of b.
 func referenceBuild(attrs []relation.Attribute, b *relation.Block, lo, hi int) *Tree {
 	t := &Tree{attrs: attrs}
 	if hi <= lo {
@@ -540,7 +630,7 @@ func referenceBuild(attrs []relation.Attribute, b *relation.Block, lo, hi int) *
 	}
 	t.items = len(own)
 	t.count = hi - lo
-	t.root = t.referenceBuildNode(own, 0)
+	t.referenceBuildNode(own, 0)
 	return t
 }
 
@@ -552,27 +642,31 @@ type refItem struct {
 	count int
 }
 
-func (t *Tree) referenceBuildNode(items []refItem, depth int) *node {
+// referenceBuildNode appends the subtree over items to t's nodes and
+// returns the slot of its root.
+func (t *Tree) referenceBuildNode(items []refItem, depth int) int32 {
 	if depth > t.maxDepth {
 		t.maxDepth = depth
 	}
-	n := &node{maxDist: t.referenceSpread(items)}
+	slot := int32(len(t.nodes))
+	maxDist := t.referenceSpread(items)
+	n := node{rep: int32(items[len(items)/2].row), dist: int32(len(t.dists) / len(t.attrs))}
 	for _, it := range items {
-		n.count += it.count
+		n.count += int32(it.count)
 	}
-	n.rep = int32(items[len(items)/2].row)
-	if len(items) == 1 || allZero(n.maxDist) {
-		return n
+	t.nodes, t.dists = append(t.nodes, n), append(t.dists, maxDist...)
+	if len(items) == 1 || allZero(maxDist) {
+		return slot
 	}
-	dim := splitDim(n.maxDist)
+	dim := splitDim(maxDist)
 	sort.SliceStable(items, func(i, j int) bool {
 		return items[i].tuple[dim].Less(items[j].tuple[dim])
 	})
 	mid := len(items) / 2
-	n.rep = int32(items[mid].row)
-	n.left = t.referenceBuildNode(items[:mid], depth+1)
-	n.right = t.referenceBuildNode(items[mid:], depth+1)
-	return n
+	t.nodes[slot].rep = int32(items[mid].row)
+	t.referenceBuildNode(items[:mid], depth+1) // at slot+1
+	t.nodes[slot].right = t.referenceBuildNode(items[mid:], depth+1)
+	return slot
 }
 
 func (t *Tree) referenceSpread(items []refItem) []float64 {
@@ -613,9 +707,10 @@ func assertSameTree(t testing.TB, label string, got, want *Tree) {
 			if g.Count != w.Count || g.Row != w.Row {
 				t.Fatalf("%s: level %d rep %d = (row %d, %d), reference (row %d, %d)", label, k, i, g.Row, g.Count, w.Row, w.Count)
 			}
-			for a := range w.MaxDist {
-				if math.Float64bits(g.MaxDist[a]) != math.Float64bits(w.MaxDist[a]) {
-					t.Fatalf("%s: level %d rep %d maxDist[%d] = %g, reference %g", label, k, i, a, g.MaxDist[a], w.MaxDist[a])
+			gd, wd := got.MaxDist(g), want.MaxDist(w)
+			for a := range wd {
+				if math.Float64bits(gd[a]) != math.Float64bits(wd[a]) {
+					t.Fatalf("%s: level %d rep %d maxDist[%d] = %g, reference %g", label, k, i, a, gd[a], wd[a])
 				}
 			}
 		}
@@ -858,11 +953,14 @@ func TestBuildWorkerInvariance(t *testing.T) {
 // Building tree after tree through one Scratch must build each exactly as
 // a fresh Build does, whatever the Scratch built before: ranges growing and
 // shrinking across the merge table's reuse and re-make thresholds, empty
-// and single-point ranges, every stress mode, and Levels equal to
+// and single-point ranges, every stress mode, and AppendLevels — appending
+// build after build to one listing, as a build worker does — equal to
 // AllLevels of the same tree.
 func TestScratchReuseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	var s Scratch
+	var reps []Rep
+	var levelSizes []int32
 	sizes := []int{500, 3, 0, 1, 40, 2000, 7, 1, 300, 13, 2, 900, 60}
 	for i, n := range sizes {
 		mode := i % stressModes
@@ -871,17 +969,19 @@ func TestScratchReuseMatchesReference(t *testing.T) {
 		label := fmt.Sprintf("build %d: mode=%d n=%d lo=%d", i, mode, n, lo)
 		got := s.Build(stressAttrs(), b, lo, lo+n)
 		assertSameTree(t, label, got, referenceBuild(stressAttrs(), b, lo, lo+n))
-		levels, all := s.Levels(), got.AllLevels()
+		r0, s0 := len(reps), len(levelSizes)
+		reps, levelSizes = s.AppendLevels(reps, levelSizes)
+		levels, all := splitLevels(reps[r0:], levelSizes[s0:]), got.AllLevels()
 		if len(levels) != len(all) {
-			t.Fatalf("%s: Levels holds %d levels, AllLevels %d", label, len(levels), len(all))
+			t.Fatalf("%s: AppendLevels lists %d levels, AllLevels %d", label, len(levels), len(all))
 		}
 		for k := range all {
 			if !slices.EqualFunc(levels[k], all[k], func(a, b Rep) bool {
-				return a.Row == b.Row && a.Count == b.Count && slices.EqualFunc(a.MaxDist, b.MaxDist, func(x, y float64) bool {
+				return a.Row == b.Row && a.Count == b.Count && slices.EqualFunc(got.MaxDist(a), got.MaxDist(b), func(x, y float64) bool {
 					return math.Float64bits(x) == math.Float64bits(y)
 				})
 			}) {
-				t.Fatalf("%s: Levels level %d differs from AllLevels", label, k)
+				t.Fatalf("%s: AppendLevels level %d differs from AllLevels", label, k)
 			}
 		}
 	}

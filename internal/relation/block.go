@@ -232,6 +232,40 @@ func (b *Block) HashRow(i int) uint64 {
 	return h
 }
 
+// HashRows sets hs[i] to HashRow(lo+i) for every i < len(hs), folding
+// column by column: a column of non-null ints, floats or strings is read
+// straight from its payload, any other through Value.
+func (b *Block) HashRows(lo int, hs []uint64) {
+	for i := range hs {
+		hs[i] = fnvOffset64
+	}
+	hi := lo + len(hs)
+	for j := range b.cols {
+		c := &b.cols[j]
+		if ints, ok := c.Ints(); ok {
+			for i, x := range ints[lo:hi] {
+				hs[i] = (hashUint64((hs[i]^'i')*fnvPrime64, uint64(x)) ^ 0x1f) * fnvPrime64
+			}
+		} else if floats, ok := c.Floats(); ok {
+			for i, f := range floats[lo:hi] {
+				hs[i] = (Float(f).hashInto(hs[i]) ^ 0x1f) * fnvPrime64
+			}
+		} else if strs, ok := c.Strings(); ok {
+			for i, s := range strs[lo:hi] {
+				h := (hs[i] ^ 's') * fnvPrime64
+				for k := 0; k < len(s); k++ {
+					h = (h ^ uint64(s[k])) * fnvPrime64
+				}
+				hs[i] = (h ^ 0x1f) * fnvPrime64
+			}
+		} else {
+			for i := range hs {
+				hs[i] = (c.Value(lo+i).hashInto(hs[i]) ^ 0x1f) * fnvPrime64
+			}
+		}
+	}
+}
+
 // HashCols returns the hash of the projection of row i onto cols, equal to
 // Tuple.Hash of the projected row.
 func (b *Block) HashCols(i int, cols []int) uint64 {

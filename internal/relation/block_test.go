@@ -161,6 +161,32 @@ func TestBlockHashMatchesTupleHash(t *testing.T) {
 	}
 }
 
+// HashRows folds a range of rows column by column — typed int, float and
+// string columns from their payload, others through Value — to exactly the
+// HashRow of each row: the pool of each trial is every value, or the ints,
+// floats or strings alone, so typed and mixed columns both occur.
+func TestHashRowsMatchesHashRow(t *testing.T) {
+	vals := testValues()
+	pools := [][]Value{vals, vals[1:6], vals[6:15], vals[15:]}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		pool, width := pools[trial%len(pools)], 1+rng.Intn(5)
+		b := NewBlock(width)
+		n := 1 + rng.Intn(60)
+		for i := 0; i < n; i++ {
+			b.AppendTuple(randTuple(rng, pool, width))
+		}
+		lo := rng.Intn(n)
+		hs := make([]uint64, rng.Intn(n-lo+1))
+		b.HashRows(lo, hs)
+		for i, h := range hs {
+			if want := b.HashRow(lo + i); h != want {
+				t.Fatalf("trial %d row %d: HashRows %x want HashRow %x", trial, lo+i, h, want)
+			}
+		}
+	}
+}
+
 // rangeBlock is a block holding a copy of rows [lo, hi) of b.
 func rangeBlock(b *Block, lo, hi int) *Block {
 	v := NewBlock(b.Width())

@@ -277,10 +277,12 @@ func (x *RowIndex) Reset(b *Block, n int) {
 	x.t.Grow(n)
 }
 
-// Add returns the first added row equal to row r of the index's block,
-// adding r itself when there is none.
-func (x *RowIndex) Add(r int) int {
-	p, added := x.t.Insert(x.b.HashRow(r), func(p int) bool {
+// AddHashed returns the first added row equal to row r of the index's
+// block, adding r itself when there is none. h is the row's Block.HashRow,
+// which the caller computes (Block.HashRows hashes a range of rows column
+// by column).
+func (x *RowIndex) AddHashed(r int, h uint64) int {
+	p, added := x.t.Insert(h, func(p int) bool {
 		return x.b.RowKeyEqual(int(x.added[p]), x.b, r)
 	})
 	if added {

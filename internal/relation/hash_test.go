@@ -294,6 +294,10 @@ func TestProbeTableFindAllocs(t *testing.T) {
 	}
 }
 
+// Add is AddHashed of row r with the hash it needs: the one-row form the
+// tests add with.
+func (x *RowIndex) Add(r int) int { return x.AddHashed(r, x.b.HashRow(r)) }
+
 // RowIndex keys block rows as Tuple.Key strings key their tuples: Add
 // returns the first added row whose materialised tuple has the same Key.
 func TestRowIndexMatchesTupleKeys(t *testing.T) {
